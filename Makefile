@@ -4,12 +4,10 @@
 GO ?= go
 
 .PHONY: ci build vet fmt lint test race bench bench-smoke determinism obs-ab \
-	audit-ab telemetry-smoke obsreport-gate topo-smoke shard-smoke \
-	fleet-smoke cover hybrid-gate
+	audit-ab telemetry-smoke obsreport-gate topo-smoke cover hybrid-gate
 
 ci: fmt vet lint build test race bench-smoke determinism obs-ab audit-ab \
-	telemetry-smoke obsreport-gate topo-smoke shard-smoke fleet-smoke \
-	cover hybrid-gate
+	telemetry-smoke obsreport-gate topo-smoke cover hybrid-gate
 
 build:
 	$(GO) build ./...
@@ -135,28 +133,6 @@ topo-smoke:
 		|| { echo "topo-smoke: watchdog reported no fault summary"; exit 1; }; \
 	echo "topo-smoke: Clos incast clean under invariants, ECMP deterministic"
 
-# Sharded-engine gate: the same seeded Clos incast on the serial engine
-# and on 4 shards, both under the invariant checker (which audits cross-
-# shard byte conservation per mailbox edge in the sharded run). The TSV
-# bodies must match byte-for-byte — the sharded output differs only by
-# its one-line partition header, which is stripped before the diff. The
-# -race side of sharding is covered by `make race` (the -short suite
-# keeps TestShardedRunUnderRace, a 4-shard Clos incast, enabled).
-shard-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/packetsim -proto timely -topology clos -radix 4 -tiers 3 \
-		-n 6 -horizon 0.003 -seed 7 -invariants > "$$tmp/serial.tsv" \
-		|| { echo "shard-smoke: invariant violation on the serial run"; exit 1; }; \
-	$(GO) run ./cmd/packetsim -proto timely -topology clos -radix 4 -tiers 3 \
-		-n 6 -horizon 0.003 -seed 7 -invariants -shards 4 > "$$tmp/sharded.tsv" \
-		|| { echo "shard-smoke: invariant violation on the 4-shard run"; exit 1; }; \
-	grep -q '^# shards: 4 effective' "$$tmp/sharded.tsv" \
-		|| { echo "shard-smoke: run fell back to fewer than 4 shards"; exit 1; }; \
-	tail -n +2 "$$tmp/sharded.tsv" > "$$tmp/sharded-body.tsv"; \
-	cmp "$$tmp/serial.tsv" "$$tmp/sharded-body.tsv" \
-		|| { echo "shard-smoke: sharded trajectory diverged from serial"; exit 1; }; \
-	echo "shard-smoke: 4-shard Clos incast byte-identical to serial, invariants clean"
-
 # Telemetry smoke gate: boot packetsim with -serve on an ephemeral port,
 # scrape /metrics and /progress mid-run, and require both to answer with
 # real content before the run is killed.
@@ -174,44 +150,6 @@ telemetry-smoke:
 	curl -sf "http://$$addr/progress" | grep -q '"sim_time_s"' \
 		|| { echo "telemetry-smoke: /progress served no sim_time_s"; exit 1; }; \
 	echo "telemetry-smoke: /metrics and /progress answer mid-run"
-
-# Fleet chaos gate: a coordinator plus two workers on localhost, with
-# one worker SIGKILLed mid-shard (0.5s after its first lease grant, a
-# fraction of one packet-level job) so its lease expires and the shard
-# is re-queued to the survivor. The merged, finalized checkpoint must
-# be byte-identical to a serial -workers 1 run of the same grid, and
-# the coordinator log must show the expired lease — proof the kill
-# landed mid-run rather than after the grid drained.
-fleet-smoke:
-	@tmp=$$(mktemp -d); trap 'kill $$cpid $$w1 $$w2 2>/dev/null; rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/sweep" ./cmd/sweep; \
-	"$$tmp/sweep" -kind exp -exp fig14 -seeds 1:6 -workers 1 \
-		-out "$$tmp/serial.jsonl" > /dev/null 2>&1 \
-		|| { echo "fleet-smoke: serial reference run failed"; exit 1; }; \
-	"$$tmp/sweep" -coordinator 127.0.0.1:0 -kind exp -exp fig14 -seeds 1:6 \
-		-lease-ttl 1s -shard-size 2 -out "$$tmp/fleet.jsonl" \
-		2> "$$tmp/coord.log" & cpid=$$!; \
-	addr=""; for i in $$(seq 1 50); do \
-		addr=$$(sed -n 's|.*serving on http://\([^ ]*\).*|\1|p' "$$tmp/coord.log" | head -1); \
-		[ -n "$$addr" ] && break; sleep 0.1; done; \
-	[ -n "$$addr" ] || { echo "fleet-smoke: coordinator never announced its address"; \
-		cat "$$tmp/coord.log"; exit 1; }; \
-	"$$tmp/sweep" -worker "http://$$addr" -worker-id alpha \
-		-spool "$$tmp/alpha.spool.jsonl" -give-up 60s 2> "$$tmp/alpha.log" & w1=$$!; \
-	"$$tmp/sweep" -worker "http://$$addr" -worker-id beta \
-		-spool "$$tmp/beta.spool.jsonl" -give-up 60s 2> "$$tmp/beta.log" & w2=$$!; \
-	for i in $$(seq 1 100); do \
-		grep -q 'leased shard .* to alpha' "$$tmp/coord.log" && break; sleep 0.1; done; \
-	grep -q 'leased shard .* to alpha' "$$tmp/coord.log" \
-		|| { echo "fleet-smoke: alpha never acquired a lease"; cat "$$tmp/coord.log"; exit 1; }; \
-	sleep 0.5; kill -9 $$w1 2>/dev/null; \
-	wait $$w2 || { echo "fleet-smoke: surviving worker failed"; cat "$$tmp/beta.log"; exit 1; }; \
-	wait $$cpid || { echo "fleet-smoke: coordinator failed"; cat "$$tmp/coord.log"; exit 1; }; \
-	grep -q 'expired' "$$tmp/coord.log" \
-		|| { echo "fleet-smoke: no lease expired (kill missed the run)"; cat "$$tmp/coord.log"; exit 1; }; \
-	cmp "$$tmp/serial.jsonl" "$$tmp/fleet.jsonl" \
-		|| { echo "fleet-smoke: merged checkpoint diverged from serial"; exit 1; }; \
-	echo "fleet-smoke: killed worker's shard re-queued; merged checkpoint byte-identical to serial"
 
 # Coverage gate, two levels. Packages whose whole job is checking other
 # code — internal/hybrid (paper-math cross-validation), internal/prof

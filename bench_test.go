@@ -172,34 +172,6 @@ func BenchmarkHybridBG(b *testing.B) { benchRunner(b, "hybridbg") }
 // loss points — the cost of a fully attached audit trail rides along.
 func BenchmarkAuditLoop(b *testing.B) { benchRunner(b, "auditloop") }
 
-// ---- Sharded engine (internal/des.ShardedLoop, design note "Parallel
-// DES" in DESIGN.md) ----
-
-// benchRunnerSharded is benchRunner with a shard count: the same
-// experiment, the same metrics, run on the conservative parallel engine.
-// Sharded1 runs the serial engine and anchors the comparison; the
-// Sharded2/Sharded4 deltas are the engine's wall-clock win (or, on a
-// single-core host, its synchronisation overhead).
-func benchRunnerSharded(b *testing.B, id string, shards int) {
-	r, ok := ecndelay.GetRunner(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(ecndelay.ExperimentOptions{Scale: ecndelay.Quick, Seed: 1, Shards: shards}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkClosIncastSharded* run the largest packet-level experiment
-// (the 3-tier fat-tree incast) serially and on 2 and 4 shards; all three
-// produce identical metrics (TestShardedMetricsMatchSerialEverywhere).
-func BenchmarkClosIncastSharded1(b *testing.B) { benchRunnerSharded(b, "closincast", 1) }
-func BenchmarkClosIncastSharded2(b *testing.B) { benchRunnerSharded(b, "closincast", 2) }
-func BenchmarkClosIncastSharded4(b *testing.B) { benchRunnerSharded(b, "closincast", 4) }
-
 // ---- Ablations (design choices called out in DESIGN.md) ----
 
 // BenchmarkAblationMarkingPoint contrasts egress and ingress ECN marking

@@ -62,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 1, "simulation seed")
 		list       = fs.Bool("list", false, "list available experiments and exit")
 		workers    = fs.Int("workers", 1, "experiments to run concurrently (0: GOMAXPROCS)")
-		shards     = fs.Int("shards", 1, "worker shards inside each packet-level experiment (1: serial)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -111,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := ecndelay.ExperimentOptions{Scale: ecndelay.Quick, Seed: *seed, Shards: *shards}
+	opts := ecndelay.ExperimentOptions{Scale: ecndelay.Quick, Seed: *seed}
 	if *full {
 		opts.Scale = ecndelay.Full
 	}

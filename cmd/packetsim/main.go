@@ -15,12 +15,6 @@
 //	packetsim -proto dcqcn -n 10 -bw 40e9 -warm-start
 //	packetsim -proto dcqcn -n 2 -bw 40e9 -bg-flows 6
 //
-// Multi-core runs shard the node set over worker simulators; the TSV body
-// is identical to the serial engine for any shard count (a sharded run
-// adds one header comment naming the partition):
-//
-//	packetsim -proto timely -topology clos -radix 6 -n 20 -shards 4
-//
 // Fault injection (all off by default; output stays deterministic for
 // fixed -seed and -fault-seed, which is what the Makefile determinism
 // gate diffs):
@@ -84,7 +78,6 @@ func main() {
 		burst      = flag.Bool("burst", false, "TIMELY per-burst pacing")
 		seg        = flag.Int("seg", 0, "TIMELY segment bytes (0: default 16000)")
 		horizon    = flag.Float64("horizon", 0.1, "simulated seconds")
-		shards     = flag.Int("shards", 1, "worker shards for the parallel engine (1: serial)")
 		sample     = flag.Float64("sample", 1e-4, "output sampling interval, seconds")
 		rates      = flag.String("rates", "", "comma-separated TIMELY start rates, bytes/s")
 		seed       = flag.Int64("seed", 1, "simulation seed")
@@ -195,7 +188,6 @@ func main() {
 	link := ecndelay.LinkConfig{Bandwidth: bwBytes, PropDelay: ecndelay.Microsecond}
 	pfc := ecndelay.PFCConfig{PauseBytes: *pfcPause, ResumeBytes: *pfcResume}
 	var fab fabric
-	var closFab *ecndelay.Clos // set for -topology clos: carries the pod-aware shard map
 	switch *topology {
 	case "star":
 		star := ecndelay.NewStar(nw, ecndelay.StarConfig{
@@ -258,7 +250,6 @@ func main() {
 		// in another pod, so the incast crosses the ECMP core — and its
 		// leaf→host port is the bottleneck the TSV tracks.
 		fab = fabric{cl.Hosts[:*n], cl.Hosts[last], cl.HostPorts[last], cl.Switches()}
-		closFab = cl
 	default:
 		log.Fatalf("unknown -topology %q", *topology)
 	}
@@ -483,9 +474,8 @@ func main() {
 	}
 
 	// Warm-start the bottleneck queue and attach the optional fluid
-	// background aggregate before any partitioning: the prefilled segments
-	// are ordinary queued packets, and the aggregate's coupling tick only
-	// runs on the serial engine.
+	// background aggregate; the prefilled segments are ordinary queued
+	// packets.
 	if warm != nil {
 		flows := make([]ecndelay.HybridPrefillFlow, *n)
 		for i, h := range fab.senders {
@@ -497,9 +487,6 @@ func main() {
 	if *bgFlows > 0 {
 		if *proto != "dcqcn" {
 			log.Fatal("-bg-flows needs -proto dcqcn (the aggregate is a DCQCN fluid model)")
-		}
-		if *shards > 1 {
-			log.Fatal("-bg-flows runs serial only: the coupling tick is not sharded")
 		}
 		pr := ecndelay.DefaultDCQCNParams(*bgFlows)
 		pr.C = bwBytes / ecndelay.DataMTU
@@ -514,31 +501,6 @@ func main() {
 
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
-
-	// Sharding: partition last, after faults and watchdogs have attached,
-	// so every RNG-drawing port is visible to the assignment's pinning
-	// pass. The extra header comment appears only in sharded runs — a
-	// -shards 1 invocation stays byte-identical to the serial engine (the
-	// determinism gate relies on it).
-	if *shards > 1 {
-		if *shards > nw.NodeCount() {
-			log.Fatalf("-shards %d exceeds the network's %d nodes", *shards, nw.NodeCount())
-		}
-		assign := ecndelay.DefaultShardAssign(nw, *shards)
-		if closFab != nil && mark == nil && applied == nil {
-			// Marker-free Clos with no fault RNG: cut along pod
-			// boundaries so only thin core links cross shards.
-			assign = closFab.ShardAssign(*shards)
-		}
-		if err := nw.PartitionByNode(assign); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(out, "# shards: %d effective (%d requested), partition sizes:", nw.Shards(), *shards)
-		for _, sz := range nw.ShardSizes() {
-			fmt.Fprintf(out, " %d", sz)
-		}
-		fmt.Fprintln(out)
-	}
 
 	qBytes := func() int { return fab.bottleneck.Queue().Bytes() }
 	if bg != nil {

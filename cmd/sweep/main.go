@@ -36,10 +36,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"ecndelay"
@@ -63,7 +65,6 @@ func run(args []string, stderr io.Writer) int {
 		expFlag    = fs.String("exp", "all", "exp: experiment id, comma list, or 'all'")
 		seeds      = fs.String("seeds", "", "exp: seed range lo:hi or comma list (empty: one derived seed per job)")
 		full       = fs.Bool("full", false, "exp: paper-scale instead of quick")
-		shards     = fs.Int("shards", 1, "exp: worker shards inside each packet-level job (1: serial)")
 		out        = fs.String("out", "sweep.jsonl", "JSONL checkpoint file")
 		resume     = fs.Bool("resume", false, "skip jobs already completed in -out")
 		workers    = fs.Int("workers", 0, "parallel workers (0: GOMAXPROCS)")
@@ -81,14 +82,7 @@ func run(args []string, stderr io.Writer) int {
 		auditFile   = fs.String("audit", "", "exp: write per-job control-loop audits as JSONL files derived from this path")
 		serveAddr   = fs.String("serve", "", "serve live telemetry (/metrics, /progress, pprof) on this host:port")
 
-		failFast  = fs.Bool("fail-fast", false, "stop dispatching new jobs after the first job exhausts its retries (completed rows are kept)")
-		coordAddr = fs.String("coordinator", "", "run as fleet coordinator: serve shard leases and telemetry on this host:port")
-		workerURL = fs.String("worker", "", "run as fleet worker attached to the coordinator at this URL (grid flags come from the coordinator)")
-		workerID  = fs.String("worker-id", "", "fleet worker name (default worker-<pid>)")
-		leaseTTL  = fs.Duration("lease-ttl", 10*time.Second, "coordinator: shard lease TTL; a worker silent this long loses its shard")
-		shardSize = fs.Int("shard-size", 8, "coordinator: jobs per lease")
-		spoolPath = fs.String("spool", "", "worker: local JSONL spool for rows while the coordinator is unreachable")
-		giveUp    = fs.Duration("give-up", 0, "worker: exit once the coordinator has been unreachable this long (0: retry forever)")
+		failFast = fs.Bool("fail-fast", false, "stop dispatching new jobs after the first job exhausts its retries (completed rows are kept)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -103,21 +97,6 @@ func run(args []string, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "sweep: %v\n", err)
 		}
 	}()
-
-	switch {
-	case *coordAddr != "" && *workerURL != "":
-		fmt.Fprintln(stderr, "sweep: -coordinator and -worker are mutually exclusive")
-		return 2
-	case *failFast && (*coordAddr != "" || *workerURL != ""):
-		fmt.Fprintln(stderr, "sweep: -fail-fast is serial-mode only (a fleet records failed rows and keeps going)")
-		return 2
-	case *coordAddr != "":
-		return runCoordinator(*coordAddr,
-			gridSpec(*kind, *model, *flows, *delays, *expFlag, *seeds, *full, *shards),
-			*seed, *leaseTTL, *shardSize, *out, *resume, *quiet, stderr)
-	case *workerURL != "":
-		return runWorker(*workerURL, *workerID, *spoolPath, *giveUp, *workers, *timeout, *retries, *quiet, stderr)
-	}
 
 	// One shared observer serves every job: counters are atomic, the
 	// checker serialises and keeps per-network books, and each job's
@@ -176,7 +155,7 @@ func run(args []string, stderr io.Writer) int {
 		}
 	}
 
-	jobs, err := buildJobs(*kind, *model, *flows, *delays, *expFlag, *seeds, *full, *shards, observer)
+	jobs, err := buildJobs(*kind, *model, *flows, *delays, *expFlag, *seeds, *full, observer)
 	if err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 2
@@ -247,6 +226,26 @@ func run(args []string, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// shutdownOnSignal drains the telemetry server with a bounded deadline
+// before the process dies on SIGINT/SIGTERM, so in-flight scrapes
+// complete instead of being cut mid-body. The returned stop func
+// detaches the handler on the normal exit path.
+func shutdownOnSignal(srv *ecndelay.TelemetryServer, stderr io.Writer) func() {
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+	done := make(chan struct{})
+	go func() {
+		select {
+		case s := <-ch:
+			fmt.Fprintf(stderr, "sweep: %v: draining telemetry server\n", s)
+			_ = srv.Shutdown(5 * time.Second)
+			os.Exit(1)
+		case <-done:
+		}
+	}()
+	return func() { signal.Stop(ch); close(done) }
 }
 
 // finishObs flushes the observability outputs and reports invariant
@@ -408,7 +407,7 @@ func (a *jobAudits) close() error {
 }
 
 // buildJobs expands the flag grid into the job matrix.
-func buildJobs(kind, model, flows, delays, expFlag, seeds string, full bool, shards int, obs *ecndelay.Observer) ([]ecndelay.SweepJob, error) {
+func buildJobs(kind, model, flows, delays, expFlag, seeds string, full bool, obs *ecndelay.Observer) ([]ecndelay.SweepJob, error) {
 	switch kind {
 	case "pm":
 		ns, err := parseInts(flows)
@@ -458,7 +457,7 @@ func buildJobs(kind, model, flows, delays, expFlag, seeds string, full bool, sha
 				seedList = append(seedList, int64(n))
 			}
 		}
-		opts := ecndelay.ExperimentOptions{Scale: ecndelay.Quick, Observer: obs, Shards: shards}
+		opts := ecndelay.ExperimentOptions{Scale: ecndelay.Quick, Observer: obs}
 		if full {
 			opts.Scale = ecndelay.Full
 		}

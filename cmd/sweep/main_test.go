@@ -12,7 +12,7 @@ import (
 )
 
 func TestBuildJobsPMMatrix(t *testing.T) {
-	jobs, err := buildJobs("pm", "dcqcn,patched", "1,8,64", "1e-6,85e-6", "", "", false, 1, nil)
+	jobs, err := buildJobs("pm", "dcqcn,patched", "1,8,64", "1e-6,85e-6", "", "", false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestBuildJobsPMMatrix(t *testing.T) {
 }
 
 func TestBuildJobsExpMatrix(t *testing.T) {
-	jobs, err := buildJobs("exp", "", "", "", "fig3,fig11", "1:4", false, 1, nil)
+	jobs, err := buildJobs("exp", "", "", "", "fig3,fig11", "1:4", false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestBuildJobsErrors(t *testing.T) {
 		{"exp", "", "", "", "notanexp", ""},
 		{"exp", "", "", "", "fig3", "x"},
 	} {
-		if _, err := buildJobs(c.kind, c.model, c.flows, c.delays, c.exp, c.seeds, false, 1, nil); err == nil {
+		if _, err := buildJobs(c.kind, c.model, c.flows, c.delays, c.exp, c.seeds, false, nil); err == nil {
 			t.Errorf("buildJobs(%+v) accepted", c)
 		}
 	}
@@ -146,6 +146,41 @@ func TestCLIGridDeterministicAndResume(t *testing.T) {
 	}
 	if got := readRows(t, truncated); len(got) != 18 || canon(got) != canon(serial) {
 		t.Errorf("resumed checkpoint incomplete or divergent (%d rows)", len(got))
+	}
+}
+
+// An exp grid with every observability export on writes one trace and
+// one audit file per job (named from the job id, "/" → "_"), each opening
+// with its self-describing header, plus the shared metrics, probe and
+// histogram exports.
+func TestCLIExpGridWritesPerJobExports(t *testing.T) {
+	dir := t.TempDir()
+	at := func(name string) string { return filepath.Join(dir, name) }
+	var errOut strings.Builder
+	code := run([]string{
+		"-kind", "exp", "-exp", "fig3", "-seeds", "1:2", "-workers", "2", "-quiet",
+		"-out", at("rows.jsonl"), "-metrics", at("m.tsv"), "-trace", at("t.jsonl"),
+		"-probe", at("p.jsonl"), "-hist", at("h.tsv"), "-audit", at("a.jsonl"), "-invariants",
+	}, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	if rows := readRows(t, at("rows.jsonl")); len(rows) != 2 {
+		t.Errorf("checkpoint has %d rows, want 2", len(rows))
+	}
+	for _, name := range []string{"t.fig3_seed1.jsonl", "t.fig3_seed2.jsonl", "a.fig3_seed1.jsonl", "a.fig3_seed2.jsonl"} {
+		b, err := os.ReadFile(at(name))
+		if err != nil {
+			t.Fatalf("per-job export missing: %v", err)
+		}
+		if !bytes.Contains(b, []byte("exp=fig3")) {
+			t.Errorf("%s lacks the flag-echo header: %q", name, b)
+		}
+	}
+	for _, name := range []string{"m.tsv", "p.jsonl", "h.tsv"} {
+		if _, err := os.Stat(at(name)); err != nil {
+			t.Errorf("shared export missing: %v", err)
+		}
 	}
 }
 

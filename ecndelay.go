@@ -49,7 +49,6 @@ import (
 	"ecndelay/internal/exp"
 	"ecndelay/internal/fault"
 	"ecndelay/internal/fixedpoint"
-	"ecndelay/internal/fleet"
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
@@ -310,11 +309,6 @@ func NewParkingLot(nw *Network, cfg ParkingLotConfig) *ParkingLot {
 // switch hash salts derived from cfg.ECMPSeed.
 func NewClos(nw *Network, cfg ClosConfig) (*Clos, error) { return topo.NewClos(nw, cfg) }
 
-// DefaultShardAssign splits nw's nodes over n shards for
-// Network.PartitionByNode: contiguous blocks, with every RNG-drawing node
-// pinned to shard 0 so the shared-RNG draw order stays serial-identical.
-func DefaultShardAssign(nw *Network, n int) []int { return netsim.DefaultAssign(nw, n) }
-
 // DefaultDCQCNProtoParams returns the [31] protocol defaults.
 func DefaultDCQCNProtoParams() DCQCNProtoParams { return dcqcn.DefaultParams() }
 
@@ -541,55 +535,10 @@ func OpenSweepJSONL(path string, resume bool) (*SweepJSONLSink, error) {
 // canonical byte-comparable form of a sweep's output.
 func MarshalSweepResults(rs []SweepResult) ([]byte, error) { return sweep.MarshalResults(rs) }
 
-// ReadSweepResults parses a JSONL checkpoint or spool file: last row
+// ReadSweepResults parses a JSONL checkpoint file: last row
 // per job ID, first-seen order, torn trailing lines tolerated, missing
 // file yields no rows.
 func ReadSweepResults(path string) ([]SweepResult, error) { return sweep.ReadResults(path) }
-
-// ---- Distributed sweep fleet (internal/fleet) ----
-
-// Fleet types: a coordinator leases grid shards to worker processes
-// under TTL leases renewed by heartbeat; silent workers lose their
-// shard, which re-queues and re-runs elsewhere with byte-identical
-// rows (per-job seeds derive from the stable job index). See the
-// internal/fleet package docs for the full failure model.
-type (
-	// FleetCoordinator owns lease books and the merged checkpoint.
-	FleetCoordinator = fleet.Coordinator
-	// FleetCoordinatorConfig parameterises NewFleetCoordinator.
-	FleetCoordinatorConfig = fleet.CoordinatorConfig
-	// FleetWorker pulls leases, runs jobs and streams rows back,
-	// spooling locally across coordinator outages.
-	FleetWorker = fleet.Worker
-	// FleetWorkerConfig parameterises NewFleetWorker.
-	FleetWorkerConfig = fleet.WorkerConfig
-	// FleetSnapshot is the aggregated job board /progress serves.
-	FleetSnapshot = fleet.Snapshot
-	// FleetWorkerSnapshot is one worker's liveness row on that board.
-	FleetWorkerSnapshot = fleet.WorkerSnapshot
-	// FleetGridInfo describes a coordinator's grid to workers.
-	FleetGridInfo = fleet.GridInfo
-	// SweepSinkFunc adapts a function to the sweep Sink interface.
-	SweepSinkFunc = sweep.SinkFunc
-	// HistState is the portable wire form of a histogram: fleet workers
-	// ship it, coordinators merge it commutatively.
-	HistState = obs.HistState
-	// HistBucket is one occupied bucket in a HistState.
-	HistBucket = obs.HistBucket
-)
-
-// NewFleetCoordinator validates the grid, builds the shard queue and
-// starts the lease-expiry sweep; Close it when done.
-func NewFleetCoordinator(cfg FleetCoordinatorConfig) (*FleetCoordinator, error) {
-	return fleet.NewCoordinator(cfg)
-}
-
-// NewFleetWorker validates cfg and returns a worker ready to Run.
-func NewFleetWorker(cfg FleetWorkerConfig) (*FleetWorker, error) { return fleet.NewWorker(cfg) }
-
-// HashFleetJobIDs fingerprints a job-ID list; coordinator and workers
-// must agree on it before any job runs.
-func HashFleetJobIDs(ids []string) string { return fleet.HashJobIDs(ids) }
 
 // ExperimentSweepJobs builds one sweep job per (experiment id, seed)
 // pair from the registry. With an empty seeds slice each experiment
@@ -784,7 +733,6 @@ const (
 	InvQueueBounds  = obs.InvQueueBounds
 	InvPFCPairing   = obs.InvPFCPairing
 	InvDoubleFree   = obs.InvDoubleFree
-	InvShardHandoff = obs.InvShardHandoff
 )
 
 // NewMetricsRegistry returns an empty metrics registry.

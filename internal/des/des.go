@@ -135,12 +135,13 @@ type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
 
-// Less orders by (time, sub, seq). In a single-simulator run sub (the
-// clock value at schedule time) is non-decreasing in seq, so the order is
-// exactly the historical (time, seq) order. The sub key exists for sharded
-// runs: a cross-shard delivery injected with its producer-side send time
-// slots into the consumer heap at the same position it would have held in
-// a serial run, independent of when the mailbox was drained.
+// Less orders by (time, sub, seq), where sub is the clock value when the
+// event was scheduled. The sub key is needed because caller-minted seqs
+// (AtHandlerSeq) do not increase with schedule time: netsim mints them per
+// node, so an event scheduled later may carry a smaller seq than one
+// scheduled earlier for the same instant. Ordering by sub first keeps
+// same-instant events in schedule order; seq only breaks ties among
+// events scheduled at the same clock value.
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
@@ -263,10 +264,8 @@ func (s *Simulator) AtHandler(t Time, h Handler, arg any) EventRef {
 }
 
 // ScheduleHandlerSeq is ScheduleHandler with a caller-minted sequence key.
-// Sharded runs mint keys per network node rather than per simulator, so two
-// events scheduled by the same node sort identically whether the node runs
-// on the serial engine or on any shard — tie order becomes a property of
-// the network, not of the partition.
+// netsim mints keys per network node rather than per simulator, so
+// same-instant ties resolve by node id, then by the node's program order.
 func (s *Simulator) ScheduleHandlerSeq(d Duration, seq uint64, h Handler, arg any) EventRef {
 	if d < 0 {
 		panic(fmt.Sprintf("des: negative delay %v at %v", d, s.now))
@@ -287,75 +286,6 @@ func (s *Simulator) AtHandlerSeq(t Time, seq uint64, h Handler, arg any) EventRe
 	e.time, e.sub, e.seq, e.h, e.arg = t, s.now, seq, h, arg
 	heap.Push(&s.queue, e)
 	return EventRef{e: e, gen: e.gen}
-}
-
-// SetSeqBase offsets the simulator's sequence counter. Sharded runs give
-// every shard simulator a disjoint sequence space so that event keys from
-// different shards never collide and tie order across shards is fixed by
-// the shard's position, not by scheduling races. Must be called before any
-// event is scheduled.
-func (s *Simulator) SetSeqBase(base uint64) {
-	if s.seq != 0 || len(s.queue) > 0 {
-		panic("des: SetSeqBase after events were scheduled")
-	}
-	s.seq = base
-}
-
-// NextEventTime reports the firing time of the earliest queued event.
-// ok is false when the queue is empty.
-func (s *Simulator) NextEventTime() (t Time, ok bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].time, true
-}
-
-// NextSeq consumes and returns the next sequence number without scheduling
-// anything. Sharded runs use it on the producer side of a cross-shard
-// mailbox: the send keeps the (sub, seq) key it would have received had the
-// delivery been scheduled locally, and InjectAt replays that key on the
-// consumer simulator.
-func (s *Simulator) NextSeq() uint64 {
-	n := s.seq
-	s.seq++
-	return n
-}
-
-// InjectAt schedules h.OnEvent(arg) at absolute time t with an explicit
-// (sub, seq) ordering key, on the pooled path. It is the consumer half of a
-// cross-shard mailbox: the key was minted by the producer simulator, so the
-// injected event sorts exactly where a locally scheduled one would have.
-// The explicit seq is not drawn from this simulator's counter; disjoint
-// per-shard sequence spaces (SetSeqBase) keep keys collision-free.
-func (s *Simulator) InjectAt(t, sub Time, seq uint64, h Handler, arg any) {
-	if t < s.now {
-		panic(fmt.Sprintf("des: inject in the past: %v < %v", t, s.now))
-	}
-	if h == nil {
-		panic("des: nil Handler")
-	}
-	e := s.alloc()
-	e.time, e.sub, e.seq, e.h, e.arg = t, sub, seq, h, arg
-	heap.Push(&s.queue, e)
-}
-
-// AdvanceTo moves the clock forward to t without firing anything. The
-// sharded coordinator calls it on every shard simulator before running a
-// control window at t, so code driven by control events (flow starts,
-// samplers, fault flaps) that touches shard-owned ports reads clocks that
-// agree with the control time instead of lagging one window behind. Events
-// queued at exactly t stay queued — they fire in the next shard window,
-// which is the documented control-before-shard tie order. Moving past a
-// queued event would silently reorder the run, so that panics; a clock
-// already at or beyond t is left untouched.
-func (s *Simulator) AdvanceTo(t Time) {
-	if t <= s.now {
-		return
-	}
-	if len(s.queue) > 0 && s.queue[0].time < t {
-		panic(fmt.Sprintf("des: AdvanceTo(%v) would skip event at %v", t, s.queue[0].time))
-	}
-	s.now = t
 }
 
 // Stop makes Run and RunUntil return after the current event completes.

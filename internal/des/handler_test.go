@@ -41,6 +41,34 @@ type handlerFunc func(arg any)
 
 func (f handlerFunc) OnEvent(arg any) { f(arg) }
 
+// Caller-minted keys beat simulator-counter keys deterministically: at an
+// equal (time, sub) instant, the explicit seq decides the order no matter
+// which call was issued first. The sub key ranks above seq: node-minted
+// seqs do not increase with schedule time, so an event scheduled later
+// with a smaller seq must still fire after one scheduled earlier for the
+// same instant.
+func TestAtHandlerSeqOrdersTies(t *testing.T) {
+	s := New()
+	var got []int
+	h := handlerFunc(func(arg any) { got = append(got, arg.(int)) })
+	s.AtHandlerSeq(10, 500, h, 2)
+	s.AtHandlerSeq(10, 100, h, 1)
+	s.ScheduleHandlerSeq(10, 900, h, 3)
+	s.RunUntil(10)
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("fired order %v, want [1 2 3]", got)
+	}
+
+	got = got[:0]
+	s.AtHandlerSeq(30, 500, h, 1) // scheduled at t=10
+	s.RunUntil(20)
+	s.AtHandlerSeq(30, 100, h, 2) // scheduled at t=20 with a smaller seq
+	s.RunUntil(30)
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("fired order %v, want [1 2]: the earlier-scheduled event fires first", got)
+	}
+}
+
 func TestHandlerSelfReschedule(t *testing.T) {
 	s := New()
 	r := &recorder{sim: s, left: 4, gap: 10}

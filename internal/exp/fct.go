@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/des"
@@ -91,10 +90,6 @@ type FCTConfig struct {
 	// qualification, playing the same per-sub-run role as ProbeName for
 	// the latency distributions.
 	HistPrefix string
-
-	// Shards runs the network partitioned across this many shard
-	// simulators (see Options.Shards); ≤ 1 is the serial engine.
-	Shards int
 }
 
 // FCTResult aggregates one run.
@@ -201,18 +196,7 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 	// collect into mergeable histograms (nil without an observer HistSet).
 	fctAllH := cfg.Observer.Hist(cfg.HistPrefix + "fct_all_s")
 	fctSmallH := cfg.Observer.Hist(cfg.HistPrefix + "fct_small_s")
-	// Sharded runs fire completions on shard goroutines: the callback
-	// serialises on a mutex and captures (at, flow) records instead of
-	// appending to the result slices, which are rebuilt after the run in
-	// serial completion order (see sortRecs). The serial path appends
-	// directly, exactly as before sharding existed.
-	var mu sync.Mutex
-	var recs []fctRec
 	complete := func(flowID int, at des.Time) {
-		if cfg.Shards > 1 {
-			mu.Lock()
-			defer mu.Unlock()
-		}
 		s, ok := start[flowID]
 		if !ok {
 			return
@@ -222,13 +206,9 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 			return
 		}
 		fct := at.Seconds() - s
-		if cfg.Shards > 1 {
-			recs = append(recs, fctRec{at: at, flow: flowID, fct: fct})
-		} else {
-			res.AllFCT = append(res.AllFCT, fct)
-			if size[flowID] < cfg.SmallBytes {
-				res.SmallFCT = append(res.SmallFCT, fct)
-			}
+		res.AllFCT = append(res.AllFCT, fct)
+		if size[flowID] < cfg.SmallBytes {
+			res.SmallFCT = append(res.SmallFCT, fct)
 		}
 		if fctAllH != nil {
 			fctAllH.Record(fct)
@@ -352,18 +332,7 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 	var txAtWarm, txAtEnd int64
 	nw.Sim.At(des.Time(des.DurationFromSeconds(cfg.Warmup)), func() { txAtWarm = d.Bottleneck.TxBytes })
 	nw.Sim.At(des.Time(des.DurationFromSeconds(cfg.Horizon)), func() { txAtEnd = d.Bottleneck.TxBytes })
-	if err := runNet(nw, cfg.Shards, des.Time(des.DurationFromSeconds(cfg.Horizon+cfg.Drain))); err != nil {
-		return nil, err
-	}
-	if cfg.Shards > 1 {
-		sortRecs(recs)
-		for _, r := range recs {
-			res.AllFCT = append(res.AllFCT, r.fct)
-			if size[r.flow] < cfg.SmallBytes {
-				res.SmallFCT = append(res.SmallFCT, r.fct)
-			}
-		}
-	}
+	nw.RunUntil(des.Time(des.DurationFromSeconds(cfg.Horizon + cfg.Drain)))
 	if o := cfg.Observer; o != nil && o.Check != nil {
 		o.Check.Finish(nw.Sim.Now())
 	}

@@ -32,13 +32,6 @@ type Options struct {
 	// builds: counters, traces, probes and invariants accumulate there.
 	// Nil — the default — leaves runs bit-identical to unobserved ones.
 	Observer *obs.NetObserver
-	// Shards requests sharded parallel execution of each packet-level
-	// network: the node set is partitioned (netsim.DefaultAssign) across
-	// this many shard simulators synchronised by conservative link
-	// lookahead. 0 or 1 runs the historical serial engine byte-identically;
-	// any N is metrics-identical to serial. Fluid-model experiments ignore
-	// the setting (nothing to shard in an ODE).
-	Shards int
 }
 
 // Table is a rendered block of experiment output.

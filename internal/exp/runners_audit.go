@@ -145,9 +145,7 @@ func runAuditLoop(o Options) (*Report, error) {
 				Loss: []fault.Loss{{Kinds: fault.SelCNP, Rate: rate}},
 			}}}).Apply(nw)
 		}
-		if err := runNet(nw, o.Shards, des.Time(des.DurationFromSeconds(horizon))); err != nil {
-			return nil, err
-		}
+		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		st, err := reduceAudit(mem.Decisions())
 		if err != nil {
 			return nil, err

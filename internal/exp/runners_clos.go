@@ -11,7 +11,6 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/des"
@@ -67,10 +66,6 @@ type closRunConfig struct {
 	Observer   *obs.NetObserver
 	ProbeName  string
 	HistPrefix string
-
-	// Shards runs the fabric partitioned across this many shard
-	// simulators (see Options.Shards); ≤ 1 is the serial engine.
-	Shards int
 }
 
 // closRunResult aggregates one fabric run.
@@ -125,17 +120,7 @@ func runClos(cfg closRunConfig) (*closRunResult, error) {
 	start := make(map[int]float64)
 	inFlight := 0
 	fctH := cfg.Observer.Hist(cfg.HistPrefix + "fct_all_s")
-	// In a sharded run completions fire on shard goroutines while the
-	// arm-chain arrivals run stop-the-world on the coordinator, so both
-	// closures serialise on one mutex, and the FCT slice is rebuilt after
-	// the run in serial completion order (see sortRecs).
-	var mu sync.Mutex
-	var recs []fctRec
 	complete := func(flowID int, at des.Time) {
-		if cfg.Shards > 1 {
-			mu.Lock()
-			defer mu.Unlock()
-		}
 		s, ok := start[flowID]
 		if !ok {
 			return
@@ -144,11 +129,7 @@ func runClos(cfg closRunConfig) (*closRunResult, error) {
 		res.Completed++
 		inFlight--
 		fct := at.Seconds() - s
-		if cfg.Shards > 1 {
-			recs = append(recs, fctRec{at: at, flow: flowID, fct: fct})
-		} else {
-			res.AllFCT = append(res.AllFCT, fct)
-		}
+		res.AllFCT = append(res.AllFCT, fct)
 		if fctH != nil {
 			fctH.Record(fct)
 		}
@@ -203,17 +184,11 @@ func runClos(cfg closRunConfig) (*closRunResult, error) {
 	}
 
 	track := func(f workload.Flow) error {
-		if cfg.Shards > 1 {
-			mu.Lock()
-		}
 		start[f.ID] = f.Start
 		res.Generated++
 		inFlight++
 		if inFlight > res.PeakInFlight {
 			res.PeakInFlight = inFlight
-		}
-		if cfg.Shards > 1 {
-			mu.Unlock()
 		}
 		return startFlow(f)
 	}
@@ -262,15 +237,7 @@ func runClos(cfg closRunConfig) (*closRunResult, error) {
 		})
 	}
 
-	if rerr := runNet(nw, cfg.Shards, des.Time(des.DurationFromSeconds(cfg.Horizon+cfg.Drain))); rerr != nil {
-		return nil, rerr
-	}
-	if cfg.Shards > 1 {
-		sortRecs(recs)
-		for _, r := range recs {
-			res.AllFCT = append(res.AllFCT, r.fct)
-		}
-	}
+	nw.RunUntil(des.Time(des.DurationFromSeconds(cfg.Horizon + cfg.Drain)))
 	wd.Finish()
 	if o := cfg.Observer; o != nil && o.Check != nil {
 		o.Check.Finish(nw.Sim.Now())
@@ -295,7 +262,7 @@ func closIncastFabric(link netsim.LinkConfig, seed int64) topo.ClosConfig {
 var closLink = netsim.LinkConfig{Bandwidth: 10e9 / 8, PropDelay: des.Microsecond}
 
 // runClosIncast sweeps the fan-in of a partition-aggregate incast converging
-// on one host of a 3-tier Clos: every sender's shard crosses the ECMP core
+// on one host of a 3-tier Clos: every sender's flow crosses the ECMP core
 // and funnels into a single leaf→host port. FCT degrades with fan-in for
 // both protocols, but the PFC cost — pause seconds and sustained storms —
 // is the fabric-level signature the paper's §3 PFC discussion predicts.
@@ -323,7 +290,7 @@ func runClosIncast(o Options) (*Report, error) {
 				Fabric:   closIncastFabric(closLink, o.Seed),
 				Flows:    flows,
 				// Senders are hosts 0..n-1; the aggregator sits in the last
-				// pod so every shard crosses the spine tier.
+				// pod so every flow crosses the spine tier.
 				RecvOf:     func(workload.Flow) int { return 15 },
 				Horizon:    2e-4 + float64(rounds)*interval,
 				Drain:      drain,
@@ -332,7 +299,6 @@ func runClosIncast(o Options) (*Report, error) {
 				Observer:   o.Observer,
 				ProbeName:  fmt.Sprintf("clos_queue.N%d.%s", n, proto),
 				HistPrefix: fmt.Sprintf("closincast.N%d.%s.", n, proto),
-				Shards:     o.Shards,
 			})
 			if err != nil {
 				return nil, err
@@ -393,7 +359,6 @@ func runClosShuffle(o Options) (*Report, error) {
 			Observer:   o.Observer,
 			ProbeName:  fmt.Sprintf("clos_queue.shuffle.%s", proto),
 			HistPrefix: fmt.Sprintf("closshuffle.%s.", proto),
-			Shards:     o.Shards,
 		})
 		if err != nil {
 			return nil, err
@@ -480,7 +445,6 @@ func runClosLoad(o Options) (*Report, error) {
 			Observer:   o.Observer,
 			ProbeName:  fmt.Sprintf("clos_queue.load.%s", proto),
 			HistPrefix: fmt.Sprintf("closload.%s.", proto),
-			Shards:     o.Shards,
 		})
 		if err != nil {
 			return nil, err

@@ -99,9 +99,7 @@ func runFig2(o Options) (*Report, error) {
 			return nil, err
 		}
 		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
-		if err := runNet(nw, o.Shards, des.Time(des.DurationFromSeconds(horizon))); err != nil {
-			return nil, err
-		}
+		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		qP := qs.WindowSummary(horizon*0.6, horizon)
 		var sumRate float64
 		for _, s := range senders {
@@ -243,9 +241,7 @@ func runFig5(o Options) (*Report, error) {
 			return nil, err
 		}
 		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
-		if err := runNet(nw, o.Shards, des.Time(des.DurationFromSeconds(horizon))); err != nil {
-			return nil, err
-		}
+		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		q := qs.WindowSummary(horizon*0.5, horizon)
 		tbl.Rows = append(tbl.Rows, []string{
 			extra.String(), f1(q.Mean / 1000), f2(q.CV()), f1(q.Max / 1000),

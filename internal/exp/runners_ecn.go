@@ -68,7 +68,6 @@ func runFig14(o Options) (*Report, error) {
 				Observer:   o.Observer,
 				ProbeName:  fmt.Sprintf("queue_bytes.load%.1f.%s", load, proto),
 				HistPrefix: fmt.Sprintf("load%.1f.%s.", load, proto),
-				Shards:     o.Shards,
 			})
 			if err != nil {
 				return nil, err
@@ -108,7 +107,6 @@ func runFig15(o Options) (*Report, error) {
 			Observer:   o.Observer,
 			ProbeName:  fmt.Sprintf("queue_bytes.%s", proto),
 			HistPrefix: fmt.Sprintf("%s.", proto),
-			Shards:     o.Shards,
 		})
 		if err != nil {
 			return nil, err
@@ -144,7 +142,6 @@ func runFig16(o Options) (*Report, error) {
 			Observer:   o.Observer,
 			ProbeName:  fmt.Sprintf("queue_bytes.%s", proto),
 			HistPrefix: fmt.Sprintf("%s.", proto),
-			Shards:     o.Shards,
 		})
 		if err != nil {
 			return nil, err
@@ -211,9 +208,7 @@ func runFig17(o Options) (*Report, error) {
 			return nil, err
 		}
 		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 50*des.Microsecond)
-		if err := runNet(nw, o.Shards, des.Time(des.DurationFromSeconds(horizon))); err != nil {
-			return nil, err
-		}
+		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		q := qs.WindowSummary(horizon*0.6, horizon)
 		name := "egress (at departure)"
 		key := "egress"

@@ -99,9 +99,7 @@ func runExtMultihop(o Options) (*Report, error) {
 			rates[i].Add(ts, s.Rate())
 		}
 	})
-	if err := runNet(nw, o.Shards, des.Time(des.DurationFromSeconds(horizon))); err != nil {
-		return nil, err
-	}
+	nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 
 	tbl := Table{Cols: []string{"flow", "rate Gb/s", "share of 40G"}}
 	var longRate, crossMean float64
@@ -215,9 +213,7 @@ func runExtPFC(o Options) (*Report, error) {
 				b.start()
 			}
 		}
-		if err := runNet(nw, o.Shards, des.Time(des.DurationFromSeconds(horizon))); err != nil {
-			return 0, err
-		}
+		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		// The victim alone could use the full trunk share it asks for;
 		// its fair entitlement here is ~bw/3 of the trunk (three flows),
 		// but its own egress is idle, so anything far below bw/3 is HoL
@@ -292,9 +288,7 @@ func runExtPI(o Options) (*Report, error) {
 				}
 			}
 			qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
-			if err := runNet(nw, o.Shards, des.Time(des.DurationFromSeconds(horizon))); err != nil {
-				return nil, err
-			}
+			nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 			q := qs.WindowSummary(horizon*0.6, horizon)
 			name := "RED"
 			if usePI {

@@ -52,7 +52,6 @@ func runFaultLoss(o Options) (*Report, error) {
 				Observer:   o.Observer,
 				ProbeName:  fmt.Sprintf("queue_bytes.loss%g.%s", rate, proto),
 				HistPrefix: fmt.Sprintf("loss%g.%s.", rate, proto),
-				Shards:     o.Shards,
 			})
 			if err != nil {
 				return nil, err
@@ -125,9 +124,7 @@ func runFaultCNP(o Options) (*Report, error) {
 			}}}).Apply(nw)
 		}
 		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
-		if err := runNet(nw, o.Shards, des.Time(des.DurationFromSeconds(horizon))); err != nil {
-			return nil, err
-		}
+		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		q := qs.WindowSummary(horizon*0.5, horizon)
 		tbl.Rows = append(tbl.Rows, []string{
 			eng(rate), f1(q.Mean / 1000), f1(q.Max / 1000), f2(q.CV()),

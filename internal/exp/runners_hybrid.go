@@ -5,8 +5,7 @@ package exp
 // (crossval), equilibrium warm starts that skip the cold-start transient
 // (hybridwarm), and fluid background aggregates that stand in for large
 // flow populations (hybridbg). These runners integrate ODEs coupled to a
-// serial DES tick, so they ignore Options.Shards like the fluid-model
-// experiments do.
+// DES tick.
 
 import (
 	"fmt"

@@ -106,9 +106,7 @@ func runFig8(o Options) (*Report, error) {
 		}
 		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
 		rs := sampleRates(nw, senders)
-		if err := runNet(nw, o.Shards, des.Time(des.DurationFromSeconds(horizon))); err != nil {
-			return nil, err
-		}
+		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		qP := qs.WindowSummary(horizon*0.6, horizon)
 		var aggP float64
 		for _, r := range rs {
@@ -191,9 +189,7 @@ func runFig9(o Options) (*Report, error) {
 			return nil, err
 		}
 		rs := sampleRates(nw, senders)
-		if err := runNet(nw, o.Shards, des.Time(des.DurationFromSeconds(horizonP))); err != nil {
-			return nil, err
-		}
+		nw.RunUntil(des.Time(des.DurationFromSeconds(horizonP)))
 		m0 := rs[0].WindowSummary(horizonP*0.7, horizonP).Mean
 		m1 := rs[1].WindowSummary(horizonP*0.7, horizonP).Mean
 		pk.Rows = append(pk.Rows, []string{c.name, f2(m0 / m1), f2((m0 + m1) / 1.25e9)})
@@ -226,9 +222,7 @@ func runFig10(o Options) (*Report, error) {
 				minAgg = agg
 			}
 		})
-		if err := runNet(nw, o.Shards, des.Time(des.DurationFromSeconds(horizon))); err != nil {
-			return err
-		}
+		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		m0 := rs[0].WindowSummary(horizon*0.7, horizon).Mean
 		m1 := rs[1].WindowSummary(horizon*0.7, horizon).Mean
 		tbl.Rows = append(tbl.Rows, []string{
@@ -347,9 +341,7 @@ func runFig12(o Options) (*Report, error) {
 	rs := sampleRates(nw, senders)
 	qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
 	hp := horizon * 0.4
-	if err := runNet(nw, o.Shards, des.Time(des.DurationFromSeconds(hp))); err != nil {
-		return nil, err
-	}
+	nw.RunUntil(des.Time(des.DurationFromSeconds(hp)))
 	m0 := rs[0].WindowSummary(hp*0.7, hp).Mean
 	m1 := rs[1].WindowSummary(hp*0.7, hp).Mean
 	qp := qs.WindowSummary(hp*0.7, hp)

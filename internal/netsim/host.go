@@ -20,7 +20,6 @@ func (f TransportFunc) Handle(h *Host, pkt *Packet) { f(h, pkt) }
 // Host is an end station with a single NIC port.
 type Host struct {
 	net       *Network
-	ctx       *shardCtx
 	id        int
 	seq       nodeSeq
 	port      *Port
@@ -29,7 +28,7 @@ type Host struct {
 
 // NewHost creates a host; attach its NIC with Connect.
 func (nw *Network) NewHost() *Host {
-	h := &Host{net: nw, ctx: &nw.def}
+	h := &Host{net: nw}
 	h.id = nw.addNode(h)
 	h.seq.init(h.id)
 	return h
@@ -50,31 +49,27 @@ func (h *Host) Net() *Network { return h.net }
 // Port returns the NIC port.
 func (h *Host) Port() *Port { return h.port }
 
-// Now is the current simulation time on the host's shard (Network.Sim's
-// clock in a serial run).
-func (h *Host) Now() des.Time { return h.ctx.sim.Now() }
+// Now is the current simulation time.
+func (h *Host) Now() des.Time { return h.net.Sim.Now() }
 
 // Sim is the simulator the host's events run on. Protocol engines read the
-// clock here but schedule through ScheduleHandler/AtHandler below, so a
-// sharded run keeps each host's timers on its own shard with keys that do
-// not depend on the partition.
-func (h *Host) Sim() *des.Simulator { return h.ctx.sim }
+// clock here but schedule through ScheduleHandler/AtHandler below, so
+// their timers carry host-minted sequence keys (see nodeSeq).
+func (h *Host) Sim() *des.Simulator { return h.net.Sim }
 
-// ScheduleHandler schedules hd.OnEvent(arg) after delay d on the host's
-// simulator with a host-minted sequence key: events tie-break identically
-// whether the host runs on the serial engine or on any shard.
+// ScheduleHandler schedules hd.OnEvent(arg) after delay d with a
+// host-minted sequence key.
 func (h *Host) ScheduleHandler(d des.Duration, hd des.Handler, arg any) des.EventRef {
-	return h.ctx.sim.ScheduleHandlerSeq(d, h.seq.mint(), hd, arg)
+	return h.net.Sim.ScheduleHandlerSeq(d, h.seq.mint(), hd, arg)
 }
 
 // AtHandler is ScheduleHandler with an absolute firing time.
 func (h *Host) AtHandler(t des.Time, hd des.Handler, arg any) des.EventRef {
-	return h.ctx.sim.AtHandlerSeq(t, h.seq.mint(), hd, arg)
+	return h.net.Sim.AtHandlerSeq(t, h.seq.mint(), hd, arg)
 }
 
-// AllocPacket draws a zeroed packet from the host's shard-local pool.
-// Protocol engines allocate through this instead of Network.NewPacket.
-func (h *Host) AllocPacket() *Packet { return h.ctx.newPacket() }
+// AllocPacket draws a zeroed packet from the network's pool.
+func (h *Host) AllocPacket() *Packet { return h.net.NewPacket() }
 
 // Receive implements Node: PFC is handled by the NIC itself; everything
 // else goes to the transport. The host is the packet's final consumer, so
@@ -84,11 +79,11 @@ func (h *Host) Receive(pkt *Packet) {
 	switch pkt.Kind {
 	case Pause:
 		h.port.pause()
-		h.ctx.freePacket(pkt)
+		h.net.FreePacket(pkt)
 		return
 	case Resume:
 		h.port.unpause()
-		h.ctx.freePacket(pkt)
+		h.net.FreePacket(pkt)
 		return
 	}
 	if h.net.obs != nil {
@@ -97,14 +92,14 @@ func (h *Host) Receive(pkt *Packet) {
 	if h.Transport != nil {
 		h.Transport.Handle(h, pkt)
 	}
-	h.ctx.freePacket(pkt)
+	h.net.FreePacket(pkt)
 }
 
 // Send stamps and transmits a packet through the NIC.
 func (h *Host) Send(pkt *Packet) {
-	pkt.ID = h.ctx.nextPacketID()
+	pkt.ID = h.net.NextPacketID()
 	pkt.Src = h.id
-	pkt.SentAt = h.ctx.sim.Now()
+	pkt.SentAt = h.net.Sim.Now()
 	h.port.Send(pkt)
 }
 

@@ -31,12 +31,9 @@ type Network struct {
 	nodes []Node
 	ports []*Port
 
-	// def is the default (serial) shard context: it owns the packet free
-	// list and id counter of an unpartitioned run and schedules on Sim.
-	// PartitionByNode replaces the per-node context pointers with
-	// per-shard ones; shard is nil until then.
-	def     shardCtx
-	shard   *sharding
+	// pktFree and pktID are the packet free list and id counter (pool.go).
+	pktFree []*Packet
+	pktID   uint64
 	pooling bool
 
 	// obs is the attached observability layer; nil — the default — keeps
@@ -51,13 +48,11 @@ type Network struct {
 
 // New creates an empty network with a deterministic RNG.
 func New(seed int64) *Network {
-	nw := &Network{
+	return &Network{
 		Sim:     des.New(),
 		Rng:     rand.New(rand.NewSource(seed)),
 		pooling: poolingDefault,
 	}
-	nw.def = shardCtx{nw: nw, sim: nw.Sim}
-	return nw
 }
 
 // AddNode registers n and returns its id. Topology helpers call this.
@@ -66,8 +61,7 @@ func (nw *Network) addNode(n Node) int {
 	return len(nw.nodes) - 1
 }
 
-// NodeCount reports the number of registered nodes (partition maps must
-// cover exactly this many entries).
+// NodeCount reports the number of registered nodes.
 func (nw *Network) NodeCount() int { return len(nw.nodes) }
 
 // NodeByID returns a registered node.
@@ -78,9 +72,14 @@ func (nw *Network) NodeByID(id int) Node {
 	return nw.nodes[id]
 }
 
-// NextPacketID hands out unique packet ids from the default context.
-// Sharded nodes use their own context's id space instead.
-func (nw *Network) NextPacketID() uint64 { return nw.def.nextPacketID() }
+// NextPacketID hands out unique packet ids: 1, 2, 3, …
+func (nw *Network) NextPacketID() uint64 {
+	nw.pktID++
+	return nw.pktID
+}
+
+// RunUntil advances the simulation to end; see des.Simulator.RunUntil.
+func (nw *Network) RunUntil(end des.Time) { nw.Sim.RunUntil(end) }
 
 // FaultHook intercepts packets leaving a port; internal/fault installs
 // implementations via SetFaultHook. DropTx is consulted once per packet at
@@ -105,18 +104,10 @@ type Port struct {
 	owner Node
 	peer  Node
 
-	// ctx is the owner's shard context (scheduling, packet pool);
-	// peerCtx the peer's. They coincide — and out is nil — unless the
-	// port crosses a shard boundary, in which case deliveries route
-	// through the out mailbox instead of the local heap.
-	ctx     *shardCtx
-	peerCtx *shardCtx
-	out     *mailbox
-	// mint is the owner node's event-sequence minter: transmit ticks and
-	// deliveries carry owner-minted keys so their tie order is independent
-	// of the shard partition. Nil only for custom Node implementations
-	// (tests), which fall back to the simulator counter and cannot be
-	// sharded anyway.
+	// mint is the owner node's event-sequence minter: transmit ticks,
+	// deliveries and watchdog checks carry owner-minted keys (see
+	// nodeSeq). Nil only for custom Node implementations (tests), which
+	// fall back to the simulator counter.
 	mint *nodeSeq
 
 	// ownerSwitch caches the owner's *Switch identity so the per-packet
@@ -140,9 +131,8 @@ type Port struct {
 	paused bool
 
 	// Fault-injection state (inert unless internal/fault wires it up).
-	// down and wireDrops are atomic because a sharded delivery fires on
-	// the peer's shard while flaps and transmit-side drops happen on the
-	// owner's; serial behaviour is unchanged.
+	// down and wireDrops are atomic, so LinkDown and WireDrops may be read
+	// from outside the simulation goroutine.
 	hook      FaultHook
 	down      atomic.Bool  // link flap: refuses tx and drops deliveries
 	wireDrops atomic.Int64 // packets lost on the wire (fault hook or flap)
@@ -156,9 +146,7 @@ type Port struct {
 	qdH *obs.Hist
 
 	// Control-loop audit state (see obs_netsim.go). aud is non-nil only
-	// when an audit trail is attached AND this port has a marking policy;
-	// every episode field below is then owned by the owner's shard, like
-	// the queue itself.
+	// when an audit trail is attached AND this port has a marking policy.
 	aud      *obs.AuditTrail
 	crossH   *obs.Hist // queue-crossing→first-mark latency histogram
 	epThresh int       // marker onset occupancy (bytes), 0 without one
@@ -186,7 +174,6 @@ func (nw *Network) NewPort(owner, peer Node, bandwidth float64, prop des.Duratio
 	}
 	p := &Port{
 		net: nw, owner: owner, peer: peer,
-		ctx: &nw.def, peerCtx: &nw.def,
 		Bandwidth: bandwidth, PropDelay: prop,
 		queue: NewQueue(m),
 	}
@@ -226,8 +213,8 @@ func (p *Port) Queue() *Queue { return p.queue }
 // so any CE feedback lands at a live sender; go-back-N runs should not
 // prefill (the synthetic segments alias sequence space).
 func (p *Port) PrefillQueue(flow, src, dst, size int) bool {
-	pkt := p.ctx.newPacket()
-	pkt.ID = p.ctx.nextPacketID()
+	pkt := p.net.NewPacket()
+	pkt.ID = p.net.NextPacketID()
 	pkt.Flow = flow
 	pkt.Src = src
 	pkt.Dst = dst
@@ -235,9 +222,9 @@ func (p *Port) PrefillQueue(flow, src, dst, size int) bool {
 	pkt.Kind = Data
 	pkt.ECT = true
 	pkt.ingress = -1
-	pkt.SentAt = p.ctx.sim.Now()
+	pkt.SentAt = p.net.Sim.Now()
 	if !p.queue.Push(pkt) {
-		p.ctx.freePacket(pkt)
+		p.net.FreePacket(pkt)
 		return false
 	}
 	p.tryTx()
@@ -273,9 +260,8 @@ func (p *Port) LinkDown() bool { return p.down.Load() }
 // Queue.Drops).
 func (p *Port) WireDrops() int64 { return p.wireDrops.Load() }
 
-// Sim returns the simulator the port's owner schedules on: Network.Sim
-// for a serial run, the owner's shard simulator when partitioned.
-func (p *Port) Sim() *des.Simulator { return p.ctx.sim }
+// Sim returns the network's simulator.
+func (p *Port) Sim() *des.Simulator { return p.net.Sim }
 
 // Send enqueues pkt for transmission and starts the transmitter if idle.
 // A tail drop at a finite queue releases the switch's PFC accounting for
@@ -285,7 +271,7 @@ func (p *Port) Send(pkt *Packet) {
 		if p.ownerSwitch != nil {
 			p.ownerSwitch.departed(pkt)
 		}
-		p.ctx.freePacket(pkt)
+		p.net.FreePacket(pkt)
 		return
 	}
 	p.tryTx()
@@ -295,24 +281,16 @@ func (p *Port) Send(pkt *Packet) {
 // real NICs emit from a dedicated high-priority path): the packet arrives
 // after just the propagation delay.
 func (p *Port) SendDirect(pkt *Packet) {
-	p.deliver(p.PropDelay, pkt)
+	p.schedule(p.PropDelay, p, pkt)
 }
 
-// deliver launches the propagation leg: a local event on the owner's
-// simulator, or — when the peer lives on another shard — a mailbox push
-// that keeps the exact (send-time, owner-minted seq) key the local
-// schedule mints, so the consumer heap fires it in the identical order.
-func (p *Port) deliver(delay des.Duration, pkt *Packet) {
+// schedule queues h.OnEvent(arg) after d with the owner's node-minted
+// sequence key.
+func (p *Port) schedule(d des.Duration, h des.Handler, arg any) des.EventRef {
 	if p.mint == nil {
-		p.ctx.sim.ScheduleHandler(delay, p, pkt)
-		return
+		return p.net.Sim.ScheduleHandler(d, h, arg)
 	}
-	if p.out == nil {
-		p.ctx.sim.ScheduleHandlerSeq(delay, p.mint.mint(), p, pkt)
-		return
-	}
-	now := p.ctx.sim.Now()
-	p.out.push(now.Add(delay), now, p.mint.mint(), pkt)
+	return p.net.Sim.ScheduleHandlerSeq(d, p.mint.mint(), h, arg)
 }
 
 // pause and unpause implement PFC flow control on this port. Both are
@@ -360,14 +338,12 @@ func (p *Port) OnEvent(arg any) {
 		return
 	}
 	pkt := arg.(*Packet)
-	// Deliveries fire on the peer's shard: free into the peer's pool and
-	// stamp observability with the peer simulator's clock.
 	if p.down.Load() {
 		p.wireDrops.Add(1)
 		if p.net.obs != nil {
-			p.obsWireDropAt(p.peerCtx.sim.Now(), pkt)
+			p.obsWireDrop(pkt)
 		}
-		p.peerCtx.freePacket(pkt)
+		p.net.FreePacket(pkt)
 		return
 	}
 	pkt.prevHop = p.owner.ID()
@@ -387,11 +363,7 @@ func (p *Port) tryTx() {
 		p.ctr.TxBytes.Add(int64(pkt.Size))
 		p.ctr.TxPkts.Inc()
 	}
-	if p.mint != nil {
-		p.ctx.sim.ScheduleHandlerSeq(txTime, p.mint.mint(), p, nil)
-	} else {
-		p.ctx.sim.ScheduleHandler(txTime, p, nil)
-	}
+	p.schedule(txTime, p, nil)
 }
 
 // txDone finishes serialising the in-flight packet: release PFC accounting,
@@ -409,9 +381,9 @@ func (p *Port) txDone() {
 	if p.down.Load() || (p.hook != nil && p.hook.DropTx(pkt)) {
 		p.wireDrops.Add(1)
 		if p.net.obs != nil {
-			p.obsWireDropAt(p.ctx.sim.Now(), pkt)
+			p.obsWireDrop(pkt)
 		}
-		p.ctx.freePacket(pkt)
+		p.net.FreePacket(pkt)
 		p.tryTx()
 		return
 	}
@@ -422,6 +394,32 @@ func (p *Port) txDone() {
 			delay += des.Duration(p.net.Rng.Int63n(int64(p.CtrlJitterMax)))
 		}
 	}
-	p.deliver(delay, pkt)
+	p.schedule(delay, p, pkt)
 	p.tryTx()
+}
+
+// nodeSeqBits sizes the per-node event counter: node n mints keys
+// (n+1)<<nodeSeqBits | counter, giving every node ≈10^12 events and keeping
+// every node key above the simulator's own 0-based counter. At an equal
+// (time, sub) key, events scheduled straight on Network.Sim (samplers,
+// probes, flow-arrival chains) therefore fire before node events.
+const nodeSeqBits = 40
+
+// nodeSeq mints per-node event sequence keys. Every Host and Switch owns
+// one, and its ports and protocol timers schedule through it, so
+// same-instant events fire ordered by node id, then in that node's own
+// program order. These keys define the tie order every golden trajectory
+// depends on.
+type nodeSeq struct {
+	next uint64
+}
+
+func (n *nodeSeq) init(id int) {
+	n.next = (uint64(id) + 1) << nodeSeqBits
+}
+
+func (n *nodeSeq) mint() uint64 {
+	v := n.next
+	n.next++
+	return v
 }

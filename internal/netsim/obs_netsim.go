@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"ecndelay/internal/des"
 	"ecndelay/internal/obs"
 )
 
@@ -83,15 +82,9 @@ func (p *Port) bindObs() {
 
 // obsEvent fills the port-invariant fields of a trace record and routes it
 // through the observer. The caller has already checked p.net.obs != nil.
-// Callers run on the owner's shard, so the owner context's clock is the
-// correct event time (identical to Network.Sim in a serial run).
 func (p *Port) obsEvent(typ obs.EventType, pkt *Packet) {
-	p.obsEventAt(p.ctx.sim.Now(), typ, pkt)
-}
-
-func (p *Port) obsEventAt(t des.Time, typ obs.EventType, pkt *Packet) {
 	e := obs.Event{
-		T:    t,
+		T:    p.net.Sim.Now(),
 		Type: typ,
 		Kind: obs.KindNone,
 		Run:  p.net.obsRun,
@@ -136,7 +129,7 @@ func (p *Port) obsQueue(typ obs.EventType, pkt *Packet, ceBefore bool) {
 // freshly marked packet — episode-opening or not — carries the open
 // episode's id and its mark time back toward the notification point.
 func (p *Port) audEpisode(typ obs.EventType, pkt *Packet, fresh bool) {
-	now := p.ctx.sim.Now()
+	now := p.net.Sim.Now()
 	qb := p.queue.MarkBytes()
 	if typ == obsEnqueue && !p.epCross && qb > p.epThresh {
 		p.epCross = true
@@ -188,14 +181,12 @@ func (p *Port) obsBufDrop(pkt *Packet) {
 	p.obsEvent(obs.BufDrop, pkt)
 }
 
-// obsWireDropAt records a packet lost on the wire (fault hook or link
-// flap) at an explicit time: transmit-side drops happen on the owner's
-// clock, delivery-side flap drops on the peer shard's.
-func (p *Port) obsWireDropAt(t des.Time, pkt *Packet) {
+// obsWireDrop records a packet lost on the wire (fault hook or link flap).
+func (p *Port) obsWireDrop(pkt *Packet) {
 	if p.ctr != nil {
 		p.ctr.WireDrops.Inc()
 	}
-	p.obsEventAt(t, obs.WireDrop, pkt)
+	p.obsEvent(obs.WireDrop, pkt)
 }
 
 // obsDeliver records a packet landing at its destination host.
@@ -205,7 +196,7 @@ func (h *Host) obsDeliver(pkt *Packet) {
 		return
 	}
 	o.Emit(obs.Event{
-		T:    h.ctx.sim.Now(),
+		T:    h.net.Sim.Now(),
 		Type: obs.Deliver,
 		Kind: uint8(pkt.Kind),
 		Run:  h.net.obsRun,
@@ -218,11 +209,10 @@ func (h *Host) obsDeliver(pkt *Packet) {
 	})
 }
 
-// obsDoubleFreeAt records a pooled packet freed twice, stamped with the
-// freeing shard's clock.
-func (nw *Network) obsDoubleFreeAt(t des.Time, pkt *Packet) {
+// obsDoubleFree records a pooled packet freed twice.
+func (nw *Network) obsDoubleFree(pkt *Packet) {
 	nw.obs.Emit(obs.Event{
-		T:    t,
+		T:    nw.Sim.Now(),
 		Type: obs.DoubleFree,
 		Kind: uint8(pkt.Kind),
 		Run:  nw.obsRun,

@@ -1,29 +1,50 @@
 package netsim
 
-// Packet pooling: the hot path allocates packets from a per-context free
+// Packet pooling: the hot path allocates packets from the network's free
 // list (NewPacket) and the delivery endpoint recycles them (FreePacket), so
 // a steady-state run moves millions of packets through a handful of structs.
-// Each pool is a plain LIFO slice touched only by its own shard's goroutine
-// — the serial engine has one context, a partitioned network one per shard —
-// so no locking is needed and reuse order is deterministic. After a
-// cross-shard hop the packet is freed into the receiver's pool; structs
-// migrate between free lists but never race.
+// The free list is a plain LIFO slice touched only by the simulation
+// goroutine, so no locking is needed and reuse order is deterministic.
 //
-// Building with -tags=nopool (or calling SetPooling(false) before a run)
-// turns both calls into plain allocate/forget, the reference behaviour the
-// pooling determinism tests compare against.
+// SetPooling(false) turns both calls into plain allocate/forget, the
+// reference behaviour the pooling determinism tests compare against.
 
-// NewPacket returns a zeroed packet, reusing a recycled one when pooling is
-// on. All fields are zero, exactly as a &Packet{} literal. Allocates from
-// the default context's pool; sharded datapath code allocates through its
-// own shardCtx instead.
-func (nw *Network) NewPacket() *Packet { return nw.def.newPacket() }
+// poolingDefault is the packet-pool state of a new network.
+const poolingDefault = true
+
+// NewPacket returns a zeroed packet, reusing a recycled one when the pool
+// holds any. All fields are zero, exactly as a &Packet{} literal.
+func (nw *Network) NewPacket() *Packet {
+	if n := len(nw.pktFree); n > 0 {
+		pkt := nw.pktFree[n-1]
+		nw.pktFree[n-1] = nil
+		nw.pktFree = nw.pktFree[:n-1]
+		pkt.inPool = false
+		return pkt
+	}
+	return &Packet{}
+}
 
 // FreePacket recycles a delivered packet. The caller must be the packet's
 // final consumer: after this call every field is zeroed and the struct may
 // be handed out again by NewPacket. Packets not minted by NewPacket (tests
 // build them with literals) may be freed too; they simply join the pool.
-func (nw *Network) FreePacket(pkt *Packet) { nw.def.freePacket(pkt) }
+// Freeing a packet that is already in the pool is a no-op, reported to the
+// attached observer as a double free.
+func (nw *Network) FreePacket(pkt *Packet) {
+	if !nw.pooling {
+		return
+	}
+	if pkt.inPool {
+		if nw.obs != nil {
+			nw.obsDoubleFree(pkt)
+		}
+		return
+	}
+	*pkt = Packet{}
+	pkt.inPool = true
+	nw.pktFree = append(nw.pktFree, pkt)
+}
 
 // SetPooling toggles packet recycling. Turning it off makes FreePacket a
 // no-op, so every NewPacket heap-allocates — the fallback used to verify
@@ -31,14 +52,5 @@ func (nw *Network) FreePacket(pkt *Packet) { nw.def.freePacket(pkt) }
 // already in the pool remain reusable.
 func (nw *Network) SetPooling(on bool) { nw.pooling = on }
 
-// PoolSize reports the number of packets currently in the free lists,
-// summed across shards (the default context alone in a serial run).
-func (nw *Network) PoolSize() int {
-	n := len(nw.def.pktFree)
-	if nw.shard != nil {
-		for _, c := range nw.shard.ctxs {
-			n += len(c.pktFree)
-		}
-	}
-	return n
-}
+// PoolSize reports the number of packets currently in the free list.
+func (nw *Network) PoolSize() int { return len(nw.pktFree) }

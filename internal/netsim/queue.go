@@ -92,7 +92,7 @@ func (q *Queue) Push(pkt *Packet) bool {
 	}
 	ceBefore := pkt.CE
 	if q.port != nil {
-		pkt.EnqT = q.port.ctx.sim.Now()
+		pkt.EnqT = q.port.net.Sim.Now()
 	}
 	q.pkts = append(q.pkts, pkt)
 	q.bytes += pkt.Size
@@ -136,7 +136,7 @@ func (q *Queue) Pop() *Packet {
 	}
 	if q.port != nil {
 		if h := q.port.qdH; h != nil {
-			h.Record(q.port.ctx.sim.Now().Sub(pkt.EnqT).Seconds())
+			h.Record(q.port.net.Sim.Now().Sub(pkt.EnqT).Seconds())
 		}
 		if q.port.net.obs != nil {
 			q.port.obsQueue(obsDequeue, pkt, ceBefore)

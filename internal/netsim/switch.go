@@ -26,7 +26,6 @@ func (c PFCConfig) Enabled() bool { return c.PauseBytes > 0 }
 // ECMP hashing (SetECMPRoutes).
 type Switch struct {
 	net     *Network
-	ctx     *shardCtx
 	id      int
 	seq     nodeSeq
 	ports   []*Port
@@ -44,7 +43,7 @@ type Switch struct {
 // NewSwitch creates a switch with no ports. Wire it with AddPort and
 // SetRoute (the topology builders do this).
 func (nw *Network) NewSwitch(pfc PFCConfig) *Switch {
-	sw := &Switch{net: nw, ctx: &nw.def, routes: make(map[int]int), peerIdx: make(map[int]int), pfc: pfc}
+	sw := &Switch{net: nw, routes: make(map[int]int), peerIdx: make(map[int]int), pfc: pfc}
 	sw.id = nw.addNode(sw)
 	sw.seq.init(sw.id)
 	return sw
@@ -162,13 +161,13 @@ func (sw *Switch) Receive(pkt *Packet) {
 		if p := sw.portToward(pkt.Src); p != nil {
 			p.pause()
 		}
-		sw.ctx.freePacket(pkt)
+		sw.net.FreePacket(pkt)
 		return
 	case Resume:
 		if p := sw.portToward(pkt.Src); p != nil {
 			p.unpause()
 		}
-		sw.ctx.freePacket(pkt)
+		sw.net.FreePacket(pkt)
 		return
 	}
 	idx := sw.EgressIndex(pkt.Src, pkt.Dst, pkt.Flow)
@@ -227,8 +226,8 @@ func (sw *Switch) departed(pkt *Packet) {
 
 func (sw *Switch) sendPFC(portIndex int, kind Kind) {
 	p := sw.ports[portIndex]
-	pkt := sw.ctx.newPacket()
-	pkt.ID = sw.ctx.nextPacketID()
+	pkt := sw.net.NewPacket()
+	pkt.ID = sw.net.NextPacketID()
 	pkt.Flow = -1
 	pkt.Src = sw.id
 	pkt.Dst = p.peer.ID()

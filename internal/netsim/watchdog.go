@@ -30,10 +30,7 @@ type PFCWatchdog struct {
 	threshold des.Duration
 	ports     []*watchedPort
 
-	// mu guards storms and events: in a sharded run each watched port's
-	// pause bookkeeping fires on its own shard goroutine, and ports on
-	// different shards may record storms concurrently. Per-port state
-	// (watchedPort fields) stays lock-free — only its shard touches it.
+	// mu guards storms and events.
 	mu     sync.Mutex
 	storms int
 	events []PauseStorm
@@ -94,21 +91,15 @@ func (w *watchedPort) OnEvent(any) {
 	}
 }
 
-// onPause/onUnpause run on the port owner's shard, so the check event is
-// scheduled on (and its clock read from) the port's shard simulator — the
-// same simulator as wd.sim in a serial run.
+// onPause schedules the storm check with the port owner's sequence key.
 func (w *watchedPort) onPause() {
-	w.pausedAt = w.p.ctx.sim.Now()
+	w.pausedAt = w.p.net.Sim.Now()
 	w.pauses++
-	if w.p.mint != nil {
-		w.check = w.p.ctx.sim.ScheduleHandlerSeq(w.wd.threshold, w.p.mint.mint(), w, nil)
-	} else {
-		w.check = w.p.ctx.sim.ScheduleHandler(w.wd.threshold, w, nil)
-	}
+	w.check = w.p.schedule(w.wd.threshold, w, nil)
 }
 
 func (w *watchedPort) onUnpause() {
-	now := w.p.ctx.sim.Now()
+	now := w.p.net.Sim.Now()
 	w.total += now.Sub(w.pausedAt)
 	w.check.Cancel()
 	if w.stormOpen {

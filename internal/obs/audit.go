@@ -76,7 +76,7 @@ func (t DecisionType) String() string {
 //
 // Seq is a per-emitter monotone sequence number: each endpoint and each
 // marking port stamps its own counter, making the total sort order used
-// by AuditJSONLSink deterministic and shard-independent.
+// by AuditJSONLSink deterministic.
 type Decision struct {
 	T       des.Time     // simulation time, ns
 	Type    DecisionType // record type
@@ -197,7 +197,7 @@ func (m *AuditMemorySink) Dropped() int64 { return m.dropped }
 // simulation time, then emitter identity and its sequence number, then
 // every remaining field. Because the order depends only on field values,
 // sorted output is independent of emission interleaving — concurrent
-// sweep jobs or shard schedules that permute arrival order still
+// sweep jobs that permute arrival order still
 // serialise to identical bytes (ties across emitters are between
 // identical records, which are interchangeable).
 func decisionLess(a, b Decision) bool {

@@ -89,7 +89,7 @@ func auditTestRecords() []Decision {
 
 // The JSONL sink's output depends only on the record multiset, never on
 // emission order: sorting is by content, so permuted arrivals (sweep
-// workers, shard schedules) serialise to identical bytes.
+// workers) serialise to identical bytes.
 func TestAuditJSONLSinkOrderIndependent(t *testing.T) {
 	decs := auditTestRecords()
 	encode := func(order []Decision) []byte {

@@ -23,17 +23,11 @@ const (
 	InvPFCPairing
 	// InvDoubleFree: a pooled packet is never freed twice.
 	InvDoubleFree
-	// InvShardHandoff: per cross-shard edge, every packet (and byte)
-	// pushed into the handoff mailbox by the producer shard was drained
-	// into the consumer shard's event heap — the sharded engine may not
-	// lose or duplicate traffic the serial engine would carry.
-	InvShardHandoff
 	numInvariants
 )
 
 var invariantNames = [numInvariants]string{
 	"conservation", "queue-bounds", "pfc-pairing", "double-free",
-	"shard-handoff",
 }
 
 func (v Invariant) String() string {
@@ -189,22 +183,6 @@ func (c *Checker) checkQueue(e Event, ps *portState) {
 		ps.qBytes = e.QBytes
 		ps.qLen = e.QLen
 	}
-}
-
-// CheckShardEdge audits one cross-shard mailbox at the end of a sharded
-// run: pushed and drained packet/byte totals must balance exactly. The
-// netsim layer calls it per directed edge; from/to are the node ids of the
-// edge and run the network-instance tag, so violations name the edge the
-// way the port invariants do.
-func (c *Checker) CheckShardEdge(now des.Time, run uint32, from, to int, pushedPkts, drainedPkts, pushedBytes, drainedBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if pushedPkts == drainedPkts && pushedBytes == drainedBytes {
-		return
-	}
-	c.violate(now, InvShardHandoff,
-		"edge n%d->n%d (run %d) mailbox imbalance: pushed %d pkts/%d bytes, drained %d pkts/%d bytes",
-		from, to, run, pushedPkts, pushedBytes, drainedPkts, drainedBytes)
 }
 
 // Finish runs the end-of-run closure check: for every queue, enqueued

@@ -60,9 +60,8 @@ func NewServer(o *NetObserver) *Server {
 }
 
 // Handle registers an additional handler on the server's mux, letting
-// embedders (the fleet coordinator's lease API) ride on the telemetry
-// port. Call before Start; duplicate patterns panic, as in
-// net/http.ServeMux.
+// embedders ride on the telemetry port. Call before Start; duplicate
+// patterns panic, as in net/http.ServeMux.
 func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
 // SetProgress installs the /progress provider: a function returning any
@@ -120,10 +119,10 @@ func (s *Server) Close() error {
 }
 
 // Shutdown drains the server gracefully: it stops accepting new
-// connections, waits up to d for in-flight requests (a /progress scrape,
-// a fleet worker streaming its last checkpoint rows) to finish, then
-// force-closes whatever remains. Interrupted runs call this from their
-// signal handlers so live scrapes complete before the process exits.
+// connections, waits up to d for in-flight requests (a /progress or
+// /metrics scrape) to finish, then force-closes whatever remains.
+// Interrupted runs call this from their signal handlers so live scrapes
+// complete before the process exits.
 // Safe to call when the server was never started, and after Close.
 func (s *Server) Shutdown(d time.Duration) error {
 	if s.srv == nil {

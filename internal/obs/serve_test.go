@@ -196,7 +196,7 @@ func TestServerWithoutFacilities(t *testing.T) {
 }
 
 // TestServerHandleMountsExtraRoutes proves embedders can ride on the
-// telemetry mux (the fleet coordinator mounts its lease API this way).
+// telemetry mux.
 func TestServerHandleMountsExtraRoutes(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Handle("/fleet/ping", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {

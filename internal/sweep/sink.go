@@ -113,18 +113,7 @@ func (s *JSONLSink) Write(r Result) error {
 // Close closes the checkpoint file.
 func (s *JSONLSink) Close() error { return s.f.Close() }
 
-// SinkFunc adapts a function to the Sink interface for streaming
-// consumers that track completion elsewhere (the fleet worker streams
-// rows to its coordinator this way). Completed always reports false.
-type SinkFunc func(Result) error
-
-// Completed always reports false: function sinks do not resume.
-func (f SinkFunc) Completed(string) bool { return false }
-
-// Write records one result.
-func (f SinkFunc) Write(r Result) error { return f(r) }
-
-// ReadResults parses a JSONL checkpoint or spool file, returning the
+// ReadResults parses a JSONL checkpoint file, returning the
 // last row per job ID in first-seen job order. Blank and torn lines
 // (a kill mid-write leaves at most one) are skipped, mirroring
 // OpenJSONL's resume tolerance. A missing file yields no rows.

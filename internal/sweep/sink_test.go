@@ -190,17 +190,3 @@ func TestReadResultsKeepsLastRowPerJob(t *testing.T) {
 		t.Errorf("missing file should yield no rows, nil error (got %v, %v)", none, err)
 	}
 }
-
-func TestSinkFuncAdapts(t *testing.T) {
-	var got []Result
-	sink := SinkFunc(func(r Result) error { got = append(got, r); return nil })
-	if sink.Completed("anything") {
-		t.Error("SinkFunc should never report completion")
-	}
-	if err := sink.Write(Result{JobID: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].JobID != "x" {
-		t.Errorf("write not delivered: %+v", got)
-	}
-}

@@ -70,13 +70,6 @@ type Config struct {
 	// rows are still delivered to the sink, so a poisoned grid keeps
 	// every completed checkpoint row instead of burning the full budget.
 	FailFast bool
-	// Stop, when non-nil, is polled before each job dispatch; returning
-	// true cancels dispatch of not-yet-started jobs (in-flight jobs
-	// drain and are still checkpointed). It is called from the
-	// dispatcher goroutine and must be safe for concurrent use — the
-	// fleet worker uses it to abandon a shard whose lease was
-	// reassigned.
-	Stop func() bool
 }
 
 // Result is the outcome of one job. Its JSON encoding is deterministic
@@ -108,7 +101,7 @@ type Summary struct {
 	Failed    int // executed jobs whose final attempt errored
 	Retried   int // attempts beyond the first, summed over executed jobs
 	Panics    int // attempts that ended in a recovered panic
-	Cancelled int // jobs never dispatched (FailFast, Stop, or a sink error)
+	Cancelled int // jobs never dispatched (FailFast or a sink error)
 	Elapsed   time.Duration
 }
 
@@ -130,20 +123,6 @@ func DeriveSeed(base int64, index int) int64 {
 // write error aborts dispatch of not-yet-started jobs and is returned
 // after in-flight jobs drain.
 func Run(cfg Config, jobs []Job, sink Sink) (Summary, error) {
-	indices := make([]int, len(jobs))
-	for i := range jobs {
-		indices[i] = i
-	}
-	return RunIndexed(cfg, jobs, indices, sink)
-}
-
-// RunIndexed executes only the jobs at the given global indices — the
-// shard-addressable form of Run. Seeds and Result.Index are derived
-// from each job's position in the full jobs slice, never from its
-// position in indices, so a shard of a grid produces rows byte-identical
-// to the same jobs run as part of the whole: the property the fleet
-// coordinator relies on to re-queue a dead worker's shard anywhere.
-func RunIndexed(cfg Config, jobs []Job, indices []int, sink Sink) (Summary, error) {
 	start := time.Now()
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -162,25 +141,15 @@ func RunIndexed(cfg Config, jobs []Job, indices []int, sink Sink) (Summary, erro
 		}
 		seen[j.ID] = struct{}{}
 	}
-	seenIdx := make(map[int]struct{}, len(indices))
-	for _, i := range indices {
-		if i < 0 || i >= len(jobs) {
-			return Summary{}, fmt.Errorf("sweep: job index %d out of range [0,%d)", i, len(jobs))
-		}
-		if _, dup := seenIdx[i]; dup {
-			return Summary{}, fmt.Errorf("sweep: duplicate job index %d", i)
-		}
-		seenIdx[i] = struct{}{}
-	}
 
 	var pending []int
-	for _, i := range indices {
-		if sink != nil && sink.Completed(jobs[i].ID) {
+	for i, j := range jobs {
+		if sink != nil && sink.Completed(j.ID) {
 			continue
 		}
 		pending = append(pending, i)
 	}
-	sum := Summary{Total: len(indices), Skipped: len(indices) - len(pending)}
+	sum := Summary{Total: len(jobs), Skipped: len(jobs) - len(pending)}
 	if cfg.Status != nil {
 		cfg.Status.begin(sum.Total, sum.Skipped)
 	}
@@ -206,7 +175,7 @@ func RunIndexed(cfg Config, jobs []Job, indices []int, sink Sink) (Summary, erro
 	}
 	go func() {
 		for _, i := range pending {
-			if aborted.Load() || (cfg.Stop != nil && cfg.Stop()) {
+			if aborted.Load() {
 				break
 			}
 			work <- i

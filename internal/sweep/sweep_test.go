@@ -356,76 +356,6 @@ func TestProgressOutput(t *testing.T) {
 	}
 }
 
-func TestRunIndexedShardsMatchFullRun(t *testing.T) {
-	jobs := syntheticJobs(12)
-	cfg := Config{Workers: 1, BaseSeed: 99}
-
-	full := &MemorySink{}
-	if _, err := Run(cfg, jobs, full); err != nil {
-		t.Fatal(err)
-	}
-
-	// The same grid split into three shards, executed in scrambled
-	// order, must reproduce the full run byte-for-byte: seeds and
-	// Result.Index come from the global index, not shard position.
-	sharded := &MemorySink{}
-	for _, shard := range [][]int{{8, 9, 10, 11}, {0, 1, 2, 3}, {4, 5, 6, 7}} {
-		sum, err := RunIndexed(cfg, jobs, shard, sharded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sum.Total != len(shard) || sum.Executed != len(shard) {
-			t.Fatalf("shard summary %+v, want %d executed", sum, len(shard))
-		}
-	}
-	want, err := MarshalResults(full.Results())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MarshalResults(sharded.Results())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Errorf("sharded rows diverge from full run:\nfull:\n%s\nsharded:\n%s", want, got)
-	}
-}
-
-func TestRunIndexedRejectsBadIndices(t *testing.T) {
-	jobs := syntheticJobs(3)
-	if _, err := RunIndexed(Config{}, jobs, []int{0, 3}, nil); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-	if _, err := RunIndexed(Config{}, jobs, []int{1, 1}, nil); err == nil {
-		t.Error("duplicate index accepted")
-	}
-}
-
-func TestStopCancelsDispatch(t *testing.T) {
-	jobs := syntheticJobs(20)
-	var ran atomic.Int64
-	for i := range jobs {
-		inner := jobs[i].Run
-		jobs[i].Run = func(seed int64) (map[string]float64, error) {
-			ran.Add(1)
-			return inner(seed)
-		}
-	}
-	stopAfter := int64(3)
-	cfg := Config{Workers: 1, Stop: func() bool { return ran.Load() >= stopAfter }}
-	sink := &MemorySink{}
-	sum, err := Run(cfg, jobs, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Cancelled == 0 {
-		t.Errorf("Stop cancelled nothing: %+v", sum)
-	}
-	if sum.Executed+sum.Cancelled != sum.Total {
-		t.Errorf("executed %d + cancelled %d != total %d", sum.Executed, sum.Cancelled, sum.Total)
-	}
-}
-
 func TestFailFastStopsDispatchKeepsCompletedRows(t *testing.T) {
 	const n = 50
 	jobs := syntheticJobs(n)

@@ -347,54 +347,3 @@ func (c *Clos) PodOf(h int) int {
 	half := c.Cfg.Radix / 2
 	return h / (half * half)
 }
-
-// ShardAssign returns a node→shard map that cuts the fabric along its
-// natural seams for up to n shards: on a 2-tier fabric each leaf and its
-// hosts form a group, on a 3-tier fabric each pod (its leaves, aggs and
-// hosts) does, and the spine tier rides with shard 0. Groups are split
-// into contiguous blocks over the shards in construction order, so the cut
-// edges are exactly the leaf↔spine (2-tier) or agg↔spine (3-tier) links —
-// whose propagation delay becomes the conservative lookahead. n is clamped
-// to the group count; n ≤ 1 returns the all-zero (serial) map.
-//
-// The map is only valid for fabrics whose datapath does not draw the
-// shared network RNG across groups: with a marker factory configured every
-// switch carries RNG-drawing queues, and netsim.PartitionByNode will
-// reject the assignment — use netsim.DefaultAssign (which pins RNG-bound
-// nodes together) for those runs.
-func (c *Clos) ShardAssign(n int) []int {
-	assign := make([]int, c.Net.NodeCount())
-	if n <= 1 {
-		return assign
-	}
-	half := c.Cfg.Radix / 2
-	groups := len(c.Leaves) // 2-tier: one group per leaf
-	if c.Cfg.Tiers == 3 {
-		groups = c.Cfg.Radix // one group per pod
-	}
-	if n > groups {
-		n = groups
-	}
-	shardOf := func(g int) int { return g * n / groups }
-	for l, sw := range c.Leaves {
-		g := l
-		if c.Cfg.Tiers == 3 {
-			g = l / half
-		}
-		assign[sw.ID()] = shardOf(g)
-	}
-	for a, sw := range c.Aggs {
-		assign[sw.ID()] = shardOf(a / half)
-	}
-	for _, sw := range c.Spines {
-		assign[sw.ID()] = 0
-	}
-	for hid, h := range c.Hosts {
-		g := hid / half // 2-tier: the host's leaf
-		if c.Cfg.Tiers == 3 {
-			g = hid / (half * half) // the host's pod
-		}
-		assign[h.ID()] = shardOf(g)
-	}
-	return assign
-}
