@@ -152,8 +152,8 @@ telemetry-smoke:
 	echo "telemetry-smoke: /metrics and /progress answer mid-run"
 
 # Coverage gate, two levels. Packages whose whole job is checking other
-# code — internal/hybrid (paper-math cross-validation), internal/prof
-# (profiling plumbing every command trusts) and cmd/obsreport (the CI
+# code — internal/hybrid (paper-math cross-validation), internal/cli
+# (the flag front-end every run command trusts) and cmd/obsreport (the CI
 # perf gate itself) — carry hard per-package statement floors. The
 # repo-wide figure (measured with -short, the same profile `make race`
 # uses) is gated by the checked-in ratchet in coverage_ratchet.txt: it
@@ -161,7 +161,7 @@ telemetry-smoke:
 # coverage should bump the file so the floor only ever moves up.
 cover:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	for spec in ./internal/hybrid:85 ./internal/prof:85 ./cmd/obsreport:85; do \
+	for spec in ./internal/hybrid:85 ./internal/cli:85 ./cmd/obsreport:85; do \
 		pkg=$${spec%:*}; floor=$${spec##*:}; \
 		$(GO) test -timeout 10m -coverprofile="$$tmp/pkg.cov" "$$pkg" > /dev/null; \
 		got=$$($(GO) tool cover -func="$$tmp/pkg.cov" | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \

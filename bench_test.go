@@ -10,21 +10,30 @@ import (
 	"strings"
 	"testing"
 
-	"ecndelay"
+	"ecndelay/internal/dcqcn"
+	"ecndelay/internal/des"
+	"ecndelay/internal/exp"
+	"ecndelay/internal/fixedpoint"
+	"ecndelay/internal/fluid"
+	"ecndelay/internal/netsim"
+	"ecndelay/internal/stability"
+	"ecndelay/internal/stats"
+	"ecndelay/internal/sweep"
+	"ecndelay/internal/timely"
 )
 
 // benchRunner runs one registered experiment per iteration and publishes
 // its metrics through testing.B.
 func benchRunner(b *testing.B, id string) {
-	r, ok := ecndelay.GetRunner(id)
+	r, ok := exp.Get(id)
 	if !ok {
 		b.Fatalf("experiment %q not registered", id)
 	}
 	b.ReportAllocs()
-	var rep *ecndelay.Report
+	var rep *exp.Report
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = r.Run(ecndelay.ExperimentOptions{Scale: ecndelay.Quick, Seed: 1})
+		rep, err = r.Run(exp.Options{Scale: exp.Quick, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,19 +195,19 @@ func BenchmarkAblationMarkingPoint(b *testing.B) {
 			b.ReportAllocs()
 			var cv float64
 			for i := 0; i < b.N; i++ {
-				nw := ecndelay.NewNetwork(7)
-				star := ecndelay.NewStar(nw, ecndelay.StarConfig{
+				nw := netsim.New(7)
+				star := netsim.NewStar(nw, netsim.StarConfig{
 					Senders: 2,
-					Link:    ecndelay.LinkConfig{Bandwidth: 1.25e9, PropDelay: ecndelay.Microsecond},
-					Mark: func() ecndelay.Marker {
-						return &ecndelay.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Ingress: ingress, Rng: nw.Rng}
+					Link:    netsim.LinkConfig{Bandwidth: 1.25e9, PropDelay: des.Microsecond},
+					Mark: func() netsim.Marker {
+						return &netsim.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Ingress: ingress, Rng: nw.Rng}
 					},
 				})
-				if _, err := ecndelay.NewDCQCNEndpoint(star.Receiver, ecndelay.DefaultDCQCNProtoParams()); err != nil {
+				if _, err := dcqcn.NewEndpoint(star.Receiver, dcqcn.DefaultParams()); err != nil {
 					b.Fatal(err)
 				}
 				for j, h := range star.Senders {
-					ep, err := ecndelay.NewDCQCNEndpoint(h, ecndelay.DefaultDCQCNProtoParams())
+					ep, err := dcqcn.NewEndpoint(h, dcqcn.DefaultParams())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -206,8 +215,8 @@ func BenchmarkAblationMarkingPoint(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				q := ecndelay.MonitorQueueBytes(nw, star.Bottleneck, 50*ecndelay.Microsecond)
-				nw.Sim.RunUntil(ecndelay.Time(60 * ecndelay.Millisecond))
+				q := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 50*des.Microsecond)
+				nw.Sim.RunUntil(des.Time(60 * des.Millisecond))
 				cv = q.WindowSummary(0.03, 0.06).CV()
 			}
 			b.ReportMetric(cv, "queue_cv")
@@ -227,19 +236,19 @@ func BenchmarkAblationPacing(b *testing.B) {
 			b.ReportAllocs()
 			var util float64
 			for i := 0; i < b.N; i++ {
-				p := ecndelay.DefaultTimelyProtoParams()
+				p := timely.DefaultParams()
 				p.Burst = mode.burst
 				p.Seg = mode.seg
-				nw := ecndelay.NewNetwork(1)
-				star := ecndelay.NewStar(nw, ecndelay.StarConfig{
+				nw := netsim.New(1)
+				star := netsim.NewStar(nw, netsim.StarConfig{
 					Senders: 2,
-					Link:    ecndelay.LinkConfig{Bandwidth: 1.25e9, PropDelay: ecndelay.Microsecond},
+					Link:    netsim.LinkConfig{Bandwidth: 1.25e9, PropDelay: des.Microsecond},
 				})
-				if _, err := ecndelay.NewTimelyEndpoint(star.Receiver, p); err != nil {
+				if _, err := timely.NewEndpoint(star.Receiver, p); err != nil {
 					b.Fatal(err)
 				}
 				for j, h := range star.Senders {
-					ep, err := ecndelay.NewTimelyEndpoint(h, p)
+					ep, err := timely.NewEndpoint(h, p)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -247,8 +256,8 @@ func BenchmarkAblationPacing(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				thr := ecndelay.MonitorThroughput(nw, star.Bottleneck, ecndelay.Millisecond)
-				nw.Sim.RunUntil(ecndelay.Time(100 * ecndelay.Millisecond))
+				thr := netsim.MonitorThroughput(nw.Sim, star.Bottleneck, des.Millisecond)
+				nw.Sim.RunUntil(des.Time(100 * des.Millisecond))
 				util = thr.WindowSummary(0.05, 0.1).Mean / 1.25e9
 			}
 			b.ReportMetric(util, "utilisation")
@@ -260,25 +269,25 @@ func BenchmarkAblationPacing(b *testing.B) {
 // the original indicator function (design choice 4): the indicator is the
 // on-off behaviour the paper blames for oscillation.
 func BenchmarkAblationWeightFunction(b *testing.B) {
-	run := func(b *testing.B, cfg ecndelay.TimelyFluidConfig) float64 {
-		sys, err := ecndelay.NewPatchedTimelyFluid(cfg)
+	run := func(b *testing.B, cfg fluid.TimelyConfig) float64 {
+		sys, err := fluid.NewPatchedTimely(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sm := ecndelay.RunFluid(sys, 1e-6, 0.4, 1e-3)
+		sm := fluid.Run(sys, 1e-6, 0.4, 1e-3)
 		var vals []float64
 		for _, s := range sm {
 			if s.T > 0.3 {
 				vals = append(vals, s.Y[sys.RateIndex(0)])
 			}
 		}
-		return ecndelay.Summarize(vals).CV()
+		return stats.Summarize(vals).CV()
 	}
 	b.Run("linear-weight", func(b *testing.B) {
 		b.ReportAllocs()
 		var cv float64
 		for i := 0; i < b.N; i++ {
-			cfg := ecndelay.DefaultPatchedTimelyFluidConfig(2)
+			cfg := fluid.DefaultPatchedTimelyConfig(2)
 			cfg.InitialRates = []float64{7e9 / 8, 3e9 / 8}
 			cv = run(b, cfg)
 		}
@@ -291,25 +300,25 @@ func BenchmarkAblationWeightFunction(b *testing.B) {
 func BenchmarkAblationTuning(b *testing.B) {
 	cases := []struct {
 		name string
-		mod  func(*ecndelay.DCQCNParams)
+		mod  func(*fixedpoint.DCQCNParams)
 	}{
-		{"default", func(*ecndelay.DCQCNParams) {}},
-		{"smallRAI", func(p *ecndelay.DCQCNParams) { p.RAI = 5e6 / 8 / 1000 }},
-		{"largeKmax", func(p *ecndelay.DCQCNParams) { p.Kmax = 1600 }},
+		{"default", func(*fixedpoint.DCQCNParams) {}},
+		{"smallRAI", func(p *fixedpoint.DCQCNParams) { p.RAI = 5e6 / 8 / 1000 }},
+		{"largeKmax", func(p *fixedpoint.DCQCNParams) { p.Kmax = 1600 }},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var pm float64
 			for i := 0; i < b.N; i++ {
-				p := ecndelay.DefaultDCQCNParams(10)
+				p := fluid.DefaultDCQCNParams(10)
 				p.TauStar = 85e-6
 				c.mod(&p)
-				loop, err := ecndelay.NewDCQCNLoop(p)
+				loop, err := fluid.NewDCQCNLoop(p)
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := ecndelay.PhaseMargin(loop)
+				res, err := stability.PhaseMargin(loop)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -324,10 +333,10 @@ func BenchmarkAblationTuning(b *testing.B) {
 
 // sweepGridJobs is a Quick-scale runner grid: the cheap analytic
 // experiments crossed with a few seeds, ~16 jobs.
-func sweepGridJobs(b *testing.B) []ecndelay.SweepJob {
-	jobs, err := ecndelay.ExperimentSweepJobs(
+func sweepGridJobs(b *testing.B) []sweep.Job {
+	jobs, err := exp.SweepJobs(
 		[]string{"fig3", "fig11", "eq14", "thm2"},
-		ecndelay.ExperimentOptions{Scale: ecndelay.Quick},
+		exp.Options{Scale: exp.Quick},
 		[]int64{1, 2, 3, 4})
 	if err != nil {
 		b.Fatal(err)
@@ -339,7 +348,7 @@ func benchSweep(b *testing.B, workers int) {
 	b.ReportAllocs()
 	jobs := sweepGridJobs(b)
 	for i := 0; i < b.N; i++ {
-		sum, err := ecndelay.RunSweep(ecndelay.SweepConfig{Workers: workers, BaseSeed: 1}, jobs, nil)
+		sum, err := sweep.Run(sweep.Config{Workers: workers, BaseSeed: 1}, jobs, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -372,12 +381,12 @@ func TestEveryExperimentHasABenchmark(t *testing.T) {
 		"crossval": true, "hybridwarm": true, "hybridbg": true,
 		"auditloop": true,
 	}
-	for _, r := range ecndelay.Runners() {
+	for _, r := range exp.Runners() {
 		if !covered[r.ID] {
 			t.Errorf("experiment %q (%s) has no benchmark in bench_test.go", r.ID, r.Figure)
 		}
 	}
-	if len(covered) != len(ecndelay.Runners()) {
-		t.Errorf("benchmark list (%d) out of sync with registry (%d)", len(covered), len(ecndelay.Runners()))
+	if len(covered) != len(exp.Runners()) {
+		t.Errorf("benchmark list (%d) out of sync with registry (%d)", len(covered), len(exp.Runners()))
 	}
 }

@@ -29,7 +29,9 @@ import (
 	"strconv"
 	"strings"
 
-	"ecndelay"
+	"ecndelay/internal/fluid"
+	"ecndelay/internal/hybrid"
+	"ecndelay/internal/stability"
 	"ecndelay/internal/stats"
 )
 
@@ -422,19 +424,19 @@ func readQueueProbe(path string) (ts, vs []float64, name string, err error) {
 // point and compares its predicted oscillation period (2π over the gain
 // crossover frequency) with the measured rate/queue periods.
 func fluidCompare(w io.Writer, n int, bw, delay, kminB, kmaxB, pmax, ratePeriod, queuePeriod float64) error {
-	p := ecndelay.DefaultDCQCNParams(n)
-	p.C = bw / ecndelay.DataMTU // packets/s
-	p.Kmin = kminB / ecndelay.DataMTU
-	p.Kmax = kmaxB / ecndelay.DataMTU
+	p := fluid.DefaultDCQCNParams(n)
+	p.C = bw / hybrid.MTU // packets/s
+	p.Kmin = kminB / hybrid.MTU
+	p.Kmax = kmaxB / hybrid.MTU
 	p.Pmax = pmax
 	if delay > 0 {
 		p.TauStar = delay
 	}
-	loop, err := ecndelay.NewDCQCNLoop(p)
+	loop, err := fluid.NewDCQCNLoop(p)
 	if err != nil {
 		return err
 	}
-	res, err := ecndelay.PhaseMargin(loop)
+	res, err := stability.PhaseMargin(loop)
 	if err != nil {
 		return err
 	}

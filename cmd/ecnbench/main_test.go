@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -85,6 +88,44 @@ func TestParallelWorkersOrderedOutput(t *testing.T) {
 		}
 		if k > 0 && (so[k] < so[k-1] || po[k] < po[k-1]) {
 			t.Fatalf("reports out of order (serial %v, parallel %v)", so, po)
+		}
+	}
+}
+
+// The metrics, probe, hist and audit exports are byte-identical for any
+// -workers value: -workers only steers execution, so export headers leave
+// it out, and every record is keyed or sorted independently of job
+// scheduling. -trace is left out: the one shared trace stream interleaves
+// experiments by completion order by design.
+func TestExportsIdenticalAcrossWorkers(t *testing.T) {
+	dir := t.TempDir()
+	files := []string{"m.tsv", "p.jsonl", "h.jsonl", "a.jsonl"}
+	path := func(name string) string { return filepath.Join(dir, name) }
+	export := func(workers string) map[string][]byte {
+		var out, errOut strings.Builder
+		code := run([]string{"-exp", "fig5,closincast", "-workers", workers,
+			"-metrics", path("m.tsv"), "-probe", path("p.jsonl"), "-hist", path("h.jsonl"),
+			"-audit", path("a.jsonl"), "-invariants"}, &out, &errOut)
+		if code != 0 {
+			t.Fatalf("-workers %s exit code %d, stderr: %s", workers, code, errOut.String())
+		}
+		got := map[string][]byte{}
+		for _, name := range files {
+			b, err := os.ReadFile(path(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[name] = b
+		}
+		return got
+	}
+	one, two := export("1"), export("2")
+	for _, name := range files {
+		if len(one[name]) == 0 {
+			t.Errorf("%s is empty", name)
+		}
+		if !bytes.Equal(one[name], two[name]) {
+			t.Errorf("%s differs between -workers 1 and -workers 2", name)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"strconv"
 	"strings"
 
-	"ecndelay"
+	"ecndelay/internal/fluid"
 )
 
 func main() {
@@ -55,50 +55,50 @@ func main() {
 	}
 
 	var (
-		sys    ecndelay.FluidModel
+		sys    fluid.Model
 		labels []string
 		err    error
 	)
 	switch *model {
 	case "dcqcn":
-		p := ecndelay.DefaultDCQCNParams(*n)
+		p := fluid.DefaultDCQCNParams(*n)
 		p.TauStar = *delay
-		m, e := ecndelay.NewDCQCNFluid(ecndelay.DCQCNFluidConfig{
+		m, e := fluid.NewDCQCN(fluid.DCQCNConfig{
 			Params: p, InitialRC: initial, JitterMax: *jitter, Seed: *seed,
 		})
 		sys, err = m, e
 		labels = dcqcnLabels(m, *n)
 	case "timely", "patched":
-		cfg := ecndelay.DefaultTimelyFluidConfig(*n)
+		cfg := fluid.DefaultTimelyConfig(*n)
 		if *model == "patched" {
-			cfg = ecndelay.DefaultPatchedTimelyFluidConfig(*n)
+			cfg = fluid.DefaultPatchedTimelyConfig(*n)
 		}
 		cfg.InitialRates = initial
 		cfg.StartTimes = starts
 		cfg.JitterMax = *jitter
 		cfg.Seed = *seed
 		if *model == "patched" {
-			m, e := ecndelay.NewPatchedTimelyFluid(cfg)
+			m, e := fluid.NewPatchedTimely(cfg)
 			sys, err = m, e
 			labels = timelyLabels(*n)
 		} else {
-			m, e := ecndelay.NewTimelyFluid(cfg)
+			m, e := fluid.NewTimely(cfg)
 			sys, err = m, e
 			labels = timelyLabels(*n)
 		}
 	case "dcqcnpi":
-		p := ecndelay.DefaultDCQCNParams(*n)
+		p := fluid.DefaultDCQCNParams(*n)
 		p.TauStar = *delay
-		m, e := ecndelay.NewDCQCNPIFluid(ecndelay.DCQCNPIConfig{
-			DCQCN: ecndelay.DCQCNFluidConfig{Params: p, InitialRC: initial, JitterMax: *jitter, Seed: *seed},
+		m, e := fluid.NewDCQCNPI(fluid.DCQCNPIConfig{
+			DCQCN: fluid.DCQCNConfig{Params: p, InitialRC: initial, JitterMax: *jitter, Seed: *seed},
 		})
 		sys, err = m, e
 		labels = dcqcnPILabels(*n)
 	case "timelypi":
-		cfg := ecndelay.DefaultPatchedTimelyFluidConfig(*n)
+		cfg := fluid.DefaultPatchedTimelyConfig(*n)
 		cfg.InitialRates = initial
 		cfg.StartTimes = starts
-		m, e := ecndelay.NewTimelyPIFluid(ecndelay.TimelyPIConfig{Timely: cfg})
+		m, e := fluid.NewTimelyPI(fluid.TimelyPIConfig{Timely: cfg})
 		sys, err = m, e
 		labels = timelyPILabels(*n)
 	default:
@@ -111,7 +111,7 @@ func main() {
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 	fmt.Fprintln(out, "# "+strings.Join(labels, "\t"))
-	for _, s := range ecndelay.RunFluid(sys, *step, *horizon, *sample) {
+	for _, s := range fluid.Run(sys, *step, *horizon, *sample) {
 		fmt.Fprintf(out, "%.6f", s.T)
 		for _, v := range s.Y {
 			fmt.Fprintf(out, "\t%.6g", v)
@@ -120,7 +120,7 @@ func main() {
 	}
 }
 
-func dcqcnLabels(m *ecndelay.DCQCNFluid, n int) []string {
+func dcqcnLabels(m *fluid.DCQCNSystem, n int) []string {
 	labels := []string{"t", "q_pkts"}
 	for i := 0; i < n; i++ {
 		labels = append(labels, fmt.Sprintf("alpha%d", i), fmt.Sprintf("rt%d", i), fmt.Sprintf("rc%d", i))

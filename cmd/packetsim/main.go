@@ -30,154 +30,179 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"math"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"syscall"
-	"time"
 
-	"ecndelay"
-	"ecndelay/internal/prof"
+	"ecndelay/internal/cli"
+	"ecndelay/internal/dcqcn"
+	"ecndelay/internal/des"
+	"ecndelay/internal/fault"
+	"ecndelay/internal/fluid"
+	"ecndelay/internal/hybrid"
+	"ecndelay/internal/netsim"
+	"ecndelay/internal/timely"
+	"ecndelay/internal/topo"
 )
 
-// shutdownOnSignal drains the telemetry server with a bounded deadline
-// before the process dies on SIGINT/SIGTERM, so in-flight scrapes
-// complete instead of being cut mid-body.
-func shutdownOnSignal(srv *ecndelay.TelemetryServer) {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-ch
-		log.Printf("%v: draining telemetry server", s)
-		_ = srv.Shutdown(5 * time.Second)
-		os.Exit(1)
-	}()
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("packetsim: ")
+// run is the whole command. It exits 2 on a refused flag value or
+// combination, 1 on a run, export or invariant failure, and 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("packetsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		proto      = flag.String("proto", "dcqcn", "dcqcn | timely | patched")
-		topology   = flag.String("topology", "star", "star | dumbbell | parkinglot | clos")
-		radix      = flag.Int("radix", 4, "clos: switch radix k (even; k**3/4 hosts at 3 tiers)")
-		tiers      = flag.Int("tiers", 3, "clos: fabric depth, 2 (leaf-spine) or 3 (fat tree)")
-		oversub    = flag.Float64("oversub", 1, "clos: leaf oversubscription ratio (>= 1)")
-		hops       = flag.Int("hops", 3, "parkinglot: switches in the chain")
-		n          = flag.Int("n", 2, "number of senders (one long flow each)")
-		bw         = flag.Float64("bw", 10e9, "link bandwidth, bits/s")
-		extraDelay = flag.Float64("extra-delay", 0, "extra feedback delay, seconds")
-		jitter     = flag.Float64("jitter", 0, "uniform feedback jitter bound, seconds")
-		ingress    = flag.Bool("ingress", false, "mark ECN at ingress instead of egress (DCQCN)")
-		burst      = flag.Bool("burst", false, "TIMELY per-burst pacing")
-		seg        = flag.Int("seg", 0, "TIMELY segment bytes (0: default 16000)")
-		horizon    = flag.Float64("horizon", 0.1, "simulated seconds")
-		sample     = flag.Float64("sample", 1e-4, "output sampling interval, seconds")
-		rates      = flag.String("rates", "", "comma-separated TIMELY start rates, bytes/s")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		warmStart  = flag.Bool("warm-start", false, "start endpoints and the bottleneck queue at the analytic fixed point (dcqcn | patched)")
-		bgFlows    = flag.Int("bg-flows", 0, "DCQCN fluid background flows coupled to the bottleneck queue (0: off)")
+		proto      = fs.String("proto", "dcqcn", "dcqcn | timely | patched")
+		topology   = fs.String("topology", "star", "star | dumbbell | parkinglot | clos")
+		radix      = fs.Int("radix", 4, "clos: switch radix k (even; k**3/4 hosts at 3 tiers)")
+		tiers      = fs.Int("tiers", 3, "clos: fabric depth, 2 (leaf-spine) or 3 (fat tree)")
+		oversub    = fs.Float64("oversub", 1, "clos: leaf oversubscription ratio (>= 1)")
+		hops       = fs.Int("hops", 3, "parkinglot: switches in the chain")
+		n          = fs.Int("n", 2, "number of senders (one long flow each)")
+		bw         = fs.Float64("bw", 10e9, "link bandwidth, bits/s")
+		extraDelay = fs.Float64("extra-delay", 0, "extra feedback delay, seconds")
+		jitter     = fs.Float64("jitter", 0, "uniform feedback jitter bound, seconds")
+		ingress    = fs.Bool("ingress", false, "mark ECN at ingress instead of egress (DCQCN)")
+		burst      = fs.Bool("burst", false, "TIMELY per-burst pacing")
+		seg        = fs.Int("seg", 0, "TIMELY segment bytes (0: default 16000)")
+		horizon    = fs.Float64("horizon", 0.1, "simulated seconds")
+		sample     = fs.Float64("sample", 1e-4, "output sampling interval, seconds")
+		rates      = fs.String("rates", "", "comma-separated TIMELY start rates, bytes/s")
+		seed       = fs.Int64("seed", 1, "simulation seed")
+		warmStart  = fs.Bool("warm-start", false, "start endpoints and the bottleneck queue at the analytic fixed point (dcqcn | patched)")
+		bgFlows    = fs.Int("bg-flows", 0, "DCQCN fluid background flows coupled to the bottleneck queue (0: off)")
 
-		lossRate  = flag.Float64("loss", 0, "i.i.d. data loss rate on the bottleneck port")
-		ctrlLoss  = flag.Float64("ctrl-loss", 0, "i.i.d. ack/NACK/CNP loss rate on the receiver NIC")
-		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault draws")
-		flapSpec  = flag.String("flap", "", "bottleneck link flap: down,up seconds (up 0 = stays down)")
-		recovery  = flag.Bool("recovery", false, "go-back-N loss recovery at the endpoints")
-		rto       = flag.Float64("rto", 0, "retransmission timeout, seconds (0: protocol default)")
-		qcap      = flag.Int("qcap", 0, "switch egress queue capacity, bytes (0: unbounded)")
-		pfcPause  = flag.Int("pfc-pause", 0, "PFC pause threshold, bytes (0: PFC off)")
-		pfcResume = flag.Int("pfc-resume", 0, "PFC resume threshold, bytes")
-		pfcWatch  = flag.Float64("pfc-watchdog", 0, "flag pauses sustained this many seconds (0: off)")
+		lossRate  = fs.Float64("loss", 0, "i.i.d. data loss rate on the bottleneck port")
+		ctrlLoss  = fs.Float64("ctrl-loss", 0, "i.i.d. ack/NACK/CNP loss rate on the receiver NIC")
+		faultSeed = fs.Int64("fault-seed", 1, "seed for the fault draws")
+		flapSpec  = fs.String("flap", "", "bottleneck link flap: down,up seconds (up 0 = stays down)")
+		recovery  = fs.Bool("recovery", false, "go-back-N loss recovery at the endpoints")
+		rto       = fs.Float64("rto", 0, "retransmission timeout, seconds (0: protocol default)")
+		qcap      = fs.Int("qcap", 0, "switch egress queue capacity, bytes (0: unbounded)")
+		pfcPause  = fs.Int("pfc-pause", 0, "PFC pause threshold, bytes (0: PFC off)")
+		pfcResume = fs.Int("pfc-resume", 0, "PFC resume threshold, bytes")
+		pfcWatch  = fs.Float64("pfc-watchdog", 0, "flag pauses sustained this many seconds (0: off)")
 
-		metricsFile = flag.String("metrics", "", "write end-of-run counters as TSV to this file")
-		traceFile   = flag.String("trace", "", "stream the event trace as JSONL to this file")
-		probeFile   = flag.String("probe", "", "write probe time series as JSONL to this file")
-		probeEvery  = flag.Float64("probe-every", 1e-4, "probe sampling cadence, seconds")
-		invariants  = flag.Bool("invariants", false, "check runtime invariants; violations exit nonzero")
-		histFile    = flag.String("hist", "", "write latency histogram percentiles to this file (.tsv: TSV, else JSONL)")
-		auditFile   = flag.String("audit", "", "write the control-loop decision audit as JSONL to this file")
-		serveAddr   = flag.String("serve", "", "serve live telemetry (/metrics, /progress, pprof) on this host:port")
+		flags = cli.Register(fs, false)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "packetsim: "+format+"\n", a...)
+		return code
+	}
 
-	// Every JSONL export opens with the same self-describing header, so a
-	// reader can tell which invocation produced a file without the shell
-	// history. flag.Visit walks only explicitly set flags, in name order.
-	header := func(schema string) ecndelay.ExportHeader {
-		var parts []string
-		flag.Visit(func(f *flag.Flag) {
-			parts = append(parts, f.Name+"="+f.Value.String())
+	// Refuse every bad value and combination before anything is built, so
+	// a mistyped flag ends in one line naming it rather than a panic deep
+	// in the simulator.
+	switch {
+	case *proto != "dcqcn" && *proto != "timely" && *proto != "patched":
+		return fail(2, "unknown -proto %q", *proto)
+	case *n < 0:
+		return fail(2, "-n must be >= 0, got %d", *n)
+	case *bw <= 0:
+		return fail(2, "-bw must be positive, got %g", *bw)
+	case *sample <= 0:
+		return fail(2, "-sample must be positive, got %g", *sample)
+	case *lossRate < 0 || *lossRate > 1:
+		return fail(2, "-loss must be in [0,1], got %g", *lossRate)
+	case *ctrlLoss < 0 || *ctrlLoss > 1:
+		return fail(2, "-ctrl-loss must be in [0,1], got %g", *ctrlLoss)
+	case *bgFlows > 0 && *proto != "dcqcn":
+		return fail(2, "-bg-flows needs -proto dcqcn (the aggregate is a DCQCN fluid model)")
+	}
+	// Flags the selected topology's builder has no hook for are refused
+	// instead of silently ignored.
+	unsupported, ok := map[string][]string{
+		"star":       nil,
+		"dumbbell":   {"-extra-delay"},
+		"parkinglot": {"-extra-delay", "-jitter", "-qcap"},
+		"clos":       {"-extra-delay", "-jitter"},
+	}[*topology]
+	if !ok {
+		return fail(2, "unknown -topology %q", *topology)
+	}
+	set := map[string]bool{"-extra-delay": *extraDelay != 0, "-jitter": *jitter != 0, "-qcap": *qcap != 0}
+	for _, name := range unsupported {
+		if set[name] {
+			return fail(2, "%s is not supported with -topology %s", name, *topology)
+		}
+	}
+	if *topology == "parkinglot" {
+		if *hops < 2 {
+			return fail(2, "-topology parkinglot needs -hops >= 2, got %d", *hops)
+		}
+		if *n > *hops {
+			return fail(2, "-topology parkinglot has one sender per switch: -n %d needs -hops >= %d", *n, *n)
+		}
+	}
+	var startRates []float64
+	if *rates != "" {
+		for _, f := range strings.Split(*rates, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+			if err != nil {
+				return fail(2, "bad -rates: %v", err)
+			}
+			startRates = append(startRates, v)
+		}
+		if len(startRates) != *n {
+			return fail(2, "-rates has %d entries, -n is %d", len(startRates), *n)
+		}
+	}
+	var flaps []fault.Flap
+	if *flapSpec != "" {
+		parts := strings.Split(*flapSpec, ",")
+		if len(parts) != 2 {
+			return fail(2, "bad -flap %q, want down,up seconds", *flapSpec)
+		}
+		down, err1 := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+		up, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
+		if err1 != nil || err2 != nil {
+			return fail(2, "bad -flap %q: %v %v", *flapSpec, err1, err2)
+		}
+		if down < 0 || up < 0 || (up != 0 && up <= down) {
+			return fail(2, "bad -flap %q: want down >= 0 and up 0 or after down", *flapSpec)
+		}
+		flaps = append(flaps, fault.Flap{
+			DownAt: des.Time(des.DurationFromSeconds(down)),
+			UpAt:   des.Time(des.DurationFromSeconds(up)),
 		})
-		return ecndelay.ExportHeader{
-			Schema: schema, Version: 1, Seed: *seed, Proto: *proto,
-			Flags: strings.Join(parts, " "),
+	}
+	// Go-back-N recovery tracks sequence state the prefilled warm-start
+	// segments would bypass, so the two are mutually exclusive.
+	if *warmStart {
+		switch {
+		case *recovery:
+			return fail(2, "-warm-start is incompatible with -recovery (prefilled segments bypass go-back-N tracking)")
+		case startRates != nil:
+			return fail(2, "-warm-start and -rates both set start rates; pick one")
+		case *proto != "dcqcn" && *proto != "patched":
+			return fail(2, "-warm-start supports -proto dcqcn or patched, not %q", *proto)
 		}
 	}
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	sess, err := flags.Open("packetsim", *seed, *proto, stderr)
 	if err != nil {
-		log.Fatal(err)
+		return fail(1, "%v", err)
 	}
-
-	// Observability: build the observer before any topology exists so
-	// ports and endpoints bind their counters. All extra output goes to
-	// separate files — stdout stays byte-identical to an unobserved run.
-	var observer *ecndelay.Observer
-	var traceSink *ecndelay.TraceJSONLSink
-	var auditSink *ecndelay.AuditJSONLSink
-	if *metricsFile != "" || *traceFile != "" || *probeFile != "" || *invariants ||
-		*histFile != "" || *serveAddr != "" || *auditFile != "" {
-		observer = &ecndelay.Observer{ProbeEvery: ecndelay.DurationFromSeconds(*probeEvery)}
-		if *metricsFile != "" || *serveAddr != "" {
-			observer.Metrics = ecndelay.NewMetricsRegistry()
-		}
-		if *traceFile != "" {
-			f, err := os.Create(*traceFile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			traceSink = ecndelay.NewTraceJSONLSink(f)
-			traceSink.WriteHeader(header("trace"))
-			observer.Trace = ecndelay.NewTracer(traceSink)
-		}
-		if *probeFile != "" {
-			observer.Probes = ecndelay.NewProbeSet()
-			observer.Probes.SetHeader(header("probe"))
-		}
-		if *invariants {
-			observer.Check = ecndelay.NewInvariantChecker()
-		}
-		if *histFile != "" || *serveAddr != "" || *auditFile != "" {
-			// The audit trail feeds the feedback-latency histograms, so an
-			// audited run always carries a histogram set.
-			observer.Hists = ecndelay.NewHistSet()
-		}
-		if *auditFile != "" {
-			f, err := os.Create(*auditFile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			auditSink = ecndelay.NewAuditJSONLSink(f, 1<<16)
-			auditSink.SetHeader(header("audit"))
-			observer.Audit = ecndelay.NewAuditTrail(auditSink)
-		}
-	}
+	defer sess.Close()
+	observer := sess.Observer
 
 	bwBytes := *bw / 8
-	nw := ecndelay.NewNetwork(*seed)
+	nw := netsim.New(*seed)
 	if observer != nil {
 		nw.SetObserver(observer)
 	}
-	var mark func() ecndelay.Marker
+	var mark func() netsim.Marker
 	if *proto == "dcqcn" {
-		mark = func() ecndelay.Marker {
-			return &ecndelay.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Ingress: *ingress, Rng: nw.Rng}
+		mark = func() netsim.Marker {
+			return &netsim.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Ingress: *ingress, Rng: nw.Rng}
 		}
 	}
 	// fab abstracts the wired topology down to what the flow/fault/output
@@ -185,42 +210,35 @@ func main() {
 	// bottleneck the TSV tracks, and which switches exist (watchdog,
 	// buffer-drop accounting). The default star build is unchanged, so
 	// default invocations stay byte-identical.
-	link := ecndelay.LinkConfig{Bandwidth: bwBytes, PropDelay: ecndelay.Microsecond}
-	pfc := ecndelay.PFCConfig{PauseBytes: *pfcPause, ResumeBytes: *pfcResume}
+	link := netsim.LinkConfig{Bandwidth: bwBytes, PropDelay: des.Microsecond}
+	pfc := netsim.PFCConfig{PauseBytes: *pfcPause, ResumeBytes: *pfcResume}
 	var fab fabric
 	switch *topology {
 	case "star":
-		star := ecndelay.NewStar(nw, ecndelay.StarConfig{
+		star := netsim.NewStar(nw, netsim.StarConfig{
 			Senders:        *n,
 			Link:           link,
 			Mark:           mark,
-			CtrlExtraDelay: ecndelay.DurationFromSeconds(*extraDelay),
-			CtrlJitterMax:  ecndelay.DurationFromSeconds(*jitter),
+			CtrlExtraDelay: des.DurationFromSeconds(*extraDelay),
+			CtrlJitterMax:  des.DurationFromSeconds(*jitter),
 			PFC:            pfc,
 			SwitchQueueCap: *qcap,
 		})
 		fab = fabric{star.Senders, star.Receiver, star.Bottleneck,
-			[]*ecndelay.Switch{star.Switch}}
+			[]*netsim.Switch{star.Switch}}
 	case "dumbbell":
-		requireStarOnly(*topology, *extraDelay != 0, "-extra-delay")
-		d := ecndelay.NewDumbbell(nw, ecndelay.DumbbellConfig{
+		d := netsim.NewDumbbell(nw, netsim.DumbbellConfig{
 			Senders: *n, Receivers: 1,
 			Link:           link,
 			Mark:           mark,
-			CtrlJitterMax:  ecndelay.DurationFromSeconds(*jitter),
+			CtrlJitterMax:  des.DurationFromSeconds(*jitter),
 			PFC:            pfc,
 			SwitchQueueCap: *qcap,
 		})
 		fab = fabric{d.Senders, d.Receivers[0], d.Bottleneck,
-			[]*ecndelay.Switch{d.SW1, d.SW2}}
+			[]*netsim.Switch{d.SW1, d.SW2}}
 	case "parkinglot":
-		requireStarOnly(*topology, *extraDelay != 0, "-extra-delay")
-		requireStarOnly(*topology, *jitter != 0, "-jitter")
-		requireStarOnly(*topology, *qcap != 0, "-qcap")
-		if *n > *hops {
-			log.Fatalf("-topology parkinglot has one sender per switch: -n %d needs -hops >= %d", *n, *n)
-		}
-		pl := ecndelay.NewParkingLot(nw, ecndelay.ParkingLotConfig{
+		pl := netsim.NewParkingLot(nw, netsim.ParkingLotConfig{
 			Hops: *hops, Link: link, Mark: mark, PFC: pfc,
 		})
 		// Every flow converges on the last switch's receiver, so the final
@@ -228,9 +246,7 @@ func main() {
 		fab = fabric{pl.Senders[:*n], pl.Recvs[*hops-1],
 			pl.Trunks[len(pl.Trunks)-1], pl.Switches}
 	case "clos":
-		requireStarOnly(*topology, *extraDelay != 0, "-extra-delay")
-		requireStarOnly(*topology, *jitter != 0, "-jitter")
-		cl, err := ecndelay.NewClos(nw, ecndelay.ClosConfig{
+		cl, err := topo.NewClos(nw, topo.ClosConfig{
 			Radix: *radix, Tiers: *tiers, Oversub: *oversub,
 			HostLink:       link,
 			Mark:           mark,
@@ -239,75 +255,50 @@ func main() {
 			ECMPSeed:       *seed,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return fail(2, "-topology clos: %v", err)
 		}
 		last := len(cl.Hosts) - 1
 		if *n >= len(cl.Hosts) {
-			log.Fatalf("-topology clos (radix %d, tiers %d) has %d hosts; -n %d leaves no receiver",
+			return fail(2, "-topology clos (radix %d, tiers %d) has %d hosts; -n %d leaves no receiver",
 				*radix, *tiers, len(cl.Hosts), *n)
 		}
 		// Senders are the first n hosts, the aggregator is the last host —
 		// in another pod, so the incast crosses the ECMP core — and its
 		// leaf→host port is the bottleneck the TSV tracks.
 		fab = fabric{cl.Hosts[:*n], cl.Hosts[last], cl.HostPorts[last], cl.Switches()}
-	default:
-		log.Fatalf("unknown -topology %q", *topology)
-	}
-
-	var startRates []float64
-	if *rates != "" {
-		for _, f := range strings.Split(*rates, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				log.Fatalf("bad -rates: %v", err)
-			}
-			startRates = append(startRates, v)
-		}
-		if len(startRates) != *n {
-			log.Fatalf("-rates has %d entries, -n is %d", len(startRates), *n)
-		}
 	}
 
 	// Equilibrium warm start (internal/hybrid): solve the analytic fixed
 	// point for this operating point and hand it to the endpoints and the
-	// bottleneck queue below. Go-back-N recovery tracks sequence state the
-	// prefilled segments would bypass, so the two are mutually exclusive.
-	var warm *ecndelay.HybridWarmStart
+	// bottleneck queue below.
+	var warm *hybrid.WarmStart
 	if *warmStart {
-		if *recovery {
-			log.Fatal("-warm-start is incompatible with -recovery (prefilled segments bypass go-back-N tracking)")
-		}
-		if startRates != nil {
-			log.Fatal("-warm-start and -rates both set start rates; pick one")
-		}
 		switch *proto {
 		case "dcqcn":
-			pr := ecndelay.DefaultDCQCNParams(*n)
-			pr.C = bwBytes / ecndelay.DataMTU
-			w, err := ecndelay.SolveDCQCNWarmStart(pr)
+			pr := fluid.DefaultDCQCNParams(*n)
+			pr.C = bwBytes / hybrid.MTU
+			w, err := hybrid.DCQCNWarmStart(pr)
 			if err != nil {
-				log.Fatal(err)
+				return fail(1, "%v", err)
 			}
 			// The analytic fixed point assumes the extended RED ramp;
 			// the packet marker cliffs to p=1 above Kmax, so a q* past
 			// Kmax prefills above the packet equilibrium and the run
 			// drains through a transient instead of skipping it.
 			if w.FP.Q > pr.Kmax {
-				log.Printf("warm-start: analytic q* (%.0f packets) exceeds RED Kmax (%.0f); "+
+				fmt.Fprintf(stderr, "packetsim: warm-start: analytic q* (%.0f packets) exceeds RED Kmax (%.0f); "+
 					"this operating point is outside the validated ramp — "+
-					"expect a draining transient (try a higher -bw, e.g. 40e9)",
+					"expect a draining transient (try a higher -bw, e.g. 40e9)\n",
 					w.FP.Q, pr.Kmax)
 			}
 			warm = w
 		case "patched":
-			cfg := ecndelay.DefaultPatchedTimelyFluidConfig(*n)
-			w, err := ecndelay.SolveTimelyWarmStart(*n, cfg.Delta, cfg.Beta, bwBytes, cfg.TLow, 0)
+			cfg := fluid.DefaultPatchedTimelyConfig(*n)
+			w, err := hybrid.TimelyWarmStart(*n, cfg.Delta, cfg.Beta, bwBytes, cfg.TLow, 0)
 			if err != nil {
-				log.Fatal(err)
+				return fail(1, "%v", err)
 			}
 			warm = w
-		default:
-			log.Fatalf("-warm-start supports -proto dcqcn or patched, not %q", *proto)
 		}
 	}
 
@@ -322,21 +313,21 @@ func main() {
 	var auxProbes []probeSignal
 	switch *proto {
 	case "dcqcn":
-		p := ecndelay.DefaultDCQCNProtoParams()
+		p := dcqcn.DefaultParams()
 		p.Recovery = *recovery
-		p.RTO = ecndelay.DurationFromSeconds(*rto)
-		if _, err := ecndelay.NewDCQCNEndpoint(fab.receiver, p); err != nil {
-			log.Fatal(err)
+		p.RTO = des.DurationFromSeconds(*rto)
+		if _, err := dcqcn.NewEndpoint(fab.receiver, p); err != nil {
+			return fail(1, "%v", err)
 		}
-		var senders []*ecndelay.DCQCNSender
+		var senders []*dcqcn.Sender
 		for i, h := range fab.senders {
-			ep, err := ecndelay.NewDCQCNEndpoint(h, p)
+			ep, err := dcqcn.NewEndpoint(h, p)
 			if err != nil {
-				log.Fatal(err)
+				return fail(1, "%v", err)
 			}
 			s, err := ep.NewFlow(i, fab.receiver.ID(), -1, 0)
 			if err != nil {
-				log.Fatal(err)
+				return fail(1, "%v", err)
 			}
 			rate[i] = s.Rate
 			retx[i] = func() int64 { return s.Recovery().RetxBytes }
@@ -345,27 +336,27 @@ func main() {
 		}
 		if warm != nil {
 			if err := warm.ApplyDCQCN(senders); err != nil {
-				log.Fatal(err)
+				return fail(1, "%v", err)
 			}
 		}
 	case "timely", "patched":
-		p := ecndelay.DefaultTimelyProtoParams()
+		p := timely.DefaultParams()
 		if *proto == "patched" {
-			p = ecndelay.DefaultPatchedTimelyProtoParams()
+			p = timely.DefaultPatchedParams()
 		}
 		p.Burst = *burst
 		if *seg > 0 {
 			p.Seg = *seg
 		}
 		p.Recovery = *recovery
-		p.RTO = ecndelay.DurationFromSeconds(*rto)
-		if _, err := ecndelay.NewTimelyEndpoint(fab.receiver, p); err != nil {
-			log.Fatal(err)
+		p.RTO = des.DurationFromSeconds(*rto)
+		if _, err := timely.NewEndpoint(fab.receiver, p); err != nil {
+			return fail(1, "%v", err)
 		}
 		for i, h := range fab.senders {
-			ep, err := ecndelay.NewTimelyEndpoint(h, p)
+			ep, err := timely.NewEndpoint(h, p)
 			if err != nil {
-				log.Fatal(err)
+				return fail(1, "%v", err)
 			}
 			sr := 0.0
 			if startRates != nil {
@@ -376,55 +367,38 @@ func main() {
 			}
 			s, err := ep.NewFlow(i, fab.receiver.ID(), -1, 0, sr)
 			if err != nil {
-				log.Fatal(err)
+				return fail(1, "%v", err)
 			}
 			rate[i] = s.Rate
 			retx[i] = func() int64 { return s.Recovery().RetxBytes }
 			auxProbes = append(auxProbes, probeSignal{fmt.Sprintf("rtt_s%d", i),
 				func() float64 { return s.RTT().Seconds() }})
 		}
-	default:
-		log.Fatalf("unknown -proto %q", *proto)
 	}
 
 	// Assemble the fault plan: data loss and flaps on the bottleneck,
 	// control loss on the receiver's NIC (where acks/NACKs/CNPs originate).
-	plan := &ecndelay.FaultPlan{Seed: *faultSeed}
-	bn := ecndelay.LinkFaults{Port: fab.bottleneck}
+	plan := &fault.Plan{Seed: *faultSeed}
+	bn := fault.LinkFaults{Port: fab.bottleneck, Flaps: flaps}
 	if *lossRate > 0 {
-		bn.Loss = append(bn.Loss, ecndelay.Loss{Kinds: ecndelay.SelData, Rate: *lossRate})
-	}
-	if *flapSpec != "" {
-		parts := strings.Split(*flapSpec, ",")
-		if len(parts) != 2 {
-			log.Fatalf("bad -flap %q, want down,up seconds", *flapSpec)
-		}
-		down, err1 := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		up, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err1 != nil || err2 != nil {
-			log.Fatalf("bad -flap %q: %v %v", *flapSpec, err1, err2)
-		}
-		bn.Flaps = append(bn.Flaps, ecndelay.Flap{
-			DownAt: ecndelay.Time(ecndelay.DurationFromSeconds(down)),
-			UpAt:   ecndelay.Time(ecndelay.DurationFromSeconds(up)),
-		})
+		bn.Loss = append(bn.Loss, fault.Loss{Kinds: fault.SelData, Rate: *lossRate})
 	}
 	if len(bn.Loss)+len(bn.Flaps) > 0 {
 		plan.Links = append(plan.Links, bn)
 	}
 	if *ctrlLoss > 0 {
-		plan.Links = append(plan.Links, ecndelay.LinkFaults{
+		plan.Links = append(plan.Links, fault.LinkFaults{
 			Port: fab.receiver.Port(),
-			Loss: []ecndelay.Loss{{Kinds: ecndelay.SelCtrl, Rate: *ctrlLoss}},
+			Loss: []fault.Loss{{Kinds: fault.SelCtrl, Rate: *ctrlLoss}},
 		})
 	}
-	var applied *ecndelay.AppliedFaults
+	var applied *fault.Applied
 	if len(plan.Links) > 0 {
 		applied = plan.Apply(nw)
 	}
-	var wd *ecndelay.PFCWatchdog
+	var wd *netsim.PFCWatchdog
 	if *pfcWatch > 0 {
-		wd = ecndelay.NewPFCWatchdog(nw, ecndelay.DurationFromSeconds(*pfcWatch))
+		wd = netsim.NewPFCWatchdog(nw.Sim, des.DurationFromSeconds(*pfcWatch))
 		for _, sw := range fab.switches {
 			wd.WatchSwitch(sw)
 		}
@@ -454,54 +428,41 @@ func main() {
 	// inside the sampling tick, and /metrics reads only atomic counters
 	// and histograms — so a served run is bit-identical to an unserved one.
 	var simNow atomic.Uint64 // float64 bits of the sim clock
-	if *serveAddr != "" {
-		srv := ecndelay.NewTelemetryServer(observer)
-		srv.SetProgress(func() any {
-			t := math.Float64frombits(simNow.Load())
-			pct := 0.0
-			if *horizon > 0 {
-				pct = 100 * t / *horizon
-			}
-			return map[string]any{"sim_time_s": t, "horizon_s": *horizon, "pct": pct}
-		})
-		addr, err := srv.Start(*serveAddr)
-		if err != nil {
-			log.Fatal(err)
+	if err := sess.Serve(func() any {
+		t := math.Float64frombits(simNow.Load())
+		pct := 0.0
+		if *horizon > 0 {
+			pct = 100 * t / *horizon
 		}
-		defer srv.Shutdown(2 * time.Second)
-		shutdownOnSignal(srv)
-		log.Printf("serving telemetry on http://%s", addr)
+		return map[string]any{"sim_time_s": t, "horizon_s": *horizon, "pct": pct}
+	}); err != nil {
+		return fail(1, "%v", err)
 	}
 
 	// Warm-start the bottleneck queue and attach the optional fluid
 	// background aggregate; the prefilled segments are ordinary queued
 	// packets.
 	if warm != nil {
-		flows := make([]ecndelay.HybridPrefillFlow, *n)
+		flows := make([]hybrid.PrefillFlow, *n)
 		for i, h := range fab.senders {
-			flows[i] = ecndelay.HybridPrefillFlow{Flow: i, Src: h.ID(), Dst: fab.receiver.ID()}
+			flows[i] = hybrid.PrefillFlow{Flow: i, Src: h.ID(), Dst: fab.receiver.ID()}
 		}
 		warm.Prefill(fab.bottleneck, flows)
 	}
-	var bg *ecndelay.HybridBackgroundAggregate
+	var bg *hybrid.BackgroundAggregate
 	if *bgFlows > 0 {
-		if *proto != "dcqcn" {
-			log.Fatal("-bg-flows needs -proto dcqcn (the aggregate is a DCQCN fluid model)")
-		}
-		pr := ecndelay.DefaultDCQCNParams(*bgFlows)
-		pr.C = bwBytes / ecndelay.DataMTU
-		b, err := ecndelay.AttachFluidBackground(fab.bottleneck, ecndelay.HybridBackgroundConfig{
+		pr := fluid.DefaultDCQCNParams(*bgFlows)
+		pr.C = bwBytes / hybrid.MTU
+		b, err := hybrid.AttachBackground(fab.bottleneck, hybrid.BackgroundConfig{
 			Flows: *bgFlows, Par: pr, ColdStart: warm == nil,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return fail(1, "%v", err)
 		}
 		bg = b
 	}
 
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-
+	out := bufio.NewWriter(stdout)
 	qBytes := func() int { return fab.bottleneck.Queue().Bytes() }
 	if bg != nil {
 		// With a background aggregate the marking view (real + fluid
@@ -515,7 +476,7 @@ func main() {
 		fmt.Fprintf(out, "\trate%d", i)
 	}
 	fmt.Fprintln(out)
-	nw.Sim.Every(0, ecndelay.DurationFromSeconds(*sample), func() {
+	nw.Sim.Every(0, des.DurationFromSeconds(*sample), func() {
 		simNow.Store(math.Float64bits(nw.Sim.Now().Seconds()))
 		fmt.Fprintf(out, "%.6f\t%d", nw.Sim.Now().Seconds(), qBytes())
 		for i := 0; i < *n; i++ {
@@ -523,7 +484,7 @@ func main() {
 		}
 		fmt.Fprintln(out)
 	})
-	nw.RunUntil(ecndelay.Time(ecndelay.DurationFromSeconds(*horizon)))
+	nw.RunUntil(des.Time(des.DurationFromSeconds(*horizon)))
 
 	// A trailing comment block carries the fault/degradation summary, so
 	// piping the TSV elsewhere still works and a determinism check can
@@ -555,89 +516,26 @@ func main() {
 		}
 		fmt.Fprintln(out)
 	}
-	if err := stopProf(); err != nil {
-		log.Fatal(err)
+	if err := out.Flush(); err != nil {
+		return fail(1, "%v", err)
 	}
-	if observer != nil {
-		out.Flush() // log.Fatal below skips the deferred flush
-		if traceSink != nil {
-			if err := traceSink.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if auditSink != nil {
-			if err := auditSink.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *metricsFile != "" {
-			if err := writeFileWith(*metricsFile, observer.Metrics.WriteTSV); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *probeFile != "" {
-			if err := writeFileWith(*probeFile, observer.Probes.WriteJSONL); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *histFile != "" {
-			if err := writeFileWith(*histFile, histWriter(observer.Hists, *histFile)); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if c := observer.Check; c != nil {
-			c.Finish(nw.Sim.Now())
-			if c.Total() > 0 {
-				for _, v := range c.Violations() {
-					fmt.Fprintln(os.Stderr, "packetsim: invariant violation:", v)
-				}
-				log.Fatalf("%d invariant violation(s)", c.Total())
-			}
-		}
+	if observer != nil && observer.Check != nil {
+		observer.Check.Finish(nw.Sim.Now())
 	}
+	return sess.Finish()
 }
 
-// fabric is the topology-independent view the rest of main drives: long
+// fabric is the topology-independent view the rest of run drives: long
 // flows go senders → receiver, the bottleneck port's queue is the TSV
 // series, and switches carry the watchdog and drop accounting.
 type fabric struct {
-	senders    []*ecndelay.Host
-	receiver   *ecndelay.Host
-	bottleneck *ecndelay.Port
-	switches   []*ecndelay.Switch
+	senders    []*netsim.Host
+	receiver   *netsim.Host
+	bottleneck *netsim.Port
+	switches   []*netsim.Switch
 }
 
-// requireStarOnly rejects flags the selected topology's builder has no hook
-// for, instead of silently ignoring them.
-func requireStarOnly(topology string, set bool, flagName string) {
-	if set {
-		log.Fatalf("%s is not supported with -topology %s", flagName, topology)
-	}
-}
-
-// histWriter picks the histogram export format from the target filename:
-// TSV for .tsv, JSONL (the cmd/obsreport input format) otherwise.
-func histWriter(hs *ecndelay.HistSet, path string) func(io.Writer) error {
-	if strings.HasSuffix(path, ".tsv") {
-		return hs.WriteTSV
-	}
-	return hs.WriteJSONL
-}
-
-// writeFileWith creates path and streams write into it.
-func writeFileWith(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func injectedDrops(a *ecndelay.AppliedFaults) int64 {
+func injectedDrops(a *fault.Applied) int64 {
 	if a == nil {
 		return 0
 	}

@@ -18,7 +18,9 @@ import (
 	"strconv"
 	"strings"
 
-	"ecndelay"
+	"ecndelay/internal/fluid"
+	"ecndelay/internal/stability"
+	"ecndelay/internal/sweep"
 )
 
 func main() {
@@ -72,7 +74,7 @@ func main() {
 // renderDCQCN writes the Figure 3 grid as TSV from row-major results.
 // Any failed cell aborts the table: a margin that cannot be computed on
 // this grid is an input error, not a data point.
-func renderDCQCN(out io.Writer, ns []int, ds []float64, results []ecndelay.SweepResult) error {
+func renderDCQCN(out io.Writer, ns []int, ds []float64, results []sweep.Result) error {
 	fmt.Fprint(out, "# N")
 	for _, d := range ds {
 		fmt.Fprintf(out, "\tpm_%.0fus", d*1e6)
@@ -94,7 +96,7 @@ func renderDCQCN(out io.Writer, ns []int, ds []float64, results []ecndelay.Sweep
 
 // renderPatched writes the Figure 11 table; a failed row (typically no
 // fixed point at that N) renders inline, as the serial version did.
-func renderPatched(out io.Writer, ns []int, results []ecndelay.SweepResult) {
+func renderPatched(out io.Writer, ns []int, results []sweep.Result) {
 	fmt.Fprintln(out, "# N\tq_star_kb\tpm_deg\tstable")
 	for i, n := range ns {
 		r := results[i]
@@ -108,24 +110,24 @@ func renderPatched(out io.Writer, ns []int, results []ecndelay.SweepResult) {
 }
 
 // runGrid fans the jobs out and returns results in job order.
-func runGrid(jobs []ecndelay.SweepJob, workers int) ([]ecndelay.SweepResult, error) {
-	sink := &ecndelay.SweepMemorySink{}
-	if _, err := ecndelay.RunSweep(ecndelay.SweepConfig{Workers: workers}, jobs, sink); err != nil {
+func runGrid(jobs []sweep.Job, workers int) ([]sweep.Result, error) {
+	sink := &sweep.MemorySink{}
+	if _, err := sweep.Run(sweep.Config{Workers: workers}, jobs, sink); err != nil {
 		return nil, err
 	}
 	return sink.Results(), nil
 }
 
 // dcqcnJobs builds one job per (N, τ*) cell, in row-major order.
-func dcqcnJobs(ns []int, ds []float64, rai, kmax float64) []ecndelay.SweepJob {
-	var jobs []ecndelay.SweepJob
+func dcqcnJobs(ns []int, ds []float64, rai, kmax float64) []sweep.Job {
+	var jobs []sweep.Job
 	for _, n := range ns {
 		for _, d := range ds {
 			n, d := n, d
-			jobs = append(jobs, ecndelay.SweepJob{
+			jobs = append(jobs, sweep.Job{
 				ID: fmt.Sprintf("dcqcn/n%d/d%g", n, d),
 				Run: func(int64) (map[string]float64, error) {
-					p := ecndelay.DefaultDCQCNParams(n)
+					p := fluid.DefaultDCQCNParams(n)
 					p.TauStar = d
 					if rai > 0 {
 						p.RAI = rai / 8 / 1000
@@ -133,11 +135,11 @@ func dcqcnJobs(ns []int, ds []float64, rai, kmax float64) []ecndelay.SweepJob {
 					if kmax > 0 {
 						p.Kmax = kmax
 					}
-					loop, err := ecndelay.NewDCQCNLoop(p)
+					loop, err := fluid.NewDCQCNLoop(p)
 					if err != nil {
 						return nil, err
 					}
-					res, err := ecndelay.PhaseMargin(loop)
+					res, err := stability.PhaseMargin(loop)
 					if err != nil {
 						return nil, err
 					}
@@ -151,23 +153,23 @@ func dcqcnJobs(ns []int, ds []float64, rai, kmax float64) []ecndelay.SweepJob {
 
 // patchedJobs builds one job per flow count. A loop-construction error
 // (no fixed point) is a row value, not a sweep failure.
-func patchedJobs(ns []int) []ecndelay.SweepJob {
-	var jobs []ecndelay.SweepJob
+func patchedJobs(ns []int) []sweep.Job {
+	var jobs []sweep.Job
 	for _, n := range ns {
 		n := n
-		jobs = append(jobs, ecndelay.SweepJob{
+		jobs = append(jobs, sweep.Job{
 			ID: fmt.Sprintf("patched/n%d", n),
 			Run: func(int64) (map[string]float64, error) {
-				cfg := ecndelay.DefaultPatchedTimelyFluidConfig(n)
-				loop, err := ecndelay.NewPatchedTimelyLoop(cfg)
+				cfg := fluid.DefaultPatchedTimelyConfig(n)
+				loop, err := fluid.NewPatchedTimelyLoop(cfg)
 				if err != nil {
 					return nil, err
 				}
-				res, err := ecndelay.PhaseMargin(loop)
+				res, err := stability.PhaseMargin(loop)
 				if err != nil {
 					return nil, err
 				}
-				sys, err := ecndelay.NewPatchedTimelyFluid(cfg)
+				sys, err := fluid.NewPatchedTimely(cfg)
 				if err != nil {
 					return nil, err
 				}

@@ -36,16 +36,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
-	"syscall"
-	"time"
 
-	"ecndelay"
-	"ecndelay/internal/prof"
+	"ecndelay/internal/cli"
+	"ecndelay/internal/exp"
+	"ecndelay/internal/fluid"
+	"ecndelay/internal/hybrid"
+	"ecndelay/internal/obs"
+	"ecndelay/internal/stability"
+	"ecndelay/internal/sweep"
 )
 
 func main() {
@@ -56,112 +56,49 @@ func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		kind       = fs.String("kind", "pm", "grid kind: pm | exp | crossval")
-		model      = fs.String("model", "dcqcn", "pm: comma list of dcqcn | patched")
-		flows      = fs.String("flows", "1:64", "pm: N range lo:hi or comma list")
-		delays     = fs.String("delays", "1e-6,25e-6,50e-6,85e-6,100e-6", "pm: DCQCN τ* values, seconds")
-		expFlag    = fs.String("exp", "all", "exp: experiment id, comma list, or 'all'")
-		seeds      = fs.String("seeds", "", "exp: seed range lo:hi or comma list (empty: one derived seed per job)")
-		full       = fs.Bool("full", false, "exp: paper-scale instead of quick")
-		out        = fs.String("out", "sweep.jsonl", "JSONL checkpoint file")
-		resume     = fs.Bool("resume", false, "skip jobs already completed in -out")
-		workers    = fs.Int("workers", 0, "parallel workers (0: GOMAXPROCS)")
-		timeout    = fs.Duration("timeout", 0, "per-job timeout (0: none)")
-		retries    = fs.Int("retries", 0, "extra attempts per failed job")
-		seed       = fs.Int64("seed", 1, "base seed for per-job seed derivation")
-		quiet      = fs.Bool("quiet", false, "suppress progress reporting")
-
-		metricsFile = fs.String("metrics", "", "exp: write end-of-run counters as TSV to this file")
-		traceFile   = fs.String("trace", "", "exp: write per-job event traces as JSONL files derived from this path")
-		probeFile   = fs.String("probe", "", "exp: write probe time series as JSONL to this file")
-		probeEvery  = fs.Float64("probe-every", 1e-4, "exp: probe sampling cadence, seconds")
-		invariants  = fs.Bool("invariants", false, "exp: check runtime invariants; violations exit nonzero")
-		histFile    = fs.String("hist", "", "exp: write latency histogram percentiles to this file (.tsv: TSV, else JSONL)")
-		auditFile   = fs.String("audit", "", "exp: write per-job control-loop audits as JSONL files derived from this path")
-		serveAddr   = fs.String("serve", "", "serve live telemetry (/metrics, /progress, pprof) on this host:port")
-
+		kind     = fs.String("kind", "pm", "grid kind: pm | exp | crossval")
+		model    = fs.String("model", "dcqcn", "pm: comma list of dcqcn | patched")
+		flows    = fs.String("flows", "1:64", "pm: N range lo:hi or comma list")
+		delays   = fs.String("delays", "1e-6,25e-6,50e-6,85e-6,100e-6", "pm: DCQCN τ* values, seconds")
+		expFlag  = fs.String("exp", "all", "exp: experiment id, comma list, or 'all'")
+		seeds    = fs.String("seeds", "", "exp: seed range lo:hi or comma list (empty: one derived seed per job)")
+		full     = fs.Bool("full", false, "exp: paper-scale instead of quick")
+		out      = fs.String("out", "sweep.jsonl", "JSONL checkpoint file")
+		resume   = fs.Bool("resume", false, "skip jobs already completed in -out")
+		workers  = fs.Int("workers", 0, "parallel workers (0: GOMAXPROCS)")
+		timeout  = fs.Duration("timeout", 0, "per-job timeout (0: none)")
+		retries  = fs.Int("retries", 0, "extra attempts per failed job")
+		seed     = fs.Int64("seed", 1, "base seed for per-job seed derivation")
+		quiet    = fs.Bool("quiet", false, "suppress progress reporting")
 		failFast = fs.Bool("fail-fast", false, "stop dispatching new jobs after the first job exhausts its retries (completed rows are kept)")
+		flags    = cli.Register(fs, true)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-		}
-	}()
 
 	// One shared observer serves every job: counters are atomic, the
 	// checker serialises and keeps per-network books, and each job's
 	// probes and histograms carry the job id as a name prefix
-	// (ExperimentSweepJobs), so metrics, invariant verdicts and the
-	// probe/histogram exports are the same for any -workers value. The
-	// trace stream gets one file per job (derived from -trace via
-	// TracePerJob), so each trace file is byte-identical for any -workers
-	// value too. The pm grid is fluid-model only and never touches the
-	// observer.
-	// Self-describing header for every JSONL export; fs.Visit walks only
-	// explicitly set flags, in name order. Flags that steer execution but
-	// cannot change a row or an export record are excluded, so per-job
-	// files stay byte-identical for any -workers value.
-	header := func(schema string) ecndelay.ExportHeader {
-		skip := map[string]bool{"workers": true, "quiet": true, "resume": true}
-		var parts []string
-		fs.Visit(func(f *flag.Flag) {
-			if skip[f.Name] {
-				return
-			}
-			parts = append(parts, f.Name+"="+f.Value.String())
-		})
-		return ecndelay.ExportHeader{
-			Schema: schema, Version: 1, Seed: *seed,
-			Flags: strings.Join(parts, " "),
-		}
+	// (exp.SweepJobs), so metrics, invariant verdicts and the
+	// probe/histogram exports are the same for any -workers value. Trace
+	// and audit get one file per job, so each of those is byte-identical
+	// for any -workers value too. The pm grid is fluid-model only and
+	// never touches the observer.
+	sess, err := flags.Open("sweep", *seed, "", stderr)
+	if err != nil {
+		fmt.Fprintf(stderr, "sweep: %v\n", err)
+		return 2
 	}
+	defer sess.Close()
 
-	var observer *ecndelay.Observer
-	var traces *jobTraces
-	var audits *jobAudits
-	if *metricsFile != "" || *traceFile != "" || *probeFile != "" || *invariants ||
-		*histFile != "" || *serveAddr != "" || *auditFile != "" {
-		observer = &ecndelay.Observer{ProbeEvery: ecndelay.DurationFromSeconds(*probeEvery)}
-		if *metricsFile != "" || *serveAddr != "" {
-			observer.Metrics = ecndelay.NewMetricsRegistry()
-		}
-		if *traceFile != "" {
-			traces = &jobTraces{base: *traceFile, header: header("trace")}
-			observer.TracePerJob = traces.tracer
-		}
-		if *probeFile != "" {
-			observer.Probes = ecndelay.NewProbeSet()
-			observer.Probes.SetHeader(header("probe"))
-		}
-		if *invariants {
-			observer.Check = ecndelay.NewInvariantChecker()
-		}
-		if *histFile != "" || *serveAddr != "" || *auditFile != "" {
-			observer.Hists = ecndelay.NewHistSet()
-		}
-		if *auditFile != "" {
-			audits = &jobAudits{base: *auditFile, header: header("audit")}
-			observer.AuditPerJob = audits.trail
-		}
-	}
-
-	jobs, err := buildJobs(*kind, *model, *flows, *delays, *expFlag, *seeds, *full, observer)
+	jobs, err := buildJobs(*kind, *model, *flows, *delays, *expFlag, *seeds, *full, sess.Observer)
 	if err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 2
 	}
 
-	sink, err := ecndelay.OpenSweepJSONL(*out, *resume)
+	sink, err := sweep.OpenJSONL(*out, *resume)
 	if err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 2
@@ -179,28 +116,20 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sweep: resuming, %d of %d jobs already done\n", done, len(jobs))
 	}
 
-	var status *ecndelay.SweepStatus
-	if *serveAddr != "" {
-		status = ecndelay.NewSweepStatus()
-		srv := ecndelay.NewTelemetryServer(observer)
-		srv.SetProgress(func() any { return status.Snapshot() })
-		addr, err := srv.Start(*serveAddr)
-		if err != nil {
+	var status *sweep.Status
+	if flags.Serve != "" {
+		status = sweep.NewStatus()
+		if err := sess.Serve(func() any { return status.Snapshot() }); err != nil {
 			fmt.Fprintf(stderr, "sweep: %v\n", err)
 			return 2
 		}
-		// Drain in-flight scrapes on exit and on SIGINT/SIGTERM rather
-		// than dropping them mid-body.
-		defer srv.Shutdown(2 * time.Second)
-		defer shutdownOnSignal(srv, stderr)()
-		fmt.Fprintf(stderr, "sweep: serving telemetry on http://%s\n", addr)
 	}
 
 	var progress io.Writer
 	if !*quiet {
 		progress = stderr
 	}
-	sum, err := ecndelay.RunSweep(ecndelay.SweepConfig{
+	sum, err := sweep.Run(sweep.Config{
 		Workers:  *workers,
 		Timeout:  *timeout,
 		Retries:  *retries,
@@ -213,10 +142,8 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 1
 	}
-	if observer != nil {
-		if code := finishObs(observer, traces, audits, *metricsFile, *probeFile, *histFile, stderr); code != 0 {
-			return code
-		}
+	if code := sess.Finish(); code != 0 {
+		return code
 	}
 	if sum.Failed > 0 {
 		if sum.Cancelled > 0 {
@@ -228,193 +155,15 @@ func run(args []string, stderr io.Writer) int {
 	return 0
 }
 
-// shutdownOnSignal drains the telemetry server with a bounded deadline
-// before the process dies on SIGINT/SIGTERM, so in-flight scrapes
-// complete instead of being cut mid-body. The returned stop func
-// detaches the handler on the normal exit path.
-func shutdownOnSignal(srv *ecndelay.TelemetryServer, stderr io.Writer) func() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		select {
-		case s := <-ch:
-			fmt.Fprintf(stderr, "sweep: %v: draining telemetry server\n", s)
-			_ = srv.Shutdown(5 * time.Second)
-			os.Exit(1)
-		case <-done:
-		}
-	}()
-	return func() { signal.Stop(ch); close(done) }
-}
-
-// finishObs flushes the observability outputs and reports invariant
-// violations; returns a nonzero exit code on failure.
-func finishObs(o *ecndelay.Observer, traces *jobTraces, audits *jobAudits, metricsPath, probePath, histPath string, stderr io.Writer) int {
-	if traces != nil {
-		if err := traces.close(); err != nil {
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-			return 1
-		}
-	}
-	if audits != nil {
-		if err := audits.close(); err != nil {
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-			return 1
-		}
-	}
-	write := func(path string, fn func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if metricsPath != "" {
-		if err := write(metricsPath, o.Metrics.WriteTSV); err != nil {
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-			return 1
-		}
-	}
-	if probePath != "" {
-		if err := write(probePath, o.Probes.WriteJSONL); err != nil {
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-			return 1
-		}
-	}
-	if histPath != "" {
-		fn := o.Hists.WriteJSONL
-		if strings.HasSuffix(histPath, ".tsv") {
-			fn = o.Hists.WriteTSV
-		}
-		if err := write(histPath, fn); err != nil {
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-			return 1
-		}
-	}
-	if c := o.Check; c != nil && c.Total() > 0 {
-		for _, v := range c.Violations() {
-			fmt.Fprintf(stderr, "sweep: invariant violation: %s\n", v)
-		}
-		fmt.Fprintf(stderr, "sweep: %d invariant violation(s)\n", c.Total())
-		return 1
-	}
-	return 0
-}
-
-// jobTraces opens one JSONL trace file per sweep job, deriving each
-// path from the -trace flag value: trace.jsonl becomes
-// trace.<jobid>.jsonl, with "/" in the job id replaced by "_". Because
-// each job owns its file, every trace file is byte-identical for any
-// -workers value. tracer is called from worker goroutines, so it
-// serialises; the first open error is latched and surfaces at close.
-type jobTraces struct {
-	base   string
-	header ecndelay.ExportHeader
-	mu     sync.Mutex
-	sinks  []*ecndelay.TraceJSONLSink
-	err    error
-}
-
-// pathFor derives the per-job trace file name from the base path.
-func (t *jobTraces) pathFor(jobID string) string {
-	id := strings.ReplaceAll(jobID, "/", "_")
-	ext := filepath.Ext(t.base)
-	return strings.TrimSuffix(t.base, ext) + "." + id + ext
-}
-
-func (t *jobTraces) tracer(jobID string) *ecndelay.Tracer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	f, err := os.Create(t.pathFor(jobID))
-	if err != nil {
-		if t.err == nil {
-			t.err = err
-		}
-		return nil
-	}
-	sink := ecndelay.NewTraceJSONLSink(f)
-	sink.WriteHeader(t.header)
-	t.sinks = append(t.sinks, sink)
-	return ecndelay.NewTracer(sink)
-}
-
-// close flushes every per-job file and returns the first error seen.
-func (t *jobTraces) close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	err := t.err
-	for _, s := range t.sinks {
-		if cerr := s.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// jobAudits opens one control-loop audit trail per sweep job, writing
-// audit.<jobid>.jsonl next to the -audit base path (jobTraces naming).
-// Each job owns its file and the sink sorts into canonical record order
-// on close, so every audit file is byte-identical for any -workers
-// value. trail is called from worker goroutines, so it serialises; the
-// first open error is latched and surfaces at close.
-type jobAudits struct {
-	base   string
-	header ecndelay.ExportHeader
-	mu     sync.Mutex
-	sinks  []*ecndelay.AuditJSONLSink
-	err    error
-}
-
-// pathFor derives the per-job audit file name from the base path.
-func (a *jobAudits) pathFor(jobID string) string {
-	id := strings.ReplaceAll(jobID, "/", "_")
-	ext := filepath.Ext(a.base)
-	return strings.TrimSuffix(a.base, ext) + "." + id + ext
-}
-
-func (a *jobAudits) trail(jobID string) *ecndelay.AuditTrail {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	f, err := os.Create(a.pathFor(jobID))
-	if err != nil {
-		if a.err == nil {
-			a.err = err
-		}
-		return nil
-	}
-	sink := ecndelay.NewAuditJSONLSink(f, 1<<16)
-	sink.SetHeader(a.header)
-	a.sinks = append(a.sinks, sink)
-	return ecndelay.NewAuditTrail(sink)
-}
-
-// close flushes every per-job file and returns the first error seen.
-func (a *jobAudits) close() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	err := a.err
-	for _, s := range a.sinks {
-		if cerr := s.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
 // buildJobs expands the flag grid into the job matrix.
-func buildJobs(kind, model, flows, delays, expFlag, seeds string, full bool, obs *ecndelay.Observer) ([]ecndelay.SweepJob, error) {
+func buildJobs(kind, model, flows, delays, expFlag, seeds string, full bool, ob *obs.NetObserver) ([]sweep.Job, error) {
 	switch kind {
 	case "pm":
 		ns, err := parseInts(flows)
 		if err != nil {
 			return nil, fmt.Errorf("bad -flows: %v", err)
 		}
-		var jobs []ecndelay.SweepJob
+		var jobs []sweep.Job
 		for _, m := range strings.Split(model, ",") {
 			switch m = strings.TrimSpace(m); m {
 			case "dcqcn":
@@ -439,7 +188,7 @@ func buildJobs(kind, model, flows, delays, expFlag, seeds string, full bool, obs
 	case "exp":
 		var ids []string
 		if expFlag == "all" {
-			for _, r := range ecndelay.Runners() {
+			for _, r := range exp.Runners() {
 				ids = append(ids, r.ID)
 			}
 		} else {
@@ -457,14 +206,14 @@ func buildJobs(kind, model, flows, delays, expFlag, seeds string, full bool, obs
 				seedList = append(seedList, int64(n))
 			}
 		}
-		opts := ecndelay.ExperimentOptions{Scale: ecndelay.Quick, Observer: obs}
+		opts := exp.Options{Scale: exp.Quick, Observer: ob}
 		if full {
-			opts.Scale = ecndelay.Full
+			opts.Scale = exp.Full
 		}
-		return ecndelay.ExperimentSweepJobs(ids, opts, seedList)
+		return exp.SweepJobs(ids, opts, seedList)
 	case "crossval":
-		var jobs []ecndelay.SweepJob
-		for _, op := range ecndelay.HybridCIOperatingPoints() {
+		var jobs []sweep.Job
+		for _, op := range hybrid.CIOperatingPoints() {
 			jobs = append(jobs, crossvalJob(op))
 		}
 		return jobs, nil
@@ -476,12 +225,12 @@ func buildJobs(kind, model, flows, delays, expFlag, seeds string, full bool, obs
 // crossvalJob cross-validates one hybrid operating point. The row's
 // metrics are the per-check relative errors; the job fails if any check
 // lands outside its documented tolerance.
-func crossvalJob(op ecndelay.HybridOpPoint) ecndelay.SweepJob {
-	return ecndelay.SweepJob{
+func crossvalJob(op hybrid.OpPoint) sweep.Job {
+	return sweep.Job{
 		ID:   fmt.Sprintf("crossval/%s/n%d", op.Proto, op.N),
 		Meta: map[string]string{"proto": op.Proto, "flows": fmt.Sprint(op.N)},
 		Run: func(seed int64) (map[string]float64, error) {
-			res, err := ecndelay.RunHybridCrossVal(op, seed)
+			res, err := hybrid.RunOp(op, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -495,18 +244,18 @@ func crossvalJob(op ecndelay.HybridOpPoint) ecndelay.SweepJob {
 }
 
 // pmDCQCNJob computes one Figure 3 grid cell.
-func pmDCQCNJob(n int, d float64) ecndelay.SweepJob {
-	return ecndelay.SweepJob{
+func pmDCQCNJob(n int, d float64) sweep.Job {
+	return sweep.Job{
 		ID:   fmt.Sprintf("pm/dcqcn/n%d/d%g", n, d),
 		Meta: map[string]string{"model": "dcqcn", "flows": fmt.Sprint(n), "delay": fmt.Sprint(d)},
 		Run: func(int64) (map[string]float64, error) {
-			p := ecndelay.DefaultDCQCNParams(n)
+			p := fluid.DefaultDCQCNParams(n)
 			p.TauStar = d
-			loop, err := ecndelay.NewDCQCNLoop(p)
+			loop, err := fluid.NewDCQCNLoop(p)
 			if err != nil {
 				return nil, err
 			}
-			res, err := ecndelay.PhaseMargin(loop)
+			res, err := stability.PhaseMargin(loop)
 			if err != nil {
 				return nil, err
 			}
@@ -520,21 +269,21 @@ func pmDCQCNJob(n int, d float64) ecndelay.SweepJob {
 }
 
 // pmPatchedJob computes one Figure 11 row.
-func pmPatchedJob(n int) ecndelay.SweepJob {
-	return ecndelay.SweepJob{
+func pmPatchedJob(n int) sweep.Job {
+	return sweep.Job{
 		ID:   fmt.Sprintf("pm/patched/n%d", n),
 		Meta: map[string]string{"model": "patched", "flows": fmt.Sprint(n)},
 		Run: func(int64) (map[string]float64, error) {
-			cfg := ecndelay.DefaultPatchedTimelyFluidConfig(n)
-			loop, err := ecndelay.NewPatchedTimelyLoop(cfg)
+			cfg := fluid.DefaultPatchedTimelyConfig(n)
+			loop, err := fluid.NewPatchedTimelyLoop(cfg)
 			if err != nil {
 				return nil, err
 			}
-			res, err := ecndelay.PhaseMargin(loop)
+			res, err := stability.PhaseMargin(loop)
 			if err != nil {
 				return nil, err
 			}
-			sys, err := ecndelay.NewPatchedTimelyFluid(cfg)
+			sys, err := fluid.NewPatchedTimely(cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -1,16 +1,14 @@
 package ecndelay_test
 
 // Facade-level tests: exercise the public API end to end the way a
-// downstream user would, without touching internal packages.
+// downstream user would.
 
 import (
-	"bytes"
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"ecndelay"
+	"ecndelay/internal/dcqcn"
 )
 
 func TestPublicFixedPointAPI(t *testing.T) {
@@ -21,10 +19,6 @@ func TestPublicFixedPointAPI(t *testing.T) {
 	}
 	if fp.RC != p.C/4 {
 		t.Errorf("fair share %v, want %v", fp.RC, p.C/4)
-	}
-	approx := ecndelay.DCQCNPStarApprox(p)
-	if approx <= 0 || approx/fp.P > 2 || fp.P/approx > 2 {
-		t.Errorf("approx %v vs exact %v", approx, fp.P)
 	}
 	q := ecndelay.PatchedTimelyQStar(2, 1.25e6, 0.008, 1.25e9, 62500)
 	if q <= 62500 {
@@ -67,13 +61,6 @@ func TestPublicStabilityAPI(t *testing.T) {
 	if res.Stable {
 		t.Errorf("N=8 at 85µs should be in the unstable valley (PM=%v)", res.PhaseMarginDeg)
 	}
-	l, err := ecndelay.LoopGain(loop, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l == 0 {
-		t.Error("zero loop gain at low frequency")
-	}
 }
 
 func TestPublicConvergenceAPI(t *testing.T) {
@@ -104,7 +91,7 @@ func TestPublicPacketSimAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := 0
-	rx.OnComplete = func(c ecndelay.DCQCNCompletion) { done++ }
+	rx.OnComplete = func(dcqcn.Completion) { done++ }
 	_ = rx
 	ep, err := ecndelay.NewDCQCNEndpoint(star.Senders[0], ecndelay.DefaultDCQCNProtoParams())
 	if err != nil {
@@ -124,21 +111,12 @@ func TestPublicWorkloadAndStatsAPI(t *testing.T) {
 	if ws.Mean() < 0.5e6 {
 		t.Errorf("web-search mean %v looks wrong", ws.Mean())
 	}
-	flows, err := ecndelay.GenerateWorkload(ecndelay.WorkloadConfig{
-		Load: 1e8, Sizes: ws, Senders: 2, Receivers: 2, Horizon: 5, Seed: 1,
-	})
-	if err != nil || len(flows) == 0 {
-		t.Fatalf("workload: %v (%d flows)", err, len(flows))
-	}
 	med, err := ecndelay.Percentile([]float64{3, 1, 2}, 50)
 	if err != nil || med != 2 {
 		t.Errorf("median %v, %v", med, err)
 	}
 	if j := ecndelay.JainIndex([]float64{1, 1}); math.Abs(j-1) > 1e-12 {
 		t.Errorf("Jain %v", j)
-	}
-	if pts := ecndelay.CDF([]float64{1, 2}); len(pts) != 2 {
-		t.Errorf("CDF %v", pts)
 	}
 	if s := ecndelay.Summarize([]float64{1, 3}); s.Mean != 2 {
 		t.Errorf("Summarize %v", s)
@@ -159,114 +137,5 @@ func TestPublicExperimentAPI(t *testing.T) {
 	}
 	if rep.ID != "params" || len(rep.Tables) != 2 {
 		t.Errorf("unexpected report %+v", rep)
-	}
-}
-
-func TestPublicJobObserver(t *testing.T) {
-	if ecndelay.JobObserver(nil, "fig14") != nil {
-		t.Error("JobObserver(nil) must stay nil")
-	}
-	base := ecndelay.FullObserver()
-	jo := ecndelay.JobObserver(base, "fig14/seed1")
-	if jo == base {
-		t.Fatal("JobObserver must return a copy, not the original")
-	}
-	if jo.Probes != base.Probes || jo.Check != base.Check ||
-		jo.Trace != base.Trace || jo.Metrics != base.Metrics {
-		t.Error("the copy must share every facility with the original")
-	}
-	if got := jo.ProbeName("queue_bytes"); got != "fig14/seed1.queue_bytes" {
-		t.Errorf("qualified probe name %q", got)
-	}
-	// Prefixes compose, so nested orchestration keeps names unique.
-	nested := ecndelay.JobObserver(jo, "run2")
-	if got := nested.ProbeName("queue_bytes"); got != "fig14/seed1.run2.queue_bytes" {
-		t.Errorf("composed probe name %q", got)
-	}
-	if base.ProbePrefix != "" {
-		t.Error("JobObserver mutated the shared observer")
-	}
-}
-
-// TestPerJobTraceDeterministicAcrossWorkers pins the per-job trace
-// contract behind sweep -trace: with TracePerJob installed on a shared
-// observer, every job writes its own trace stream through JobObserver,
-// and each stream is byte-identical whether the jobs run serially or
-// race across four workers.
-func TestPerJobTraceDeterministicAcrossWorkers(t *testing.T) {
-	protos := []ecndelay.Protocol{ecndelay.ProtoDCQCN, ecndelay.ProtoTimely}
-	runAll := func(workers int) map[string][]byte {
-		var mu sync.Mutex
-		bufs := map[string]*bytes.Buffer{}
-		var sinks []*ecndelay.TraceJSONLSink
-		shared := &ecndelay.Observer{
-			TracePerJob: func(jobID string) *ecndelay.Tracer {
-				mu.Lock()
-				defer mu.Unlock()
-				b := &bytes.Buffer{}
-				bufs[jobID] = b
-				sink := ecndelay.NewTraceJSONLSink(b)
-				sinks = append(sinks, sink)
-				return ecndelay.NewTracer(sink)
-			},
-		}
-		var jobs []ecndelay.SweepJob
-		for _, proto := range protos {
-			for _, seed := range []int64{1, 2} {
-				proto, seed := proto, seed
-				id := fmt.Sprintf("%s/seed%d", proto, seed)
-				jobs = append(jobs, ecndelay.SweepJob{
-					ID: id,
-					Run: func(int64) (map[string]float64, error) {
-						cfg := ecndelay.FCTConfig{
-							Protocol: proto, LoadFactor: 1.2,
-							Horizon: 0.004, Warmup: 0.001, Drain: 0.05,
-							Seed:     seed,
-							Observer: ecndelay.JobObserver(shared, id),
-						}
-						if _, err := ecndelay.RunFCT(cfg); err != nil {
-							return nil, err
-						}
-						return map[string]float64{"ok": 1}, nil
-					},
-				})
-			}
-		}
-		sum, err := ecndelay.RunSweep(ecndelay.SweepConfig{Workers: workers},
-			jobs, &ecndelay.SweepMemorySink{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sum.Failed != 0 || sum.Executed != len(jobs) {
-			t.Fatalf("workers=%d summary %+v", workers, sum)
-		}
-		for _, s := range sinks {
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out := make(map[string][]byte, len(bufs))
-		for id, b := range bufs {
-			out[id] = b.Bytes()
-		}
-		return out
-	}
-	serial := runAll(1)
-	if len(serial) != 2*len(protos) {
-		t.Fatalf("got %d per-job trace streams, want %d", len(serial), 2*len(protos))
-	}
-	for id, b := range serial {
-		if len(b) == 0 {
-			t.Fatalf("job %s produced an empty trace", id)
-		}
-	}
-	parallel := runAll(4)
-	for id, want := range serial {
-		if got, ok := parallel[id]; !ok {
-			t.Errorf("parallel run missing trace for job %s", id)
-		} else if !bytes.Equal(got, want) {
-			t.Errorf("job %s trace differs between 1 and 4 workers (%d vs %d bytes)",
-				id, len(want), len(got))
-		}
 	}
 }

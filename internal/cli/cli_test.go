@@ -1,0 +1,297 @@
+package cli
+
+import (
+	"bufio"
+	"flag"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"ecndelay/internal/obs"
+)
+
+// newFlags registers the shared flags next to a command's own -seed,
+// -workers, -quiet and -resume, and parses args.
+func newFlags(t *testing.T, perJob bool, args ...string) *Flags {
+	t.Helper()
+	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.Int64("seed", 1, "")
+	fs.Int("workers", 1, "")
+	fs.Bool("quiet", false, "")
+	fs.Bool("resume", false, "")
+	f := Register(fs, perJob)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// firstLine returns the first line of a file.
+func firstLine(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, _, _ := strings.Cut(string(b), "\n")
+	return line
+}
+
+func TestRegisterDeclaresSharedFlags(t *testing.T) {
+	for _, perJob := range []bool{false, true} {
+		fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+		Register(fs, perJob)
+		want := map[string]string{
+			"cpuprofile": "", "memprofile": "", "metrics": "", "trace": "", "probe": "",
+			"probe-every": "0.0001", "invariants": "false", "hist": "", "audit": "", "serve": "",
+		}
+		n := 0
+		fs.VisitAll(func(fl *flag.Flag) {
+			n++
+			if def, ok := want[fl.Name]; !ok || def != fl.DefValue {
+				t.Errorf("perJob=%v: flag -%s default %q unexpected", perJob, fl.Name, fl.DefValue)
+			}
+		})
+		if n != len(want) {
+			t.Errorf("perJob=%v: %d flags, want %d", perJob, n, len(want))
+		}
+		trace := fs.Lookup("trace").Usage
+		if got := strings.Contains(trace, "per-job"); got != perJob {
+			t.Errorf("perJob=%v: -trace usage %q", perJob, trace)
+		}
+		if got := strings.HasPrefix(fs.Lookup("metrics").Usage, "exp: "); got != perJob {
+			t.Errorf("perJob=%v: -metrics usage %q", perJob, fs.Lookup("metrics").Usage)
+		}
+	}
+}
+
+// The header echoes what the user set, in name order, and never the
+// execution-only flags: an export must not depend on -workers.
+func TestHeaderSkipsExecutionOnlyFlags(t *testing.T) {
+	f := newFlags(t, false, "-workers", "2", "-quiet", "-resume", "-seed", "7", "-probe", "p.jsonl", "-invariants")
+	h := f.Header("probe", 7, "dcqcn")
+	want := obs.Header{Schema: "probe", Version: 1, Seed: 7, Proto: "dcqcn",
+		Flags: "invariants=true probe=p.jsonl seed=7"}
+	if h != want {
+		t.Errorf("header %+v, want %+v", h, want)
+	}
+}
+
+func TestNoObserverFlagsLeaveRunUnobserved(t *testing.T) {
+	s, err := newFlags(t, false).Open("cmd", 1, "", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Observer != nil {
+		t.Fatal("observer built with no observer flag set")
+	}
+	if err := s.Serve(func() any { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if code := s.Finish(); code != 0 {
+		t.Errorf("Finish = %d, want 0", code)
+	}
+}
+
+// feed exercises every facility once, so each export has a body.
+func feed(o *obs.NetObserver) {
+	o.Metrics.Counter("pkts").Inc()
+	o.Probes.NewProbe("queue_bytes", 0).Record(1e-4, 42)
+	o.Hist("rtt_s").Record(1e-5)
+	if o.Trace != nil {
+		o.Trace.Emit(obs.Event{Type: obs.Enqueue, Size: 1000, QLen: 1, QBytes: 1000})
+	}
+	if o.Audit != nil {
+		o.Audit.Emit(obs.Decision{Type: obs.DecRateCut})
+	}
+}
+
+func TestSharedExports(t *testing.T) {
+	dir := t.TempDir()
+	p := func(name string) string { return filepath.Join(dir, name) }
+	f := newFlags(t, false, "-metrics", p("m.tsv"), "-trace", p("t.jsonl"), "-probe", p("p.jsonl"),
+		"-hist", p("h.tsv"), "-audit", p("a.jsonl"), "-invariants", "-probe-every", "2e-4")
+	var stderr strings.Builder
+	s, err := f.Open("cmd", 3, "timely", &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	o := s.Observer
+	if o.Metrics == nil || o.Trace == nil || o.Probes == nil || o.Check == nil || o.Hists == nil || o.Audit == nil {
+		t.Fatalf("observer missing a facility: %+v", o)
+	}
+	if o.ProbeCadence() != 200000 {
+		t.Errorf("probe cadence %v, want 200 µs", o.ProbeCadence())
+	}
+	feed(o)
+	if code := s.Finish(); code != 0 {
+		t.Fatalf("Finish = %d, stderr %q", code, stderr.String())
+	}
+	for _, name := range []string{"t.jsonl", "p.jsonl", "a.jsonl"} {
+		if line := firstLine(t, p(name)); !strings.Contains(line, `"seed":3,"proto":"timely"`) {
+			t.Errorf("%s header %q", name, line)
+		}
+	}
+	if line := firstLine(t, p("h.tsv")); strings.HasPrefix(line, "{") {
+		t.Errorf("a .tsv -hist path wrote JSONL: %q", line)
+	}
+	if line := firstLine(t, p("m.tsv")); line == "" {
+		t.Error("metrics export is empty")
+	}
+}
+
+func TestPerJobExports(t *testing.T) {
+	dir := t.TempDir()
+	f := newFlags(t, true, "-trace", filepath.Join(dir, "t.jsonl"), "-audit", filepath.Join(dir, "a.jsonl"),
+		"-hist", filepath.Join(dir, "h.jsonl"))
+	s, err := f.Open("sweep", 1, "", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Observer.Trace != nil || s.Observer.Audit != nil {
+		t.Fatal("per-job mode must not open shared trace or audit streams")
+	}
+	jo := s.Observer.ForJob("fig5/seed1")
+	if jo.Trace == nil || jo.Audit == nil {
+		t.Fatal("the job copy has no private trace or audit stream")
+	}
+	jo.Trace.Emit(obs.Event{Type: obs.Enqueue})
+	jo.Audit.Emit(obs.Decision{Type: obs.DecRateCut})
+	if code := s.Finish(); code != 0 {
+		t.Fatalf("Finish = %d", code)
+	}
+	for _, name := range []string{"t.fig5_seed1.jsonl", "a.fig5_seed1.jsonl"} {
+		if line := firstLine(t, filepath.Join(dir, name)); !strings.HasPrefix(line, `{"schema":`) {
+			t.Errorf("%s header %q", name, line)
+		}
+	}
+	if got := jobPath("out/trace", "a/b"); got != "out/trace.a_b" {
+		t.Errorf("jobPath without extension = %q", got)
+	}
+}
+
+// A per-job file that cannot be created leaves the job without that
+// stream and fails the run at Finish.
+func TestPerJobOpenErrorSurfacesAtFinish(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
+	f := newFlags(t, true, "-trace", filepath.Join(missing, "t.jsonl"), "-audit", filepath.Join(missing, "a.jsonl"))
+	var stderr strings.Builder
+	s, err := f.Open("sweep", 1, "", &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if jo := s.Observer.ForJob("fig5"); jo.Trace != nil || jo.Audit != nil {
+		t.Error("a job got a stream whose file could not be created")
+	}
+	if code := s.Finish(); code != 1 {
+		t.Errorf("Finish = %d, want 1", code)
+	}
+	if !strings.HasPrefix(stderr.String(), "sweep: ") {
+		t.Errorf("stderr %q", stderr.String())
+	}
+}
+
+func TestOpenErrors(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no", "such", "dir", "f")
+	for _, flagName := range []string{"-trace", "-audit", "-cpuprofile"} {
+		if _, err := newFlags(t, false, flagName, missing).Open("cmd", 1, "", io.Discard); err == nil {
+			t.Errorf("%s into a missing directory: Open succeeded", flagName)
+		}
+	}
+}
+
+func TestFinishExportError(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
+	for _, flagName := range []string{"-metrics", "-probe", "-hist"} {
+		var stderr strings.Builder
+		s, err := newFlags(t, false, flagName, filepath.Join(missing, "f")).Open("cmd", 1, "", &stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := s.Finish(); code != 1 {
+			t.Errorf("%s into a missing directory: Finish = %d, want 1", flagName, code)
+		}
+		if !strings.HasPrefix(stderr.String(), "cmd: ") {
+			t.Errorf("%s: stderr %q", flagName, stderr.String())
+		}
+		s.Close()
+	}
+}
+
+func TestFinishReportsViolations(t *testing.T) {
+	var stderr strings.Builder
+	s, err := newFlags(t, false, "-invariants").Open("cmd", 1, "", &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// A 1000-byte enqueue onto a 1000-byte queue that then reports 1900
+	// bytes breaks conservation.
+	s.Observer.Check.Feed(obs.Event{Type: obs.Enqueue, Size: 1000, QLen: 1, QBytes: 1000})
+	s.Observer.Check.Feed(obs.Event{Type: obs.Enqueue, Size: 1000, QLen: 2, QBytes: 1900})
+	if code := s.Finish(); code != 1 {
+		t.Fatalf("Finish = %d, want 1", code)
+	}
+	out := stderr.String()
+	if !strings.Contains(out, "cmd: invariant violation: ") || !strings.Contains(out, "cmd: 1 invariant violation(s)") {
+		t.Errorf("stderr %q", out)
+	}
+}
+
+// Serve announces the bound address, answers /progress from the given
+// provider, and Close shuts it down.
+func TestServe(t *testing.T) {
+	r, w := io.Pipe()
+	s, err := newFlags(t, false, "-serve", "127.0.0.1:0").Open("cmd", 1, "", w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Observer == nil || s.Observer.Metrics == nil || s.Observer.Hists == nil {
+		t.Fatal("-serve needs metrics and histograms to serve")
+	}
+	go func() {
+		if err := s.Serve(func() any { return map[string]int{"done": 3} }); err != nil {
+			t.Error(err)
+		}
+		w.Close()
+	}()
+	line, err := bufio.NewReader(r).ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, ok := strings.CutPrefix(strings.TrimSpace(line), "cmd: serving telemetry on ")
+	if !ok {
+		t.Fatalf("announcement %q", line)
+	}
+	resp, err := http.Get(addr + "/progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), `"done": 3`) {
+		t.Errorf("/progress body %q", body)
+	}
+	s.Close()
+	s.Close() // idempotent
+	if _, err := http.Get(addr + "/progress"); err == nil {
+		t.Error("server still answers after Close")
+	}
+
+	bad, err := newFlags(t, false, "-serve", "127.0.0.1:-1").Open("cmd", 1, "", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	if err := bad.Serve(func() any { return nil }); err == nil {
+		t.Error("Serve on an invalid address succeeded")
+	}
+}

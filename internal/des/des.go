@@ -5,13 +5,13 @@
 // events. Events scheduled for the same instant fire in the order they were
 // scheduled, which keeps runs bit-for-bit reproducible.
 //
-// Two scheduling APIs exist. The closure API (Schedule, At) allocates a fresh
-// Event per call and returns a *Event handle that stays valid forever. The
-// handler API (ScheduleHandler, AtHandler) is the hot path: it dispatches to a
-// long-lived Handler with an opaque argument, recycles Event structs through a
-// free list, and allocates nothing in steady state. Handler-path events are
-// addressed through generation-checked EventRef values, so a stale ref held
-// after the event fired (or was cancelled) is a safe no-op.
+// Every event rides one pooled lifecycle. A Handler (a long-lived port,
+// sender or ticker) is scheduled with an opaque argument through
+// ScheduleHandler/AtHandler; Event structs are recycled through a free
+// list, so the steady state allocates nothing. Schedule and At are
+// one-line conveniences that wrap a closure as a Handler. Every scheduled
+// event is addressed through a generation-checked EventRef, so a stale ref
+// held after the event fired (or was cancelled) is a safe no-op.
 package des
 
 import (
@@ -66,45 +66,22 @@ type Handler interface {
 	OnEvent(arg any)
 }
 
-// Event is a handle to a scheduled callback. Closure-API events can be
-// cancelled before they fire; cancelling a fired or already-cancelled event
-// is a no-op. Cancel removes the event from the queue immediately, so
-// cancelled events cost nothing at drain time.
+// Event is one queued callback. Events are owned by the simulator's free
+// list and recycled after they fire or are cancelled; callers hold an
+// EventRef, never an *Event.
 type Event struct {
 	time Time
 	sub  Time // schedule time: the clock value when the event was queued
 	seq  uint64
-	fn   func()  // closure path
-	h    Handler // handler path
+	h    Handler
 	arg  any
 
-	sim       *Simulator
-	index     int    // heap index, -1 once removed
-	gen       uint32 // bumped when a pooled event is recycled
-	pooled    bool   // owned by the simulator free list
-	cancelled bool
+	sim   *Simulator
+	index int    // heap index, -1 once removed
+	gen   uint32 // bumped when the event is recycled
 }
 
-// Time reports when the event is (or was) scheduled to fire.
-func (e *Event) Time() Time { return e.time }
-
-// Cancel prevents the event from firing. It is safe to call at any point,
-// including twice or after the event fired. A still-queued event is removed
-// from the heap eagerly via its stored index.
-func (e *Event) Cancel() {
-	if e.cancelled {
-		return
-	}
-	e.cancelled = true
-	if e.index >= 0 && e.sim != nil {
-		heap.Remove(&e.sim.queue, e.index)
-	}
-}
-
-// Cancelled reports whether Cancel has been called.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-// EventRef is a generation-checked handle to a handler-path event. The zero
+// EventRef is a generation-checked handle to a scheduled event. The zero
 // value refers to nothing; Cancel and Pending on it are no-ops. A ref that
 // outlives its event (fired, cancelled, or recycled) goes stale and is
 // likewise inert, so callers may keep refs around without bookkeeping.
@@ -176,7 +153,7 @@ func (h *eventHeap) Pop() any {
 type Simulator struct {
 	now       Time
 	queue     eventHeap
-	free      []*Event // recycled handler-path events
+	free      []*Event // recycled events
 	seq       uint64
 	processed uint64
 	running   bool
@@ -207,40 +184,33 @@ func (s *Simulator) alloc() *Event {
 		s.free = s.free[:n-1]
 		return e
 	}
-	return &Event{sim: s, pooled: true}
+	return &Event{sim: s}
 }
 
-// release recycles a pooled event, invalidating every outstanding EventRef
-// to this incarnation.
+// release recycles an event, invalidating every outstanding EventRef to
+// this incarnation.
 func (s *Simulator) release(e *Event) {
 	e.gen++
-	e.fn, e.h, e.arg = nil, nil, nil
-	e.cancelled = false
+	e.h, e.arg = nil, nil
 	s.free = append(s.free, e)
 }
 
+// funcHandler adapts a closure to Handler for Schedule and At.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(any) { f() }
+
 // Schedule runs fn after delay d. A negative delay is an error in the caller;
 // it panics to surface the bug immediately.
-func (s *Simulator) Schedule(d Duration, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("des: negative delay %v at %v", d, s.now))
-	}
-	return s.At(s.now.Add(d), fn)
+func (s *Simulator) Schedule(d Duration, fn func()) EventRef {
+	return s.ScheduleHandler(d, funcHandler(fn), nil)
 }
 
 // At runs fn at absolute time t, which must not be in the past.
-func (s *Simulator) At(t Time, fn func()) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("des: schedule in the past: %v < %v", t, s.now))
-	}
-	e := &Event{time: t, sub: s.now, seq: s.seq, fn: fn, sim: s}
-	s.seq++
-	heap.Push(&s.queue, e)
-	return e
-}
+func (s *Simulator) At(t Time, fn func()) EventRef { return s.AtHandler(t, funcHandler(fn), nil) }
 
-// ScheduleHandler runs h.OnEvent(arg) after delay d through the pooled,
-// allocation-free path. Negative delays panic, as with Schedule.
+// ScheduleHandler runs h.OnEvent(arg) after delay d without allocating in
+// steady state. A negative delay panics.
 func (s *Simulator) ScheduleHandler(d Duration, h Handler, arg any) EventRef {
 	if d < 0 {
 		panic(fmt.Sprintf("des: negative delay %v at %v", d, s.now))
@@ -248,7 +218,8 @@ func (s *Simulator) ScheduleHandler(d Duration, h Handler, arg any) EventRef {
 	return s.AtHandler(s.now.Add(d), h, arg)
 }
 
-// AtHandler runs h.OnEvent(arg) at absolute time t through the pooled path.
+// AtHandler runs h.OnEvent(arg) at absolute time t, which must not be in
+// the past.
 func (s *Simulator) AtHandler(t Time, h Handler, arg any) EventRef {
 	if t < s.now {
 		panic(fmt.Sprintf("des: schedule in the past: %v < %v", t, s.now))
@@ -314,27 +285,13 @@ func (s *Simulator) run(end Time, advance bool) uint64 {
 			break
 		}
 		heap.Pop(&s.queue)
-		if e.cancelled {
-			// Cancel removes events eagerly, so this only catches an event
-			// cancelled through a stale *Event handle mid-pop; skip it.
-			if e.pooled {
-				s.release(e)
-			}
-			continue
-		}
 		s.now = e.time
-		if e.h != nil {
-			// Recycle before dispatch: the handler may reschedule and get
-			// this struct back, and a ref to the firing incarnation held by
-			// user code is already stale (cancel-inside-fn is a no-op).
-			h, arg := e.h, e.arg
-			if e.pooled {
-				s.release(e)
-			}
-			h.OnEvent(arg)
-		} else {
-			e.fn()
-		}
+		// Recycle before dispatch: the handler may reschedule and get this
+		// struct back, and a ref to the firing incarnation held by user
+		// code is already stale (cancel-inside-fn is a no-op).
+		h, arg := e.h, e.arg
+		s.release(e)
+		h.OnEvent(arg)
 		s.processed++
 		fired++
 	}
@@ -350,8 +307,8 @@ func (s *Simulator) run(end Time, advance bool) uint64 {
 
 // Every schedules fn to run at t0 and then every period thereafter until the
 // returned Ticker is stopped. fn runs before the next firing is scheduled, so
-// it may safely stop the ticker. Ticker firings ride the pooled event path,
-// so a steady-state ticker allocates nothing per tick.
+// it may safely stop the ticker. A steady-state ticker allocates nothing
+// per tick.
 func (s *Simulator) Every(t0 Time, period Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("des: non-positive ticker period")

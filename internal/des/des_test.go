@@ -79,8 +79,8 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := s.Schedule(10, func() { fired = true })
 	e.Cancel()
-	if !e.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
+	if e.Pending() {
+		t.Error("Pending() = true after Cancel")
 	}
 	s.Run()
 	if fired {

@@ -25,7 +25,7 @@ func TestScheduleHandlerOrdering(t *testing.T) {
 	var order []int
 	h := handlerFunc(func(arg any) { order = append(order, arg.(int)) })
 	s.ScheduleHandler(30, h, 3)
-	s.Schedule(10, func() { order = append(order, 1) }) // closure API interleaves
+	s.Schedule(10, func() { order = append(order, 1) }) // closures interleave
 	s.ScheduleHandler(20, h, 2)
 	s.Run()
 	want := []int{1, 2, 3}
@@ -171,11 +171,11 @@ func TestCancelOtherFromHandler(t *testing.T) {
 	}
 }
 
-// Satellite: closure-API Cancel removes the event from the heap immediately
-// instead of letting it linger until its fire time.
+// Cancelling a closure event removes it from the heap immediately instead
+// of letting it linger until its fire time.
 func TestClosureCancelRemovesEagerly(t *testing.T) {
 	s := New()
-	var evs []*Event
+	var evs []EventRef
 	for i := 0; i < 100; i++ {
 		evs = append(evs, s.Schedule(Duration(1000+i), func() {}))
 	}
@@ -195,13 +195,15 @@ func TestClosureCancelAfterFire(t *testing.T) {
 	s := New()
 	e := s.Schedule(10, func() {})
 	s.Run()
-	e.Cancel() // after fire: marks cancelled, no heap op, no panic
-	if !e.Cancelled() {
-		t.Error("Cancelled() = false after cancel-after-fire")
+	e.Cancel() // after fire: the ref is stale, no heap op, no panic
+	if e.Pending() {
+		t.Error("Pending() = true after the event fired")
 	}
-	// The queue must still work.
+	// The follow-up event reuses the recycled struct; the stale ref must
+	// not cancel it.
 	fired := false
 	s.Schedule(10, func() { fired = true })
+	e.Cancel()
 	s.Run()
 	if !fired {
 		t.Error("follow-up event did not fire")
@@ -319,7 +321,8 @@ func BenchmarkHandlerEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkClosureEvents is the legacy closure path, for comparison.
+// BenchmarkClosureEvents runs the same chain through the Schedule closure
+// wrapper, for comparison.
 func BenchmarkClosureEvents(b *testing.B) {
 	s := New()
 	n := 0

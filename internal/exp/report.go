@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"ecndelay/internal/obs"
+	"ecndelay/internal/sweep"
 )
 
 // Scale selects the experiment fidelity.
@@ -155,6 +156,49 @@ func Get(id string) (Runner, bool) {
 		}
 	}
 	return Runner{}, false
+}
+
+// SweepJobs builds one sweep job per (experiment id, seed) pair from the
+// registry. With an empty seeds slice each experiment becomes a single
+// job using the engine-derived seed; otherwise one job per listed seed,
+// pinned to it.
+//
+// A shared opts.Observer is safe for any worker count: each job runs with
+// opts.Observer.ForJob(jobID), so probes from different jobs land in the
+// shared ProbeSet under distinct, scheduling-independent names, and the
+// invariant checker already scopes its books per network run.
+func SweepJobs(ids []string, opts Options, seeds []int64) ([]sweep.Job, error) {
+	var jobs []sweep.Job
+	for _, id := range ids {
+		r, ok := Get(id)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q", id)
+		}
+		job := func(jobID string, meta map[string]string, pinned *int64) sweep.Job {
+			return sweep.Job{ID: jobID, Meta: meta, Run: func(seed int64) (map[string]float64, error) {
+				o := opts
+				o.Seed = seed
+				if pinned != nil {
+					o.Seed = *pinned
+				}
+				o.Observer = opts.Observer.ForJob(jobID)
+				rep, err := r.Run(o)
+				if err != nil {
+					return nil, err
+				}
+				return rep.Metrics, nil
+			}}
+		}
+		if len(seeds) == 0 {
+			jobs = append(jobs, job(r.ID, map[string]string{"exp": r.ID, "figure": r.Figure}, nil))
+			continue
+		}
+		for _, s := range seeds {
+			jobs = append(jobs, job(fmt.Sprintf("%s/seed%d", r.ID, s),
+				map[string]string{"exp": r.ID, "figure": r.Figure, "seed": fmt.Sprint(s)}, &s))
+		}
+	}
+	return jobs, nil
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

@@ -62,18 +62,29 @@ type NetObserver struct {
 	// usual state): endpoints and marking ports keep a nil trail pointer
 	// and skip every audit site with one check.
 	Audit *AuditTrail
-	// TracePerJob, when set, gives every sweep job a private tracer: the
-	// job orchestrator calls it with the job's ID when deriving the job's
-	// observer copy and installs the result as that copy's Trace. A shared
-	// Trace stream interleaves jobs by completion order; per-job tracers
-	// (normally backed by per-job files) make trace output deterministic
-	// for any worker count.
-	TracePerJob func(jobID string) *Tracer
-	// AuditPerJob mirrors TracePerJob for the control-loop audit: when
-	// set, the job orchestrator installs AuditPerJob(jobID) as the job
-	// copy's Audit trail, so per-job audit files stay byte-identical for
-	// any worker count.
-	AuditPerJob func(jobID string) *AuditTrail
+	// PerJob, when set, customises every job copy ForJob derives: it is
+	// called with the job's ID and the fresh copy, and typically installs
+	// a private Trace and Audit backed by per-job files. A shared stream
+	// interleaves jobs by completion order; per-job streams make trace
+	// and audit output deterministic for any worker count.
+	PerJob func(jobID string, job *NetObserver)
+}
+
+// ForJob returns a shallow copy of o with jobID appended to its
+// ProbePrefix, so per-job probe series and histograms registered on a
+// shared set stay distinguishable and export deterministically. A nil
+// observer stays nil; the copy shares every facility with the original,
+// then PerJob (if set) may replace some of them on the copy.
+func (o *NetObserver) ForJob(jobID string) *NetObserver {
+	if o == nil {
+		return nil
+	}
+	jo := *o
+	jo.ProbePrefix += jobID + "."
+	if o.PerJob != nil {
+		o.PerJob(jobID, &jo)
+	}
+	return &jo
 }
 
 // Emit routes one event to the tracer and the invariant checker. Callers
