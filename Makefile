@@ -51,10 +51,15 @@ bench:
 # AllocsPerRun guards that pin the steady-state paths at 0 allocs/op —
 # both with observability off (the hooks must be free) and with a full
 # observer attached (counters, tracer, checker must not allocate either).
+# The analysis layers ride along: both phase-margin loops, the DCQCN fluid
+# right-hand side, and the allocation-free loop-gain evaluation.
 bench-smoke:
 	$(GO) test -timeout 5m -run='^$$' -bench='HandlerEvents|ClosureEvents|PortChain' \
 		-benchmem -benchtime=1x ./internal/des ./internal/netsim
-	$(GO) test -timeout 5m -run='AllocFree' ./internal/des ./internal/netsim ./internal/obs
+	$(GO) test -timeout 5m -run='^$$' -bench='PhaseMarginDCQCN|PhaseMarginPatchedTimely|DCQCNFluid' \
+		-benchmem -benchtime=1x ./internal/stability ./internal/fluid
+	$(GO) test -timeout 5m -run='AllocFree' ./internal/des ./internal/netsim ./internal/obs \
+		./internal/stability
 
 # Determinism gate: a faulty packet-level run (loss + feedback loss +
 # go-back-N recovery) executed twice must produce byte-identical output.

@@ -10,38 +10,69 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"strconv"
 	"strings"
 
+	"ecndelay/internal/fixedpoint"
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/stability"
 	"ecndelay/internal/sweep"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("phasemargin: ")
-	var (
-		model   = flag.String("model", "dcqcn", "dcqcn | patched")
-		flows   = flag.String("flows", "1:64", "N range lo:hi or comma list")
-		delays  = flag.String("delays", "1e-6,25e-6,50e-6,85e-6,100e-6", "DCQCN τ* values, seconds")
-		rai     = flag.Float64("rai", 0, "DCQCN R_AI override, bits/s (0: default 40e6)")
-		kmax    = flag.Float64("kmax", 0, "DCQCN K_max override, KB (0: default 200)")
-		workers = flag.Int("workers", 0, "parallel workers (0: GOMAXPROCS)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the whole command. It exits 2 on a refused flag value or
+// combination, 1 when a grid cell fails, and 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("phasemargin", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		model   = fs.String("model", "dcqcn", "dcqcn | patched")
+		flows   = fs.String("flows", "1:64", "N range lo:hi or comma list")
+		delays  = fs.String("delays", "1e-6,25e-6,50e-6,85e-6,100e-6", "DCQCN τ* values, seconds")
+		rai     = fs.Float64("rai", 0, "DCQCN R_AI override, bits/s (0: default 40e6)")
+		kmax    = fs.Float64("kmax", 0, "DCQCN K_max override, KB (0: default 200)")
+		workers = fs.Int("workers", 0, "parallel workers (0: GOMAXPROCS)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "phasemargin: "+format+"\n", a...)
+		return code
+	}
+
+	// Refuse every bad value and combination before any work starts, so
+	// a mistyped flag ends in one line naming it rather than a silently
+	// ignored override or a parameter error from deep in the grid.
+	switch {
+	case fs.NArg() > 0:
+		return fail(2, "unexpected argument %q", fs.Arg(0))
+	case *model != "dcqcn" && *model != "patched":
+		return fail(2, "unknown -model %q (want dcqcn or patched)", *model)
+	case *workers < 0:
+		return fail(2, "-workers must be >= 0, got %d", *workers)
+	}
 	ns, err := parseInts(*flows)
 	if err != nil {
-		log.Fatalf("bad -flows: %v", err)
+		return fail(2, "bad -flows: %v", err)
 	}
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
+	for _, n := range ns {
+		if n < 1 || n > fixedpoint.MaxFlows {
+			return fail(2, "-flows: N=%d outside [1, %.0f]", n, fixedpoint.MaxFlows)
+		}
+	}
+	out := bufio.NewWriter(stdout)
 
 	switch *model {
 	case "dcqcn":
@@ -49,26 +80,50 @@ func main() {
 		for _, s := range strings.Split(*delays, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil {
-				log.Fatalf("bad -delays: %v", err)
+				return fail(2, "bad -delays: %v", err)
 			}
 			ds = append(ds, v)
 		}
-		results, err := runGrid(dcqcnJobs(ns, ds, *rai, *kmax), *workers)
-		if err != nil {
-			log.Fatal(err)
+		// The overrides are checked one at a time against the defaults,
+		// so a parameter error names the flag that caused it.
+		for _, d := range ds {
+			if err := dcqcnParams(1, d, 0, 0).Validate(); err != nil {
+				return fail(2, "-delays %g: %v", d, err)
+			}
 		}
-		if err := renderDCQCN(out, ns, ds, results); err != nil {
-			log.Fatal(err)
+		if err := dcqcnParams(1, ds[0], *rai, 0).Validate(); err != nil {
+			return fail(2, "-rai %g: %v", *rai, err)
+		}
+		if err := dcqcnParams(1, ds[0], 0, *kmax).Validate(); err != nil {
+			return fail(2, "-kmax %g: %v", *kmax, err)
+		}
+		results, err := runGrid(dcqcnJobs(ns, ds, *rai, *kmax), *workers)
+		if err == nil {
+			err = renderDCQCN(out, ns, ds, results)
+		}
+		if err != nil {
+			return fail(1, "%v", err)
 		}
 	case "patched":
+		dcqcnOnly := ""
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "delays" || f.Name == "rai" || f.Name == "kmax" {
+				dcqcnOnly = f.Name
+			}
+		})
+		if dcqcnOnly != "" {
+			return fail(2, "-%s applies only to -model dcqcn", dcqcnOnly)
+		}
 		results, err := runGrid(patchedJobs(ns), *workers)
 		if err != nil {
-			log.Fatal(err)
+			return fail(1, "%v", err)
 		}
 		renderPatched(out, ns, results)
-	default:
-		log.Fatalf("unknown -model %q", *model)
 	}
+	if err := out.Flush(); err != nil {
+		return fail(1, "%v", err)
+	}
+	return 0
 }
 
 // renderDCQCN writes the Figure 3 grid as TSV from row-major results.
@@ -127,15 +182,7 @@ func dcqcnJobs(ns []int, ds []float64, rai, kmax float64) []sweep.Job {
 			jobs = append(jobs, sweep.Job{
 				ID: fmt.Sprintf("dcqcn/n%d/d%g", n, d),
 				Run: func(int64) (map[string]float64, error) {
-					p := fluid.DefaultDCQCNParams(n)
-					p.TauStar = d
-					if rai > 0 {
-						p.RAI = rai / 8 / 1000
-					}
-					if kmax > 0 {
-						p.Kmax = kmax
-					}
-					loop, err := fluid.NewDCQCNLoop(p)
+					loop, err := fluid.NewDCQCNLoop(dcqcnParams(n, d, rai, kmax))
 					if err != nil {
 						return nil, err
 					}
@@ -149,6 +196,21 @@ func dcqcnJobs(ns []int, ds []float64, rai, kmax float64) []sweep.Job {
 		}
 	}
 	return jobs
+}
+
+// dcqcnParams returns the Figure 3 parameters of one grid cell: the
+// defaults at n flows and feedback delay d, with R_AI (bits/s) and K_max
+// (KB) overridden where non-zero.
+func dcqcnParams(n int, d, rai, kmax float64) fixedpoint.DCQCNParams {
+	p := fluid.DefaultDCQCNParams(n)
+	p.TauStar = d
+	if rai != 0 {
+		p.RAI = rai / 8 / 1000
+	}
+	if kmax != 0 {
+		p.Kmax = kmax
+	}
+	return p
 }
 
 // patchedJobs builds one job per flow count. A loop-construction error

@@ -69,3 +69,63 @@ func TestParallelGridMatchesSerial(t *testing.T) {
 		t.Errorf("parallel TSV differs from serial:\n%s\nvs\n%s", parallel, serial)
 	}
 }
+
+// Every refused flag value or combination exits 2 before any work, with
+// one line naming the flag and nothing on stdout.
+func TestRefusals(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-rai", "-5"}, "-rai"},
+		{[]string{"-rai", "NaN"}, "-rai"},
+		{[]string{"-kmax", "-1"}, "-kmax"},
+		{[]string{"-kmax", "1"}, "-kmax"},
+		{[]string{"-model", "patched", "-delays", "1e-6"}, "-delays"},
+		{[]string{"-model", "patched", "-rai", "20e6"}, "-rai"},
+		{[]string{"-model", "patched", "-kmax", "400"}, "-kmax"},
+		{[]string{"-flows", "1:2", "extra"}, `"extra"`},
+		{[]string{"-flows", "0:2"}, "-flows"},
+		{[]string{"-flows", "2:1"}, "-flows"},
+		{[]string{"-delays", "-1e-6"}, "-delays"},
+		{[]string{"-delays", "1e-6,x"}, "-delays"},
+		{[]string{"-workers", "-1"}, "-workers"},
+		{[]string{"-model", "quic"}, "-model"},
+	} {
+		var out, errOut strings.Builder
+		code := run(c.args, &out, &errOut)
+		msg := errOut.String()
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr %q)", c.args, code, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote %d bytes to stdout", c.args, out.Len())
+		}
+		if !strings.HasPrefix(msg, "phasemargin: ") || strings.Count(msg, "\n") != 1 ||
+			!strings.Contains(msg, c.want) {
+			t.Errorf("%v: stderr %q, want one phasemargin: line naming %q", c.args, msg, c.want)
+		}
+	}
+}
+
+// Valid invocations print the grid and exit 0; -h prints usage and exits 0.
+func TestRunPrintsGrid(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-flows", "2,10", "-delays", "85e-6", "-rai", "20e6", "-kmax", "400"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut.String())
+	}
+	if got := out.String(); !strings.HasPrefix(got, "# N\tpm_85us\n2\t") || strings.Count(got, "\n") != 3 {
+		t.Errorf("unexpected grid:\n%s", got)
+	}
+	out.Reset()
+	if code := run([]string{"-model", "patched", "-flows", "2"}, &out, &errOut); code != 0 {
+		t.Fatalf("patched exit %d, stderr %q", code, errOut.String())
+	}
+	if got := out.String(); !strings.HasPrefix(got, "# N\tq_star_kb\tpm_deg\tstable\n2\t") {
+		t.Errorf("unexpected patched table:\n%s", got)
+	}
+	errOut.Reset()
+	if code := run([]string{"-h"}, &out, &errOut); code != 0 || !strings.Contains(errOut.String(), "-model") {
+		t.Errorf("-h: exit %d, stderr %q", code, errOut.String())
+	}
+}

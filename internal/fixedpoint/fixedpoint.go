@@ -49,12 +49,6 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 	return lo + (hi-lo)/2, nil
 }
 
-// Pow1mp computes (1-p)^x accurately for small p via exp(x*log1p(-p)).
-func Pow1mp(p, x float64) float64 { return math.Exp(x * math.Log1p(-p)) }
-
-// Expm1Pow computes (1-p)^x - 1 accurately for small p.
-func Expm1Pow(p, x float64) float64 { return math.Expm1(x * math.Log1p(-p)) }
-
 // DCQCNParams are the fluid-model parameters of Table 1. Rates are in
 // packets/second and buffer quantities in packets, so the per-packet marking
 // probability p composes directly with them.
@@ -150,27 +144,68 @@ type DCQCNFixedPoint struct {
 	RT    float64 // target rate at the fixed point, packets/s
 }
 
-// dcqcnABCDE evaluates the a,b,c,d,e terms of Eq. 12 at marking
-// probability p and per-flow rate rc.
-func dcqcnABCDE(pr DCQCNParams, p, rc float64) (a, b, c, d, e float64) {
-	a = -Expm1Pow(p, pr.Tau*rc) // 1-(1-p)^{τ rc}
-	denB := Expm1Pow(p, -pr.B)  // (1-p)^{-B} - 1
-	b = p / denB
-	c = Pow1mp(p, pr.F*pr.B) * p / denB
-	denT := Expm1Pow(p, -pr.T*rc) // (1-p)^{-T rc} - 1
-	d = p / denT
-	e = Pow1mp(p, pr.F*pr.T*rc) * p / denT
-	return
+// Eq12 evaluates the event-rate terms a..e of Eq. 12 and the α target of
+// Eq. 10 at one marking probability p. Every power of (1-p) is taken as
+// exp(x·log(1-p)), which stays accurate for tiny p. NewEq12 does the work
+// that depends on p alone (log(1-p), b and c), so a right-hand side that
+// applies one delayed p to N flows pays for it once; Terms and
+// AlphaTarget do the rest per rate.
+type Eq12 struct {
+	pr   DCQCNParams
+	p    float64
+	lp   float64 // log(1-p)
+	b, c float64
+}
+
+// eq12Limit is the marking probability below which Eq. 12 takes its p→0
+// limits: at p = 0 the closed forms are 0/0.
+const eq12Limit = 1e-12
+
+// NewEq12 builds the evaluator for marking probability p.
+func NewEq12(pr DCQCNParams, p float64) Eq12 {
+	eq := Eq12{pr: pr, p: p, lp: math.Log1p(-p)}
+	if p < eq12Limit {
+		eq.b = 1 / pr.B
+		eq.c = 1 / pr.B
+		return eq
+	}
+	denB := math.Expm1(-pr.B * eq.lp) // (1-p)^{-B} - 1
+	eq.b = p / denB
+	eq.c = math.Exp(pr.F*pr.B*eq.lp) * p / denB
+	return eq
+}
+
+// Terms returns a..e at rate rc. Below p = 1e-12 it returns the limits
+// b,c → 1/B and d,e → 1/(T·rc), with a → τ·rc·p.
+func (eq *Eq12) Terms(rc float64) (a, b, c, d, e float64) {
+	pr := &eq.pr
+	if eq.p < eq12Limit {
+		d = 1 / (pr.T * rc)
+		return pr.Tau * rc * eq.p, eq.b, eq.c, d, d
+	}
+	a = -math.Expm1(pr.Tau * rc * eq.lp)   // 1-(1-p)^{τ rc}
+	denT := math.Expm1(-pr.T * rc * eq.lp) // (1-p)^{-T rc} - 1
+	d = eq.p / denT
+	e = math.Exp(pr.F*pr.T*rc*eq.lp) * eq.p / denT
+	return a, eq.b, eq.c, d, e
+}
+
+// AlphaTarget returns 1-(1-p)^{τ' r}, the marked fraction α tracks at
+// rate r (Eq. 5) and α* at the fixed point (Eq. 10). It needs no p→0
+// limit.
+func (eq *Eq12) AlphaTarget(r float64) float64 {
+	return -math.Expm1(eq.pr.TauPrime * r * eq.lp)
 }
 
 // DCQCNResidual is the left-hand side minus right-hand side of Eq. 11 at
 // marking probability p with per-flow rate rc = C/N. It is negative for
-// p below the fixed point and positive above it.
+// p below the fixed point and positive above it. Below p = 1e-12 the Eq. 12
+// terms take their p→0 limits (SolveDCQCN never bisects there).
 func DCQCNResidual(pr DCQCNParams, p float64) float64 {
 	rc := pr.C / float64(pr.N)
-	a, b, c, d, e := dcqcnABCDE(pr, p, rc)
-	alpha := -Expm1Pow(p, pr.TauPrime*rc)
-	return a*a*alpha/((b+d)*(c+e)) - pr.Tau*pr.Tau*pr.RAI*rc
+	eq := NewEq12(pr, p)
+	a, b, c, d, e := eq.Terms(rc)
+	return a*a*eq.AlphaTarget(rc)/((b+d)*(c+e)) - pr.Tau*pr.Tau*pr.RAI*rc
 }
 
 // SolveDCQCN finds the unique fixed point of Theorem 1 by bisection of
@@ -185,15 +220,16 @@ func SolveDCQCN(pr DCQCNParams) (DCQCNFixedPoint, error) {
 	if err != nil {
 		return DCQCNFixedPoint{}, fmt.Errorf("dcqcn fixed point: %w", err)
 	}
+	eq := NewEq12(pr, p)
 	fp := DCQCNFixedPoint{
 		P:     p,
-		Q:     p/pr.Pmax*(pr.Kmax-pr.Kmin) + pr.Kmin, // Eq. 9
-		Alpha: -Expm1Pow(p, pr.TauPrime*rc),          // Eq. 10
+		Q:     pr.QFromP(p),       // Eq. 9
+		Alpha: eq.AlphaTarget(rc), // Eq. 10
 		RC:    rc,
 	}
 	// R_T* from dR_T/dt = 0 (see the derivation of Eq. 11):
 	// (R_T - R_C) a/τ = R_AI R_C (c+e).
-	a, _, c, _, e := dcqcnABCDE(pr, p, rc)
+	a, _, c, _, e := eq.Terms(rc)
 	fp.RT = rc + pr.Tau*pr.RAI*rc*(c+e)/a
 	return fp, nil
 }

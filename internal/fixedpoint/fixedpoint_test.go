@@ -58,16 +58,41 @@ func TestBisectNoBracket(t *testing.T) {
 	}
 }
 
-func TestPow1mpAccuracy(t *testing.T) {
-	// (1-p)^x for tiny p must not collapse to 1 due to float cancellation.
+// Every power of (1-p) in Eq. 12 must stay accurate for tiny p instead of
+// collapsing to 1 through float cancellation (1-p rounds with a relative
+// error near 1e-4 at p = 1e-12).
+func TestEq12TinyPAccuracy(t *testing.T) {
 	p := 1e-12
 	x := 1e6
-	want := math.Exp(-p * x) // ≈ 1 - 1e-6
-	if got := Pow1mp(p, x); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Pow1mp(%g,%g) = %v, want %v", p, x, got, want)
+	pr := DCQCNParams{Tau: x, TauPrime: x, T: x, B: x, F: 1}
+	eq := NewEq12(pr, p)
+	lp := math.Log1p(-p)
+	near := func(name string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-12*math.Abs(want) {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
-	if got := Expm1Pow(p, -x); math.Abs(got-1e-6) > 1e-9 {
-		t.Errorf("Expm1Pow = %v, want ~1e-6", got)
+	// 1-(1-p)^x ≈ px = 1e-6 for both the α target and a.
+	near("AlphaTarget", eq.AlphaTarget(1), -math.Expm1(-p*x))
+	a, b, c, d, e := eq.Terms(1)
+	near("a", a, -math.Expm1(-p*x))
+	// b = p/((1-p)^{-B}-1) ≈ 1/B and c = (1-p)^{FB}·b; d, e likewise with
+	// T·rc = x.
+	near("b", b, p/math.Expm1(-x*lp))
+	near("c", c, math.Exp(x*lp)*b)
+	near("d", d, b)
+	near("e", e, c)
+	if math.Abs(b*x-1) > 1e-6 {
+		t.Errorf("b = %v, want ~1/B = %v", b, 1/x)
+	}
+	// Below p = 1e-12 the evaluator takes the p→0 limits.
+	zero := NewEq12(pr, 0)
+	if a, b, c, d, e := zero.Terms(2); a != 0 || b != 1/x || c != 1/x || d != 1/(2*x) || e != d {
+		t.Errorf("p=0 terms = %v %v %v %v %v, want 0, 1/B, 1/B, 1/(T·rc), 1/(T·rc)", a, b, c, d, e)
+	}
+	if got := zero.AlphaTarget(1); got != 0 {
+		t.Errorf("p=0 AlphaTarget = %v, want 0", got)
 	}
 }
 

@@ -102,32 +102,6 @@ func (s *DCQCNSystem) RTIndex(i int) int { return 2 + 3*i }
 // RCIndex returns the state index of flow i's current rate.
 func (s *DCQCNSystem) RCIndex(i int) int { return 3 + 3*i }
 
-// abcde evaluates the event-rate terms of Eq. 12 at marking probability p
-// and (delayed) rate rc, taking the p→0 limits where the closed forms are
-// 0/0: b,c → 1/B and d,e → 1/(T·rc).
-func (s *DCQCNSystem) abcde(p, rc float64) (a, b, c, d, e float64) {
-	pr := s.cfg.Params
-	if rc < s.rmin {
-		rc = s.rmin
-	}
-	if p < 1e-12 {
-		a = pr.Tau * rc * p // → 0 with the right slope
-		b = 1 / pr.B
-		c = 1 / pr.B
-		d = 1 / (pr.T * rc)
-		e = d
-		return
-	}
-	a = -fixedpoint.Expm1Pow(p, pr.Tau*rc)
-	denB := fixedpoint.Expm1Pow(p, -pr.B)
-	b = p / denB
-	c = fixedpoint.Pow1mp(p, pr.F*pr.B) * p / denB
-	denT := fixedpoint.Expm1Pow(p, -pr.T*rc)
-	d = p / denT
-	e = fixedpoint.Pow1mp(p, pr.F*pr.T*rc) * p / denT
-	return
-}
-
 // Derivs implements ode.System with the Figure 1 equations.
 func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []float64) {
 	pr := s.cfg.Params
@@ -168,6 +142,8 @@ func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []fl
 	} else {
 		pHat = REDMarkExtended(qDelayed, pr.Kmin, pr.Kmax, pr.Pmax)
 	}
+	// Every flow sees the same delayed p: its share of Eq. 12 is done once.
+	eq := fixedpoint.NewEq12(pr, pHat)
 
 	sum := 0.0
 	for i := 0; i < pr.N; i++ {
@@ -184,10 +160,10 @@ func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []fl
 		rt := y[s.RTIndex(i)]
 		rc := y[s.RCIndex(i)]
 		rcHat := past.Value(tq, s.RCIndex(i))
-		a, b, c, d, e := s.abcde(pHat, rcHat)
+		a, b, c, d, e := eq.Terms(max(rcHat, s.rmin))
 
 		// Eq. 5: α tracks the marked fraction over the τ' window.
-		dydt[s.AlphaIndex(i)] = pr.G / pr.TauPrime * ((-fixedpoint.Expm1Pow(pHat, pr.TauPrime*rcHat)) - alpha)
+		dydt[s.AlphaIndex(i)] = pr.G / pr.TauPrime * (eq.AlphaTarget(rcHat) - alpha)
 		// Eq. 6: target rate resets on cuts, rises with the byte counter
 		// and timer once past the F fast-recovery stages.
 		dydt[s.RTIndex(i)] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"ecndelay/internal/fixedpoint"
+	"ecndelay/internal/ode"
 )
 
 // late computes mean/stddev/min/max of state component idx over t >= tFrom.
@@ -680,4 +681,42 @@ func TestDCQCNStrictREDAblation(t *testing.T) {
 	if strict < 0.2 {
 		t.Errorf("strict Eq.3: CV %v, want oscillation against the marking cliff", strict)
 	}
+}
+
+// countingModel counts right-hand-side evaluations and forwards PostStep,
+// so the solver sees exactly the wrapped model.
+type countingModel struct {
+	Model
+	evals int
+}
+
+func (m *countingModel) Derivs(t float64, y []float64, past ode.History, dydt []float64) {
+	m.evals++
+	m.Model.Derivs(t, y, past, dydt)
+}
+
+func (m *countingModel) PostStep(t float64, y []float64) {
+	if ps, ok := m.Model.(ode.PostStepper); ok {
+		ps.PostStep(t, y)
+	}
+}
+
+// BenchmarkDCQCNFluid integrates the Fig. 4 oscillating case (N = 10,
+// τ* = 85 µs) for 2 ms at h = 1 µs. rhs_evals/op is the work count: ns/op
+// divided by it is the cost of one right-hand-side evaluation.
+func BenchmarkDCQCNFluid(b *testing.B) {
+	p := DefaultDCQCNParams(10)
+	p.TauStar = 85e-6
+	b.ReportAllocs()
+	evals := 0
+	for i := 0; i < b.N; i++ {
+		sys, err := NewDCQCN(DCQCNConfig{Params: p})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := &countingModel{Model: sys}
+		Run(m, 1e-6, 2e-3, 10e-6)
+		evals += m.evals
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "rhs_evals/op")
 }

@@ -54,9 +54,9 @@ func (l *DCQCNLoop) Derivs(z []float64, zd [][]float64, qd []float64, dzdt []flo
 	pr := l.sys.cfg.Params
 	alpha, rt, rc := z[0], z[1], z[2]
 	rcHat := zd[0][2]
-	pHat := REDMarkExtended(qd[0], pr.Kmin, pr.Kmax, pr.Pmax)
-	a, b, c, d, e := l.sys.abcde(pHat, rcHat)
-	dzdt[0] = pr.G / pr.TauPrime * ((-fixedpoint.Expm1Pow(pHat, pr.TauPrime*rcHat)) - alpha)
+	eq := fixedpoint.NewEq12(pr, REDMarkExtended(qd[0], pr.Kmin, pr.Kmax, pr.Pmax))
+	a, b, c, d, e := eq.Terms(max(rcHat, l.sys.rmin))
+	dzdt[0] = pr.G / pr.TauPrime * (eq.AlphaTarget(rcHat) - alpha)
 	dzdt[1] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)
 	dzdt[2] = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(b+d)
 }
@@ -110,9 +110,9 @@ func (l *DCQCNIngressLoop) Derivs(z []float64, zd [][]float64, qd []float64, dzd
 	pr := l.inner.sys.cfg.Params
 	alpha, rt, rc := z[0], z[1], z[2]
 	rcHat := zd[0][2] // rate self-feedback at τ*
-	pHat := REDMarkExtended(qd[1], pr.Kmin, pr.Kmax, pr.Pmax)
-	a, b, c, d, e := l.inner.sys.abcde(pHat, rcHat)
-	dzdt[0] = pr.G / pr.TauPrime * ((-fixedpoint.Expm1Pow(pHat, pr.TauPrime*rcHat)) - alpha)
+	eq := fixedpoint.NewEq12(pr, REDMarkExtended(qd[1], pr.Kmin, pr.Kmax, pr.Pmax))
+	a, b, c, d, e := eq.Terms(max(rcHat, l.inner.sys.rmin))
+	dzdt[0] = pr.G / pr.TauPrime * (eq.AlphaTarget(rcHat) - alpha)
 	dzdt[1] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)
 	dzdt[2] = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(b+d)
 }

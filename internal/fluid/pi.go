@@ -33,7 +33,7 @@ type DCQCNPIConfig struct {
 // DCQCNPISystem lays out state as y[0] = queue (packets), y[1] = marking
 // probability p, then per-flow (α, R_T, R_C) triples.
 type DCQCNPISystem struct {
-	inner *DCQCNSystem // reused for abcde and parameters
+	inner *DCQCNSystem // reused for parameters, rate limits and jitter
 	pi    PIConfig
 }
 
@@ -116,14 +116,14 @@ func (s *DCQCNPISystem) Derivs(t float64, y []float64, past ode.History, dydt []
 		dydt[1] = 0
 	}
 
-	pHat := clamp(past.Value(tq, 1), 0, 1)
+	eq := fixedpoint.NewEq12(pr, clamp(past.Value(tq, 1), 0, 1))
 	for i := 0; i < pr.N; i++ {
 		alpha := y[s.AlphaIndex(i)]
 		rt := y[s.RTIndex(i)]
 		rc := y[s.RCIndex(i)]
 		rcHat := past.Value(tq, s.RCIndex(i))
-		a, b, c, d, e := s.inner.abcde(pHat, rcHat)
-		dydt[s.AlphaIndex(i)] = pr.G / pr.TauPrime * ((-fixedpoint.Expm1Pow(pHat, pr.TauPrime*rcHat)) - alpha)
+		a, b, c, d, e := eq.Terms(max(rcHat, s.inner.rmin))
+		dydt[s.AlphaIndex(i)] = pr.G / pr.TauPrime * (eq.AlphaTarget(rcHat) - alpha)
 		dydt[s.RTIndex(i)] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)
 		dydt[s.RCIndex(i)] = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(b+d)
 	}

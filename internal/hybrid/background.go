@@ -151,9 +151,10 @@ func (b *BackgroundAggregate) tick() {
 	}
 	h := dt / float64(sub)
 	n := float64(b.cfg.Flows)
+	eq := fixedpoint.NewEq12(pr, pDel)
 	for s := 0; s < sub; s++ {
-		a, bb, c, d, e := dcqcnABCDE(pr, pDel, b.rc, b.rmin)
-		dAlpha := pr.G / pr.TauPrime * ((-fixedpoint.Expm1Pow(pDel, pr.TauPrime*b.rc)) - b.alpha)
+		a, bb, c, d, e := eq.Terms(max(b.rc, b.rmin))
+		dAlpha := pr.G / pr.TauPrime * (eq.AlphaTarget(b.rc) - b.alpha)
 		dRT := -(b.rt-b.rc)/pr.Tau*a + pr.RAI*b.rc*(c+e)
 		dRC := -b.rc*b.alpha/(2*pr.Tau)*a + (b.rt-b.rc)/2*b.rc*(bb+d)
 		dQ := n*b.rc - avail
@@ -169,30 +170,6 @@ func (b *BackgroundAggregate) tick() {
 		}
 	}
 	b.port.Queue().SetVirtualBytes(int(b.qBg * MTU))
-}
-
-// dcqcnABCDE mirrors the fluid model's Eq. 12 event-rate terms, including
-// the p→0 limits (fluid.DCQCNSystem.abcde).
-func dcqcnABCDE(pr fixedpoint.DCQCNParams, p, rc, rmin float64) (a, b, c, d, e float64) {
-	if rc < rmin {
-		rc = rmin
-	}
-	if p < 1e-12 {
-		a = pr.Tau * rc * p
-		b = 1 / pr.B
-		c = 1 / pr.B
-		d = 1 / (pr.T * rc)
-		e = d
-		return
-	}
-	a = -fixedpoint.Expm1Pow(p, pr.Tau*rc)
-	denB := fixedpoint.Expm1Pow(p, -pr.B)
-	b = p / denB
-	c = fixedpoint.Pow1mp(p, pr.F*pr.B) * p / denB
-	denT := fixedpoint.Expm1Pow(p, -pr.T*rc)
-	d = p / denT
-	e = fixedpoint.Pow1mp(p, pr.F*pr.T*rc) * p / denT
-	return
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -60,7 +60,9 @@ type Result struct {
 	Stable bool
 }
 
-// jacobians holds the linearisation of a LoopModel at its fixed point.
+// jacobians holds the linearisation of a LoopModel at its fixed point,
+// plus the scratch loopGain overwrites on every call. A value is built per
+// PhaseMargin or LoopGain call and never shared between goroutines.
 type jacobians struct {
 	n      int // state dim
 	k      int // number of delays
@@ -70,6 +72,10 @@ type jacobians struct {
 	e      [][]float64 // per delay, n ∂F/∂qd_k
 	cIdx   int
 	flows  int
+
+	m      []complex128 // n×n sI - A - Σ_k B_k e^{-sτ_k}
+	rhs    []complex128 // n: Σ_k E_k e^{-sτ_k}, then the solution
+	phasor []complex128 // per delay, e^{-jωτ_k}
 }
 
 // linearise computes centred-difference Jacobians of m at its equilibrium.
@@ -89,9 +95,12 @@ func linearise(m LoopModel) (*jacobians, error) {
 	}
 	j := &jacobians{
 		n: n, k: k, delays: delays,
-		a:     make([]float64, n*n),
-		cIdx:  m.RateIndex(),
-		flows: m.FlowCount(),
+		a:      make([]float64, n*n),
+		cIdx:   m.RateIndex(),
+		flows:  m.FlowCount(),
+		m:      make([]complex128, n*n),
+		rhs:    make([]complex128, n),
+		phasor: make([]complex128, k),
 	}
 	for kk := 0; kk < k; kk++ {
 		j.b = append(j.b, make([]float64, n*n))
@@ -161,17 +170,22 @@ func linearise(m LoopModel) (*jacobians, error) {
 	return j, nil
 }
 
-// loopGain evaluates L(jω).
+// loopGain evaluates L(jω). Each delay's phasor e^{-jωτ_k} is computed
+// once, by one sincos: the exponent's real part is +0, so this is
+// bit-identical to cmplx.Exp(-jω·τ_k).
 func (j *jacobians) loopGain(omega float64) (complex128, error) {
 	s := complex(0, omega)
 	n := j.n
-	m := make([]complex128, n*n)
-	rhs := make([]complex128, n)
+	for kk, tau := range j.delays {
+		sin, cos := math.Sincos(-omega * tau)
+		j.phasor[kk] = complex(cos, sin)
+	}
+	m, rhs := j.m, j.rhs
 	for row := 0; row < n; row++ {
 		for col := 0; col < n; col++ {
 			v := complex(-j.a[row*n+col], 0)
 			for kk := 0; kk < j.k; kk++ {
-				v -= complex(j.b[kk][row*n+col], 0) * cmplx.Exp(-s*complex(j.delays[kk], 0))
+				v -= complex(j.b[kk][row*n+col], 0) * j.phasor[kk]
 			}
 			if row == col {
 				v += s
@@ -180,7 +194,7 @@ func (j *jacobians) loopGain(omega float64) (complex128, error) {
 		}
 		var e complex128
 		for kk := 0; kk < j.k; kk++ {
-			e += complex(j.e[kk][row], 0) * cmplx.Exp(-s*complex(j.delays[kk], 0))
+			e += complex(j.e[kk][row], 0) * j.phasor[kk]
 		}
 		rhs[row] = e
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -382,17 +383,82 @@ func TestPatchedTimelyLoopBandCheck(t *testing.T) {
 	}
 }
 
-func BenchmarkPhaseMarginDCQCN(b *testing.B) {
+// The Fig. 3 (3-state, one delay) and Fig. 11 (2-state, two delays) loops
+// at N = 10, τ* = 85 µs.
+func benchLoops(tb testing.TB) (dcqcn, patched LoopModel) {
 	p := fluid.DefaultDCQCNParams(10)
 	p.TauStar = 85e-6
-	loop, err := fluid.NewDCQCNLoop(p)
+	d, err := fluid.NewDCQCNLoop(p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	pt, err := fluid.NewPatchedTimelyLoop(fluid.DefaultPatchedTimelyConfig(10))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d, pt
+}
+
+func benchmarkPhaseMargin(b *testing.B, loop LoopModel) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := PhaseMargin(loop); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPhaseMarginDCQCN(b *testing.B) {
+	loop, _ := benchLoops(b)
+	benchmarkPhaseMargin(b, loop)
+}
+
+func BenchmarkPhaseMarginPatchedTimely(b *testing.B) {
+	_, loop := benchLoops(b)
+	benchmarkPhaseMargin(b, loop)
+}
+
+// Sweep workers call PhaseMargin concurrently, on shared models too; each
+// call owns its scratch, so every call returns the serial result.
+func TestPhaseMarginConcurrentCalls(t *testing.T) {
+	dcqcn, patched := benchLoops(t)
+	for _, loop := range []LoopModel{dcqcn, patched} {
+		want, err := PhaseMargin(loop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got, err := PhaseMargin(loop); err != nil || got != want {
+					t.Errorf("concurrent PhaseMargin = %+v, %v; want %+v", got, err, want)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// PhaseMargin evaluates the loop gain thousands of times per call, so one
+// evaluation must reuse the linearisation's scratch and allocate nothing.
+func TestLoopGainAllocFree(t *testing.T) {
+	dcqcn, patched := benchLoops(t)
+	for name, loop := range map[string]LoopModel{"dcqcn": dcqcn, "patched": patched} {
+		j, err := linearise(loop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := 1000.0
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := j.loopGain(w); err != nil {
+				t.Fatal(err)
+			}
+			w *= 1.01
+		})
+		if allocs != 0 {
+			t.Errorf("%s: loopGain allocates %v times per call, want 0", name, allocs)
 		}
 	}
 }
