@@ -51,10 +51,11 @@ bench:
 # AllocsPerRun guards that pin the steady-state paths at 0 allocs/op —
 # both with observability off (the hooks must be free) and with a full
 # observer attached (counters, tracer, checker must not allocate either).
+# BenchmarkHold drives the event queue alone at two fixed depths.
 # The analysis layers ride along: both phase-margin loops, the DCQCN fluid
 # right-hand side, and the allocation-free loop-gain evaluation.
 bench-smoke:
-	$(GO) test -timeout 5m -run='^$$' -bench='HandlerEvents|ClosureEvents|PortChain' \
+	$(GO) test -timeout 5m -run='^$$' -bench='HandlerEvents|ClosureEvents|Hold|PortChain' \
 		-benchmem -benchtime=1x ./internal/des ./internal/netsim
 	$(GO) test -timeout 5m -run='^$$' -bench='PhaseMarginDCQCN|PhaseMarginPatchedTimely|DCQCNFluid' \
 		-benchmem -benchtime=1x ./internal/stability ./internal/fluid

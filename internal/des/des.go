@@ -14,10 +14,7 @@
 // held after the event fired (or was cancelled) is a safe no-op.
 package des
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is an absolute simulation time in nanoseconds since the start of the
 // run. The zero value is the beginning of the simulation.
@@ -103,56 +100,102 @@ func (r EventRef) Cancel() {
 		return
 	}
 	if e.index >= 0 {
-		heap.Remove(&e.sim.queue, e.index)
+		e.sim.remove(e.index)
 		e.sim.release(e)
 	}
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-// Less orders by (time, sub, seq), where sub is the clock value when the
-// event was scheduled. The sub key is needed because caller-minted seqs
-// (AtHandlerSeq) do not increase with schedule time: netsim mints them per
-// node, so an event scheduled later may carry a smaller seq than one
-// scheduled earlier for the same instant. Ordering by sub first keeps
-// same-instant events in schedule order; seq only breaks ties among
-// events scheduled at the same clock value.
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before orders events by (time, sub, seq), where sub is the clock value
+// when the event was scheduled. The sub key is needed because
+// caller-minted seqs (AtHandlerSeq) do not increase with schedule time:
+// netsim mints them per node, so an event scheduled later may carry a
+// smaller seq than one scheduled earlier for the same instant. Ordering by
+// sub first keeps same-instant events in schedule order; seq only breaks
+// ties among events scheduled at the same clock value.
+func before(a, b *Event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	if h[i].sub != h[j].sub {
-		return h[i].sub < h[j].sub
+	if a.sub != b.sub {
+		return a.sub < b.sub
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// The queue is a binary min-heap over *Event ordered by before. Keys are
+// unique: the simulator's counter stays below bit 40, and netsim's node
+// keys sit above it. So the next event to fire never depends on the
+// heap's shape. up and down carry e through a hole, moving each displaced
+// entry once and writing its index once, and seat e where the hole stops.
+
+// push queues e.
+func (s *Simulator) push(e *Event) {
+	s.queue = append(s.queue, e)
+	s.up(e, len(s.queue)-1)
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// up seats e at or above the hole at i.
+func (s *Simulator) up(e *Event, i int) {
+	q := s.queue
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(e, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = e
+	e.index = i
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// down seats e at or below the hole at i.
+func (s *Simulator) down(e *Event, i int) {
+	q := s.queue
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(q[r], q[c]) {
+			c = r
+		}
+		if !before(q[c], e) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = i
+		i = c
+	}
+	q[i] = e
+	e.index = i
+}
+
+// remove takes the event at heap position i out of the queue: the run
+// loop's pop (i = 0) and Cancel (any i). The last entry refills the hole.
+func (s *Simulator) remove(i int) {
+	q := s.queue
+	n := len(q) - 1
+	q[i].index = -1
+	last := q[n]
+	q[n] = nil
+	s.queue = q[:n]
+	if i < n {
+		if i > 0 && before(last, q[(i-1)/2]) {
+			s.up(last, i)
+		} else {
+			s.down(last, i)
+		}
+	}
 }
 
 // Simulator owns the virtual clock and event queue. The zero value is ready
 // to use.
 type Simulator struct {
 	now       Time
-	queue     eventHeap
+	queue     []*Event // binary min-heap, see before
 	free      []*Event // recycled events
 	seq       uint64
 	processed uint64
@@ -230,7 +273,7 @@ func (s *Simulator) AtHandler(t Time, h Handler, arg any) EventRef {
 	e := s.alloc()
 	e.time, e.sub, e.seq, e.h, e.arg = t, s.now, s.seq, h, arg
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.push(e)
 	return EventRef{e: e, gen: e.gen}
 }
 
@@ -255,7 +298,7 @@ func (s *Simulator) AtHandlerSeq(t Time, seq uint64, h Handler, arg any) EventRe
 	}
 	e := s.alloc()
 	e.time, e.sub, e.seq, e.h, e.arg = t, s.now, seq, h, arg
-	heap.Push(&s.queue, e)
+	s.push(e)
 	return EventRef{e: e, gen: e.gen}
 }
 
@@ -284,7 +327,7 @@ func (s *Simulator) run(end Time, advance bool) uint64 {
 		if e.time > end {
 			break
 		}
-		heap.Pop(&s.queue)
+		s.remove(0)
 		s.now = e.time
 		// Recycle before dispatch: the handler may reschedule and get this
 		// struct back, and a ref to the firing incarnation held by user

@@ -1,0 +1,258 @@
+package des
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// sliceQueue is the reference the event queue is checked against: pending
+// events sit in a plain slice, and the run loop fires the minimum by
+// (time, sub, seq) found by a linear scan. It mirrors the Simulator's
+// clock, Stop and RunUntil rules, and nothing else.
+type sliceQueue struct {
+	now     Time
+	seq     uint64
+	pending []sliceEvent
+	ids     int
+	stopped bool
+}
+
+type sliceEvent struct {
+	time, sub Time
+	seq       uint64
+	h         Handler
+	arg       any
+	id        int
+}
+
+func (q *sliceQueue) Now() Time    { return q.now }
+func (q *sliceQueue) Pending() int { return len(q.pending) }
+func (q *sliceQueue) Stop()        { q.stopped = true }
+
+func (q *sliceQueue) schedule(t Time, seq uint64, minted bool, h Handler, arg any) int {
+	if !minted {
+		seq = q.seq
+		q.seq++
+	}
+	q.ids++
+	q.pending = append(q.pending, sliceEvent{time: t, sub: q.now, seq: seq, h: h, arg: arg, id: q.ids})
+	return q.ids
+}
+
+func (q *sliceQueue) find(ref int) int {
+	for i, e := range q.pending {
+		if e.id == ref {
+			return i
+		}
+	}
+	return -1
+}
+
+func (q *sliceQueue) pendingRef(ref int) bool { return q.find(ref) >= 0 }
+
+func (q *sliceQueue) cancel(ref int) {
+	if i := q.find(ref); i >= 0 {
+		q.pending = append(q.pending[:i], q.pending[i+1:]...)
+	}
+}
+
+func (q *sliceQueue) min() int {
+	m := 0
+	for i, e := range q.pending {
+		b := q.pending[m]
+		if e.time < b.time || e.time == b.time && (e.sub < b.sub || e.sub == b.sub && e.seq < b.seq) {
+			m = i
+		}
+	}
+	return m
+}
+
+func (q *sliceQueue) RunUntil(end Time) uint64 {
+	q.stopped = false
+	var fired uint64
+	for len(q.pending) > 0 && !q.stopped {
+		i := q.min()
+		e := q.pending[i]
+		if e.time > end {
+			break
+		}
+		q.pending = append(q.pending[:i], q.pending[i+1:]...)
+		q.now = e.time
+		e.h.OnEvent(e.arg)
+		fired++
+	}
+	if q.now < end && !q.stopped {
+		q.now = end
+	}
+	return fired
+}
+
+// simQueue adapts the Simulator to the script, keeping every EventRef it
+// ever returned so that live, fired and stale refs can all be cancelled.
+type simQueue struct {
+	*Simulator
+	refs []EventRef
+}
+
+func (q *simQueue) schedule(t Time, seq uint64, minted bool, h Handler, arg any) int {
+	var r EventRef
+	if minted {
+		r = q.AtHandlerSeq(t, seq, h, arg)
+	} else {
+		r = q.AtHandler(t, h, arg)
+	}
+	q.refs = append(q.refs, r)
+	return len(q.refs)
+}
+
+func (q *simQueue) pendingRef(ref int) bool { return q.refs[ref-1].Pending() }
+func (q *simQueue) cancel(ref int)          { q.refs[ref-1].Cancel() }
+
+// oracleQueue is what the script needs from either queue. Refs are the
+// 1-based order in which events were scheduled.
+type oracleQueue interface {
+	Now() Time
+	Pending() int
+	Stop()
+	RunUntil(end Time) uint64
+	schedule(t Time, seq uint64, minted bool, h Handler, arg any) int
+	pendingRef(ref int) bool
+	cancel(ref int)
+}
+
+// queueScript plays one seeded random script against a queue and logs
+// everything observable: fired (arg, time), Pending counts, ref states
+// and RunUntil results. The script's choices depend only on the seed and
+// on what the queue reports, so two correct queues log the same lines.
+type queueScript struct {
+	q    oracleQueue
+	rng  *rand.Rand
+	mint [3]uint64 // per-"node" key counters, (node+1)<<40 | count
+	refs int
+	args int
+	log  []string
+}
+
+func (d *queueScript) OnEvent(arg any) {
+	d.log = append(d.log, fmt.Sprintf("fire %d at %d", arg.(int), d.q.Now()))
+	d.ops(d.rng.Intn(3))
+	if d.rng.Intn(60) == 0 {
+		d.q.Stop()
+		d.log = append(d.log, "stop")
+	}
+}
+
+// ops schedules and cancels n times. Fire times land on a coarse grid
+// near the clock, so equal-time and equal-sub ties are common.
+func (d *queueScript) ops(n int) {
+	for k := 0; k < n; k++ {
+		if d.refs > 0 && d.rng.Intn(3) == 0 {
+			ref := 1 + d.rng.Intn(d.refs)
+			d.log = append(d.log, fmt.Sprintf("cancel %d pending=%v", ref, d.q.pendingRef(ref)))
+			d.q.cancel(ref)
+			continue
+		}
+		t := d.q.Now() + Time(10*d.rng.Intn(4))
+		d.args++
+		if node := d.rng.Intn(len(d.mint) + 1); node < len(d.mint) {
+			seq := uint64(node+1)<<40 | d.mint[node]
+			d.mint[node]++
+			d.refs = d.q.schedule(t, seq, true, d, d.args)
+		} else {
+			d.refs = d.q.schedule(t, 0, false, d, d.args)
+		}
+	}
+	d.log = append(d.log, fmt.Sprintf("pending %d", d.q.Pending()))
+}
+
+func (d *queueScript) play() {
+	for slice := 0; slice < 300; slice++ {
+		d.ops(d.rng.Intn(8))
+		n := d.q.RunUntil(d.q.Now() + Time(d.rng.Intn(40)))
+		d.log = append(d.log, fmt.Sprintf("slice fired %d now %d pending %d", n, d.q.Now(), d.q.Pending()))
+	}
+	n := d.q.RunUntil(1 << 40)
+	d.log = append(d.log, fmt.Sprintf("drain fired %d pending %d", n, d.q.Pending()))
+}
+
+// The Simulator fires exactly what a linear-scan reference fires, in the
+// same order, under a random mix of simulator-counter and node-minted
+// keys, cancels of live, fired and stale refs (also from inside
+// handlers), RunUntil slices and Stop. Keys are unique, as they are in
+// netsim: exact duplicates can only come from a direct AtHandlerSeq
+// caller, and their order is unspecified.
+func TestQueueMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		got := &queueScript{rng: rand.New(rand.NewSource(seed))}
+		got.q = &simQueue{Simulator: New()}
+		got.play()
+		want := &queueScript{rng: rand.New(rand.NewSource(seed))}
+		want.q = &sliceQueue{}
+		want.play()
+		for i := range want.log {
+			if i >= len(got.log) || got.log[i] != want.log[i] {
+				t.Fatalf("seed %d: line %d: got %q, want %q", seed, i, logLine(got.log, i), want.log[i])
+			}
+		}
+		if len(got.log) != len(want.log) {
+			t.Fatalf("seed %d: %d log lines, want %d", seed, len(got.log), len(want.log))
+		}
+		if got.args < 1000 {
+			t.Fatalf("seed %d: only %d events scheduled", seed, got.args)
+		}
+	}
+}
+
+func logLine(log []string, i int) string {
+	if i < len(log) {
+		return log[i]
+	}
+	return "<end of log>"
+}
+
+// holdHandler is the hold model's event: each firing schedules one
+// successor a seeded random increment ahead, so the queue stays at its
+// starting depth, until the op budget runs out and it stops the run.
+type holdHandler struct {
+	sim  *Simulator
+	incr []Duration
+	ops  int
+	left int
+}
+
+func (h *holdHandler) OnEvent(any) {
+	h.sim.ScheduleHandler(h.incr[h.ops%len(h.incr)], h, nil)
+	h.ops++
+	if h.ops == h.left {
+		h.sim.Stop()
+	}
+}
+
+// BenchmarkHold is the classic hold model of a pending-event set: N events
+// pending, and each op pops the minimum and pushes one event at now plus
+// an exponential increment (mean 1 µs, drawn up front). N=128 and N=1024
+// bracket the peak queue depths of the benchmark's packet workloads
+// (des.pending_peak 138 on fct_dumbbell, 498 on incast_clos_observed).
+func BenchmarkHold(b *testing.B) {
+	for _, n := range []int{128, 1024} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			incr := make([]Duration, 4096)
+			for i := range incr {
+				incr[i] = Duration(rng.ExpFloat64() * float64(Microsecond))
+			}
+			s := New()
+			h := &holdHandler{sim: s, incr: incr, left: b.N}
+			for i := 0; i < n; i++ {
+				s.ScheduleHandler(incr[rng.Intn(len(incr))], h, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.Run()
+			if h.ops != b.N || s.Pending() != n {
+				b.Fatalf("ops %d pending %d, want %d and %d", h.ops, s.Pending(), b.N, n)
+			}
+		})
+	}
+}

@@ -439,3 +439,59 @@ func TestPFCWatchdogWatchWhilePaused(t *testing.T) {
 		t.Errorf("storms/pauses = %d/%d, want 1/1", wd.Storms(), wd.Pauses())
 	}
 }
+
+// Watching a port again replaces its watcher: the old one stops counting
+// and its pending storm check is cancelled, whether the port was idle or
+// paused at the second Watch.
+func TestPFCWatchdogRewatch(t *testing.T) {
+	setup := func() (*Network, *Port, *PFCWatchdog) {
+		nw := New(1)
+		rx := nw.NewHost()
+		tx := nw.NewHost()
+		p := tx.Connect(rx, 1.25e8, des.Microsecond, nil)
+		return nw, p, NewPFCWatchdog(nw.Sim, 100*des.Microsecond)
+	}
+
+	nw, p, wd := setup()
+	wd.Watch(p)
+	wd.Watch(p) // idle
+	nw.Sim.At(des.Time(10*des.Microsecond), func() { p.pause() })
+	nw.Sim.RunUntil(des.Time(500 * des.Microsecond))
+	if got, want := wd.PausedTotal(), 490*des.Microsecond; got != want {
+		t.Errorf("idle re-watch: paused total %v, want %v", got, want)
+	}
+	if wd.Pauses() != 1 || wd.Storms() != 1 {
+		t.Errorf("idle re-watch: pauses/storms = %d/%d, want 1/1", wd.Pauses(), wd.Storms())
+	}
+
+	nw, p, wd = setup()
+	wd.Watch(p)
+	nw.Sim.At(des.Time(10*des.Microsecond), func() { p.pause() })
+	nw.Sim.At(des.Time(50*des.Microsecond), func() { wd.Watch(p) }) // paused
+	nw.Sim.At(des.Time(500*des.Microsecond), func() { p.unpause() })
+	nw.Sim.Run()
+	wd.Finish()
+	if wd.Pauses() != 1 || wd.Storms() != 1 {
+		t.Errorf("paused re-watch: pauses/storms = %d/%d, want 1/1", wd.Pauses(), wd.Storms())
+	}
+	ev := wd.Events()
+	if len(ev) != 1 || ev[0].OpenAtFinish ||
+		ev[0].Start != des.Time(50*des.Microsecond) || ev[0].Duration != 450*des.Microsecond {
+		t.Errorf("paused re-watch: storm records %+v, want one closed 450µs storm from 50µs", ev)
+	}
+	if got, want := wd.PausedTotal(), 450*des.Microsecond; got != want {
+		t.Errorf("paused re-watch: paused total %v, want %v", got, want)
+	}
+
+	// Mid-storm: the dropped watcher's open storm is no longer counted.
+	nw, p, wd = setup()
+	wd.Watch(p)
+	nw.Sim.At(des.Time(10*des.Microsecond), func() { p.pause() })
+	nw.Sim.At(des.Time(200*des.Microsecond), func() { wd.Watch(p) })
+	nw.Sim.At(des.Time(500*des.Microsecond), func() { p.unpause() })
+	nw.Sim.Run()
+	wd.Finish()
+	if ev := wd.Events(); wd.Storms() != 1 || len(ev) != 1 || ev[0].Start != des.Time(200*des.Microsecond) {
+		t.Errorf("mid-storm re-watch: storms %d, records %+v, want one storm from 200µs", wd.Storms(), ev)
+	}
+}

@@ -59,11 +59,27 @@ func NewPFCWatchdog(sim *des.Simulator, threshold des.Duration) *PFCWatchdog {
 
 // Watch registers a port. A port already paused at registration is treated
 // as pausing now. Watching the same port twice replaces the previous
-// watcher.
+// watcher: its counts, open storm and pending storm check are dropped, and
+// the port's record restarts as if first watched now.
 func (wd *PFCWatchdog) Watch(p *Port) {
 	w := &watchedPort{wd: wd, p: p}
+	if old := p.watch; old != nil && old.wd == wd {
+		old.check.Cancel()
+		if old.stormOpen {
+			wd.mu.Lock()
+			wd.storms--
+			wd.mu.Unlock()
+		}
+		for i, o := range wd.ports {
+			if o == old {
+				wd.ports[i] = w
+				break
+			}
+		}
+	} else {
+		wd.ports = append(wd.ports, w)
+	}
 	p.watch = w
-	wd.ports = append(wd.ports, w)
 	if p.paused {
 		w.onPause()
 	}
