@@ -51,6 +51,8 @@ bench:
 # AllocsPerRun guards that pin the steady-state paths at 0 allocs/op —
 # both with observability off (the hooks must be free) and with a full
 # observer attached (counters, tracer, checker must not allocate either).
+# BenchmarkPortChain prices the observer per packet in three
+# sub-benchmarks: detached, metrics (registry only) and full (obs.Full()).
 # BenchmarkHold drives the event queue alone at two fixed depths.
 # The analysis layers ride along: both phase-margin loops, the DCQCN fluid
 # right-hand side, and the allocation-free loop-gain evaluation.

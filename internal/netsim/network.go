@@ -144,6 +144,9 @@ type Port struct {
 	// qdH is the port's bound per-hop queueing-delay histogram; nil when
 	// no observer (or no histogram set) is attached.
 	qdH *obs.Hist
+	// chk is the port's bound invariant-checker book; nil when no
+	// observer (or no checker) is attached.
+	chk *obs.PortBook
 
 	// Control-loop audit state (see obs_netsim.go). aud is non-nil only
 	// when an audit trail is attached AND this port has a marking policy.
@@ -309,6 +312,9 @@ func (p *Port) pause() {
 		if p.ctr != nil {
 			p.ctr.Pauses.Inc()
 		}
+		if p.chk != nil {
+			p.chk.PFC(p.net.Sim.Now(), true)
+		}
 		p.obsEvent(obs.Pause, nil)
 	}
 }
@@ -322,6 +328,9 @@ func (p *Port) unpause() {
 		if p.net.obs != nil {
 			if p.ctr != nil {
 				p.ctr.Resumes.Inc()
+			}
+			if p.chk != nil {
+				p.chk.PFC(p.net.Sim.Now(), false)
 			}
 			p.obsEvent(obs.Resume, nil)
 		}

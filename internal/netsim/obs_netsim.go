@@ -11,16 +11,19 @@ import (
 // fault subsystem: without an observer attached every hook site is a
 // single nil check on an already-loaded pointer, so unobserved runs are
 // bit-identical to pre-observability builds and stay allocation-free.
-// With an observer attached, ports bind their counters once (at attach
-// time) and the per-packet path only touches atomics and emits value-type
-// events — still allocation-free after warm-up.
+// With an observer attached, ports bind their counters, histograms and
+// invariant-checker book once (at attach time), and the per-packet path
+// pays only for the facilities that are there: atomics for counters, one
+// book update under the checker's lock, and a value-type trace record
+// only when a tracer is attached — still allocation-free after warm-up.
 
 // obsRunSeq numbers observed networks process-wide; see obs.Event.Run.
 var obsRunSeq atomic.Uint32
 
 // SetObserver attaches (or, with nil, detaches) the observability layer.
-// Ports already wired bind their counters immediately; ports created
-// later bind as they are created. Attach before running: counters only
+// Ports already wired bind their counters and checker books immediately;
+// ports created later bind as they are created. Set the observer's
+// facilities before attaching, and attach before running: counters only
 // accumulate from the moment they are bound. Each attach stamps the
 // network with a fresh run tag (obs.Event.Run), so a shared checker keeps
 // this network's invariant books apart from every other observed run's.
@@ -49,13 +52,15 @@ const (
 	obsDequeue = obs.Dequeue
 )
 
-// bindObs registers the port's counter set with the observer's registry
-// and its queueing-delay histogram with the observer's HistSet. Called
-// when the port is created or when an observer is attached.
+// bindObs registers the port's counter set with the observer's registry,
+// its queueing-delay histogram with the observer's HistSet and its book
+// with the observer's checker. Called when the port is created or when an
+// observer is attached.
 func (p *Port) bindObs() {
 	o := p.net.obs
 	p.ctr = nil
 	p.qdH = nil
+	p.chk = nil
 	p.aud = nil
 	p.crossH = nil
 	p.epCross = false
@@ -67,6 +72,9 @@ func (p *Port) bindObs() {
 		p.ctr = o.Metrics.PortCounters(PortName(p.owner.ID(), p.peer.ID()))
 	}
 	p.qdH = o.Hist(PortName(p.owner.ID(), p.peer.ID()) + ".qdelay_s")
+	if o.Check != nil {
+		p.chk = o.Check.Port(p.net.obsRun, int32(p.owner.ID()), int32(p.peer.ID()))
+	}
 	// The control-loop audit only tracks mark episodes on ports that can
 	// mark; host NICs and unmarked fabric links keep a nil trail and skip
 	// the episode hook with one check.
@@ -80,9 +88,14 @@ func (p *Port) bindObs() {
 	}
 }
 
-// obsEvent fills the port-invariant fields of a trace record and routes it
-// through the observer. The caller has already checked p.net.obs != nil.
+// obsEvent fills the port-invariant fields of a trace record and hands it
+// to the tracer; without one it builds nothing. The caller has already
+// checked p.net.obs != nil.
 func (p *Port) obsEvent(typ obs.EventType, pkt *Packet) {
+	tr := p.net.obs.Trace
+	if tr == nil {
+		return
+	}
 	e := obs.Event{
 		T:    p.net.Sim.Now(),
 		Type: typ,
@@ -101,12 +114,17 @@ func (p *Port) obsEvent(typ obs.EventType, pkt *Packet) {
 	e.QLen = int32(p.queue.Len())
 	e.QBytes = int64(p.queue.Bytes())
 	e.QCap = int64(p.queue.CapBytes())
-	p.net.obs.Emit(e)
+	tr.Emit(e)
 }
 
-// obsQueue reports queue events from Push/Pop: the enqueue/dequeue record
-// plus a Mark record when the marking policy set CE during the operation.
+// obsQueue reports queue events from Push/Pop: the book update, the
+// enqueue/dequeue record, plus a Mark record when the marking policy set
+// CE during the operation.
 func (p *Port) obsQueue(typ obs.EventType, pkt *Packet, ceBefore bool) {
+	if p.chk != nil {
+		p.chk.Queue(p.net.Sim.Now(), typ == obsEnqueue, int32(pkt.Size),
+			int32(p.queue.Len()), int64(p.queue.Bytes()), int64(p.queue.CapBytes()))
+	}
 	p.obsEvent(typ, pkt)
 	fresh := !ceBefore && pkt.CE
 	if fresh {
@@ -189,13 +207,15 @@ func (p *Port) obsWireDrop(pkt *Packet) {
 	p.obsEvent(obs.WireDrop, pkt)
 }
 
-// obsDeliver records a packet landing at its destination host.
+// obsDeliver traces a packet landing at its destination host; the checker
+// ignores deliveries, so without a tracer it does nothing. The caller has
+// already checked h.net.obs != nil.
 func (h *Host) obsDeliver(pkt *Packet) {
-	o := h.net.obs
-	if o == nil {
+	tr := h.net.obs.Trace
+	if tr == nil {
 		return
 	}
-	o.Emit(obs.Event{
+	tr.Emit(obs.Event{
 		T:    h.net.Sim.Now(),
 		Type: obs.Deliver,
 		Kind: uint8(pkt.Kind),

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ecndelay/internal/des"
@@ -357,6 +359,79 @@ func TestObservedHotPathAllocFree(t *testing.T) {
 	o.Check.Finish(nw.Sim.Now())
 	if err := o.Check.Err(); err != nil {
 		t.Errorf("invariants violated: %v", err)
+	}
+}
+
+// A checker attached without a tracer still sees every queue and PFC
+// action, through the books the ports bind: a queue byte count corrupted
+// mid-run and a forced second pause are both caught, whether the observer
+// is attached before the topology is built or after it.
+func TestObsCheckerOnlyBoundPath(t *testing.T) {
+	run := func(late, corrupt bool) (*obs.Checker, *Star) {
+		nw := New(5)
+		o := &obs.NetObserver{Check: obs.NewChecker()}
+		if !late {
+			nw.SetObserver(o)
+		}
+		star := NewStar(nw, StarConfig{
+			Senders: 2,
+			Link:    LinkConfig{Bandwidth: 1.25e8, PropDelay: des.Microsecond},
+		})
+		if late {
+			nw.SetObserver(o)
+		}
+		star.Receiver.Transport = TransportFunc(func(h *Host, pkt *Packet) {})
+		for i := 0; i < 100; i++ {
+			for _, s := range star.Senders {
+				pkt := nw.NewPacket()
+				pkt.Dst = star.Receiver.ID()
+				pkt.Size = DataMTU
+				pkt.Kind = Data
+				s.Send(pkt)
+			}
+		}
+		if corrupt {
+			nw.Sim.At(des.Time(50*des.Microsecond), func() { star.Bottleneck.queue.bytes += 100 })
+			p := star.Senders[0].Port()
+			nw.Sim.At(des.Time(100*des.Microsecond), func() {
+				p.pause()
+				p.paused = false // forget the pause, so the next one is a transition
+				p.pause()
+			})
+			nw.Sim.At(des.Time(200*des.Microsecond), func() { p.unpause() })
+		}
+		nw.Sim.Run()
+		o.Check.Finish(nw.Sim.Now())
+		return o.Check, star
+	}
+	for _, tc := range []struct {
+		name string
+		late bool
+	}{{"attach-first", false}, {"late-attach", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if c, _ := run(tc.late, false); c.Total() != 0 {
+				t.Fatalf("clean run raised %v", c.Violations())
+			}
+			c, star := run(tc.late, true)
+			if c.Count(obs.InvConservation) == 0 {
+				t.Fatalf("corrupted queue bytes not reported: %v", c.Violations())
+			}
+			bn := fmt.Sprintf("port %d->%d ", star.Switch.ID(), star.Receiver.ID())
+			for _, v := range c.Violations() {
+				if v.Invariant == obs.InvConservation && !strings.Contains(v.Detail, bn) {
+					t.Errorf("conservation violation on the wrong port: %v", v)
+				}
+			}
+			var pairing []obs.Violation
+			for _, v := range c.Violations() {
+				if v.Invariant == obs.InvPFCPairing {
+					pairing = append(pairing, v)
+				}
+			}
+			if len(pairing) != 1 || !strings.Contains(pairing[0].Detail, "paused twice") {
+				t.Errorf("forced second pause: pairing violations %v, want one double pause", pairing)
+			}
+		})
 	}
 }
 

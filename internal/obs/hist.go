@@ -11,11 +11,15 @@ import (
 )
 
 // Streaming latency histograms. Hist is a log-bucketed (HDR-style)
-// fixed-size histogram: every power-of-two octave is split into HistSub
-// linear sub-buckets, so any recorded value lands in a bucket whose width
-// is at most 1/HistSub of its magnitude. Recording is a handful of atomic
-// operations on preallocated arrays — zero steady-state allocations, safe
-// for concurrent writers (sweep workers sharing one instance) and for
+// histogram over a fixed octave range: every power-of-two octave is split
+// into HistSub linear sub-buckets, so any recorded value lands in a bucket
+// whose width is at most 1/HistSub of its magnitude. Buckets are paged by
+// octave: a page of HistSub counters is allocated the first time a value
+// lands in its octave, so a histogram costs what its values span (a
+// per-hop delay histogram touches a handful of octaves; one that never
+// records holds no page at all). Recording is a handful of atomic
+// operations, allocation-free once its octave's page exists, and safe for
+// concurrent writers (sweep workers sharing one instance) and for
 // concurrent readers (the telemetry server snapshotting mid-run).
 //
 // Two instances are mergeable: bucket counts, totals and min/max all
@@ -35,11 +39,13 @@ const HistSub = 32
 // bucketed at full resolution — for seconds that spans ~1e-12 s to
 // ~1.7e13 s, for byte counts 1e-12 B to 17 TB. Values at or below zero
 // (and positive underflow) land in the dedicated bucket 0; overflow
-// clamps into the top bucket. Min/Max stay exact either way.
+// clamps into the top bucket. Min/Max stay exact either way. Bucket i >= 1
+// lives in page (i-1)/HistSub, slot (i-1)%HistSub.
 const (
 	histMinExp  = -40
 	histMaxExp  = 44
-	histBuckets = (histMaxExp - histMinExp) * HistSub
+	histOctaves = histMaxExp - histMinExp
+	histBuckets = histOctaves * HistSub
 )
 
 // HistQuantiles is the canonical percentile set every export carries.
@@ -48,15 +54,21 @@ var HistQuantiles = [...]float64{0.50, 0.90, 0.95, 0.99, 0.999}
 // histQuantileLabels matches HistQuantiles in the export schemas.
 var histQuantileLabels = [...]string{"p50", "p90", "p95", "p99", "p999"}
 
+// histPage holds the bucket counts of one octave.
+type histPage [HistSub]atomic.Int64
+
 // Hist is one streaming histogram. Create with NewHist or through a
 // HistSet; the zero value is not usable (min/max need seeding).
 type Hist struct {
-	name    string
-	count   atomic.Int64
-	sum     atomic.Uint64 // float64 bits
-	min     atomic.Uint64 // float64 bits, +Inf when empty
-	max     atomic.Uint64 // float64 bits, -Inf when empty
-	buckets [histBuckets + 1]atomic.Int64
+	name  string
+	count atomic.Int64
+	sum   atomic.Uint64 // float64 bits
+	min   atomic.Uint64 // float64 bits, +Inf when empty
+	max   atomic.Uint64 // float64 bits, -Inf when empty
+	zero  atomic.Int64  // bucket 0: zero, negative and underflowing values
+	// pages holds one octave each, allocated by CAS on its first value;
+	// a missing page reads as zeros.
+	pages [histOctaves]atomic.Pointer[histPage]
 }
 
 // NewHist returns an empty histogram.
@@ -152,13 +164,51 @@ func atomicMaxFloat(u *atomic.Uint64, v float64) {
 	}
 }
 
-// Record adds one observation. It never allocates and is safe for
-// concurrent use.
-func (h *Hist) Record(v float64) {
-	if math.IsNaN(v) {
+// bucket returns the counter of bucket idx, allocating its octave's page
+// if no value has landed there yet.
+func (h *Hist) bucket(idx int) *atomic.Int64 {
+	if idx == 0 {
+		return &h.zero
+	}
+	slot := &h.pages[(idx-1)/HistSub]
+	pg := slot.Load()
+	if pg == nil {
+		pg = new(histPage)
+		if !slot.CompareAndSwap(nil, pg) {
+			pg = slot.Load()
+		}
+	}
+	return &pg[(idx-1)%HistSub]
+}
+
+// scan calls fn with the index and count of every non-empty bucket, in
+// index order, until fn returns false. Missing pages read as zeros.
+func (h *Hist) scan(fn func(idx int, count int64) bool) {
+	if c := h.zero.Load(); c != 0 && !fn(0, c) {
 		return
 	}
-	h.buckets[histBucketIndex(v)].Add(1)
+	for o := range h.pages {
+		pg := h.pages[o].Load()
+		if pg == nil {
+			continue
+		}
+		for s := range pg {
+			if c := pg[s].Load(); c != 0 && !fn(1+o*HistSub+s, c) {
+				return
+			}
+		}
+	}
+}
+
+// Record adds one observation. Non-finite values (NaN, ±Inf) carry no
+// latency and are ignored. It allocates only the first time a value lands
+// in an octave (one page of HistSub counters) and is safe for concurrent
+// use.
+func (h *Hist) Record(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return
+	}
+	h.bucket(histBucketIndex(v)).Add(1)
 	h.count.Add(1)
 	atomicAddFloat(&h.sum, v)
 	atomicMinFloat(&h.min, v)
@@ -212,35 +262,36 @@ func (h *Hist) Quantile(q float64) float64 {
 		return h.Max() // p100 is the exact maximum
 	}
 	var cum int64
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		if c == 0 {
-			continue
-		}
+	at := -1
+	h.scan(func(idx int, c int64) bool {
 		cum += c
-		if cum >= rank {
-			v := histBucketMid(i)
-			if min := h.Min(); v < min {
-				v = min
-			}
-			if max := h.Max(); v > max {
-				v = max
-			}
-			return v
+		if cum < rank {
+			return true
 		}
+		at = idx
+		return false
+	})
+	if at < 0 {
+		return h.Max()
 	}
-	return h.Max()
+	v := histBucketMid(at)
+	if min := h.Min(); v < min {
+		v = min
+	}
+	if max := h.Max(); v > max {
+		v = max
+	}
+	return v
 }
 
 // Merge folds other's observations into h. Bucket counts, counts and
 // min/max commute, so any merge order (and any worker sharding) yields
 // identical quantiles.
 func (h *Hist) Merge(other *Hist) {
-	for i := range h.buckets {
-		if c := other.buckets[i].Load(); c != 0 {
-			h.buckets[i].Add(c)
-		}
-	}
+	other.scan(func(idx int, c int64) bool {
+		h.bucket(idx).Add(c)
+		return true
+	})
 	n := other.count.Load()
 	if n == 0 {
 		return
@@ -255,11 +306,10 @@ func (h *Hist) Merge(other *Hist) {
 // non-empty bucket, in increasing bound order (the shape Prometheus
 // histogram exposition wants).
 func (h *Hist) ForEachBucket(fn func(upper float64, count int64)) {
-	for i := range h.buckets {
-		if c := h.buckets[i].Load(); c != 0 {
-			fn(histBucketUpper(i), c)
-		}
-	}
+	h.scan(func(idx int, c int64) bool {
+		fn(histBucketUpper(idx), c)
+		return true
+	})
 }
 
 // HistSummary is one histogram's canonical export row.

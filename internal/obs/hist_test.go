@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sort"
@@ -109,6 +110,25 @@ func TestHistEdgeCases(t *testing.T) {
 	h2.Record(math.NaN()) // ignored
 	if h2.Count() != 2 {
 		t.Fatalf("NaN must be ignored, count=%d", h2.Count())
+	}
+	// Infinities are ignored like NaN: +Inf used to index far outside the
+	// buckets, and -Inf left a Min that JSON cannot carry.
+	hs := NewHistSet()
+	h3 := hs.Hist("inf")
+	h3.Record(math.Inf(1))
+	h3.Record(math.Inf(-1))
+	h3.Record(2e-6)
+	if h3.Count() != 1 || h3.Min() != 2e-6 || h3.Max() != 2e-6 || h3.Sum() != 2e-6 {
+		t.Fatalf("after ±Inf, 2e-6: count=%d min=%g max=%g sum=%g",
+			h3.Count(), h3.Min(), h3.Max(), h3.Sum())
+	}
+	var out strings.Builder
+	if err := hs.WriteJSONL(&out); err != nil {
+		t.Fatal(err)
+	}
+	var row map[string]any
+	if err := json.Unmarshal([]byte(out.String()), &row); err != nil {
+		t.Fatalf("export is not JSON: %v\n%s", err, out.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"ecndelay/internal/des"
@@ -57,13 +58,31 @@ type portKey struct {
 	node, peer int32
 }
 
-type portState struct {
+func (k portKey) less(o portKey) bool {
+	if k.run != o.run {
+		return k.run < o.run
+	}
+	if k.node != o.node {
+		return k.node < o.node
+	}
+	return k.peer < o.peer
+}
+
+// PortBook is one directed port's books inside a Checker: the running
+// byte totals and occupancy behind conservation and queue bounds, and the
+// PFC state behind pause/resume pairing. A simulator resolves each port's
+// book once (Checker.Port) and reports every queue and PFC action through
+// it, with no event record and no lookup; Feed reaches the same books by
+// key and runs the same methods. Every update takes the owning checker's
+// mutex, because Finish audits every book, other runs' included.
+type PortBook struct {
+	c        *Checker
+	key      portKey
 	enqBytes int64
 	deqBytes int64
 	qBytes   int64
 	qLen     int32
 	paused   bool
-	sawPFC   bool
 	// closureFlagged makes the end-of-run closure check idempotent: a
 	// shared checker sees one Finish per run, each auditing every port
 	// recorded so far, and a broken port must count once, not once per
@@ -71,26 +90,26 @@ type portState struct {
 	closureFlagged bool
 }
 
-// Checker consumes the trace event stream and verifies the runtime
-// invariants. It keeps independent state per port — keyed by the network
-// instance (Event.Run) plus the owner/peer node pair — so one checker
-// covers a whole topology, and one shared checker covers many networks:
-// concurrent sweep jobs and successive runs inside one job all carry
-// distinct run tags, so their identically-numbered ports never share
-// books. Feed is public so tests can push synthetic event streams at
-// broken fixtures; real runs feed it through NetObserver.Emit. All methods
-// are safe for concurrent use; per-port map entries are created on first
-// touch, so steady-state checking allocates nothing.
+// Checker verifies the runtime invariants. It keeps one PortBook per
+// port — keyed by the network instance (Event.Run) plus the owner/peer
+// node pair — so one checker covers a whole topology, and one shared
+// checker covers many networks: concurrent sweep jobs and successive runs
+// inside one job all carry distinct run tags, so their identically-
+// numbered ports never share books. Real runs bind each port to its book
+// once and report through it; Feed takes synthetic event streams (tests,
+// broken fixtures) and the portless double-free record. All methods are
+// safe for concurrent use, and a book is created once per port, so
+// steady-state checking allocates nothing.
 type Checker struct {
 	mu         sync.Mutex
-	ports      map[portKey]*portState
+	ports      map[portKey]*PortBook
 	counts     [numInvariants]int64
 	violations []Violation
 }
 
 // NewChecker returns a checker with no recorded state.
 func NewChecker() *Checker {
-	return &Checker{ports: make(map[portKey]*portState)}
+	return &Checker{ports: make(map[portKey]*PortBook)}
 }
 
 func (c *Checker) violate(t des.Time, inv Invariant, format string, args ...any) {
@@ -104,101 +123,137 @@ func (c *Checker) violate(t des.Time, inv Invariant, format string, args ...any)
 	}
 }
 
-func (c *Checker) port(e Event) *portState {
-	k := portKey{run: e.Run, node: e.Node, peer: e.Peer}
-	ps, ok := c.ports[k]
-	if !ok {
-		ps = &portState{}
-		c.ports[k] = ps
-	}
-	return ps
+// Port returns the book of the directed port node->peer in network run
+// (see Event.Run), creating it on first use. Books are never removed, so
+// a port may keep the pointer for the checker's lifetime.
+func (c *Checker) Port(run uint32, node, peer int32) *PortBook {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.port(portKey{run: run, node: node, peer: peer})
 }
 
-// Feed runs one event through every invariant.
+// port is Port with c.mu held.
+func (c *Checker) port(k portKey) *PortBook {
+	b, ok := c.ports[k]
+	if !ok {
+		b = &PortBook{c: c, key: k}
+		c.ports[k] = b
+	}
+	return b
+}
+
+// Feed runs one event through every invariant: queue and PFC records
+// through their port's book, a double free straight to a violation.
 func (c *Checker) Feed(e Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch e.Type {
-	case Enqueue:
-		ps := c.port(e)
-		ps.enqBytes += int64(e.Size)
-		ps.qBytes += int64(e.Size)
-		ps.qLen++
-		c.checkQueue(e, ps)
-	case Dequeue:
-		ps := c.port(e)
-		ps.deqBytes += int64(e.Size)
-		ps.qBytes -= int64(e.Size)
-		ps.qLen--
-		c.checkQueue(e, ps)
-	case Pause:
-		ps := c.port(e)
-		if ps.sawPFC && ps.paused {
-			c.violate(e.T, InvPFCPairing,
-				"port %d->%d paused twice without an intervening resume", e.Node, e.Peer)
-		}
-		ps.paused = true
-		ps.sawPFC = true
-	case Resume:
-		ps := c.port(e)
-		if !ps.sawPFC || !ps.paused {
-			c.violate(e.T, InvPFCPairing,
-				"port %d->%d resumed while not paused", e.Node, e.Peer)
-		}
-		ps.paused = false
-		ps.sawPFC = true
+	case Enqueue, Dequeue:
+		c.port(portKey{run: e.Run, node: e.Node, peer: e.Peer}).
+			queue(e.T, e.Type == Enqueue, e.Size, e.QLen, e.QBytes, e.QCap)
+	case Pause, Resume:
+		c.port(portKey{run: e.Run, node: e.Node, peer: e.Peer}).pfc(e.T, e.Type == Pause)
 	case DoubleFree:
 		c.violate(e.T, InvDoubleFree,
 			"packet %d (kind %s, flow %d) freed twice", e.Pkt, KindName(e.Kind), e.Flow)
 	}
 }
 
-// checkQueue verifies bounds and running conservation against the queue's
-// self-reported occupancy after the event. Called with c.mu held.
-func (c *Checker) checkQueue(e Event, ps *portState) {
-	if e.QLen < 0 || e.QBytes < 0 {
-		c.violate(e.T, InvQueueBounds,
-			"port %d->%d queue went negative: len=%d bytes=%d", e.Node, e.Peer, e.QLen, e.QBytes)
+// Queue records one enqueue (enq) or dequeue of size bytes at t, then
+// checks bounds and running conservation against the queue's own report
+// after it: qLen packets and qBytes bytes held, qCap the capacity (0:
+// unbounded).
+func (b *PortBook) Queue(t des.Time, enq bool, size, qLen int32, qBytes, qCap int64) {
+	// Unlocked without defer: this runs on every enqueue and dequeue,
+	// and a deferred unlock made BenchmarkPortChain/full about 6% slower.
+	b.c.mu.Lock()
+	b.queue(t, enq, size, qLen, qBytes, qCap)
+	b.c.mu.Unlock()
+}
+
+// PFC records a genuine pause (true) or resume (false) transition at t
+// and checks that pauses and resumes alternate.
+func (b *PortBook) PFC(t des.Time, pause bool) {
+	b.c.mu.Lock()
+	defer b.c.mu.Unlock()
+	b.pfc(t, pause)
+}
+
+// queue is Queue with the checker's mutex held.
+func (b *PortBook) queue(t des.Time, enq bool, size, qLen int32, qBytes, qCap int64) {
+	c, k := b.c, b.key
+	if enq {
+		b.enqBytes += int64(size)
+		b.qBytes += int64(size)
+		b.qLen++
+	} else {
+		b.deqBytes += int64(size)
+		b.qBytes -= int64(size)
+		b.qLen--
 	}
-	if e.QLen == 0 && e.QBytes != 0 {
-		c.violate(e.T, InvQueueBounds,
-			"port %d->%d empty queue holds %d bytes", e.Node, e.Peer, e.QBytes)
+	if qLen < 0 || qBytes < 0 {
+		c.violate(t, InvQueueBounds,
+			"port %d->%d queue went negative: len=%d bytes=%d", k.node, k.peer, qLen, qBytes)
+	}
+	if qLen == 0 && qBytes != 0 {
+		c.violate(t, InvQueueBounds,
+			"port %d->%d empty queue holds %d bytes", k.node, k.peer, qBytes)
 	}
 	// The admit rule lets the packet that crosses the threshold in: a
 	// finite queue may stand above capacity only while that single
 	// over-cap packet is its tail.
-	if e.QCap > 0 && e.QBytes > e.QCap && e.QLen > 1 {
-		c.violate(e.T, InvQueueBounds,
+	if qCap > 0 && qBytes > qCap && qLen > 1 {
+		c.violate(t, InvQueueBounds,
 			"port %d->%d queue %d bytes exceeds capacity %d with %d packets",
-			e.Node, e.Peer, e.QBytes, e.QCap, e.QLen)
+			k.node, k.peer, qBytes, qCap, qLen)
 	}
-	if ps.qBytes != e.QBytes || ps.qLen != e.QLen {
-		c.violate(e.T, InvConservation,
+	if b.qBytes != qBytes || b.qLen != qLen {
+		c.violate(t, InvConservation,
 			"port %d->%d books say len=%d bytes=%d but queue reports len=%d bytes=%d (enq=%d deq=%d)",
-			e.Node, e.Peer, ps.qLen, ps.qBytes, e.QLen, e.QBytes, ps.enqBytes, ps.deqBytes)
+			k.node, k.peer, b.qLen, b.qBytes, qLen, qBytes, b.enqBytes, b.deqBytes)
 		// Resynchronise the occupancy books so one divergence is one
 		// violation, not a storm — but leave the cumulative enq/deq
 		// totals truthful, so the end-of-run closure check in Finish
 		// still sees the imbalance.
-		ps.qBytes = e.QBytes
-		ps.qLen = e.QLen
+		b.qBytes = qBytes
+		b.qLen = qLen
 	}
+}
+
+// pfc is PFC with the checker's mutex held.
+func (b *PortBook) pfc(t des.Time, pause bool) {
+	switch {
+	case pause && b.paused:
+		b.c.violate(t, InvPFCPairing,
+			"port %d->%d paused twice without an intervening resume", b.key.node, b.key.peer)
+	case !pause && !b.paused:
+		b.c.violate(t, InvPFCPairing,
+			"port %d->%d resumed while not paused", b.key.node, b.key.peer)
+	}
+	b.paused = pause
 }
 
 // Finish runs the end-of-run closure check: for every queue, enqueued
 // bytes must equal dequeued bytes plus bytes still queued. Call it after
 // the simulation completes; it may be called more than once (on a shared
 // checker, once per run) — each broken port is flagged exactly once.
+// Broken ports are reported in (run, node, peer) order, so the violation
+// list is the same on every rerun.
 func (c *Checker) Finish(now des.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, ps := range c.ports {
-		if !ps.closureFlagged && ps.enqBytes != ps.deqBytes+ps.qBytes {
-			ps.closureFlagged = true
-			c.violate(now, InvConservation,
-				"port %d->%d (run %d) conservation broken at end of run: enq=%d deq=%d queued=%d",
-				k.node, k.peer, k.run, ps.enqBytes, ps.deqBytes, ps.qBytes)
+	var broken []*PortBook
+	for _, b := range c.ports {
+		if !b.closureFlagged && b.enqBytes != b.deqBytes+b.qBytes {
+			broken = append(broken, b)
 		}
+	}
+	sort.Slice(broken, func(i, j int) bool { return broken[i].key.less(broken[j].key) })
+	for _, b := range broken {
+		b.closureFlagged = true
+		c.violate(now, InvConservation,
+			"port %d->%d (run %d) conservation broken at end of run: enq=%d deq=%d queued=%d",
+			b.key.node, b.key.peer, b.key.run, b.enqBytes, b.deqBytes, b.qBytes)
 	}
 }
 

@@ -185,6 +185,109 @@ func TestCheckerFinishIdempotentPerPort(t *testing.T) {
 	}
 }
 
+// brokenPorts feeds four ports that each lose bytes, spread over two
+// runs, in an order unrelated to their keys.
+func brokenPorts(c *Checker) {
+	for _, k := range []portKey{{2, 5, 1}, {1, 3, 0}, {2, 0, 4}, {1, 3, 2}} {
+		ev := func(typ EventType, size, qLen int32, qBytes int64) Event {
+			return Event{Run: k.run, Type: typ, Node: k.node, Peer: k.peer,
+				Size: size, QLen: qLen, QBytes: qBytes}
+		}
+		c.Feed(ev(Enqueue, 1000, 1, 1000))
+		c.Feed(ev(Dequeue, 600, 0, 0)) // 400 bytes vanish
+	}
+}
+
+// The end-of-run closure violations come out in (run, node, peer) order,
+// so the list -invariants prints is the same on every rerun.
+func TestCheckerFinishOrderStable(t *testing.T) {
+	var ref []Violation
+	for i := 0; i < 50; i++ {
+		c := NewChecker()
+		brokenPorts(c)
+		before := len(c.Violations())
+		c.Finish(des.Time(9))
+		got := c.Violations()[before:]
+		if len(got) != 4 {
+			t.Fatalf("checker %d: %d closure violations, want 4: %v", i, len(got), got)
+		}
+		if i == 0 {
+			ref = got
+			continue
+		}
+		for j := range got {
+			if got[j] != ref[j] {
+				t.Fatalf("checker %d: closure violation %d is %q, first checker had %q",
+					i, j, got[j], ref[j])
+			}
+		}
+	}
+	want := []string{"port 3->0 (run 1)", "port 3->2 (run 1)", "port 0->4 (run 2)", "port 5->1 (run 2)"}
+	for j, w := range want {
+		if !strings.Contains(ref[j].Detail, w) {
+			t.Errorf("closure violation %d = %q, want %s", j, ref[j].Detail, w)
+		}
+	}
+}
+
+// A port's book reached through Port and one reached through Feed run the
+// same invariants: every broken stream yields the same violations, and
+// the same closure verdict at Finish, either way.
+func TestCheckerPortMatchesFeed(t *testing.T) {
+	q := func(run uint32, typ EventType, size, qLen int32, qBytes, qCap int64) Event {
+		return Event{T: des.Time(qBytes), Run: run, Type: typ, Node: 4, Peer: 7,
+			Size: size, QLen: qLen, QBytes: qBytes, QCap: qCap}
+	}
+	pfc := func(run uint32, typ EventType) Event {
+		return Event{T: 3, Run: run, Type: typ, Node: 4, Peer: 7}
+	}
+	streams := []struct {
+		name string
+		evs  []Event
+	}{
+		{"clean", []Event{q(1, Enqueue, 1000, 1, 1000, 0), q(1, Dequeue, 1000, 0, 0, 0),
+			pfc(1, Pause), pfc(1, Resume)}},
+		{"divergence", []Event{q(1, Enqueue, 1000, 1, 1000, 0), q(1, Enqueue, 1000, 2, 1900, 0),
+			q(1, Dequeue, 1000, 1, 900, 0)}},
+		{"closure", []Event{q(1, Enqueue, 1000, 1, 1000, 0), q(1, Dequeue, 600, 0, 0, 0)}},
+		{"negative", []Event{q(1, Dequeue, 100, -1, -100, 0)}},
+		{"empty-with-bytes", []Event{q(1, Enqueue, 100, 0, 100, 0)}},
+		{"over-capacity", []Event{q(1, Enqueue, 1500, 1, 1500, 1000), q(1, Enqueue, 1500, 2, 3000, 1000)}},
+		{"double-pause", []Event{pfc(1, Pause), pfc(1, Pause)}},
+		{"orphan-resume", []Event{pfc(1, Resume), pfc(1, Pause), pfc(1, Resume), pfc(1, Resume)}},
+		{"runs-apart", []Event{q(1, Enqueue, 700, 1, 700, 0), q(2, Enqueue, 500, 1, 500, 0),
+			pfc(1, Pause), pfc(2, Pause), q(2, Enqueue, 500, 1, 500, 0), q(1, Dequeue, 700, 0, 0, 0)}},
+	}
+	for _, st := range streams {
+		t.Run(st.name, func(t *testing.T) {
+			fed, bound := NewChecker(), NewChecker()
+			for _, e := range st.evs {
+				fed.Feed(e)
+				b := bound.Port(e.Run, e.Node, e.Peer)
+				if e.Type == Pause || e.Type == Resume {
+					b.PFC(e.T, e.Type == Pause)
+				} else {
+					b.Queue(e.T, e.Type == Enqueue, e.Size, e.QLen, e.QBytes, e.QCap)
+				}
+			}
+			fed.Finish(des.Time(99))
+			bound.Finish(des.Time(99))
+			fv, bv := fed.Violations(), bound.Violations()
+			if len(fv) != len(bv) {
+				t.Fatalf("Feed gave %d violations, Port %d:\n%v\n%v", len(fv), len(bv), fv, bv)
+			}
+			for i := range fv {
+				if fv[i] != bv[i] {
+					t.Errorf("violation %d: Feed %q, Port %q", i, fv[i], bv[i])
+				}
+			}
+			if (st.name == "clean") != (len(fv) == 0) {
+				t.Errorf("stream %s gave violations %v", st.name, fv)
+			}
+		})
+	}
+}
+
 func TestCheckerDoubleFreeFires(t *testing.T) {
 	c := NewChecker()
 	c.Feed(Event{T: des.Time(7), Type: DoubleFree, Pkt: 99, Flow: 3})

@@ -11,10 +11,14 @@
 // of internal/fault: a network without an observer attached executes
 // exactly the pre-observability code (one nil pointer check per hook site),
 // keeping fault-free, observer-free runs bit-identical and the hot path at
-// zero allocations. With an observer attached, counters are atomic adds,
-// trace records are value types encoded into reused buffers, and checker
-// state lives in maps warmed on first touch — so an observed run is also
-// allocation-free after warm-up.
+// zero allocations. With an observer attached, each facility costs only
+// what it records: counters are atomic adds; each port resolves its
+// checker book once, when the observer is attached, and updates it under
+// the checker's lock with no lookup; trace records are value types built
+// only when a tracer is attached and encoded into reused buffers; and a
+// histogram allocates one page of buckets per octave, the first time a
+// value lands in it — so an observed run is also allocation-free after
+// warm-up.
 package obs
 
 import (
@@ -33,9 +37,12 @@ type NetObserver struct {
 	// Metrics receives hierarchical counters registered by ports, hosts
 	// and protocol endpoints at attach/creation time.
 	Metrics *Registry
-	// Trace receives one Event per instrumented simulator action.
+	// Trace receives one Event per instrumented simulator action; with
+	// no tracer attached, no record is built.
 	Trace *Tracer
-	// Check feeds the same events through the runtime invariant checker.
+	// Check runs the runtime invariant checker. Ports bind their books
+	// (Checker.Port) when the observer is attached and report queue and
+	// PFC actions through them; Emit feeds it the portless records.
 	Check *Checker
 	// Probes collects auto-registered time-series probes (bottleneck
 	// queue depth and similar); experiment harnesses add their own.
@@ -87,8 +94,11 @@ func (o *NetObserver) ForJob(jobID string) *NetObserver {
 	return &jo
 }
 
-// Emit routes one event to the tracer and the invariant checker. Callers
-// guard the observer itself for nil; Emit guards its facilities.
+// Emit routes one event to the tracer and the invariant checker. The
+// simulator uses it for the rare records with no bound port book (double
+// frees, endpoint retransmits); port actions go to the checker through
+// their books. Callers guard the observer itself for nil; Emit guards its
+// facilities.
 func (o *NetObserver) Emit(e Event) {
 	if o.Trace != nil {
 		o.Trace.Emit(e)
