@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt lint test race bench bench-smoke determinism obs-ab \
-	audit-ab telemetry-smoke obsreport-gate topo-smoke cover hybrid-gate
+.PHONY: ci build vet fmt lint test race bench bench-smoke bench-check determinism \
+	obs-ab audit-ab obsreport-gate topo-smoke cover hybrid-gate
 
-ci: fmt vet lint build test race bench-smoke determinism obs-ab audit-ab \
-	telemetry-smoke obsreport-gate topo-smoke cover hybrid-gate
+ci: fmt vet lint build test race bench-smoke bench-check determinism obs-ab \
+	audit-ab obsreport-gate topo-smoke cover hybrid-gate
 
 build:
 	$(GO) build ./...
@@ -35,9 +35,9 @@ lint:
 test:
 	$(GO) test -timeout 5m ./...
 
-# Race gate over the whole module, with no exclusions: the sweep engine,
-# the shared observer and the telemetry server are the concurrent paths,
-# but every package rides along so a new data race anywhere fails CI.
+# Race gate over the whole module, with no exclusions: the sweep engine
+# and the shared observer are the concurrent paths, but every package
+# rides along so a new data race anywhere fails CI.
 # -short trims internal/fluid's numeric-integration horizons (it is
 # single-goroutine, so the detector loses nothing) to keep the whole
 # suite inside the timeout under the -race slowdown.
@@ -63,6 +63,12 @@ bench-smoke:
 		-benchmem -benchtime=1x ./internal/stability ./internal/fluid
 	$(GO) test -timeout 5m -run='AllocFree' ./internal/des ./internal/netsim ./internal/obs \
 		./internal/stability
+
+# Benchmark module gate: bench/ is a module of its own, so neither `build`
+# nor `test` compiles it. Vet and test it here, so an API change in the
+# packages it drives fails CI instead of the next benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Determinism gate: a faulty packet-level run (loss + feedback loss +
 # go-back-N recovery) executed twice must produce byte-identical output.
@@ -140,24 +146,6 @@ topo-smoke:
 	grep -q 'pause_storms=' "$$tmp/a.tsv" \
 		|| { echo "topo-smoke: watchdog reported no fault summary"; exit 1; }; \
 	echo "topo-smoke: Clos incast clean under invariants, ECMP deterministic"
-
-# Telemetry smoke gate: boot packetsim with -serve on an ephemeral port,
-# scrape /metrics and /progress mid-run, and require both to answer with
-# real content before the run is killed.
-telemetry-smoke:
-	@tmp=$$(mktemp -d); trap 'kill $$pid 2>/dev/null; rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/packetsim" ./cmd/packetsim; \
-	"$$tmp/packetsim" -proto dcqcn -n 4 -horizon 5 -seed 7 -serve 127.0.0.1:0 \
-		> /dev/null 2> "$$tmp/log" & pid=$$!; \
-	addr=""; for i in $$(seq 1 50); do \
-		addr=$$(sed -n 's|.*serving telemetry on http://||p' "$$tmp/log" | head -1); \
-		[ -n "$$addr" ] && break; sleep 0.1; done; \
-	[ -n "$$addr" ] || { echo "telemetry-smoke: server never announced its address"; cat "$$tmp/log"; exit 1; }; \
-	curl -sf "http://$$addr/metrics" | grep -q '^ecndelay_' \
-		|| { echo "telemetry-smoke: /metrics served no ecndelay_ series"; exit 1; }; \
-	curl -sf "http://$$addr/progress" | grep -q '"sim_time_s"' \
-		|| { echo "telemetry-smoke: /progress served no sim_time_s"; exit 1; }; \
-	echo "telemetry-smoke: /metrics and /progress answer mid-run"
 
 # Coverage gate, two levels. Packages whose whole job is checking other
 # code — internal/hybrid (paper-math cross-validation), internal/cli

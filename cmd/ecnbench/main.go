@@ -75,15 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Scale = exp.Full
 	}
 
-	var status *sweep.Status
-	if flags.Serve != "" {
-		status = sweep.NewStatus()
-		if err := sess.Serve(func() any { return status.Snapshot() }); err != nil {
-			fmt.Fprintf(stderr, "ecnbench: %v\n", err)
-			return 2
-		}
-	}
-
 	var selected []exp.Runner
 	if *expFlag == "all" {
 		selected = exp.Runners()
@@ -129,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress = stderr
 	}
 	if _, err := sweep.Run(sweep.Config{
-		Workers: *workers, BaseSeed: *seed, Progress: progress, Status: status,
+		Workers: *workers, BaseSeed: *seed, Progress: progress,
 	}, jobs, sink); err != nil {
 		fmt.Fprintf(stderr, "ecnbench: %v\n", err)
 		return 1

@@ -40,6 +40,15 @@ func TestBadFlagExitsNonZero(t *testing.T) {
 	if code := run([]string{"-definitely-not-a-flag"}, &out, &errOut); code != 2 {
 		t.Fatalf("bad flag exit code %d, want 2", code)
 	}
+	// A value the flag package accepts but no run can use is refused too.
+	errOut.Reset()
+	if code := run([]string{"-exp", "eq14", "-probe-every", "NaN"}, &out, &errOut); code != 2 {
+		t.Fatalf("-probe-every NaN exit code %d, want 2", code)
+	}
+	if msg := errOut.String(); !strings.HasPrefix(msg, "ecnbench: ") || strings.Count(msg, "\n") != 1 ||
+		!strings.Contains(msg, "-probe-every") {
+		t.Errorf("stderr %q, want one ecnbench: line naming -probe-every", msg)
+	}
 }
 
 func TestQuickExperimentRuns(t *testing.T) {

@@ -8,10 +8,13 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,33 +22,91 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("fluidsim: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// unused names, per model, the flags that model has no input for.
+var unused = map[string][]string{
+	"dcqcn":    {"stagger"},
+	"dcqcnpi":  {"stagger"},
+	"timely":   {"delay"},
+	"patched":  {"delay"},
+	"timelypi": {"delay", "jitter", "seed"},
+}
+
+// run is the whole command. It exits 2 on a refused flag value or
+// combination, 1 when the trajectory cannot be written, and 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fluidsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		model   = flag.String("model", "dcqcn", "dcqcn | timely | patched | dcqcnpi | timelypi")
-		n       = flag.Int("n", 2, "number of flows")
-		delay   = flag.Float64("delay", 4e-6, "DCQCN feedback delay τ* (seconds)")
-		jitter  = flag.Float64("jitter", 0, "uniform feedback jitter bound (seconds)")
-		horizon = flag.Float64("horizon", 0.1, "simulated seconds")
-		step    = flag.Float64("step", 1e-6, "integration step (seconds)")
-		sample  = flag.Float64("sample", 1e-4, "output sampling interval (seconds)")
-		rates   = flag.String("rates", "", "comma-separated initial rates (model units)")
-		stagger = flag.Float64("stagger", 0, "start time of the last flow (seconds)")
-		seed    = flag.Int64("seed", 1, "jitter seed")
+		model   = fs.String("model", "dcqcn", "dcqcn | timely | patched | dcqcnpi | timelypi")
+		n       = fs.Int("n", 2, "number of flows")
+		delay   = fs.Float64("delay", 4e-6, "DCQCN feedback delay τ* (seconds)")
+		jitter  = fs.Float64("jitter", 0, "uniform feedback jitter bound (seconds)")
+		horizon = fs.Float64("horizon", 0.1, "simulated seconds")
+		step    = fs.Float64("step", 1e-6, "integration step (seconds)")
+		sample  = fs.Float64("sample", 1e-4, "output sampling interval (seconds)")
+		rates   = fs.String("rates", "", "comma-separated initial rates (model units)")
+		stagger = fs.Float64("stagger", 0, "start time of the last flow (seconds)")
+		seed    = fs.Int64("seed", 1, "jitter seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "fluidsim: "+format+"\n", a...)
+		return code
+	}
+
+	// Refuse every bad value and combination before integrating, so a
+	// mistyped flag ends in one line naming it rather than a panic or a
+	// silently ignored value.
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch {
+	case fs.NArg() > 0:
+		return fail(2, "unexpected argument %q", fs.Arg(0))
+	case *n < 1:
+		return fail(2, "-n must be >= 1, got %d", *n)
+	case !finite(*step) || *step <= 0:
+		return fail(2, "-step must be finite and positive, got %g", *step)
+	case !finite(*sample) || *sample <= 0:
+		return fail(2, "-sample must be finite and positive, got %g", *sample)
+	case !finite(*horizon) || *horizon <= 0:
+		return fail(2, "-horizon must be finite and positive, got %g", *horizon)
+	case !finite(*jitter) || *jitter < 0:
+		return fail(2, "-jitter must be finite and >= 0, got %g", *jitter)
+	case !finite(*stagger) || *stagger < 0:
+		return fail(2, "-stagger must be finite and >= 0, got %g", *stagger)
+	}
+	skip, ok := unused[*model]
+	if !ok {
+		return fail(2, "unknown -model %q", *model)
+	}
+	refused := ""
+	fs.Visit(func(f *flag.Flag) {
+		if refused == "" && slices.Contains(skip, f.Name) {
+			refused = f.Name
+		}
+	})
+	if refused != "" {
+		return fail(2, "-%s does not apply to -model %s", refused, *model)
+	}
 
 	var initial []float64
 	if *rates != "" {
 		for _, f := range strings.Split(*rates, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
-				log.Fatalf("bad -rates: %v", err)
+				return fail(2, "bad -rates: %v", err)
 			}
 			initial = append(initial, v)
 		}
 		if len(initial) != *n {
-			log.Fatalf("-rates has %d entries, -n is %d", len(initial), *n)
+			return fail(2, "-rates has %d entries, -n is %d", len(initial), *n)
 		}
 	}
 	var starts []float64
@@ -63,11 +124,10 @@ func main() {
 	case "dcqcn":
 		p := fluid.DefaultDCQCNParams(*n)
 		p.TauStar = *delay
-		m, e := fluid.NewDCQCN(fluid.DCQCNConfig{
+		sys, err = fluid.NewDCQCN(fluid.DCQCNConfig{
 			Params: p, InitialRC: initial, JitterMax: *jitter, Seed: *seed,
 		})
-		sys, err = m, e
-		labels = dcqcnLabels(m, *n)
+		labels = header(*n, []string{"t", "q_pkts"}, "alpha", "rt", "rc")
 	case "timely", "patched":
 		cfg := fluid.DefaultTimelyConfig(*n)
 		if *model == "patched" {
@@ -78,38 +138,30 @@ func main() {
 		cfg.JitterMax = *jitter
 		cfg.Seed = *seed
 		if *model == "patched" {
-			m, e := fluid.NewPatchedTimely(cfg)
-			sys, err = m, e
-			labels = timelyLabels(*n)
+			sys, err = fluid.NewPatchedTimely(cfg)
 		} else {
-			m, e := fluid.NewTimely(cfg)
-			sys, err = m, e
-			labels = timelyLabels(*n)
+			sys, err = fluid.NewTimely(cfg)
 		}
+		labels = header(*n, []string{"t", "q_bytes"}, "rate", "grad")
 	case "dcqcnpi":
 		p := fluid.DefaultDCQCNParams(*n)
 		p.TauStar = *delay
-		m, e := fluid.NewDCQCNPI(fluid.DCQCNPIConfig{
+		sys, err = fluid.NewDCQCNPI(fluid.DCQCNPIConfig{
 			DCQCN: fluid.DCQCNConfig{Params: p, InitialRC: initial, JitterMax: *jitter, Seed: *seed},
 		})
-		sys, err = m, e
-		labels = dcqcnPILabels(*n)
+		labels = header(*n, []string{"t", "q_pkts", "p"}, "alpha", "rt", "rc")
 	case "timelypi":
 		cfg := fluid.DefaultPatchedTimelyConfig(*n)
 		cfg.InitialRates = initial
 		cfg.StartTimes = starts
-		m, e := fluid.NewTimelyPI(fluid.TimelyPIConfig{Timely: cfg})
-		sys, err = m, e
-		labels = timelyPILabels(*n)
-	default:
-		log.Fatalf("unknown -model %q", *model)
+		sys, err = fluid.NewTimelyPI(fluid.TimelyPIConfig{Timely: cfg})
+		labels = header(*n, []string{"t", "q_bytes"}, "rate", "grad", "p")
 	}
 	if err != nil {
-		log.Fatal(err)
+		return fail(2, "-model %s: %v", *model, err)
 	}
 
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
+	out := bufio.NewWriter(stdout)
 	fmt.Fprintln(out, "# "+strings.Join(labels, "\t"))
 	for _, s := range fluid.Run(sys, *step, *horizon, *sample) {
 		fmt.Fprintf(out, "%.6f", s.T)
@@ -118,37 +170,19 @@ func main() {
 		}
 		fmt.Fprintln(out)
 	}
+	if err := out.Flush(); err != nil {
+		return fail(1, "%v", err)
+	}
+	return 0
 }
 
-func dcqcnLabels(m *fluid.DCQCNSystem, n int) []string {
-	labels := []string{"t", "q_pkts"}
+// header builds the TSV column names: the shared columns, then the
+// per-flow columns suffixed with each flow's index.
+func header(n int, shared []string, perFlow ...string) []string {
 	for i := 0; i < n; i++ {
-		labels = append(labels, fmt.Sprintf("alpha%d", i), fmt.Sprintf("rt%d", i), fmt.Sprintf("rc%d", i))
+		for _, c := range perFlow {
+			shared = append(shared, fmt.Sprintf("%s%d", c, i))
+		}
 	}
-	_ = m
-	return labels
-}
-
-func dcqcnPILabels(n int) []string {
-	labels := []string{"t", "q_pkts", "p"}
-	for i := 0; i < n; i++ {
-		labels = append(labels, fmt.Sprintf("alpha%d", i), fmt.Sprintf("rt%d", i), fmt.Sprintf("rc%d", i))
-	}
-	return labels
-}
-
-func timelyLabels(n int) []string {
-	labels := []string{"t", "q_bytes"}
-	for i := 0; i < n; i++ {
-		labels = append(labels, fmt.Sprintf("rate%d", i), fmt.Sprintf("grad%d", i))
-	}
-	return labels
-}
-
-func timelyPILabels(n int) []string {
-	labels := []string{"t", "q_bytes"}
-	for i := 0; i < n; i++ {
-		labels = append(labels, fmt.Sprintf("rate%d", i), fmt.Sprintf("grad%d", i), fmt.Sprintf("p%d", i))
-	}
-	return labels
+	return shared
 }

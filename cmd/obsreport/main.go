@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -85,6 +86,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *basePath == "" || *newPath == "" {
 		fmt.Fprintln(stderr, "obsreport: -base and -new are both required")
+		return 2
+	}
+	// A NaN threshold would pass every delta and a negative one would
+	// flag unchanged rows.
+	if t := *threshold; !(t >= 0) || math.IsInf(t, 1) {
+		fmt.Fprintf(stderr, "obsreport: -threshold must be a finite fraction >= 0, got %g\n", t)
 		return 2
 	}
 	var cols []string
@@ -162,8 +169,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(w, "note       %s: sample count %.0f -> %.0f\n", name, b.Count, n.Count)
 		}
 	}
-	for name := range cand {
-		if _, ok := base[name]; !ok && !*quiet {
+	if !*quiet {
+		var added []string
+		for name := range cand {
+			if _, ok := base[name]; !ok {
+				added = append(added, name)
+			}
+		}
+		sort.Strings(added)
+		for _, name := range added {
 			fmt.Fprintf(w, "note       %s: new histogram, no baseline\n", name)
 		}
 	}

@@ -91,17 +91,46 @@ func TestMissingHistogramFailsUnlessAllowed(t *testing.T) {
 	}
 }
 
+// Candidate-only histograms are reported, in name order, and never fail.
 func TestNewHistogramIsInformational(t *testing.T) {
 	dir := t.TempDir()
 	base := writeFile(t, dir, "base.jsonl", baseJSONL)
-	extra := baseJSONL + `{"hist":"brand.new_s","count":5,"min":1,"max":2,"p50":1,"p90":2,"p95":2,"p99":2,"p999":2}` + "\n"
-	cand := writeFile(t, dir, "new.jsonl", extra)
-	out, _, code := runCLI(t, "-base", base, "-new", cand)
-	if code != 0 {
-		t.Fatalf("candidate-only histogram must not fail, exit %d:\n%s", code, out)
+	extra := baseJSONL
+	for _, name := range []string{"d.new_s", "b.new_s", "a.new_s", "c.new_s"} {
+		extra += `{"hist":"` + name + `","count":5,"min":1,"max":2,"p50":1,"p90":2,"p95":2,"p99":2,"p999":2}` + "\n"
 	}
-	if !strings.Contains(out, "brand.new_s: new histogram") {
-		t.Errorf("candidate-only histogram not reported:\n%s", out)
+	cand := writeFile(t, dir, "new.jsonl", extra)
+	// Map order varies from run to run; ten runs would all come out sorted
+	// by chance only rarely.
+	for i := 0; i < 10; i++ {
+		out, _, code := runCLI(t, "-base", base, "-new", cand)
+		if code != 0 {
+			t.Fatalf("candidate-only histogram must not fail, exit %d:\n%s", code, out)
+		}
+		want := "note       a.new_s: new histogram, no baseline\n" +
+			"note       b.new_s: new histogram, no baseline\n" +
+			"note       c.new_s: new histogram, no baseline\n" +
+			"note       d.new_s: new histogram, no baseline\n"
+		if !strings.Contains(out, want) {
+			t.Fatalf("candidate-only histograms not reported in name order:\n%s", out)
+		}
+	}
+}
+
+// A threshold that is NaN, infinite or negative would switch the gate off
+// or flag unchanged rows, so it is refused as a usage error.
+func TestThresholdRefused(t *testing.T) {
+	dir := t.TempDir()
+	base := writeFile(t, dir, "base.jsonl", baseJSONL)
+	for _, th := range []string{"NaN", "+Inf", "-Inf", "-0.1"} {
+		out, errText, code := runCLI(t, "-base", base, "-new", base, "-threshold", th)
+		if code != 2 || out != "" {
+			t.Errorf("-threshold %s: exit %d, stdout %q; want exit 2 and no report", th, code, out)
+		}
+		if !strings.HasPrefix(errText, "obsreport: ") || strings.Count(errText, "\n") != 1 ||
+			!strings.Contains(errText, "-threshold") {
+			t.Errorf("-threshold %s: stderr %q, want one obsreport: line naming -threshold", th, errText)
+		}
 	}
 }
 

@@ -30,11 +30,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"ecndelay/internal/cli"
 	"ecndelay/internal/dcqcn"
@@ -116,6 +114,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "-ctrl-loss must be in [0,1], got %g", *ctrlLoss)
 	case *bgFlows > 0 && *proto != "dcqcn":
 		return fail(2, "-bg-flows needs -proto dcqcn (the aggregate is a DCQCN fluid model)")
+	}
+	if err := flags.Check(); err != nil {
+		return fail(2, "%v", err)
 	}
 	// Flags the selected topology's builder has no hook for are refused
 	// instead of silently ignored.
@@ -423,22 +424,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Live telemetry: the HTTP goroutine never touches the simulator —
-	// /progress reads an atomic snapshot of the sim clock refreshed from
-	// inside the sampling tick, and /metrics reads only atomic counters
-	// and histograms — so a served run is bit-identical to an unserved one.
-	var simNow atomic.Uint64 // float64 bits of the sim clock
-	if err := sess.Serve(func() any {
-		t := math.Float64frombits(simNow.Load())
-		pct := 0.0
-		if *horizon > 0 {
-			pct = 100 * t / *horizon
-		}
-		return map[string]any{"sim_time_s": t, "horizon_s": *horizon, "pct": pct}
-	}); err != nil {
-		return fail(1, "%v", err)
-	}
-
 	// Warm-start the bottleneck queue and attach the optional fluid
 	// background aggregate; the prefilled segments are ordinary queued
 	// packets.
@@ -477,7 +462,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(out)
 	nw.Sim.Every(0, des.DurationFromSeconds(*sample), func() {
-		simNow.Store(math.Float64bits(nw.Sim.Now().Seconds()))
 		fmt.Fprintf(out, "%.6f\t%d", nw.Sim.Now().Seconds(), qBytes())
 		for i := 0; i < *n; i++ {
 			fmt.Fprintf(out, "\t%.6g", rate[i]())

@@ -38,6 +38,7 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-topology", "clos", "-n", "16"}, 2, "-n 16"},
 		{[]string{"-proto", "quic"}, 2, "-proto"},
 		{[]string{"-topology", "ring"}, 2, "-topology"},
+		{[]string{"-probe-every", "-1"}, 2, "-probe-every"},
 		{[]string{"-horizon", "0.001", "-trace", filepath.Join(missing, "t.jsonl")}, 1, "t.jsonl"},
 		{[]string{"-horizon", "0.001", "-metrics", filepath.Join(missing, "m.tsv")}, 1, "m.tsv"},
 	} {

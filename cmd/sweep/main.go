@@ -116,15 +116,6 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sweep: resuming, %d of %d jobs already done\n", done, len(jobs))
 	}
 
-	var status *sweep.Status
-	if flags.Serve != "" {
-		status = sweep.NewStatus()
-		if err := sess.Serve(func() any { return status.Snapshot() }); err != nil {
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-			return 2
-		}
-	}
-
 	var progress io.Writer
 	if !*quiet {
 		progress = stderr
@@ -135,7 +126,6 @@ func run(args []string, stderr io.Writer) int {
 		Retries:  *retries,
 		BaseSeed: *seed,
 		Progress: progress,
-		Status:   status,
 		FailFast: *failFast,
 	}, jobs, sink)
 	if err != nil {

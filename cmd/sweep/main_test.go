@@ -192,4 +192,13 @@ func TestCLIUsageErrors(t *testing.T) {
 	if code := run([]string{"-bogus-flag"}, &errOut); code != 2 {
 		t.Fatalf("bogus flag exit %d, want 2", code)
 	}
+	errOut.Reset()
+	out := filepath.Join(t.TempDir(), "pm.jsonl")
+	if code := run([]string{"-kind", "pm", "-flows", "2", "-out", out, "-quiet", "-probe-every", "1e300"}, &errOut); code != 2 {
+		t.Fatalf("-probe-every 1e300 exit %d, want 2", code)
+	}
+	if msg := errOut.String(); !strings.HasPrefix(msg, "sweep: ") || strings.Count(msg, "\n") != 1 ||
+		!strings.Contains(msg, "-probe-every") {
+		t.Errorf("stderr %q, want one sweep: line naming -probe-every", msg)
+	}
 }

@@ -1,23 +1,20 @@
 // Package cli is the shared front-end of the run commands (packetsim,
-// ecnbench, sweep). It declares their ten profiling and observability
+// ecnbench, sweep). It declares their nine profiling and observability
 // flags once and owns how each flag turns into an observer facility and
-// an export file: the self-describing export header, the observer, the
-// live telemetry server and the exports written at exit. Profiles land
-// where `go tool pprof` reads them (see EXPERIMENTS.md, "Profiling a
-// run").
+// an export file: the self-describing export header, the observer and
+// the exports written at exit. Profiles land where `go tool pprof` reads
+// them (see EXPERIMENTS.md, "Profiling a run").
 package cli
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
-	"time"
 
 	"ecndelay/internal/des"
 	"ecndelay/internal/obs"
@@ -29,7 +26,7 @@ type Flags struct {
 	Metrics, Trace, Probe  string
 	ProbeEvery             float64
 	Invariants             bool
-	Hist, Audit, Serve     string
+	Hist, Audit            string
 
 	fs     *flag.FlagSet
 	perJob bool
@@ -58,8 +55,19 @@ func Register(fs *flag.FlagSet, perJob bool) *Flags {
 	fs.BoolVar(&f.Invariants, "invariants", false, scope+"check runtime invariants; violations exit nonzero")
 	fs.StringVar(&f.Hist, "hist", "", scope+"write latency histogram percentiles to this file (.tsv: TSV, else JSONL)")
 	fs.StringVar(&f.Audit, "audit", "", scope+audit)
-	fs.StringVar(&f.Serve, "serve", "", "serve live telemetry (/metrics, /progress, pprof) on this host:port")
 	return f
+}
+
+// Check refuses a shared flag value no run can use. Open calls it first;
+// a command calls it with its own usage checks when it must tell a
+// refused value from an export error.
+func (f *Flags) Check() error {
+	// 0 selects the default cadence; anything else must convert to a
+	// des.Duration of at least 1 ns without overflowing it.
+	if e := f.ProbeEvery; e != 0 && !(e*1e9+0.5 >= 1 && e*1e9+0.5 < math.MaxInt64) {
+		return fmt.Errorf("-probe-every must be 0 (the default cadence) or a cadence from 1e-9 to 9.2e9 seconds, got %g", e)
+	}
+	return nil
 }
 
 // executionOnly names flags that steer how a run executes but cannot
@@ -81,21 +89,18 @@ func (f *Flags) Header(schema string, seed int64, proto string) obs.Header {
 	return obs.Header{Schema: schema, Version: 1, Seed: seed, Proto: proto, Flags: strings.Join(parts, " ")}
 }
 
-// Session is one command run's profiler, observer, export files and
-// telemetry server.
+// Session is one command run's profiler, observer and export files.
 type Session struct {
 	// Observer carries the facilities the flags asked for; it is nil when
 	// no observer flag is set, so the run stays unobserved.
 	Observer *obs.NetObserver
 
-	f           *Flags
-	cmd         string
-	seed        int64
-	proto       string
-	stderr      io.Writer
-	stopProf    func() error
-	srv         *obs.Server
-	stopSignals func()
+	f        *Flags
+	cmd      string
+	seed     int64
+	proto    string
+	stderr   io.Writer
+	stopProf func() error
 
 	mu      sync.Mutex // guards sinks and openErr against per-job opens
 	sinks   []io.Closer
@@ -107,13 +112,16 @@ type Session struct {
 // the session prints to stderr; seed and proto go into export headers.
 // Call Close on every exit path and Finish after a completed run.
 func (f *Flags) Open(cmd string, seed int64, proto string, stderr io.Writer) (*Session, error) {
+	if err := f.Check(); err != nil {
+		return nil, err
+	}
 	stop, err := Start(f.CPUProfile, f.MemProfile)
 	if err != nil {
 		return nil, err
 	}
 	s := &Session{f: f, cmd: cmd, seed: seed, proto: proto, stderr: stderr, stopProf: stop}
 	if f.Metrics == "" && f.Trace == "" && f.Probe == "" && !f.Invariants &&
-		f.Hist == "" && f.Serve == "" && f.Audit == "" {
+		f.Hist == "" && f.Audit == "" {
 		return s, nil
 	}
 	// Build the observer before any topology exists, so ports and
@@ -121,7 +129,7 @@ func (f *Flags) Open(cmd string, seed int64, proto string, stderr io.Writer) (*S
 	// stdout stays byte-identical to an unobserved run.
 	o := &obs.NetObserver{ProbeEvery: des.DurationFromSeconds(f.ProbeEvery)}
 	s.Observer = o
-	if f.Metrics != "" || f.Serve != "" {
+	if f.Metrics != "" {
 		o.Metrics = obs.NewRegistry()
 	}
 	if f.Probe != "" {
@@ -131,7 +139,7 @@ func (f *Flags) Open(cmd string, seed int64, proto string, stderr io.Writer) (*S
 	if f.Invariants {
 		o.Check = obs.NewChecker()
 	}
-	if f.Hist != "" || f.Serve != "" || f.Audit != "" {
+	if f.Hist != "" || f.Audit != "" {
 		// The audit trail feeds the feedback-latency histograms, so an
 		// audited run always carries a histogram set.
 		o.Hists = obs.NewHistSet()
@@ -221,44 +229,6 @@ func jobPath(base, jobID string) string {
 	return strings.TrimSuffix(base, ext) + "." + strings.ReplaceAll(jobID, "/", "_") + ext
 }
 
-// Serve starts the telemetry server when -serve is set. /progress answers
-// with progress(); SIGINT or SIGTERM drains in-flight scrapes before the
-// process exits; the bound address is announced on stderr.
-func (s *Session) Serve(progress func() any) error {
-	if s.f.Serve == "" {
-		return nil
-	}
-	srv := obs.NewServer(s.Observer)
-	srv.SetProgress(progress)
-	addr, err := srv.Start(s.f.Serve)
-	if err != nil {
-		return err
-	}
-	s.srv = srv
-	s.stopSignals = s.drainOnSignal()
-	fmt.Fprintf(s.stderr, "%s: serving telemetry on http://%s\n", s.cmd, addr)
-	return nil
-}
-
-// drainOnSignal shuts the telemetry server down with a bounded deadline
-// when SIGINT or SIGTERM arrives, so in-flight scrapes complete instead of
-// being cut mid-body, then exits 1. The returned func detaches it.
-func (s *Session) drainOnSignal() func() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		select {
-		case sig := <-ch:
-			fmt.Fprintf(s.stderr, "%s: %v: draining telemetry server\n", s.cmd, sig)
-			_ = s.srv.Shutdown(5 * time.Second)
-			os.Exit(1)
-		case <-done:
-		}
-	}()
-	return func() { signal.Stop(ch); close(done) }
-}
-
 // Finish closes the trace and audit files, writes the metrics, probe and
 // histogram files, and reports invariant violations. It returns the exit
 // status: 0, or 1 on an export error or a violation.
@@ -328,16 +298,11 @@ func (s *Session) closeSinks() error {
 	return err
 }
 
-// Close releases what Open and Serve acquired: the trace and audit files
-// Finish did not close, the telemetry server and the profiler. It is safe
-// on every exit path, including before Finish.
+// Close releases what Open acquired: the trace and audit files Finish
+// did not close, and the profiler. It is safe on every exit path,
+// including before Finish.
 func (s *Session) Close() {
 	_ = s.closeSinks() // Finish reports export errors on the success path
-	if s.srv != nil {
-		s.stopSignals()
-		_ = s.srv.Shutdown(2 * time.Second)
-		s.srv = nil
-	}
 	if s.stopProf != nil {
 		if err := s.stopProf(); err != nil {
 			s.fail(err)

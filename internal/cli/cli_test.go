@@ -1,10 +1,8 @@
 package cli
 
 import (
-	"bufio"
 	"flag"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,7 +45,7 @@ func TestRegisterDeclaresSharedFlags(t *testing.T) {
 		Register(fs, perJob)
 		want := map[string]string{
 			"cpuprofile": "", "memprofile": "", "metrics": "", "trace": "", "probe": "",
-			"probe-every": "0.0001", "invariants": "false", "hist": "", "audit": "", "serve": "",
+			"probe-every": "0.0001", "invariants": "false", "hist": "", "audit": "",
 		}
 		n := 0
 		fs.VisitAll(func(fl *flag.Flag) {
@@ -89,9 +87,6 @@ func TestNoObserverFlagsLeaveRunUnobserved(t *testing.T) {
 	defer s.Close()
 	if s.Observer != nil {
 		t.Fatal("observer built with no observer flag set")
-	}
-	if err := s.Serve(func() any { return nil }); err != nil {
-		t.Fatal(err)
 	}
 	if code := s.Finish(); code != 0 {
 		t.Errorf("Finish = %d, want 0", code)
@@ -199,6 +194,36 @@ func TestPerJobOpenErrorSurfacesAtFinish(t *testing.T) {
 	}
 }
 
+// -probe-every takes 0 (the default cadence) or a finite cadence that
+// converts to at least 1 ns of simulated time; Check and Open refuse
+// anything else with one message naming the flag.
+func TestProbeEveryCheck(t *testing.T) {
+	for _, c := range []struct {
+		val string
+		ok  bool
+	}{
+		{"0", true}, {"1e-4", true}, {"2", true}, {"1e-9", true}, {"5e-10", true}, {"9e9", true},
+		{"-1", false}, {"-0.5e-9", false}, {"NaN", false}, {"+Inf", false}, {"-Inf", false},
+		{"1e300", false}, {"1e10", false}, {"1e-10", false},
+	} {
+		f := newFlags(t, false, "-probe-every", c.val)
+		err := f.Check()
+		if (err == nil) != c.ok {
+			t.Errorf("-probe-every %s: Check() = %v, want ok=%v", c.val, err, c.ok)
+			continue
+		}
+		if c.ok {
+			continue
+		}
+		if !strings.Contains(err.Error(), "-probe-every") {
+			t.Errorf("-probe-every %s: error %q does not name the flag", c.val, err)
+		}
+		if _, err := f.Open("cmd", 1, "", io.Discard); err == nil {
+			t.Errorf("-probe-every %s: Open succeeded", c.val)
+		}
+	}
+}
+
 func TestOpenErrors(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no", "such", "dir", "f")
 	for _, flagName := range []string{"-trace", "-audit", "-cpuprofile"} {
@@ -243,55 +268,5 @@ func TestFinishReportsViolations(t *testing.T) {
 	out := stderr.String()
 	if !strings.Contains(out, "cmd: invariant violation: ") || !strings.Contains(out, "cmd: 1 invariant violation(s)") {
 		t.Errorf("stderr %q", out)
-	}
-}
-
-// Serve announces the bound address, answers /progress from the given
-// provider, and Close shuts it down.
-func TestServe(t *testing.T) {
-	r, w := io.Pipe()
-	s, err := newFlags(t, false, "-serve", "127.0.0.1:0").Open("cmd", 1, "", w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Observer == nil || s.Observer.Metrics == nil || s.Observer.Hists == nil {
-		t.Fatal("-serve needs metrics and histograms to serve")
-	}
-	go func() {
-		if err := s.Serve(func() any { return map[string]int{"done": 3} }); err != nil {
-			t.Error(err)
-		}
-		w.Close()
-	}()
-	line, err := bufio.NewReader(r).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, ok := strings.CutPrefix(strings.TrimSpace(line), "cmd: serving telemetry on ")
-	if !ok {
-		t.Fatalf("announcement %q", line)
-	}
-	resp, err := http.Get(addr + "/progress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), `"done": 3`) {
-		t.Errorf("/progress body %q", body)
-	}
-	s.Close()
-	s.Close() // idempotent
-	if _, err := http.Get(addr + "/progress"); err == nil {
-		t.Error("server still answers after Close")
-	}
-
-	bad, err := newFlags(t, false, "-serve", "127.0.0.1:-1").Open("cmd", 1, "", io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Close()
-	if err := bad.Serve(func() any { return nil }); err == nil {
-		t.Error("Serve on an invalid address succeeded")
 	}
 }

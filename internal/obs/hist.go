@@ -19,15 +19,13 @@ import (
 // per-hop delay histogram touches a handful of octaves; one that never
 // records holds no page at all). Recording is a handful of atomic
 // operations, allocation-free once its octave's page exists, and safe for
-// concurrent writers (sweep workers sharing one instance) and for
-// concurrent readers (the telemetry server snapshotting mid-run).
+// concurrent writers (sweep workers sharing one instance).
 //
 // Two instances are mergeable: bucket counts, totals and min/max all
 // commute, so per-worker histograms merged in any order, or one histogram
 // shared by every worker, produce identical quantiles for any worker
-// count. Sum (kept for live mean/Prometheus export) is a float
-// accumulator and is deliberately excluded from the canonical file
-// exports, which must be byte-deterministic across schedules.
+// count. No float sum is kept: its low bits would depend on the recording
+// order, and every export must be byte-deterministic across schedules.
 
 // HistSub is the number of linear sub-buckets per power-of-two octave:
 // the histogram's relative resolution is 1/HistSub (~3.1%), and every
@@ -62,7 +60,6 @@ type histPage [HistSub]atomic.Int64
 type Hist struct {
 	name  string
 	count atomic.Int64
-	sum   atomic.Uint64 // float64 bits
 	min   atomic.Uint64 // float64 bits, +Inf when empty
 	max   atomic.Uint64 // float64 bits, -Inf when empty
 	zero  atomic.Int64  // bucket 0: zero, negative and underflowing values
@@ -78,9 +75,6 @@ func NewHist(name string) *Hist {
 	h.max.Store(math.Float64bits(math.Inf(-1)))
 	return h
 }
-
-// Name reports the histogram's name.
-func (h *Hist) Name() string { return h.name }
 
 // histBucketIndex maps a value to its bucket.
 func histBucketIndex(v float64) int {
@@ -115,8 +109,8 @@ func histBucketMid(idx int) float64 {
 	return (lo + hi) / 2
 }
 
-// histBucketUpper returns a bucket's exclusive upper edge (the Prometheus
-// "le" bound).
+// histBucketUpper returns a bucket's exclusive upper edge. Only the
+// bucket-edge tests call it: it is their oracle for histBucketIndex.
 func histBucketUpper(idx int) float64 {
 	if idx <= 0 {
 		return math.Ldexp(1, histMinExp)
@@ -125,17 +119,6 @@ func histBucketUpper(idx int) float64 {
 	e := histMinExp + 1 + i/HistSub
 	sub := i % HistSub
 	return math.Ldexp(1+float64(sub+1)/HistSub, e-1)
-}
-
-// atomicAddFloat accumulates v into a float64 stored as bits.
-func atomicAddFloat(u *atomic.Uint64, v float64) {
-	for {
-		old := u.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if u.CompareAndSwap(old, next) {
-			return
-		}
-	}
 }
 
 // atomicMinFloat lowers the stored float to v if smaller.
@@ -210,18 +193,12 @@ func (h *Hist) Record(v float64) {
 	}
 	h.bucket(histBucketIndex(v)).Add(1)
 	h.count.Add(1)
-	atomicAddFloat(&h.sum, v)
 	atomicMinFloat(&h.min, v)
 	atomicMaxFloat(&h.max, v)
 }
 
 // Count reports the number of recorded observations.
 func (h *Hist) Count() int64 { return h.count.Load() }
-
-// Sum reports the running total of recorded values. Unlike counts and
-// quantiles it is a float accumulation, so its low bits may differ across
-// recording orders; canonical exports omit it.
-func (h *Hist) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // Min reports the smallest recorded value (0 when empty).
 func (h *Hist) Min() float64 {
@@ -297,19 +274,8 @@ func (h *Hist) Merge(other *Hist) {
 		return
 	}
 	h.count.Add(n)
-	atomicAddFloat(&h.sum, other.Sum())
 	atomicMinFloat(&h.min, math.Float64frombits(other.min.Load()))
 	atomicMaxFloat(&h.max, math.Float64frombits(other.max.Load()))
-}
-
-// ForEachBucket calls fn with the exclusive upper bound and count of every
-// non-empty bucket, in increasing bound order (the shape Prometheus
-// histogram exposition wants).
-func (h *Hist) ForEachBucket(fn func(upper float64, count int64)) {
-	h.scan(func(idx int, c int64) bool {
-		fn(histBucketUpper(idx), c)
-		return true
-	})
 }
 
 // HistSummary is one histogram's canonical export row.

@@ -24,25 +24,13 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value reports the current total.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a last-value-wins metric.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set records the current value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Value reports the last recorded value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Metric is one registry entry in a snapshot.
 type Metric struct {
 	Name  string
 	Value int64
-	Gauge bool
 }
 
-// Registry holds hierarchical counters and gauges. Names are dotted paths
+// Registry holds hierarchical counters. Names are dotted paths
 // ("port.n0-n2.tx_bytes"); registration is get-or-create, so independent
 // components can share an instrument by agreeing on its name. Lookup is
 // guarded by a mutex — hot paths must register once and keep the returned
@@ -50,15 +38,11 @@ type Metric struct {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Counter returns the counter registered under name, creating it on first
@@ -74,28 +58,13 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Snapshot returns every instrument sorted by name — the canonical,
+// Snapshot returns every counter sorted by name — the canonical,
 // byte-comparable order.
 func (r *Registry) Snapshot() []Metric {
 	r.mu.Lock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges))
+	out := make([]Metric, 0, len(r.counters))
 	for name, c := range r.counters {
 		out = append(out, Metric{Name: name, Value: c.Value()})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Metric{Name: name, Value: g.Value(), Gauge: true})
 	}
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -17,30 +17,13 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if got := c1.Value(); got != 11 {
 		t.Fatalf("counter value %d, want 11", got)
 	}
-
-	g1 := r.Gauge("queue.depth")
-	g1.Set(42)
-	g2 := r.Gauge("queue.depth")
-	if g1 != g2 {
-		t.Fatal("second lookup returned a different gauge")
-	}
-	g2.Set(7)
-	if got := g1.Value(); got != 7 {
-		t.Fatalf("gauge value %d, want 7 (last write wins)", got)
-	}
-
-	// A counter and a gauge may share a name without colliding: they live
-	// in separate namespaces.
-	if r.Counter("queue.depth").Value() != 0 {
-		t.Error("counter namespace leaked into gauge namespace")
-	}
 }
 
 func TestRegistrySnapshotSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.last").Add(3)
 	r.Counter("a.first").Add(1)
-	r.Gauge("m.middle").Set(2)
+	r.Counter("m.middle").Add(2)
 	snap := r.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot has %d entries, want 3", len(snap))
@@ -50,11 +33,11 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 			t.Fatalf("snapshot not sorted: %q before %q", snap[i-1].Name, snap[i].Name)
 		}
 	}
-	if snap[0].Name != "a.first" || snap[0].Value != 1 || snap[0].Gauge {
+	if snap[0].Name != "a.first" || snap[0].Value != 1 {
 		t.Errorf("first entry %+v", snap[0])
 	}
-	if snap[1].Name != "m.middle" || !snap[1].Gauge {
-		t.Errorf("gauge entry %+v", snap[1])
+	if snap[1].Name != "m.middle" || snap[1].Value != 2 {
+		t.Errorf("middle entry %+v", snap[1])
 	}
 }
 
@@ -109,12 +92,10 @@ func TestPortAndEndpointCounterNames(t *testing.T) {
 func TestCounterAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hot")
-	g := r.Gauge("hot")
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Add(3)
 		c.Inc()
-		g.Set(c.Value())
 	}); n != 0 {
-		t.Fatalf("counter/gauge hot path allocates %.1f per op, want 0", n)
+		t.Fatalf("counter hot path allocates %.1f per op, want 0", n)
 	}
 }

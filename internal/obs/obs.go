@@ -1,5 +1,5 @@
 // Package obs is the observability layer of the simulator: hierarchical
-// counters and gauges, fixed-cadence time-series probes backed by
+// counters, fixed-cadence time-series probes backed by
 // preallocated ring buffers, a pooled-buffer event-trace facility with
 // pluggable sinks, and a runtime invariant checker fed by the same event
 // stream.

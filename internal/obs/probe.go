@@ -20,8 +20,8 @@ type Sample struct {
 // Probe is a fixed-cadence time series in a preallocated ring buffer: once
 // the buffer fills, the oldest samples are overwritten and counted, never
 // silently lost. Recording never allocates. The ring is mutex-guarded so
-// the telemetry server can snapshot a probe while the run still records;
-// an uncontended lock keeps the recording path allocation-free.
+// a reader can snapshot a probe while the run still records; an
+// uncontended lock keeps the recording path allocation-free.
 type Probe struct {
 	name    string
 	mu      sync.Mutex
@@ -43,9 +43,6 @@ func NewProbe(name string, capacity int) *Probe {
 	}
 	return &Probe{name: name, ring: make([]Sample, capacity)}
 }
-
-// Name reports the probe's name.
-func (p *Probe) Name() string { return p.name }
 
 // Record appends one sample, overwriting the oldest when the ring is full.
 func (p *Probe) Record(t, v float64) {

@@ -132,8 +132,8 @@ func TestProbeOverflowExportsDropped(t *testing.T) {
 }
 
 func TestProbeConcurrentReadDuringRecord(t *testing.T) {
-	// The telemetry server snapshots probes while the run records; under
-	// -race this pins the ring as data-race free.
+	// A reader may snapshot a probe while the run records; under -race
+	// this pins the ring as data-race free.
 	p := NewProbe("live", 128)
 	done := make(chan struct{})
 	go func() {

@@ -10,20 +10,21 @@ import (
 // progress reports live sweep throughput on a writer. The engine's
 // collector goroutine calls observe; a ticker goroutine prints.
 type progress struct {
-	w     io.Writer
-	total int
+	w       io.Writer
+	total   int
+	skipped int // resumed from the checkpoint, never run here
 
-	mu      sync.Mutex
-	done    int // includes skipped
-	failed  int
-	started time.Time
+	mu       sync.Mutex
+	executed int
+	failed   int
+	started  time.Time
 
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
 
 func newProgress(w io.Writer, every time.Duration, total, skipped int) *progress {
-	p := &progress{w: w, total: total, done: skipped, started: time.Now(), stop: make(chan struct{})}
+	p := &progress{w: w, total: total, skipped: skipped, started: time.Now(), stop: make(chan struct{})}
 	if w == nil {
 		return p
 	}
@@ -49,7 +50,7 @@ func newProgress(w io.Writer, every time.Duration, total, skipped int) *progress
 
 func (p *progress) observe(failed bool) {
 	p.mu.Lock()
-	p.done++
+	p.executed++
 	if failed {
 		p.failed++
 	}
@@ -58,16 +59,19 @@ func (p *progress) observe(failed bool) {
 
 func (p *progress) print() {
 	p.mu.Lock()
-	done, failed := p.done, p.failed
+	executed, failed := p.executed, p.failed
 	elapsed := time.Since(p.started)
 	p.mu.Unlock()
-	rate := float64(done) / elapsed.Seconds()
+	// Resumed jobs took none of this run's time, so the rate and the ETA
+	// count only the jobs executed here.
+	rate := float64(executed) / elapsed.Seconds()
 	eta := "?"
 	if rate > 0 {
-		eta = (time.Duration(float64(p.total-done)/rate*1e9) * time.Nanosecond).Round(time.Second).String()
+		left := p.total - p.skipped - executed
+		eta = (time.Duration(float64(left)/rate*1e9) * time.Nanosecond).Round(time.Second).String()
 	}
 	fmt.Fprintf(p.w, "sweep: %d/%d done (%d failed) %.1f jobs/s ETA %s\n",
-		done, p.total, failed, rate, eta)
+		p.skipped+executed, p.total, failed, rate, eta)
 }
 
 // finish stops the ticker and prints the summary line.

@@ -61,10 +61,6 @@ type Config struct {
 	Progress io.Writer
 	// ProgressEvery is the reporting period; <= 0 means 2s.
 	ProgressEvery time.Duration
-	// Status, when non-nil, is kept current with live job states for the
-	// telemetry server's /progress endpoint. Purely observational: it
-	// changes no scheduling, seeding or output.
-	Status *Status
 	// FailFast stops dispatching new jobs after the first job whose
 	// retries are exhausted. In-flight jobs drain normally and their
 	// rows are still delivered to the sink, so a poisoned grid keeps
@@ -150,9 +146,6 @@ func Run(cfg Config, jobs []Job, sink Sink) (Summary, error) {
 		pending = append(pending, i)
 	}
 	sum := Summary{Total: len(jobs), Skipped: len(jobs) - len(pending)}
-	if cfg.Status != nil {
-		cfg.Status.begin(sum.Total, sum.Skipped)
-	}
 
 	var aborted atomic.Bool
 	work := make(chan int)
@@ -165,9 +158,6 @@ func Run(cfg Config, jobs []Job, sink Sink) (Summary, error) {
 			for i := range work {
 				if aborted.Load() {
 					continue
-				}
-				if cfg.Status != nil {
-					cfg.Status.jobStarted(jobs[i].ID)
 				}
 				results <- execute(cfg, jobs[i], i)
 			}
@@ -199,9 +189,6 @@ func Run(cfg Config, jobs []Job, sink Sink) (Summary, error) {
 		}
 		sum.Retried += r.Retries
 		sum.Panics += r.Panics
-		if cfg.Status != nil {
-			cfg.Status.jobFinished(r)
-		}
 		prog.observe(r.Err != "")
 		if sink != nil && sinkErr == nil {
 			if err := sink.Write(r); err != nil {
@@ -229,9 +216,6 @@ func execute(cfg Config, job Job, index int) Result {
 	for attempt := 1; attempt <= cfg.Retries+1; attempt++ {
 		res.Attempts = attempt
 		res.Retries = attempt - 1
-		if cfg.Status != nil && attempt > 1 {
-			cfg.Status.jobAttempt(job.ID, attempt)
-		}
 		m, err := runAttempt(job, res.Seed, cfg.Timeout)
 		if err == nil {
 			res.Metrics = m

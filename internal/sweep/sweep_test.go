@@ -356,6 +356,24 @@ func TestProgressOutput(t *testing.T) {
 	}
 }
 
+// A resumed sweep's rate and ETA count only the jobs run here: with 900
+// of 1,000 jobs resumed and one job run in 10 s, the rate is 0.1 jobs/s
+// and the 99 jobs left take about 16m30s.
+func TestProgressRateExcludesResumedJobs(t *testing.T) {
+	var buf syncBuffer
+	p := newProgress(&buf, time.Hour, 1000, 900)
+	p.mu.Lock()
+	p.started = p.started.Add(-10 * time.Second)
+	p.mu.Unlock()
+	p.observe(false)
+	p.print()
+	p.finish(Summary{})
+	line, _, _ := strings.Cut(buf.String(), "\n")
+	if !strings.HasPrefix(line, "sweep: 901/1000 done (0 failed) 0.1 jobs/s ETA 16m3") {
+		t.Errorf("progress line %q, want 901/1000 done at 0.1 jobs/s, ETA about 16m30s", line)
+	}
+}
+
 func TestFailFastStopsDispatchKeepsCompletedRows(t *testing.T) {
 	const n = 50
 	jobs := syntheticJobs(n)
