@@ -55,14 +55,15 @@ bench:
 # sub-benchmarks: detached, metrics (registry only) and full (obs.Full()).
 # BenchmarkHold drives the event queue alone at two fixed depths.
 # The analysis layers ride along: both phase-margin loops, the DCQCN fluid
-# right-hand side, and the allocation-free loop-gain evaluation.
+# right-hand side, the allocation-free loop-gain evaluation and every fluid
+# model's right-hand side, which must not allocate once warm.
 bench-smoke:
 	$(GO) test -timeout 5m -run='^$$' -bench='HandlerEvents|ClosureEvents|Hold|PortChain' \
 		-benchmem -benchtime=1x ./internal/des ./internal/netsim
 	$(GO) test -timeout 5m -run='^$$' -bench='PhaseMarginDCQCN|PhaseMarginPatchedTimely|DCQCNFluid' \
 		-benchmem -benchtime=1x ./internal/stability ./internal/fluid
 	$(GO) test -timeout 5m -run='AllocFree' ./internal/des ./internal/netsim ./internal/obs \
-		./internal/stability
+		./internal/stability ./internal/fluid
 
 # Benchmark module gate: bench/ is a module of its own, so neither `build`
 # nor `test` compiles it. Vet and test it here, so an API change in the

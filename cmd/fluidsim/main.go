@@ -25,6 +25,23 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// Run budgets. fluid.Run takes round(horizon/step) RK4 steps and keeps a
+// history ring of min(ceil(MaxDelay/step)+4, steps+1) states of Dim()
+// values, so a tiny -step or a huge -n can ask for more steps or memory
+// than any host has, or for counts past the int range. run refuses a flag
+// set past either budget before it builds the per-flow column labels or
+// integrates:
+//   - maxSteps: 1e9 steps is 1000 simulated seconds at the default 1 µs
+//     step, a thousand times the longest fluid run of any experiment in
+//     this module (1 s), and tens of CPU minutes even at N = 10.
+//   - maxRingValues: 2^27 float64 values is 1 GiB of ring. The longest
+//     lag any model asks for is TIMELY's, about 0.14 s: at the default
+//     step and N = 64 that is 27 M values.
+const (
+	maxSteps      = 1e9
+	maxRingValues = 1 << 27
+)
+
 // unused names, per model, the flags that model has no input for.
 var unused = map[string][]string{
 	"dcqcn":    {"stagger"},
@@ -116,9 +133,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var (
-		sys    fluid.Model
-		labels []string
-		err    error
+		sys     fluid.Model
+		shared  []string // the TSV columns before the per-flow ones
+		perFlow []string
+		err     error
 	)
 	switch *model {
 	case "dcqcn":
@@ -127,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sys, err = fluid.NewDCQCN(fluid.DCQCNConfig{
 			Params: p, InitialRC: initial, JitterMax: *jitter, Seed: *seed,
 		})
-		labels = header(*n, []string{"t", "q_pkts"}, "alpha", "rt", "rc")
+		shared, perFlow = []string{"t", "q_pkts"}, []string{"alpha", "rt", "rc"}
 	case "timely", "patched":
 		cfg := fluid.DefaultTimelyConfig(*n)
 		if *model == "patched" {
@@ -142,27 +160,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else {
 			sys, err = fluid.NewTimely(cfg)
 		}
-		labels = header(*n, []string{"t", "q_bytes"}, "rate", "grad")
+		shared, perFlow = []string{"t", "q_bytes"}, []string{"rate", "grad"}
 	case "dcqcnpi":
 		p := fluid.DefaultDCQCNParams(*n)
 		p.TauStar = *delay
 		sys, err = fluid.NewDCQCNPI(fluid.DCQCNPIConfig{
 			DCQCN: fluid.DCQCNConfig{Params: p, InitialRC: initial, JitterMax: *jitter, Seed: *seed},
 		})
-		labels = header(*n, []string{"t", "q_pkts", "p"}, "alpha", "rt", "rc")
+		shared, perFlow = []string{"t", "q_pkts", "p"}, []string{"alpha", "rt", "rc"}
 	case "timelypi":
 		cfg := fluid.DefaultPatchedTimelyConfig(*n)
 		cfg.InitialRates = initial
 		cfg.StartTimes = starts
 		sys, err = fluid.NewTimelyPI(fluid.TimelyPIConfig{Timely: cfg})
-		labels = header(*n, []string{"t", "q_bytes"}, "rate", "grad", "p")
+		shared, perFlow = []string{"t", "q_bytes"}, []string{"rate", "grad", "p"}
 	}
 	if err != nil {
 		return fail(2, "-model %s: %v", *model, err)
 	}
+	steps := math.Round(*horizon / *step)
+	ring := min(math.Ceil(sys.MaxDelay() / *step)+4, steps+1) * float64(sys.Dim())
+	if steps > maxSteps || ring > maxRingValues {
+		return fail(2, "-step %g over -horizon %g with -n %d takes %.3g steps and a history ring of %.3g values; the budget is %.3g steps and %.3g values",
+			*step, *horizon, *n, steps, ring, float64(maxSteps), float64(maxRingValues))
+	}
 
 	out := bufio.NewWriter(stdout)
-	fmt.Fprintln(out, "# "+strings.Join(labels, "\t"))
+	fmt.Fprintln(out, "# "+strings.Join(header(*n, shared, perFlow...), "\t"))
 	for _, s := range fluid.Run(sys, *step, *horizon, *sample) {
 		fmt.Fprintf(out, "%.6f", s.T)
 		for _, v := range s.Y {

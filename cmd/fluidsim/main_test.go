@@ -14,6 +14,10 @@ func TestRunEveryModel(t *testing.T) {
 	}{
 		{[]string{"-model", "dcqcn", "-n", "2", "-delay", "85e-6", "-jitter", "1e-6"},
 			"# t\tq_pkts\talpha0\trt0\trc0\talpha1\trt1\trc1"},
+		// A lag of 1e16 steps on a 2,000-step run: the history ring is
+		// sized by the run, not by the lag alone.
+		{[]string{"-model", "dcqcn", "-n", "2", "-jitter", "1e10"},
+			"# t\tq_pkts\talpha0\trt0\trc0\talpha1\trt1\trc1"},
 		{[]string{"-model", "dcqcnpi", "-n", "1", "-rates", "1e6"},
 			"# t\tq_pkts\tp\talpha0\trt0\trc0"},
 		{[]string{"-model", "timely", "-n", "2", "-stagger", "0.001", "-jitter", "1e-6", "-seed", "3"},
@@ -80,6 +84,11 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-rates", "1e6"}, "-rates"},
 		{[]string{"-delay", "-1"}, "-model dcqcn"},
 		{[]string{"extra"}, `"extra"`},
+		// A step count or history ring past the run budget.
+		{[]string{"-step", "1e-300"}, "-step"},
+		{[]string{"-step", "1e-15", "-horizon", "1"}, "-step"},
+		{[]string{"-model", "patched", "-n", "64", "-step", "1e-8", "-horizon", "0.02"}, "-step"},
+		{[]string{"-n", "100000000"}, "-n 100000000"},
 	} {
 		var out, errOut strings.Builder
 		code := run(c.args, &out, &errOut)

@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"ecndelay/internal/ode"
 )
 
 // trajectoryDigest integrates m for 2 ms at h = 1 µs and hashes the bits of
@@ -68,6 +70,93 @@ func TestDCQCNTrajectoryBits(t *testing.T) {
 		}
 		if got := trajectoryDigest(m); got != c.want {
 			t.Errorf("%s: trajectory digest %#x, want %#x", c.name, got, c.want)
+		}
+	}
+}
+
+// lookupWatch stands between a model and the solver's history and records
+// the latest time at which the model read the queue (component 0).
+type lookupWatch struct {
+	past   ode.History
+	latest float64
+}
+
+func (w *lookupWatch) Value(tq float64, idx int) float64 {
+	if idx == 0 && tq > w.latest {
+		w.latest = tq
+	}
+	return w.past.Value(tq, idx)
+}
+
+// watchedModel hands the model a lookupWatch in place of the solver's
+// history and forwards PostStep, so the trajectory is the model's own.
+type watchedModel struct {
+	Model
+	watch lookupWatch
+}
+
+func (m *watchedModel) Derivs(t float64, y []float64, past ode.History, dydt []float64) {
+	m.watch.past = past
+	m.Model.Derivs(t, y, &m.watch, dydt)
+}
+
+func (m *watchedModel) PostStep(t float64, y []float64) {
+	m.Model.(ode.PostStepper).PostStep(t, y)
+}
+
+// TestTimelyTrajectoryBits pins the TIMELY fluid trajectories (original,
+// patched and with the end-host PI controller) to the bit, with and
+// without feedback jitter and with one late flow, so a rewrite of the
+// Eq. 21-24/29 right-hand side or of the history ring that moves a
+// rounding fails here. The start rates sum to 1.5 C: while ΣR > 2C the
+// lookup time t − τ'(t) runs backward and every delayed queue read
+// returns the initial history, so the test also checks that the model
+// read stored history, not only the initial state. The digests were
+// recorded on linux/amd64.
+func TestTimelyTrajectoryBits(t *testing.T) {
+	const n = 4
+	cfg := func(patched bool, jitter float64, late bool) TimelyConfig {
+		c := DefaultTimelyConfig(n)
+		if patched {
+			c = DefaultPatchedTimelyConfig(n)
+		}
+		c.InitialRates = []float64{0.2 * c.C, 0.3 * c.C, 0.4 * c.C, 0.6 * c.C}
+		c.JitterMax = jitter
+		c.Seed = 7
+		if late {
+			// Flow 0 starts last, so the first active flow of a call is
+			// not always flow 0.
+			c.StartTimes = []float64{0.5e-3, 0, 0, 0}
+		}
+		return c
+	}
+	for _, c := range []struct {
+		name  string
+		build func() (Model, error)
+		want  uint64
+	}{
+		{"timely", func() (Model, error) { return NewTimely(cfg(false, 0, false)) }, 0x7a5a464a5188d3b7},
+		{"timely_jitter", func() (Model, error) { return NewTimely(cfg(false, 20e-6, false)) }, 0x81700c9b4d7ec40c},
+		{"patched", func() (Model, error) { return NewPatchedTimely(cfg(true, 0, false)) }, 0x86bd0241f5c1c81c},
+		{"patched_jitter", func() (Model, error) { return NewPatchedTimely(cfg(true, 20e-6, false)) }, 0x65db832247ceb74a},
+		{"patched_late", func() (Model, error) { return NewPatchedTimely(cfg(true, 0, true)) }, 0x88db42e529cd2c94},
+		{"timelypi", func() (Model, error) { return NewTimelyPI(TimelyPIConfig{Timely: cfg(true, 0, false)}) }, 0xfa0ec295bc967456},
+		{"timelypi_jitter", func() (Model, error) {
+			return NewTimelyPI(TimelyPIConfig{Timely: cfg(true, 20e-6, false)})
+		}, 0x91cf217c937c2a87},
+		{"timelypi_late", func() (Model, error) { return NewTimelyPI(TimelyPIConfig{Timely: cfg(true, 0, true)}) }, 0x2511ac22782827e2},
+	} {
+		m, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		w := &watchedModel{Model: m}
+		got := trajectoryDigest(w)
+		if got != c.want {
+			t.Errorf("%s: trajectory digest %#x, want %#x", c.name, got, c.want)
+		}
+		if w.watch.latest <= 0 {
+			t.Errorf("%s: latest queue lookup at t = %g, want one after t = 0", c.name, w.watch.latest)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"fmt"
+	"math"
 
 	"ecndelay/internal/fixedpoint"
 	"ecndelay/internal/ode"
@@ -42,12 +43,38 @@ type DCQCNConfig struct {
 
 // DCQCNSystem is the DCQCN fluid model as an ode.System. State layout:
 // y[0] = queue (packets); for flow i: y[1+3i] = α_i, y[2+3i] = R_T^i,
-// y[3+3i] = R_C^i (packets/s).
+// y[3+3i] = R_C^i (packets/s). It is not safe for concurrent use: Derivs
+// updates the Eq. 12 memo and PostStep advances the jitter.
 type DCQCNSystem struct {
 	cfg      DCQCNConfig
 	lineRate float64
 	rmin     float64
 	jit      *jitterSource
+	memo     *eq12Memo // allocated by the first rateDerivs
+}
+
+// eq12Memo keeps the last Eq. 12 evaluations of a DCQCN right-hand side,
+// keyed on the exact bits of their inputs. Eq. 12 is a pure function of
+// (Params, p, rc), so equal input bits give equal output bits: a hit
+// returns what the evaluation would, and no entry ever needs
+// invalidating. RK4's stages 2 and 3 run at the same t, and stage 1 of a
+// step runs where stage 4 of the step before did, so without jitter they
+// mostly read the same delayed p and rates: at the Fig. 4 setup NewEq12
+// runs on half the calls and Terms on about two thirds of the flows.
+type eq12Memo struct {
+	pBits uint64
+	eq    fixedpoint.Eq12
+	flows []flowTerms
+}
+
+// flowTerms is one flow's entry: Terms and AlphaTarget at the delayed rate
+// whose bits are rBits, under the p whose bits are pBits. ok is false
+// until the first evaluation, since zero bits are valid inputs.
+type flowTerms struct {
+	ok            bool
+	pBits, rBits  uint64
+	a, b, c, d, e float64
+	target        float64
 }
 
 // NewDCQCN validates cfg and builds the system.
@@ -104,7 +131,7 @@ func (s *DCQCNSystem) RCIndex(i int) int { return 3 + 3*i }
 
 // Derivs implements ode.System with the Figure 1 equations.
 func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []float64) {
-	pr := s.cfg.Params
+	pr := &s.cfg.Params
 	delay := pr.TauStar + s.jit.value()
 	tq := t - delay
 
@@ -142,8 +169,6 @@ func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []fl
 	} else {
 		pHat = REDMarkExtended(qDelayed, pr.Kmin, pr.Kmax, pr.Pmax)
 	}
-	// Every flow sees the same delayed p: its share of Eq. 12 is done once.
-	eq := fixedpoint.NewEq12(pr, pHat)
 
 	sum := 0.0
 	for i := 0; i < pr.N; i++ {
@@ -155,21 +180,44 @@ func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []fl
 	}
 	dydt[0] = dq
 
-	for i := 0; i < pr.N; i++ {
-		alpha := y[s.AlphaIndex(i)]
-		rt := y[s.RTIndex(i)]
-		rc := y[s.RCIndex(i)]
-		rcHat := past.Value(tq, s.RCIndex(i))
-		a, b, c, d, e := eq.Terms(max(rcHat, s.rmin))
+	s.rateDerivs(pHat, tq, s.AlphaIndex(0), y, past, dydt)
+}
+
+// rateDerivs writes Eq. 5-7 for every flow under the delayed marking
+// probability p. The flows' (α, R_T, R_C) triples start at y[off], and
+// flow i's delayed rate is read at tq. Every flow sees the same p, so its
+// share of Eq. 12 is done once; the memo skips any evaluation whose inputs
+// have the bits of the last one.
+func (s *DCQCNSystem) rateDerivs(p, tq float64, off int, y []float64, past ode.History, dydt []float64) {
+	pr := &s.cfg.Params
+	pBits := math.Float64bits(p)
+	m := s.memo
+	switch {
+	case m == nil:
+		m = &eq12Memo{pBits: pBits, eq: fixedpoint.NewEq12(*pr, p), flows: make([]flowTerms, pr.N)}
+		s.memo = m
+	case m.pBits != pBits:
+		m.pBits, m.eq = pBits, fixedpoint.NewEq12(*pr, p)
+	}
+	for i := range m.flows {
+		ia, it, ic := off+3*i, off+1+3*i, off+2+3*i
+		alpha, rt, rc := y[ia], y[it], y[ic]
+		rcHat := past.Value(tq, ic)
+		f := &m.flows[i]
+		if rBits := math.Float64bits(rcHat); !f.ok || f.pBits != pBits || f.rBits != rBits {
+			f.ok, f.pBits, f.rBits = true, pBits, rBits
+			f.a, f.b, f.c, f.d, f.e = m.eq.Terms(max(rcHat, s.rmin))
+			f.target = m.eq.AlphaTarget(rcHat)
+		}
 
 		// Eq. 5: α tracks the marked fraction over the τ' window.
-		dydt[s.AlphaIndex(i)] = pr.G / pr.TauPrime * (eq.AlphaTarget(rcHat) - alpha)
+		dydt[ia] = pr.G / pr.TauPrime * (f.target - alpha)
 		// Eq. 6: target rate resets on cuts, rises with the byte counter
 		// and timer once past the F fast-recovery stages.
-		dydt[s.RTIndex(i)] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)
+		dydt[it] = -(rt-rc)/pr.Tau*f.a + pr.RAI*rcHat*(f.c+f.e)
 		// Eq. 7: multiplicative decrease on CNPs, fast recovery toward
 		// R_T on byte-counter and timer events.
-		dydt[s.RCIndex(i)] = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(b+d)
+		dydt[ic] = -rc*alpha/(2*pr.Tau)*f.a + (rt-rc)/2*rcHat*(f.b+f.d)
 	}
 }
 

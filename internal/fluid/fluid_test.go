@@ -701,6 +701,53 @@ func (m *countingModel) PostStep(t float64, y []float64) {
 	}
 }
 
+// rampHistory serves y[idx]·(1+tq), so each lookup time gives the model
+// new delayed inputs and the DCQCN memo misses as well as hits.
+type rampHistory struct{ y []float64 }
+
+func (h *rampHistory) Value(tq float64, idx int) float64 { return h.y[idx] * (1 + tq) }
+
+// TestDerivsAllocFree pins every fluid right-hand side at 0 allocations
+// per call once warm: the first DCQCN call allocates the Eq. 12 memo and
+// no later call allocates anything.
+func TestDerivsAllocFree(t *testing.T) {
+	dcqcn := DCQCNConfig{Params: DefaultDCQCNParams(10)}
+	for _, c := range []struct {
+		name  string
+		build func() (Model, error)
+		prep  func(y []float64) // a delayed state on the marking ramp
+	}{
+		{"dcqcn", func() (Model, error) { return NewDCQCN(dcqcn) }, func(y []float64) { y[0] = 50 }},
+		{"dcqcnpi", func() (Model, error) { return NewDCQCNPI(DCQCNPIConfig{DCQCN: dcqcn}) },
+			func(y []float64) { y[0], y[1] = 50, 0.01 }},
+		{"timely", func() (Model, error) { return NewTimely(DefaultTimelyConfig(10)) },
+			func(y []float64) { y[0] = 100e3 }},
+		{"patched", func() (Model, error) { return NewPatchedTimely(DefaultPatchedTimelyConfig(10)) },
+			func(y []float64) { y[0] = 100e3 }},
+		{"timelypi", func() (Model, error) {
+			return NewTimelyPI(TimelyPIConfig{Timely: DefaultPatchedTimelyConfig(10)})
+		}, func(y []float64) { y[0] = 100e3 }},
+	} {
+		m, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		y := m.Initial()
+		c.prep(y)
+		past := &rampHistory{y: append([]float64(nil), y...)}
+		dydt := make([]float64, len(y))
+		now := 1e-3
+		m.Derivs(now, y, past, dydt)
+		allocs := testing.AllocsPerRun(100, func() {
+			now += 1e-6
+			m.Derivs(now, y, past, dydt)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Derivs allocates %v times per call, want 0", c.name, allocs)
+		}
+	}
+}
+
 // BenchmarkDCQCNFluid integrates the Fig. 4 oscillating case (N = 10,
 // τ* = 85 µs) for 2 ms at h = 1 µs. rhs_evals/op is the work count: ns/op
 // divided by it is the cost of one right-hand-side evaluation.

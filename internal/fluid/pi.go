@@ -3,7 +3,6 @@ package fluid
 import (
 	"fmt"
 
-	"ecndelay/internal/fixedpoint"
 	"ecndelay/internal/ode"
 )
 
@@ -93,7 +92,7 @@ func (s *DCQCNPISystem) Initial() []float64 {
 
 // Derivs implements ode.System.
 func (s *DCQCNPISystem) Derivs(t float64, y []float64, past ode.History, dydt []float64) {
-	pr := s.inner.cfg.Params
+	pr := &s.inner.cfg.Params
 	delay := pr.TauStar + s.inner.jit.value()
 	tq := t - delay
 
@@ -116,17 +115,7 @@ func (s *DCQCNPISystem) Derivs(t float64, y []float64, past ode.History, dydt []
 		dydt[1] = 0
 	}
 
-	eq := fixedpoint.NewEq12(pr, clamp(past.Value(tq, 1), 0, 1))
-	for i := 0; i < pr.N; i++ {
-		alpha := y[s.AlphaIndex(i)]
-		rt := y[s.RTIndex(i)]
-		rc := y[s.RCIndex(i)]
-		rcHat := past.Value(tq, s.RCIndex(i))
-		a, b, c, d, e := eq.Terms(max(rcHat, s.inner.rmin))
-		dydt[s.AlphaIndex(i)] = pr.G / pr.TauPrime * (eq.AlphaTarget(rcHat) - alpha)
-		dydt[s.RTIndex(i)] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)
-		dydt[s.RCIndex(i)] = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(b+d)
-	}
+	s.inner.rateDerivs(clamp(past.Value(tq, 1), 0, 1), tq, s.AlphaIndex(0), y, past, dydt)
 }
 
 // PostStep implements ode.PostStepper.
@@ -217,7 +206,7 @@ func (s *TimelyPISystem) Initial() []float64 {
 
 // Derivs implements ode.System.
 func (s *TimelyPISystem) Derivs(t float64, y []float64, past ode.History, dydt []float64) {
-	cfg := s.base.cfg
+	cfg := &s.base.cfg
 	sum := 0.0
 	for i := 0; i < cfg.N; i++ {
 		if s.base.active(i, t) {
@@ -230,6 +219,8 @@ func (s *TimelyPISystem) Derivs(t float64, y []float64, past ode.History, dydt [
 	}
 	dydt[0] = dq
 
+	sampled := false
+	var tauP, qd float64
 	for i := 0; i < cfg.N; i++ {
 		ri, gi, pi := s.RateIndex(i), s.GradIndex(i), s.PIndex(i)
 		if !s.base.active(i, t) {
@@ -240,7 +231,11 @@ func (s *TimelyPISystem) Derivs(t float64, y []float64, past ode.History, dydt [
 		g := y[gi]
 		p := y[pi]
 		ts := s.base.tauStar(r)
-		qd, qd2 := s.base.sampleQueues(t, y[0], ts, past)
+		if !sampled {
+			sampled = true
+			tauP, qd = s.base.recentQueue(t, y[0], past)
+		}
+		qd2 := s.base.olderQueue(t, tauP, ts, past)
 		dydt[gi] = cfg.EWMA / ts * (-g + (qd-qd2)/(cfg.C*cfg.DminRTT))
 
 		// Host-side PI (Eq. 32): e = measured queueing delay - reference.

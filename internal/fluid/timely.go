@@ -180,7 +180,16 @@ func (b *timelyBase) tauStar(r float64) float64 {
 	return ts
 }
 
-// feedbackDelay is τ' of Eq. 24 evaluated at the current queue.
+// feedbackDelay is τ' of Eq. 24 evaluated at the current queue, as the
+// paper writes it. The lookup time t − τ'(t) then advances at
+// 1 − q'(t)/C = (2C − ΣR)/C, so while ΣR > 2C it runs backward: a run that
+// starts there reads every delayed queue from the initial history, sees
+// the initial queue, and has no feedback until ΣR falls below 2C. From
+// start rates of several C it may never fall: rates climb to line rate
+// and the queue grows without bound. A packet FIFO has no such regime:
+// the delay a sample carries is q(s)/C at its enqueue instant s, and
+// s + q(s)/C never decreases (the relation DCQCNConfig.IngressMarking
+// solves for the marking lag).
 func (b *timelyBase) feedbackDelay(q float64) float64 {
 	if q < 0 {
 		q = 0
@@ -188,23 +197,30 @@ func (b *timelyBase) feedbackDelay(q float64) float64 {
 	return q/b.cfg.C + b.cfg.MTU/b.cfg.C + b.cfg.DProp
 }
 
-// sampleQueues returns the two delayed queue observations the TIMELY
-// gradient needs: q(t-τ') and q(t-τ'-τ*). Feedback jitter both delays each
-// sample and — unlike for ECN — adds directly to the measured RTT, so each
-// observation is inflated by jitter·C bytes of apparent queue (§5.2: "for
-// delay based schemes you have delayed AND noisy feedback").
-func (b *timelyBase) sampleQueues(t, q, ts float64, past ode.History) (qd, qd2 float64) {
-	tauP := b.feedbackDelay(q)
-	j1, j2 := b.jit.pair()
-	qd = past.Value(t-tauP-j1, 0) + j1*b.cfg.C
-	qd2 = past.Value(t-tauP-j2-ts, 0) + j2*b.cfg.C
-	return
+// recentQueue returns τ' at queue q and q(t-τ'), the newer of the two
+// delayed queue observations the TIMELY gradient needs; olderQueue gives
+// the other. Feedback jitter both delays each sample and — unlike for ECN
+// — adds directly to the measured RTT, so each observation is inflated by
+// jitter·C bytes of apparent queue (§5.2: "for delay based schemes you
+// have delayed AND noisy feedback"). Both results are the same for every
+// flow at one t, so a right-hand side reads them once.
+func (b *timelyBase) recentQueue(t, q float64, past ode.History) (tauP, qd float64) {
+	tauP = b.feedbackDelay(q)
+	j1, _ := b.jit.pair()
+	return tauP, past.Value(t-tauP-j1, 0) + j1*b.cfg.C
+}
+
+// olderQueue returns q(t-τ'-τ*), the observation one update interval ts
+// before recentQueue's. It depends on the flow's own τ*.
+func (b *timelyBase) olderQueue(t, tauP, ts float64, past ode.History) float64 {
+	_, j2 := b.jit.pair()
+	return past.Value(t-tauP-j2-ts, 0) + j2*b.cfg.C
 }
 
 // Derivs implements the shared queue and gradient dynamics, dispatching the
 // rate law to original (Eq. 21) or patched (Eq. 29) form.
 func (b *timelyBase) Derivs(t float64, y []float64, past ode.History, dydt []float64) {
-	cfg := b.cfg
+	cfg := &b.cfg
 	sum := 0.0
 	for i := 0; i < cfg.N; i++ {
 		if b.active(i, t) {
@@ -217,6 +233,8 @@ func (b *timelyBase) Derivs(t float64, y []float64, past ode.History, dydt []flo
 	}
 	dydt[0] = dq
 
+	sampled := false
+	var tauP, qd float64
 	for i := 0; i < cfg.N; i++ {
 		ri := b.RateIndex(i)
 		gi := b.GradIndex(i)
@@ -232,7 +250,11 @@ func (b *timelyBase) Derivs(t float64, y []float64, past ode.History, dydt []flo
 		// Eq. 22: EWMA of the normalised RTT difference. The RTT diff
 		// between consecutive completion events (τ* apart) is the queue
 		// change over that window divided by C, normalised by D_minRTT.
-		qd, qd2 := b.sampleQueues(t, y[0], ts, past)
+		if !sampled {
+			sampled = true
+			tauP, qd = b.recentQueue(t, y[0], past)
+		}
+		qd2 := b.olderQueue(t, tauP, ts, past)
 		dydt[gi] = cfg.EWMA / ts * (-g + (qd-qd2)/(cfg.C*cfg.DminRTT))
 
 		switch {
@@ -284,10 +306,16 @@ func (b *timelyBase) PostStep(t float64, y []float64) {
 	b.jit.resample()
 }
 
-// MaxDelay bounds the history lag: the worst-case τ' for a queue of
-// MaxQueue bytes plus one update interval at minimum rate.
+// MaxDelay bounds the history lag: τ' at a 16 MB queue plus one update
+// interval at minimum rate. The 16 MB is a lag budget, not a buffer
+// limit, and runs do pass it: while ΣR > 2C the queue grows without bound
+// (patched runs from start rates of 5–7 C end near 200 MB after 20 ms),
+// but a run that starts there reads only the initial history (see
+// feedbackDelay). A run whose queue passes 16 MB while it reads stored
+// history can ask for a lag past this bound, on which the solver panics
+// once its ring has wrapped.
 func (b *timelyBase) MaxDelay() float64 {
-	maxQ := 16e6 // 16 MB shared buffer ceiling, larger than any run here
+	maxQ := 16e6
 	return b.feedbackDelay(maxQ) + b.cfg.Seg/b.rmin + b.cfg.JitterMax
 }
 

@@ -5,8 +5,10 @@
 // reference state at earlier times (the feedback delay τ* in DCQCN, the
 // state-dependent RTT τ' in TIMELY). Go has no numerical DDE ecosystem, so
 // this package provides one from scratch: a dense, uniformly-spaced history
-// ring buffer with linear interpolation serves past-state lookups at
-// arbitrary (possibly state-dependent) lags.
+// ring buffer serves past-state lookups at arbitrary (possibly
+// state-dependent) lags. It interpolates between stored points with cubic
+// Hermite by default, or linearly when Solver.LinearHistory is set, as
+// every fluid model in this module sets it.
 package ode
 
 import (
@@ -48,7 +50,9 @@ type Solver struct {
 	// fluid models). Must be > 0.
 	H float64
 	// MaxDelay bounds the largest lag the system will ever request. The
-	// history buffer keeps ceil(MaxDelay/H)+4 points. Zero is valid for
+	// history buffer keeps min(ceil(MaxDelay/H)+4, steps+1) points, where
+	// steps is the run's step count: a run never stores more than steps+1
+	// points, so a longer ring would hold nothing more. Zero is valid for
 	// pure ODEs.
 	MaxDelay float64
 	// Y0 is the initial state at t0; it is copied, not aliased.
@@ -105,14 +109,14 @@ func newHistory(dim, capac int, h, t0 float64, y0 []float64, init func(float64, 
 // The new point's own slope is provisionally dyEnd (the step's k4, an
 // O(h²) endpoint estimate) until the next step overwrites it exactly.
 func (hs *history) push(t float64, y, dyPrev, dyEnd []float64) {
-	prevIdx := (hs.start + hs.n - 1) % hs.capac
+	prevIdx := hs.index(hs.n - 1)
 	var idx int
 	if hs.n < hs.capac {
-		idx = (hs.start + hs.n) % hs.capac
+		idx = hs.index(hs.n)
 		hs.n++
 	} else {
 		idx = hs.start
-		hs.start = (hs.start + 1) % hs.capac
+		hs.start = hs.index(1)
 	}
 	copy(hs.buf[idx*hs.dim:(idx+1)*hs.dim], y)
 	if hs.slope != nil {
@@ -126,15 +130,25 @@ func (hs *history) push(t float64, y, dyPrev, dyEnd []float64) {
 	hs.tcur = t
 }
 
-// at returns the i-th stored point (0 = oldest).
+// index returns the ring slot of the i-th point after the oldest. Both
+// start and i are below capac, so one subtraction wraps it.
+func (hs *history) index(i int) int {
+	idx := hs.start + i
+	if idx >= hs.capac {
+		idx -= hs.capac
+	}
+	return idx
+}
+
+// point returns the i-th stored point (0 = oldest).
 func (hs *history) point(i int) []float64 {
-	idx := (hs.start + i) % hs.capac
+	idx := hs.index(i)
 	return hs.buf[idx*hs.dim : (idx+1)*hs.dim]
 }
 
 // slopeAt returns the stored derivative of the i-th point (Hermite mode).
 func (hs *history) slopeAt(i int) []float64 {
-	idx := (hs.start + i) % hs.capac
+	idx := hs.index(i)
 	return hs.slope[idx*hs.dim : (idx+1)*hs.dim]
 }
 
@@ -184,8 +198,10 @@ func (hs *history) Value(tq float64, idx int) float64 {
 	return (2*a3-3*a2+1)*p0[idx] + (a3-2*a2+a)*d0 + (-2*a3+3*a2)*p1[idx] + (a3-a2)*d1
 }
 
-// Integrate advances the system from t0 to t1 (t1 > t0), invoking obs (if
-// non-nil) at t0 and after every step. It returns the final state.
+// Integrate advances the system from t0 to t1, invoking obs (if non-nil)
+// at t0 and after every step. It returns the final state; when t1 <= t0 it
+// takes no step and returns Y0. It panics, like every bad configuration,
+// when the step count or the history ring does not fit in an int.
 func (s *Solver) Integrate(t0, t1 float64, obs Observer) []float64 {
 	if s.H <= 0 {
 		panic("ode: step H must be positive")
@@ -200,8 +216,22 @@ func (s *Solver) Integrate(t0, t1 float64, obs Observer) []float64 {
 	if math.IsNaN(s.MaxDelay) || s.MaxDelay < 0 {
 		panic("ode: invalid MaxDelay")
 	}
-	capac := int(math.Ceil(s.MaxDelay/s.H)) + 4
-	hist := newHistory(dim, capac, s.H, t0, s.Y0, s.InitHistory, !s.LinearHistory)
+	// Both counts are formed in float64 and checked before they become
+	// ints: a tiny H or a huge MaxDelay gives counts past the int range.
+	nsteps := math.Round((t1 - t0) / s.H)
+	if math.IsNaN(nsteps) || nsteps >= math.MaxInt {
+		panic(fmt.Sprintf("ode: (t1-t0)/H = %g steps does not fit in an int", nsteps))
+	}
+	nsteps = max(nsteps, 0)
+	// The ring is sized by the run as well as by the lag: a run pushes
+	// at most steps+1 points, so the shorter ring evicts none that the
+	// ceil(MaxDelay/H)+4 ring would keep, and every lookup reads the same
+	// points. One point is the least, for a run that takes no step.
+	capac := min(math.Ceil(s.MaxDelay/s.H)+4, nsteps+1)
+	if capac*float64(dim)*8 >= math.MaxInt {
+		panic(fmt.Sprintf("ode: history ring of %g points of %d values: its size in bytes does not fit in an int", capac, dim))
+	}
+	hist := newHistory(dim, int(capac), s.H, t0, s.Y0, s.InitHistory, !s.LinearHistory)
 
 	y := append([]float64(nil), s.Y0...)
 	k1 := make([]float64, dim)
@@ -216,7 +246,7 @@ func (s *Solver) Integrate(t0, t1 float64, obs Observer) []float64 {
 		obs(t0, y)
 	}
 	h := s.H
-	steps := int(math.Round((t1 - t0) / h))
+	steps := int(nsteps)
 	t := t0
 	for step := 0; step < steps; step++ {
 		s.Sys.Derivs(t, y, hist, k1)

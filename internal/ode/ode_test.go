@@ -2,6 +2,8 @@ package ode
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -171,23 +173,56 @@ func TestHistoryTooSmallPanics(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
+	decay := Func{N: 1, F: func(_ float64, y, d []float64) { d[0] = -y[0] }}
 	cases := []struct {
 		name string
 		s    *Solver
+		t1   float64
+		want string // in the panic message
 	}{
-		{"zero step", &Solver{Sys: Func{N: 1, F: func(_ float64, y, d []float64) {}}, H: 0, Y0: []float64{1}}},
-		{"nil system", &Solver{H: 1, Y0: []float64{1}}},
-		{"dim mismatch", &Solver{Sys: Func{N: 2, F: func(_ float64, y, d []float64) {}}, H: 1, Y0: []float64{1}}},
+		{"zero step", &Solver{Sys: Func{N: 1, F: func(_ float64, y, d []float64) {}}, H: 0, Y0: []float64{1}}, 1, "step H"},
+		{"nil system", &Solver{H: 1, Y0: []float64{1}}, 1, "nil system"},
+		{"dim mismatch", &Solver{Sys: Func{N: 2, F: func(_ float64, y, d []float64) {}}, H: 1, Y0: []float64{1}}, 1, "len(Y0)"},
+		// Counts past the int range would wrap into a slice length.
+		{"steps past int", &Solver{Sys: decay, H: 1e-300, Y0: []float64{1}}, 1, "steps does not fit in an int"},
+		{"ring past int", &Solver{Sys: decay, H: 1, MaxDelay: 1 << 62, Y0: []float64{1}}, 1 << 62, "history ring"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "ode: ") || !strings.Contains(msg, c.want) {
+					t.Errorf("panic %q, want an ode: message containing %q", msg, c.want)
 				}
 			}()
-			c.s.Integrate(0, 1, nil)
+			c.s.Integrate(0, c.t1, nil)
 		})
+	}
+}
+
+// A run never stores more than steps+1 points, so the ring holds no more:
+// a 20-step run with MaxDelay = 10⁴·H allocates a 21-point ring, not the
+// ceil(MaxDelay/H)+4 = 10,004 points (640 KB for both rings at dim 4) the
+// lag alone asks for. A lag whose point count passes the int range is
+// fine on a short run, and a run that takes no step keeps one point.
+func TestRingSizedByRun(t *testing.T) {
+	const dim, steps, h = 4, 20, 1e-3
+	s := &Solver{Sys: Func{N: dim, F: func(_ float64, y, d []float64) { copy(d, y) }},
+		H: h, MaxDelay: 1e4 * h, Y0: make([]float64, dim)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Integrate(0, steps*h, nil)
+	runtime.ReadMemStats(&after)
+	// The value and slope rings of 21 points, plus 1 KB for the state,
+	// the four stages and the history's own copies.
+	limit := uint64(2*(steps+1)*dim*8 + 1024)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("20-step run allocated %d bytes, want at most %d (a 21-point ring)", got, limit)
+	}
+	s.MaxDelay = 1e300
+	s.Integrate(0, steps*h, nil)
+	if y := s.Integrate(1, 0, nil); len(y) != dim {
+		t.Errorf("t1 < t0 returned %v, want the %d-component initial state", y, dim)
 	}
 }
 
