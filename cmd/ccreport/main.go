@@ -29,6 +29,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ecndelay/internal/fixedpoint"
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/hybrid"
 	"ecndelay/internal/stability"
@@ -92,6 +93,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ccreport: -audit is required")
 		fs.Usage()
 		return 2
+	}
+	// The fluid operating point is checked before the audit is read, so a
+	// refused -fluid-* value prints one line and no half report. τ* stays
+	// the model default until the measured delay replaces it below.
+	par := fluid.DefaultDCQCNParams(*fluidN)
+	par.C = *fluidBW / hybrid.MTU // packets/s
+	par.Kmin = *fluidKmin / hybrid.MTU
+	par.Kmax = *fluidKmax / hybrid.MTU
+	par.Pmax = *fluidPmax
+	if *fluidDelay > 0 {
+		par.TauStar = *fluidDelay
+	}
+	switch {
+	case *fluidN < 0:
+		fmt.Fprintf(stderr, "ccreport: -fluid-n must be >= 0 (0: skip the comparison), got %d\n", *fluidN)
+		return 2
+	case *fluidDelay != 0 && !(*fluidDelay > 0 && *fluidDelay <= math.MaxFloat64):
+		fmt.Fprintf(stderr, "ccreport: -fluid-delay must be 0 (the measured p50 mark→cut) or a finite positive number of seconds, got %g\n", *fluidDelay)
+		return 2
+	case *fluidN > 0:
+		if err := par.Validate(); err != nil {
+			fmt.Fprintf(stderr, "ccreport: -fluid-n %d -fluid-bw %g -fluid-delay %g -fluid-kmin %g -fluid-kmax %g -fluid-pmax %g: %v\n",
+				*fluidN, *fluidBW, *fluidDelay, *fluidKmin, *fluidKmax, *fluidPmax, err)
+			return 2
+		}
 	}
 
 	hdr, recs, err := readAudit(*auditPath)
@@ -173,11 +199,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *fluidN > 0 {
-		delay := *fluidDelay
-		if delay == 0 && len(att.markCut) > 0 {
-			delay, _ = stats.Percentile(att.markCut, 50)
+		if *fluidDelay == 0 && len(att.markCut) > 0 {
+			if d, _ := stats.Percentile(att.markCut, 50); d > 0 {
+				par.TauStar = d
+			}
 		}
-		if err := fluidCompare(stdout, *fluidN, *fluidBW, delay, *fluidKmin, *fluidKmax, *fluidPmax, ratePeriod, queuePeriod); err != nil {
+		if err := fluidCompare(stdout, par, ratePeriod, queuePeriod); err != nil {
 			fmt.Fprintf(stderr, "ccreport: fluid comparison: %v\n", err)
 			return 2
 		}
@@ -420,18 +447,10 @@ func readQueueProbe(path string) (ts, vs []float64, name string, err error) {
 	return ts, vs, name, sc.Err()
 }
 
-// fluidCompare linearises the DCQCN fluid model at the same operating
-// point and compares its predicted oscillation period (2π over the gain
-// crossover frequency) with the measured rate/queue periods.
-func fluidCompare(w io.Writer, n int, bw, delay, kminB, kmaxB, pmax, ratePeriod, queuePeriod float64) error {
-	p := fluid.DefaultDCQCNParams(n)
-	p.C = bw / hybrid.MTU // packets/s
-	p.Kmin = kminB / hybrid.MTU
-	p.Kmax = kmaxB / hybrid.MTU
-	p.Pmax = pmax
-	if delay > 0 {
-		p.TauStar = delay
-	}
+// fluidCompare linearises the DCQCN fluid model at the measured run's
+// operating point p and compares its predicted oscillation period (2π
+// over the gain crossover frequency) with the measured rate/queue periods.
+func fluidCompare(w io.Writer, p fixedpoint.DCQCNParams, ratePeriod, queuePeriod float64) error {
 	loop, err := fluid.NewDCQCNLoop(p)
 	if err != nil {
 		return err
@@ -441,7 +460,7 @@ func fluidCompare(w io.Writer, n int, bw, delay, kminB, kmaxB, pmax, ratePeriod,
 		return err
 	}
 	fmt.Fprintf(w, "\nfluid model (n=%d, C=%.2g B/s, τ*=%.1fµs): phase margin %.1f°",
-		n, bw, p.TauStar*1e6, res.PhaseMarginDeg)
+		p.N, p.C*hybrid.MTU, p.TauStar*1e6, res.PhaseMarginDeg)
 	if res.CrossoverRadPerSec <= 0 {
 		fmt.Fprintf(w, ", no gain crossover — loop predicted unconditionally stable, no oscillation period to compare\n")
 		return nil

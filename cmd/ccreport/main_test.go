@@ -245,3 +245,36 @@ func TestRunUsageErrors(t *testing.T) {
 		t.Errorf("record-free audit message missing; stderr: %s", errb.String())
 	}
 }
+
+// A refused -fluid-* value exits 2 with one ccreport: line naming the
+// flag before the audit is read, so nothing reaches stdout.
+func TestRunFluidFlagRefusals(t *testing.T) {
+	audit := writeAudit(t, t.TempDir(), nil, sawtoothAudit())
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fluid-n", "-3"}, "-fluid-n"},
+		{[]string{"-fluid-n", "10", "-fluid-delay", "-1"}, "-fluid-delay"},
+		{[]string{"-fluid-n", "10", "-fluid-delay", "NaN"}, "-fluid-delay"},
+		{[]string{"-fluid-n", "10", "-fluid-delay", "Inf"}, "-fluid-delay"},
+		{[]string{"-fluid-n", "10", "-fluid-bw", "0"}, "-fluid-bw"},
+		{[]string{"-fluid-n", "10", "-fluid-bw", "-1"}, "-fluid-bw"},
+		{[]string{"-fluid-n", "10", "-fluid-bw", "NaN"}, "-fluid-bw"},
+		{[]string{"-fluid-n", "10", "-fluid-kmin", "300000"}, "-fluid-kmin"},
+		{[]string{"-fluid-n", "10", "-fluid-pmax", "2"}, "-fluid-pmax"},
+	} {
+		var out, errb bytes.Buffer
+		code := run(append([]string{"-audit", audit}, c.args...), &out, &errb)
+		msg := errb.String()
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr %q)", c.args, code, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: stdout %q, want nothing", c.args, out.String())
+		}
+		if !strings.HasPrefix(msg, "ccreport: ") || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, c.want) {
+			t.Errorf("%v: stderr %q, want one ccreport: line naming %s", c.args, msg, c.want)
+		}
+	}
+}

@@ -16,8 +16,7 @@
 //	packetsim -proto dcqcn -n 2 -bw 40e9 -bg-flows 6
 //
 // Fault injection (all off by default; output stays deterministic for
-// fixed -seed and -fault-seed, which is what the Makefile determinism
-// gate diffs):
+// fixed -seed and -fault-seed, which TestSeededRunsReproduce checks):
 //
 //	packetsim -proto dcqcn -loss 1e-3 -ctrl-loss 1e-2 -recovery
 //	packetsim -proto dcqcn -flap 0.01,0.02 -recovery
@@ -30,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -104,16 +104,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "unknown -proto %q", *proto)
 	case *n < 0:
 		return fail(2, "-n must be >= 0, got %d", *n)
-	case *bw <= 0:
-		return fail(2, "-bw must be positive, got %g", *bw)
-	case *sample <= 0:
-		return fail(2, "-sample must be positive, got %g", *sample)
-	case *lossRate < 0 || *lossRate > 1:
+	case !(*bw > 0) || math.IsInf(*bw, 1):
+		return fail(2, "-bw must be a finite positive rate, got %g", *bw)
+	case !(*lossRate >= 0 && *lossRate <= 1):
 		return fail(2, "-loss must be in [0,1], got %g", *lossRate)
-	case *ctrlLoss < 0 || *ctrlLoss > 1:
+	case !(*ctrlLoss >= 0 && *ctrlLoss <= 1):
 		return fail(2, "-ctrl-loss must be in [0,1], got %g", *ctrlLoss)
+	case !(*oversub >= 1) || math.IsInf(*oversub, 1):
+		return fail(2, "-oversub must be a finite ratio >= 1, got %g", *oversub)
+	case *bgFlows < 0:
+		return fail(2, "-bg-flows must be >= 0, got %d", *bgFlows)
 	case *bgFlows > 0 && *proto != "dcqcn":
 		return fail(2, "-bg-flows needs -proto dcqcn (the aggregate is a DCQCN fluid model)")
+	}
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"-seg", *seg}, {"-qcap", *qcap}, {"-pfc-pause", *pfcPause}, {"-pfc-resume", *pfcResume}} {
+		if c.v < 0 {
+			return fail(2, "%s must be >= 0, got %d", c.name, c.v)
+		}
+	}
+	// Every flag in seconds becomes a des.Duration, so it must convert
+	// to one: finite, not negative, inside the int64-nanosecond range,
+	// and at least 1 ns where a zero would stall the run.
+	for _, c := range []struct {
+		name  string
+		v     float64
+		least des.Duration
+	}{
+		{"-extra-delay", *extraDelay, 0}, {"-jitter", *jitter, 0}, {"-rto", *rto, 0},
+		{"-pfc-watchdog", *pfcWatch, 0}, {"-sample", *sample, 1}, {"-horizon", *horizon, 1},
+	} {
+		if !cli.DurationOK(c.v, c.least) {
+			return fail(2, "%s must be from %gs to 9.2e9s, got %g", c.name, c.least.Seconds(), c.v)
+		}
 	}
 	if err := flags.Check(); err != nil {
 		return fail(2, "%v", err)
@@ -150,6 +175,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return fail(2, "bad -rates: %v", err)
 			}
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return fail(2, "bad -rates entry %g: want a finite rate >= 0 (0: the protocol's default)", v)
+			}
 			startRates = append(startRates, v)
 		}
 		if len(startRates) != *n {
@@ -167,8 +195,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err1 != nil || err2 != nil {
 			return fail(2, "bad -flap %q: %v %v", *flapSpec, err1, err2)
 		}
-		if down < 0 || up < 0 || (up != 0 && up <= down) {
-			return fail(2, "bad -flap %q: want down >= 0 and up 0 or after down", *flapSpec)
+		if !cli.DurationOK(down, 0) || !cli.DurationOK(up, 0) || (up != 0 && up <= down) {
+			return fail(2, "bad -flap %q: want seconds down >= 0 and up 0 or after down", *flapSpec)
 		}
 		flaps = append(flaps, fault.Flap{
 			DownAt: des.Time(des.DurationFromSeconds(down)),
@@ -179,6 +207,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// segments would bypass, so the two are mutually exclusive.
 	if *warmStart {
 		switch {
+		case *n < 1:
+			return fail(2, "-warm-start needs -n >= 1, got %d", *n)
 		case *recovery:
 			return fail(2, "-warm-start is incompatible with -recovery (prefilled segments bypass go-back-N tracking)")
 		case startRates != nil:
@@ -195,16 +225,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer sess.Close()
 	observer := sess.Observer
 
+	// The DCQCN operating point in paper units: it supplies the marker,
+	// the warm start and the background aggregate's parameters. The
+	// links keep the flag's bytes/s value.
 	bwBytes := *bw / 8
+	sc := hybrid.NewDCQCNScenario(*n, *seed)
+	sc.Par.C = bwBytes / hybrid.MTU
+	sc.Ingress = *ingress
 	nw := netsim.New(*seed)
 	if observer != nil {
 		nw.SetObserver(observer)
 	}
-	var mark func() netsim.Marker
+	var mark netsim.MarkerFactory
 	if *proto == "dcqcn" {
-		mark = func() netsim.Marker {
-			return &netsim.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Ingress: *ingress, Rng: nw.Rng}
-		}
+		mark = sc.Marker(nw)
 	}
 	// fab abstracts the wired topology down to what the flow/fault/output
 	// machinery needs: who sends, who receives, which port is the
@@ -276,9 +310,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *warmStart {
 		switch *proto {
 		case "dcqcn":
-			pr := fluid.DefaultDCQCNParams(*n)
-			pr.C = bwBytes / hybrid.MTU
-			w, err := hybrid.DCQCNWarmStart(pr)
+			w, err := hybrid.DCQCNWarmStart(sc.Par)
 			if err != nil {
 				return fail(1, "%v", err)
 			}
@@ -286,16 +318,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// the packet marker cliffs to p=1 above Kmax, so a q* past
 			// Kmax prefills above the packet equilibrium and the run
 			// drains through a transient instead of skipping it.
-			if w.FP.Q > pr.Kmax {
+			if w.FP.Q > sc.Par.Kmax {
 				fmt.Fprintf(stderr, "packetsim: warm-start: analytic q* (%.0f packets) exceeds RED Kmax (%.0f); "+
 					"this operating point is outside the validated ramp — "+
 					"expect a draining transient (try a higher -bw, e.g. 40e9)\n",
-					w.FP.Q, pr.Kmax)
+					w.FP.Q, sc.Par.Kmax)
 			}
 			warm = w
 		case "patched":
 			cfg := fluid.DefaultPatchedTimelyConfig(*n)
-			w, err := hybrid.TimelyWarmStart(*n, cfg.Delta, cfg.Beta, bwBytes, cfg.TLow, 0)
+			cfg.C = bwBytes
+			w, err := hybrid.TimelyWarmStart(cfg)
 			if err != nil {
 				return fail(1, "%v", err)
 			}
@@ -436,10 +469,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var bg *hybrid.BackgroundAggregate
 	if *bgFlows > 0 {
-		pr := fluid.DefaultDCQCNParams(*bgFlows)
-		pr.C = bwBytes / hybrid.MTU
 		b, err := hybrid.AttachBackground(fab.bottleneck, hybrid.BackgroundConfig{
-			Flows: *bgFlows, Par: pr, ColdStart: warm == nil,
+			Flows: *bgFlows, Par: sc.Par, ColdStart: warm == nil,
 		})
 		if err != nil {
 			return fail(1, "%v", err)

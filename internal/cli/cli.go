@@ -64,10 +64,18 @@ func Register(fs *flag.FlagSet, perJob bool) *Flags {
 func (f *Flags) Check() error {
 	// 0 selects the default cadence; anything else must convert to a
 	// des.Duration of at least 1 ns without overflowing it.
-	if e := f.ProbeEvery; e != 0 && !(e*1e9+0.5 >= 1 && e*1e9+0.5 < math.MaxInt64) {
+	if e := f.ProbeEvery; e != 0 && !DurationOK(e, 1) {
 		return fmt.Errorf("-probe-every must be 0 (the default cadence) or a cadence from 1e-9 to 9.2e9 seconds, got %g", e)
 	}
 	return nil
+}
+
+// DurationOK reports whether s seconds converts to a des.Duration of at
+// least least without overflowing it: s is finite and not negative, and
+// des.DurationFromSeconds(s) lies in [least, MaxInt64 ns).
+func DurationOK(s float64, least des.Duration) bool {
+	ns := s*1e9 + 0.5
+	return s >= 0 && ns >= float64(least) && ns < math.MaxInt64
 }
 
 // executionOnly names flags that steer how a run executes but cannot

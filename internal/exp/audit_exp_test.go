@@ -17,6 +17,7 @@ func TestAuditLoopAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDigest(t, "auditloop", rep)
 	m := rep.Metrics
 	if m["cuts_loss0"] == 0 {
 		t.Fatal("fault-free run produced no rate cuts; scenario broken")

@@ -180,6 +180,7 @@ func TestClosRunnersQuick(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkDigest(t, id, rep)
 			for _, k := range keys {
 				if _, ok := rep.Metrics[k]; !ok {
 					t.Errorf("report is missing metric %q (have %d metrics)", k, len(rep.Metrics))

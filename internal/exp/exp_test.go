@@ -340,13 +340,19 @@ func TestQuickSimulationRunners(t *testing.T) {
 	})
 }
 
+// mustRun runs a registered runner; at Quick scale and seed 1 it also
+// checks the runner's pinned metrics digest.
 func mustRun(t *testing.T, id string, o Options) (*Report, error) {
 	t.Helper()
 	r, ok := Get(id)
 	if !ok {
 		t.Fatalf("runner %q not found", id)
 	}
-	return r.Run(o)
+	rep, err := r.Run(o)
+	if err == nil && o.Scale == Quick && o.Seed == 1 && o.Observer == nil {
+		checkDigest(t, id, rep)
+	}
+	return rep, err
 }
 
 // Extension experiments (§7 future work): shapes.

@@ -6,6 +6,7 @@ import (
 	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/des"
 	"ecndelay/internal/fault"
+	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
 	"ecndelay/internal/obs"
 	"ecndelay/internal/stats"
@@ -143,9 +144,7 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 	}
 	var marker netsim.MarkerFactory
 	if cfg.Protocol == ProtoDCQCN {
-		marker = func() netsim.Marker {
-			return &netsim.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Rng: nw.Rng}
-		}
+		marker = hybrid.NewDCQCNScenario(cfg.Senders, cfg.Seed).Marker(nw)
 	}
 	d := netsim.NewDumbbell(nw, netsim.DumbbellConfig{
 		Senders: cfg.Senders, Receivers: cfg.Receivers,

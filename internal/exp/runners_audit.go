@@ -13,10 +13,9 @@ package exp
 import (
 	"fmt"
 
-	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/des"
 	"ecndelay/internal/fault"
-	"ecndelay/internal/netsim"
+	"ecndelay/internal/hybrid"
 	"ecndelay/internal/obs"
 	"ecndelay/internal/stats"
 )
@@ -95,6 +94,14 @@ func runAuditLoop(o Options) (*Report, error) {
 		horizon = 0.2
 	}
 	tbl := Table{Cols: []string{"CNP loss", "cuts", "attributed", "episodes", "orphans", "mark→cut p50 µs", "p99 µs"}}
+	// The Figure 5 operating point: 85 µs of extra feedback delay makes
+	// the loop visibly oscillatory, and Kmin sits near the loop's
+	// operating queue depth, so episodes open and close as the queue
+	// oscillates through it — each excursion is one episode, not one
+	// run-long one.
+	sc := hybrid.NewDCQCNScenario(10, o.Seed)
+	sc.ExtraDelay = 85 * des.Microsecond
+	sc.Par.Kmin = 50
 	for _, rate := range []float64{0, 0.9, 1} {
 		mem := obs.NewAuditMemorySink(1 << 16)
 		sinks := []obs.DecisionSink{mem}
@@ -111,33 +118,9 @@ func runAuditLoop(o Options) (*Report, error) {
 		} else {
 			ob = &obs.NetObserver{Audit: obs.NewAuditTrail(sinks...), Hists: obs.NewHistSet()}
 		}
-		nw := netsim.New(o.Seed)
-		nw.SetObserver(ob)
-		star := netsim.NewStar(nw, netsim.StarConfig{
-			Senders: 10,
-			Link:    netsim.LinkConfig{Bandwidth: 5e9, PropDelay: des.Microsecond},
-			// The Figure 5 operating point: 85 µs of extra feedback delay
-			// makes the loop visibly oscillatory, so the queue swings
-			// through Kmin and mark episodes open and close repeatedly.
-			CtrlExtraDelay: 85 * des.Microsecond,
-			Mark: func() netsim.Marker {
-				// Kmin sits near the loop's operating queue depth, so
-				// episodes open and close as the queue oscillates through
-				// it — each excursion is one episode, not one run-long one.
-				return &netsim.REDMarker{Kmin: 50000, Kmax: 200000, Pmax: 0.01, Rng: nw.Rng}
-			},
-		})
-		if _, err := dcqcn.NewEndpoint(star.Receiver, dcqcn.DefaultParams()); err != nil {
+		nw, star, _, err := sc.Star(ob, nil)
+		if err != nil {
 			return nil, err
-		}
-		for i, h := range star.Senders {
-			ep, err := dcqcn.NewEndpoint(h, dcqcn.DefaultParams())
-			if err != nil {
-				return nil, err
-			}
-			if _, err := ep.NewFlow(i, star.Receiver.ID(), -1, 0); err != nil {
-				return nil, err
-			}
 		}
 		if rate > 0 {
 			(&fault.Plan{Seed: o.Seed + 7, Links: []fault.LinkFaults{{

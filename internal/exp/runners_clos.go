@@ -14,6 +14,7 @@ import (
 
 	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/des"
+	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
 	"ecndelay/internal/obs"
 	"ecndelay/internal/stats"
@@ -100,9 +101,8 @@ func runClos(cfg closRunConfig) (*closRunResult, error) {
 	}
 	fabric := cfg.Fabric
 	if cfg.Protocol == ProtoDCQCN {
-		fabric.Mark = func() netsim.Marker {
-			return &netsim.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Rng: nw.Rng}
-		}
+		// The Table 1 RED ramp, which does not depend on the flow count.
+		fabric.Mark = hybrid.NewDCQCNScenario(1, cfg.Seed).Marker(nw)
 	}
 	cl, err := topo.NewClos(nw, fabric)
 	if err != nil {

@@ -4,43 +4,13 @@ import (
 	"fmt"
 
 	"ecndelay/internal/convergence"
-	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/des"
 	"ecndelay/internal/fixedpoint"
 	"ecndelay/internal/fluid"
+	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
 	"ecndelay/internal/stability"
 )
-
-// starDCQCN wires an n-sender 40 Gb/s star with DCQCN everywhere and
-// returns the network, the star, and the senders.
-func starDCQCN(n int, extraFeedback des.Duration, ingress bool, bw float64, seed int64) (*netsim.Network, *netsim.Star, []*dcqcn.Sender, error) {
-	nw := netsim.New(seed)
-	star := netsim.NewStar(nw, netsim.StarConfig{
-		Senders: n,
-		Link:    netsim.LinkConfig{Bandwidth: bw, PropDelay: des.Microsecond},
-		Mark: func() netsim.Marker {
-			return &netsim.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Ingress: ingress, Rng: nw.Rng}
-		},
-		CtrlExtraDelay: extraFeedback,
-	})
-	if _, err := dcqcn.NewEndpoint(star.Receiver, dcqcn.DefaultParams()); err != nil {
-		return nil, nil, nil, err
-	}
-	var senders []*dcqcn.Sender
-	for i, h := range star.Senders {
-		ep, err := dcqcn.NewEndpoint(h, dcqcn.DefaultParams())
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		s, err := ep.NewFlow(i, star.Receiver.ID(), -1, 0)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		senders = append(senders, s)
-	}
-	return nw, star, senders, nil
-}
 
 func init() {
 	register(Runner{
@@ -86,15 +56,17 @@ func runFig2(o Options) (*Report, error) {
 		Cols:  []string{"N", "source", "queue KB", "per-flow rate Gb/s"},
 	}
 	for _, n := range ns {
-		qF, rF, err := runDCQCNFluid(n, 4e-6, horizon, 0, o.Seed)
+		sc := hybrid.NewDCQCNScenario(n, o.Seed)
+		sys, err := sc.Fluid(nil)
 		if err != nil {
 			return nil, err
 		}
+		qF, rF := dcqcnTail(sys, horizon)
 		// Fluid units: packets of 1 KB and packets/s.
 		fluidQKB := qF.Mean
 		fluidRate := rF.Mean * 1000 * 8 / 1e9
 
-		nw, star, senders, err := starDCQCN(n, 0, false, 5e9, o.Seed)
+		nw, star, senders, err := sc.Star(nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -235,8 +207,10 @@ func runFig5(o Options) (*Report, error) {
 		horizon = 0.03
 	}
 	tbl := Table{Cols: []string{"extra feedback delay", "queue KB (mean)", "queue CV", "queue max KB"}}
+	sc := hybrid.NewDCQCNScenario(10, o.Seed)
 	for _, extra := range []des.Duration{0, 85 * des.Microsecond} {
-		nw, star, _, err := starDCQCN(10, extra, false, 5e9, o.Seed)
+		sc.ExtraDelay = extra
+		nw, star, _, err := sc.Star(nil, nil)
 		if err != nil {
 			return nil, err
 		}

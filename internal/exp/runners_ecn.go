@@ -5,6 +5,7 @@ import (
 
 	"ecndelay/internal/des"
 	"ecndelay/internal/fluid"
+	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
 	"ecndelay/internal/stability"
 	"ecndelay/internal/stats"
@@ -171,11 +172,13 @@ func runFig17(o Options) (*Report, error) {
 		horizon = 0.08
 	}
 
+	// One operating point for both layers: 2 flows on a 10 Gb/s star.
+	sc := hybrid.NewDCQCNScenario(2, o.Seed)
+	sc.Par.C = 10e9 / 8 / hybrid.MTU
+
 	// Analytical side first: the loop reductions quantify exactly how
 	// much phase margin the queueing delay in the marking path costs.
-	p10 := fluid.DefaultDCQCNParams(2)
-	p10.C = 10e9 / 8 / 1000
-	egLoop, err := fluid.NewDCQCNLoop(p10)
+	egLoop, err := fluid.NewDCQCNLoop(sc.Par)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +186,7 @@ func runFig17(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	inLoop, err := fluid.NewDCQCNIngressLoop(p10)
+	inLoop, err := fluid.NewDCQCNIngressLoop(sc.Par)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +206,8 @@ func runFig17(o Options) (*Report, error) {
 
 	tbl := Table{Title: "packet level", Cols: []string{"marking point", "queue KB", "queue CV", "queue max KB"}}
 	for _, ingress := range []bool{false, true} {
-		nw, star, _, err := starDCQCN(2, 0, ingress, 1.25e9, o.Seed)
+		sc.Ingress = ingress
+		nw, star, _, err := sc.Star(nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,8 @@ import (
 
 	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/des"
+	"ecndelay/internal/fluid"
+	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
 	"ecndelay/internal/stats"
 )
@@ -39,13 +41,12 @@ func runExtMultihop(o Options) (*Report, error) {
 	if o.Scale == Quick {
 		horizon = 0.06
 	}
+	sc := hybrid.NewDCQCNScenario(3, o.Seed)
 	nw := netsim.New(o.Seed)
 	pl := netsim.NewParkingLot(nw, netsim.ParkingLotConfig{
 		Hops: 3,
-		Link: netsim.LinkConfig{Bandwidth: 5e9, PropDelay: des.Microsecond},
-		Mark: func() netsim.Marker {
-			return &netsim.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Rng: nw.Rng}
-		},
+		Link: netsim.LinkConfig{Bandwidth: sc.BwBytes(), PropDelay: des.Microsecond},
+		Mark: sc.Marker(nw),
 	})
 	params := dcqcn.DefaultParams()
 	for _, r := range pl.Recvs {
@@ -153,9 +154,7 @@ func runExtPFC(o Options) (*Report, error) {
 		nw := netsim.New(o.Seed)
 		var mark netsim.MarkerFactory
 		if useDCQCN {
-			mark = func() netsim.Marker {
-				return &netsim.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Rng: nw.Rng}
-			}
+			mark = hybrid.NewDCQCNScenario(3, o.Seed).Marker(nw)
 		}
 		// Host links 10 Gb/s, trunk 40 Gb/s: the overload forms at the
 		// shared receiver's egress inside SW2, and PFC then pauses the
@@ -257,35 +256,20 @@ func runExtPI(o Options) (*Report, error) {
 	if o.Scale == Quick {
 		horizon = 0.5
 	}
-	const qref = 50e3 // bytes
+	// The gains are the fluid Figure 18 controller's; PMax is the
+	// anti-windup cap sized just above the largest equilibrium marking
+	// probability in the sweep.
+	pi := &fluid.PIConfig{K1: 2e-5, K2: 1e-3, QRef: 50, PMax: 0.02}
 	tbl := Table{Cols: []string{"marking", "N", "queue KB (mean)", "queue CV"}}
 	for _, usePI := range []bool{false, true} {
 		for _, n := range ns {
-			nw := netsim.New(o.Seed)
-			star := netsim.NewStar(nw, netsim.StarConfig{
-				Senders: n,
-				Link:    netsim.LinkConfig{Bandwidth: 5e9, PropDelay: des.Microsecond},
-				Mark: func() netsim.Marker {
-					if usePI {
-						// Gains mirror the fluid Figure 18 controller (per byte);
-						// PMax is the anti-windup cap sized just above the
-						// largest equilibrium marking probability in the sweep.
-						return &netsim.PIMarker{K1: 2e-8, K2: 1e-6, QRef: qref, PMax: 0.02, Rng: nw.Rng}
-					}
-					return &netsim.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Rng: nw.Rng}
-				},
-			})
-			if _, err := dcqcn.NewEndpoint(star.Receiver, dcqcn.DefaultParams()); err != nil {
-				return nil, err
+			sc := hybrid.NewDCQCNScenario(n, o.Seed)
+			if usePI {
+				sc.PI = pi
 			}
-			for i, h := range star.Senders {
-				ep, err := dcqcn.NewEndpoint(h, dcqcn.DefaultParams())
-				if err != nil {
-					return nil, err
-				}
-				if _, err := ep.NewFlow(i, star.Receiver.ID(), -1, 0); err != nil {
-					return nil, err
-				}
+			nw, star, _, err := sc.Star(nil, nil)
+			if err != nil {
+				return nil, err
 			}
 			qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
 			nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
@@ -299,7 +283,7 @@ func runExtPI(o Options) (*Report, error) {
 		}
 	}
 	rep.Tables = append(rep.Tables, tbl)
-	rep.AddMetric("qref_kb", qref/1000)
+	rep.AddMetric("qref_kb", pi.QRef) // packets of 1 KB
 	rep.Notes = append(rep.Notes,
 		"RED's operating queue grows with N (Eq. 9/14); the PI controller holds the MEAN at the reference independent of N — §7's 'full exploration of PI like controllers' running on packets",
 		"the packet-level PI orbit is noisier than the fluid one (Fig. 18): marking is Bernoulli and DCQCN's line-rate starts slam the integrator against its anti-windup cap")

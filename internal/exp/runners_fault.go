@@ -9,9 +9,9 @@ package exp
 import (
 	"fmt"
 
-	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/des"
 	"ecndelay/internal/fault"
+	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
 	"ecndelay/internal/stats"
 )
@@ -96,26 +96,11 @@ func runFaultCNP(o Options) (*Report, error) {
 	}
 	rates := []float64{0, 0.5, 0.9}
 	tbl := Table{Cols: []string{"CNP loss", "queue mean KB", "queue max KB", "queue CV"}}
+	sc := hybrid.NewDCQCNScenario(10, o.Seed)
 	for _, rate := range rates {
-		nw := netsim.New(o.Seed)
-		star := netsim.NewStar(nw, netsim.StarConfig{
-			Senders: 10,
-			Link:    netsim.LinkConfig{Bandwidth: 5e9, PropDelay: des.Microsecond},
-			Mark: func() netsim.Marker {
-				return &netsim.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Rng: nw.Rng}
-			},
-		})
-		if _, err := dcqcn.NewEndpoint(star.Receiver, dcqcn.DefaultParams()); err != nil {
+		nw, star, _, err := sc.Star(nil, nil)
+		if err != nil {
 			return nil, err
-		}
-		for i, h := range star.Senders {
-			ep, err := dcqcn.NewEndpoint(h, dcqcn.DefaultParams())
-			if err != nil {
-				return nil, err
-			}
-			if _, err := ep.NewFlow(i, star.Receiver.ID(), -1, 0); err != nil {
-				return nil, err
-			}
 		}
 		if rate > 0 {
 			(&fault.Plan{Seed: o.Seed + 7, Links: []fault.LinkFaults{{

@@ -125,7 +125,7 @@ func runHybridBG(o Options) (*Report, error) {
 	end := des.Time(des.DurationFromSeconds(horizon))
 
 	full := hybrid.NewDCQCNScenario(8, o.Seed)
-	nwF, starF, _, err := full.Star(nil)
+	nwF, starF, _, err := full.Star(nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func runHybridBG(o Options) (*Report, error) {
 	fullMean := qsF.WindowSummary(horizon*0.6, horizon).Mean
 
 	sc := hybrid.NewDCQCNScenario(2, o.Seed)
-	nwH, starH, senders, err := sc.Star(nil)
+	nwH, starH, senders, err := sc.Star(nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"ecndelay/internal/des"
 	"ecndelay/internal/fluid"
+	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
 	"ecndelay/internal/stability"
 	"ecndelay/internal/stats"
@@ -34,32 +35,6 @@ func init() {
 	})
 }
 
-// starTimely wires an n-sender 10 Gb/s star with TIMELY endpoints and
-// per-flow start configuration.
-func starTimely(p timely.Params, starts []des.Time, startRates []float64, seed int64) (*netsim.Network, *netsim.Star, []*timely.Sender, error) {
-	nw := netsim.New(seed)
-	star := netsim.NewStar(nw, netsim.StarConfig{
-		Senders: len(starts),
-		Link:    netsim.LinkConfig{Bandwidth: 1.25e9, PropDelay: des.Microsecond},
-	})
-	if _, err := timely.NewEndpoint(star.Receiver, p); err != nil {
-		return nil, nil, nil, err
-	}
-	var senders []*timely.Sender
-	for i, h := range star.Senders {
-		ep, err := timely.NewEndpoint(h, p)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		s, err := ep.NewFlow(i, star.Receiver.ID(), -1, starts[i], startRates[i])
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		senders = append(senders, s)
-	}
-	return nw, star, senders, nil
-}
-
 // sampleRates records sender rates every 100 µs.
 func sampleRates(nw *netsim.Network, senders []*timely.Sender) []*stats.Series {
 	out := make([]*stats.Series, len(senders))
@@ -83,8 +58,13 @@ func runFig8(o Options) (*Report, error) {
 	}
 	tbl := Table{Cols: []string{"N", "source", "queue KB (mean)", "queue KB (sd)", "aggregate Gb/s"}}
 	for _, n := range []int{2} {
-		cfg := fluid.DefaultTimelyConfig(n)
-		sys, err := fluid.NewTimely(cfg)
+		// Both layers start every flow at the C/N new-flow rate.
+		sc := hybrid.TimelyScenario{Cfg: fluid.DefaultTimelyConfig(n), Par: timely.DefaultParams(), Seed: o.Seed}
+		sc.Cfg.InitialRates = make([]float64, n)
+		for i := range sc.Cfg.InitialRates {
+			sc.Cfg.InitialRates[i] = sc.Cfg.C / float64(n)
+		}
+		sys, err := fluid.NewTimely(sc.Cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -95,12 +75,7 @@ func runFig8(o Options) (*Report, error) {
 			agg += lateStats(sm, sys.RateIndex(i), horizon*0.6).Mean
 		}
 
-		starts := make([]des.Time, n)
-		rates := make([]float64, n)
-		for i := range rates {
-			rates[i] = cfg.C / float64(n)
-		}
-		nw, star, senders, err := starTimely(timely.DefaultParams(), starts, rates, o.Seed)
+		nw, star, senders, err := sc.Star(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -171,20 +146,17 @@ func runFig9(o Options) (*Report, error) {
 	// Packet level: equal start, microscopically staggered start, 7/3.
 	pk := Table{Title: "packet level (late rate ratio R1/R2)",
 		Cols: []string{"condition", "ratio", "utilisation"}}
-	type pc struct {
-		name    string
-		rates   []float64
-		stagger des.Duration
-	}
-	pktCases := []pc{
+	pktCases := []fc{
 		{"both 5 Gb/s at t=0", []float64{5e9 / 8, 5e9 / 8}, 0},
-		{"second starts 0.5 ms late", []float64{5e9 / 8, 5e9 / 8}, 500 * des.Microsecond},
+		{"second starts 0.5 ms late", []float64{5e9 / 8, 5e9 / 8}, 0.5e-3},
 		{"7 Gb/s and 3 Gb/s", []float64{7e9 / 8, 3e9 / 8}, 0},
 	}
 	var pktRatios []float64
 	for _, c := range pktCases {
-		nw, _, senders, err := starTimely(timely.DefaultParams(),
-			[]des.Time{0, des.Time(c.stagger)}, c.rates, o.Seed)
+		sc := hybrid.TimelyScenario{Cfg: fluid.DefaultTimelyConfig(2), Par: timely.DefaultParams(), Seed: o.Seed}
+		sc.Cfg.InitialRates = c.rates
+		sc.Cfg.StartTimes = []float64{0, c.stagger}
+		nw, _, senders, err := sc.Star(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -210,8 +182,9 @@ func runFig10(o Options) (*Report, error) {
 	}
 	tbl := Table{Cols: []string{"pacing", "late ratio", "late util", "min aggregate / C"}}
 	run := func(name string, p timely.Params) error {
-		nw, _, senders, err := starTimely(p,
-			[]des.Time{0, 0}, []float64{5e9 / 8, 5e9 / 8}, o.Seed)
+		sc := hybrid.TimelyScenario{Cfg: fluid.DefaultTimelyConfig(2), Par: p, Seed: o.Seed}
+		sc.Cfg.InitialRates = []float64{5e9 / 8, 5e9 / 8}
+		nw, _, senders, err := sc.Star(nil)
 		if err != nil {
 			return err
 		}
@@ -296,10 +269,11 @@ func runFig12(o Options) (*Report, error) {
 		horizon = 0.4
 	}
 
-	// (a) fluid: unequal starts converge to the fair fixed point.
-	cfg := fluid.DefaultPatchedTimelyConfig(2)
-	cfg.InitialRates = []float64{7e9 / 8, 3e9 / 8}
-	sys, err := fluid.NewPatchedTimely(cfg)
+	// (a) fluid: unequal starts converge to the fair fixed point. The
+	// packet run below starts from the same operating point.
+	sc := hybrid.NewTimelyScenario(2, o.Seed)
+	sc.Cfg.InitialRates = []float64{7e9 / 8, 3e9 / 8}
+	sys, err := fluid.NewPatchedTimely(sc.Cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -333,8 +307,7 @@ func runFig12(o Options) (*Report, error) {
 	rep.Tables = append(rep.Tables, tb)
 
 	// Packet level: 7/3 starts converge fair.
-	nw, star, senders, err := starTimely(timely.DefaultPatchedParams(),
-		[]des.Time{0, 0}, []float64{7e9 / 8, 3e9 / 8}, o.Seed)
+	nw, star, senders, err := sc.Star(nil)
 	if err != nil {
 		return nil, err
 	}

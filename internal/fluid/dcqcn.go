@@ -13,12 +13,6 @@ import (
 // fields control the simulated scenario.
 type DCQCNConfig struct {
 	Params fixedpoint.DCQCNParams
-	// LineRate is the NIC line rate that clamps R_C and R_T. Zero means
-	// Params.C (every sender has a bottleneck-speed NIC).
-	LineRate float64
-	// RMin is the protocol minimum rate, packets/s. Zero means 1/1000 of
-	// the line rate.
-	RMin float64
 	// InitialRC holds per-flow initial rates. Nil means all flows start
 	// at line rate, as the DCQCN spec requires.
 	InitialRC []float64
@@ -85,15 +79,9 @@ func NewDCQCN(cfg DCQCNConfig) (*DCQCNSystem, error) {
 	if cfg.InitialRC != nil && len(cfg.InitialRC) != cfg.Params.N {
 		return nil, fmt.Errorf("fluid: len(InitialRC)=%d, want N=%d", len(cfg.InitialRC), cfg.Params.N)
 	}
-	s := &DCQCNSystem{cfg: cfg}
-	s.lineRate = cfg.LineRate
-	if s.lineRate == 0 {
-		s.lineRate = cfg.Params.C
-	}
-	s.rmin = cfg.RMin
-	if s.rmin == 0 {
-		s.rmin = s.lineRate / 1000
-	}
+	// Every sender has a bottleneck-speed NIC, and the protocol minimum
+	// rate is 1/1000 of it.
+	s := &DCQCNSystem{cfg: cfg, lineRate: cfg.Params.C, rmin: cfg.Params.C / 1000}
 	s.jit = newJitterSource(cfg.JitterMax, cfg.Seed)
 	return s, nil
 }

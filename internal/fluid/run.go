@@ -29,12 +29,7 @@ func Run(m Model, h, t1, sampleEvery float64) []Sample {
 		sampleEvery = h
 	}
 	stride := int(math.Round(sampleEvery / h))
-	// Linear history interpolation: the fluid models clamp state in
-	// PostStep (queues at zero, rates at line rate), so the stored step
-	// slopes can disagree with the clamped states and cubic Hermite would
-	// overshoot into unphysical values (negative queues) at exactly the
-	// operating points the paper cares about.
-	solver := &ode.Solver{Sys: m, H: h, MaxDelay: m.MaxDelay(), Y0: m.Initial(), LinearHistory: true}
+	solver := &ode.Solver{Sys: m, H: h, MaxDelay: m.MaxDelay(), Y0: m.Initial()}
 	var out []Sample
 	step := 0
 	steps := int(math.Round(t1 / h))

@@ -26,27 +26,14 @@ type TimelyConfig struct {
 	DProp        float64 // propagation delay, s
 	MTU          float64 // bytes
 	Seg          float64 // burst size per completion event, bytes
-	LineRate     float64 // per-NIC clamp; zero means C
 	InitialRates []float64
 	// StartTimes staggers flow activation (Figure 9b). Nil means all
 	// flows start at t=0. A flow contributes no traffic before its start.
 	StartTimes []float64
-	// StrictZeroIncrease selects the original Algorithm 1 line 9
-	// (gradient <= 0 → additive increase), the convention under which
-	// Theorem 3 shows the model has no fixed point. False selects the
-	// Eq. 28 variant (gradient >= 0 → multiplicative decrease), which has
-	// infinitely many fixed points (Theorem 4). The trajectories are
-	// indistinguishable in practice; the flag exists so both theorems can
-	// be exercised.
-	StrictZeroIncrease bool
 	// JitterMax adds uniform [0, JitterMax) noise to the feedback delay
 	// τ' each step (Figure 20).
 	JitterMax float64
 	Seed      int64
-	// RTTRef is the patched-TIMELY reference RTT (Algorithm 2 line 11)
-	// expressed as the reference queue q' in bytes. Zero means C·T_low,
-	// the paper's choice.
-	QRef float64
 }
 
 // Validate reports configuration errors.
@@ -118,18 +105,11 @@ func newTimelyBase(cfg TimelyConfig, patched bool) (*timelyBase, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	b := &timelyBase{cfg: cfg, patched: patched}
-	b.lineRate = cfg.LineRate
-	if b.lineRate == 0 {
-		b.lineRate = cfg.C
-	}
-	b.rmin = b.lineRate / 1e4
+	// Every NIC runs at the bottleneck rate C, and the patched reference
+	// queue q' is C·T_low (Algorithm 2 line 11), the paper's choice.
+	b := &timelyBase{cfg: cfg, patched: patched, lineRate: cfg.C, rmin: cfg.C / 1e4, qref: cfg.C * cfg.TLow}
 	b.jit = newJitterSource(cfg.JitterMax, cfg.Seed)
 	b.started = make([]bool, cfg.N)
-	b.qref = cfg.QRef
-	if b.qref == 0 {
-		b.qref = cfg.C * cfg.TLow
-	}
 	return b, nil
 }
 
@@ -262,19 +242,17 @@ func (b *timelyBase) Derivs(t float64, y []float64, past ode.History, dydt []flo
 			dydt[ri] = cfg.Delta / ts
 		case qd > cfg.C*cfg.THigh:
 			dydt[ri] = -cfg.Beta / ts * (1 - cfg.C*cfg.THigh/qd) * r
+		case b.patched:
+			// Eq. 29 middle branch with the Eq. 30 weight.
+			w := PatchedWeight(g)
+			dydt[ri] = (1-w)*cfg.Delta/ts - w*cfg.Beta*r/ts*(qd-b.qref)/b.qref
+		case g < 0:
+			dydt[ri] = cfg.Delta / ts
 		default:
-			if b.patched {
-				// Eq. 29 middle branch with the Eq. 30 weight.
-				w := PatchedWeight(g)
-				dydt[ri] = (1-w)*cfg.Delta/ts - w*cfg.Beta*r/ts*(qd-b.qref)/b.qref
-			} else {
-				increase := g < 0 || (b.cfg.StrictZeroIncrease && g == 0)
-				if increase {
-					dydt[ri] = cfg.Delta / ts
-				} else {
-					dydt[ri] = -g * cfg.Beta / ts * r
-				}
-			}
+			// Eq. 28: a zero gradient decreases (by nothing), the
+			// convention under which the model has infinitely many fixed
+			// points (Theorem 4).
+			dydt[ri] = -g * cfg.Beta / ts * r
 		}
 	}
 }

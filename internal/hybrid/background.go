@@ -20,16 +20,17 @@ type BackgroundConfig struct {
 	// bytes); Par.C must be the bottleneck capacity and Par.Kmin/Kmax/Pmax
 	// must match the port's RED profile. Par.N is overridden with Flows.
 	Par fixedpoint.DCQCNParams
-	// Tick is the coupling cadence (default 10 µs): each tick the
-	// aggregate reads the port's real occupancy and transmitted bytes,
-	// advances the ODE, and writes its occupancy back via SetVirtualBytes.
-	Tick des.Duration
 	// ColdStart starts the aggregate at line rate with an empty fluid
 	// queue (the DCQCN cold start). The default warm-starts it at its own
 	// N=Flows fixed point, which is the right choice when the packet side
 	// is warm-started too.
 	ColdStart bool
 }
+
+// backgroundTick is the coupling cadence: each tick the aggregate reads the
+// port's real occupancy and transmitted bytes, advances the ODE, and
+// writes its occupancy back via SetVirtualBytes.
+const backgroundTick = 10 * des.Microsecond
 
 // BackgroundAggregate models a population of DCQCN background flows as a
 // symmetric fluid ODE co-simulated with the packet network: every tick it
@@ -68,9 +69,6 @@ func AttachBackground(port *netsim.Port, cfg BackgroundConfig) (*BackgroundAggre
 	if err := cfg.Par.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Tick == 0 {
-		cfg.Tick = 10 * des.Microsecond
-	}
 	b := &BackgroundAggregate{
 		cfg:      cfg,
 		port:     port,
@@ -89,7 +87,7 @@ func AttachBackground(port *netsim.Port, cfg BackgroundConfig) (*BackgroundAggre
 		b.qBg = fp.Q
 		port.Queue().SetVirtualBytes(int(b.qBg * MTU))
 	}
-	lags := int(math.Ceil(cfg.Par.TauStar / cfg.Tick.Seconds()))
+	lags := int(math.Ceil(cfg.Par.TauStar / backgroundTick.Seconds()))
 	if lags < 1 {
 		lags = 1
 	}
@@ -98,7 +96,7 @@ func AttachBackground(port *netsim.Port, cfg BackgroundConfig) (*BackgroundAggre
 	for i := range b.pHist {
 		b.pHist[i] = p0
 	}
-	b.sim.Every(b.sim.Now().Add(cfg.Tick), cfg.Tick, b.tick)
+	b.sim.Every(b.sim.Now().Add(backgroundTick), backgroundTick, b.tick)
 	return b, nil
 }
 
@@ -123,7 +121,7 @@ func (b *BackgroundAggregate) markProb() float64 {
 // tick advances the aggregate by one coupling interval.
 func (b *BackgroundAggregate) tick() {
 	pr := b.cfg.Par
-	dt := b.cfg.Tick.Seconds()
+	dt := backgroundTick.Seconds()
 
 	// Foreground service share over the last tick, in packets/s. The
 	// aggregate drains with whatever the foreground left unused.

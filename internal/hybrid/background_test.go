@@ -10,7 +10,7 @@ import (
 
 func TestAttachBackgroundValidation(t *testing.T) {
 	sc := NewDCQCNScenario(2, 1)
-	_, star, _, err := sc.Star(nil)
+	_, star, _, err := sc.Star(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestAttachBackgroundValidation(t *testing.T) {
 
 func TestBackgroundWarmInit(t *testing.T) {
 	sc := NewDCQCNScenario(2, 1)
-	_, star, _, err := sc.Star(nil)
+	_, star, _, err := sc.Star(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBackgroundCoupledFixedPoint(t *testing.T) {
 	}
 	const horizon = 0.1
 	sc := NewDCQCNScenario(2, 1)
-	nw, star, _, err := sc.Star(nil)
+	nw, star, _, err := sc.Star(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // architectures that fuse multiply-adds may round differently.
 func TestBackgroundBits(t *testing.T) {
 	sc := NewDCQCNScenario(2, 1)
-	nw, star, _, err := sc.Star(nil)
+	nw, star, _, err := sc.Star(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

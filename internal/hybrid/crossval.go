@@ -197,7 +197,7 @@ func median(vals []float64) float64 {
 // other and against the Theorem 1 fixed point. The returned Result carries
 // every check (use Err for the verdict) and the shared trajectory.
 func CrossValDCQCN(sc DCQCNScenario, horizon float64, tol Tolerance) (Result, error) {
-	res := Result{Name: fmt.Sprintf("dcqcn_n%d", sc.N)}
+	res := Result{Name: fmt.Sprintf("dcqcn_n%d", sc.Par.N)}
 	fp, err := fixedpoint.SolveDCQCN(sc.Par)
 	if err != nil {
 		return res, err
@@ -209,7 +209,7 @@ func CrossValDCQCN(sc DCQCNScenario, horizon float64, tol Tolerance) (Result, er
 	}
 	sm := fluid.Run(sys, 1e-6, horizon, 1e-4)
 
-	nw, star, senders, err := sc.Star(nil)
+	nw, star, senders, err := sc.Star(nil, nil)
 	if err != nil {
 		return res, err
 	}
@@ -247,7 +247,7 @@ func CrossValDCQCN(sc DCQCNScenario, horizon float64, tol Tolerance) (Result, er
 // patched-TIMELY scenario and checks them against each other and the Eq. 31
 // fixed point.
 func CrossValTimely(sc TimelyScenario, horizon float64, tol Tolerance) (Result, error) {
-	res := Result{Name: fmt.Sprintf("timely_n%d", sc.N)}
+	res := Result{Name: fmt.Sprintf("timely_n%d", sc.Cfg.N)}
 	sys, err := fluid.NewPatchedTimely(sc.Cfg)
 	if err != nil {
 		return res, err
@@ -283,7 +283,7 @@ func CrossValTimely(sc TimelyScenario, horizon float64, tol Tolerance) (Result, 
 		{Name: "packet_q_vs_fluid", Want: fqMeanKB, Got: pqMeanKB, Tol: tol.QueueMean},
 		{Name: "packet_q_p50_vs_fluid", Want: median(fq) / 1000, Got: pqP50KB, Tol: tol.QueueP50},
 		{Name: "packet_q_vs_fixed_point", Want: qStar / 1000, Got: pqMeanKB, Tol: tol.FixedPoint},
-		{Name: "packet_rate_vs_fair_share", Want: sc.Cfg.C / float64(sc.N), Got: prMean, Tol: tol.Rate},
+		{Name: "packet_rate_vs_fair_share", Want: sc.Cfg.C / float64(sc.Cfg.N), Got: prMean, Tol: tol.Rate},
 	}
 	res.Traj = trajGrid(sm, sys.QIndex(), 1.0/1000, qs, horizon)
 	return res, nil

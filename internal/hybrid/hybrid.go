@@ -23,11 +23,14 @@
 package hybrid
 
 import (
+	"errors"
+
 	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/des"
 	"ecndelay/internal/fixedpoint"
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/netsim"
+	"ecndelay/internal/obs"
 	"ecndelay/internal/timely"
 )
 
@@ -35,13 +38,23 @@ import (
 // count packets of this many bytes, the packet simulator sends them.
 const MTU = netsim.DataMTU
 
-// DCQCNScenario is a matched fluid/packet operating point: N long-lived
-// DCQCN flows through one bottleneck star. Params is in paper units
-// (packets of MTU bytes); the packet realisation scales it by MTU.
+// DCQCNScenario is one DCQCN operating point: Par.N long-lived flows
+// through one bottleneck star. Par is in paper units (packets of MTU
+// bytes) and builds every layer — the Theorem 1 fixed point, the fluid
+// system, the linearised loop — while the packet realisation scales it by
+// MTU.
 type DCQCNScenario struct {
-	N    int
 	Par  fixedpoint.DCQCNParams
 	Seed int64
+	// ExtraDelay lengthens every feedback path of the packet star (Fig. 5).
+	ExtraDelay des.Duration
+	// Ingress marks at enqueue instead of dequeue (Fig. 17), in the
+	// packet marker and the fluid model alike.
+	Ingress bool
+	// PI, when non-nil, marks with the Eq. 32 controller in paper units
+	// (e in packets) instead of Par's RED ramp. Only the packet marker
+	// has it; Fluid refuses such a scenario.
+	PI *fluid.PIConfig
 	// MistuneKmax multiplies the packet realisation's RED Kmax without
 	// informing the analytic layer — a deliberate inconsistency for
 	// negative-control tests proving the crossval gate fails when the
@@ -52,38 +65,53 @@ type DCQCNScenario struct {
 // NewDCQCNScenario returns the Table 1 default operating point for n flows
 // on a 40 Gb/s bottleneck (the Figure 2 configuration).
 func NewDCQCNScenario(n int, seed int64) DCQCNScenario {
-	return DCQCNScenario{N: n, Par: fluid.DefaultDCQCNParams(n), Seed: seed}
+	return DCQCNScenario{Par: fluid.DefaultDCQCNParams(n), Seed: seed}
 }
 
 // BwBytes is the bottleneck bandwidth in wire units.
 func (sc DCQCNScenario) BwBytes() float64 { return sc.Par.C * MTU }
 
-// Star builds the packet-level realisation: a star with sc.N senders, the
-// RED profile of sc.Par scaled to bytes, and DCQCN default endpoints. A
-// non-nil warm start is applied to the senders and the bottleneck queue
-// before the run.
-func (sc DCQCNScenario) Star(warm *WarmStart) (*netsim.Network, *netsim.Star, []*dcqcn.Sender, error) {
+// Marker returns the factory of the scenario's switch marker on nw: Par's
+// RED ramp in bytes, or the PI controller when sc.PI is set.
+func (sc DCQCNScenario) Marker(nw *netsim.Network) netsim.MarkerFactory {
+	if pi := sc.PI; pi != nil {
+		return func() netsim.Marker {
+			return &netsim.PIMarker{K1: pi.K1 / MTU, K2: pi.K2 / MTU, QRef: int(pi.QRef * MTU), PMax: pi.PMax, Rng: nw.Rng}
+		}
+	}
+	kmax := sc.Par.Kmax * MTU
+	if sc.MistuneKmax > 0 {
+		kmax *= sc.MistuneKmax
+	}
+	return func() netsim.Marker {
+		return &netsim.REDMarker{
+			Kmin:    int(sc.Par.Kmin * MTU),
+			Kmax:    int(kmax),
+			Pmax:    sc.Par.Pmax,
+			Ingress: sc.Ingress,
+			Rng:     nw.Rng,
+		}
+	}
+}
+
+// Star builds the packet-level realisation: a star with Par.N senders,
+// the scenario's marker and DCQCN default endpoints. A non-nil ob is
+// attached before any port or endpoint exists, so both bind to it as they
+// are created. A non-nil warm start is applied to the senders and the
+// bottleneck queue before the run.
+func (sc DCQCNScenario) Star(ob *obs.NetObserver, warm *WarmStart) (*netsim.Network, *netsim.Star, []*dcqcn.Sender, error) {
 	nw := netsim.New(sc.Seed)
+	nw.SetObserver(ob)
 	star := netsim.NewStar(nw, netsim.StarConfig{
-		Senders: sc.N,
-		Link:    netsim.LinkConfig{Bandwidth: sc.BwBytes(), PropDelay: des.Microsecond},
-		Mark: func() netsim.Marker {
-			kmax := sc.Par.Kmax * MTU
-			if sc.MistuneKmax > 0 {
-				kmax *= sc.MistuneKmax
-			}
-			return &netsim.REDMarker{
-				Kmin: int(sc.Par.Kmin * MTU),
-				Kmax: int(kmax),
-				Pmax: sc.Par.Pmax,
-				Rng:  nw.Rng,
-			}
-		},
+		Senders:        sc.Par.N,
+		Link:           netsim.LinkConfig{Bandwidth: sc.BwBytes(), PropDelay: des.Microsecond},
+		Mark:           sc.Marker(nw),
+		CtrlExtraDelay: sc.ExtraDelay,
 	})
 	if _, err := dcqcn.NewEndpoint(star.Receiver, dcqcn.DefaultParams()); err != nil {
 		return nil, nil, nil, err
 	}
-	senders := make([]*dcqcn.Sender, 0, sc.N)
+	senders := make([]*dcqcn.Sender, 0, sc.Par.N)
 	for i, h := range star.Senders {
 		ep, err := dcqcn.NewEndpoint(h, dcqcn.DefaultParams())
 		if err != nil {
@@ -109,9 +137,12 @@ func (sc DCQCNScenario) Star(warm *WarmStart) (*netsim.Network, *netsim.Star, []
 // implicitly: its Initial() starts at α=1 / empty queue, so warm fluid runs
 // use InitialRC only — the ODE reaches its fixed point regardless).
 func (sc DCQCNScenario) Fluid(warm *WarmStart) (*fluid.DCQCNSystem, error) {
-	cfg := fluid.DCQCNConfig{Params: sc.Par}
+	if sc.PI != nil {
+		return nil, errors.New("hybrid: the DCQCN fluid system marks with RED, not PI")
+	}
+	cfg := fluid.DCQCNConfig{Params: sc.Par, IngressMarking: sc.Ingress}
 	if warm != nil {
-		rc := make([]float64, sc.N)
+		rc := make([]float64, sc.Par.N)
 		for i := range rc {
 			rc[i] = warm.RatesBytes[i] / MTU
 		}
@@ -120,12 +151,11 @@ func (sc DCQCNScenario) Fluid(warm *WarmStart) (*fluid.DCQCNSystem, error) {
 	return fluid.NewDCQCN(cfg)
 }
 
-// TimelyScenario is a matched fluid/packet operating point for patched
-// TIMELY: N long-lived flows through one 10 Gb/s star. Cfg (bytes units)
-// drives the fluid model and the Eq. 31 prediction; Par configures the
-// packet endpoints.
+// TimelyScenario is one TIMELY operating point: Cfg.N long-lived flows
+// through one star. Cfg (bytes units) drives the fluid model, the Eq. 31
+// prediction and the packet star's link rate, flow starts and start
+// rates; Par configures the packet endpoints.
 type TimelyScenario struct {
-	N    int
 	Cfg  fluid.TimelyConfig
 	Par  timely.Params
 	Seed int64
@@ -135,35 +165,43 @@ type TimelyScenario struct {
 // flows (the Figure 12 configuration).
 func NewTimelyScenario(n int, seed int64) TimelyScenario {
 	return TimelyScenario{
-		N:    n,
 		Cfg:  fluid.DefaultPatchedTimelyConfig(n),
 		Par:  timely.DefaultPatchedParams(),
 		Seed: seed,
 	}
 }
 
-// Star builds the packet-level realisation. A non-nil warm start sets the
-// per-flow start rates and prefills the bottleneck queue.
+// Star builds the packet-level realisation. Flow i starts at
+// Cfg.StartTimes[i] at rate Cfg.InitialRates[i]; a nil slice starts every
+// flow at time 0 or at the protocol's default rate. A non-nil warm start
+// overrides the start rates and prefills the bottleneck queue.
 func (sc TimelyScenario) Star(warm *WarmStart) (*netsim.Network, *netsim.Star, []*timely.Sender, error) {
 	nw := netsim.New(sc.Seed)
 	star := netsim.NewStar(nw, netsim.StarConfig{
-		Senders: sc.N,
+		Senders: sc.Cfg.N,
 		Link:    netsim.LinkConfig{Bandwidth: sc.Cfg.C, PropDelay: des.Microsecond},
 	})
 	if _, err := timely.NewEndpoint(star.Receiver, sc.Par); err != nil {
 		return nil, nil, nil, err
 	}
-	senders := make([]*timely.Sender, 0, sc.N)
+	senders := make([]*timely.Sender, 0, sc.Cfg.N)
 	for i, h := range star.Senders {
 		ep, err := timely.NewEndpoint(h, sc.Par)
 		if err != nil {
 			return nil, nil, nil, err
 		}
+		var start des.Time
+		if sc.Cfg.StartTimes != nil {
+			start = des.Time(des.DurationFromSeconds(sc.Cfg.StartTimes[i]))
+		}
 		rate := 0.0
+		if sc.Cfg.InitialRates != nil {
+			rate = sc.Cfg.InitialRates[i]
+		}
 		if warm != nil {
 			rate = warm.RatesBytes[i]
 		}
-		s, err := ep.NewFlow(i, star.Receiver.ID(), -1, 0, rate)
+		s, err := ep.NewFlow(i, star.Receiver.ID(), -1, start, rate)
 		if err != nil {
 			return nil, nil, nil, err
 		}

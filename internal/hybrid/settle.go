@@ -109,7 +109,7 @@ func MonitorEvents(sim *des.Simulator, interval des.Duration) *stats.Series {
 	return s
 }
 
-// ClosIncast builds the Clos realisation of the scenario: sc.N senders on
+// ClosIncast builds the Clos realisation of the scenario: Par.N senders on
 // a 2-tier leaf-spine fabric all sending to host 0, whose leaf→host port
 // is the bottleneck — same capacity and RED profile as the star, so the
 // same analytic fixed point applies. A non-nil warm start is applied to
@@ -117,31 +117,20 @@ func MonitorEvents(sim *des.Simulator, interval des.Duration) *stats.Series {
 func (sc DCQCNScenario) ClosIncast(warm *WarmStart) (*netsim.Network, *topo.Clos, []*dcqcn.Sender, error) {
 	nw := netsim.New(sc.Seed)
 	radix := 4
-	for radix*radix/2 < sc.N+1 {
+	for radix*radix/2 < sc.Par.N+1 {
 		radix += 2
-	}
-	kmax := sc.Par.Kmax * MTU
-	if sc.MistuneKmax > 0 {
-		kmax *= sc.MistuneKmax
 	}
 	cl, err := topo.NewClos(nw, topo.ClosConfig{
 		Radix:    radix,
 		Tiers:    2,
 		HostLink: netsim.LinkConfig{Bandwidth: sc.BwBytes(), PropDelay: des.Microsecond},
-		Mark: func() netsim.Marker {
-			return &netsim.REDMarker{
-				Kmin: int(sc.Par.Kmin * MTU),
-				Kmax: int(kmax),
-				Pmax: sc.Par.Pmax,
-				Rng:  nw.Rng,
-			}
-		},
+		Mark:     sc.Marker(nw),
 		ECMPSeed: sc.Seed,
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	senders, err := attachDCQCNIncast(cl, sc.N)
+	senders, err := attachDCQCNIncast(cl, sc.Par.N)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -149,8 +138,8 @@ func (sc DCQCNScenario) ClosIncast(warm *WarmStart) (*netsim.Network, *topo.Clos
 		if err := warm.ApplyDCQCN(senders); err != nil {
 			return nil, nil, nil, err
 		}
-		flows := make([]PrefillFlow, sc.N)
-		for i := 0; i < sc.N; i++ {
+		flows := make([]PrefillFlow, sc.Par.N)
+		for i := range flows {
 			flows[i] = PrefillFlow{Flow: i, Src: cl.Hosts[i+1].ID(), Dst: cl.Hosts[0].ID()}
 		}
 		warm.Prefill(cl.HostPorts[0], flows)

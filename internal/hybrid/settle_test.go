@@ -18,7 +18,7 @@ func TestMeasureSettleWarmVsCold(t *testing.T) {
 	const horizon = 0.05
 	run := func(warm *WarmStart) Settle {
 		sc := NewDCQCNScenario(10, 1)
-		nw, star, _, err := sc.Star(warm)
+		nw, star, _, err := sc.Star(nil, warm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestFluidWarmStartInitialRates(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := sys.Initial()
-	for i := 0; i < sc.N; i++ {
+	for i := 0; i < sc.Par.N; i++ {
 		if got, want := y[sys.RCIndex(i)], warm.RatesBytes[i]/MTU; got != want {
 			t.Errorf("flow %d: initial RC = %v packets/s, want warm-start %v", i, got, want)
 		}
@@ -80,7 +80,7 @@ func TestFluidWarmStartInitialRates(t *testing.T) {
 // start at the Eq. 31 fair share and the bottleneck queue is prefilled.
 func TestTimelyStarWarm(t *testing.T) {
 	sc := NewTimelyScenario(2, 1)
-	warm, err := TimelyWarmStart(sc.N, sc.Cfg.Delta, sc.Cfg.Beta, sc.Cfg.C, sc.Cfg.TLow, 0)
+	warm, err := TimelyWarmStart(sc.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestTimelyStarWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(senders) != sc.N {
-		t.Fatalf("built %d senders, want %d", len(senders), sc.N)
+	if len(senders) != sc.Cfg.N {
+		t.Fatalf("built %d senders, want %d", len(senders), sc.Cfg.N)
 	}
 	// The start rate is applied by the flow's t=0 start event, so step the
 	// simulator one tick before sampling (no RTT completes that fast, so

@@ -5,6 +5,7 @@ import (
 
 	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/fixedpoint"
+	"ecndelay/internal/fluid"
 	"ecndelay/internal/netsim"
 )
 
@@ -41,21 +42,18 @@ func DCQCNWarmStart(pr fixedpoint.DCQCNParams) (*WarmStart, error) {
 	return w, nil
 }
 
-// TimelyWarmStart builds the patched-TIMELY operating point for n flows on
-// a c bytes/s bottleneck: fair-share rates and the Eq. 31 queue
+// TimelyWarmStart builds the patched-TIMELY operating point of cfg (bytes
+// units): fair-share rates and the Eq. 31 queue
 //
 //	q* = N δ q' / (β C) + q'
 //
-// with q' the reference queue (qPrime <= 0 selects the paper's C·T_low via
-// tLow).
-func TimelyWarmStart(n int, delta, beta, c, tLow, qPrime float64) (*WarmStart, error) {
-	if n <= 0 || delta <= 0 || beta <= 0 || c <= 0 {
-		return nil, fmt.Errorf("hybrid: timely warm start needs positive n, delta, beta, c")
+// with q' = C·T_low, the paper's reference queue.
+func TimelyWarmStart(cfg fluid.TimelyConfig) (*WarmStart, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if qPrime <= 0 {
-		qPrime = c * tLow
-	}
-	w := &WarmStart{QueueBytes: int(fixedpoint.PatchedTimelyQStar(n, delta, beta, c, qPrime))}
+	n, c := cfg.N, cfg.C
+	w := &WarmStart{QueueBytes: int(fixedpoint.PatchedTimelyQStar(n, cfg.Delta, cfg.Beta, c, c*cfg.TLow))}
 	for i := 0; i < n; i++ {
 		w.RatesBytes = append(w.RatesBytes, c/float64(n))
 		w.TargetsBytes = append(w.TargetsBytes, c/float64(n))

@@ -39,7 +39,7 @@ func TestDCQCNWarmStartWireUnits(t *testing.T) {
 
 func TestTimelyWarmStartDefaults(t *testing.T) {
 	cfg := fluid.DefaultPatchedTimelyConfig(2)
-	w, err := TimelyWarmStart(2, cfg.Delta, cfg.Beta, cfg.C, cfg.TLow, 0)
+	w, err := TimelyWarmStart(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,8 @@ func TestTimelyWarmStartDefaults(t *testing.T) {
 	if w.RatesBytes[0] != cfg.C/2 {
 		t.Errorf("RatesBytes[0] = %v, want fair share %v", w.RatesBytes[0], cfg.C/2)
 	}
-	if _, err := TimelyWarmStart(0, cfg.Delta, cfg.Beta, cfg.C, cfg.TLow, 0); err == nil {
+	cfg.N = 0
+	if _, err := TimelyWarmStart(cfg); err == nil {
 		t.Error("TimelyWarmStart accepted n=0")
 	}
 }
@@ -72,7 +73,7 @@ func TestPrefillFillsQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, star, _, err := sc.Star(warm)
+	_, star, _, err := sc.Star(nil, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestWarmTrajectoryStaysInBand(t *testing.T) {
 	const horizon = 0.02
 	run := func(warm *WarmStart) *obs.Probe {
 		sc := NewDCQCNScenario(10, 1)
-		nw, star, _, err := sc.Star(warm)
+		nw, star, _, err := sc.Star(nil, warm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestWarmColdSameSteadyState(t *testing.T) {
 		build build
 	}{
 		{"star", func(w *WarmStart) (*netsim.Network, *netsim.Port, error) {
-			nw, star, _, err := sc.Star(w)
+			nw, star, _, err := sc.Star(nil, w)
 			if err != nil {
 				return nil, nil, err
 			}

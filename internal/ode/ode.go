@@ -6,9 +6,10 @@
 // state-dependent RTT τ' in TIMELY). Go has no numerical DDE ecosystem, so
 // this package provides one from scratch: a dense, uniformly-spaced history
 // ring buffer serves past-state lookups at arbitrary (possibly
-// state-dependent) lags. It interpolates between stored points with cubic
-// Hermite by default, or linearly when Solver.LinearHistory is set, as
-// every fluid model in this module sets it.
+// state-dependent) lags, interpolating linearly between stored points.
+// Linear interpolation suits the fluid models, which clamp their state
+// after every step (queues at zero, rates at line rate): it never
+// overshoots the stored, clamped points into unphysical values.
 package ode
 
 import (
@@ -55,18 +56,9 @@ type Solver struct {
 	// points, so a longer ring would hold nothing more. Zero is valid for
 	// pure ODEs.
 	MaxDelay float64
-	// Y0 is the initial state at t0; it is copied, not aliased.
+	// Y0 is the initial state at t0; it is copied, not aliased. It is
+	// also the history before t0.
 	Y0 []float64
-	// InitHistory, if non-nil, supplies the pre-t0 history y(t), t <= t0.
-	// When nil the history is the constant Y0.
-	InitHistory func(t float64, out []float64)
-	// LinearHistory falls back to linear interpolation between stored
-	// history points. The default is cubic Hermite, which uses the exact
-	// step-start derivatives the integrator computes anyway and keeps the
-	// delayed lookups at RK4's own accuracy. Linear remains available for
-	// systems whose PostStep clamping makes stored slopes inconsistent
-	// with the clamped states.
-	LinearHistory bool
 }
 
 // Observer receives the solution after every accepted step (and once for the
@@ -80,36 +72,22 @@ type history struct {
 	capac int
 	dim   int
 	buf   []float64 // capac*dim ring of states
-	slope []float64 // capac*dim ring of dy/dt at each point (Hermite mode)
 	start int       // index of oldest point
 	tcur  float64   // time of newest point
-	init  func(t float64, out []float64)
 	y0    []float64
-	tmp   []float64
 }
 
-func newHistory(dim, capac int, h, t0 float64, y0 []float64, init func(float64, []float64), hermite bool) *history {
-	hs := &history{h: h, capac: capac, dim: dim, init: init}
+func newHistory(dim, capac int, h, t0 float64, y0 []float64) *history {
+	hs := &history{h: h, capac: capac, dim: dim, t0: t0, tcur: t0}
 	hs.buf = make([]float64, capac*dim)
-	if hermite {
-		hs.slope = make([]float64, capac*dim)
-	}
 	hs.y0 = append([]float64(nil), y0...)
-	hs.tmp = make([]float64, dim)
-	hs.t0 = t0
-	hs.tcur = t0
 	copy(hs.buf[:dim], y0)
 	hs.n = 1
 	return hs
 }
 
-// push appends the state at time t (must be tcur + h). dy, if history runs
-// in Hermite mode, is the derivative at the NEW point's predecessor — the
-// k1 of the step that just completed, which is the exact f(t_prev, y_prev).
-// The new point's own slope is provisionally dyEnd (the step's k4, an
-// O(h²) endpoint estimate) until the next step overwrites it exactly.
-func (hs *history) push(t float64, y, dyPrev, dyEnd []float64) {
-	prevIdx := hs.index(hs.n - 1)
+// push appends the state at time t (must be tcur + h).
+func (hs *history) push(t float64, y []float64) {
 	var idx int
 	if hs.n < hs.capac {
 		idx = hs.index(hs.n)
@@ -119,14 +97,6 @@ func (hs *history) push(t float64, y, dyPrev, dyEnd []float64) {
 		hs.start = hs.index(1)
 	}
 	copy(hs.buf[idx*hs.dim:(idx+1)*hs.dim], y)
-	if hs.slope != nil {
-		if dyPrev != nil && prevIdx != idx {
-			copy(hs.slope[prevIdx*hs.dim:(prevIdx+1)*hs.dim], dyPrev)
-		}
-		if dyEnd != nil {
-			copy(hs.slope[idx*hs.dim:(idx+1)*hs.dim], dyEnd)
-		}
-	}
 	hs.tcur = t
 }
 
@@ -146,20 +116,10 @@ func (hs *history) point(i int) []float64 {
 	return hs.buf[idx*hs.dim : (idx+1)*hs.dim]
 }
 
-// slopeAt returns the stored derivative of the i-th point (Hermite mode).
-func (hs *history) slopeAt(i int) []float64 {
-	idx := hs.index(i)
-	return hs.slope[idx*hs.dim : (idx+1)*hs.dim]
-}
-
 func (hs *history) oldestTime() float64 { return hs.tcur - float64(hs.n-1)*hs.h }
 
 func (hs *history) Value(tq float64, idx int) float64 {
 	if tq <= hs.t0 {
-		if hs.init != nil {
-			hs.init(tq, hs.tmp)
-			return hs.tmp[idx]
-		}
 		return hs.y0[idx]
 	}
 	oldest := hs.oldestTime()
@@ -185,17 +145,7 @@ func (hs *history) Value(tq float64, idx int) float64 {
 	a := f - float64(i)
 	p0 := hs.point(i)
 	p1 := hs.point(i + 1)
-	if hs.slope == nil {
-		return p0[idx] + a*(p1[idx]-p0[idx])
-	}
-	// Cubic Hermite: third-order accurate between stored points, versus
-	// second-order for the linear form — the interpolation no longer
-	// limits RK4's global order on delayed lookups.
-	d0 := hs.slopeAt(i)[idx] * hs.h
-	d1 := hs.slopeAt(i + 1)[idx] * hs.h
-	a2 := a * a
-	a3 := a2 * a
-	return (2*a3-3*a2+1)*p0[idx] + (a3-2*a2+a)*d0 + (-2*a3+3*a2)*p1[idx] + (a3-a2)*d1
+	return p0[idx] + a*(p1[idx]-p0[idx])
 }
 
 // Integrate advances the system from t0 to t1, invoking obs (if non-nil)
@@ -231,7 +181,7 @@ func (s *Solver) Integrate(t0, t1 float64, obs Observer) []float64 {
 	if capac*float64(dim)*8 >= math.MaxInt {
 		panic(fmt.Sprintf("ode: history ring of %g points of %d values: its size in bytes does not fit in an int", capac, dim))
 	}
-	hist := newHistory(dim, int(capac), s.H, t0, s.Y0, s.InitHistory, !s.LinearHistory)
+	hist := newHistory(dim, int(capac), s.H, t0, s.Y0)
 
 	y := append([]float64(nil), s.Y0...)
 	k1 := make([]float64, dim)
@@ -269,7 +219,7 @@ func (s *Solver) Integrate(t0, t1 float64, obs Observer) []float64 {
 		if hasPost {
 			ps.PostStep(t, y)
 		}
-		hist.push(t, y, k1, k4)
+		hist.push(t, y)
 		if obs != nil {
 			obs(t, y)
 		}

@@ -104,22 +104,6 @@ func TestDDEMethodOfSteps(t *testing.T) {
 	}
 }
 
-func TestInitialHistoryFunction(t *testing.T) {
-	// dy/dt = y(t-1) with y(t) = t for t<=0 → on [0,1], dy/dt = t-1,
-	// y(t) = y0 + t^2/2 - t with y(0)=0 → y(1) = -0.5.
-	sys := DelayFunc{N: 1, F: func(tt float64, y []float64, past History, d []float64) {
-		d[0] = past.Value(tt-1, 0)
-	}}
-	s := &Solver{
-		Sys: sys, H: 1e-4, MaxDelay: 1, Y0: []float64{0},
-		InitHistory: func(tt float64, out []float64) { out[0] = tt },
-	}
-	y := s.Integrate(0, 1, nil)
-	if math.Abs(y[0]-(-0.5)) > 1e-6 {
-		t.Errorf("y(1) = %v, want -0.5", y[0])
-	}
-}
-
 func TestObserverSeesEveryStep(t *testing.T) {
 	s := &Solver{
 		Sys: Func{N: 1, F: func(_ float64, y, d []float64) { d[0] = 1 }},
@@ -209,14 +193,20 @@ func TestRingSizedByRun(t *testing.T) {
 	const dim, steps, h = 4, 20, 1e-3
 	s := &Solver{Sys: Func{N: dim, F: func(_ float64, y, d []float64) { copy(d, y) }},
 		H: h, MaxDelay: 1e4 * h, Y0: make([]float64, dim)}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	s.Integrate(0, steps*h, nil)
-	runtime.ReadMemStats(&after)
-	// The value and slope rings of 21 points, plus 1 KB for the state,
-	// the four stages and the history's own copies.
-	limit := uint64(2*(steps+1)*dim*8 + 1024)
-	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+	// The least of a few runs: on a loaded host the window now and then
+	// also catches allocations of other goroutines.
+	got := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Integrate(0, steps*h, nil)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	// The ring of 21 points, plus 1 KB for the state, the four stages and
+	// the history's own copies.
+	limit := uint64((steps+1)*dim*8 + 1024)
+	if got > limit {
 		t.Errorf("20-step run allocated %d bytes, want at most %d (a 21-point ring)", got, limit)
 	}
 	s.MaxDelay = 1e300
@@ -255,10 +245,10 @@ func TestPropertyLinearDecayInvariants(t *testing.T) {
 func TestPropertyHistoryLinearExact(t *testing.T) {
 	f := func(slope8 int8) bool {
 		slope := float64(slope8) / 16.0
-		hist := newHistory(1, 100, 0.1, 0, []float64{0}, nil, false)
+		hist := newHistory(1, 100, 0.1, 0, []float64{0})
 		for i := 1; i <= 50; i++ {
 			tt := float64(i) * 0.1
-			hist.push(tt, []float64{slope * tt}, nil, nil)
+			hist.push(tt, []float64{slope * tt})
 		}
 		for _, tq := range []float64{0.05, 0.333, 1.77, 4.99, 5.0} {
 			want := slope * tq
@@ -274,9 +264,9 @@ func TestPropertyHistoryLinearExact(t *testing.T) {
 }
 
 func TestHistoryRingWraparound(t *testing.T) {
-	hist := newHistory(1, 10, 1.0, 0, []float64{0}, nil, false)
+	hist := newHistory(1, 10, 1.0, 0, []float64{0})
 	for i := 1; i <= 100; i++ {
-		hist.push(float64(i), []float64{float64(i) * 2}, nil, nil)
+		hist.push(float64(i), []float64{float64(i) * 2})
 	}
 	// Only the last 10 points are retained: t in [91, 100].
 	if got := hist.Value(95.5, 0); math.Abs(got-191) > 1e-12 {
@@ -304,45 +294,5 @@ func BenchmarkRK4DDE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := &Solver{Sys: sys, H: 1e-4, MaxDelay: 0.01, Y0: []float64{1, 2, 3, 4}}
 		s.Integrate(0, 0.1, nil)
-	}
-}
-
-// Hermite history interpolation must beat linear interpolation on a DDE
-// whose history has curvature: the oscillatory dy/dt = -y(t-1), integrated
-// with a coarse step and compared against a fine-step reference.
-func TestHermiteBeatsLinearHistory(t *testing.T) {
-	solve := func(h float64, linear bool) float64 {
-		sys := DelayFunc{N: 1, F: func(tt float64, y []float64, past History, d []float64) {
-			d[0] = -past.Value(tt-1, 0)
-		}}
-		s := &Solver{Sys: sys, H: h, MaxDelay: 1, Y0: []float64{1}, LinearHistory: linear}
-		y := s.Integrate(0, 5, nil)
-		return y[0]
-	}
-	ref := solve(1e-4, false)
-	lin := math.Abs(solve(0.05, true) - ref)
-	herm := math.Abs(solve(0.05, false) - ref)
-	if herm >= lin/5 {
-		t.Errorf("Hermite error %v not clearly better than linear %v", herm, lin)
-	}
-}
-
-// Hermite interpolation is exact for cubics when the stored slopes are
-// exact, and at least quadratic-exact through the solver pipeline.
-func TestHermiteQuadraticExact(t *testing.T) {
-	// dy/dt = 2t → y = t², slopes exact at step starts. A delayed lookup
-	// of y(t-τ) must reproduce (t-τ)² essentially exactly.
-	sys := DelayFunc{N: 2, F: func(tt float64, y []float64, past History, d []float64) {
-		d[0] = 2 * tt
-		d[1] = past.Value(tt-0.35, 0) // integrates y(t-0.35)
-	}}
-	s := &Solver{Sys: sys, H: 0.01, MaxDelay: 0.4, Y0: []float64{0, 0}}
-	y := s.Integrate(0, 1, nil)
-	// ∫₀¹ max(t-0.35,0)² dt with history y=0 before t=0.35... the delayed
-	// argument (t-0.35)² applies for t ≥ 0.35; before that the initial
-	// history (0) holds: integral = (1-0.35)³/3.
-	want := math.Pow(0.65, 3) / 3
-	if math.Abs(y[1]-want) > 1e-9 {
-		t.Errorf("∫y(t-τ) = %v, want %v", y[1], want)
 	}
 }
