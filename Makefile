@@ -4,10 +4,9 @@
 GO ?= go
 
 .PHONY: ci build vet fmt lint test race bench bench-smoke bench-check \
-	audit-ab obsreport-gate cover hybrid-gate
+	cover hybrid-gate
 
-ci: fmt vet lint build test race bench-smoke bench-check audit-ab \
-	obsreport-gate cover hybrid-gate
+ci: fmt vet lint build test race bench-smoke bench-check cover hybrid-gate
 
 build:
 	$(GO) build ./...
@@ -32,6 +31,9 @@ lint:
 		govulncheck ./... || echo "lint: govulncheck reported findings (advisory)"; \
 	else echo "lint: govulncheck not installed; skipping"; fi
 
+# The audit and percentile gates are Go tests here: cmd/packetsim's
+# TestAuditGate and TestPercentileGate drive a run, then runreport, in
+# process.
 test:
 	$(GO) test -timeout 5m ./...
 
@@ -71,44 +73,18 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Audit A/B gate, three promises of the control-loop audit trail:
-# (1) attaching -audit leaves the run's stdout byte-identical (the trail
-# is pure observation); (2) the audit export itself reproduces
-# byte-for-byte across reruns (both runs use the same relative -audit
-# path from different directories so even the header's flag echo
-# matches); (3) ccreport's -require-attributed gate holds — every rate
-# cut in a fault-free run names the mark episode that caused it.
-audit-ab:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/packetsim" ./cmd/packetsim; \
-	$(GO) build -o "$$tmp/ccreport" ./cmd/ccreport; \
-	mkdir "$$tmp/a" "$$tmp/b"; \
-	$(GO) run ./cmd/packetsim -proto dcqcn -n 4 -horizon 0.02 -seed 7 > "$$tmp/off.tsv"; \
-	(cd "$$tmp/a" && ./../packetsim -proto dcqcn -n 4 -horizon 0.02 -seed 7 \
-		-audit audit.jsonl > on.tsv); \
-	(cd "$$tmp/b" && ./../packetsim -proto dcqcn -n 4 -horizon 0.02 -seed 7 \
-		-audit audit.jsonl > on.tsv); \
-	cmp "$$tmp/off.tsv" "$$tmp/a/on.tsv" \
-		|| { echo "audit-ab: -audit perturbed the run"; exit 1; }; \
-	cmp "$$tmp/a/audit.jsonl" "$$tmp/b/audit.jsonl" \
-		|| { echo "audit-ab: audit export is not reproducible"; exit 1; }; \
-	"$$tmp/ccreport" -audit "$$tmp/a/audit.jsonl" -require-attributed > "$$tmp/report.txt" \
-		|| { echo "audit-ab: unattributed rate cuts"; cat "$$tmp/report.txt"; exit 1; }; \
-	grep -q ' 0 unattributed; ' "$$tmp/report.txt" \
-		|| { echo "audit-ab: report shape unexpected"; cat "$$tmp/report.txt"; exit 1; }; \
-	echo "audit-ab: -audit invisible to the run, export reproducible, cuts fully attributed"
-
 # Coverage gate, two levels. Packages whose whole job is checking other
 # code — internal/hybrid (paper-math cross-validation), internal/cli
-# (the flag front-end every run command trusts) and cmd/obsreport (the CI
-# perf gate itself) — carry hard per-package statement floors. The
+# (the flag front-end every run command trusts) and internal/report (the
+# attribution and percentile gates themselves) — carry hard per-package
+# statement floors. The
 # repo-wide figure (measured with -short, the same profile `make race`
 # uses) is gated by the checked-in ratchet in coverage_ratchet.txt: it
 # must never fall below the recorded value, and a PR that raises
 # coverage should bump the file so the floor only ever moves up.
 cover:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	for spec in ./internal/hybrid:85 ./internal/cli:85 ./cmd/obsreport:85; do \
+	for spec in ./internal/hybrid:85 ./internal/cli:85 ./internal/report:85; do \
 		pkg=$${spec%:*}; floor=$${spec##*:}; \
 		$(GO) test -timeout 10m -coverprofile="$$tmp/pkg.cov" "$$pkg" > /dev/null; \
 		got=$$($(GO) tool cover -func="$$tmp/pkg.cov" | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
@@ -129,15 +105,3 @@ cover:
 # any check lands outside its documented tolerance, failing CI.
 hybrid-gate:
 	$(GO) run ./cmd/ecnbench -exp crossval -full
-
-# Perf-trajectory gate: a quick fixed-seed packetsim run must reproduce
-# the checked-in golden latency percentiles within 5%. Regenerate the
-# golden file with the same packetsim command after an intentional
-# distribution change.
-obsreport-gate:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/packetsim -proto timely -n 2 -horizon 0.005 -seed 7 \
-		-hist "$$tmp/hist.jsonl" > /dev/null; \
-	$(GO) run ./cmd/obsreport -base cmd/obsreport/testdata/golden_packetsim_hist.jsonl \
-		-new "$$tmp/hist.jsonl" -threshold 0.05 \
-		&& echo "obsreport-gate: percentiles match the golden run"

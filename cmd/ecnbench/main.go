@@ -25,6 +25,7 @@ import (
 
 	"ecndelay/internal/cli"
 	"ecndelay/internal/exp"
+	"ecndelay/internal/obs"
 	"ecndelay/internal/sweep"
 )
 
@@ -63,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// by completion order, so byte-stable traces need -workers 1. Proto is
 	// empty in export headers: experiments mix protocols, and each
 	// decision record names its own type.
-	sess, err := flags.Open("ecnbench", *seed, "", stderr)
+	sess, err := flags.Open("ecnbench", obs.Header{Seed: *seed}, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "ecnbench: %v\n", err)
 		return 2

@@ -41,6 +41,7 @@ import (
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
+	"ecndelay/internal/obs"
 	"ecndelay/internal/timely"
 	"ecndelay/internal/topo"
 )
@@ -218,20 +219,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	sess, err := flags.Open("packetsim", *seed, *proto, stderr)
+	// The DCQCN operating point in paper units: it supplies the marker,
+	// the warm start and the background aggregate's parameters, and a
+	// dcqcn run's export headers name it. With a background aggregate the
+	// coupled system settles at the combined fixed point, so the headers
+	// count its flows too. The links keep the flag's bytes/s value.
+	bwBytes := *bw / 8
+	sc := hybrid.NewDCQCNScenario(*n, *seed)
+	sc.Par.C = bwBytes / hybrid.MTU
+	sc.Ingress = *ingress
+	run := obs.Header{Seed: *seed, Proto: *proto}
+	if *proto == "dcqcn" {
+		op := sc.Par
+		op.N += *bgFlows
+		run.Op = &op
+	}
+
+	sess, err := flags.Open("packetsim", run, stderr)
 	if err != nil {
 		return fail(1, "%v", err)
 	}
 	defer sess.Close()
 	observer := sess.Observer
 
-	// The DCQCN operating point in paper units: it supplies the marker,
-	// the warm start and the background aggregate's parameters. The
-	// links keep the flag's bytes/s value.
-	bwBytes := *bw / 8
-	sc := hybrid.NewDCQCNScenario(*n, *seed)
-	sc.Par.C = bwBytes / hybrid.MTU
-	sc.Ingress = *ingress
 	nw := netsim.New(*seed)
 	if observer != nil {
 		nw.SetObserver(observer)

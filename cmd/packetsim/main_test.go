@@ -1,10 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"ecndelay/internal/hybrid"
+	"ecndelay/internal/obs"
+	"ecndelay/internal/report"
 )
 
 // Every refused flag value or combination exits 2 with one line naming
@@ -107,7 +114,7 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 		header  string
 	}{
 		{"star", []string{"-proto", "dcqcn", "-n", "4", "-horizon", "0.02", "-seed", "7"},
-			[]string{"-metrics", "-trace", "-probe", "-hist"}, "# t\tq_bytes\trate0\trate1\trate2\trate3\n"},
+			[]string{"-metrics", "-trace", "-probe", "-hist", "-audit"}, "# t\tq_bytes\trate0\trate1\trate2\trate3\n"},
 		{"clos", []string{"-topology", "clos", "-radix", "4", "-tiers", "3", "-n", "6", "-horizon", "0.003", "-seed", "7"},
 			[]string{"-metrics", "-trace"}, "# t\tq_bytes\trate0\trate1\trate2\trate3\trate4\trate5\n"},
 	} {
@@ -159,4 +166,87 @@ func TestSeededRunsReproduce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The audit gate: the same seeded -audit run written twice to one path
+// gives identical bytes (the header echoes the path, so both runs name
+// the same one), and the report attributes every rate cut of the
+// fault-free run to its mark episode. Attaching -audit leaves stdout
+// unchanged (the star case of TestObservedRunMatchesUnobserved).
+func TestAuditGate(t *testing.T) {
+	audit := filepath.Join(t.TempDir(), "audit.jsonl")
+	args := []string{"-proto", "dcqcn", "-n", "4", "-horizon", "0.02", "-seed", "7", "-audit", audit}
+	runOK(t, args...)
+	first, err := os.ReadFile(audit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runOK(t, args...)
+	if second, err := os.ReadFile(audit); err != nil || !bytes.Equal(first, second) {
+		t.Fatalf("the same seeded run wrote a different audit export (%v)", err)
+	}
+	var out, errOut strings.Builder
+	if code := report.Run([]string{"-audit", audit, "-require-attributed"}, &out, &errOut); code != 0 {
+		t.Fatalf("report exit %d, stderr %q", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), " 0 unattributed; ") {
+		t.Errorf("report lacks the attribution line:\n%s", out.String())
+	}
+}
+
+// The percentile gate: a fixed-seed TIMELY run reproduces the checked-in
+// golden latency percentiles within 5%. Regenerate the golden file with
+// the same packetsim arguments after an intentional distribution change.
+func TestPercentileGate(t *testing.T) {
+	hist := filepath.Join(t.TempDir(), "hist.jsonl")
+	runOK(t, "-proto", "timely", "-n", "2", "-horizon", "0.005", "-seed", "7", "-hist", hist)
+	var out, errOut strings.Builder
+	if code := report.Run([]string{"-hist", hist, "-base", filepath.Join("testdata", "golden_packetsim_hist.jsonl")},
+		&out, &errOut); code != 0 {
+		t.Fatalf("report exit %d, stderr %q:\n%s", code, errOut.String(), out.String())
+	}
+}
+
+// A dcqcn run's export header names the scenario's operating point, bit
+// for bit, with the background flows counted in N; other protocols name
+// none.
+func TestHeaderOperatingPoint(t *testing.T) {
+	dir := t.TempDir()
+	header := func(args ...string) *obs.Header {
+		t.Helper()
+		audit := filepath.Join(dir, "audit.jsonl")
+		runOK(t, append(args, "-horizon", "0.001", "-seed", "3", "-audit", audit)...)
+		hdr, _, err := obs.ReadAudit(audit)
+		if err != nil || hdr == nil {
+			t.Fatalf("%v: header %v, err %v", args, hdr, err)
+		}
+		return hdr
+	}
+	want := hybrid.NewDCQCNScenario(3, 3).Par
+	want.C = 25e9 / 8 / hybrid.MTU
+	if op := header("-proto", "dcqcn", "-n", "3", "-bw", "25e9").Op; op == nil || !sameBits(*op, want) {
+		t.Errorf("-n 3 -bw 25e9 recorded %+v, want %+v", op, want)
+	}
+	if op := header("-proto", "dcqcn", "-n", "2", "-bg-flows", "2").Op; op == nil || op.N != 4 {
+		t.Errorf("-n 2 -bg-flows 2 recorded %+v, want N = 4", op)
+	}
+	if op := header("-proto", "timely", "-n", "2").Op; op != nil {
+		t.Errorf("-proto timely recorded %+v, want no point", op)
+	}
+}
+
+// sameBits compares two structs field by field, floats by Float64bits.
+func sameBits(a, b any) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		fa, fb := va.Field(i), vb.Field(i)
+		if fa.Kind() == reflect.Float64 {
+			if math.Float64bits(fa.Float()) != math.Float64bits(fb.Float()) {
+				return false
+			}
+		} else if fa.Interface() != fb.Interface() {
+			return false
+		}
+	}
+	return true
 }

@@ -85,7 +85,7 @@ func run(args []string, stderr io.Writer) int {
 	// and audit get one file per job, so each of those is byte-identical
 	// for any -workers value too. The pm grid is fluid-model only and
 	// never touches the observer.
-	sess, err := flags.Open("sweep", *seed, "", stderr)
+	sess, err := flags.Open("sweep", obs.Header{Seed: *seed}, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 2

@@ -85,16 +85,18 @@ var executionOnly = map[string]bool{"workers": true, "quiet": true, "resume": tr
 
 // Header returns the self-describing first record of a JSONL export, so a
 // reader can tell which invocation produced a file without the shell
-// history. It echoes the explicitly set flags in name order, minus the
+// history: run's seed, protocol and operating point, stamped with the
+// schema, version 1 and the explicitly set flags in name order, minus the
 // execution-only ones.
-func (f *Flags) Header(schema string, seed int64, proto string) obs.Header {
+func (f *Flags) Header(schema string, run obs.Header) obs.Header {
 	var parts []string
 	f.fs.Visit(func(fl *flag.Flag) {
 		if !executionOnly[fl.Name] {
 			parts = append(parts, fl.Name+"="+fl.Value.String())
 		}
 	})
-	return obs.Header{Schema: schema, Version: 1, Seed: seed, Proto: proto, Flags: strings.Join(parts, " ")}
+	run.Schema, run.Version, run.Flags = schema, 1, strings.Join(parts, " ")
+	return run
 }
 
 // Session is one command run's profiler, observer and export files.
@@ -105,8 +107,7 @@ type Session struct {
 
 	f        *Flags
 	cmd      string
-	seed     int64
-	proto    string
+	run      obs.Header
 	stderr   io.Writer
 	stopProf func() error
 
@@ -117,9 +118,10 @@ type Session struct {
 
 // Open starts profiling and builds the observer the flags ask for,
 // creating the shared trace and audit files. cmd prefixes every message
-// the session prints to stderr; seed and proto go into export headers.
-// Call Close on every exit path and Finish after a completed run.
-func (f *Flags) Open(cmd string, seed int64, proto string, stderr io.Writer) (*Session, error) {
+// the session prints to stderr; run's Seed, Proto and Op go into every
+// export header. Call Close on every exit path and Finish after a
+// completed run.
+func (f *Flags) Open(cmd string, run obs.Header, stderr io.Writer) (*Session, error) {
 	if err := f.Check(); err != nil {
 		return nil, err
 	}
@@ -127,7 +129,7 @@ func (f *Flags) Open(cmd string, seed int64, proto string, stderr io.Writer) (*S
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{f: f, cmd: cmd, seed: seed, proto: proto, stderr: stderr, stopProf: stop}
+	s := &Session{f: f, cmd: cmd, run: run, stderr: stderr, stopProf: stop}
 	if f.Metrics == "" && f.Trace == "" && f.Probe == "" && !f.Invariants &&
 		f.Hist == "" && f.Audit == "" {
 		return s, nil
@@ -180,7 +182,7 @@ func (f *Flags) Open(cmd string, seed int64, proto string, stderr io.Writer) (*S
 	return s, nil
 }
 
-func (s *Session) header(schema string) obs.Header { return s.f.Header(schema, s.seed, s.proto) }
+func (s *Session) header(schema string) obs.Header { return s.f.Header(schema, s.run) }
 
 // traceTo starts a headed JSONL trace stream on w.
 func (s *Session) traceTo(w io.Writer) *obs.Tracer {

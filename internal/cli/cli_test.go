@@ -71,7 +71,7 @@ func TestRegisterDeclaresSharedFlags(t *testing.T) {
 // execution-only flags: an export must not depend on -workers.
 func TestHeaderSkipsExecutionOnlyFlags(t *testing.T) {
 	f := newFlags(t, false, "-workers", "2", "-quiet", "-resume", "-seed", "7", "-probe", "p.jsonl", "-invariants")
-	h := f.Header("probe", 7, "dcqcn")
+	h := f.Header("probe", obs.Header{Seed: 7, Proto: "dcqcn"})
 	want := obs.Header{Schema: "probe", Version: 1, Seed: 7, Proto: "dcqcn",
 		Flags: "invariants=true probe=p.jsonl seed=7"}
 	if h != want {
@@ -80,7 +80,7 @@ func TestHeaderSkipsExecutionOnlyFlags(t *testing.T) {
 }
 
 func TestNoObserverFlagsLeaveRunUnobserved(t *testing.T) {
-	s, err := newFlags(t, false).Open("cmd", 1, "", io.Discard)
+	s, err := newFlags(t, false).Open("cmd", obs.Header{Seed: 1}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSharedExports(t *testing.T) {
 	f := newFlags(t, false, "-metrics", p("m.tsv"), "-trace", p("t.jsonl"), "-probe", p("p.jsonl"),
 		"-hist", p("h.tsv"), "-audit", p("a.jsonl"), "-invariants", "-probe-every", "2e-4")
 	var stderr strings.Builder
-	s, err := f.Open("cmd", 3, "timely", &stderr)
+	s, err := f.Open("cmd", obs.Header{Seed: 3, Proto: "timely"}, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestPerJobExports(t *testing.T) {
 	dir := t.TempDir()
 	f := newFlags(t, true, "-trace", filepath.Join(dir, "t.jsonl"), "-audit", filepath.Join(dir, "a.jsonl"),
 		"-hist", filepath.Join(dir, "h.jsonl"))
-	s, err := f.Open("sweep", 1, "", io.Discard)
+	s, err := f.Open("sweep", obs.Header{Seed: 1}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestPerJobOpenErrorSurfacesAtFinish(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
 	f := newFlags(t, true, "-trace", filepath.Join(missing, "t.jsonl"), "-audit", filepath.Join(missing, "a.jsonl"))
 	var stderr strings.Builder
-	s, err := f.Open("sweep", 1, "", &stderr)
+	s, err := f.Open("sweep", obs.Header{Seed: 1}, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestProbeEveryCheck(t *testing.T) {
 		if !strings.Contains(err.Error(), "-probe-every") {
 			t.Errorf("-probe-every %s: error %q does not name the flag", c.val, err)
 		}
-		if _, err := f.Open("cmd", 1, "", io.Discard); err == nil {
+		if _, err := f.Open("cmd", obs.Header{Seed: 1}, io.Discard); err == nil {
 			t.Errorf("-probe-every %s: Open succeeded", c.val)
 		}
 	}
@@ -227,7 +227,7 @@ func TestProbeEveryCheck(t *testing.T) {
 func TestOpenErrors(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no", "such", "dir", "f")
 	for _, flagName := range []string{"-trace", "-audit", "-cpuprofile"} {
-		if _, err := newFlags(t, false, flagName, missing).Open("cmd", 1, "", io.Discard); err == nil {
+		if _, err := newFlags(t, false, flagName, missing).Open("cmd", obs.Header{Seed: 1}, io.Discard); err == nil {
 			t.Errorf("%s into a missing directory: Open succeeded", flagName)
 		}
 	}
@@ -237,7 +237,7 @@ func TestFinishExportError(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
 	for _, flagName := range []string{"-metrics", "-probe", "-hist"} {
 		var stderr strings.Builder
-		s, err := newFlags(t, false, flagName, filepath.Join(missing, "f")).Open("cmd", 1, "", &stderr)
+		s, err := newFlags(t, false, flagName, filepath.Join(missing, "f")).Open("cmd", obs.Header{Seed: 1}, &stderr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestFinishExportError(t *testing.T) {
 
 func TestFinishReportsViolations(t *testing.T) {
 	var stderr strings.Builder
-	s, err := newFlags(t, false, "-invariants").Open("cmd", 1, "", &stderr)
+	s, err := newFlags(t, false, "-invariants").Open("cmd", obs.Header{Seed: 1}, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}

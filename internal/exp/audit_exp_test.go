@@ -48,30 +48,6 @@ func TestAuditLoopAttribution(t *testing.T) {
 	}
 }
 
-// reduceAudit's attribution bookkeeping on a hand-built stream: two
-// episodes, one cut attributed to the first, the second orphaned.
-func TestReduceAudit(t *testing.T) {
-	decs := []obs.Decision{
-		{T: 100, Type: obs.DecMarkOpen, Episode: 7},
-		{T: 150, Type: obs.DecMarkOpen, Episode: 9},
-		{T: 300, Type: obs.DecRateCut, Episode: 7},
-		{T: 400, Type: obs.DecRateCut, Episode: 7},
-		{T: 500, Type: obs.DecRateCut}, // unattributed
-	}
-	st, err := reduceAudit(decs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.cuts != 3 || st.attributed != 2 || st.episodes != 2 || st.orphans != 1 {
-		t.Errorf("got cuts=%d attributed=%d episodes=%d orphans=%d, want 3/2/2/1",
-			st.cuts, st.attributed, st.episodes, st.orphans)
-	}
-	// Only the episode's FIRST cut measures the loop's feedback delay.
-	if want := (300 - 100) * 1e-9; st.latP50 != want {
-		t.Errorf("latP50 = %g, want %g (first cut only)", st.latP50, want)
-	}
-}
-
 // One shared AuditJSONLSink across concurrent sweep jobs — the ecnbench
 // -audit wiring — serialises to identical bytes for any worker count:
 // the sink sorts by record content, so scheduling interleave is invisible.

@@ -27,62 +27,6 @@ func init() {
 	})
 }
 
-// auditLoopStats is the offline reduction of one audited run.
-type auditLoopStats struct {
-	cuts       int
-	attributed int
-	episodes   int
-	orphans    int
-	latP50     float64 // mark-episode open → rate cut, seconds
-	latP99     float64
-}
-
-// reduceAudit reconstructs attribution from the decision stream: each
-// DCQCN rate cut names the episode stamped on its CNP, each episode-open
-// record carries the episode's start time, and an episode no cut ever
-// names is an orphan — its feedback was lost before any sender reacted.
-func reduceAudit(decs []obs.Decision) (auditLoopStats, error) {
-	var st auditLoopStats
-	openT := make(map[uint64]des.Time)
-	cutBy := make(map[uint64]int)
-	var lats []float64
-	for _, d := range decs {
-		switch d.Type {
-		case obs.DecMarkOpen:
-			st.episodes++
-			openT[d.Episode] = d.T
-		case obs.DecRateCut:
-			st.cuts++
-			if d.Episode != 0 {
-				st.attributed++
-				cutBy[d.Episode]++
-				if t0, ok := openT[d.Episode]; ok && cutBy[d.Episode] == 1 {
-					// The episode's first cut: the end-to-end feedback
-					// delay from the switch flagging congestion to the
-					// first sender reacting. Later cuts of the same
-					// episode measure the CNP cadence, not the loop.
-					lats = append(lats, d.T.Sub(t0).Seconds())
-				}
-			}
-		}
-	}
-	for ep := range openT {
-		if cutBy[ep] == 0 {
-			st.orphans++
-		}
-	}
-	if len(lats) > 0 {
-		var err error
-		if st.latP50, err = stats.Percentile(lats, 50); err != nil {
-			return st, err
-		}
-		if st.latP99, err = stats.Percentile(lats, 99); err != nil {
-			return st, err
-		}
-	}
-	return st, nil
-}
-
 // runAuditLoop runs the 10-sender DCQCN incast with the audit trail
 // attached, fault-free and with 90% CNP loss. Fault-free, every cut must
 // be attributed to exactly one mark episode; under CNP loss the orphaned
@@ -129,29 +73,33 @@ func runAuditLoop(o Options) (*Report, error) {
 			}}}).Apply(nw)
 		}
 		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
-		st, err := reduceAudit(mem.Decisions())
-		if err != nil {
-			return nil, err
-		}
-		if rate == 0 && st.attributed != st.cuts {
-			return nil, fmt.Errorf("auditloop: %d of %d fault-free rate cuts unattributed", st.cuts-st.attributed, st.cuts)
+		// The open→first-cut latency is the end-to-end feedback delay from
+		// the switch flagging congestion to the first sender reacting.
+		st := obs.Attribute(mem.Decisions())
+		if rate == 0 && st.Attributed != st.Cuts {
+			return nil, fmt.Errorf("auditloop: %d of %d fault-free rate cuts unattributed", st.Cuts-st.Attributed, st.Cuts)
 		}
 		attrFrac := 1.0
-		if st.cuts > 0 {
-			attrFrac = float64(st.attributed) / float64(st.cuts)
+		if st.Cuts > 0 {
+			attrFrac = float64(st.Attributed) / float64(st.Cuts)
+		}
+		var latP50, latP99 float64
+		if len(st.OpenCut) > 0 {
+			latP50, _ = stats.Percentile(st.OpenCut, 50) // errs only on an empty set
+			latP99, _ = stats.Percentile(st.OpenCut, 99)
 		}
 		tbl.Rows = append(tbl.Rows, []string{
-			eng(rate), fmt.Sprint(st.cuts), fmt.Sprint(st.attributed),
-			fmt.Sprint(st.episodes), fmt.Sprint(st.orphans),
-			f1(st.latP50 * 1e6), f1(st.latP99 * 1e6),
+			eng(rate), fmt.Sprint(st.Cuts), fmt.Sprint(st.Attributed),
+			fmt.Sprint(st.Episodes), fmt.Sprint(st.Orphans),
+			f1(latP50 * 1e6), f1(latP99 * 1e6),
 		})
 		key := fmt.Sprintf("loss%g", rate)
-		rep.AddMetric("cuts_"+key, float64(st.cuts))
+		rep.AddMetric("cuts_"+key, float64(st.Cuts))
 		rep.AddMetric("attr_frac_"+key, attrFrac)
-		rep.AddMetric("episodes_"+key, float64(st.episodes))
-		rep.AddMetric("orphans_"+key, float64(st.orphans))
-		rep.AddMetric("markcut_p50_us_"+key, st.latP50*1e6)
-		rep.AddMetric("markcut_p99_us_"+key, st.latP99*1e6)
+		rep.AddMetric("episodes_"+key, float64(st.Episodes))
+		rep.AddMetric("orphans_"+key, float64(st.Orphans))
+		rep.AddMetric("markcut_p50_us_"+key, latP50*1e6)
+		rep.AddMetric("markcut_p99_us_"+key, latP99*1e6)
 	}
 	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes,

@@ -138,7 +138,7 @@ func TestWarmColdSameSteadyState(t *testing.T) {
 	}
 	const (
 		horizon = 0.1
-		tol     = 0.25 // histogram-percentile tolerance, obsreport-style
+		tol     = 0.25 // histogram-percentile tolerance, as in runreport's gate
 	)
 	type build func(warm *WarmStart) (*netsim.Network, *netsim.Port, error)
 	sc := NewDCQCNScenario(10, 1)

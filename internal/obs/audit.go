@@ -2,18 +2,20 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"io"
 	"sort"
 	"strconv"
 	"sync"
 
 	"ecndelay/internal/des"
+	"ecndelay/internal/fixedpoint"
 )
 
 // DecisionType labels one control-loop decision. The audit trail records
 // the congestion-control algorithms' *decisions* — not packet events —
 // so the feedback chain queue-crossing → mark → CNP → rate cut can be
-// reconstructed offline (cmd/ccreport) and its latency measured in-run.
+// reconstructed offline (Attribute) and its latency measured in-run.
 type DecisionType uint8
 
 // The decision record types. The first block is the switch side: a mark
@@ -67,7 +69,9 @@ func (t DecisionType) String() string {
 //   - DCQCN records: Node is the sender host, Flow the flow id. A cut
 //     carries OldRate→NewRate, Target (the post-cut target rate rt),
 //     Alpha (the alpha used), and Episode — the mark episode stamped on
-//     the CNP that caused it (0: unattributed). alphafb/alphadecay carry
+//     the CNP that caused it (0: unattributed). A cut's RTT is its
+//     mark→cut latency in seconds, the feedback delay the report takes
+//     as τ* (Attribute's MarkCut). alphafb/alphadecay carry
 //     Alpha = the alpha after the update. fr/ai/hai carry
 //     OldRate→NewRate and Target = rt.
 //   - TIMELY records: rtt carries RTT = the new sample (seconds); grad
@@ -77,21 +81,24 @@ func (t DecisionType) String() string {
 // Seq is a per-emitter monotone sequence number: each endpoint and each
 // marking port stamps its own counter, making the total sort order used
 // by AuditJSONLSink deterministic.
+//
+// The tags name the keys appendDecisionJSONL writes, through which
+// ReadAudit decodes; the type travels as its name under "dec".
 type Decision struct {
-	T       des.Time     // simulation time, ns
-	Type    DecisionType // record type
-	Node    int32        // deciding node id (sender host or switch)
-	Peer    int32        // port peer node id, -1 when not port-scoped
-	Flow    int32        // flow id, -1 for switch/endpoint-global records
-	Seq     uint64       // per-emitter sequence number
-	Episode uint64       // mark episode id, 0 when none
-	OldRate float64      // rate before the decision, bytes/s
-	NewRate float64      // rate after the decision, bytes/s
-	Target  float64      // DCQCN target rate rt after the decision
-	Alpha   float64      // DCQCN alpha after the decision
-	RTT     float64      // RTT sample / latency payload, seconds
-	Grad    float64      // TIMELY normalised gradient
-	QBytes  int64        // marker-visible queue depth, switch records
+	T       des.Time     `json:"t_ns"`   // simulation time, ns
+	Type    DecisionType `json:"-"`      // record type
+	Node    int32        `json:"node"`   // deciding node id (sender host or switch)
+	Peer    int32        `json:"peer"`   // port peer node id, -1 when not port-scoped
+	Flow    int32        `json:"flow"`   // flow id, -1 for switch/endpoint-global records
+	Seq     uint64       `json:"seq"`    // per-emitter sequence number
+	Episode uint64       `json:"ep"`     // mark episode id, 0 when none
+	OldRate float64      `json:"old"`    // rate before the decision, bytes/s
+	NewRate float64      `json:"new"`    // rate after the decision, bytes/s
+	Target  float64      `json:"tgt"`    // DCQCN target rate rt after the decision
+	Alpha   float64      `json:"alpha"`  // DCQCN alpha after the decision
+	RTT     float64      `json:"rtt"`    // RTT sample / latency payload, seconds
+	Grad    float64      `json:"grad"`   // TIMELY normalised gradient
+	QBytes  int64        `json:"qbytes"` // marker-visible queue depth, switch records
 }
 
 // DecisionSink receives audit records. Implementations are called with
@@ -192,6 +199,50 @@ func (m *AuditMemorySink) Decisions() []Decision { return m.decs }
 
 // Dropped reports decisions discarded past Limit.
 func (m *AuditMemorySink) Dropped() int64 { return m.dropped }
+
+// Attribution is the mark-episode bookkeeping of a decision stream.
+type Attribution struct {
+	Cuts, Attributed  int       // rate cuts, and those naming a mark episode
+	Episodes, Orphans int       // episodes opened, and those no cut names
+	MarkCut           []float64 // per attributed cut, its RTT: mark→cut latency, s
+	OpenCut           []float64 // per episode with a cut, open→first-cut latency, s
+}
+
+// Attribute reconstructs attribution from a decision stream: each DCQCN
+// rate cut names the episode stamped on its CNP, each episode-open record
+// carries the episode's start time, and an episode no cut ever names is
+// an orphan — its feedback was lost before any sender reacted. Only an
+// episode's first cut measures open→cut: later cuts of the same episode
+// measure the CNP cadence, not the loop.
+func Attribute(decs []Decision) Attribution {
+	var a Attribution
+	openT := make(map[uint64]des.Time)
+	cutBy := make(map[uint64]int)
+	for _, d := range decs {
+		switch d.Type {
+		case DecMarkOpen:
+			a.Episodes++
+			openT[d.Episode] = d.T
+		case DecRateCut:
+			a.Cuts++
+			if d.Episode == 0 {
+				continue
+			}
+			a.Attributed++
+			cutBy[d.Episode]++
+			a.MarkCut = append(a.MarkCut, d.RTT)
+			if t0, ok := openT[d.Episode]; ok && cutBy[d.Episode] == 1 {
+				a.OpenCut = append(a.OpenCut, d.T.Sub(t0).Seconds())
+			}
+		}
+	}
+	for ep := range openT {
+		if cutBy[ep] == 0 {
+			a.Orphans++
+		}
+	}
+	return a
+}
 
 // decisionLess is a total order over record *content*: primary key is
 // simulation time, then emitter identity and its sequence number, then
@@ -361,19 +412,28 @@ func appendDecisionJSONL(b []byte, d Decision) []byte {
 
 // Header is the self-describing first record of a probe/trace/audit
 // JSONL export: schema name and version, the run's base seed, the
-// protocol under test, and a human-oriented summary of the invoking
-// flags — enough to reproduce an archived file without the original
-// command line. Readers recognise it by its "schema" key and must
-// tolerate its absence (files written before the header existed).
+// protocol under test, a human-oriented summary of the invoking flags —
+// enough to reproduce an archived file without the original command
+// line — and, when the run had one, its DCQCN operating point Op. Readers
+// recognise it by its "schema" key and must tolerate its absence (files
+// written before the header existed).
 type Header struct {
-	Schema  string // export kind: "probe", "trace", "audit"
-	Version int    // schema version, starts at 1
-	Seed    int64  // base RNG seed of the run
-	Proto   string // protocol under test ("dcqcn", "timely", ...)
-	Flags   string // flag summary of the invocation, "" when not a CLI run
+	Schema  string `json:"schema"` // export kind: "probe", "trace", "audit"
+	Version int    `json:"v"`      // schema version, starts at 1
+	Seed    int64  `json:"seed"`   // base RNG seed of the run
+	Proto   string `json:"proto"`  // protocol under test ("dcqcn", "timely", ...)
+	Flags   string `json:"flags"`  // flag summary of the invocation, "" when not a CLI run
+	// Op is the DCQCN operating point in paper units that built the run's
+	// marker and model side, nil when the run names none. The report
+	// compares the run against the fluid model at this point.
+	Op *fixedpoint.DCQCNParams `json:"op"`
 }
 
-// appendJSONL encodes the header as a JSONL line.
+// appendJSONL encodes the header as a JSONL line. Op, when set, is one
+// object keyed by the DCQCNParams field names in declaration order with
+// shortest round-trip floats, so it decodes back to the same bits; a
+// point holding a non-finite value, which JSON cannot carry and no
+// validated run has, is left out.
 func (h Header) appendJSONL(b []byte) []byte {
 	b = append(b, `{"schema":`...)
 	b = strconv.AppendQuote(b, h.Schema)
@@ -385,6 +445,10 @@ func (h Header) appendJSONL(b []byte) []byte {
 	b = strconv.AppendQuote(b, h.Proto)
 	b = append(b, `,"flags":`...)
 	b = strconv.AppendQuote(b, h.Flags)
+	if op, err := json.Marshal(h.Op); h.Op != nil && err == nil {
+		b = append(b, `,"op":`...)
+		b = append(b, op...)
+	}
 	b = append(b, '}', '\n')
 	return b
 }

@@ -21,11 +21,10 @@ import (
 // operations, allocation-free once its octave's page exists, and safe for
 // concurrent writers (sweep workers sharing one instance).
 //
-// Two instances are mergeable: bucket counts, totals and min/max all
-// commute, so per-worker histograms merged in any order, or one histogram
-// shared by every worker, produce identical quantiles for any worker
-// count. No float sum is kept: its low bits would depend on the recording
-// order, and every export must be byte-deterministic across schedules.
+// Bucket counts, totals and min/max all commute, so one histogram shared
+// by every worker reports identical quantiles for any worker count. No
+// float sum is kept: its low bits would depend on the recording order,
+// and every export must be byte-deterministic across schedules.
 
 // HistSub is the number of linear sub-buckets per power-of-two octave:
 // the histogram's relative resolution is 1/HistSub (~3.1%), and every
@@ -261,23 +260,6 @@ func (h *Hist) Quantile(q float64) float64 {
 	return v
 }
 
-// Merge folds other's observations into h. Bucket counts, counts and
-// min/max commute, so any merge order (and any worker sharding) yields
-// identical quantiles.
-func (h *Hist) Merge(other *Hist) {
-	other.scan(func(idx int, c int64) bool {
-		h.bucket(idx).Add(c)
-		return true
-	})
-	n := other.count.Load()
-	if n == 0 {
-		return
-	}
-	h.count.Add(n)
-	atomicMinFloat(&h.min, math.Float64frombits(other.min.Load()))
-	atomicMaxFloat(&h.max, math.Float64frombits(other.max.Load()))
-}
-
 // HistSummary is one histogram's canonical export row.
 type HistSummary struct {
 	Name      string
@@ -375,7 +357,7 @@ func (hs *HistSet) WriteTSV(w io.Writer) error {
 //	{"hist":"fct_s","count":42,"min":1e-05,"max":0.3,"p50":...,"p90":...,"p95":...,"p99":...,"p999":...}
 //
 // in name order with shortest round-trip floats — byte-identical across
-// identical runs and worker counts. cmd/obsreport consumes this format.
+// identical runs and worker counts. ReadHists reads it back.
 func (hs *HistSet) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var buf []byte

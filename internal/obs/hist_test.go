@@ -131,67 +131,6 @@ func TestHistEdgeCases(t *testing.T) {
 	}
 }
 
-// TestHistMergeLaws verifies merge associativity and commutativity at the
-// level that matters for determinism: every exported value (count, min,
-// max, each quantile) must be identical for any merge order and identical
-// to recording everything into one histogram.
-func TestHistMergeLaws(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	parts := make([]*Hist, 3)
-	var all []float64
-	for i := range parts {
-		parts[i] = NewHist("part")
-		for j := 0; j < 5000; j++ {
-			v := math.Exp(r.NormFloat64() - 9)
-			all = append(all, v)
-			parts[i].Record(v)
-		}
-	}
-	one := NewHist("one")
-	for _, v := range all {
-		one.Record(v)
-	}
-
-	merge := func(order []int) HistSummary {
-		acc := NewHist("acc")
-		for _, i := range order {
-			acc.Merge(parts[i])
-		}
-		return acc.Summary()
-	}
-	ref := merge([]int{0, 1, 2})
-	for _, order := range [][]int{{2, 1, 0}, {1, 0, 2}, {2, 0, 1}} {
-		if got := merge(order); got != ref {
-			t.Errorf("merge order %v: %+v != %+v", order, got, ref)
-		}
-	}
-	// Associativity: (a+b)+c vs a+(b+c).
-	ab := NewHist("ab")
-	ab.Merge(parts[0])
-	ab.Merge(parts[1])
-	abc := NewHist("abc")
-	abc.Merge(ab)
-	abc.Merge(parts[2])
-	bc := NewHist("bc")
-	bc.Merge(parts[1])
-	bc.Merge(parts[2])
-	abc2 := NewHist("abc2")
-	abc2.Merge(parts[0])
-	abc2.Merge(bc)
-	sa, sb := abc.Summary(), abc2.Summary()
-	sa.Name, sb.Name = "", ""
-	if sa != sb {
-		t.Errorf("associativity: %+v != %+v", sa, sb)
-	}
-	// Sharded recording == single-histogram recording.
-	oneSum := one.Summary()
-	refNamed := ref
-	refNamed.Name = oneSum.Name
-	if refNamed != oneSum {
-		t.Errorf("sharded merge %+v != single %+v", refNamed, oneSum)
-	}
-}
-
 // TestHistConcurrentRecord hammers one histogram from several goroutines
 // (the shared-sweep-worker shape) and checks totals; run under -race this
 // also proves the recording path is data-race free.
@@ -283,14 +222,10 @@ func TestHistBucketEdges(t *testing.T) {
 	}
 }
 
-// TestHistAllocFree pins steady-state recording, quantile reads and
-// merging at zero allocations — the gate bench-smoke runs.
+// TestHistAllocFree pins steady-state recording and quantile reads at
+// zero allocations — the gate bench-smoke runs.
 func TestHistAllocFree(t *testing.T) {
 	h := NewHist("alloc")
-	other := NewHist("other")
-	for i := 0; i < 100; i++ {
-		other.Record(float64(i))
-	}
 	if n := testing.AllocsPerRun(1000, func() {
 		h.Record(123e-6)
 	}); n != 0 {
@@ -300,10 +235,5 @@ func TestHistAllocFree(t *testing.T) {
 		_ = h.Quantile(0.99)
 	}); n != 0 {
 		t.Errorf("Quantile allocates %v per op", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		h.Merge(other)
-	}); n != 0 {
-		t.Errorf("Merge allocates %v per op", n)
 	}
 }

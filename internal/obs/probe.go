@@ -235,28 +235,3 @@ func (ps *ProbeSet) WriteJSONL(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// WriteCSV renders the set as "probe,t,v" rows with a header, in the same
-// canonical order as WriteJSONL.
-func (ps *ProbeSet) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("probe,t,v\n"); err != nil {
-		return err
-	}
-	var buf []byte
-	for _, p := range ps.Probes() {
-		for _, s := range p.Samples() {
-			buf = buf[:0]
-			buf = append(buf, p.name...)
-			buf = append(buf, ',')
-			buf = strconv.AppendFloat(buf, s.T, 'g', -1, 64)
-			buf = append(buf, ',')
-			buf = strconv.AppendFloat(buf, s.V, 'g', -1, 64)
-			buf = append(buf, '\n')
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -90,15 +90,6 @@ func TestProbeSetCanonicalExport(t *testing.T) {
 	if jsonl.String() != wantJSONL {
 		t.Errorf("JSONL:\n%s\nwant:\n%s", jsonl.String(), wantJSONL)
 	}
-
-	var csv strings.Builder
-	if err := ps.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	wantCSV := "probe,t,v\nalpha,0.5,1e-09\nalpha,0.75,3\nbeta,0.25,2\n"
-	if csv.String() != wantCSV {
-		t.Errorf("CSV:\n%s\nwant:\n%s", csv.String(), wantCSV)
-	}
 }
 
 func TestProbeOverflowExportsDropped(t *testing.T) {
