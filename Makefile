@@ -43,8 +43,12 @@ test:
 # -short trims internal/fluid's numeric-integration horizons (it is
 # single-goroutine, so the detector loses nothing) to keep the whole
 # suite inside the timeout under the -race slowdown.
+# The tests named Concurrent share run state across goroutines (job
+# copies of one checker, histograms, probes); a race there shows only on
+# some interleavings, so they run ten times.
 race:
 	$(GO) test -race -short -timeout 15m ./...
+	$(GO) test -race -count=10 -run 'Concurrent' ./internal/netsim ./internal/obs
 
 bench:
 	$(GO) test -bench=Sweep -run='^$$' .

@@ -55,11 +55,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// One shared observer serves every selected experiment (and worker):
-	// counters are atomic, the tracer and checker serialise internally,
-	// and the checker keeps per-network books, so metrics and invariant
+	// One shared observer serves every selected experiment (and worker)
+	// through one NetObserver.ForJob copy per experiment: counters are
+	// atomic, the tracer serialises internally, and each copy's child
+	// checker owns the books of its networks, so metrics and invariant
 	// verdicts are the same for any -workers value. Probe series carry the
-	// experiment id as a name prefix (NetObserver.ForJob) and export
+	// experiment id as a name prefix (the same ForJob copy) and export
 	// deterministically; only the -trace stream interleaves experiments
 	// by completion order, so byte-stable traces need -workers 1. Proto is
 	// empty in export headers: experiments mix protocols, and each

@@ -77,14 +77,14 @@ func run(args []string, stderr io.Writer) int {
 		return 2
 	}
 
-	// One shared observer serves every job: counters are atomic, the
-	// checker serialises and keeps per-network books, and each job's
-	// probes and histograms carry the job id as a name prefix
-	// (exp.SweepJobs), so metrics, invariant verdicts and the
-	// probe/histogram exports are the same for any -workers value. Trace
-	// and audit get one file per job, so each of those is byte-identical
-	// for any -workers value too. The pm grid is fluid-model only and
-	// never touches the observer.
+	// One shared observer serves every job through its ForJob copy
+	// (exp.SweepJobs): counters are atomic, each job's child checker owns
+	// the books of its networks, and each job's probes and histograms
+	// carry the job id as a name prefix, so metrics, invariant verdicts
+	// and the probe/histogram exports are the same for any -workers
+	// value. Trace and audit get one file per job, so each of those is
+	// byte-identical for any -workers value too. The pm grid is
+	// fluid-model only and never touches the observer.
 	sess, err := flags.Open("sweep", obs.Header{Seed: *seed}, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)

@@ -127,11 +127,33 @@ func before(a, b *Event) bool {
 // keys sit above it. So the next event to fire never depends on the
 // heap's shape. up and down carry e through a hole, moving each displaced
 // entry once and writing its index once, and seat e where the hole stops.
+//
+// While an event is dispatched, its root slot stays in the heap, empty
+// (s.hole): the first event its handler schedules fills the slot and
+// sifts down once, instead of the pop sifting the last entry down and the
+// push sifting the new one up. A handler that schedules nothing has the
+// slot removed after it returns, as a pop would. The empty slot still
+// points at the fired event, whose key sorts before every other pending
+// one, so a Cancel inside the handler never sifts an entry up into it.
 
 // push queues e.
 func (s *Simulator) push(e *Event) {
+	if s.hole {
+		s.hole = false
+		s.down(e, 0)
+		return
+	}
 	s.queue = append(s.queue, e)
 	s.up(e, len(s.queue)-1)
+}
+
+// fill refills the empty root slot from the last entry, as a pop would,
+// if no push has filled it.
+func (s *Simulator) fill() {
+	if s.hole {
+		s.hole = false
+		s.remove(0)
+	}
 }
 
 // up seats e at or above the hole at i.
@@ -173,8 +195,9 @@ func (s *Simulator) down(e *Event, i int) {
 	e.index = i
 }
 
-// remove takes the event at heap position i out of the queue: the run
-// loop's pop (i = 0) and Cancel (any i). The last entry refills the hole.
+// remove takes the event at heap position i out of the queue: an unfilled
+// dispatch slot (i = 0, see fill) and Cancel (any i). The last entry
+// refills the hole.
 func (s *Simulator) remove(i int) {
 	q := s.queue
 	n := len(q) - 1
@@ -196,6 +219,7 @@ func (s *Simulator) remove(i int) {
 type Simulator struct {
 	now       Time
 	queue     []*Event // binary min-heap, see before
+	hole      bool     // queue[0] is the empty slot of the event in dispatch
 	free      []*Event // recycled events
 	seq       uint64
 	processed uint64
@@ -213,8 +237,13 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending reports how many events are queued. Cancelled events are removed
-// eagerly and never counted.
-func (s *Simulator) Pending() int { return len(s.queue) }
+// eagerly and never counted, nor is the slot of the event in dispatch.
+func (s *Simulator) Pending() int {
+	if s.hole {
+		return len(s.queue) - 1
+	}
+	return len(s.queue)
+}
 
 // FreeEvents reports the size of the event free list (tests, monitoring).
 func (s *Simulator) FreeEvents() int { return len(s.free) }
@@ -320,14 +349,19 @@ func (s *Simulator) run(end Time, advance bool) uint64 {
 	}
 	s.running = true
 	s.stopped = false
-	defer func() { s.running = false }()
+	// A handler panic that a caller recovers must leave a sound queue.
+	defer func() {
+		s.fill()
+		s.running = false
+	}()
 	var fired uint64
 	for len(s.queue) > 0 && !s.stopped {
 		e := s.queue[0]
 		if e.time > end {
 			break
 		}
-		s.remove(0)
+		e.index = -1
+		s.hole = true
 		s.now = e.time
 		// Recycle before dispatch: the handler may reschedule and get this
 		// struct back, and a ref to the firing incarnation held by user
@@ -335,6 +369,7 @@ func (s *Simulator) run(end Time, advance bool) uint64 {
 		h, arg := e.h, e.arg
 		s.release(e)
 		h.OnEvent(arg)
+		s.fill()
 		s.processed++
 		fired++
 	}

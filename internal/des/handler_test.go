@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -168,6 +169,48 @@ func TestCancelOtherFromHandler(t *testing.T) {
 	s.Run()
 	if fired != 0 {
 		t.Error("event fired despite being cancelled by an earlier handler event")
+	}
+}
+
+// A handler panic that the caller recovers outside Run leaves a sound
+// queue: the fired event is gone, every other one is kept, and the next
+// Run fires the rest in key order. The handler panics either before it
+// schedules anything or after scheduling one event.
+func TestHandlerPanicLeavesQueueIntact(t *testing.T) {
+	for _, schedules := range []bool{false, true} {
+		s := New()
+		var got []int
+		rec := handlerFunc(func(arg any) { got = append(got, arg.(int)) })
+		boom := handlerFunc(func(any) {
+			if schedules {
+				s.ScheduleHandler(15, rec, 35)
+			}
+			panic("boom")
+		})
+		for _, at := range []int{70, 10, 50, 30, 80, 40, 60} {
+			s.AtHandler(Time(at), rec, at)
+		}
+		boomRef := s.AtHandler(20, boom, nil)
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("recovered %v, want the handler's panic", r)
+				}
+			}()
+			s.Run()
+		}()
+		want := []int{10, 30, 40, 50, 60, 70, 80}
+		if schedules {
+			want = []int{10, 30, 35, 40, 50, 60, 70, 80}
+		}
+		if n := s.Pending(); n != len(want)-1 || boomRef.Pending() {
+			t.Fatalf("schedules=%v: after the panic Pending() = %d (fired ref pending %v), want %d",
+				schedules, n, boomRef.Pending(), len(want)-1)
+		}
+		s.Run()
+		if fmt.Sprint(got) != fmt.Sprint(want) || s.Pending() != 0 {
+			t.Errorf("schedules=%v: fired %v with %d left, want %v", schedules, got, s.Pending(), want)
+		}
 	}
 }
 

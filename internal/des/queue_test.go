@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -143,6 +144,28 @@ func (d *queueScript) OnEvent(arg any) {
 	}
 }
 
+// burst is a script event keyed from the highest node and queued at zero
+// delay. When it fires, it schedules three events at zero delay keyed
+// from node 0, so the first new key sorts before the fired event's own.
+type burst struct{ d *queueScript }
+
+func (b burst) OnEvent(arg any) {
+	d := b.d
+	d.log = append(d.log, fmt.Sprintf("burst %d at %d", arg.(int), d.q.Now()))
+	for k := 0; k < 3; k++ {
+		d.args++
+		d.refs = d.q.schedule(d.q.Now(), d.minted(0), true, d, d.args)
+	}
+	d.log = append(d.log, fmt.Sprintf("pending %d", d.q.Pending()))
+}
+
+// minted returns the next key of the given node.
+func (d *queueScript) minted(node int) uint64 {
+	seq := uint64(node+1)<<40 | d.mint[node]
+	d.mint[node]++
+	return seq
+}
+
 // ops schedules and cancels n times. Fire times land on a coarse grid
 // near the clock, so equal-time and equal-sub ties are common.
 func (d *queueScript) ops(n int) {
@@ -153,12 +176,14 @@ func (d *queueScript) ops(n int) {
 			d.q.cancel(ref)
 			continue
 		}
-		t := d.q.Now() + Time(10*d.rng.Intn(4))
 		d.args++
+		if d.rng.Intn(16) == 0 {
+			d.refs = d.q.schedule(d.q.Now(), d.minted(len(d.mint)-1), true, burst{d}, d.args)
+			continue
+		}
+		t := d.q.Now() + Time(10*d.rng.Intn(4))
 		if node := d.rng.Intn(len(d.mint) + 1); node < len(d.mint) {
-			seq := uint64(node+1)<<40 | d.mint[node]
-			d.mint[node]++
-			d.refs = d.q.schedule(t, seq, true, d, d.args)
+			d.refs = d.q.schedule(t, d.minted(node), true, d, d.args)
 		} else {
 			d.refs = d.q.schedule(t, 0, false, d, d.args)
 		}
@@ -179,7 +204,8 @@ func (d *queueScript) play() {
 // The Simulator fires exactly what a linear-scan reference fires, in the
 // same order, under a random mix of simulator-counter and node-minted
 // keys, cancels of live, fired and stale refs (also from inside
-// handlers), RunUntil slices and Stop. Keys are unique, as they are in
+// handlers), handlers whose first new event sorts before their own key,
+// RunUntil slices and Stop. Keys are unique, as they are in
 // netsim: exact duplicates can only come from a direct AtHandlerSeq
 // caller, and their order is unspecified.
 func TestQueueMatchesOracle(t *testing.T) {
@@ -200,6 +226,9 @@ func TestQueueMatchesOracle(t *testing.T) {
 		}
 		if got.args < 1000 {
 			t.Fatalf("seed %d: only %d events scheduled", seed, got.args)
+		}
+		if bursts := strings.Count(strings.Join(got.log, "\n"), "burst "); bursts < 10 {
+			t.Fatalf("seed %d: only %d bursts fired", seed, bursts)
 		}
 	}
 }

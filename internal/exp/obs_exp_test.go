@@ -142,11 +142,12 @@ func TestGoldenProbeTrajectories(t *testing.T) {
 }
 
 // One shared observer — invariant checker included — across concurrent
-// sweep jobs whose networks all use identical node ids: run tags keep the
-// per-port books apart, so a healthy parallel sweep reports zero
-// violations for any worker count. Each job also runs two FCT configs back
-// to back against the same checker, covering sequential network reuse
-// inside one job (the fig14/15/16 pattern).
+// sweep jobs whose networks all use identical node ids: each job runs on
+// its own ForJob copy, as SweepJobs does, whose checker owns the job's
+// books, and run tags keep the per-port books apart, so a healthy parallel
+// sweep reports zero violations for any worker count. Each job also runs
+// two FCT configs back to back against the same copy, covering sequential
+// network reuse inside one job (the fig14/15/16 pattern).
 func TestSharedCheckerAcrossSweepWorkers(t *testing.T) {
 	shared := obs.Full()
 	protos := []Protocol{ProtoDCQCN, ProtoTimely}
@@ -156,10 +157,11 @@ func TestSharedCheckerAcrossSweepWorkers(t *testing.T) {
 		jobs[i] = sweep.Job{
 			ID: proto.String(),
 			Run: func(int64) (map[string]float64, error) {
+				jo := shared.ForJob(proto.String())
 				for run := 0; run < 2; run++ {
 					cfg := goldenCfg(proto)
 					cfg.Seed += int64(run)
-					cfg.Observer = shared
+					cfg.Observer = jo
 					cfg.ProbeName = fmt.Sprintf("queue_bytes.run%d", run)
 					if _, err := RunFCT(cfg); err != nil {
 						return nil, err

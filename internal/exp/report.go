@@ -166,7 +166,7 @@ func Get(id string) (Runner, bool) {
 // A shared opts.Observer is safe for any worker count: each job runs with
 // opts.Observer.ForJob(jobID), so probes from different jobs land in the
 // shared ProbeSet under distinct, scheduling-independent names, and the
-// invariant checker already scopes its books per network run.
+// job's own child checker owns the invariant books of its networks.
 func SweepJobs(ids []string, opts Options, seeds []int64) ([]sweep.Job, error) {
 	var jobs []sweep.Job
 	for _, id := range ids {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 
 	"ecndelay/internal/des"
@@ -92,6 +93,95 @@ func TestECMPRoutePrecedence(t *testing.T) {
 		if got := sw.EgressIndex(0, 99, flow); got != 2 {
 			t.Fatalf("flow %d: ECMP overrode the pinned route (got %d)", flow, got)
 		}
+	}
+}
+
+// The forwarding tables are slices indexed by node id, one past the value
+// each entry names. Each row pins one edge of that layout to the rules the
+// map-based tables had.
+func TestForwardingTableEdges(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"unknown destinations give -1", func(t *testing.T) {
+			sw := ecmpFixture(t, 5) // ECMP table spans ids 0..99
+			sw.SetRoute(1, 0)       // route table spans the 5 node ids
+			for _, dst := range []int{-1, 100, 1 << 20, 3, 50} {
+				if got := sw.EgressIndex(7, dst, 1); got != -1 {
+					t.Errorf("dst %d: EgressIndex %d, want -1", dst, got)
+				}
+			}
+			if got := sw.EgressIndex(7, 1, 1); got != 0 {
+				t.Errorf("pinned dst 1: EgressIndex %d, want 0", got)
+			}
+		}},
+		{"the caller's slice is copied", func(t *testing.T) {
+			sw := ecmpFixture(t, 9)
+			g := []int{3, 2, 1, 0}
+			sw.SetECMPRoutes(98, g)
+			var before [64]int
+			for flow := range before {
+				before[flow] = sw.EgressIndex(7, 98, flow)
+			}
+			for i := range g {
+				g[i] = 0
+			}
+			for flow, want := range before {
+				if got := sw.EgressIndex(7, 98, flow); got != want {
+					t.Fatalf("flow %d: pick moved %d → %d after the caller changed its slice", flow, want, got)
+				}
+			}
+		}},
+		{"order-distinct groups keep their own picks", func(t *testing.T) {
+			sw := ecmpFixture(t, 11) // dst 99 over {0, 1, 2, 3}
+			rev := []int{3, 2, 1, 0}
+			sw.SetECMPRoutes(98, rev)
+			sw.SetECMPRoutes(97, []int{0, 1, 2, 3})
+			if len(sw.groups) != 2 {
+				t.Errorf("%d stored groups, want 2 (equal groups share one copy)", len(sw.groups))
+			}
+			fwd := []int{0, 1, 2, 3}
+			for flow := 0; flow < 64; flow++ {
+				for _, c := range []struct {
+					dst int
+					g   []int
+				}{{99, fwd}, {98, rev}, {97, fwd}} {
+					want := c.g[ecmpHash(sw.ecmpSeed, 7, c.dst, flow)%4]
+					if got := sw.EgressIndex(7, c.dst, flow); got != want {
+						t.Fatalf("dst %d flow %d: pick %d, want %d", c.dst, flow, got, want)
+					}
+				}
+			}
+		}},
+		{"PAUSE from a peer pauses the first port toward it", func(t *testing.T) {
+			nw := New(1)
+			sw := nw.NewSwitch(PFCConfig{})
+			h := nw.NewHost()
+			first := sw.AddPort(h, 1e9, des.Microsecond, nil)
+			second := sw.AddPort(h, 1e9, des.Microsecond, nil)
+			sw.Receive(&Packet{Kind: Pause, Src: h.ID(), Dst: sw.ID(), Size: CtrlSize})
+			if !sw.Port(first).Paused() || sw.Port(second).Paused() {
+				t.Errorf("paused: first %v, second %v; want only the first",
+					sw.Port(first).Paused(), sw.Port(second).Paused())
+			}
+		}},
+		{"bad SetRoute arguments panic", func(t *testing.T) {
+			sw := ecmpFixture(t, 1)
+			for _, c := range []struct{ dst, port int }{{-1, 0}, {1, 4}, {1, -1}} {
+				func() {
+					defer func() {
+						msg, _ := recover().(string)
+						if !strings.HasPrefix(msg, "netsim: ") {
+							t.Errorf("SetRoute(%d, %d): panic %q, want a netsim: message", c.dst, c.port, msg)
+						}
+					}()
+					sw.SetRoute(c.dst, c.port)
+				}()
+			}
+		}},
+	} {
+		t.Run(row.name, row.run)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // With an observer attached, ports bind their counters, histograms and
 // invariant-checker book once (at attach time), and the per-packet path
 // pays only for the facilities that are there: atomics for counters, one
-// book update under the checker's lock, and a value-type trace record
+// unlocked update of a book the run owns, and a value-type trace record
 // only when a tracer is attached — still allocation-free after warm-up.
 
 // obsRunSeq numbers observed networks process-wide; see obs.Event.Run.

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"ecndelay/internal/des"
@@ -251,6 +252,74 @@ func TestObsSharedObserverAcrossNetworks(t *testing.T) {
 	if len(runs) != 2 || runs[0] {
 		t.Errorf("expected 2 distinct nonzero run tags, got %v", runs)
 	}
+}
+
+// Concurrent jobs share one checker the way ecnbench and exp.SweepJobs
+// share it: each goroutine runs its network on its own ForJob copy and
+// finishes that copy. A healthy run leaves the shared checker clean, and
+// one inconsistent record per job counts exactly as the same jobs count
+// when run one after another. Run it under -race: a checker whose books
+// no job owns lets one job's Finish read another job's books mid-run.
+func TestObsConcurrentJobsShareChecker(t *testing.T) {
+	const jobs = 4
+	job := func(o *obs.NetObserver, i int, broken bool) {
+		jo := o.ForJob(fmt.Sprintf("job%d", i))
+		nw, tx, rx := twoHopChain(int64(i + 1))
+		nw.SetObserver(jo)
+		rx.Transport = TransportFunc(func(h *Host, pkt *Packet) {})
+		if broken {
+			// A port no packet crosses: the books hold 1000 bytes, the
+			// queue reports 500, and the closure check sees it again.
+			jo.Check.Feed(obs.Event{Run: nw.obsRun, Type: obs.Enqueue,
+				Node: int32(rx.ID()), Peer: -1, Size: 1000, QLen: 1, QBytes: 500})
+		}
+		for k := 0; k < 256; k++ {
+			pkt := nw.NewPacket()
+			pkt.Dst = rx.ID()
+			pkt.Size = DataMTU
+			pkt.Kind = Data
+			tx.Send(pkt)
+		}
+		nw.Sim.Run()
+		jo.Check.Finish(nw.Sim.Now())
+	}
+	run := func(broken, concurrent bool) *obs.Checker {
+		o := &obs.NetObserver{Check: obs.NewChecker()}
+		var wg sync.WaitGroup
+		for i := 0; i < jobs; i++ {
+			if !concurrent {
+				job(o, i, broken)
+				continue
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				job(o, i, broken)
+			}(i)
+		}
+		wg.Wait()
+		return o.Check
+	}
+	t.Run("clean", func(t *testing.T) {
+		if err := run(false, true).Err(); err != nil {
+			t.Errorf("concurrent jobs on one checker: %v", err)
+		}
+	})
+	t.Run("violations", func(t *testing.T) {
+		got, want := run(true, true), run(true, false)
+		if want.Total() != 2*jobs {
+			t.Fatalf("serial jobs raised %d violations, want %d", want.Total(), 2*jobs)
+		}
+		if got.Total() != want.Total() {
+			t.Errorf("concurrent Total %d, serial %d", got.Total(), want.Total())
+		}
+		for _, inv := range []obs.Invariant{obs.InvConservation, obs.InvQueueBounds,
+			obs.InvPFCPairing, obs.InvDoubleFree} {
+			if got.Count(inv) != want.Count(inv) {
+				t.Errorf("%s: concurrent count %d, serial %d", inv, got.Count(inv), want.Count(inv))
+			}
+		}
+	})
 }
 
 // Freeing a pooled packet twice is detected when an observer watches, and

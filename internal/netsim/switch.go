@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"ecndelay/internal/des"
 )
@@ -24,14 +25,21 @@ func (c PFCConfig) Enabled() bool { return c.PauseBytes > 0 }
 // Forwarding is by static per-destination route (SetRoute) or, for
 // destinations with several equal-cost next hops, by seeded flow-consistent
 // ECMP hashing (SetECMPRoutes).
+//
+// Node ids are dense (Network.addNode), so the forwarding tables are
+// slices indexed by node id, each entry one past the value it names and 0
+// for no entry: a hop costs a bounds check and a load, never a hash. A
+// switch keeps each distinct ECMP group once, and a destination's entry
+// names its group.
 type Switch struct {
 	net     *Network
 	id      int
 	seq     nodeSeq
 	ports   []*Port
-	routes  map[int]int // destination host id → egress port index
-	ecmp    map[int][]int
-	peerIdx map[int]int // neighbour node id → egress port index toward it
+	routes  []int32 // destination host id → pinned egress port index + 1
+	ecmp    []int32 // destination host id → index into groups + 1
+	groups  [][]int // the distinct ECMP groups, in first-use order
+	peerIdx []int32 // neighbour node id → first egress port index toward it + 1
 
 	ecmpSeed uint64
 
@@ -43,7 +51,7 @@ type Switch struct {
 // NewSwitch creates a switch with no ports. Wire it with AddPort and
 // SetRoute (the topology builders do this).
 func (nw *Network) NewSwitch(pfc PFCConfig) *Switch {
-	sw := &Switch{net: nw, routes: make(map[int]int), peerIdx: make(map[int]int), pfc: pfc}
+	sw := &Switch{net: nw, pfc: pfc}
 	sw.id = nw.addNode(sw)
 	sw.seq.init(sw.id)
 	return sw
@@ -59,10 +67,34 @@ func (sw *Switch) AddPort(peer Node, bandwidth float64, prop des.Duration, m Mar
 	sw.ingressUse = append(sw.ingressUse, 0)
 	sw.pausedUp = append(sw.pausedUp, false)
 	idx := len(sw.ports) - 1
-	if _, dup := sw.peerIdx[peer.ID()]; !dup {
-		sw.peerIdx[peer.ID()] = idx
+	sw.peerIdx = sw.grow(sw.peerIdx, peer.ID())
+	if sw.peerIdx[peer.ID()] == 0 {
+		sw.peerIdx[peer.ID()] = int32(idx + 1)
 	}
 	return idx
+}
+
+// grow returns table long enough to hold an entry for node id, sized to
+// the network's node count when that is larger, so a topology builder's
+// tables grow once. A negative id panics, like a bad port index.
+func (sw *Switch) grow(table []int32, id int) []int32 {
+	if id < 0 {
+		panic(fmt.Sprintf("netsim: switch %d given negative node id %d", sw.id, id))
+	}
+	if id < len(table) {
+		return table
+	}
+	n := max(id+1, sw.net.NodeCount())
+	return append(table, make([]int32, n-len(table))...)
+}
+
+// lookup reads the table entry for node id: the value it names, or -1
+// for no entry (also for an id outside the table).
+func lookup(table []int32, id int) int {
+	if uint(id) < uint(len(table)) {
+		return int(table[id]) - 1
+	}
+	return -1
 }
 
 // Port returns the port at index i.
@@ -77,7 +109,8 @@ func (sw *Switch) SetRoute(dst, portIndex int) {
 	if portIndex < 0 || portIndex >= len(sw.ports) {
 		panic(fmt.Sprintf("netsim: switch %d has no port %d", sw.id, portIndex))
 	}
-	sw.routes[dst] = portIndex
+	sw.routes = sw.grow(sw.routes, dst)
+	sw.routes[dst] = int32(portIndex + 1)
 }
 
 // SetECMPRoutes directs traffic for host dst over a group of equal-cost
@@ -87,7 +120,8 @@ func (sw *Switch) SetRoute(dst, portIndex int) {
 // group. A single-port group behaves exactly like SetRoute. SetRoute
 // entries take precedence over ECMP groups for the same destination, so a
 // topology may pin a deterministic down path while load-balancing the up
-// direction.
+// direction. Destinations given equal groups share one stored copy; a
+// caller may reuse or change its slice afterwards without moving a route.
 func (sw *Switch) SetECMPRoutes(dst int, portIndexes []int) {
 	if len(portIndexes) == 0 {
 		panic(fmt.Sprintf("netsim: switch %d ECMP group for %d is empty", sw.id, dst))
@@ -97,10 +131,21 @@ func (sw *Switch) SetECMPRoutes(dst int, portIndexes []int) {
 			panic(fmt.Sprintf("netsim: switch %d has no port %d", sw.id, i))
 		}
 	}
-	if sw.ecmp == nil {
-		sw.ecmp = make(map[int][]int)
+	sw.ecmp = sw.grow(sw.ecmp, dst)
+	sw.ecmp[dst] = int32(sw.group(portIndexes) + 1)
+}
+
+// group returns the index of the stored group equal to g, storing a copy
+// of g first if none is. A switch holds a handful of distinct groups (one
+// per tier direction in the Clos builders), so a scan finds it.
+func (sw *Switch) group(g []int) int {
+	for i, have := range sw.groups {
+		if slices.Equal(have, g) {
+			return i
+		}
 	}
-	sw.ecmp[dst] = append([]int(nil), portIndexes...)
+	sw.groups = append(sw.groups, slices.Clone(g))
+	return len(sw.groups) - 1
 }
 
 // SetECMPSeed seeds the flow-key hash. Two switches given distinct seeds
@@ -136,10 +181,11 @@ func ecmpHash(seed uint64, src, dst, flow int) uint64 {
 // -1 for unknown destinations. Pure — topology tests and path-tracing tools
 // call it without moving packets.
 func (sw *Switch) EgressIndex(src, dst, flow int) int {
-	if idx, ok := sw.routes[dst]; ok {
+	if idx := lookup(sw.routes, dst); idx >= 0 {
 		return idx
 	}
-	if g, ok := sw.ecmp[dst]; ok {
+	if gi := lookup(sw.ecmp, dst); gi >= 0 {
+		g := sw.groups[gi]
 		return g[int(ecmpHash(sw.ecmpSeed, src, dst, flow)%uint64(len(g)))]
 	}
 	return -1
@@ -148,7 +194,7 @@ func (sw *Switch) EgressIndex(src, dst, flow int) int {
 // portToward finds the port whose peer is the given node id (for PFC
 // control addressed to a neighbour).
 func (sw *Switch) portToward(nodeID int) *Port {
-	if idx, ok := sw.peerIdx[nodeID]; ok {
+	if idx := lookup(sw.peerIdx, nodeID); idx >= 0 {
 		return sw.ports[idx]
 	}
 	return nil
@@ -201,13 +247,10 @@ func (sw *Switch) Receive(pkt *Packet) {
 // hashed reverse pick could name a different equal-cost neighbour than the
 // one actually feeding us.
 func (sw *Switch) ingressIndexFor(pkt *Packet) int {
-	if idx, ok := sw.routes[pkt.Src]; ok {
+	if idx := lookup(sw.routes, pkt.Src); idx >= 0 {
 		return idx
 	}
-	if idx, ok := sw.peerIdx[pkt.prevHop]; ok {
-		return idx
-	}
-	return -1
+	return lookup(sw.peerIdx, pkt.prevHop)
 }
 
 // departed is called by the owning port when a buffered packet finishes

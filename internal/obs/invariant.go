@@ -73,8 +73,9 @@ func (k portKey) less(o portKey) bool {
 // PFC state behind pause/resume pairing. A simulator resolves each port's
 // book once (Checker.Port) and reports every queue and PFC action through
 // it, with no event record and no lookup; Feed reaches the same books by
-// key and runs the same methods. Every update takes the owning checker's
-// mutex, because Finish audits every book, other runs' included.
+// key and runs the same methods. A book belongs to the checker that made
+// it, and only the goroutine running that checker's networks writes it,
+// so an update takes no lock; recording a violation takes the root's.
 type PortBook struct {
 	c        *Checker
 	key      portKey
@@ -84,38 +85,56 @@ type PortBook struct {
 	qLen     int32
 	paused   bool
 	// closureFlagged makes the end-of-run closure check idempotent: a
-	// shared checker sees one Finish per run, each auditing every port
-	// recorded so far, and a broken port must count once, not once per
-	// subsequent run.
+	// checker sees one Finish per run, each auditing every port it owns,
+	// and a broken port must count once, not once per subsequent run.
 	closureFlagged bool
 }
 
 // Checker verifies the runtime invariants. It keeps one PortBook per
 // port — keyed by the network instance (Event.Run) plus the owner/peer
-// node pair — so one checker covers a whole topology, and one shared
-// checker covers many networks: concurrent sweep jobs and successive runs
-// inside one job all carry distinct run tags, so their identically-
-// numbered ports never share books. Real runs bind each port to its book
-// once and report through it; Feed takes synthetic event streams (tests,
-// broken fixtures) and the portless double-free record. All methods are
-// safe for concurrent use, and a book is created once per port, so
-// steady-state checking allocates nothing.
+// node pair — so one checker covers a whole topology, and successive runs
+// on one checker carry distinct run tags, so their identically-numbered
+// ports never share books. Real runs bind each port to its book once and
+// report through it; Feed takes synthetic event streams (tests, broken
+// fixtures) and the portless double-free record. A bound book's updates
+// take no lock and allocate nothing.
+//
+// A checker's books belong to the goroutine that runs its networks, and
+// Finish audits them, so concurrent runs share a checker only through
+// NetObserver.ForJob copies: each copy carries a child checker that owns
+// the books of its job's networks and audits only those, while its
+// violations and counts land on the root under the root's lock. Count,
+// Total, Violations and Err report the root's totals from any checker of
+// the family and are safe for concurrent use.
 type Checker struct {
-	mu         sync.Mutex
-	ports      map[portKey]*PortBook
+	root  *Checker // holds counts and violations; c itself on a root
+	mu    sync.Mutex
+	ports map[portKey]*PortBook // guarded by mu; books this checker owns
+	// Root only, guarded by mu.
 	counts     [numInvariants]int64
 	violations []Violation
 }
 
 // NewChecker returns a checker with no recorded state.
 func NewChecker() *Checker {
-	return &Checker{ports: make(map[portKey]*PortBook)}
+	c := &Checker{ports: make(map[portKey]*PortBook)}
+	c.root = c
+	return c
+}
+
+// child returns a checker that owns books of its own and reports to c's
+// root: one job's share of a checker (see NetObserver.ForJob).
+func (c *Checker) child() *Checker {
+	return &Checker{root: c.root, ports: make(map[portKey]*PortBook)}
 }
 
 func (c *Checker) violate(t des.Time, inv Invariant, format string, args ...any) {
-	c.counts[inv]++
-	if len(c.violations) < maxViolationDetails {
-		c.violations = append(c.violations, Violation{
+	r := c.root
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counts[inv]++
+	if len(r.violations) < maxViolationDetails {
+		r.violations = append(r.violations, Violation{
 			T:         t,
 			Invariant: inv,
 			Detail:    fmt.Sprintf(format, args...),
@@ -127,13 +146,9 @@ func (c *Checker) violate(t des.Time, inv Invariant, format string, args ...any)
 // (see Event.Run), creating it on first use. Books are never removed, so
 // a port may keep the pointer for the checker's lifetime.
 func (c *Checker) Port(run uint32, node, peer int32) *PortBook {
+	k := portKey{run: run, node: node, peer: peer}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.port(portKey{run: run, node: node, peer: peer})
-}
-
-// port is Port with c.mu held.
-func (c *Checker) port(k portKey) *PortBook {
 	b, ok := c.ports[k]
 	if !ok {
 		b = &PortBook{c: c, key: k}
@@ -145,14 +160,11 @@ func (c *Checker) port(k portKey) *PortBook {
 // Feed runs one event through every invariant: queue and PFC records
 // through their port's book, a double free straight to a violation.
 func (c *Checker) Feed(e Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch e.Type {
 	case Enqueue, Dequeue:
-		c.port(portKey{run: e.Run, node: e.Node, peer: e.Peer}).
-			queue(e.T, e.Type == Enqueue, e.Size, e.QLen, e.QBytes, e.QCap)
+		c.Port(e.Run, e.Node, e.Peer).Queue(e.T, e.Type == Enqueue, e.Size, e.QLen, e.QBytes, e.QCap)
 	case Pause, Resume:
-		c.port(portKey{run: e.Run, node: e.Node, peer: e.Peer}).pfc(e.T, e.Type == Pause)
+		c.Port(e.Run, e.Node, e.Peer).PFC(e.T, e.Type == Pause)
 	case DoubleFree:
 		c.violate(e.T, InvDoubleFree,
 			"packet %d (kind %s, flow %d) freed twice", e.Pkt, KindName(e.Kind), e.Flow)
@@ -164,23 +176,6 @@ func (c *Checker) Feed(e Event) {
 // after it: qLen packets and qBytes bytes held, qCap the capacity (0:
 // unbounded).
 func (b *PortBook) Queue(t des.Time, enq bool, size, qLen int32, qBytes, qCap int64) {
-	// Unlocked without defer: this runs on every enqueue and dequeue,
-	// and a deferred unlock made BenchmarkPortChain/full about 6% slower.
-	b.c.mu.Lock()
-	b.queue(t, enq, size, qLen, qBytes, qCap)
-	b.c.mu.Unlock()
-}
-
-// PFC records a genuine pause (true) or resume (false) transition at t
-// and checks that pauses and resumes alternate.
-func (b *PortBook) PFC(t des.Time, pause bool) {
-	b.c.mu.Lock()
-	defer b.c.mu.Unlock()
-	b.pfc(t, pause)
-}
-
-// queue is Queue with the checker's mutex held.
-func (b *PortBook) queue(t des.Time, enq bool, size, qLen int32, qBytes, qCap int64) {
 	c, k := b.c, b.key
 	if enq {
 		b.enqBytes += int64(size)
@@ -220,8 +215,9 @@ func (b *PortBook) queue(t des.Time, enq bool, size, qLen int32, qBytes, qCap in
 	}
 }
 
-// pfc is PFC with the checker's mutex held.
-func (b *PortBook) pfc(t des.Time, pause bool) {
+// PFC records a genuine pause (true) or resume (false) transition at t
+// and checks that pauses and resumes alternate.
+func (b *PortBook) PFC(t des.Time, pause bool) {
 	switch {
 	case pause && b.paused:
 		b.c.violate(t, InvPFCPairing,
@@ -233,21 +229,21 @@ func (b *PortBook) pfc(t des.Time, pause bool) {
 	b.paused = pause
 }
 
-// Finish runs the end-of-run closure check: for every queue, enqueued
-// bytes must equal dequeued bytes plus bytes still queued. Call it after
-// the simulation completes; it may be called more than once (on a shared
-// checker, once per run) — each broken port is flagged exactly once.
-// Broken ports are reported in (run, node, peer) order, so the violation
-// list is the same on every rerun.
+// Finish runs the end-of-run closure check: for every queue this checker
+// owns, enqueued bytes must equal dequeued bytes plus bytes still queued.
+// Call it after the simulation completes, from the goroutine that ran it;
+// it may be called more than once (once per run) — each broken port is
+// flagged exactly once. Broken ports are reported in (run, node, peer)
+// order, so the violation list is the same on every rerun.
 func (c *Checker) Finish(now des.Time) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	var broken []*PortBook
 	for _, b := range c.ports {
 		if !b.closureFlagged && b.enqBytes != b.deqBytes+b.qBytes {
 			broken = append(broken, b)
 		}
 	}
+	c.mu.Unlock()
 	sort.Slice(broken, func(i, j int) bool { return broken[i].key.less(broken[j].key) })
 	for _, b := range broken {
 		b.closureFlagged = true
@@ -259,18 +255,25 @@ func (c *Checker) Finish(now des.Time) {
 
 // Count reports how many violations of one invariant were detected.
 func (c *Checker) Count(inv Invariant) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if int(inv) >= len(c.counts) {
+	r := c.root
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if int(inv) >= len(r.counts) {
 		return 0
 	}
-	return c.counts[inv]
+	return r.counts[inv]
 }
 
 // Total reports the number of violations across all invariants.
 func (c *Checker) Total() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	r := c.root
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.total()
+}
+
+// total is Total on a root, with its mutex held.
+func (c *Checker) total() int64 {
 	var n int64
 	for _, v := range c.counts {
 		n += v
@@ -281,22 +284,21 @@ func (c *Checker) Total() int64 {
 // Violations returns the stored violation records (capped at
 // maxViolationDetails; Total keeps the true count).
 func (c *Checker) Violations() []Violation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Violation(nil), c.violations...)
+	r := c.root
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]Violation(nil), r.violations...)
 }
 
 // Err returns nil when no invariant fired, or an error summarising the
 // first violation and the total count.
 func (c *Checker) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int64
-	for _, v := range c.counts {
-		total += v
-	}
+	r := c.root
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	total := r.total()
 	if total == 0 {
 		return nil
 	}
-	return fmt.Errorf("obs: %d invariant violation(s), first: %s", total, c.violations[0])
+	return fmt.Errorf("obs: %d invariant violation(s), first: %s", total, r.violations[0])
 }

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"ecndelay/internal/des"
@@ -128,10 +130,10 @@ func TestCheckerPFCPairingFires(t *testing.T) {
 	})
 }
 
-// One shared checker serving several networks with identical node ids must
-// keep their books apart: events carry a run tag, and the interleaving a
-// parallel sweep produces — including one run's Finish landing while
-// another run's queue is non-empty — raises nothing.
+// One checker serving several networks with identical node ids must keep
+// their books apart: events carry a run tag, and interleaving two runs —
+// including one run's Finish landing while another run's queue is
+// non-empty — raises nothing.
 func TestCheckerRunScoping(t *testing.T) {
 	c := NewChecker()
 	ev := func(run uint32, typ EventType, size, qLen int32, qBytes int64) Event {
@@ -195,6 +197,53 @@ func brokenPorts(c *Checker) {
 		}
 		c.Feed(ev(Enqueue, 1000, 1, 1000))
 		c.Feed(ev(Dequeue, 600, 0, 0)) // 400 bytes vanish
+	}
+}
+
+// Job copies of one checker (NetObserver.ForJob) run concurrently: each
+// copy owns its books, updates them with no lock and audits only them at
+// Finish, while counts land on the root. Four jobs, each losing bytes on
+// its own port, count what they count one after another; the root's own
+// Finish, with no books of its own, adds nothing.
+func TestCheckerConcurrentJobCopies(t *testing.T) {
+	job := func(o *NetObserver, i int) {
+		c := o.ForJob(fmt.Sprint(i)).Check
+		for n := 0; n < 500; n++ {
+			c.Feed(Event{Run: uint32(i), Type: Enqueue, Node: 0, Peer: 1, Size: 1000, QLen: 1, QBytes: 1000})
+			c.Feed(Event{Run: uint32(i), Type: Dequeue, Node: 0, Peer: 1, Size: 1000})
+		}
+		c.Feed(Event{Run: uint32(i), Type: Enqueue, Node: 2, Peer: 1, Size: 1000, QLen: 1, QBytes: 1000})
+		c.Feed(Event{Run: uint32(i), Type: Dequeue, Node: 2, Peer: 1, Size: 600}) // 400 bytes vanish
+		c.Finish(des.Time(i))
+	}
+	run := func(concurrent bool) *Checker {
+		o := &NetObserver{Check: NewChecker()}
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			if !concurrent {
+				job(o, i)
+				continue
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				job(o, i)
+			}(i)
+		}
+		wg.Wait()
+		o.Check.Finish(des.Time(9))
+		return o.Check
+	}
+	got, want := run(true), run(false)
+	// Per job, one divergence at the dequeue and one closure at Finish.
+	if want.Count(InvConservation) != 8 || want.Total() != 8 {
+		t.Fatalf("serial jobs: conservation %d of %d violations, want 8 of 8",
+			want.Count(InvConservation), want.Total())
+	}
+	for inv := Invariant(0); inv < numInvariants; inv++ {
+		if got.Count(inv) != want.Count(inv) {
+			t.Errorf("%s: concurrent %d, serial %d", inv, got.Count(inv), want.Count(inv))
+		}
 	}
 }
 

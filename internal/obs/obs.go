@@ -13,12 +13,13 @@
 // keeping fault-free, observer-free runs bit-identical and the hot path at
 // zero allocations. With an observer attached, each facility costs only
 // what it records: counters are atomic adds; each port resolves its
-// checker book once, when the observer is attached, and updates it under
-// the checker's lock with no lookup; trace records are value types built
-// only when a tracer is attached and encoded into reused buffers; and a
-// histogram allocates one page of buckets per octave, the first time a
-// value lands in it — so an observed run is also allocation-free after
-// warm-up.
+// checker book once, when the observer is attached, and updates it with
+// no lookup and no lock, because a job owns its books (concurrent runs
+// share a checker through NetObserver.ForJob copies); trace records are
+// value types built only when a tracer is attached and encoded into
+// reused buffers; and a histogram allocates one page of buckets per
+// octave, the first time a value lands in it — so an observed run is also
+// allocation-free after warm-up.
 package obs
 
 import (
@@ -29,10 +30,13 @@ import (
 
 // NetObserver bundles the observability facilities a simulation run may
 // attach: any field may be nil, and a nil *NetObserver disables everything.
-// The same observer may be shared by concurrent runs (the sweep engine):
-// counters are atomic, the tracer and checker serialise internally, and the
-// checker keeps books per network instance (Event.Run), so runs with
-// identical node ids never corrupt each other's invariant state.
+// Concurrent runs (the sweep engine) share one observer through ForJob
+// copies, one per job: counters are atomic, the tracer, probe and
+// histogram sets serialise internally, and each copy's checker owns the
+// books of its job's networks, keyed per network instance (Event.Run), so
+// runs with identical node ids never corrupt each other's invariant
+// state. Two goroutines must not run networks on the same copy, nor on the
+// original.
 type NetObserver struct {
 	// Metrics receives hierarchical counters registered by ports, hosts
 	// and protocol endpoints at attach/creation time.
@@ -42,7 +46,8 @@ type NetObserver struct {
 	Trace *Tracer
 	// Check runs the runtime invariant checker. Ports bind their books
 	// (Checker.Port) when the observer is attached and report queue and
-	// PFC actions through them; Emit feeds it the portless records.
+	// PFC actions through them; Emit feeds it the portless records. A
+	// ForJob copy carries a child of the original's checker.
 	Check *Checker
 	// Probes collects auto-registered time-series probes (bottleneck
 	// queue depth and similar); experiment harnesses add their own.
@@ -80,14 +85,19 @@ type NetObserver struct {
 // ForJob returns a shallow copy of o with jobID appended to its
 // ProbePrefix, so per-job probe series and histograms registered on a
 // shared set stay distinguishable and export deterministically. A nil
-// observer stays nil; the copy shares every facility with the original,
-// then PerJob (if set) may replace some of them on the copy.
+// observer stays nil. The copy shares every facility with the original
+// but the checker: it gets a child checker that owns the job's invariant
+// books and reports to the original's counts and violations. Then PerJob
+// (if set) may replace facilities on the copy.
 func (o *NetObserver) ForJob(jobID string) *NetObserver {
 	if o == nil {
 		return nil
 	}
 	jo := *o
 	jo.ProbePrefix += jobID + "."
+	if o.Check != nil {
+		jo.Check = o.Check.child()
+	}
 	if o.PerJob != nil {
 		o.PerJob(jobID, &jo)
 	}
