@@ -116,14 +116,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			},
 		}
 	}
+	// No progress writer: each report streams with its own wall time, and
+	// the sweep's lines would name the wrong command on stderr.
 	sink := &renderSink{reports: reports, elapsed: elapsed, stdout: stdout, stderr: stderr}
-	var progress io.Writer
-	if *workers != 1 {
-		progress = stderr
-	}
-	if _, err := sweep.Run(sweep.Config{
-		Workers: *workers, BaseSeed: *seed, Progress: progress,
-	}, jobs, sink); err != nil {
+	if _, err := sweep.Run(sweep.Config{Workers: *workers, BaseSeed: *seed}, jobs, sink); err != nil {
 		fmt.Fprintf(stderr, "ecnbench: %v\n", err)
 		return 1
 	}

@@ -68,7 +68,7 @@ func TestQuickExperimentRuns(t *testing.T) {
 }
 
 // With -workers > 1 the same experiments still render in selection
-// order, and the run still succeeds.
+// order, the run still succeeds, and stderr carries no sweep: line.
 func TestParallelWorkersOrderedOutput(t *testing.T) {
 	serial := func() string {
 		var out, errOut strings.Builder
@@ -80,6 +80,13 @@ func TestParallelWorkersOrderedOutput(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-exp", "fig3,fig11,eq14,thm2", "-workers", "4"}, &out, &errOut); code != 0 {
 		t.Fatalf("parallel exit code %d, stderr: %s", code, errOut.String())
+	}
+	// The sweep engine runs the jobs but is not the command: none of its
+	// progress or summary lines reach ecnbench's stderr.
+	for _, line := range strings.Split(errOut.String(), "\n") {
+		if strings.HasPrefix(line, "sweep:") {
+			t.Errorf("stderr carries a sweep line: %q", line)
+		}
 	}
 	// Timing lines carry wall-clock values, so compare the order of the
 	// report headers rather than raw bytes.

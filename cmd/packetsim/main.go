@@ -117,6 +117,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "-bg-flows must be >= 0, got %d", *bgFlows)
 	case *bgFlows > 0 && *proto != "dcqcn":
 		return fail(2, "-bg-flows needs -proto dcqcn (the aggregate is a DCQCN fluid model)")
+	case *rto != 0 && !*recovery:
+		return fail(2, "-rto needs -recovery (it is the go-back-N retransmission timeout)")
+	case *proto == "dcqcn" && *seg != 0:
+		return fail(2, "-seg needs -proto timely or patched (DCQCN has no segments)")
+	case *proto == "dcqcn" && *burst:
+		return fail(2, "-burst needs -proto timely or patched (DCQCN paces per packet)")
+	case *proto == "dcqcn" && *rates != "":
+		return fail(2, "-rates needs -proto timely or patched (DCQCN flows start at line rate)")
 	}
 	for _, c := range []struct {
 		name string
@@ -140,6 +148,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !cli.DurationOK(c.v, c.least) {
 			return fail(2, "%s must be from %gs to 9.2e9s, got %g", c.name, c.least.Seconds(), c.v)
 		}
+	}
+	if des.DurationFromSeconds(*rto) > netsim.MaxRTO {
+		return fail(2, "-rto must be at most %gs, so its 8x backoff cap fits the int64-nanosecond range, got %g",
+			netsim.MaxRTO.Seconds(), *rto)
 	}
 	if err := flags.Check(); err != nil {
 		return fail(2, "%v", err)
@@ -347,7 +359,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	rate := make([]func() float64, *n)
-	retx := make([]func() int64, *n)
+	// Each sender's shared transport, for the retransmission summary.
+	transports := make([]*netsim.Sender, *n)
 	// Protocol-specific probe signals (DCQCN α, TIMELY RTT), registered
 	// alongside the queue and rate probes when -probe is set.
 	type probeSignal struct {
@@ -374,7 +387,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fail(1, "%v", err)
 			}
 			rate[i] = s.Rate
-			retx[i] = func() int64 { return s.Recovery().RetxBytes }
+			transports[i] = &s.Sender
 			auxProbes = append(auxProbes, probeSignal{fmt.Sprintf("alpha%d", i), s.Alpha})
 			senders = append(senders, s)
 		}
@@ -414,7 +427,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fail(1, "%v", err)
 			}
 			rate[i] = s.Rate
-			retx[i] = func() int64 { return s.Recovery().RetxBytes }
+			transports[i] = &s.Sender
 			auxProbes = append(auxProbes, probeSignal{fmt.Sprintf("rtt_s%d", i),
 				func() float64 { return s.RTT().Seconds() }})
 		}
@@ -516,8 +529,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// diff the whole output byte for byte.
 	if applied != nil || wd != nil || *qcap > 0 || *recovery {
 		var retxSum int64
-		for i := 0; i < *n; i++ {
-			retxSum += retx[i]()
+		for _, t := range transports {
+			retxSum += t.Recovery().RetxBytes
 		}
 		var bufDrops int64
 		for _, sw := range fab.switches {

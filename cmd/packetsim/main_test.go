@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -73,6 +74,12 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-proto", "timely", "-rates", "NaN,1"}, 2, "-rates"},
 		{[]string{"-proto", "timely", "-rates", "-5,1"}, 2, "-rates"},
 		{[]string{"-warm-start", "-n", "0"}, 2, "-warm-start"},
+		{[]string{"-rto", "1e-3"}, 2, "-rto"},
+		{[]string{"-recovery", "-rto", "1.2e9"}, 2, "-rto"},
+		{[]string{"-proto", "timely", "-recovery", "-rto", "1.2e9"}, 2, "-rto"},
+		{[]string{"-seg", "32000"}, 2, "-seg"},
+		{[]string{"-burst"}, 2, "-burst"},
+		{[]string{"-proto", "dcqcn", "-n", "2", "-rates", "1e8,1e8"}, 2, "-rates"},
 		{[]string{"-horizon", "0.001", "-trace", filepath.Join(missing, "t.jsonl")}, 1, "t.jsonl"},
 		{[]string{"-horizon", "0.001", "-metrics", filepath.Join(missing, "m.tsv")}, 1, "m.tsv"},
 	} {
@@ -140,32 +147,103 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 	}
 }
 
-// A seeded run reproduces byte for byte: the faulty run (data and
+// A seeded run reproduces byte for byte: the faulty runs (data and
 // feedback loss with go-back-N recovery), and the Clos incast with PFC,
 // the pause watchdog and the invariant checker, which also exits 0 and
-// reports its pause summary.
+// reports its pause summary. The lossy runs are also pinned: FNV-64a
+// digests of stdout and of the -trace and -metrics exports, so a change
+// to loss recovery that moves one packet, counter or trace record fails
+// here. The timely case fires RTOs (its -metrics export counts them); the
+// dcqcn case recovers by NACK alone. Re-record the digests only after an
+// intended change to the lossy path.
 func TestSeededRunsReproduce(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		args []string
 		want string
+		// Pinned digests of stdout, -trace and -metrics; zero: unpinned.
+		stdout, trace, metrics uint64
 	}{
 		{"lossy", []string{"-proto", "dcqcn", "-n", "4", "-horizon", "0.02",
-			"-loss", "1e-3", "-ctrl-loss", "1e-2", "-recovery", "-seed", "7", "-fault-seed", "42"}, ""},
+			"-loss", "1e-3", "-ctrl-loss", "1e-2", "-recovery", "-seed", "7", "-fault-seed", "42"},
+			"retx_bytes=", 0xba2395a61d45e2ef, 0x5b0ae4b91b71905, 0x7d1594852f2fc168},
+		{"lossy-timely", []string{"-proto", "timely", "-n", "4", "-horizon", "0.02",
+			"-loss", "1e-2", "-ctrl-loss", "1e-2", "-recovery", "-seed", "7", "-fault-seed", "42"},
+			"retx_bytes=", 0xcd05140c78776d68, 0xedb61e074dc3139e, 0xa0318d8113293ec6},
 		{"clos-pfc", []string{"-topology", "clos", "-radix", "4", "-tiers", "3", "-n", "6",
 			"-horizon", "0.003", "-seed", "7", "-pfc-pause", "50000", "-pfc-resume", "25000",
-			"-pfc-watchdog", "1e-4", "-invariants"}, "pause_storms="},
+			"-pfc-watchdog", "1e-4", "-invariants"}, "pause_storms=", 0, 0, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			first := runOK(t, c.args...)
-			if runOK(t, c.args...) != first {
-				t.Error("the same seeded run printed different output")
-			}
 			if !strings.Contains(first, c.want) {
 				t.Errorf("output lacks %q", c.want)
 			}
+			if c.stdout == 0 {
+				if runOK(t, c.args...) != first {
+					t.Error("the same seeded run printed different output")
+				}
+				return
+			}
+			dir := t.TempDir()
+			trace, metrics := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "m.tsv")
+			if runOK(t, append(c.args, "-trace", trace, "-metrics", metrics)...) != first {
+				t.Error("the same seeded run printed different output")
+			}
+			for _, d := range []struct {
+				what      string
+				got, want uint64
+			}{
+				{"stdout", fnv64a([]byte(first)), c.stdout},
+				{"-trace", exportDigest(t, trace), c.trace},
+				{"-metrics", exportDigest(t, metrics), c.metrics},
+			} {
+				if d.got != d.want {
+					t.Errorf("%s digest %#x, want %#x", d.what, d.got, d.want)
+				}
+			}
+			if c.name == "lossy-timely" && !rtosFired(t, metrics) {
+				t.Error("the timely lossy run fired no RTO")
+			}
 		})
 	}
+}
+
+func fnv64a(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// exportDigest hashes an export after its JSONL header line, which echoes
+// the file's temporary path; a TSV export has no header and is hashed
+// whole.
+func exportDigest(t *testing.T, path string) uint64 {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.HasPrefix(b, []byte(`{"schema"`)) {
+		_, b, _ = bytes.Cut(b, []byte("\n"))
+	}
+	return fnv64a(b)
+}
+
+// rtosFired reports whether a -metrics export counts any fired RTO.
+func rtosFired(t *testing.T, path string) bool {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		name, v, _ := strings.Cut(line, "\t")
+		if strings.HasSuffix(name, ".rtos") && v != "0" {
+			return true
+		}
+	}
+	return false
 }
 
 // The audit gate: the same seeded -audit run written twice to one path

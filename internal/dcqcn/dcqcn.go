@@ -28,48 +28,14 @@ type Params struct {
 	RHAI        float64      // hyper increase step, bytes/s (200 Mb/s)
 	MinRate     float64      // rate floor, bytes/s
 
-	// Recovery enables go-back-N loss recovery: the NP acknowledges
-	// in-order bytes cumulatively, NACKs sequence gaps, and the RP
-	// retransmits from the last acknowledged offset, backstopped by an
-	// RTO with exponential backoff. Off by default — RoCE assumes a
-	// lossless fabric, and with Recovery false the wire behaviour is
-	// bit-identical to builds that predate it.
+	// Recovery enables the shared transport's go-back-N loss recovery
+	// (netsim.Endpoint): the NP acknowledges in-order bytes cumulatively,
+	// NACKs sequence gaps, and the RP retransmits from the last
+	// acknowledged offset, backstopped by an RTO with exponential
+	// backoff. Off by default — RoCE assumes a lossless fabric.
 	Recovery bool
-	// RTO is the retransmission timeout (0: 1 ms when Recovery is on).
+	// RTO is the retransmission timeout (0: 1 ms).
 	RTO des.Duration
-	// RTOMax caps the exponential backoff (0: 8×RTO).
-	RTOMax des.Duration
-	// AckBytes is the cumulative-ack spacing in in-order bytes (0: 64 KB).
-	AckBytes int64
-	// AckInterval also forces an ack when this much time passed since the
-	// last signal, so slow flows keep their RTO quiet (0: 100 µs).
-	AckInterval des.Duration
-	// NackMinGap rate-limits NACKs and duplicate re-acks per flow (0: 50 µs).
-	NackMinGap des.Duration
-}
-
-// withRecoveryDefaults fills zero-valued recovery knobs when Recovery is
-// enabled; with Recovery off they stay zero and unused.
-func (p Params) withRecoveryDefaults() Params {
-	if !p.Recovery {
-		return p
-	}
-	if p.RTO == 0 {
-		p.RTO = des.Millisecond
-	}
-	if p.RTOMax == 0 {
-		p.RTOMax = 8 * p.RTO
-	}
-	if p.AckBytes == 0 {
-		p.AckBytes = 64000
-	}
-	if p.AckInterval == 0 {
-		p.AckInterval = 100 * des.Microsecond
-	}
-	if p.NackMinGap == 0 {
-		p.NackMinGap = 50 * des.Microsecond
-	}
-	return p
 }
 
 // DefaultParams returns the [31] defaults.
@@ -102,53 +68,32 @@ func (p Params) Validate() error {
 		return errors.New("dcqcn: need 0 < RAI <= RHAI")
 	case p.MinRate <= 0:
 		return errors.New("dcqcn: MinRate must be positive")
-	case p.Recovery && (p.RTO <= 0 || p.RTOMax < p.RTO):
-		return errors.New("dcqcn: recovery needs 0 < RTO <= RTOMax")
-	case p.Recovery && (p.AckBytes <= 0 || p.AckInterval <= 0 || p.NackMinGap <= 0):
-		return errors.New("dcqcn: recovery ack/nack knobs must be positive")
+	case p.Recovery && (p.RTO < 0 || p.RTO > netsim.MaxRTO):
+		return errors.New("dcqcn: recovery needs 0 <= RTO <= netsim.MaxRTO (0: the 1 ms default)")
 	}
 	return nil
 }
 
 // Completion reports a finished flow at the receiver.
-type Completion struct {
-	Flow  int
-	Bytes int64
-	At    des.Time
-}
+type Completion = netsim.Completion
 
-// Endpoint is the per-host DCQCN engine: it owns the sending flows (RP
-// role) and the receiving state (NP role) and attaches to a host as its
-// Transport.
+// Endpoint is the per-host DCQCN engine: the shared transport (delivery,
+// completion and go-back-N recovery) plus the RP role of its sending flows
+// and the NP role toward the flows it receives. It attaches to a host as
+// its Transport.
 type Endpoint struct {
-	host  *netsim.Host
+	netsim.Endpoint
 	p     Params
 	flows map[int]*Sender
 	np    map[int]*npState
-	rx    map[int]*rxState // go-back-N receive state (Recovery only)
 
-	rxBytes map[int]int64
-	// OnComplete, if set, fires when a flow's last packet arrives here.
-	OnComplete func(Completion)
-
-	// ctr is the endpoint's bound counter set; nil when the network has no
-	// observer (or no metrics registry) attached.
-	ctr *obs.EndpointCounters
-	// cnpGapH/paceGapH are the endpoint's latency histograms (CNP
-	// inter-arrival gaps at the RP, pacing gaps between data packets);
-	// nil when the network has no observer (or no HistSet) attached.
+	// DCQCN's latency histograms, nil when the network has no observer (or
+	// no HistSet) attached: CNP inter-arrival gaps at the RP, and with an
+	// audit trail the mark→CNP-receipt and CNP-receipt→rate-cut legs of
+	// the feedback latency.
 	cnpGapH  *obs.Hist
-	paceGapH *obs.Hist
-
-	// Control-loop audit binding (nil without an attached trail): aud
-	// receives one Decision per RP action, markCnpH/cnpCutH are the
-	// mark→CNP-receipt and CNP-receipt→rate-cut legs of the feedback
-	// latency, and audSeq numbers this endpoint's decisions for the
-	// canonical audit sort order.
-	aud      *obs.AuditTrail
 	markCnpH *obs.Hist
 	cnpCutH  *obs.Hist
-	audSeq   uint64
 }
 
 type npState struct {
@@ -158,66 +103,44 @@ type npState struct {
 
 // NewEndpoint attaches a DCQCN engine to h.
 func NewEndpoint(h *netsim.Host, p Params) (*Endpoint, error) {
-	p = p.withRecoveryDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Endpoint{
-		host: h, p: p,
-		flows:   make(map[int]*Sender),
-		np:      make(map[int]*npState),
-		rx:      make(map[int]*rxState),
-		rxBytes: make(map[int]int64),
-	}
+	e := &Endpoint{p: p, flows: make(map[int]*Sender), np: make(map[int]*npState)}
+	e.Init(h, "dcqcn", false, p.Recovery, p.RTO)
 	e.bindObs()
 	h.Transport = e
 	return e, nil
 }
 
-// Host returns the attached host.
-func (e *Endpoint) Host() *netsim.Host { return e.host }
-
 // Handle implements netsim.Transport.
 func (e *Endpoint) Handle(h *netsim.Host, pkt *netsim.Packet) {
 	switch pkt.Kind {
 	case netsim.Data:
-		e.handleData(pkt)
+		// CE marks generate CNPs whatever the ordering: congestion
+		// feedback must not wait for retransmissions.
+		e.maybeCNP(pkt)
+		e.Deliver(pkt)
 	case netsim.CNP:
 		if s, ok := e.flows[pkt.Flow]; ok {
-			if e.ctr != nil {
-				e.ctr.CNPRx.Inc()
+			if ctr := e.Counters(); ctr != nil {
+				ctr.CNPRx.Inc()
 			}
 			s.onCNP(pkt)
 		}
 	case netsim.Ack:
 		if s, ok := e.flows[pkt.Flow]; ok {
-			s.onAck(pkt.Seq)
+			s.OnAck(pkt.Seq)
 		}
 	case netsim.Nack:
 		if s, ok := e.flows[pkt.Flow]; ok {
-			s.onNack(pkt.Seq)
+			s.OnNack(pkt.Seq)
 		}
 	}
 }
 
-// handleData is the NP role plus completion tracking.
-func (e *Endpoint) handleData(pkt *netsim.Packet) {
-	if e.p.Recovery {
-		e.recvData(pkt)
-		return
-	}
-	e.rxBytes[pkt.Flow] += int64(pkt.Size)
-	if e.ctr != nil {
-		e.ctr.RxBytes.Add(int64(pkt.Size))
-	}
-	e.maybeCNP(pkt)
-	if pkt.Last && e.OnComplete != nil {
-		e.OnComplete(Completion{Flow: pkt.Flow, Bytes: e.rxBytes[pkt.Flow], At: e.host.Now()})
-	}
-}
-
-// maybeCNP generates the NP's congestion notification for a CE-marked
-// data packet, rate-limited to one per CNPInterval per flow.
+// maybeCNP is the NP role: a congestion notification for a CE-marked data
+// packet, rate-limited to one per CNPInterval per flow.
 func (e *Endpoint) maybeCNP(pkt *netsim.Packet) {
 	if !pkt.CE {
 		return
@@ -227,11 +150,11 @@ func (e *Endpoint) maybeCNP(pkt *netsim.Packet) {
 		st = &npState{}
 		e.np[pkt.Flow] = st
 	}
-	now := e.host.Now()
+	now := e.Host().Now()
 	if !st.sent || now.Sub(st.lastCNP) >= e.p.CNPInterval {
 		st.sent = true
 		st.lastCNP = now
-		cnp := e.host.AllocPacket()
+		cnp := e.Host().AllocPacket()
 		cnp.Flow = pkt.Flow
 		cnp.Dst = pkt.Src
 		cnp.Size = netsim.CtrlSize
@@ -240,19 +163,18 @@ func (e *Endpoint) maybeCNP(pkt *netsim.Packet) {
 		// audit trail stamped the data packet).
 		cnp.MarkEp = pkt.MarkEp
 		cnp.MarkT = pkt.MarkT
-		if e.ctr != nil {
-			e.ctr.CNPTx.Inc()
+		if ctr := e.Counters(); ctr != nil {
+			ctr.CNPTx.Inc()
 		}
-		e.host.Send(cnp)
+		e.Host().Send(cnp)
 	}
 }
 
-// Sender is the reaction point for one flow.
+// Sender is the reaction point for one flow, over the flow's shared
+// transport (send cursor and go-back-N recovery).
 type Sender struct {
-	e    *Endpoint
-	id   int
-	dst  int
-	size int64 // total bytes to send; <0 means unbounded
+	netsim.Sender
+	e *Endpoint
 
 	rc, rt float64
 	alpha  float64
@@ -260,51 +182,33 @@ type Sender struct {
 	bcStage, tStage int
 	bcBytes         int64
 
-	sent    int64
-	done    bool
-	started bool
-
 	// Warm-start operating point (internal/hybrid); applied by start().
 	warm                      bool
 	warmRC, warmRT, warmAlpha float64
 
-	// Go-back-N recovery state (Params.Recovery only).
-	acked        int64 // cumulative acknowledged bytes
-	maxSent      int64 // high-water mark of the send cursor
-	retxBytes    int64
-	rewinds      int64
-	rtos         int64
-	rtoShift     int // exponential backoff exponent
-	recovering   bool
-	recoverStart des.Time
-	recoverTime  des.Duration
-
 	alphaEv des.EventRef
 	timerEv des.EventRef
 	sendEv  des.EventRef
-	rtoEv   des.EventRef
 
 	// RateSeries, if non-nil, records (t, rc) on every rate change.
 	RateHook func(t des.Time, rate float64)
 
-	// Histogram state: previous data-send and CNP-arrival instants, so the
-	// pacing-gap and CNP-gap histograms record inter-event spacing. Only
-	// maintained when the matching histogram is bound.
-	obsLastSend des.Time
-	obsSent     bool
-	obsLastCNP  des.Time
-	obsSawCNP   bool
+	// Histogram state: the previous CNP-arrival instant, so the CNP-gap
+	// histogram records inter-arrival spacing. Only maintained when that
+	// histogram is bound.
+	obsLastCNP des.Time
+	obsSawCNP  bool
 }
 
 // Handler arguments: the sender is its own des.Handler, dispatching its
-// three recurring duties on a small-int argument (boxes without allocating)
-// so steady-state scheduling is allocation-free.
+// recurring duties on a small-int argument (boxes without allocating) so
+// steady-state scheduling is allocation-free. The transport's RTO is the
+// embedded netsim.Sender's own event.
 const (
 	evStart = iota // flow start at its configured time
 	evSend         // paced transmission of the next data packet
 	evAlpha        // Eq. 2 α decay timer (τ')
 	evRate         // rate-increase timer (T)
-	evRTO          // retransmission timeout (Recovery only)
 )
 
 // OnEvent implements des.Handler.
@@ -318,15 +222,13 @@ func (s *Sender) OnEvent(arg any) {
 		// Eq. 2: no feedback for τ' → α decays.
 		s.alpha *= 1 - s.e.p.G
 		s.armAlphaTimer()
-		if s.e.aud != nil {
-			s.audit(obs.Decision{Type: obs.DecAlphaDecay, Alpha: s.alpha})
+		if s.e.Auditing() {
+			s.Audit(obs.Decision{Type: obs.DecAlphaDecay, Alpha: s.alpha})
 		}
 	case evRate:
 		s.tStage++
 		s.increase()
 		s.armRateTimer()
-	case evRTO:
-		s.onRTO()
 	}
 }
 
@@ -337,9 +239,10 @@ func (e *Endpoint) NewFlow(id int, dst int, size int64, start des.Time) (*Sender
 	if _, dup := e.flows[id]; dup {
 		return nil, fmt.Errorf("dcqcn: duplicate flow id %d", id)
 	}
-	s := &Sender{e: e, id: id, dst: dst, size: size}
+	s := &Sender{e: e}
+	s.Init(&e.Endpoint, s, id, dst, size)
 	e.flows[id] = s
-	e.host.AtHandler(start, s, evStart)
+	e.Host().AtHandler(start, s, evStart)
 	return s, nil
 }
 
@@ -362,22 +265,15 @@ func (s *Sender) WarmStart(rc, rt, alpha float64) {
 	s.warmRC, s.warmRT, s.warmAlpha = rc, rt, alpha
 }
 
-// Done reports whether all bytes have been handed to the NIC.
-func (s *Sender) Done() bool { return s.done }
-
-// SentBytes reports bytes handed to the NIC so far.
-func (s *Sender) SentBytes() int64 { return s.sent }
-
 func (s *Sender) start() {
-	if s.started {
+	if !s.Begin() {
 		return
 	}
-	s.started = true
-	s.rc = s.e.host.LineRate()
+	s.rc = s.e.Host().LineRate()
 	s.rt = s.rc
 	s.alpha = 1
 	if s.warm {
-		line := s.e.host.LineRate()
+		line := s.e.Host().LineRate()
 		clamp := func(r float64) float64 {
 			switch {
 			case r < s.e.p.MinRate:
@@ -398,71 +294,47 @@ func (s *Sender) start() {
 
 func (s *Sender) noteRate() {
 	if s.RateHook != nil {
-		s.RateHook(s.e.host.Now(), s.rc)
+		s.RateHook(s.e.Host().Now(), s.rc)
 	}
 }
 
+// sendNext sends the packet at the cursor and paces the next one at the
+// current rate. A retransmission is traced after the send.
 func (s *Sender) sendNext() {
-	if s.done {
+	if s.Done() {
 		return
 	}
-	size := int64(netsim.DataMTU)
-	last := false
-	if s.size >= 0 {
-		remain := s.size - s.sent
-		if remain <= 0 {
-			s.finish()
-			return
-		}
-		if remain <= size {
-			size = remain
-			last = true
-		}
+	pkt := s.DataPacket()
+	if pkt == nil {
+		s.Finish()
+		return
 	}
-	pkt := s.e.host.AllocPacket()
-	pkt.Flow = s.id
-	pkt.Dst = s.dst
-	pkt.Size = int(size)
-	pkt.Kind = netsim.Data
-	pkt.ECT = true
-	pkt.Seq = s.sent
-	pkt.Last = last
-	s.e.host.Send(pkt)
-	s.obsPace()
-	if s.e.p.Recovery {
-		if s.sent < s.maxSent {
-			s.retxBytes += size
-			s.obsRetx(size, s.sent)
-		}
-	}
-	s.sent += size
-	if s.e.p.Recovery {
-		if s.sent > s.maxSent {
-			s.maxSent = s.sent
-		}
-		s.armRTO()
-	}
+	size, last := int64(pkt.Size), pkt.Last
+	s.Transmit(pkt)
+	s.Advance(size)
+	s.ArmRTO()
 	s.onBytesSent(size)
 	if last {
-		s.finish()
+		s.Finish()
 		return
 	}
 	gap := des.DurationFromSeconds(float64(size) / s.rc)
-	s.sendEv = s.e.host.ScheduleHandler(gap, s, evSend)
+	s.sendEv = s.e.Host().ScheduleHandler(gap, s, evSend)
 }
 
-func (s *Sender) finish() {
-	if s.e.p.Recovery && s.size >= 0 && s.acked < s.size {
-		// The cursor reached the end but unacked bytes may be lost:
-		// pacing stops, the RTO (and incoming NACKs) drive retransmission
-		// until the cumulative ack covers the flow.
-		s.armRTO()
-		return
-	}
-	s.done = true
+// Resend implements netsim.Control: pacing restarts from the rewound
+// cursor.
+func (s *Sender) Resend() {
+	s.sendEv.Cancel()
+	s.sendNext()
+}
+
+// Stop implements netsim.Control: the flow is done, so pacing and the α
+// and rate timers stop.
+func (s *Sender) Stop() {
+	s.sendEv.Cancel()
 	s.alphaEv.Cancel()
 	s.timerEv.Cancel()
-	s.rtoEv.Cancel()
 }
 
 // onBytesSent advances the rate-increase byte counter (stage events every
@@ -478,18 +350,18 @@ func (s *Sender) onBytesSent(n int64) {
 
 func (s *Sender) armAlphaTimer() {
 	s.alphaEv.Cancel()
-	s.alphaEv = s.e.host.ScheduleHandler(s.e.p.AlphaTimer, s, evAlpha)
+	s.alphaEv = s.e.Host().ScheduleHandler(s.e.p.AlphaTimer, s, evAlpha)
 }
 
 func (s *Sender) armRateTimer() {
 	s.timerEv.Cancel()
-	s.timerEv = s.e.host.ScheduleHandler(s.e.p.RateTimer, s, evRate)
+	s.timerEv = s.e.Host().ScheduleHandler(s.e.p.RateTimer, s, evRate)
 }
 
 // onCNP is the Eq. 1 multiplicative decrease plus state reset. The CNP
 // packet carries the causing mark episode when an audit trail stamped it.
 func (s *Sender) onCNP(pkt *netsim.Packet) {
-	if s.done || !s.started {
+	if s.Done() || !s.Started() {
 		return
 	}
 	s.obsCNPGap()
@@ -506,7 +378,7 @@ func (s *Sender) onCNP(pkt *netsim.Packet) {
 	s.armAlphaTimer()
 	s.armRateTimer()
 	s.noteRate()
-	if s.e.aud != nil {
+	if s.e.Auditing() {
 		s.audCut(pkt, old, cutAlpha)
 	}
 }
@@ -515,7 +387,7 @@ func (s *Sender) onCNP(pkt *netsim.Packet) {
 // recovery toward R_T, then additive increase, then hyper increase once
 // both counters are past F.
 func (s *Sender) increase() {
-	if s.done {
+	if s.Done() {
 		return
 	}
 	old := s.rc
@@ -530,7 +402,7 @@ func (s *Sender) increase() {
 		s.rt += s.e.p.RAI
 		dec = obs.DecAdditiveInc
 	}
-	line := s.e.host.LineRate()
+	line := s.e.Host().LineRate()
 	if s.rt > line {
 		s.rt = line
 	}
@@ -539,8 +411,8 @@ func (s *Sender) increase() {
 		s.rc = line
 	}
 	s.noteRate()
-	if s.e.aud != nil {
-		s.audit(obs.Decision{
+	if s.e.Auditing() {
+		s.Audit(obs.Decision{
 			Type: dec, OldRate: old, NewRate: s.rc, Target: s.rt, Alpha: s.alpha,
 		})
 	}

@@ -1,48 +1,31 @@
 package dcqcn
 
 import (
-	"fmt"
-
 	"ecndelay/internal/netsim"
 	"ecndelay/internal/obs"
 )
 
-// Observability binding: the endpoint registers its counter set when it is
-// created on a network that already has an observer attached (attach the
-// observer first). Every hook site below is a nil check when observability
-// is off, so unobserved runs are untouched.
+// Observability binding: the shared transport binds the endpoint's
+// counters ("dcqcn.n<hostID>"), its pacing-gap histogram and the audit
+// trail when the endpoint is created on a network that already has an
+// observer attached (attach the observer first); DCQCN adds its own
+// histograms here. Every hook site below is a nil check when
+// observability is off, so unobserved runs are untouched.
 
-// bindObs registers the endpoint's counters under "dcqcn.n<hostID>" and
-// its latency histograms under the protocol-wide names "dcqcn.cnp_gap_s"
-// and "dcqcn.pace_gap_s" (all senders on a run feed one distribution, as
-// the paper's per-protocol behaviour plots do).
+// bindObs registers the CNP inter-arrival histogram under the
+// protocol-wide name "dcqcn.cnp_gap_s" (all senders on a run feed one
+// distribution, as the paper's per-protocol behaviour plots do), and with
+// an audit trail the two feedback-latency legs.
 func (e *Endpoint) bindObs() {
-	o := e.host.Net().Observer()
+	o := e.Host().Net().Observer()
 	if o == nil {
 		return
 	}
-	if o.Metrics != nil {
-		e.ctr = o.Metrics.EndpointCounters(fmt.Sprintf("dcqcn.n%d", e.host.ID()))
-	}
 	e.cnpGapH = o.Hist("dcqcn.cnp_gap_s")
-	e.paceGapH = o.Hist("dcqcn.pace_gap_s")
 	if o.Audit != nil {
-		e.aud = o.Audit
 		e.markCnpH = o.Hist("ctl.mark_to_cnprx_s")
 		e.cnpCutH = o.Hist("ctl.cnprx_to_cut_s")
 	}
-}
-
-// audit stamps the endpoint-invariant fields of a decision record and
-// emits it. Callers have already checked s.e.aud != nil.
-func (s *Sender) audit(d obs.Decision) {
-	s.e.audSeq++
-	d.T = s.e.host.Now()
-	d.Node = int32(s.e.host.ID())
-	d.Peer = int32(s.dst)
-	d.Flow = int32(s.id)
-	d.Seq = s.e.audSeq
-	s.e.aud.Emit(d)
 }
 
 // audCut records a CNP-triggered rate cut: the cut decision attributed to
@@ -52,7 +35,7 @@ func (s *Sender) audit(d obs.Decision) {
 // (mark→CNP-receipt from the stamped mark time, CNP-receipt→cut measured
 // here — zero in this model, where the RP reacts in the same instant).
 func (s *Sender) audCut(pkt *netsim.Packet, oldRate, cutAlpha float64) {
-	now := s.e.host.Now()
+	now := s.e.Host().Now()
 	lat := 0.0
 	if pkt.MarkEp != 0 {
 		lat = now.Sub(pkt.MarkT).Seconds()
@@ -63,27 +46,12 @@ func (s *Sender) audCut(pkt *netsim.Packet, oldRate, cutAlpha float64) {
 	if h := s.e.cnpCutH; h != nil {
 		h.Record(0)
 	}
-	s.audit(obs.Decision{
+	s.Audit(obs.Decision{
 		Type: obs.DecRateCut, Episode: pkt.MarkEp,
 		OldRate: oldRate, NewRate: s.rc, Target: s.rt, Alpha: cutAlpha,
 		RTT: lat,
 	})
-	s.audit(obs.Decision{Type: obs.DecAlphaFeedback, Alpha: s.alpha})
-}
-
-// obsPace records the gap since this sender's previous data packet into
-// the pacing-gap histogram; a single nil check when observability is off.
-func (s *Sender) obsPace() {
-	h := s.e.paceGapH
-	if h == nil {
-		return
-	}
-	now := s.e.host.Now()
-	if s.obsSent {
-		h.Record(now.Sub(s.obsLastSend).Seconds())
-	}
-	s.obsSent = true
-	s.obsLastSend = now
+	s.Audit(obs.Decision{Type: obs.DecAlphaFeedback, Alpha: s.alpha})
 }
 
 // obsCNPGap records the gap since this sender's previous CNP arrival into
@@ -93,31 +61,10 @@ func (s *Sender) obsCNPGap() {
 	if h == nil {
 		return
 	}
-	now := s.e.host.Now()
+	now := s.e.Host().Now()
 	if s.obsSawCNP {
 		h.Record(now.Sub(s.obsLastCNP).Seconds())
 	}
 	s.obsSawCNP = true
 	s.obsLastCNP = now
-}
-
-// obsRetx records one retransmitted packet (counters plus a trace record).
-func (s *Sender) obsRetx(size, seq int64) {
-	e := s.e
-	if e.ctr != nil {
-		e.ctr.RetxPkts.Inc()
-		e.ctr.RetxBytes.Add(size)
-	}
-	if o := e.host.Net().Observer(); o != nil {
-		o.Emit(obs.Event{
-			T:    e.host.Now(),
-			Type: obs.Retx,
-			Kind: uint8(netsim.Data),
-			Node: int32(e.host.ID()),
-			Peer: int32(s.dst),
-			Flow: int32(s.id),
-			Size: int32(size),
-			Seq:  seq,
-		})
-	}
 }

@@ -48,16 +48,6 @@ type FCTConfig struct {
 	Senders    int   // default 10
 	Receivers  int   // default 10
 	SmallBytes int64 // small-flow threshold, default 100 KB
-	// TimelyPerPacket switches TIMELY to idealised per-packet pacing;
-	// the default (false) is the implementation's per-burst chunk pacing.
-	TimelyPerPacket bool
-	// TimelySeg overrides the TIMELY segment/chunk size in bytes.
-	TimelySeg int
-	// TimelyHAI enables hyper-active increase (part of Algorithm 1 in
-	// [21]; the fluid analysis ignores it).
-	TimelyHAI bool
-	// TimelyGradClamp bounds the normalised gradient (see timely.Params).
-	TimelyGradClamp float64
 	// QueueSampleEvery controls bottleneck queue monitoring (default 100µs).
 	QueueSampleEvery des.Duration
 
@@ -195,8 +185,8 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 	// collect into mergeable histograms (nil without an observer HistSet).
 	fctAllH := cfg.Observer.Hist(cfg.HistPrefix + "fct_all_s")
 	fctSmallH := cfg.Observer.Hist(cfg.HistPrefix + "fct_small_s")
-	complete := func(flowID int, at des.Time) {
-		s, ok := start[flowID]
+	complete := func(c netsim.Completion) {
+		s, ok := start[c.Flow]
 		if !ok {
 			return
 		}
@@ -204,23 +194,24 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 		if s < cfg.Warmup {
 			return
 		}
-		fct := at.Seconds() - s
+		fct := c.At.Seconds() - s
 		res.AllFCT = append(res.AllFCT, fct)
-		if size[flowID] < cfg.SmallBytes {
+		if size[c.Flow] < cfg.SmallBytes {
 			res.SmallFCT = append(res.SmallFCT, fct)
 		}
 		if fctAllH != nil {
 			fctAllH.Record(fct)
 		}
-		if size[flowID] < cfg.SmallBytes && fctSmallH != nil {
+		if size[c.Flow] < cfg.SmallBytes && fctSmallH != nil {
 			fctSmallH.Record(fct)
 		}
 	}
 
-	// Attach protocol endpoints and schedule the flows. gatherFaultStats
-	// is filled per protocol so the end of the run can sum goodput and
-	// recovery work without holding protocol types here.
-	var gatherFaultStats func()
+	// Attach protocol endpoints and schedule the flows. The run keeps each
+	// receiver's and sender's shared transport, so the end of the run sums
+	// goodput and recovery work without holding protocol types.
+	var receivers []*netsim.Endpoint
+	var senders []*netsim.Sender
 	switch cfg.Protocol {
 	case ProtoDCQCN:
 		params := dcqcn.DefaultParams()
@@ -234,47 +225,30 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 			}
 			eps = append(eps, ep)
 		}
-		var rxEps []*dcqcn.Endpoint
 		for _, h := range d.Receivers {
 			ep, err := dcqcn.NewEndpoint(h, params)
 			if err != nil {
 				return nil, err
 			}
-			ep.OnComplete = func(c dcqcn.Completion) { complete(c.Flow, c.At) }
-			rxEps = append(rxEps, ep)
+			ep.OnComplete = complete
+			receivers = append(receivers, &ep.Endpoint)
 		}
-		var senders []*dcqcn.Sender
 		for _, f := range flows {
 			s, err := eps[f.Sender].NewFlow(f.ID, d.Receivers[f.Recv].ID(),
 				f.Size, des.Time(des.DurationFromSeconds(f.Start)))
 			if err != nil {
 				return nil, err
 			}
-			senders = append(senders, s)
-		}
-		gatherFaultStats = func() {
-			for _, ep := range rxEps {
-				res.Goodput += ep.TotalRxBytes()
-			}
-			for _, s := range senders {
-				st := s.Recovery()
-				res.RetxBytes += st.RetxBytes
-				res.RecoveryTime += st.RecoveryTime.Seconds()
-			}
+			senders = append(senders, &s.Sender)
 		}
 	case ProtoTimely, ProtoPatchedTimely:
-		// The TIMELY implementation paces 16-64 KB chunks at line rate
+		// The TIMELY implementation paces 16 KB chunks at line rate
 		// (§4.2); the FCT comparison runs it as deployed.
 		params := timely.DefaultParams()
 		if cfg.Protocol == ProtoPatchedTimely {
 			params = timely.DefaultPatchedParams()
 		}
-		params.Burst = cfg.TimelyPerPacket == false
-		if cfg.TimelySeg > 0 {
-			params.Seg = cfg.TimelySeg
-		}
-		params.HAI = cfg.TimelyHAI
-		params.GradClamp = cfg.TimelyGradClamp
+		params.Burst = true
 		params.Recovery = cfg.Recovery
 		params.RTO = cfg.RTO
 		var eps []*timely.Endpoint
@@ -285,33 +259,21 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 			}
 			eps = append(eps, ep)
 		}
-		var rxEps []*timely.Endpoint
 		for _, h := range d.Receivers {
 			ep, err := timely.NewEndpoint(h, params)
 			if err != nil {
 				return nil, err
 			}
-			ep.OnComplete = func(c timely.Completion) { complete(c.Flow, c.At) }
-			rxEps = append(rxEps, ep)
+			ep.OnComplete = complete
+			receivers = append(receivers, &ep.Endpoint)
 		}
-		var senders []*timely.Sender
 		for _, f := range flows {
 			s, err := eps[f.Sender].NewFlow(f.ID, d.Receivers[f.Recv].ID(),
 				f.Size, des.Time(des.DurationFromSeconds(f.Start)), 0)
 			if err != nil {
 				return nil, err
 			}
-			senders = append(senders, s)
-		}
-		gatherFaultStats = func() {
-			for _, ep := range rxEps {
-				res.Goodput += ep.TotalRxBytes()
-			}
-			for _, s := range senders {
-				st := s.Recovery()
-				res.RetxBytes += st.RetxBytes
-				res.RecoveryTime += st.RecoveryTime.Seconds()
-			}
+			senders = append(senders, &s.Sender)
 		}
 	default:
 		return nil, fmt.Errorf("exp: unknown protocol %v", cfg.Protocol)
@@ -338,7 +300,14 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 	res.Utilisation = float64(txAtEnd-txAtWarm) / (linkBW * (cfg.Horizon - cfg.Warmup))
 	res.Unfinished = res.Generated - res.Completed
 	res.RawTxBytes = d.Bottleneck.TxBytes
-	gatherFaultStats()
+	for _, ep := range receivers {
+		res.Goodput += ep.TotalRxBytes()
+	}
+	for _, s := range senders {
+		st := s.Recovery()
+		res.RetxBytes += st.RetxBytes
+		res.RecoveryTime += st.RecoveryTime.Seconds()
+	}
 	if applied != nil {
 		res.WireDrops = applied.Drops()
 	}

@@ -120,15 +120,15 @@ func runClos(cfg closRunConfig) (*closRunResult, error) {
 	start := make(map[int]float64)
 	inFlight := 0
 	fctH := cfg.Observer.Hist(cfg.HistPrefix + "fct_all_s")
-	complete := func(flowID int, at des.Time) {
-		s, ok := start[flowID]
+	complete := func(c netsim.Completion) {
+		s, ok := start[c.Flow]
 		if !ok {
 			return
 		}
-		delete(start, flowID)
+		delete(start, c.Flow)
 		res.Completed++
 		inFlight--
-		fct := at.Seconds() - s
+		fct := c.At.Seconds() - s
 		res.AllFCT = append(res.AllFCT, fct)
 		if fctH != nil {
 			fctH.Record(fct)
@@ -152,7 +152,7 @@ func runClos(cfg closRunConfig) (*closRunResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			ep.OnComplete = func(c dcqcn.Completion) { complete(c.Flow, c.At) }
+			ep.OnComplete = complete
 			eps[i] = ep
 		}
 		startFlow = func(f workload.Flow) error {
@@ -171,7 +171,7 @@ func runClos(cfg closRunConfig) (*closRunResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			ep.OnComplete = func(c timely.Completion) { complete(c.Flow, c.At) }
+			ep.OnComplete = complete
 			eps[i] = ep
 		}
 		startFlow = func(f workload.Flow) error {

@@ -26,8 +26,8 @@ type DecisionType uint8
 // byte/time counters drive fast-recovery, additive and hyper increases.
 // The third block is TIMELY (Mittal et al., SIGCOMM 2015): every ACK
 // yields an RTT sample and a gradient computation, then exactly one
-// rate action — additive increase, multiplicative decrease, the HAI
-// brake above THigh, or the patched (Algorithm 2) update.
+// rate action — additive increase, multiplicative decrease, the brake
+// above THigh, or the patched (Algorithm 2) update.
 const (
 	DecMarkOpen DecisionType = iota
 	DecMarkClose

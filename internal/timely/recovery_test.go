@@ -1,6 +1,7 @@
 package timely_test
 
 import (
+	"math"
 	"testing"
 
 	"ecndelay/internal/des"
@@ -175,15 +176,26 @@ func TestTimelyRecoveryBurstLoss(t *testing.T) {
 	}
 }
 
+// Validate refuses an RTO that is negative or whose 8× backoff cap would
+// overflow a des.Duration, and accepts the largest one that fits.
 func TestTimelyRecoveryParamValidation(t *testing.T) {
-	p := timely.DefaultParams()
-	p.Recovery = true
-	p.RTO = des.Millisecond
-	p.RTOMax = des.Microsecond
-	if p.Validate() == nil {
-		t.Error("RTOMax < RTO accepted")
+	for _, c := range []struct {
+		rto des.Duration
+		ok  bool
+	}{
+		{-des.Microsecond, false},
+		{math.MaxInt64/8 + 1, false},
+		{math.MaxInt64 / 8, true},
+		{0, true}, // the 1 ms default
+	} {
+		p := timely.DefaultParams()
+		p.Recovery = true
+		p.RTO = c.rto
+		if err := p.Validate(); (err == nil) != c.ok {
+			t.Errorf("RTO %d: Validate error %v, want ok=%v", c.rto, err, c.ok)
+		}
 	}
 	if _, err := timely.NewEndpoint(netsim.New(1).NewHost(), recoveryParams(false)); err != nil {
-		t.Errorf("defaulted recovery params rejected: %v", err)
+		t.Errorf("recovery params rejected: %v", err)
 	}
 }

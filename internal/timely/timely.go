@@ -40,48 +40,14 @@ type Params struct {
 	// RTTRef ≈ T_low plus the topology's base RTT.
 	RTTRef des.Duration
 
-	// HAI enables hyper-active increase after five consecutive additive
-	// increases (present in [21], ignored by the paper's models; off by
-	// default).
-	HAI bool
-
-	// GradClamp bounds the normalised RTT gradient to ±GradClamp before
-	// the multiplicative decrease (0: unbounded, the Algorithm 1
-	// literal). A bound of 1 caps the per-update decrease at β, which is
-	// how a hardware implementation keeps one noisy sample from zeroing
-	// the rate.
-	GradClamp float64
-
-	// Recovery enables go-back-N loss recovery: acks become cumulative
-	// (Seq carries the receiver's next expected offset), gaps trigger
-	// rate-limited NACKs, and the sender rewinds and retransmits with an
-	// RTO backstop. Off by default; with Recovery false the wire
-	// behaviour is bit-identical to builds that predate it.
+	// Recovery enables the shared transport's go-back-N loss recovery
+	// (netsim.Endpoint): the segment acks become cumulative (Seq carries
+	// the receiver's next expected offset), gaps trigger rate-limited
+	// NACKs, and the sender rewinds and retransmits with an RTO backstop.
+	// Off by default.
 	Recovery bool
-	// RTO is the retransmission timeout (0: 1 ms when Recovery is on).
+	// RTO is the retransmission timeout (0: 1 ms).
 	RTO des.Duration
-	// RTOMax caps the exponential backoff (0: 8×RTO).
-	RTOMax des.Duration
-	// NackMinGap rate-limits NACKs and duplicate re-acks per flow (0: 50 µs).
-	NackMinGap des.Duration
-}
-
-// withRecoveryDefaults fills zero-valued recovery knobs when Recovery is
-// enabled; with Recovery off they stay zero and unused.
-func (p Params) withRecoveryDefaults() Params {
-	if !p.Recovery {
-		return p
-	}
-	if p.RTO == 0 {
-		p.RTO = des.Millisecond
-	}
-	if p.RTOMax == 0 {
-		p.RTOMax = 8 * p.RTO
-	}
-	if p.NackMinGap == 0 {
-		p.NackMinGap = 50 * des.Microsecond
-	}
-	return p
 }
 
 // DefaultParams returns the footnote-4 parameters with 16 KB segments and
@@ -129,72 +95,47 @@ func (p Params) Validate() error {
 		return errors.New("timely: MinRate must be positive")
 	case p.Patched && p.RTTRef <= 0:
 		return errors.New("timely: patched mode needs RTTRef")
-	case p.Recovery && (p.RTO <= 0 || p.RTOMax < p.RTO || p.NackMinGap <= 0):
-		return errors.New("timely: recovery needs 0 < RTO <= RTOMax and a positive NackMinGap")
+	case p.Recovery && (p.RTO < 0 || p.RTO > netsim.MaxRTO):
+		return errors.New("timely: recovery needs 0 <= RTO <= netsim.MaxRTO (0: the 1 ms default)")
 	}
 	return nil
 }
 
 // Completion reports a finished flow at the receiver.
-type Completion struct {
-	Flow  int
-	Bytes int64
-	At    des.Time
-}
+type Completion = netsim.Completion
 
-// Endpoint is the per-host TIMELY engine (both sender and receiver roles).
+// Endpoint is the per-host TIMELY engine: the shared transport (delivery,
+// segment acks, completion and go-back-N recovery) plus the RTT engine of
+// its sending flows.
 type Endpoint struct {
-	host  *netsim.Host
+	netsim.Endpoint
 	p     Params
 	flows map[int]*Sender
-	rx    map[int]*rxState // go-back-N receive state (Recovery only)
 
-	rxBytes map[int]int64
-	// OnComplete fires when a flow's last packet arrives here.
-	OnComplete func(Completion)
-
-	// ctr is the endpoint's bound counter set; nil when the network has no
-	// observer (or no metrics registry) attached.
-	ctr *obs.EndpointCounters
-	// rttH/paceGapH are the endpoint's latency histograms (per-flow RTT
-	// samples, pacing gaps between data emissions); nil when the network
-	// has no observer (or no HistSet) attached.
-	rttH     *obs.Hist
-	paceGapH *obs.Hist
-
-	// Control-loop audit binding (nil without an attached trail): aud
-	// receives one Decision per RTT sample, gradient computation and rate
-	// action; audSeq numbers this endpoint's decisions for the canonical
-	// audit sort order.
-	aud    *obs.AuditTrail
-	audSeq uint64
+	// rttH is the per-flow RTT sample histogram; nil when the network has
+	// no observer (or no HistSet) attached.
+	rttH *obs.Hist
 }
 
 // NewEndpoint attaches a TIMELY engine to h.
 func NewEndpoint(h *netsim.Host, p Params) (*Endpoint, error) {
-	p = p.withRecoveryDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Endpoint{
-		host: h, p: p,
-		flows:   make(map[int]*Sender),
-		rx:      make(map[int]*rxState),
-		rxBytes: make(map[int]int64),
-	}
-	e.bindObs()
+	e := &Endpoint{p: p, flows: make(map[int]*Sender)}
+	e.Init(h, "timely", true, p.Recovery, p.RTO)
+	// All senders on a run feed one RTT distribution, as the paper's
+	// per-protocol behaviour plots do.
+	e.rttH = h.Net().Observer().Hist("timely.rtt_s")
 	h.Transport = e
 	return e, nil
 }
-
-// Host returns the attached host.
-func (e *Endpoint) Host() *netsim.Host { return e.host }
 
 // ActiveFlows counts flows currently sending from this host.
 func (e *Endpoint) ActiveFlows() int {
 	n := 0
 	for _, s := range e.flows {
-		if s.started && !s.done {
+		if s.Started() && !s.Done() {
 			n++
 		}
 	}
@@ -205,51 +146,23 @@ func (e *Endpoint) ActiveFlows() int {
 func (e *Endpoint) Handle(h *netsim.Host, pkt *netsim.Packet) {
 	switch pkt.Kind {
 	case netsim.Data:
-		e.handleData(pkt)
+		e.Deliver(pkt)
 	case netsim.Ack:
 		if s, ok := e.flows[pkt.Flow]; ok {
 			s.onAck(pkt)
 		}
 	case netsim.Nack:
 		if s, ok := e.flows[pkt.Flow]; ok {
-			s.onNack(pkt.Seq)
+			s.OnNack(pkt.Seq)
 		}
 	}
 }
 
-func (e *Endpoint) handleData(pkt *netsim.Packet) {
-	if e.p.Recovery {
-		e.recvData(pkt)
-		return
-	}
-	e.rxBytes[pkt.Flow] += int64(pkt.Size)
-	if e.ctr != nil {
-		e.ctr.RxBytes.Add(int64(pkt.Size))
-	}
-	if pkt.AckReq || pkt.Last {
-		ack := e.host.AllocPacket()
-		ack.Flow = pkt.Flow
-		ack.Dst = pkt.Src
-		ack.Size = netsim.CtrlSize
-		ack.Kind = netsim.Ack
-		ack.EchoT = pkt.SentAt
-		ack.Bytes = pkt.Size
-		if e.ctr != nil {
-			e.ctr.AcksTx.Inc()
-		}
-		e.host.Send(ack)
-	}
-	if pkt.Last && e.OnComplete != nil {
-		e.OnComplete(Completion{Flow: pkt.Flow, Bytes: e.rxBytes[pkt.Flow], At: e.host.Now()})
-	}
-}
-
-// Sender runs Algorithm 1 (or 2) for one flow.
+// Sender runs Algorithm 1 (or 2) for one flow, over the flow's shared
+// transport (send cursor and go-back-N recovery).
 type Sender struct {
-	e    *Endpoint
-	id   int
-	dst  int
-	size int64 // <0: unbounded
+	netsim.Sender
+	e *Endpoint
 
 	rate      float64
 	startRate float64
@@ -258,44 +171,22 @@ type Sender struct {
 	rttDiff    float64 // seconds
 	haveRTT    bool
 	lastUpdate des.Time
-	aiStreak   int // consecutive additive increases (HAI)
 
-	segBytes int64 // bytes sent in the current segment
-	sent     int64
-	started  bool
-	done     bool
-
-	// Go-back-N recovery state (Params.Recovery only).
-	acked        int64 // cumulative acknowledged bytes
-	maxSent      int64 // high-water mark of the send cursor
-	retxBytes    int64
-	rewinds      int64
-	rtos         int64
-	rtoShift     int // exponential backoff exponent
-	recovering   bool
-	recoverStart des.Time
-	recoverTime  des.Duration
-	paceEv       des.EventRef // pending pacing tick (cancelled on rewind)
-	rtoEv        des.EventRef
+	segBytes int64        // bytes sent in the current segment
+	paceEv   des.EventRef // pending pacing tick (cancelled on rewind)
 
 	// RateHook, if non-nil, observes every rate change.
 	RateHook func(t des.Time, rate float64)
-
-	// Histogram state: previous data-send instant, so the pacing-gap
-	// histogram records inter-emission spacing. Only maintained when the
-	// pacing histogram is bound.
-	obsLastSend des.Time
-	obsSent     bool
 }
 
 // Handler arguments: the sender is its own des.Handler, dispatching the
 // pacing events on a small-int argument (boxes without allocating) so
-// steady-state scheduling is allocation-free.
+// steady-state scheduling is allocation-free. The transport's RTO is the
+// embedded netsim.Sender's own event.
 const (
 	evStart  = iota // flow start at its configured time
 	evPacket        // per-packet pacing tick
 	evBurst         // per-burst pacing tick
-	evRTO           // retransmission timeout (Recovery only)
 )
 
 // OnEvent implements des.Handler.
@@ -307,8 +198,6 @@ func (s *Sender) OnEvent(arg any) {
 		s.sendNextPacket()
 	case evBurst:
 		s.sendBurst()
-	case evRTO:
-		s.onRTO()
 	}
 }
 
@@ -319,9 +208,10 @@ func (e *Endpoint) NewFlow(id int, dst int, size int64, start des.Time, startRat
 	if _, dup := e.flows[id]; dup {
 		return nil, fmt.Errorf("timely: duplicate flow id %d", id)
 	}
-	s := &Sender{e: e, id: id, dst: dst, size: size, startRate: startRate}
+	s := &Sender{e: e, startRate: startRate}
+	s.Init(&e.Endpoint, s, id, dst, size)
 	e.flows[id] = s
-	e.host.AtHandler(start, s, evStart)
+	e.Host().AtHandler(start, s, evStart)
 	return s, nil
 }
 
@@ -335,24 +225,22 @@ func (s *Sender) Gradient() float64 { return s.rttDiff / s.e.p.MinRTT.Seconds() 
 // completion event) — the signal the probe layer samples.
 func (s *Sender) RTT() des.Duration { return s.prevRTT }
 
-// Done reports whether all bytes were handed to the NIC.
-func (s *Sender) Done() bool { return s.done }
-
-// SentBytes reports bytes handed to the NIC so far.
-func (s *Sender) SentBytes() int64 { return s.sent }
-
 func (s *Sender) start() {
-	if s.started {
+	if !s.Begin() {
 		return
 	}
-	s.started = true
 	if s.startRate > 0 {
 		s.rate = s.startRate
 	} else {
 		n := s.e.ActiveFlows() // this flow already counts as active
-		s.rate = s.e.host.LineRate() / float64(n+1)
+		s.rate = s.e.Host().LineRate() / float64(n+1)
 	}
 	s.clampRate()
+	s.send()
+}
+
+// send runs the configured pacing discipline from the cursor.
+func (s *Sender) send() {
 	if s.e.p.Burst {
 		s.sendBurst()
 	} else {
@@ -360,8 +248,20 @@ func (s *Sender) start() {
 	}
 }
 
+// Resend implements netsim.Control: pacing restarts from the rewound
+// cursor. The segment accumulator restarts too, so ack-request boundaries
+// stay aligned with the retransmitted stream.
+func (s *Sender) Resend() {
+	s.segBytes = 0
+	s.paceEv.Cancel()
+	s.send()
+}
+
+// Stop implements netsim.Control: the flow is done, so pacing stops.
+func (s *Sender) Stop() { s.paceEv.Cancel() }
+
 func (s *Sender) clampRate() {
-	line := s.e.host.LineRate()
+	line := s.e.Host().LineRate()
 	if s.rate > line {
 		s.rate = line
 	}
@@ -371,78 +271,53 @@ func (s *Sender) clampRate() {
 }
 
 // nextPacket builds the next data packet, flagging segment boundaries
-// (AckReq) and flow completion (Last). Returns nil when the flow is done.
+// (AckReq) and flow completion (Last), and moves the cursor past it, so a
+// retransmission is traced before the send. Returns nil at the end of the
+// flow.
 func (s *Sender) nextPacket() *netsim.Packet {
-	size := int64(netsim.DataMTU)
-	last := false
-	if s.size >= 0 {
-		remain := s.size - s.sent
-		if remain <= 0 {
-			return nil
-		}
-		if remain <= size {
-			size = remain
-			last = true
-		}
+	pkt := s.DataPacket()
+	if pkt == nil {
+		return nil
 	}
-	s.segBytes += size
-	ackReq := last
+	s.segBytes += int64(pkt.Size)
+	pkt.AckReq = pkt.Last
 	if s.segBytes >= int64(s.e.p.Seg) {
-		ackReq = true
+		pkt.AckReq = true
 		s.segBytes = 0
 	}
-	pkt := s.e.host.AllocPacket()
-	pkt.Flow = s.id
-	pkt.Dst = s.dst
-	pkt.Size = int(size)
-	pkt.Kind = netsim.Data
-	pkt.ECT = true
-	pkt.Seq = s.sent
-	pkt.Last = last
-	pkt.AckReq = ackReq
-	if s.e.p.Recovery && s.sent < s.maxSent {
-		s.retxBytes += size
-		s.obsRetx(size, s.sent)
-	}
-	s.sent += size
-	if s.e.p.Recovery && s.sent > s.maxSent {
-		s.maxSent = s.sent
-	}
+	s.Advance(int64(pkt.Size))
 	return pkt
 }
 
 // sendNextPacket implements per-packet pacing: every packet is spaced by
 // size/rate.
 func (s *Sender) sendNextPacket() {
-	if s.done {
+	if s.Done() {
 		return
 	}
 	pkt := s.nextPacket()
 	if pkt == nil {
-		s.cursorDone()
+		s.Finish()
 		return
 	}
 	// Ownership of pkt transfers to the network at Send; read its fields
 	// before handing it over.
 	size, last := pkt.Size, pkt.Last
-	s.e.host.Send(pkt)
-	s.obsPace()
-	if s.e.p.Recovery {
-		s.armRTO()
-	}
+	s.Transmit(pkt)
+	s.ArmRTO()
 	if last {
-		s.cursorDone()
+		s.Finish()
 		return
 	}
 	gap := des.DurationFromSeconds(float64(size) / s.rate)
-	s.paceEv = s.e.host.ScheduleHandler(gap, s, evPacket)
+	s.paceEv = s.e.Host().ScheduleHandler(gap, s, evPacket)
 }
 
 // sendBurst implements per-burst pacing: a whole segment is handed to the
 // NIC at once (it drains at line rate), and the next burst is scheduled so
 // the average rate equals the target rate (§4.2).
 func (s *Sender) sendBurst() {
-	if s.done {
+	if s.Done() {
 		return
 	}
 	burstBytes := int64(0)
@@ -454,8 +329,7 @@ func (s *Sender) sendBurst() {
 			break
 		}
 		size, last, ackReq := pkt.Size, pkt.Last, pkt.AckReq
-		s.e.host.Send(pkt)
-		s.obsPace()
+		s.Transmit(pkt)
 		burstBytes += int64(size)
 		if last {
 			ended = true
@@ -465,15 +339,15 @@ func (s *Sender) sendBurst() {
 			break // segment boundary
 		}
 	}
-	if s.e.p.Recovery && burstBytes > 0 {
-		s.armRTO()
+	if burstBytes > 0 {
+		s.ArmRTO()
 	}
 	if ended {
-		s.cursorDone()
+		s.Finish()
 		return
 	}
 	gap := des.DurationFromSeconds(float64(burstBytes) / s.rate)
-	s.paceEv = s.e.host.ScheduleHandler(gap, s, evBurst)
+	s.paceEv = s.e.Host().ScheduleHandler(gap, s, evBurst)
 }
 
 // onAck is the completion event: compute the RTT sample and run the rate
@@ -481,16 +355,16 @@ func (s *Sender) sendBurst() {
 // is also cumulative; the acknowledgement state advances even when the
 // RTT update is gated away.
 func (s *Sender) onAck(pkt *netsim.Packet) {
-	if !s.started {
+	if !s.Started() {
 		return
 	}
 	if s.e.p.Recovery {
-		s.onCumAck(pkt.Seq)
-		if s.done {
+		s.OnAck(pkt.Seq)
+		if s.Done() {
 			return
 		}
 	}
-	now := s.e.host.Now()
+	now := s.e.Host().Now()
 	newRTT := now.Sub(pkt.EchoT)
 	if h := s.e.rttH; h != nil {
 		// Every completion-event RTT sample lands in the distribution,
@@ -498,10 +372,10 @@ func (s *Sender) onAck(pkt *netsim.Packet) {
 		// rate computation — the spread is what the paper plots.
 		h.Record(newRTT.Seconds())
 	}
-	if s.e.aud != nil {
+	if s.e.Auditing() {
 		// Likewise every sample is audited, gated or not, so the offline
 		// analysis sees the same signal the engine saw.
-		s.audit(obs.Decision{Type: obs.DecRTTSample, RTT: newRTT.Seconds()})
+		s.Audit(obs.Decision{Type: obs.DecRTTSample, RTT: newRTT.Seconds()})
 	}
 	if s.haveRTT && now.Sub(s.lastUpdate) < s.e.p.MinRTT {
 		return
@@ -527,15 +401,14 @@ func (s *Sender) update(newRTT des.Duration) {
 	gradient := s.rttDiff / p.MinRTT.Seconds()
 	oldRate := s.rate
 	dec := obs.DecTimelyAdd
-	if s.e.aud != nil {
-		s.audit(obs.Decision{Type: obs.DecGradient, Grad: gradient, RTT: newRTT.Seconds()})
+	if s.e.Auditing() {
+		s.Audit(obs.Decision{Type: obs.DecGradient, Grad: gradient, RTT: newRTT.Seconds()})
 	}
 
 	switch {
 	case newRTT < p.TLow:
-		s.additive()
+		s.rate += p.Delta
 	case newRTT > p.THigh:
-		s.aiStreak = 0
 		bh := p.BetaHigh
 		if bh == 0 {
 			bh = p.Beta
@@ -548,36 +421,21 @@ func (s *Sender) update(newRTT des.Duration) {
 			w := Weight(gradient)
 			errTerm := (newRTT - p.RTTRef).Seconds() / p.RTTRef.Seconds()
 			s.rate = p.Delta*(1-w) + s.rate*(1-p.Beta*w*errTerm)
-			s.aiStreak = 0
 			dec = obs.DecTimelyPatched
 		} else if gradient <= 0 {
-			s.additive()
+			s.rate += p.Delta
 		} else {
-			s.aiStreak = 0
-			g := gradient
-			if p.GradClamp > 0 && g > p.GradClamp {
-				g = p.GradClamp
-			}
-			s.rate *= 1 - p.Beta*g
+			s.rate *= 1 - p.Beta*gradient
 			dec = obs.DecTimelyMD
 		}
 	}
 	s.clampRate()
-	if s.e.aud != nil {
-		s.audit(obs.Decision{
+	if s.e.Auditing() {
+		s.Audit(obs.Decision{
 			Type: dec, OldRate: oldRate, NewRate: s.rate,
 			RTT: newRTT.Seconds(), Grad: gradient,
 		})
 	}
-}
-
-func (s *Sender) additive() {
-	s.aiStreak++
-	step := s.e.p.Delta
-	if s.e.p.HAI && s.aiStreak >= 5 {
-		step *= 5
-	}
-	s.rate += step
 }
 
 // Weight is the Eq. 30 linear rate-decrease weight used by Algorithm 2.
