@@ -47,6 +47,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	switch {
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "ecnbench: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	case *workers < 0:
+		fmt.Fprintf(stderr, "ecnbench: -workers must be >= 0, got %d\n", *workers)
+		return 2
+	}
 	if *list {
 		fmt.Fprintf(stdout, "%-8s %-28s %s\n", "ID", "REPRODUCES", "TITLE")
 		for _, r := range exp.Runners() {

@@ -40,14 +40,27 @@ func TestBadFlagExitsNonZero(t *testing.T) {
 	if code := run([]string{"-definitely-not-a-flag"}, &out, &errOut); code != 2 {
 		t.Fatalf("bad flag exit code %d, want 2", code)
 	}
-	// A value the flag package accepts but no run can use is refused too.
-	errOut.Reset()
-	if code := run([]string{"-exp", "eq14", "-probe-every", "NaN"}, &out, &errOut); code != 2 {
-		t.Fatalf("-probe-every NaN exit code %d, want 2", code)
-	}
-	if msg := errOut.String(); !strings.HasPrefix(msg, "ecnbench: ") || strings.Count(msg, "\n") != 1 ||
-		!strings.Contains(msg, "-probe-every") {
-		t.Errorf("stderr %q, want one ecnbench: line naming -probe-every", msg)
+	// A value the flag package accepts but no run can use is refused too,
+	// and so is a stray argument, which would end parsing and drop every
+	// flag after it.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "eq14", "-probe-every", "NaN"}, "-probe-every"},
+		{[]string{"-exp", "eq14", "-workers", "-1"}, "-workers"},
+		{[]string{"-exp", "eq14", "stray", "-workers", "2"}, `"stray"`},
+		{[]string{"-list", "stray"}, `"stray"`},
+	} {
+		out.Reset()
+		errOut.Reset()
+		if code := run(c.args, &out, &errOut); code != 2 || out.Len() != 0 {
+			t.Errorf("%v: exit code %d, stdout %q; want 2 and nothing", c.args, code, out.String())
+		}
+		if msg := errOut.String(); !strings.HasPrefix(msg, "ecnbench: ") || strings.Count(msg, "\n") != 1 ||
+			!strings.Contains(msg, c.want) {
+			t.Errorf("%v: stderr %q, want one ecnbench: line naming %s", c.args, msg, c.want)
+		}
 	}
 }
 

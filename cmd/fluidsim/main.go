@@ -15,9 +15,9 @@ import (
 	"math"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 
+	"ecndelay/internal/cli"
 	"ecndelay/internal/fluid"
 )
 
@@ -115,12 +115,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var initial []float64
 	if *rates != "" {
-		for _, f := range strings.Split(*rates, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return fail(2, "bad -rates: %v", err)
-			}
-			initial = append(initial, v)
+		var err error
+		if initial, err = cli.ParseFloats(*rates); err != nil {
+			return fail(2, "bad -rates: %v", err)
 		}
 		if len(initial) != *n {
 			return fail(2, "-rates has %d entries, -n is %d", len(initial), *n)

@@ -82,6 +82,9 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-model", "quic"}, "-model"},
 		{[]string{"-rates", "1,x"}, "-rates"},
 		{[]string{"-rates", "1e6"}, "-rates"},
+		{[]string{"-model", "dcqcn", "-n", "2", "-rates", "-1e9,NaN"}, "-rates"},
+		{[]string{"-rates", "Inf,1e9"}, "-rates"},
+		{[]string{"-model", "patched", "-rates", "1e9,-Inf"}, "-rates"},
 		{[]string{"-delay", "-1"}, "-model dcqcn"},
 		{[]string{"extra"}, `"extra"`},
 		// A step count or history ring past the run budget.

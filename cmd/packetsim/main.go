@@ -183,15 +183,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var startRates []float64
 	if *rates != "" {
-		for _, f := range strings.Split(*rates, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return fail(2, "bad -rates: %v", err)
-			}
-			if !(v >= 0) || math.IsInf(v, 1) {
-				return fail(2, "bad -rates entry %g: want a finite rate >= 0 (0: the protocol's default)", v)
-			}
-			startRates = append(startRates, v)
+		var err error
+		if startRates, err = cli.ParseFloats(*rates); err != nil {
+			return fail(2, "bad -rates: %v (0 keeps the protocol's default)", err)
 		}
 		if len(startRates) != *n {
 			return fail(2, "-rates has %d entries, -n is %d", len(startRates), *n)

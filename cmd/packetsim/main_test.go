@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"hash/fnv"
 	"math"
 	"os"
@@ -287,7 +288,8 @@ func TestPercentileGate(t *testing.T) {
 
 // A dcqcn run's export header names the scenario's operating point, bit
 // for bit, with the background flows counted in N; other protocols name
-// none.
+// none. Every JSONL export of one run opens with a header of its own
+// schema, and all of them name the same run.
 func TestHeaderOperatingPoint(t *testing.T) {
 	dir := t.TempDir()
 	header := func(args ...string) *obs.Header {
@@ -310,6 +312,34 @@ func TestHeaderOperatingPoint(t *testing.T) {
 	}
 	if op := header("-proto", "timely", "-n", "2").Op; op != nil {
 		t.Errorf("-proto timely recorded %+v, want no point", op)
+	}
+
+	args := []string{"-proto", "dcqcn", "-n", "3", "-horizon", "0.001", "-seed", "3"}
+	for _, schema := range []string{"trace", "probe", "hist", "audit"} {
+		args = append(args, "-"+schema, filepath.Join(dir, schema+".jsonl"))
+	}
+	runOK(t, args...)
+	var first *obs.Header
+	for _, schema := range []string{"trace", "probe", "hist", "audit"} {
+		b, err := os.ReadFile(filepath.Join(dir, schema+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, _, _ := bytes.Cut(b, []byte("\n"))
+		var h obs.Header
+		if err := json.Unmarshal(line, &h); err != nil || h.Schema != schema || h.Version != 1 {
+			t.Errorf("-%s export opens with %q, want a version 1 %q header", schema, line, schema)
+			continue
+		}
+		if first == nil {
+			first = &h
+		} else if h.Seed != first.Seed || h.Proto != first.Proto || h.Flags != first.Flags ||
+			h.Op == nil || first.Op == nil || !sameBits(*h.Op, *first.Op) {
+			t.Errorf("-%s header %+v names another run than -%s's %+v", schema, h, first.Schema, *first)
+		}
+	}
+	if first == nil || first.Seed != 3 || first.Proto != "dcqcn" || first.Op == nil {
+		t.Errorf("headers %+v, want seed 3, proto dcqcn and an operating point", first)
 	}
 }
 

@@ -15,9 +15,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
+	"ecndelay/internal/cli"
 	"ecndelay/internal/fixedpoint"
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/stability"
@@ -63,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *workers < 0:
 		return fail(2, "-workers must be >= 0, got %d", *workers)
 	}
-	ns, err := parseInts(*flows)
+	ns, err := cli.ParseInts(*flows)
 	if err != nil {
 		return fail(2, "bad -flows: %v", err)
 	}
@@ -76,13 +75,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch *model {
 	case "dcqcn":
-		var ds []float64
-		for _, s := range strings.Split(*delays, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				return fail(2, "bad -delays: %v", err)
-			}
-			ds = append(ds, v)
+		ds, err := cli.ParseFloats(*delays)
+		if err != nil {
+			return fail(2, "bad -delays: %v", err)
 		}
 		// The overrides are checked one at a time against the defaults,
 		// so a parameter error names the flag that caused it.
@@ -248,35 +243,4 @@ func patchedJobs(ns []int) []sweep.Job {
 		})
 	}
 	return jobs
-}
-
-// parseInts accepts "lo:hi" (inclusive range) or a comma list.
-func parseInts(s string) ([]int, error) {
-	if lo, hi, ok := strings.Cut(s, ":"); ok {
-		a, err := strconv.Atoi(lo)
-		if err != nil {
-			return nil, err
-		}
-		b, err := strconv.Atoi(hi)
-		if err != nil {
-			return nil, err
-		}
-		if a > b {
-			return nil, fmt.Errorf("range %d:%d is backwards", a, b)
-		}
-		var out []int
-		for i := a; i <= b; i++ {
-			out = append(out, i)
-		}
-		return out, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

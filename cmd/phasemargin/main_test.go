@@ -5,40 +5,6 @@ import (
 	"testing"
 )
 
-func TestParseIntsRange(t *testing.T) {
-	got, err := parseInts("3:6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{3, 4, 5, 6}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestParseIntsList(t *testing.T) {
-	got, err := parseInts("1, 8,64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 8 || got[2] != 64 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestParseIntsErrors(t *testing.T) {
-	for _, bad := range []string{"6:3", "a:b", "1,x", ""} {
-		if _, err := parseInts(bad); err == nil {
-			t.Errorf("parseInts(%q) accepted", bad)
-		}
-	}
-}
-
 // The rendered TSV must be byte-identical whether the grid runs on one
 // worker or several.
 func TestParallelGridMatchesSerial(t *testing.T) {
@@ -89,6 +55,7 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-flows", "2:1"}, "-flows"},
 		{[]string{"-delays", "-1e-6"}, "-delays"},
 		{[]string{"-delays", "1e-6,x"}, "-delays"},
+		{[]string{"-delays", "NaN"}, "-delays"},
 		{[]string{"-workers", "-1"}, "-workers"},
 		{[]string{"-model", "quic"}, "-model"},
 	} {

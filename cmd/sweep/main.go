@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"ecndelay/internal/cli"
@@ -75,6 +74,36 @@ func run(args []string, stderr io.Writer) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "sweep: "+format+"\n", a...)
+		return 2
+	}
+	// Refuse a value no sweep can use, and a flag the grid kind would
+	// silently ignore, before any file is opened.
+	switch {
+	case fs.NArg() > 0:
+		return usage("unexpected argument %q", fs.Arg(0))
+	case *workers < 0:
+		return usage("-workers must be >= 0, got %d", *workers)
+	case *timeout < 0:
+		return usage("-timeout must be >= 0, got %v", *timeout)
+	case *retries < 0:
+		return usage("-retries must be >= 0, got %d", *retries)
+	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range ignored[*kind] {
+		if set[name] {
+			return usage("-%s does not apply to -kind %s", name, *kind)
+		}
+	}
+	dcqcn := false
+	for _, m := range strings.Split(*model, ",") {
+		dcqcn = dcqcn || strings.TrimSpace(m) == "dcqcn"
+	}
+	if set["delays"] && !dcqcn {
+		return usage("-delays applies only to -model dcqcn")
 	}
 
 	// One shared observer serves every job through its ForJob copy
@@ -145,11 +174,18 @@ func run(args []string, stderr io.Writer) int {
 	return 0
 }
 
+// ignored names, per grid kind, the flags that kind has no input for.
+var ignored = map[string][]string{
+	"pm":       {"exp", "seeds", "full"},
+	"exp":      {"model", "flows", "delays"},
+	"crossval": {"model", "flows", "delays", "exp", "seeds", "full"},
+}
+
 // buildJobs expands the flag grid into the job matrix.
 func buildJobs(kind, model, flows, delays, expFlag, seeds string, full bool, ob *obs.NetObserver) ([]sweep.Job, error) {
 	switch kind {
 	case "pm":
-		ns, err := parseInts(flows)
+		ns, err := cli.ParseInts(flows)
 		if err != nil {
 			return nil, fmt.Errorf("bad -flows: %v", err)
 		}
@@ -157,7 +193,7 @@ func buildJobs(kind, model, flows, delays, expFlag, seeds string, full bool, ob 
 		for _, m := range strings.Split(model, ",") {
 			switch m = strings.TrimSpace(m); m {
 			case "dcqcn":
-				ds, err := parseFloats(delays)
+				ds, err := cli.ParseFloats(delays)
 				if err != nil {
 					return nil, fmt.Errorf("bad -delays: %v", err)
 				}
@@ -188,7 +224,7 @@ func buildJobs(kind, model, flows, delays, expFlag, seeds string, full bool, ob 
 		}
 		var seedList []int64
 		if seeds != "" {
-			ns, err := parseInts(seeds)
+			ns, err := cli.ParseInts(seeds)
 			if err != nil {
 				return nil, fmt.Errorf("bad -seeds: %v", err)
 			}
@@ -291,48 +327,4 @@ func boolMetric(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// parseInts accepts "lo:hi" (inclusive range) or a comma list.
-func parseInts(s string) ([]int, error) {
-	if lo, hi, ok := strings.Cut(s, ":"); ok {
-		a, err := strconv.Atoi(lo)
-		if err != nil {
-			return nil, err
-		}
-		b, err := strconv.Atoi(hi)
-		if err != nil {
-			return nil, err
-		}
-		if a > b {
-			return nil, fmt.Errorf("range %d:%d is backwards", a, b)
-		}
-		var out []int
-		for i := a; i <= b; i++ {
-			out = append(out, i)
-		}
-		return out, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseFloats accepts a comma list of floats.
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

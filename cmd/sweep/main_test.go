@@ -192,13 +192,40 @@ func TestCLIUsageErrors(t *testing.T) {
 	if code := run([]string{"-bogus-flag"}, &errOut); code != 2 {
 		t.Fatalf("bogus flag exit %d, want 2", code)
 	}
-	errOut.Reset()
 	out := filepath.Join(t.TempDir(), "pm.jsonl")
-	if code := run([]string{"-kind", "pm", "-flows", "2", "-out", out, "-quiet", "-probe-every", "1e300"}, &errOut); code != 2 {
-		t.Fatalf("-probe-every 1e300 exit %d, want 2", code)
+	pm := []string{"-kind", "pm", "-flows", "2"}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{append(pm, "-probe-every", "1e300"), "-probe-every"},
+		{append(pm, "-retries", "-2"), "-retries"},
+		{append(pm, "-workers", "-1"), "-workers"},
+		{append(pm, "-timeout", "-1s"), "-timeout"},
+		// A stray argument would end parsing and drop every flag after it.
+		{append(pm, "stray"), `"stray"`},
+		// Flags the grid kind has no input for.
+		{append(pm, "-model", "patched", "-delays", "1e-6"), "-delays"},
+		{append(pm, "-exp", "fig3"), "-exp"},
+		{append(pm, "-seeds", "1:2"), "-seeds"},
+		{append(pm, "-full"), "-full"},
+		{[]string{"-kind", "exp", "-exp", "fig3", "-model", "dcqcn"}, "-model"},
+		{[]string{"-kind", "exp", "-exp", "fig3", "-flows", "2"}, "-flows"},
+		{[]string{"-kind", "exp", "-exp", "fig3", "-delays", "1e-6"}, "-delays"},
+		{[]string{"-kind", "crossval", "-flows", "2"}, "-flows"},
+		{[]string{"-kind", "crossval", "-seeds", "1:2"}, "-seeds"},
+	} {
+		errOut.Reset()
+		args := append(append([]string(nil), c.args...), "-out", out, "-quiet")
+		if code := run(args, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", c.args, code)
+		}
+		if msg := errOut.String(); !strings.HasPrefix(msg, "sweep: ") || strings.Count(msg, "\n") != 1 ||
+			!strings.Contains(msg, c.want) {
+			t.Errorf("%v: stderr %q, want one sweep: line naming %s", c.args, msg, c.want)
+		}
 	}
-	if msg := errOut.String(); !strings.HasPrefix(msg, "sweep: ") || strings.Count(msg, "\n") != 1 ||
-		!strings.Contains(msg, "-probe-every") {
-		t.Errorf("stderr %q, want one sweep: line naming -probe-every", msg)
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused sweep created its checkpoint file (stat error %v)", err)
 	}
 }

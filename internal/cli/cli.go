@@ -3,7 +3,8 @@
 // flags once and owns how each flag turns into an observer facility and
 // an export file: the self-describing export header, the observer and
 // the exports written at exit. Profiles land where `go tool pprof` reads
-// them (see EXPERIMENTS.md, "Profiling a run").
+// them (see EXPERIMENTS.md, "Profiling a run"). It also holds the two
+// list parsers every command's list flags share (ParseInts, ParseFloats).
 package cli
 
 import (
@@ -13,6 +14,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -78,6 +80,54 @@ func DurationOK(s float64, least des.Duration) bool {
 	return s >= 0 && ns >= float64(least) && ns < math.MaxInt64
 }
 
+// ParseInts parses "lo:hi" (an inclusive range) or a comma list of ints.
+func ParseInts(s string) ([]int, error) {
+	if lo, hi, ok := strings.Cut(s, ":"); ok {
+		a, err := strconv.Atoi(lo)
+		if err != nil {
+			return nil, err
+		}
+		b, err := strconv.Atoi(hi)
+		if err != nil {
+			return nil, err
+		}
+		if a > b {
+			return nil, fmt.Errorf("range %d:%d is backwards", a, b)
+		}
+		var out []int
+		for i := a; i <= b; i++ {
+			out = append(out, i)
+		}
+		return out, nil
+	}
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// ParseFloats parses a comma list of rates or delays: every entry must be
+// a finite number >= 0.
+func ParseFloats(s string) ([]float64, error) {
+	var out []float64
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return nil, err
+		}
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("entry %g is not a finite number >= 0", v)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
 // executionOnly names flags that steer how a run executes but cannot
 // change a row or an export record. Headers leave them out, so an export
 // is byte-identical for any value of them.
@@ -111,8 +161,8 @@ type Session struct {
 	stderr   io.Writer
 	stopProf func() error
 
-	mu      sync.Mutex // guards sinks and openErr against per-job opens
-	sinks   []io.Closer
+	mu      sync.Mutex // guards closers and openErr against per-job opens
+	closers []io.Closer
 	openErr error
 }
 
@@ -153,6 +203,7 @@ func (f *Flags) Open(cmd string, run obs.Header, stderr io.Writer) (*Session, er
 		// The audit trail feeds the feedback-latency histograms, so an
 		// audited run always carries a histogram set.
 		o.Hists = obs.NewHistSet()
+		o.Hists.SetHeader(s.header("hist"))
 	}
 	if f.perJob {
 		if f.Trace != "" || f.Audit != "" {
@@ -184,19 +235,21 @@ func (f *Flags) Open(cmd string, run obs.Header, stderr io.Writer) (*Session, er
 
 func (s *Session) header(schema string) obs.Header { return s.f.Header(schema, s.run) }
 
-// traceTo starts a headed JSONL trace stream on w.
-func (s *Session) traceTo(w io.Writer) *obs.Tracer {
-	sink := obs.NewJSONLSink(w)
-	sink.WriteHeader(s.header("trace"))
-	s.sinks = append(s.sinks, sink)
+// traceTo starts a headed JSONL trace stream on w. The sink flushes
+// before the session closes w.
+func (s *Session) traceTo(w *os.File) *obs.Tracer {
+	h := s.header("trace")
+	sink := obs.NewJSONLSink(w, &h)
+	s.closers = append(s.closers, sink, w)
 	return obs.NewTracer(sink)
 }
 
 // auditTo starts a headed, canonically sorted JSONL audit stream on w.
-func (s *Session) auditTo(w io.Writer) *obs.AuditTrail {
+// The sink writes before the session closes w.
+func (s *Session) auditTo(w *os.File) *obs.AuditTrail {
 	sink := obs.NewAuditJSONLSink(w, 1<<16)
 	sink.SetHeader(s.header("audit"))
-	s.sinks = append(s.sinks, sink)
+	s.closers = append(s.closers, sink, w)
 	return obs.NewAuditTrail(sink)
 }
 
@@ -208,13 +261,10 @@ func (s *Session) auditTo(w io.Writer) *obs.AuditTrail {
 func (s *Session) openJob(jobID string, job *obs.NetObserver) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	open := func(base string) io.Writer {
+	open := func(base string) *os.File {
 		w, err := os.Create(jobPath(base, jobID))
-		if err != nil {
-			if s.openErr == nil {
-				s.openErr = err
-			}
-			return nil
+		if err != nil && s.openErr == nil {
+			s.openErr = err
 		}
 		return w
 	}
@@ -293,18 +343,19 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// closeSinks flushes and closes the trace and audit files opened so far
-// and returns the first error, including a latched per-job open error.
+// closeSinks flushes the trace and audit sinks opened so far, closes
+// their files, and returns the first error, including a latched per-job
+// open error.
 func (s *Session) closeSinks() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.openErr
-	for _, c := range s.sinks {
+	for _, c := range s.closers {
 		if cerr := c.Close(); err == nil {
 			err = cerr
 		}
 	}
-	s.sinks = nil
+	s.closers = nil
 	return err
 }
 

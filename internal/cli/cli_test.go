@@ -39,6 +39,53 @@ func firstLine(t *testing.T, path string) string {
 	return line
 }
 
+func TestParseIntsRange(t *testing.T) {
+	got, err := ParseInts("3:6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{3, 4, 5, 6}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+}
+
+func TestParseIntsList(t *testing.T) {
+	got, err := ParseInts("1, 8,64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0] != 1 || got[1] != 8 || got[2] != 64 {
+		t.Fatalf("got %v", got)
+	}
+}
+
+func TestParseIntsErrors(t *testing.T) {
+	for _, bad := range []string{"6:3", "a:b", "1,x", ""} {
+		if _, err := ParseInts(bad); err == nil {
+			t.Errorf("ParseInts(%q) accepted", bad)
+		}
+	}
+}
+
+// A float list takes finite entries >= 0 and refuses the rest.
+func TestParseFloats(t *testing.T) {
+	got, err := ParseFloats("0, 1e-6,875e6")
+	if err != nil || len(got) != 3 || got[0] != 0 || got[1] != 1e-6 || got[2] != 875e6 {
+		t.Fatalf("got %v, err %v", got, err)
+	}
+	for _, bad := range []string{"", "1,x", "-1e-9", "NaN", "Inf,1", "1,-Inf"} {
+		if _, err := ParseFloats(bad); err == nil {
+			t.Errorf("ParseFloats(%q) accepted", bad)
+		}
+	}
+}
+
 func TestRegisterDeclaresSharedFlags(t *testing.T) {
 	for _, perJob := range []bool{false, true} {
 		fs := flag.NewFlagSet("cmd", flag.ContinueOnError)

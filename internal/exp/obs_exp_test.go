@@ -295,7 +295,7 @@ func TestPerJobTraceDeterministicAcrossWorkers(t *testing.T) {
 		streams := map[string]stream{}
 		shared := &obs.NetObserver{PerJob: func(jobID string, job *obs.NetObserver) {
 			h := fnv.New64a()
-			st := stream{sink: obs.NewJSONLSink(h), digest: h}
+			st := stream{sink: obs.NewJSONLSink(h, nil), digest: h}
 			st.events = obs.NewTracer(st.sink)
 			job.Trace = st.events
 			mu.Lock()

@@ -47,8 +47,8 @@ func runAuditLoop(o Options) (*Report, error) {
 	sc.ExtraDelay = 85 * des.Microsecond
 	sc.Par.Kmin = 50
 	for _, rate := range []float64{0, 0.9, 1} {
-		mem := obs.NewAuditMemorySink(1 << 16)
-		sinks := []obs.DecisionSink{mem}
+		mem := obs.NewMemorySink[obs.Decision](1 << 16)
+		sinks := []obs.Sink[obs.Decision]{mem}
 		var ob *obs.NetObserver
 		if o.Observer != nil {
 			cp := *o.Observer
@@ -75,7 +75,7 @@ func runAuditLoop(o Options) (*Report, error) {
 		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		// The open→first-cut latency is the end-to-end feedback delay from
 		// the switch flagging congestion to the first sender reacting.
-		st := obs.Attribute(mem.Decisions())
+		st := obs.Attribute(mem.Records())
 		if rate == 0 && st.Attributed != st.Cuts {
 			return nil, fmt.Errorf("auditloop: %d of %d fault-free rate cuts unattributed", st.Cuts-st.Attributed, st.Cuts)
 		}

@@ -221,7 +221,7 @@ func TestSenderGoBackN(t *testing.T) {
 		}
 	})
 	t.Run("the RTO backs off to 8x until an ack makes progress", func(t *testing.T) {
-		mem := obs.NewAuditMemorySink(0)
+		mem := obs.NewMemorySink[obs.Decision](0)
 		o := &obs.NetObserver{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(), Hists: obs.NewHistSet(),
 			Audit: obs.NewAuditTrail(mem)}
 		nw, p := startPacer(o, true, 2000)
@@ -259,7 +259,7 @@ func TestSenderGoBackN(t *testing.T) {
 		}
 		p.Audit(obs.Decision{Type: obs.DecRTTSample})
 		wantD := []obs.Decision{{T: des.Time(65 * ms / 2), Type: obs.DecRTTSample, Node: 1, Peer: 0, Flow: 1, Seq: 1}}
-		if got := mem.Decisions(); !reflect.DeepEqual(got, wantD) {
+		if got := mem.Records(); !reflect.DeepEqual(got, wantD) {
 			t.Errorf("audit records %+v, want %+v", got, wantD)
 		}
 	})

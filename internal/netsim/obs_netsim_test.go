@@ -176,8 +176,8 @@ func TestObsPFCCleanAndCounted(t *testing.T) {
 // in the trace, never as a phantom data packet.
 func TestObsPauseResumeKindNone(t *testing.T) {
 	nw, o := observedNet(7)
-	ms := obs.NewMemorySink(0)
-	o.Trace.AddSink(ms)
+	ms := obs.NewMemorySink[obs.Event](0)
+	o.Trace = obs.NewTracer(ms)
 	star := NewStar(nw, StarConfig{
 		Senders: 2,
 		Link:    LinkConfig{Bandwidth: 1.25e8, PropDelay: des.Microsecond},
@@ -197,7 +197,7 @@ func TestObsPauseResumeKindNone(t *testing.T) {
 	if o.Trace.Count(obs.Pause) == 0 {
 		t.Fatal("PFC never engaged; scenario broken")
 	}
-	for _, e := range ms.Events() {
+	for _, e := range ms.Records() {
 		switch e.Type {
 		case obs.Pause, obs.Resume:
 			if e.Kind != obs.KindNone {
@@ -218,8 +218,8 @@ func TestObsPauseResumeKindNone(t *testing.T) {
 // network reuses the same node ids from zero.
 func TestObsSharedObserverAcrossNetworks(t *testing.T) {
 	o := obs.Full()
-	ms := obs.NewMemorySink(0)
-	o.Trace.AddSink(ms)
+	ms := obs.NewMemorySink[obs.Event](0)
+	o.Trace = obs.NewTracer(ms)
 	run := func(stopEarly bool) {
 		nw, tx, rx := twoHopChain(1)
 		nw.SetObserver(o)
@@ -246,7 +246,7 @@ func TestObsSharedObserverAcrossNetworks(t *testing.T) {
 		t.Errorf("shared checker mixed books across networks: %v", err)
 	}
 	runs := make(map[uint32]bool)
-	for _, e := range ms.Events() {
+	for _, e := range ms.Records() {
 		runs[e.Run] = true
 	}
 	if len(runs) != 2 || runs[0] {
@@ -395,14 +395,15 @@ func TestObsOnOffDeterminism(t *testing.T) {
 }
 
 // The packet hot path must stay allocation-free with a full observer
-// attached, once counters are bound, checker port entries exist, and the
-// memory sink has hit its retention limit.
+// attached, once counters are bound and checker port entries exist. The
+// trace memory sink is preallocated with room for every event the drives
+// below emit, so recording never grows it.
 func TestObservedHotPathAllocFree(t *testing.T) {
 	nw, tx, rx := twoHopChain(1)
 	o := obs.Full()
-	sink := obs.NewMemorySink(256)
-	sink.Limit = 256
-	o.Trace.AddSink(sink)
+	const room = 1 << 14
+	sink := obs.NewMemorySink[obs.Event](room)
+	o.Trace = obs.NewTracer(sink)
 	nw.SetObserver(o)
 	delivered := 0
 	rx.Transport = TransportFunc(func(h *Host, pkt *Packet) { delivered++ })
@@ -417,13 +418,16 @@ func TestObservedHotPathAllocFree(t *testing.T) {
 		}
 		nw.Sim.Run()
 	}
-	drive() // warm pools, counters, checker state, and fill the sink
+	drive() // warm pools, counters and checker state
 	drive()
 	if allocs := testing.AllocsPerRun(50, drive); allocs != 0 {
 		t.Errorf("observed packet hot path allocates %.1f allocs/run, want 0", allocs)
 	}
 	if delivered == 0 {
 		t.Fatal("no packets delivered")
+	}
+	if n := len(sink.Records()); cap(sink.Records()) != room || n == 0 {
+		t.Errorf("the sink holds %d events in room for %d; it must record without growing", n, cap(sink.Records()))
 	}
 	o.Check.Finish(nw.Sim.Now())
 	if err := o.Check.Err(); err != nil {
@@ -587,7 +591,7 @@ func TestObsWatchdogStormCleanPairing(t *testing.T) {
 // (and the CNPs it reflects) can name the exact congestion event behind
 // each mark.
 func TestObsMarkEpisodeLifecycle(t *testing.T) {
-	mem := obs.NewAuditMemorySink(0)
+	mem := obs.NewMemorySink[obs.Decision](0)
 	o := &obs.NetObserver{Audit: obs.NewAuditTrail(mem), Hists: obs.NewHistSet()}
 	nw := New(1)
 	nw.SetPooling(true)
@@ -626,7 +630,7 @@ func TestObsMarkEpisodeLifecycle(t *testing.T) {
 	nw.Sim.Run()
 
 	var opens, closes []obs.Decision
-	for _, d := range mem.Decisions() {
+	for _, d := range mem.Records() {
 		switch d.Type {
 		case obs.DecMarkOpen:
 			opens = append(opens, d)

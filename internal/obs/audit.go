@@ -1,15 +1,12 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
 	"sort"
 	"strconv"
 	"sync"
 
 	"ecndelay/internal/des"
-	"ecndelay/internal/fixedpoint"
 )
 
 // DecisionType labels one control-loop decision. The audit trail records
@@ -101,104 +98,7 @@ type Decision struct {
 	QBytes  int64        `json:"qbytes"` // marker-visible queue depth, switch records
 }
 
-// DecisionSink receives audit records. Implementations are called with
-// the trail's lock held, in emission order; they must not call back into
-// the trail.
-type DecisionSink interface {
-	Decision(d Decision)
-}
-
-// AuditTrail fans decisions out to its sinks and keeps per-type counts.
-// Emission is serialised by a mutex so one trail can serve concurrent
-// sweep jobs; within one deterministic run the decision order is itself
-// deterministic.
-type AuditTrail struct {
-	mu     sync.Mutex
-	sinks  []DecisionSink
-	counts [numDecisionTypes]int64
-}
-
-// NewAuditTrail returns a trail with the given sinks (counts accumulate
-// even with none).
-func NewAuditTrail(sinks ...DecisionSink) *AuditTrail {
-	return &AuditTrail{sinks: sinks}
-}
-
-// AddSink attaches a sink.
-func (a *AuditTrail) AddSink(s DecisionSink) {
-	a.mu.Lock()
-	a.sinks = append(a.sinks, s)
-	a.mu.Unlock()
-}
-
-// Emit records one decision.
-func (a *AuditTrail) Emit(d Decision) {
-	a.mu.Lock()
-	if int(d.Type) < len(a.counts) {
-		a.counts[d.Type]++
-	}
-	for _, s := range a.sinks {
-		s.Decision(d)
-	}
-	a.mu.Unlock()
-}
-
-// Decision implements DecisionSink, so one trail can chain into another:
-// an experiment that wants a private in-memory view keeps the run-wide
-// trail attached as a second sink instead of disconnecting it.
-func (a *AuditTrail) Decision(d Decision) { a.Emit(d) }
-
-// Count reports how many decisions of one type have been emitted.
-func (a *AuditTrail) Count(typ DecisionType) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if int(typ) >= len(a.counts) {
-		return 0
-	}
-	return a.counts[typ]
-}
-
-// Total reports the number of decisions emitted across all types.
-func (a *AuditTrail) Total() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var n int64
-	for _, c := range a.counts {
-		n += c
-	}
-	return n
-}
-
-// AuditMemorySink retains decisions in memory. Give it a capacity hint
-// to keep steady-state auditing allocation-free; Limit (if positive)
-// stops retention after that many records.
-type AuditMemorySink struct {
-	Limit   int
-	decs    []Decision
-	dropped int64
-}
-
-// NewAuditMemorySink preallocates room for capacity records (0: grow on
-// demand).
-func NewAuditMemorySink(capacity int) *AuditMemorySink {
-	return &AuditMemorySink{decs: make([]Decision, 0, capacity)}
-}
-
-// Decision implements DecisionSink.
-func (m *AuditMemorySink) Decision(d Decision) {
-	if m.Limit > 0 && len(m.decs) >= m.Limit {
-		m.dropped++
-		return
-	}
-	m.decs = append(m.decs, d)
-}
-
-// Decisions returns the retained records (the live slice; treat as
-// read-only).
-func (m *AuditMemorySink) Decisions() []Decision { return m.decs }
-
-// Dropped reports decisions discarded past Limit.
-func (m *AuditMemorySink) Dropped() int64 { return m.dropped }
+func (d Decision) recordType() DecisionType { return d.Type }
 
 // Attribution is the mark-episode bookkeeping of a decision stream.
 type Attribution struct {
@@ -285,40 +185,29 @@ func decisionLess(a, b Decision) bool {
 }
 
 // AuditJSONLSink buffers decisions in memory and, on Close, writes them
-// as one JSON object per line in the canonical content order (see
-// decisionLess) behind an optional header record. Buffer-then-sort makes
-// the file byte-identical across reruns and across sweep worker counts
-// even when several jobs share one sink; encoding reuses one scratch
-// buffer, so steady-state recording costs only the amortised growth of
-// the decision slice (pass a capacity hint to eliminate it).
+// through the record writer as one JSON object per line in the canonical
+// content order (see decisionLess) behind an optional header record.
+// Buffer-then-sort makes the file byte-identical across reruns and across
+// sweep worker counts even when several jobs share one sink; steady-state
+// recording costs only the amortised growth of the decision slice (pass a
+// capacity hint to eliminate it).
 type AuditJSONLSink struct {
+	headed
 	mu     sync.Mutex
 	w      io.Writer
 	decs   []Decision
-	buf    []byte
-	header *Header
-	err    onceError
 	closed bool
+	err    error
 }
 
 // NewAuditJSONLSink writes to w on Close. capacity preallocates the
-// decision buffer (0: grow on demand). If w is also an io.Closer, Close
-// closes it.
+// decision buffer (0: grow on demand).
 func NewAuditJSONLSink(w io.Writer, capacity int) *AuditJSONLSink {
 	return &AuditJSONLSink{w: w, decs: make([]Decision, 0, capacity)}
 }
 
-// SetHeader attaches a self-describing header record written as the
-// first line of the output.
-func (s *AuditJSONLSink) SetHeader(h Header) {
-	s.mu.Lock()
-	hc := h
-	s.header = &hc
-	s.mu.Unlock()
-}
-
-// Decision implements DecisionSink.
-func (s *AuditJSONLSink) Decision(d Decision) {
+// Record implements Sink.
+func (s *AuditJSONLSink) Record(d Decision) {
 	s.mu.Lock()
 	if !s.closed {
 		s.decs = append(s.decs, d)
@@ -326,52 +215,26 @@ func (s *AuditJSONLSink) Decision(d Decision) {
 	s.mu.Unlock()
 }
 
-// Len reports the number of buffered records.
-func (s *AuditJSONLSink) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.decs)
-}
-
-// Err reports the first write error, if any.
-func (s *AuditJSONLSink) Err() error { return s.err.get() }
-
-// Close sorts the buffered records into canonical order, writes the
-// header (if set) and the records, and closes the underlying writer when
-// it is closable. Further decisions are discarded.
+// Close sorts the buffered records into canonical order and writes the
+// header (if set) and the records. It returns the first write error, on
+// every call; further decisions are discarded. The caller closes the
+// io.Writer it handed in.
 func (s *AuditJSONLSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return s.err.get()
+		return s.err
 	}
 	s.closed = true
 	sort.SliceStable(s.decs, func(i, j int) bool {
 		return decisionLess(s.decs[i], s.decs[j])
 	})
-	bw := bufio.NewWriter(s.w)
-	if s.header != nil {
-		if _, err := bw.Write(s.header.appendJSONL(s.buf[:0])); err != nil {
-			s.err.set(err)
-		}
-	}
+	rw := newRecordWriter(s.w, s.headerLine())
 	for _, d := range s.decs {
-		b := appendDecisionJSONL(s.buf[:0], d)
-		s.buf = b
-		if _, err := bw.Write(b); err != nil {
-			s.err.set(err)
-			break
-		}
+		rw.write(appendDecisionJSONL(rw.buf, d))
 	}
-	if err := bw.Flush(); err != nil {
-		s.err.set(err)
-	}
-	if c, ok := s.w.(io.Closer); ok {
-		if err := c.Close(); err != nil {
-			s.err.set(err)
-		}
-	}
-	return s.err.get()
+	s.err = rw.flush()
+	return s.err
 }
 
 // appendDecisionJSONL encodes one decision as a JSONL line. Floats use
@@ -406,49 +269,6 @@ func appendDecisionJSONL(b []byte, d Decision) []byte {
 	b = strconv.AppendFloat(b, d.Grad, 'g', -1, 64)
 	b = append(b, `,"qbytes":`...)
 	b = strconv.AppendInt(b, d.QBytes, 10)
-	b = append(b, '}', '\n')
-	return b
-}
-
-// Header is the self-describing first record of a probe/trace/audit
-// JSONL export: schema name and version, the run's base seed, the
-// protocol under test, a human-oriented summary of the invoking flags —
-// enough to reproduce an archived file without the original command
-// line — and, when the run had one, its DCQCN operating point Op. Readers
-// recognise it by its "schema" key and must tolerate its absence (files
-// written before the header existed).
-type Header struct {
-	Schema  string `json:"schema"` // export kind: "probe", "trace", "audit"
-	Version int    `json:"v"`      // schema version, starts at 1
-	Seed    int64  `json:"seed"`   // base RNG seed of the run
-	Proto   string `json:"proto"`  // protocol under test ("dcqcn", "timely", ...)
-	Flags   string `json:"flags"`  // flag summary of the invocation, "" when not a CLI run
-	// Op is the DCQCN operating point in paper units that built the run's
-	// marker and model side, nil when the run names none. The report
-	// compares the run against the fluid model at this point.
-	Op *fixedpoint.DCQCNParams `json:"op"`
-}
-
-// appendJSONL encodes the header as a JSONL line. Op, when set, is one
-// object keyed by the DCQCNParams field names in declaration order with
-// shortest round-trip floats, so it decodes back to the same bits; a
-// point holding a non-finite value, which JSON cannot carry and no
-// validated run has, is left out.
-func (h Header) appendJSONL(b []byte) []byte {
-	b = append(b, `{"schema":`...)
-	b = strconv.AppendQuote(b, h.Schema)
-	b = append(b, `,"v":`...)
-	b = strconv.AppendInt(b, int64(h.Version), 10)
-	b = append(b, `,"seed":`...)
-	b = strconv.AppendInt(b, h.Seed, 10)
-	b = append(b, `,"proto":`...)
-	b = strconv.AppendQuote(b, h.Proto)
-	b = append(b, `,"flags":`...)
-	b = strconv.AppendQuote(b, h.Flags)
-	if op, err := json.Marshal(h.Op); h.Op != nil && err == nil {
-		b = append(b, `,"op":`...)
-		b = append(b, op...)
-	}
 	b = append(b, '}', '\n')
 	return b
 }

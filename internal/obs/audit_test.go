@@ -12,7 +12,7 @@ import (
 )
 
 func TestAuditTrailCounts(t *testing.T) {
-	mem := NewAuditMemorySink(0)
+	mem := NewMemorySink[Decision](0)
 	a := NewAuditTrail(mem)
 	a.Emit(Decision{Type: DecMarkOpen})
 	a.Emit(Decision{Type: DecRateCut})
@@ -27,37 +27,23 @@ func TestAuditTrailCounts(t *testing.T) {
 	if got := a.Total(); got != 4 {
 		t.Errorf("Total() = %d, want 4", got)
 	}
-	if got := len(mem.Decisions()); got != 4 {
+	if got := len(mem.Records()); got != 4 {
 		t.Errorf("memory sink retained %d records, want 4", got)
 	}
 }
 
-func TestAuditMemorySinkLimit(t *testing.T) {
-	m := NewAuditMemorySink(4)
-	m.Limit = 3
-	for i := 0; i < 10; i++ {
-		m.Decision(Decision{Seq: uint64(i)})
-	}
-	if got := len(m.Decisions()); got != 3 {
-		t.Errorf("retained %d records past Limit 3", got)
-	}
-	if got := m.Dropped(); got != 7 {
-		t.Errorf("Dropped() = %d, want 7", got)
-	}
-}
-
-// A trail is itself a DecisionSink, so one trail can chain into another
-// — the auditloop runner keeps a run-wide CLI trail attached behind its
-// private in-memory view this way.
+// A trail is itself a Sink, so one trail can chain into another — the
+// auditloop runner keeps a run-wide CLI trail attached behind its private
+// in-memory view this way.
 func TestAuditTrailChains(t *testing.T) {
-	parentMem := NewAuditMemorySink(0)
+	parentMem := NewMemorySink[Decision](0)
 	parent := NewAuditTrail(parentMem)
-	childMem := NewAuditMemorySink(0)
+	childMem := NewMemorySink[Decision](0)
 	child := NewAuditTrail(childMem, parent)
 	child.Emit(Decision{Type: DecRateCut})
-	if len(childMem.Decisions()) != 1 || len(parentMem.Decisions()) != 1 {
+	if len(childMem.Records()) != 1 || len(parentMem.Records()) != 1 {
 		t.Errorf("child retained %d, parent retained %d; want 1 and 1",
-			len(childMem.Decisions()), len(parentMem.Decisions()))
+			len(childMem.Records()), len(parentMem.Records()))
 	}
 	if parent.Count(DecRateCut) != 1 {
 		t.Error("chained emission did not reach the parent's counters")
@@ -97,7 +83,7 @@ func TestAuditJSONLSinkOrderIndependent(t *testing.T) {
 		s := NewAuditJSONLSink(&buf, len(order))
 		s.SetHeader(Header{Schema: "audit", Version: 1, Seed: 7, Proto: "dcqcn"})
 		for _, d := range order {
-			s.Decision(d)
+			s.Record(d)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -178,16 +164,16 @@ func TestAuditHeaderEncoding(t *testing.T) {
 func TestAuditJSONLSinkDiscardsAfterClose(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewAuditJSONLSink(&buf, 0)
-	s.Decision(Decision{Type: DecRateCut})
+	s.Record(Decision{Type: DecRateCut})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	n := buf.Len()
-	s.Decision(Decision{Type: DecRateCut})
+	s.Record(Decision{Type: DecRateCut})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != n || s.Len() != 1 {
+	if buf.Len() != n || strings.Count(buf.String(), "\n") != 1 || len(s.decs) != 1 {
 		t.Error("decisions after Close were not discarded")
 	}
 }
@@ -196,8 +182,7 @@ func TestAuditJSONLSinkDiscardsAfterClose(t *testing.T) {
 // allocation-free once buffers are warm: Decision is a flat value and
 // both sinks append into preallocated storage.
 func TestAuditEmitAllocFree(t *testing.T) {
-	mem := NewAuditMemorySink(4096)
-	mem.Limit = 2048
+	mem := NewMemorySink[Decision](2048) // room for every emitted decision
 	var sb strings.Builder
 	sb.Grow(1 << 20)
 	jsonl := NewAuditJSONLSink(&sb, 4096)

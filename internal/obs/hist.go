@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"math"
 	"sort"
@@ -48,8 +47,8 @@ const (
 // HistQuantiles is the canonical percentile set every export carries.
 var HistQuantiles = [...]float64{0.50, 0.90, 0.95, 0.99, 0.999}
 
-// histQuantileLabels matches HistQuantiles in the export schemas.
-var histQuantileLabels = [...]string{"p50", "p90", "p95", "p99", "p999"}
+// HistQuantileLabels names HistQuantiles as the exports and runreport do.
+var HistQuantileLabels = [...]string{"p50", "p90", "p95", "p99", "p999"}
 
 // histPage holds the bucket counts of one octave.
 type histPage [HistSub]atomic.Int64
@@ -282,6 +281,7 @@ func (h *Hist) Summary() HistSummary {
 // instrument by agreeing on its name — recording then merges for free.
 // Lookup is mutex-guarded; hot paths bind once and keep the pointer.
 type HistSet struct {
+	headed
 	mu    sync.Mutex
 	hists map[string]*Hist
 }
@@ -325,31 +325,23 @@ func (hs *HistSet) Hists() []*Hist {
 // integer bucket counts and exact min/max, so the output is
 // byte-identical across runs and worker counts.
 func (hs *HistSet) WriteTSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("# hist\tcount\tmin\tmax\tp50\tp90\tp95\tp99\tp999\n"); err != nil {
-		return err
-	}
-	var buf []byte
+	rw := newRecordWriter(w, []byte("# hist\tcount\tmin\tmax\tp50\tp90\tp95\tp99\tp999\n"))
 	for _, h := range hs.Hists() {
 		s := h.Summary()
-		buf = buf[:0]
-		buf = append(buf, s.Name...)
-		buf = append(buf, '\t')
-		buf = strconv.AppendInt(buf, s.Count, 10)
-		buf = append(buf, '\t')
-		buf = strconv.AppendFloat(buf, s.Min, 'g', -1, 64)
-		buf = append(buf, '\t')
-		buf = strconv.AppendFloat(buf, s.Max, 'g', -1, 64)
+		b := append(rw.buf, s.Name...)
+		b = append(b, '\t')
+		b = strconv.AppendInt(b, s.Count, 10)
+		b = append(b, '\t')
+		b = strconv.AppendFloat(b, s.Min, 'g', -1, 64)
+		b = append(b, '\t')
+		b = strconv.AppendFloat(b, s.Max, 'g', -1, 64)
 		for _, q := range s.Quantiles {
-			buf = append(buf, '\t')
-			buf = strconv.AppendFloat(buf, q, 'g', -1, 64)
+			b = append(b, '\t')
+			b = strconv.AppendFloat(b, q, 'g', -1, 64)
 		}
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
+		rw.write(append(b, '\n'))
 	}
-	return bw.Flush()
+	return rw.flush()
 }
 
 // WriteJSONL renders every histogram as one JSON object per line:
@@ -357,31 +349,27 @@ func (hs *HistSet) WriteTSV(w io.Writer) error {
 //	{"hist":"fct_s","count":42,"min":1e-05,"max":0.3,"p50":...,"p90":...,"p95":...,"p99":...,"p999":...}
 //
 // in name order with shortest round-trip floats — byte-identical across
-// identical runs and worker counts. ReadHists reads it back.
+// identical runs and worker counts — behind the header, when one is set
+// (SetHeader). ReadHists reads it back.
 func (hs *HistSet) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var buf []byte
+	rw := newRecordWriter(w, hs.headerLine())
 	for _, h := range hs.Hists() {
 		s := h.Summary()
-		buf = buf[:0]
-		buf = append(buf, `{"hist":`...)
-		buf = strconv.AppendQuote(buf, s.Name)
-		buf = append(buf, `,"count":`...)
-		buf = strconv.AppendInt(buf, s.Count, 10)
-		buf = append(buf, `,"min":`...)
-		buf = strconv.AppendFloat(buf, s.Min, 'g', -1, 64)
-		buf = append(buf, `,"max":`...)
-		buf = strconv.AppendFloat(buf, s.Max, 'g', -1, 64)
+		b := append(rw.buf, `{"hist":`...)
+		b = strconv.AppendQuote(b, s.Name)
+		b = append(b, `,"count":`...)
+		b = strconv.AppendInt(b, s.Count, 10)
+		b = append(b, `,"min":`...)
+		b = strconv.AppendFloat(b, s.Min, 'g', -1, 64)
+		b = append(b, `,"max":`...)
+		b = strconv.AppendFloat(b, s.Max, 'g', -1, 64)
 		for i, q := range s.Quantiles {
-			buf = append(buf, `,"`...)
-			buf = append(buf, histQuantileLabels[i]...)
-			buf = append(buf, `":`...)
-			buf = strconv.AppendFloat(buf, q, 'g', -1, 64)
+			b = append(b, `,"`...)
+			b = append(b, HistQuantileLabels[i]...)
+			b = append(b, `":`...)
+			b = strconv.AppendFloat(b, q, 'g', -1, 64)
 		}
-		buf = append(buf, '}', '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
+		rw.write(append(b, '}', '\n'))
 	}
-	return bw.Flush()
+	return rw.flush()
 }

@@ -382,8 +382,8 @@ func TestCheckerFeedAllocFree(t *testing.T) {
 
 func TestObserverEmitRouting(t *testing.T) {
 	o := Full()
-	m := NewMemorySink(4)
-	o.Trace.AddSink(m)
+	m := NewMemorySink[Event](4)
+	o.Trace = NewTracer(m)
 	o.Emit(Event{Type: DoubleFree, Pkt: 1})
 	if o.Trace.Count(DoubleFree) != 1 {
 		t.Error("Emit did not reach the tracer")
@@ -391,7 +391,7 @@ func TestObserverEmitRouting(t *testing.T) {
 	if o.Check.Count(InvDoubleFree) != 1 {
 		t.Error("Emit did not reach the checker")
 	}
-	if len(m.Events()) != 1 {
+	if len(m.Records()) != 1 {
 		t.Error("Emit did not reach the sink")
 	}
 	// Partially-populated observers route only what exists.

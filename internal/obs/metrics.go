@@ -1,9 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -71,14 +71,17 @@ func (r *Registry) Snapshot() []Metric {
 	return out
 }
 
-// WriteTSV renders the snapshot as "name\tvalue" lines sorted by name.
+// WriteTSV renders the snapshot as "name\tvalue" lines sorted by name,
+// through one buffered writer.
 func (r *Registry) WriteTSV(w io.Writer) error {
+	rw := newRecordWriter(w, nil)
 	for _, m := range r.Snapshot() {
-		if _, err := fmt.Fprintf(w, "%s\t%d\n", m.Name, m.Value); err != nil {
-			return err
-		}
+		b := append(rw.buf, m.Name...)
+		b = append(b, '\t')
+		b = strconv.AppendInt(b, m.Value, 10)
+		rw.write(append(b, '\n'))
 	}
-	return nil
+	return rw.flush()
 }
 
 // PortCounters are the per-port instruments netsim registers: the names

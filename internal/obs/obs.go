@@ -1,8 +1,14 @@
 // Package obs is the observability layer of the simulator: hierarchical
-// counters, fixed-cadence time-series probes backed by
-// preallocated ring buffers, a pooled-buffer event-trace facility with
-// pluggable sinks, and a runtime invariant checker fed by the same event
-// stream.
+// counters, fixed-cadence time-series probes backed by preallocated ring
+// buffers, streaming latency histograms, two record streams with
+// pluggable sinks — the event trace and the control-loop decision audit
+// — and a runtime invariant checker fed by the event stream.
+//
+// Every export runs through one buffered record writer (record.go). Each
+// JSONL export — trace, probe, audit and histogram — starts with a Header
+// naming its schema, seed, protocol, flags and operating point when the
+// invoking command sets one; ReadAudit, ReadHists and ReadProbes return
+// it, and runreport prints one header line per file it reads.
 //
 // The package deliberately knows nothing about the network simulator: every
 // hook carries plain integers (node ids, byte counts, packet kinds as raw
@@ -22,11 +28,7 @@
 // allocation-free after warm-up.
 package obs
 
-import (
-	"sync"
-
-	"ecndelay/internal/des"
-)
+import "ecndelay/internal/des"
 
 // NetObserver bundles the observability facilities a simulation run may
 // attach: any field may be nil, and a nil *NetObserver disables everything.
@@ -147,8 +149,9 @@ func (o *NetObserver) Hist(name string) *Hist {
 }
 
 // Full returns an observer with every facility enabled: a fresh registry,
-// a tracer with no sinks (attach some, or use Counts), a checker, and a
-// probe set. Convenient for tests that want everything on.
+// a tracer with no sinks (its counts still accumulate), a checker, a
+// probe set and a histogram set. Convenient for tests that want
+// everything on.
 func Full() *NetObserver {
 	return &NetObserver{
 		Metrics: NewRegistry(),
@@ -157,27 +160,4 @@ func Full() *NetObserver {
 		Probes:  NewProbeSet(),
 		Hists:   NewHistSet(),
 	}
-}
-
-// onceError latches the first error from a best-effort writer path.
-type onceError struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (o *onceError) set(err error) {
-	if err == nil {
-		return
-	}
-	o.mu.Lock()
-	if o.err == nil {
-		o.err = err
-	}
-	o.mu.Unlock()
-}
-
-func (o *onceError) get() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.err
 }

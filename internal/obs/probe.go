@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"sort"
 	"strconv"
@@ -142,9 +141,9 @@ func (p *Probe) Drive(sim *des.Simulator, every des.Duration, fn func() float64)
 // by name (ties by insertion order), so a set whose probe names are
 // deterministic exports byte-identically for any worker count.
 type ProbeSet struct {
+	headed
 	mu     sync.Mutex
 	probes []*Probe
-	header *Header
 }
 
 // NewProbeSet returns an empty set.
@@ -161,17 +160,6 @@ func (ps *ProbeSet) Add(p *Probe) *Probe {
 // NewProbe creates, registers, and returns a probe in one step.
 func (ps *ProbeSet) NewProbe(name string, capacity int) *Probe {
 	return ps.Add(NewProbe(name, capacity))
-}
-
-// SetHeader attaches a self-describing header record written as the
-// first line of WriteJSONL output. The header describes the whole
-// export, so it is set once by the invoking command — not per job — and
-// stays identical for any worker count.
-func (ps *ProbeSet) SetHeader(h Header) {
-	ps.mu.Lock()
-	hc := h
-	ps.header = &hc
-	ps.mu.Unlock()
 }
 
 // Probes returns the registered probes sorted by name (stable on ties).
@@ -197,41 +185,24 @@ func (ps *ProbeSet) Probes() []*Probe {
 // chronologically, and floats in Go's shortest round-trip form —
 // byte-identical across identical runs.
 func (ps *ProbeSet) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var buf []byte
-	ps.mu.Lock()
-	h := ps.header
-	ps.mu.Unlock()
-	if h != nil {
-		if _, err := bw.Write(h.appendJSONL(buf)); err != nil {
-			return err
-		}
-	}
+	rw := newRecordWriter(w, ps.headerLine())
 	for _, p := range ps.Probes() {
 		for _, s := range p.Samples() {
-			buf = buf[:0]
-			buf = append(buf, `{"probe":`...)
-			buf = strconv.AppendQuote(buf, p.name)
-			buf = append(buf, `,"t":`...)
-			buf = strconv.AppendFloat(buf, s.T, 'g', -1, 64)
-			buf = append(buf, `,"v":`...)
-			buf = strconv.AppendFloat(buf, s.V, 'g', -1, 64)
-			buf = append(buf, '}', '\n')
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
+			b := append(rw.buf, `{"probe":`...)
+			b = strconv.AppendQuote(b, p.name)
+			b = append(b, `,"t":`...)
+			b = strconv.AppendFloat(b, s.T, 'g', -1, 64)
+			b = append(b, `,"v":`...)
+			b = strconv.AppendFloat(b, s.V, 'g', -1, 64)
+			rw.write(append(b, '}', '\n'))
 		}
 		if d := p.Dropped(); d > 0 {
-			buf = buf[:0]
-			buf = append(buf, `{"probe":`...)
-			buf = strconv.AppendQuote(buf, p.name)
-			buf = append(buf, `,"dropped":`...)
-			buf = strconv.AppendInt(buf, d, 10)
-			buf = append(buf, '}', '\n')
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
+			b := append(rw.buf, `{"probe":`...)
+			b = strconv.AppendQuote(b, p.name)
+			b = append(b, `,"dropped":`...)
+			b = strconv.AppendInt(b, d, 10)
+			rw.write(append(b, '}', '\n'))
 		}
 	}
-	return bw.Flush()
+	return rw.flush()
 }

@@ -9,19 +9,23 @@ import (
 )
 
 // The readers below decode the JSONL exports this package writes, so every
-// record format has its encoder and its decoder in one place. Each skips
-// header and foreign records (lines without the record's key), and a line
-// that is not JSON, or not the record its key claims, is an error naming
-// the file and the line. Floats decode to the same bits they were written
-// from: the writers use the shortest round-trip form.
+// record format has its encoder and its decoder in one place. Each returns
+// the file's header — its first record when that carries a "schema" key,
+// else nil — and skips foreign records (lines without the record's key);
+// a line that is not JSON, or not the record its key claims, is an error
+// naming the file and the line. Floats decode to the same bits they were
+// written from: the writers use the shortest round-trip form.
 
-// readJSONL calls fn on every non-blank line of the file at path.
-func readJSONL(path string, fn func(line []byte) error) error {
+// readJSONL returns the header of the file at path and calls fn on every
+// other non-blank line.
+func readJSONL(path string, fn func(line []byte) error) (*Header, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
+	var hdr *Header
+	first := true
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for n := 1; sc.Scan(); n++ {
@@ -29,14 +33,22 @@ func readJSONL(path string, fn func(line []byte) error) error {
 		if len(line) == 0 {
 			continue
 		}
+		if first {
+			first = false
+			var h Header
+			if json.Unmarshal(line, &h) == nil && h.Schema != "" {
+				hdr = &h
+				continue
+			}
+		}
 		if err := fn(line); err != nil {
-			return fmt.Errorf("%s:%d: %v", path, n, err)
+			return nil, fmt.Errorf("%s:%d: %v", path, n, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	return nil
+	return hdr, nil
 }
 
 // decisionTypeByName inverts decisionTypeNames.
@@ -48,21 +60,11 @@ var decisionTypeByName = func() map[string]DecisionType {
 	return m
 }()
 
-// ReadAudit reads an audit export (AuditJSONLSink): its header, nil when
-// the first record is not one, and its decisions in file order.
+// ReadAudit reads an audit export (AuditJSONLSink): its header and its
+// decisions in file order.
 func ReadAudit(path string) (*Header, []Decision, error) {
-	var hdr *Header
 	var decs []Decision
-	first := true
-	err := readJSONL(path, func(line []byte) error {
-		if first {
-			first = false
-			var h Header
-			if json.Unmarshal(line, &h) == nil && h.Schema != "" {
-				hdr = &h
-				return nil
-			}
-		}
+	hdr, err := readJSONL(path, func(line []byte) error {
 		var r struct {
 			Decision
 			Dec string `json:"dec"`
@@ -87,12 +89,12 @@ func ReadAudit(path string) (*Header, []Decision, error) {
 	return hdr, decs, nil
 }
 
-// ReadHists reads a histogram JSONL export (HistSet.WriteJSONL): one
-// summary per row, in file order. A quantile column the row lacks reads
-// as zero.
-func ReadHists(path string) ([]HistSummary, error) {
+// ReadHists reads a histogram JSONL export (HistSet.WriteJSONL): its
+// header and one summary per row, in file order. A quantile column the
+// row lacks reads as zero.
+func ReadHists(path string) (*Header, []HistSummary, error) {
 	var out []HistSummary
-	err := readJSONL(path, func(line []byte) error {
+	hdr, err := readJSONL(path, func(line []byte) error {
 		var r struct {
 			Hist  string  `json:"hist"`
 			Count int64   `json:"count"`
@@ -113,18 +115,21 @@ func ReadHists(path string) ([]HistSummary, error) {
 		}
 		return nil
 	})
-	return out, err
+	if err != nil {
+		return nil, nil, err
+	}
+	return hdr, out, nil
 }
 
-// ReadProbes reads a probe JSONL export (ProbeSet.WriteJSONL) and calls
-// series once per probe name, in the order the names first appear, with
-// that name's samples in file order and the overwrite count its dropped
-// trailer carries (0 without one).
-func ReadProbes(path string, series func(name string, samples []Sample, dropped int64)) error {
+// ReadProbes reads a probe JSONL export (ProbeSet.WriteJSONL), returns its
+// header and calls series once per probe name, in the order the names
+// first appear, with that name's samples in file order and the overwrite
+// count its dropped trailer carries (0 without one).
+func ReadProbes(path string, series func(name string, samples []Sample, dropped int64)) (*Header, error) {
 	var names []string
 	samples := make(map[string][]Sample)
 	dropped := make(map[string]int64)
-	err := readJSONL(path, func(line []byte) error {
+	hdr, err := readJSONL(path, func(line []byte) error {
 		var r struct {
 			Probe   string   `json:"probe"`
 			T       *float64 `json:"t"`
@@ -149,10 +154,10 @@ func ReadProbes(path string, series func(name string, samples []Sample, dropped 
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, name := range names {
 		series(name, samples[name], dropped[name])
 	}
-	return nil
+	return hdr, nil
 }

@@ -94,7 +94,7 @@ func TestReadAuditRoundTrip(t *testing.T) {
 					s.SetHeader(*c.hdr)
 				}
 				for i := len(decs) - 1; i >= 0; i-- {
-					s.Decision(decs[i])
+					s.Record(decs[i])
 				}
 				return s.Close()
 			})
@@ -131,8 +131,8 @@ func TestHeaderOpEncoding(t *testing.T) {
 	}
 }
 
-// A histogram export reads back as every histogram's Summary, all five
-// quantile columns included, skipping header and probe records.
+// A histogram export reads back as its header and every histogram's
+// Summary, all five quantile columns included, skipping probe records.
 func TestReadHistsRoundTrip(t *testing.T) {
 	hs := NewHistSet()
 	for i := 1; i <= 1000; i++ {
@@ -140,16 +140,20 @@ func TestReadHistsRoundTrip(t *testing.T) {
 	}
 	hs.Hist("a.one").Record(3)
 	hs.Hist("c.empty")
+	head := &Header{Schema: "hist", Version: 1, Seed: 1, Flags: "n=2"}
+	hs.SetHeader(*head)
 	var buf bytes.Buffer
-	buf.WriteString(`{"schema":"hist","v":1,"seed":1,"proto":"","flags":""}` + "\n")
 	if err := hs.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	buf.WriteString(`{"probe":"queue_bytes","dropped":12}` + "\n")
 	path := writeTemp(t, "hist.jsonl", func(f io.Writer) error { _, err := f.Write(buf.Bytes()); return err })
-	got, err := ReadHists(path)
+	hdr, got, err := ReadHists(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !sameBits(hdr, head) {
+		t.Errorf("header = %+v, want %+v", hdr, head)
 	}
 	var want []HistSummary
 	for _, h := range hs.Hists() {
@@ -165,11 +169,12 @@ func TestReadHistsRoundTrip(t *testing.T) {
 	}
 }
 
-// A probe export reads back as each series in name order with its
-// samples, and a wrapped ring's dropped trailer as its count.
+// A probe export reads back as its header and each series in name order
+// with its samples, and a wrapped ring's dropped trailer as its count.
 func TestReadProbesRoundTrip(t *testing.T) {
 	ps := NewProbeSet()
-	ps.SetHeader(Header{Schema: "probe", Version: 1, Seed: 2, Proto: "dcqcn"})
+	head := &Header{Schema: "probe", Version: 1, Seed: 2, Proto: "dcqcn"}
+	ps.SetHeader(*head)
 	wrapped := ps.NewProbe("b.wrapped", 3)
 	whole := ps.NewProbe("a.whole", 8)
 	for i := 0; i < 5; i++ {
@@ -183,10 +188,14 @@ func TestReadProbesRoundTrip(t *testing.T) {
 		dropped int64
 	}
 	var got []series
-	if err := ReadProbes(path, func(name string, s []Sample, dropped int64) {
+	hdr, err := ReadProbes(path, func(name string, s []Sample, dropped int64) {
 		got = append(got, series{name, s, dropped})
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !sameBits(hdr, head) {
+		t.Errorf("header = %+v, want %+v", hdr, head)
 	}
 	want := []series{
 		{"a.whole", whole.Samples(), 0},
@@ -210,8 +219,11 @@ func TestReadMalformedLine(t *testing.T) {
 	}{
 		{"audit", `{"schema":"audit","v":1}` + "\n{not json\n", func(p string) error { _, _, err := ReadAudit(p); return err }},
 		{"audit-type", "\n" + `{"t_ns":1,"dec":"bogus"}` + "\n", func(p string) error { _, _, err := ReadAudit(p); return err }},
-		{"hist", "{not json\n", func(p string) error { _, err := ReadHists(p); return err }},
-		{"probe", `{"probe":"q","t":"x"}` + "\n", func(p string) error { return ReadProbes(p, func(string, []Sample, int64) {}) }},
+		{"hist", "{not json\n", func(p string) error { _, _, err := ReadHists(p); return err }},
+		{"probe", `{"probe":"q","t":"x"}` + "\n", func(p string) error {
+			_, err := ReadProbes(p, func(string, []Sample, int64) {})
+			return err
+		}},
 	} {
 		path := writeTemp(t, "bad.jsonl", func(f io.Writer) error { _, err := io.WriteString(f, c.body); return err })
 		line := strings.Count(strings.TrimRight(c.body, "\n"), "\n") + 1

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"strconv"
-	"sync"
 
 	"ecndelay/internal/des"
 )
@@ -87,6 +85,8 @@ type Event struct {
 	Seq    int64     // sequence/offset field
 }
 
+func (e Event) recordType() EventType { return e.Type }
+
 // Run scopes per-port checker state: netsim stamps every port-scoped event
 // with a process-unique tag for the network that emitted it, so one shared
 // Checker keeps independent books per network even when several runs with
@@ -96,130 +96,23 @@ type Event struct {
 // the process created before, which would break byte-identical golden
 // traces.
 
-// Sink receives trace events. Implementations are called with the tracer's
-// lock held, in emission order; they must not call back into the tracer.
-type Sink interface {
-	Event(e Event)
-}
-
-// Tracer fans events out to its sinks and keeps per-type counts. Emission
-// is serialised by a mutex so one tracer can serve concurrent sweep jobs;
-// within one deterministic run the event order is itself deterministic.
-type Tracer struct {
-	mu     sync.Mutex
-	sinks  []Sink
-	counts [numEventTypes]int64
-}
-
-// NewTracer returns a tracer with no sinks (counts still accumulate).
-func NewTracer(sinks ...Sink) *Tracer {
-	return &Tracer{sinks: sinks}
-}
-
-// AddSink attaches a sink.
-func (t *Tracer) AddSink(s Sink) {
-	t.mu.Lock()
-	t.sinks = append(t.sinks, s)
-	t.mu.Unlock()
-}
-
-// Emit records one event.
-func (t *Tracer) Emit(e Event) {
-	t.mu.Lock()
-	if int(e.Type) < len(t.counts) {
-		t.counts[e.Type]++
-	}
-	for _, s := range t.sinks {
-		s.Event(e)
-	}
-	t.mu.Unlock()
-}
-
-// Count reports how many events of one type have been emitted.
-func (t *Tracer) Count(typ EventType) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(typ) >= len(t.counts) {
-		return 0
-	}
-	return t.counts[typ]
-}
-
-// Total reports the number of events emitted across all types.
-func (t *Tracer) Total() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var n int64
-	for _, c := range t.counts {
-		n += c
-	}
-	return n
-}
-
-// MemorySink retains events in memory. Give it a capacity hint to keep
-// steady-state recording allocation-free; Limit (if positive) stops
-// retention after that many events (the count of dropped events is kept).
-type MemorySink struct {
-	Limit   int
-	events  []Event
-	dropped int64
-}
-
-// NewMemorySink preallocates room for capacity events (0: grow on demand).
-func NewMemorySink(capacity int) *MemorySink {
-	return &MemorySink{events: make([]Event, 0, capacity)}
-}
-
-// Event implements Sink.
-func (m *MemorySink) Event(e Event) {
-	if m.Limit > 0 && len(m.events) >= m.Limit {
-		m.dropped++
-		return
-	}
-	m.events = append(m.events, e)
-}
-
-// Events returns the retained records (the live slice; treat as read-only).
-func (m *MemorySink) Events() []Event { return m.events }
-
-// Dropped reports events discarded past Limit.
-func (m *MemorySink) Dropped() int64 { return m.dropped }
-
-// JSONLSink streams events as one JSON object per line through a buffered
-// writer, encoding into a reused scratch buffer — steady-state tracing
-// does not allocate. Call Flush (or Close) before reading the output; Err
-// latches the first write error (emission itself cannot fail).
+// JSONLSink streams trace events as one JSON object per line through the
+// record writer, encoding into its reused scratch buffer — steady-state
+// tracing does not allocate. Close flushes; the caller closes the
+// io.Writer it handed in.
 type JSONLSink struct {
-	bw  *bufio.Writer
-	buf []byte
-	err onceError
-	c   io.Closer
+	w *recordWriter
 }
 
-// NewJSONLSink wraps w. If w is also an io.Closer, Close closes it.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{bw: bufio.NewWriter(w)}
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	return s
+// NewJSONLSink starts a trace export on w with h (nil: none) as its
+// first line.
+func NewJSONLSink(w io.Writer, h *Header) *JSONLSink {
+	return &JSONLSink{w: newRecordWriter(w, h.appendJSONL(nil))}
 }
 
-// WriteHeader writes a self-describing header record. Call it once,
-// right after constructing the sink and before any event is emitted, so
-// the header is the first line of the stream.
-func (s *JSONLSink) WriteHeader(h Header) {
-	b := h.appendJSONL(s.buf[:0])
-	s.buf = b
-	if _, err := s.bw.Write(b); err != nil {
-		s.err.set(err)
-	}
-}
-
-// Event implements Sink.
-func (s *JSONLSink) Event(e Event) {
-	b := s.buf[:0]
-	b = append(b, `{"t_ns":`...)
+// Record implements Sink.
+func (s *JSONLSink) Record(e Event) {
+	b := append(s.w.buf, `{"t_ns":`...)
 	b = strconv.AppendInt(b, int64(e.T), 10)
 	b = append(b, `,"type":"`...)
 	b = append(b, e.Type.String()...)
@@ -241,31 +134,8 @@ func (s *JSONLSink) Event(e Event) {
 	b = strconv.AppendInt(b, e.QBytes, 10)
 	b = append(b, `,"qlen":`...)
 	b = strconv.AppendInt(b, int64(e.QLen), 10)
-	b = append(b, '}', '\n')
-	s.buf = b
-	if _, err := s.bw.Write(b); err != nil {
-		s.err.set(err)
-	}
+	s.w.write(append(b, '}', '\n'))
 }
 
-// Flush drains the write buffer.
-func (s *JSONLSink) Flush() error {
-	if err := s.bw.Flush(); err != nil {
-		s.err.set(err)
-	}
-	return s.err.get()
-}
-
-// Err reports the first write error, if any.
-func (s *JSONLSink) Err() error { return s.err.get() }
-
-// Close flushes and closes the underlying writer when it is closable.
-func (s *JSONLSink) Close() error {
-	err := s.Flush()
-	if s.c != nil {
-		if cerr := s.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+// Close flushes the export and returns its first write error.
+func (s *JSONLSink) Close() error { return s.w.flush() }

@@ -9,9 +9,8 @@ import (
 )
 
 func TestTracerCountsAndFanout(t *testing.T) {
-	m1, m2 := NewMemorySink(8), NewMemorySink(8)
-	tr := NewTracer(m1)
-	tr.AddSink(m2)
+	m1, m2 := NewMemorySink[Event](8), NewMemorySink[Event](8)
+	tr := NewTracer(m1, m2)
 	tr.Emit(Event{Type: Enqueue, Size: 100})
 	tr.Emit(Event{Type: Enqueue, Size: 200})
 	tr.Emit(Event{Type: Mark})
@@ -24,25 +23,11 @@ func TestTracerCountsAndFanout(t *testing.T) {
 	if got := tr.Total(); got != 3 {
 		t.Errorf("Total = %d, want 3", got)
 	}
-	if len(m1.Events()) != 3 || len(m2.Events()) != 3 {
-		t.Fatalf("sink lengths %d/%d, want 3/3", len(m1.Events()), len(m2.Events()))
+	if len(m1.Records()) != 3 || len(m2.Records()) != 3 {
+		t.Fatalf("sink lengths %d/%d, want 3/3", len(m1.Records()), len(m2.Records()))
 	}
-	if m1.Events()[1].Size != 200 {
-		t.Errorf("event not delivered in order: %+v", m1.Events()[1])
-	}
-}
-
-func TestMemorySinkLimit(t *testing.T) {
-	m := NewMemorySink(2)
-	m.Limit = 2
-	for i := 0; i < 5; i++ {
-		m.Event(Event{Pkt: uint64(i)})
-	}
-	if len(m.Events()) != 2 || m.Dropped() != 3 {
-		t.Fatalf("retained %d dropped %d, want 2/3", len(m.Events()), m.Dropped())
-	}
-	if m.Events()[0].Pkt != 0 || m.Events()[1].Pkt != 1 {
-		t.Error("limit did not keep the earliest events")
+	if m1.Records()[1].Size != 200 {
+		t.Errorf("event not delivered in order: %+v", m1.Records()[1])
 	}
 }
 
@@ -72,13 +57,13 @@ func TestEventTypeAndKindNames(t *testing.T) {
 
 func TestJSONLSinkSchema(t *testing.T) {
 	var sb strings.Builder
-	s := NewJSONLSink(&sb)
-	s.Event(Event{
+	s := NewJSONLSink(&sb, nil)
+	s.Record(Event{
 		T: des.Time(1500), Type: Enqueue, Kind: 0, Node: 4, Peer: 0,
 		Flow: 2, Size: 1000, QLen: 3, QBytes: 3000, Pkt: 77, Seq: 9000,
 	})
-	s.Event(Event{T: des.Time(2000), Type: DoubleFree, Node: -1, Peer: -1, Pkt: 5})
-	if err := s.Flush(); err != nil {
+	s.Record(Event{T: des.Time(2000), Type: DoubleFree, Node: -1, Peer: -1, Pkt: 5})
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
@@ -106,21 +91,20 @@ func TestJSONLSinkSchema(t *testing.T) {
 func TestJSONLSinkAllocFree(t *testing.T) {
 	var sb strings.Builder
 	sb.Grow(1 << 20)
-	s := NewJSONLSink(&sb)
+	s := NewJSONLSink(&sb, nil)
 	e := Event{T: des.Time(123456789), Type: Dequeue, Node: 1, Peer: 2, Flow: 3, Size: 1000, Pkt: 42}
 	// Warm the scratch buffer and the bufio writer.
 	for i := 0; i < 100; i++ {
-		s.Event(e)
+		s.Record(e)
 	}
-	if n := testing.AllocsPerRun(1000, func() { s.Event(e) }); n > 0.1 {
+	if n := testing.AllocsPerRun(1000, func() { s.Record(e) }); n > 0.1 {
 		t.Fatalf("JSONL encoding allocates %.2f per event after warm-up, want ~0", n)
 	}
 }
 
 func TestTracerEmitAllocFree(t *testing.T) {
-	m := NewMemorySink(4096)
-	m.Limit = 2048
-	tr := NewTracer(m)
+	// Room for every emitted event: the sink never grows.
+	tr := NewTracer(NewMemorySink[Event](2048))
 	e := Event{Type: Enqueue, Size: 100}
 	for i := 0; i < 100; i++ {
 		tr.Emit(e)

@@ -10,9 +10,11 @@
 //   - the latency histograms, from a histogram export: every percentile
 //     compared against a baseline export.
 //
-// Each section carries a CI gate: -require-attributed fails on an
-// unattributed rate cut, and -base fails on a percentile more than 5%
-// above the baseline or a baseline histogram the run lacks.
+// Each section opens with one line per file it reads, naming the file
+// and the run its export header records (seed, protocol, flags), or
+// "(no header)". Each section carries a CI gate: -require-attributed
+// fails on an unattributed rate cut, and -base fails on a percentile more
+// than 5% above the baseline or a baseline histogram the run lacks.
 package report
 
 import (
@@ -24,7 +26,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"ecndelay/internal/fixedpoint"
@@ -129,8 +130,9 @@ func loopSection(w io.Writer, auditPath, probePath, ratesPath string) (obs.Attri
 	}
 	var queueName string
 	var queueTs, queueVs []float64
+	var probeHdr *obs.Header
 	if probePath != "" {
-		err := obs.ReadProbes(probePath, func(name string, samples []obs.Sample, _ int64) {
+		probeHdr, err = obs.ReadProbes(probePath, func(name string, samples []obs.Sample, _ int64) {
 			if queueName != "" || len(samples) == 0 || !strings.Contains(name, "queue_bytes") {
 				return
 			}
@@ -151,14 +153,9 @@ func loopSection(w io.Writer, auditPath, probePath, ratesPath string) (obs.Attri
 		}
 	}
 
-	if hdr != nil {
-		fmt.Fprintf(w, "audit %s v%d seed=%d proto=%s", auditPath, hdr.Version, hdr.Seed, hdr.Proto)
-		if hdr.Flags != "" {
-			fmt.Fprintf(w, " flags=%q", hdr.Flags)
-		}
-		fmt.Fprintln(w)
-	} else {
-		fmt.Fprintf(w, "audit %s (no header)\n", auditPath)
+	headerLine(w, "audit", auditPath, hdr)
+	if probePath != "" {
+		headerLine(w, "probe", probePath, probeHdr)
 	}
 	fmt.Fprintf(w, "%d decisions over %.6fs\n", len(decs), decs[len(decs)-1].T.Sub(decs[0].T).Seconds())
 
@@ -410,17 +407,19 @@ func writeRates(path string, tls []*timeline) error {
 // the error of an input it could not read or a baseline without
 // histograms. Histograms only in the candidate are noted and never fail.
 func histSection(w io.Writer, histPath, basePath string) (int, error) {
-	cand, err := obs.ReadHists(histPath)
+	candHdr, cand, err := obs.ReadHists(histPath)
 	if err != nil {
 		return 0, err
 	}
-	base, err := obs.ReadHists(basePath)
+	baseHdr, base, err := obs.ReadHists(basePath)
 	if err != nil {
 		return 0, err
 	}
 	if len(base) == 0 {
 		return 0, fmt.Errorf("%s holds no histograms", basePath)
 	}
+	headerLine(w, "hist", histPath, candHdr)
+	headerLine(w, "base", basePath, baseHdr)
 	baseBy, candBy := byName(base), byName(cand)
 	names := make([]string, 0, len(baseBy))
 	for name := range baseBy {
@@ -436,7 +435,7 @@ func histSection(w io.Writer, histPath, basePath string) (int, error) {
 			regressions++
 			continue
 		}
-		for i, q := range obs.HistQuantiles {
+		for i, label := range obs.HistQuantileLabels {
 			bv, nv := b.Quantiles[i], n.Quantiles[i]
 			delta := relDelta(bv, nv)
 			verdict := "ok"
@@ -445,7 +444,7 @@ func histSection(w io.Writer, histPath, basePath string) (int, error) {
 				regressions++
 			}
 			fmt.Fprintf(w, "%-10s %s %s: %.6g -> %.6g (%+.1f%%)\n",
-				verdict, name, quantileLabel(q), bv, nv, delta*100)
+				verdict, name, label, bv, nv, delta*100)
 		}
 		if b.Count != n.Count {
 			fmt.Fprintf(w, "note       %s: sample count %d -> %d\n", name, b.Count, n.Count)
@@ -464,6 +463,20 @@ func histSection(w io.Writer, histPath, basePath string) (int, error) {
 	return regressions, nil
 }
 
+// headerLine prints one line naming an input file, under its role in the
+// report, and the run its header records.
+func headerLine(w io.Writer, role, path string, h *obs.Header) {
+	if h == nil {
+		fmt.Fprintf(w, "%s %s (no header)\n", role, path)
+		return
+	}
+	fmt.Fprintf(w, "%s %s v%d seed=%d proto=%s", role, path, h.Version, h.Seed, h.Proto)
+	if h.Flags != "" {
+		fmt.Fprintf(w, " flags=%q", h.Flags)
+	}
+	fmt.Fprintln(w)
+}
+
 // byName indexes summaries by name; a later row of a name replaces an
 // earlier one.
 func byName(rows []obs.HistSummary) map[string]obs.HistSummary {
@@ -472,16 +485,6 @@ func byName(rows []obs.HistSummary) map[string]obs.HistSummary {
 		m[r.Name] = r
 	}
 	return m
-}
-
-// quantileLabel names quantile q as the exports do: 0.5 is p50, 0.999
-// is p999.
-func quantileLabel(q float64) string {
-	d := strings.TrimPrefix(strconv.FormatFloat(q, 'f', -1, 64), "0.")
-	for len(d) < 2 {
-		d += "0"
-	}
-	return "p" + d
 }
 
 // relDelta reports the relative increase from base to cand. A zero

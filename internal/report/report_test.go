@@ -26,7 +26,7 @@ func writeAudit(t *testing.T, path string, hdr *obs.Header, decs []obs.Decision)
 		s.SetHeader(*hdr)
 	}
 	for _, d := range decs {
-		s.Decision(d)
+		s.Record(d)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -264,7 +264,8 @@ func TestRunReports(t *testing.T) {
 		{name: "orphaned-episodes", args: []string{"-audit", "@orphans.jsonl"},
 			want: []string{"2 mark episodes, 1 orphaned"}},
 		{name: "queue-probe", args: []string{"-audit", "@full.jsonl", "-probe", "@probes.jsonl"},
-			want:    []string{`queue series "port.n9.queue_bytes": 12 samples; oscillating: amplitude 80.0 KB`},
+			want: []string{"audit @full.jsonl v1 seed=42 proto=dcqcn flags=\"n=10\"\nprobe @probes.jsonl v1 seed=1 proto=dcqcn\n",
+				`queue series "port.n9.queue_bytes": 12 samples; oscillating: amplitude 80.0 KB`},
 			wantNot: []string{"z.queue_bytes", "alpha0"}},
 		{name: "model-from-header", args: []string{"-audit", "@op.jsonl"},
 			want: []string{"\nfluid model (n=10, C=5e+09 B/s, τ*=90.0µs): phase margin ", "  measured rate period 200.0µs = "}},
@@ -276,7 +277,8 @@ func TestRunReports(t *testing.T) {
 		{name: "hist-identical", args: []string{"-hist", "@base.jsonl", "-base", "@base.jsonl"},
 			want: []string{"ok         timely.rtt_s p99: 0.0009 -> 0.0009 (+0.0%)\n", "ok         dcqcn.cnp_gap_s p999"}, wantNot: []string{"REGRESSION", "note"}},
 		{name: "hist-header-tolerated", args: []string{"-hist", "@header.jsonl", "-base", "@header.jsonl"},
-			want: []string{"ok         timely.rtt_s p50"}},
+			want: []string{"hist @header.jsonl v1 seed=1 proto=dcqcn\nbase @header.jsonl v1 seed=1 proto=dcqcn\n",
+				"ok         timely.rtt_s p50"}},
 		{name: "hist-regression", args: []string{"-hist", "@worse.jsonl", "-base", "@base.jsonl"}, code: 1,
 			want: []string{"REGRESSION timely.rtt_s p99: 0.0009 -> 0.00135 (+50.0%)\n"}, stderr: "runreport: 1 regression(s) beyond +5.0%\n"},
 		{name: "hist-improvement", args: []string{"-hist", "@better.jsonl", "-base", "@base.jsonl"},
@@ -300,7 +302,7 @@ func TestRunReports(t *testing.T) {
 		{name: "hist-absent-baseline-columns", args: []string{"-hist", "@base.jsonl", "-base", "@narrow.jsonl"}, code: 1,
 			stderr: "6 regression(s)"},
 		{name: "both-sections", args: []string{"-audit", "@unattributed.jsonl", "-require-attributed", "-hist", "@worse.jsonl", "-base", "@base.jsonl"},
-			code: 1, want: []string{"1 unattributed; ", "across 1 oscillating flows\n\nok         dcqcn.cnp_gap_s p50"},
+			code: 1, want: []string{"1 unattributed; ", "across 1 oscillating flows\n\nhist @worse.jsonl (no header)\nbase @base.jsonl (no header)\nok         dcqcn.cnp_gap_s p50"},
 			stderr: "runreport: 1 of 5 rate cuts unattributed\nrunreport: 1 regression(s) beyond +5.0%\n"},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -113,8 +113,9 @@ func DeriveSeed(base int64, index int) int64 {
 }
 
 // Run executes jobs over a bounded worker pool and streams results into
-// sink (nil discards them). Jobs whose ID the sink reports completed
-// are skipped. Results are delivered to the sink from a single
+// sink (nil discards them). It refuses a negative cfg.Retries and an
+// invalid job list before running anything. Jobs whose ID the sink
+// reports completed are skipped. Results are delivered to the sink from a single
 // goroutine, so sinks need no internal locking for engine use. A sink
 // write error aborts dispatch of not-yet-started jobs and is returned
 // after in-flight jobs drain.
@@ -123,6 +124,9 @@ func Run(cfg Config, jobs []Job, sink Sink) (Summary, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Retries < 0 {
+		return Summary{}, fmt.Errorf("sweep: Retries must be >= 0, got %d", cfg.Retries)
 	}
 	seen := make(map[string]struct{}, len(jobs))
 	for i, j := range jobs {

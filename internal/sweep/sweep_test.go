@@ -212,13 +212,18 @@ func TestRetryAndPanicCounts(t *testing.T) {
 
 func TestDuplicateAndInvalidJobsRejected(t *testing.T) {
 	ok := func(int64) (map[string]float64, error) { return nil, nil }
-	for _, jobs := range [][]Job{
-		{{ID: "a", Run: ok}, {ID: "a", Run: ok}},
-		{{ID: "", Run: ok}},
-		{{ID: "a"}},
+	for _, c := range []struct {
+		cfg  Config
+		jobs []Job
+	}{
+		{Config{}, []Job{{ID: "a", Run: ok}, {ID: "a", Run: ok}}},
+		{Config{}, []Job{{ID: "", Run: ok}}},
+		{Config{}, []Job{{ID: "a"}}},
+		// A negative retry count would skip every attempt.
+		{Config{Retries: -2}, []Job{{ID: "a", Run: ok}}},
 	} {
-		if _, err := Run(Config{}, jobs, nil); err == nil {
-			t.Errorf("jobs %+v accepted", jobs)
+		if _, err := Run(c.cfg, c.jobs, nil); err == nil {
+			t.Errorf("config %+v with jobs %+v accepted", c.cfg, c.jobs)
 		}
 	}
 }
