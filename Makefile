@@ -107,6 +107,8 @@ cover:
 # Hybrid oracle gate: the fluid model, the packet simulator and the
 # paper's fixed-point predictions must agree at the four canonical
 # operating points (two per protocol, paper scale). ecnbench exits 1 if
-# any check lands outside its documented tolerance, failing CI.
+# any check lands outside its documented tolerance, or if the invariant
+# checker flags a packet run (conservation, queue bounds, PFC pairing),
+# failing CI.
 hybrid-gate:
-	$(GO) run ./cmd/ecnbench -exp crossval -full
+	$(GO) run ./cmd/ecnbench -exp crossval -full -invariants

@@ -17,9 +17,9 @@ import (
 	"os"
 
 	"ecndelay/internal/cli"
+	"ecndelay/internal/exp"
 	"ecndelay/internal/fixedpoint"
 	"ecndelay/internal/fluid"
-	"ecndelay/internal/stability"
 	"ecndelay/internal/sweep"
 )
 
@@ -173,20 +173,10 @@ func dcqcnJobs(ns []int, ds []float64, rai, kmax float64) []sweep.Job {
 	var jobs []sweep.Job
 	for _, n := range ns {
 		for _, d := range ds {
-			n, d := n, d
+			p := dcqcnParams(n, d, rai, kmax)
 			jobs = append(jobs, sweep.Job{
-				ID: fmt.Sprintf("dcqcn/n%d/d%g", n, d),
-				Run: func(int64) (map[string]float64, error) {
-					loop, err := fluid.NewDCQCNLoop(dcqcnParams(n, d, rai, kmax))
-					if err != nil {
-						return nil, err
-					}
-					res, err := stability.PhaseMargin(loop)
-					if err != nil {
-						return nil, err
-					}
-					return map[string]float64{"pm_deg": res.PhaseMarginDeg}, nil
-				},
+				ID:  fmt.Sprintf("dcqcn/n%d/d%g", n, d),
+				Run: func(int64) (map[string]float64, error) { return exp.DCQCNMargin(p) },
 			})
 		}
 	}
@@ -213,33 +203,9 @@ func dcqcnParams(n int, d, rai, kmax float64) fixedpoint.DCQCNParams {
 func patchedJobs(ns []int) []sweep.Job {
 	var jobs []sweep.Job
 	for _, n := range ns {
-		n := n
 		jobs = append(jobs, sweep.Job{
-			ID: fmt.Sprintf("patched/n%d", n),
-			Run: func(int64) (map[string]float64, error) {
-				cfg := fluid.DefaultPatchedTimelyConfig(n)
-				loop, err := fluid.NewPatchedTimelyLoop(cfg)
-				if err != nil {
-					return nil, err
-				}
-				res, err := stability.PhaseMargin(loop)
-				if err != nil {
-					return nil, err
-				}
-				sys, err := fluid.NewPatchedTimely(cfg)
-				if err != nil {
-					return nil, err
-				}
-				stable := 0.0
-				if res.Stable {
-					stable = 1
-				}
-				return map[string]float64{
-					"pm_deg":    res.PhaseMarginDeg,
-					"q_star_kb": sys.FixedPointQueue() / 1000,
-					"stable":    stable,
-				}, nil
-			},
+			ID:  fmt.Sprintf("patched/n%d", n),
+			Run: func(int64) (map[string]float64, error) { return exp.PatchedMargin(n) },
 		})
 	}
 	return jobs

@@ -43,7 +43,6 @@ import (
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/hybrid"
 	"ecndelay/internal/obs"
-	"ecndelay/internal/stability"
 	"ecndelay/internal/sweep"
 )
 
@@ -112,8 +111,8 @@ func run(args []string, stderr io.Writer) int {
 	// carry the job id as a name prefix, so metrics, invariant verdicts
 	// and the probe/histogram exports are the same for any -workers
 	// value. Trace and audit get one file per job, so each of those is
-	// byte-identical for any -workers value too. The pm grid is
-	// fluid-model only and never touches the observer.
+	// byte-identical for any -workers value too. The pm and crossval
+	// grids refuse the observer flags above, so they run unobserved.
 	sess, err := flags.Open("sweep", obs.Header{Seed: *seed}, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
@@ -175,11 +174,15 @@ func run(args []string, stderr io.Writer) int {
 }
 
 // ignored names, per grid kind, the flags that kind has no input for.
+// Only the exp grid hands the observer to its jobs, so the observer flags
+// would leave the pm and crossval exports empty.
 var ignored = map[string][]string{
-	"pm":       {"exp", "seeds", "full"},
+	"pm":       append([]string{"exp", "seeds", "full"}, observerFlags...),
 	"exp":      {"model", "flows", "delays"},
-	"crossval": {"model", "flows", "delays", "exp", "seeds", "full"},
+	"crossval": append([]string{"model", "flows", "delays", "exp", "seeds", "full"}, observerFlags...),
 }
+
+var observerFlags = []string{"metrics", "trace", "probe", "probe-every", "hist", "audit", "invariants"}
 
 // buildJobs expands the flag grid into the job matrix.
 func buildJobs(kind, model, flows, delays, expFlag, seeds string, full bool, ob *obs.NetObserver) ([]sweep.Job, error) {
@@ -256,7 +259,7 @@ func crossvalJob(op hybrid.OpPoint) sweep.Job {
 		ID:   fmt.Sprintf("crossval/%s/n%d", op.Proto, op.N),
 		Meta: map[string]string{"proto": op.Proto, "flows": fmt.Sprint(op.N)},
 		Run: func(seed int64) (map[string]float64, error) {
-			res, err := hybrid.RunOp(op, seed)
+			res, err := hybrid.RunOp(op, seed, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -271,26 +274,12 @@ func crossvalJob(op hybrid.OpPoint) sweep.Job {
 
 // pmDCQCNJob computes one Figure 3 grid cell.
 func pmDCQCNJob(n int, d float64) sweep.Job {
+	p := fluid.DefaultDCQCNParams(n)
+	p.TauStar = d
 	return sweep.Job{
 		ID:   fmt.Sprintf("pm/dcqcn/n%d/d%g", n, d),
 		Meta: map[string]string{"model": "dcqcn", "flows": fmt.Sprint(n), "delay": fmt.Sprint(d)},
-		Run: func(int64) (map[string]float64, error) {
-			p := fluid.DefaultDCQCNParams(n)
-			p.TauStar = d
-			loop, err := fluid.NewDCQCNLoop(p)
-			if err != nil {
-				return nil, err
-			}
-			res, err := stability.PhaseMargin(loop)
-			if err != nil {
-				return nil, err
-			}
-			return map[string]float64{
-				"pm_deg":          res.PhaseMarginDeg,
-				"crossover_rad_s": res.CrossoverRadPerSec,
-				"stable":          boolMetric(res.Stable),
-			}, nil
-		},
+		Run:  func(int64) (map[string]float64, error) { return exp.DCQCNMargin(p) },
 	}
 }
 
@@ -299,32 +288,6 @@ func pmPatchedJob(n int) sweep.Job {
 	return sweep.Job{
 		ID:   fmt.Sprintf("pm/patched/n%d", n),
 		Meta: map[string]string{"model": "patched", "flows": fmt.Sprint(n)},
-		Run: func(int64) (map[string]float64, error) {
-			cfg := fluid.DefaultPatchedTimelyConfig(n)
-			loop, err := fluid.NewPatchedTimelyLoop(cfg)
-			if err != nil {
-				return nil, err
-			}
-			res, err := stability.PhaseMargin(loop)
-			if err != nil {
-				return nil, err
-			}
-			sys, err := fluid.NewPatchedTimely(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return map[string]float64{
-				"pm_deg":    res.PhaseMarginDeg,
-				"q_star_kb": sys.FixedPointQueue() / 1000,
-				"stable":    boolMetric(res.Stable),
-			}, nil
-		},
+		Run:  func(int64) (map[string]float64, error) { return exp.PatchedMargin(n) },
 	}
-}
-
-func boolMetric(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -192,13 +192,15 @@ func TestCLIUsageErrors(t *testing.T) {
 	if code := run([]string{"-bogus-flag"}, &errOut); code != 2 {
 		t.Fatalf("bogus flag exit %d, want 2", code)
 	}
-	out := filepath.Join(t.TempDir(), "pm.jsonl")
+	dir := t.TempDir()
+	out := filepath.Join(dir, "pm.jsonl")
 	pm := []string{"-kind", "pm", "-flows", "2"}
-	for _, c := range []struct {
+	type usage struct {
 		args []string
 		want string
-	}{
-		{append(pm, "-probe-every", "1e300"), "-probe-every"},
+	}
+	cases := []usage{
+		{[]string{"-kind", "exp", "-exp", "fig3", "-probe-every", "1e300"}, "-probe-every"},
 		{append(pm, "-retries", "-2"), "-retries"},
 		{append(pm, "-workers", "-1"), "-workers"},
 		{append(pm, "-timeout", "-1s"), "-timeout"},
@@ -214,7 +216,21 @@ func TestCLIUsageErrors(t *testing.T) {
 		{[]string{"-kind", "exp", "-exp", "fig3", "-delays", "1e-6"}, "-delays"},
 		{[]string{"-kind", "crossval", "-flows", "2"}, "-flows"},
 		{[]string{"-kind", "crossval", "-seeds", "1:2"}, "-seeds"},
-	} {
+	}
+	// Only the exp grid is observed: pm and crossval refuse every
+	// observer flag before opening its file.
+	observer := [][]string{
+		{"-metrics", filepath.Join(dir, "m.tsv")}, {"-trace", filepath.Join(dir, "t.jsonl")},
+		{"-probe", filepath.Join(dir, "p.jsonl")}, {"-probe-every", "1e-4"},
+		{"-hist", filepath.Join(dir, "h.jsonl")}, {"-audit", filepath.Join(dir, "a.jsonl")},
+		{"-invariants"},
+	}
+	for _, kind := range [][]string{pm, {"-kind", "crossval"}} {
+		for _, f := range observer {
+			cases = append(cases, usage{append(append([]string(nil), kind...), f...), f[0]})
+		}
+	}
+	for _, c := range cases {
 		errOut.Reset()
 		args := append(append([]string(nil), c.args...), "-out", out, "-quiet")
 		if code := run(args, &errOut); code != 2 {
@@ -225,7 +241,7 @@ func TestCLIUsageErrors(t *testing.T) {
 			t.Errorf("%v: stderr %q, want one sweep: line naming %s", c.args, msg, c.want)
 		}
 	}
-	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Errorf("a refused sweep created its checkpoint file (stat error %v)", err)
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("a refused sweep created %s", files[0].Name())
 	}
 }

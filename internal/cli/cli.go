@@ -245,9 +245,11 @@ func (s *Session) traceTo(w *os.File) *obs.Tracer {
 }
 
 // auditTo starts a headed, canonically sorted JSONL audit stream on w.
-// The sink writes before the session closes w.
+// The sink writes before the session closes w. It grows with the
+// decisions it receives, so a job that audits nothing holds next to
+// nothing until Finish.
 func (s *Session) auditTo(w *os.File) *obs.AuditTrail {
-	sink := obs.NewAuditJSONLSink(w, 1<<16)
+	sink := obs.NewAuditJSONLSink(w, 0)
 	sink.SetHeader(s.header("audit"))
 	s.closers = append(s.closers, sink, w)
 	return obs.NewAuditTrail(sink)

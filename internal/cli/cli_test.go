@@ -2,9 +2,11 @@ package cli
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -217,6 +219,35 @@ func TestPerJobExports(t *testing.T) {
 	if got := jobPath("out/trace", "a/b"); got != "out/trace.a_b" {
 		t.Errorf("jobPath without extension = %q", got)
 	}
+}
+
+// A per-job audit holds only the decisions it receives: eight jobs that
+// audit nothing (an analytic grid under sweep -audit) keep the heap flat
+// until Finish writes their header-only files.
+func TestPerJobAuditsGrowOnDemand(t *testing.T) {
+	dir := t.TempDir()
+	f := newFlags(t, true, "-audit", filepath.Join(dir, "a.jsonl"))
+	s, err := f.Open("sweep", obs.Header{Seed: 1}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	jobs := make([]*obs.NetObserver, 8)
+	for i := range jobs {
+		jobs[i] = s.Observer.ForJob(fmt.Sprintf("eq14/seed%d", i+1))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+		t.Errorf("eight empty per-job audits hold %d bytes of heap, want under 1 MB", grew)
+	}
+	if code := s.Finish(); code != 0 {
+		t.Fatalf("Finish = %d", code)
+	}
+	runtime.KeepAlive(jobs)
 }
 
 // A per-job file that cannot be created leaves the job without that

@@ -24,8 +24,6 @@ type Config struct {
 	QECN         float64 // queue level that triggers a synchronised mark, packets
 	TauPrime     float64 // time unit, s
 	InitialRates []float64
-	// InitialAlpha defaults to 1 (the DCQCN initial value).
-	InitialAlpha float64
 }
 
 // Validate reports configuration errors.
@@ -86,10 +84,6 @@ func Run(cfg Config, cycles int) ([]Cycle, error) {
 	rc := make([]float64, n)
 	rt := make([]float64, n)
 	alpha := make([]float64, n)
-	a0 := cfg.InitialAlpha
-	if a0 == 0 {
-		a0 = 1
-	}
 	for i := range rc {
 		r := cfg.C // line-rate start per the DCQCN spec
 		if cfg.InitialRates != nil {
@@ -97,7 +91,7 @@ func Run(cfg Config, cycles int) ([]Cycle, error) {
 		}
 		rc[i] = r
 		rt[i] = r
-		alpha[i] = a0
+		alpha[i] = 1 // the DCQCN initial value
 	}
 
 	var out []Cycle

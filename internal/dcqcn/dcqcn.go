@@ -190,9 +190,6 @@ type Sender struct {
 	timerEv des.EventRef
 	sendEv  des.EventRef
 
-	// RateSeries, if non-nil, records (t, rc) on every rate change.
-	RateHook func(t des.Time, rate float64)
-
 	// Histogram state: the previous CNP-arrival instant, so the CNP-gap
 	// histogram records inter-arrival spacing. Only maintained when that
 	// histogram is bound.
@@ -292,12 +289,6 @@ func (s *Sender) start() {
 	s.sendNext()
 }
 
-func (s *Sender) noteRate() {
-	if s.RateHook != nil {
-		s.RateHook(s.e.Host().Now(), s.rc)
-	}
-}
-
 // sendNext sends the packet at the cursor and paces the next one at the
 // current rate. A retransmission is traced after the send.
 func (s *Sender) sendNext() {
@@ -377,7 +368,6 @@ func (s *Sender) onCNP(pkt *netsim.Packet) {
 	s.bcBytes = 0
 	s.armAlphaTimer()
 	s.armRateTimer()
-	s.noteRate()
 	if s.e.Auditing() {
 		s.audCut(pkt, old, cutAlpha)
 	}
@@ -410,7 +400,6 @@ func (s *Sender) increase() {
 	if s.rc > line {
 		s.rc = line
 	}
-	s.noteRate()
 	if s.e.Auditing() {
 		s.Audit(obs.Decision{
 			Type: dec, OldRate: old, NewRate: s.rc, Target: s.rt, Alpha: s.alpha,

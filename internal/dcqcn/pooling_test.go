@@ -7,15 +7,17 @@ import (
 	"ecndelay/internal/des"
 	"ecndelay/internal/fault"
 	"ecndelay/internal/netsim"
+	"ecndelay/internal/obs"
 )
 
 // The packet pool and the pooled event path must be invisible to the
 // simulation: a same-seed DCQCN run (data, CNPs, α/rate timers, RED
 // marking, PFC) with pooling disabled is the reference, and the pooled run
-// must reproduce its rate trajectory and queue behaviour exactly.
+// must reproduce its queue behaviour and, decision for decision, the audit
+// trail that records every rate change.
 func TestDCQCNPoolingDeterminism(t *testing.T) {
 	type trace struct {
-		rates     []float64
+		decisions []obs.Decision
 		processed uint64
 		end       des.Time
 		queuePeak int
@@ -23,6 +25,8 @@ func TestDCQCNPoolingDeterminism(t *testing.T) {
 	run := func(pooling bool) trace {
 		nw := netsim.New(5)
 		nw.SetPooling(pooling)
+		audit := obs.NewMemorySink[obs.Decision](0)
+		nw.SetObserver(&obs.NetObserver{Audit: obs.NewAuditTrail(audit)})
 		star := netsim.NewStar(nw, netsim.StarConfig{
 			Senders: 2,
 			Link:    netsim.LinkConfig{Bandwidth: 1.25e9, PropDelay: des.Microsecond},
@@ -34,18 +38,13 @@ func TestDCQCNPoolingDeterminism(t *testing.T) {
 		if _, err := dcqcn.NewEndpoint(star.Receiver, dcqcn.DefaultParams()); err != nil {
 			t.Fatal(err)
 		}
-		var tr trace
 		for i, h := range star.Senders {
 			ep, err := dcqcn.NewEndpoint(h, dcqcn.DefaultParams())
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := ep.NewFlow(i, star.Receiver.ID(), -1, 0)
-			if err != nil {
+			if _, err := ep.NewFlow(i, star.Receiver.ID(), -1, 0); err != nil {
 				t.Fatal(err)
-			}
-			s.RateHook = func(_ des.Time, rate float64) {
-				tr.rates = append(tr.rates, rate)
 			}
 		}
 		peak := 0
@@ -55,10 +54,7 @@ func TestDCQCNPoolingDeterminism(t *testing.T) {
 			}
 		})
 		nw.Sim.RunUntil(des.Time(20 * des.Millisecond))
-		tr.processed = nw.Sim.Processed()
-		tr.end = nw.Sim.Now()
-		tr.queuePeak = peak
-		return tr
+		return trace{audit.Records(), nw.Sim.Processed(), nw.Sim.Now(), peak}
 	}
 	pooled, plain := run(true), run(false)
 	if pooled.processed != plain.processed || pooled.end != plain.end ||
@@ -67,13 +63,16 @@ func TestDCQCNPoolingDeterminism(t *testing.T) {
 			pooled.processed, pooled.end, pooled.queuePeak,
 			plain.processed, plain.end, plain.queuePeak)
 	}
-	if len(pooled.rates) != len(plain.rates) {
-		t.Fatalf("rate trace lengths differ: %d vs %d", len(pooled.rates), len(plain.rates))
+	if len(plain.decisions) == 0 {
+		t.Fatal("the run audited no decision")
 	}
-	for i := range pooled.rates {
-		if pooled.rates[i] != plain.rates[i] {
-			t.Fatalf("rate trace diverges at update %d: %v vs %v",
-				i, pooled.rates[i], plain.rates[i])
+	if len(pooled.decisions) != len(plain.decisions) {
+		t.Fatalf("audit lengths differ: %d vs %d", len(pooled.decisions), len(plain.decisions))
+	}
+	for i := range pooled.decisions {
+		if pooled.decisions[i] != plain.decisions[i] {
+			t.Fatalf("audit diverges at decision %d: %+v vs %+v",
+				i, pooled.decisions[i], plain.decisions[i])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"ecndelay/internal/des"
+	"ecndelay/internal/netsim"
 	"ecndelay/internal/obs"
 	"ecndelay/internal/sweep"
 	"ecndelay/internal/workload"
@@ -209,5 +211,33 @@ func TestClosLoadStreamingBounded(t *testing.T) {
 		if peak >= flows {
 			t.Errorf("%s: peak in-flight %g not below generated %g; stream not lazy", proto, peak, flows)
 		}
+	}
+}
+
+// A stream flow that fails to start ends the run with its error, and the
+// stream pulls no further arrival.
+func TestFlowRunStreamError(t *testing.T) {
+	nw := netsim.New(1)
+	d := netsim.NewDumbbell(nw, netsim.DumbbellConfig{Senders: 2, Receivers: 2, Link: closLink})
+	hosts := append(append([]*netsim.Host(nil), d.Senders...), d.Receivers...)
+	fr, err := newFlowRun(nw, nil, hosts, ProtoDCQCN, false, false,
+		func(f workload.Flow) int { return 2 + f.Recv }, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := errors.New("flow refused")
+	fr.newFlow = func(workload.Flow) (*netsim.Sender, error) { return nil, refused }
+	stream, err := workload.NewPoissonStream(workload.Config{
+		Load: 1e9, Sizes: workload.WebSearch(), Senders: 2, Receivers: 2, Horizon: 0.01, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.stream(stream, 1)
+	if err := fr.run(0.01); !errors.Is(err, refused) {
+		t.Fatalf("run returned %v, want the refused flow's error", err)
+	}
+	if fr.generated != 1 {
+		t.Errorf("the stream went on to %d arrivals after a refused flow", fr.generated)
 	}
 }

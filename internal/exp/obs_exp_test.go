@@ -77,6 +77,41 @@ func TestFiniteBufferRunCleanInvariants(t *testing.T) {
 	}
 }
 
+// Every runner that builds a packet network attaches Options.Observer to
+// each network: observed by a registry and a checker, each of the 22
+// records counters, breaks no invariant and still matches its pinned
+// digest, so observing a run never changes what it reports.
+func TestEveryPacketRunnerObserved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("packet-level runs take seconds each")
+	}
+	for _, id := range []string{
+		"fig2", "fig5", "fig8", "fig9", "fig10", "fig12", "fig14", "fig15", "fig16", "fig17",
+		"extmultihop", "extpfc", "extpi", "faultloss", "faultcnp", "auditloop",
+		"closincast", "closshuffle", "closload", "crossval", "hybridwarm", "hybridbg",
+	} {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			o := &obs.NetObserver{Metrics: obs.NewRegistry(), Check: obs.NewChecker()}
+			rep, err := mustRun(t, id, Options{Scale: Quick, Seed: 1, Observer: o})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDigest(t, id, rep)
+			counted := false
+			for _, m := range o.Metrics.Snapshot() {
+				counted = counted || m.Value > 0
+			}
+			if !counted {
+				t.Error("the observer's registry counted nothing")
+			}
+			if err := o.Check.Err(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 // goldenCfg is the fixed-seed scenario behind the golden trajectories: small
 // enough to run in CI, long enough for the queue to shape up.
 func goldenCfg(proto Protocol) FCTConfig {

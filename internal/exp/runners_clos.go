@@ -10,15 +10,12 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
-	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/des"
 	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
 	"ecndelay/internal/obs"
 	"ecndelay/internal/stats"
-	"ecndelay/internal/timely"
 	"ecndelay/internal/topo"
 	"ecndelay/internal/workload"
 )
@@ -37,6 +34,9 @@ func init() {
 		Figure: "fabric extension", Run: runClosLoad,
 	})
 }
+
+// stormThreshold is the PFC watchdog's sustained-pause bar.
+const stormThreshold = 100 * des.Microsecond
 
 // closRunConfig drives one protocol run on a generated fabric. Exactly one
 // of Flows (pre-materialised pattern) or Stream (lazy arrivals, pulled as
@@ -57,15 +57,12 @@ type closRunConfig struct {
 	Drain   float64 // extra simulated seconds to let flows finish
 	Seed    int64
 
-	// StormThreshold is the PFC watchdog's sustained-pause bar (default
-	// 100 µs).
-	StormThreshold des.Duration
-	// ProbeHost selects whose leaf→host egress queue the auto-registered
-	// probe watches when the observer carries a ProbeSet; -1 disables.
+	// ProbeHost selects whose leaf→host egress queue the probe watches
+	// when the observer carries a ProbeSet.
 	ProbeHost int
 
 	Observer   *obs.NetObserver
-	ProbeName  string
+	ProbeName  string // default "clos_queue_bytes"
 	HistPrefix string
 }
 
@@ -78,7 +75,7 @@ type closRunResult struct {
 	// PausedSec is cumulative PFC pause time summed over every fabric port
 	// (the watchdog's PausedTotal) — the paper's "pause tree" cost.
 	PausedSec float64
-	// Storms counts pauses that persisted past StormThreshold.
+	// Storms counts pauses that persisted past stormThreshold.
 	Storms int
 	// PeakInFlight is the most flows simultaneously created-but-incomplete;
 	// under a Stream it stays near the true concurrency instead of the
@@ -86,19 +83,15 @@ type closRunResult struct {
 	PeakInFlight int
 }
 
-// runClos builds the fabric, attaches one protocol endpoint per host, plays
-// the traffic in and collects FCTs plus PFC accounting.
+// runClos builds the fabric and its PFC watchdog, then plays the traffic
+// through the flow-completion harness (one endpoint on every host, since
+// every host of a fabric can be sender and receiver).
 func runClos(cfg closRunConfig) (*closRunResult, error) {
 	if (cfg.Flows == nil) == (cfg.Stream == nil) {
 		return nil, fmt.Errorf("exp: clos run needs exactly one of Flows or Stream")
 	}
-	if cfg.StormThreshold == 0 {
-		cfg.StormThreshold = 100 * des.Microsecond
-	}
 	nw := netsim.New(cfg.Seed)
-	if cfg.Observer != nil {
-		nw.SetObserver(cfg.Observer)
-	}
+	nw.SetObserver(cfg.Observer)
 	fabric := cfg.Fabric
 	if cfg.Protocol == ProtoDCQCN {
 		// The Table 1 RED ramp, which does not depend on the flow count.
@@ -108,7 +101,7 @@ func runClos(cfg closRunConfig) (*closRunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	wd := netsim.NewPFCWatchdog(nw.Sim, cfg.StormThreshold)
+	wd := netsim.NewPFCWatchdog(nw.Sim, stormThreshold)
 	for _, sw := range cl.Switches() {
 		wd.WatchSwitch(sw)
 	}
@@ -116,135 +109,36 @@ func runClos(cfg closRunConfig) (*closRunResult, error) {
 		wd.WatchHost(h)
 	}
 
-	res := &closRunResult{Clos: cl}
-	start := make(map[int]float64)
-	inFlight := 0
-	fctH := cfg.Observer.Hist(cfg.HistPrefix + "fct_all_s")
-	complete := func(c netsim.Completion) {
-		s, ok := start[c.Flow]
-		if !ok {
-			return
-		}
-		delete(start, c.Flow)
-		res.Completed++
-		inFlight--
-		fct := c.At.Seconds() - s
-		res.AllFCT = append(res.AllFCT, fct)
-		if fctH != nil {
-			fctH.Record(fct)
-		}
-	}
-
 	recvOf := cfg.RecvOf
 	if recvOf == nil {
 		recvOf = func(f workload.Flow) int { return f.Recv }
 	}
-
-	// One endpoint per host — every host can be sender and receiver, as on
-	// a real fabric — and a protocol-erased flow starter for the traffic
-	// loops below.
-	var startFlow func(f workload.Flow) error
-	switch cfg.Protocol {
-	case ProtoDCQCN:
-		eps := make([]*dcqcn.Endpoint, len(cl.Hosts))
-		for i, h := range cl.Hosts {
-			ep, err := dcqcn.NewEndpoint(h, dcqcn.DefaultParams())
-			if err != nil {
-				return nil, err
-			}
-			ep.OnComplete = complete
-			eps[i] = ep
-		}
-		startFlow = func(f workload.Flow) error {
-			dst := cl.Hosts[recvOf(f)].ID()
-			_, err := eps[f.Sender].NewFlow(f.ID, dst, f.Size, des.Time(des.DurationFromSeconds(f.Start)))
-			return err
-		}
-	case ProtoTimely, ProtoPatchedTimely:
-		params := timely.DefaultParams()
-		if cfg.Protocol == ProtoPatchedTimely {
-			params = timely.DefaultPatchedParams()
-		}
-		eps := make([]*timely.Endpoint, len(cl.Hosts))
-		for i, h := range cl.Hosts {
-			ep, err := timely.NewEndpoint(h, params)
-			if err != nil {
-				return nil, err
-			}
-			ep.OnComplete = complete
-			eps[i] = ep
-		}
-		startFlow = func(f workload.Flow) error {
-			dst := cl.Hosts[recvOf(f)].ID()
-			_, err := eps[f.Sender].NewFlow(f.ID, dst, f.Size, des.Time(des.DurationFromSeconds(f.Start)), 0)
-			return err
-		}
-	default:
-		return nil, fmt.Errorf("exp: unknown protocol %v", cfg.Protocol)
-	}
-
-	track := func(f workload.Flow) error {
-		start[f.ID] = f.Start
-		res.Generated++
-		inFlight++
-		if inFlight > res.PeakInFlight {
-			res.PeakInFlight = inFlight
-		}
-		return startFlow(f)
+	fr, err := newFlowRun(nw, cfg.Observer, cl.Hosts, cfg.Protocol, false, false, recvOf, cfg.HistPrefix)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Flows != nil {
-		for _, f := range cfg.Flows {
-			if err := track(f); err != nil {
-				return nil, err
-			}
+		if _, err := fr.startAll(cfg.Flows); err != nil {
+			return nil, err
 		}
 	} else {
-		// Lazy churn: each arrival event starts its flow and pulls the next
-		// one from the stream, so memory holds the flows in flight — never
-		// the horizon's worth. The first pull happens before the clock runs.
-		rng := rand.New(rand.NewSource(cfg.StreamSeed))
-		var failed error
-		var arm func(f workload.Flow)
-		arm = func(f workload.Flow) {
-			nw.Sim.At(des.Time(des.DurationFromSeconds(f.Start)), func() {
-				if err := track(f); err != nil {
-					failed = err
-					return
-				}
-				if next, ok := cfg.Stream.Next(rng); ok {
-					arm(next)
-				}
-			})
-		}
-		if f, ok := cfg.Stream.Next(rng); ok {
-			arm(f)
-		}
-		defer func() {
-			if failed != nil {
-				err = failed
-			}
-		}()
+		fr.stream(cfg.Stream, cfg.StreamSeed)
 	}
-
-	if o := cfg.Observer; o != nil && o.Probes != nil && cfg.ProbeHost >= 0 {
-		name := cfg.ProbeName
-		if name == "" {
-			name = "clos_queue_bytes"
-		}
-		q := cl.HostPorts[cfg.ProbeHost].Queue()
-		o.Probes.NewProbe(o.ProbeName(name), 0).Drive(nw.Sim, o.ProbeCadence(), func() float64 {
-			return float64(q.Bytes())
-		})
+	name := cfg.ProbeName
+	if name == "" {
+		name = "clos_queue_bytes"
 	}
-
-	nw.RunUntil(des.Time(des.DurationFromSeconds(cfg.Horizon + cfg.Drain)))
+	fr.probe(name, cl.HostPorts[cfg.ProbeHost])
+	if err := fr.run(cfg.Horizon + cfg.Drain); err != nil {
+		return nil, err
+	}
 	wd.Finish()
-	if o := cfg.Observer; o != nil && o.Check != nil {
-		o.Check.Finish(nw.Sim.Now())
-	}
-	res.PausedSec = wd.PausedTotal().Seconds()
-	res.Storms = wd.Storms()
-	return res, err
+	return &closRunResult{
+		Clos: cl, AllFCT: fr.fcts,
+		Generated: fr.generated, Completed: fr.completed,
+		PausedSec: wd.PausedTotal().Seconds(), Storms: wd.Storms(),
+		PeakInFlight: fr.peakInFlight,
+	}, nil
 }
 
 // closIncastFabric is the shared incast arena: the smallest 3-tier fat tree

@@ -9,7 +9,6 @@ import (
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
-	"ecndelay/internal/stability"
 )
 
 func init() {
@@ -66,7 +65,7 @@ func runFig2(o Options) (*Report, error) {
 		fluidQKB := qF.Mean
 		fluidRate := rF.Mean * 1000 * 8 / 1e9
 
-		nw, star, senders, err := sc.Star(nil, nil)
+		nw, star, senders, err := sc.Star(o.Observer, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -102,15 +101,8 @@ func runFig3(o Options) (*Report, error) {
 	}
 
 	pm := func(p fixedpoint.DCQCNParams) (float64, error) {
-		loop, err := fluid.NewDCQCNLoop(p)
-		if err != nil {
-			return 0, err
-		}
-		res, err := stability.PhaseMargin(loop)
-		if err != nil {
-			return 0, err
-		}
-		return res.PhaseMarginDeg, nil
+		m, err := DCQCNMargin(p)
+		return m["pm_deg"], err
 	}
 
 	tblA := Table{Title: "(a) phase margin vs N and feedback delay τ*"}
@@ -210,7 +202,7 @@ func runFig5(o Options) (*Report, error) {
 	sc := hybrid.NewDCQCNScenario(10, o.Seed)
 	for _, extra := range []des.Duration{0, 85 * des.Microsecond} {
 		sc.ExtraDelay = extra
-		nw, star, _, err := sc.Star(nil, nil)
+		nw, star, _, err := sc.Star(o.Observer, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -207,7 +207,7 @@ func runFig17(o Options) (*Report, error) {
 	tbl := Table{Title: "packet level", Cols: []string{"marking point", "queue KB", "queue CV", "queue max KB"}}
 	for _, ingress := range []bool{false, true} {
 		sc.Ingress = ingress
-		nw, star, _, err := sc.Star(nil, nil)
+		nw, star, _, err := sc.Star(o.Observer, nil)
 		if err != nil {
 			return nil, err
 		}

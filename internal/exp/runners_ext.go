@@ -43,6 +43,7 @@ func runExtMultihop(o Options) (*Report, error) {
 	}
 	sc := hybrid.NewDCQCNScenario(3, o.Seed)
 	nw := netsim.New(o.Seed)
+	nw.SetObserver(o.Observer)
 	pl := netsim.NewParkingLot(nw, netsim.ParkingLotConfig{
 		Hops: 3,
 		Link: netsim.LinkConfig{Bandwidth: sc.BwBytes(), PropDelay: des.Microsecond},
@@ -152,6 +153,7 @@ func runExtPFC(o Options) (*Report, error) {
 
 	run := func(pfc netsim.PFCConfig, useDCQCN bool) (victimShare float64, err error) {
 		nw := netsim.New(o.Seed)
+		nw.SetObserver(o.Observer)
 		var mark netsim.MarkerFactory
 		if useDCQCN {
 			mark = hybrid.NewDCQCNScenario(3, o.Seed).Marker(nw)
@@ -267,7 +269,7 @@ func runExtPI(o Options) (*Report, error) {
 			if usePI {
 				sc.PI = pi
 			}
-			nw, star, _, err := sc.Star(nil, nil)
+			nw, star, _, err := sc.Star(o.Observer, nil)
 			if err != nil {
 				return nil, err
 			}

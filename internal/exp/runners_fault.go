@@ -98,7 +98,7 @@ func runFaultCNP(o Options) (*Report, error) {
 	tbl := Table{Cols: []string{"CNP loss", "queue mean KB", "queue max KB", "queue CV"}}
 	sc := hybrid.NewDCQCNScenario(10, o.Seed)
 	for _, rate := range rates {
-		nw, star, _, err := sc.Star(nil, nil)
+		nw, star, _, err := sc.Star(o.Observer, nil)
 		if err != nil {
 			return nil, err
 		}

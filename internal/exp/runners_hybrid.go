@@ -13,6 +13,7 @@ import (
 	"ecndelay/internal/des"
 	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
+	"ecndelay/internal/stats"
 )
 
 func init() {
@@ -42,7 +43,7 @@ func runCrossVal(o Options) (*Report, error) {
 	tbl := Table{Cols: []string{"point", "check", "oracle", "measured", "rel err", "tol", "ok"}}
 	var firstErr error
 	for _, op := range points {
-		res, err := hybrid.RunOp(op, o.Seed)
+		res, err := hybrid.RunOp(op, o.Seed, o.Observer)
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +84,7 @@ func runHybridWarm(o Options) (*Report, error) {
 		if mode == "warm" {
 			w = warm
 		}
-		nw, cl, _, err := sc.ClosIncast(w)
+		nw, cl, _, err := sc.ClosIncast(o.Observer, w)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +126,7 @@ func runHybridBG(o Options) (*Report, error) {
 	end := des.Time(des.DurationFromSeconds(horizon))
 
 	full := hybrid.NewDCQCNScenario(8, o.Seed)
-	nwF, starF, _, err := full.Star(nil, nil)
+	nwF, starF, _, err := full.Star(o.Observer, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +136,7 @@ func runHybridBG(o Options) (*Report, error) {
 	fullMean := qsF.WindowSummary(horizon*0.6, horizon).Mean
 
 	sc := hybrid.NewDCQCNScenario(2, o.Seed)
-	nwH, starH, senders, err := sc.Star(nil, nil)
+	nwH, starH, senders, err := sc.Star(o.Observer, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -146,20 +147,20 @@ func runHybridBG(o Options) (*Report, error) {
 		return nil, err
 	}
 	// The marking view is the coupled occupancy: real + fluid bytes.
-	qsH, rsH := &statsSeries{}, &statsSeries{}
+	qsH, rsH := &stats.Series{}, &stats.Series{}
 	nwH.Sim.Every(des.Time(100*des.Microsecond), 100*des.Microsecond, func() {
 		t := nwH.Sim.Now().Seconds()
-		qsH.add(t, float64(starH.Bottleneck.Queue().MarkBytes()))
+		qsH.Add(t, float64(starH.Bottleneck.Queue().MarkBytes()))
 		sum := 0.0
 		for _, s := range senders {
 			sum += s.Rate()
 		}
-		rsH.add(t, sum/float64(len(senders)))
+		rsH.Add(t, sum/float64(len(senders)))
 	})
 	nwH.RunUntil(end)
 	evH := nwH.Sim.Processed()
-	hybMean := qsH.windowMean(horizon*0.6, horizon)
-	fgRate := rsH.windowMean(horizon*0.6, horizon)
+	hybMean := qsH.WindowSummary(horizon*0.6, horizon).Mean
+	fgRate := rsH.WindowSummary(horizon*0.6, horizon).Mean
 
 	fair := sc.Par.C / 8 * hybrid.MTU // bytes/s per flow at the 8-flow fixed point
 	tbl := Table{Cols: []string{"run", "tail queue KB", "events", "per-flow Gb/s"}}
@@ -203,26 +204,4 @@ func relDiff(a, b float64) float64 {
 		b = 1e-12
 	}
 	return d / b
-}
-
-// statsSeries is a minimal local series (stats.Series requires monotone
-// time; this mirrors it for the MarkBytes sampling above).
-type statsSeries struct {
-	t, v []float64
-}
-
-func (s *statsSeries) add(t, v float64) { s.t = append(s.t, t); s.v = append(s.v, v) }
-
-func (s *statsSeries) windowMean(t0, t1 float64) float64 {
-	sum, cnt := 0.0, 0
-	for i, t := range s.t {
-		if t >= t0 && t <= t1 {
-			sum += s.v[i]
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float64(cnt)
 }

@@ -7,7 +7,6 @@ import (
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
-	"ecndelay/internal/stability"
 	"ecndelay/internal/stats"
 	"ecndelay/internal/timely"
 )
@@ -75,7 +74,7 @@ func runFig8(o Options) (*Report, error) {
 			agg += lateStats(sm, sys.RateIndex(i), horizon*0.6).Mean
 		}
 
-		nw, star, senders, err := sc.Star(nil)
+		nw, star, senders, err := sc.Star(o.Observer, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +155,7 @@ func runFig9(o Options) (*Report, error) {
 		sc := hybrid.TimelyScenario{Cfg: fluid.DefaultTimelyConfig(2), Par: timely.DefaultParams(), Seed: o.Seed}
 		sc.Cfg.InitialRates = c.rates
 		sc.Cfg.StartTimes = []float64{0, c.stagger}
-		nw, _, senders, err := sc.Star(nil)
+		nw, _, senders, err := sc.Star(o.Observer, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +183,7 @@ func runFig10(o Options) (*Report, error) {
 	run := func(name string, p timely.Params) error {
 		sc := hybrid.TimelyScenario{Cfg: fluid.DefaultTimelyConfig(2), Par: p, Seed: o.Seed}
 		sc.Cfg.InitialRates = []float64{5e9 / 8, 5e9 / 8}
-		nw, _, senders, err := sc.Star(nil)
+		nw, _, senders, err := sc.Star(o.Observer, nil)
 		if err != nil {
 			return err
 		}
@@ -233,27 +232,18 @@ func runFig11(o Options) (*Report, error) {
 	tbl := Table{Cols: []string{"N", "q* KB (Eq.31)", "phase margin deg", "stable"}}
 	firstUnstable := 0
 	for _, n := range ns {
-		cfg := fluid.DefaultPatchedTimelyConfig(n)
-		loop, err := fluid.NewPatchedTimelyLoop(cfg)
+		m, err := PatchedMargin(n)
 		if err != nil {
 			return nil, err
 		}
-		res, err := stability.PhaseMargin(loop)
-		if err != nil {
-			return nil, err
-		}
-		sys, err := fluid.NewPatchedTimely(cfg)
-		if err != nil {
-			return nil, err
-		}
+		stable := m["stable"] > 0
 		tbl.Rows = append(tbl.Rows, []string{
-			fmt.Sprint(n), f1(sys.FixedPointQueue() / 1000),
-			f1(res.PhaseMarginDeg), fmt.Sprint(res.Stable),
+			fmt.Sprint(n), f1(m["q_star_kb"]), f1(m["pm_deg"]), fmt.Sprint(stable),
 		})
-		if !res.Stable && firstUnstable == 0 {
+		if !stable && firstUnstable == 0 {
 			firstUnstable = n
 		}
-		rep.AddMetric(fmt.Sprintf("pm_N%d", n), res.PhaseMarginDeg)
+		rep.AddMetric(fmt.Sprintf("pm_N%d", n), m["pm_deg"])
 	}
 	rep.Tables = append(rep.Tables, tbl)
 	rep.AddMetric("first_unstable_N", float64(firstUnstable))
@@ -307,7 +297,7 @@ func runFig12(o Options) (*Report, error) {
 	rep.Tables = append(rep.Tables, tb)
 
 	// Packet level: 7/3 starts converge fair.
-	nw, star, senders, err := sc.Star(nil)
+	nw, star, senders, err := sc.Star(o.Observer, nil)
 	if err != nil {
 		return nil, err
 	}

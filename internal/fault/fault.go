@@ -1,5 +1,5 @@
-// Package fault injects failures into netsim networks: random and bursty
-// packet loss, and link flaps. RoCE deployments assume a lossless fabric —
+// Package fault injects failures into netsim networks: random packet
+// loss and link flaps. RoCE deployments assume a lossless fabric —
 // the paper's protocols were designed with PFC underneath them — so the
 // interesting robustness questions are exactly what happens when that
 // assumption breaks: a flaky optic dropping data packets, a congested
@@ -55,25 +55,12 @@ func (s Selector) Matches(k netsim.Kind) bool {
 	return false
 }
 
-// GilbertElliott parameterises the classic two-state burst-loss channel: a
-// Good and a Bad state with per-packet transition probabilities and a loss
-// probability in each state. Bursty loss is the realistic regime for
-// optics and marginal cables — and it stresses go-back-N far harder than
-// the same average rate spread i.i.d.
-type GilbertElliott struct {
-	PGB      float64 // P(Good → Bad) per packet
-	PBG      float64 // P(Bad → Good) per packet
-	LossGood float64 // loss probability in Good (often 0)
-	LossBad  float64 // loss probability in Bad (often 1)
-}
-
-// Loss is one loss rule on a link: the kinds it applies to and either an
-// i.i.d. rate or a Gilbert–Elliott burst model (Burst non-nil wins). The
-// first rule on a link that matches a packet's kind decides its fate.
+// Loss is one loss rule on a link: the kinds it applies to and the i.i.d.
+// rate at which it drops them. The first rule on a link that matches a
+// packet's kind decides its fate.
 type Loss struct {
 	Kinds Selector
 	Rate  float64
-	Burst *GilbertElliott
 }
 
 // Flap takes a link down at DownAt and back up at UpAt. UpAt of zero means
@@ -115,13 +102,7 @@ func (p *Plan) Validate() error {
 			if l.Kinds == 0 {
 				return fmt.Errorf("fault: link %d loss %d selects no kinds", i, j)
 			}
-			if l.Burst != nil {
-				for _, v := range []float64{l.Burst.PGB, l.Burst.PBG, l.Burst.LossGood, l.Burst.LossBad} {
-					if v < 0 || v > 1 {
-						return fmt.Errorf("fault: link %d loss %d burst probability %v outside [0,1]", i, j, v)
-					}
-				}
-			} else if l.Rate < 0 || l.Rate > 1 {
+			if l.Rate < 0 || l.Rate > 1 {
 				return fmt.Errorf("fault: link %d loss %d rate %v outside [0,1]", i, j, l.Rate)
 			}
 		}
@@ -139,11 +120,9 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Applied is a live fault scenario: it exposes injection counters and can
-// tear the hooks back down.
+// Applied is a live fault scenario: it exposes the injection counter.
 type Applied struct {
-	plan      *Plan
-	injectors []*injector // parallel to plan.Links; nil where no loss rules
+	injectors []*injector // one per link with loss rules
 }
 
 // Apply installs the plan on the network: loss hooks on each faulted port
@@ -154,16 +133,15 @@ func (p *Plan) Apply(nw *netsim.Network) *Applied {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	a := &Applied{plan: p}
+	a := &Applied{}
 	if p == nil {
 		return a
 	}
-	a.injectors = make([]*injector, len(p.Links))
 	for i, lf := range p.Links {
 		if len(lf.Loss) > 0 {
 			in := newInjector(deriveSeed(p.Seed, i), lf.Loss)
 			lf.Port.SetFaultHook(in)
-			a.injectors[i] = in
+			a.injectors = append(a.injectors, in)
 		}
 		for _, f := range lf.Flaps {
 			port := lf.Port
@@ -176,34 +154,14 @@ func (p *Plan) Apply(nw *netsim.Network) *Applied {
 	return a
 }
 
-// Remove uninstalls the loss hooks (already-scheduled flaps still fire;
-// cancel them by not running the simulator past their times).
-func (a *Applied) Remove() {
-	for i, in := range a.injectors {
-		if in != nil {
-			a.plan.Links[i].Port.SetFaultHook(nil)
-		}
-	}
-}
-
 // Drops reports the total packets dropped by loss injection across all
 // links (flap losses are counted by each port's WireDrops instead).
 func (a *Applied) Drops() int64 {
 	var n int64
 	for _, in := range a.injectors {
-		if in != nil {
-			n += in.total
-		}
+		n += in.total
 	}
 	return n
-}
-
-// LinkDrops reports injected losses on link i of the plan.
-func (a *Applied) LinkDrops(i int) int64 {
-	if in := a.injectors[i]; in != nil {
-		return in.total
-	}
-	return 0
 }
 
 // deriveSeed maps (base, index) to a well-mixed per-link seed via the
@@ -221,65 +179,22 @@ func deriveSeed(base int64, index int) int64 {
 // would perturb ECN marking and jitter in otherwise-identical runs.
 type injector struct {
 	rng   *rand.Rand
-	rules []lossRule
+	rules []Loss
 	total int64
 }
 
-type lossRule struct {
-	sel   Selector
-	rate  float64
-	ge    *geState
-	drops int64
-}
-
-// geState is the running Gilbert–Elliott channel state for one rule.
-type geState struct {
-	GilbertElliott
-	bad bool
-}
-
 func newInjector(seed int64, rules []Loss) *injector {
-	in := &injector{rng: rand.New(rand.NewSource(seed))}
-	for _, l := range rules {
-		r := lossRule{sel: l.Kinds, rate: l.Rate}
-		if l.Burst != nil {
-			r.ge = &geState{GilbertElliott: *l.Burst}
-		}
-		in.rules = append(in.rules, r)
-	}
-	return in
+	return &injector{rng: rand.New(rand.NewSource(seed)), rules: append([]Loss(nil), rules...)}
 }
 
 // DropTx implements netsim.FaultHook: the first rule matching the packet's
-// kind decides. Burst rules advance their channel state on every matching
-// packet — dropped or not — so the burst structure is a property of the
-// channel, not of what happens to ride over it.
+// kind decides.
 func (in *injector) DropTx(pkt *netsim.Packet) bool {
-	for i := range in.rules {
-		r := &in.rules[i]
-		if !r.sel.Matches(pkt.Kind) {
+	for _, r := range in.rules {
+		if !r.Kinds.Matches(pkt.Kind) {
 			continue
 		}
-		p := r.rate
-		if r.ge != nil {
-			g := r.ge
-			if g.bad {
-				if in.rng.Float64() < g.PBG {
-					g.bad = false
-				}
-			} else {
-				if in.rng.Float64() < g.PGB {
-					g.bad = true
-				}
-			}
-			if g.bad {
-				p = g.LossBad
-			} else {
-				p = g.LossGood
-			}
-		}
-		if p >= 1 || (p > 0 && in.rng.Float64() < p) {
-			r.drops++
+		if r.Rate >= 1 || (r.Rate > 0 && in.rng.Float64() < r.Rate) {
 			in.total++
 			return true
 		}

@@ -52,7 +52,6 @@ func TestValidate(t *testing.T) {
 		{Links: []LinkFaults{{Port: nil}}},
 		{Links: []LinkFaults{{Port: p, Loss: []Loss{{Kinds: 0, Rate: 0.1}}}}},
 		{Links: []LinkFaults{{Port: p, Loss: []Loss{{Kinds: SelData, Rate: 1.5}}}}},
-		{Links: []LinkFaults{{Port: p, Loss: []Loss{{Kinds: SelData, Burst: &GilbertElliott{PGB: 2}}}}}},
 		{Links: []LinkFaults{{Port: p, Flaps: []Flap{{DownAt: 100, UpAt: 50}}}}},
 	}
 	for i := range bad {
@@ -62,7 +61,7 @@ func TestValidate(t *testing.T) {
 	}
 	good := Plan{Seed: 7, Links: []LinkFaults{{
 		Port:  p,
-		Loss:  []Loss{{Kinds: SelData, Rate: 0.01}, {Kinds: SelCtrl, Burst: &GilbertElliott{PGB: 0.1, PBG: 0.5, LossBad: 1}}},
+		Loss:  []Loss{{Kinds: SelData, Rate: 0.01}, {Kinds: SelCtrl, Rate: 1}},
 		Flaps: []Flap{{DownAt: 100, UpAt: 200}, {DownAt: 300}},
 	}}}
 	if err := good.Validate(); err != nil {
@@ -87,39 +86,6 @@ func TestInjectorIIDRate(t *testing.T) {
 	}
 	if in.total != int64(drops) {
 		t.Errorf("total %d != counted %d", in.total, drops)
-	}
-}
-
-// Gilbert–Elliott losses must cluster: same average rate as i.i.d. but
-// with much longer runs of consecutive drops.
-func TestInjectorBurstClusters(t *testing.T) {
-	// Stationary bad fraction = PGB/(PGB+PBG) = 0.1/(0.1+0.9)... pick
-	// PGB=0.02, PBG=0.18 → 10% of packets in Bad, LossBad=1 → ~10% loss,
-	// mean burst length 1/PBG ≈ 5.6.
-	in := newInjector(2, []Loss{{Kinds: SelData, Burst: &GilbertElliott{PGB: 0.02, PBG: 0.18, LossBad: 1}}})
-	pkt := &netsim.Packet{Kind: netsim.Data}
-	const n = 100000
-	drops, runs, runLen := 0, 0, 0
-	inRun := false
-	for i := 0; i < n; i++ {
-		if in.DropTx(pkt) {
-			drops++
-			runLen++
-			if !inRun {
-				runs++
-				inRun = true
-			}
-		} else {
-			inRun = false
-		}
-	}
-	frac := float64(drops) / n
-	if math.Abs(frac-0.1) > 0.02 {
-		t.Errorf("burst loss fraction %v, want ~0.1", frac)
-	}
-	meanRun := float64(drops) / float64(runs)
-	if meanRun < 3 {
-		t.Errorf("mean burst length %v, want clustered (≥3); i.i.d. would be ~1.1", meanRun)
 	}
 }
 
@@ -168,9 +134,6 @@ func TestApplyLossConservesAndRepeats(t *testing.T) {
 		if got := star.Bottleneck.WireDrops(); got != a.Drops() {
 			t.Errorf("port wire drops %d != injector drops %d", got, a.Drops())
 		}
-		if a.LinkDrops(0) != a.Drops() {
-			t.Errorf("per-link drops %d != total %d", a.LinkDrops(0), a.Drops())
-		}
 		return received, a.Drops(), nw.Sim.Processed(), nw.Sim.Now()
 	}
 	r1, d1, p1, e1 := run()
@@ -218,8 +181,9 @@ func TestApplyFlapSchedule(t *testing.T) {
 	}
 }
 
-// The A/B guarantee: a run with no plan, an empty plan, or a plan applied
-// and removed before traffic behaves bit-identically to a plain run.
+// The A/B guarantee: a run with no plan, an empty plan, or a plan whose
+// only loss rule has rate 0 behaves bit-identically to a plain run — an
+// installed hook that never drops draws nothing and perturbs nothing.
 func TestDisabledPlanIsBitIdentical(t *testing.T) {
 	run := func(mode int) (uint64, des.Time, int) {
 		nw := netsim.New(7)
@@ -240,11 +204,10 @@ func TestDisabledPlanIsBitIdentical(t *testing.T) {
 		case 1:
 			(&Plan{}).Apply(nw)
 		case 2:
-			a := (&Plan{Seed: 3, Links: []LinkFaults{{
+			(&Plan{Seed: 3, Links: []LinkFaults{{
 				Port: star.Bottleneck,
-				Loss: []Loss{{Kinds: SelData, Rate: 0.5}},
+				Loss: []Loss{{Kinds: SelData, Rate: 0}},
 			}}}).Apply(nw)
-			a.Remove()
 		}
 		for _, s := range star.Senders {
 			for i := 0; i < 100; i++ {

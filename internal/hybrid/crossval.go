@@ -8,6 +8,7 @@ import (
 	"ecndelay/internal/fixedpoint"
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/netsim"
+	"ecndelay/internal/obs"
 	"ecndelay/internal/stats"
 )
 
@@ -60,12 +61,14 @@ func CIOperatingPoints() []OpPoint {
 }
 
 // RunOp cross-validates one operating point with the default tolerances.
-func RunOp(op OpPoint, seed int64) (Result, error) {
+// A non-nil ob is attached to the packet network before it is built, as
+// in DCQCNScenario.Star.
+func RunOp(op OpPoint, seed int64, ob *obs.NetObserver) (Result, error) {
 	switch op.Proto {
 	case "dcqcn":
-		return CrossValDCQCN(NewDCQCNScenario(op.N, seed), op.Horizon, DefaultTolerance())
+		return NewDCQCNScenario(op.N, seed).crossVal(op.Horizon, DefaultTolerance(), ob)
 	case "timely":
-		return CrossValTimely(NewTimelyScenario(op.N, seed), op.Horizon, DefaultTolerance())
+		return NewTimelyScenario(op.N, seed).crossVal(op.Horizon, DefaultTolerance(), ob)
 	}
 	return Result{}, fmt.Errorf("hybrid: unknown protocol %q", op.Proto)
 }
@@ -197,68 +200,58 @@ func median(vals []float64) float64 {
 // other and against the Theorem 1 fixed point. The returned Result carries
 // every check (use Err for the verdict) and the shared trajectory.
 func CrossValDCQCN(sc DCQCNScenario, horizon float64, tol Tolerance) (Result, error) {
-	res := Result{Name: fmt.Sprintf("dcqcn_n%d", sc.Par.N)}
+	return sc.crossVal(horizon, tol, nil)
+}
+
+func (sc DCQCNScenario) crossVal(horizon float64, tol Tolerance, ob *obs.NetObserver) (Result, error) {
 	fp, err := fixedpoint.SolveDCQCN(sc.Par)
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
-
 	sys, err := sc.Fluid(nil)
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
 	sm := fluid.Run(sys, 1e-6, horizon, 1e-4)
-
-	nw, star, senders, err := sc.Star(nil, nil)
+	nw, star, senders, err := sc.Star(ob, nil)
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
-	qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
-	rs := &stats.Series{}
-	nw.Sim.Every(0, 100*des.Microsecond, func() {
-		sum := 0.0
-		for _, s := range senders {
-			sum += s.Rate()
-		}
-		rs.Add(nw.Sim.Now().Seconds(), sum/float64(len(senders)))
-	})
-	nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
-
-	tail := horizon * 0.6
-	fq := tailVals(sm, sys.QIndex(), tail)
-	fqMean := stats.Summarize(fq).Mean // packets ≡ KB
-	pq := qs.Window(tail, horizon)
-	pqMean := stats.Summarize(pq).Mean / 1000
-	pqP50 := median(pq) / 1000
-	prMean := stats.Summarize(rs.Window(tail, horizon)).Mean // bytes/s
-
-	res.Checks = []Check{
-		{Name: "fluid_q_vs_fixed_point", Want: fp.Q, Got: fqMean, Tol: tol.FluidVsFP},
-		{Name: "packet_q_vs_fluid", Want: fqMean, Got: pqMean, Tol: tol.QueueMean},
-		{Name: "packet_q_p50_vs_fluid", Want: median(fq), Got: pqP50, Tol: tol.QueueP50},
-		{Name: "packet_q_vs_fixed_point", Want: fp.Q, Got: pqMean, Tol: tol.FixedPoint},
-		{Name: "packet_rate_vs_fair_share", Want: fp.RC * MTU, Got: prMean, Tol: tol.Rate},
-	}
-	res.Traj = trajGrid(sm, sys.QIndex(), 1, qs, horizon)
-	return res, nil
+	// The fluid queue counts packets of MTU bytes: one per KB.
+	return compare(fmt.Sprintf("dcqcn_n%d", sc.Par.N), sm, sys.QIndex(), 1, fp.Q, fp.RC*MTU,
+		nw, star, senders, horizon, tol), nil
 }
 
 // CrossValTimely runs the matched fluid and packet realisations of the
 // patched-TIMELY scenario and checks them against each other and the Eq. 31
 // fixed point.
 func CrossValTimely(sc TimelyScenario, horizon float64, tol Tolerance) (Result, error) {
-	res := Result{Name: fmt.Sprintf("timely_n%d", sc.Cfg.N)}
+	return sc.crossVal(horizon, tol, nil)
+}
+
+func (sc TimelyScenario) crossVal(horizon float64, tol Tolerance, ob *obs.NetObserver) (Result, error) {
 	sys, err := fluid.NewPatchedTimely(sc.Cfg)
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
 	qStar := sys.FixedPointQueue() // bytes
 	sm := fluid.Run(sys, 1e-6, horizon, 1e-4)
-
-	nw, star, senders, err := sc.Star(nil)
+	nw, star, senders, err := sc.Star(ob, nil)
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
+	return compare(fmt.Sprintf("timely_n%d", sc.Cfg.N), sm, sys.QIndex(), 1000, qStar, sc.Cfg.C/float64(sc.Cfg.N),
+		nw, star, senders, horizon, tol), nil
+}
+
+// compare is the one fluid↔packet comparison under both protocols. It
+// samples the packet star's bottleneck queue and mean sender rate every
+// 100 µs, runs the network to the horizon and checks the tail (the last
+// 40%) of both layers against each other, against the fixed-point queue
+// qStar and against the fair share fair (bytes/s). Fluid queue values,
+// qStar included, count perKB units per KB.
+func compare[S interface{ Rate() float64 }](name string, sm []fluid.Sample, qIdx int, perKB, qStar, fair float64,
+	nw *netsim.Network, star *netsim.Star, senders []S, horizon float64, tol Tolerance) Result {
 	qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
 	rs := &stats.Series{}
 	nw.Sim.Every(0, 100*des.Microsecond, func() {
@@ -271,20 +264,19 @@ func CrossValTimely(sc TimelyScenario, horizon float64, tol Tolerance) (Result, 
 	nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 
 	tail := horizon * 0.6
-	fq := tailVals(sm, sys.QIndex(), tail)
-	fqMeanKB := stats.Summarize(fq).Mean / 1000
+	fq := tailVals(sm, qIdx, tail)
+	fqMeanKB := stats.Summarize(fq).Mean / perKB
 	pq := qs.Window(tail, horizon)
 	pqMeanKB := stats.Summarize(pq).Mean / 1000
-	pqP50KB := median(pq) / 1000
-	prMean := stats.Summarize(rs.Window(tail, horizon)).Mean
-
-	res.Checks = []Check{
-		{Name: "fluid_q_vs_fixed_point", Want: qStar / 1000, Got: fqMeanKB, Tol: tol.FluidVsFP},
-		{Name: "packet_q_vs_fluid", Want: fqMeanKB, Got: pqMeanKB, Tol: tol.QueueMean},
-		{Name: "packet_q_p50_vs_fluid", Want: median(fq) / 1000, Got: pqP50KB, Tol: tol.QueueP50},
-		{Name: "packet_q_vs_fixed_point", Want: qStar / 1000, Got: pqMeanKB, Tol: tol.FixedPoint},
-		{Name: "packet_rate_vs_fair_share", Want: sc.Cfg.C / float64(sc.Cfg.N), Got: prMean, Tol: tol.Rate},
+	return Result{
+		Name: name,
+		Checks: []Check{
+			{Name: "fluid_q_vs_fixed_point", Want: qStar / perKB, Got: fqMeanKB, Tol: tol.FluidVsFP},
+			{Name: "packet_q_vs_fluid", Want: fqMeanKB, Got: pqMeanKB, Tol: tol.QueueMean},
+			{Name: "packet_q_p50_vs_fluid", Want: median(fq) / perKB, Got: median(pq) / 1000, Tol: tol.QueueP50},
+			{Name: "packet_q_vs_fixed_point", Want: qStar / perKB, Got: pqMeanKB, Tol: tol.FixedPoint},
+			{Name: "packet_rate_vs_fair_share", Want: fair, Got: stats.Summarize(rs.Window(tail, horizon)).Mean, Tol: tol.Rate},
+		},
+		Traj: trajGrid(sm, qIdx, 1/perKB, qs, horizon),
 	}
-	res.Traj = trajGrid(sm, sys.QIndex(), 1.0/1000, qs, horizon)
-	return res, nil
 }

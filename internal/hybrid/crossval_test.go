@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"ecndelay/internal/obs"
 	"ecndelay/internal/sweep"
 )
 
@@ -27,7 +28,7 @@ func TestCrossValOperatingPoints(t *testing.T) {
 	for _, op := range CIOperatingPoints() {
 		op := op
 		t.Run(op.Proto+"_n"+itoa(op.N), func(t *testing.T) {
-			res, err := RunOp(op, goldenSeed)
+			res, err := RunOp(op, goldenSeed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +83,7 @@ func runGolden(t *testing.T, workers int) map[string][]byte {
 			Run: func(int64) (map[string]float64, error) {
 				// The fixture seed is pinned; the engine's derived
 				// per-job seed is ignored on purpose.
-				res, err := RunOp(op, goldenSeed)
+				res, err := RunOp(op, goldenSeed, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -147,9 +148,47 @@ func TestCrossValGolden(t *testing.T) {
 	}
 }
 
+// An observed cross-validation renders the golden fixture's bytes and
+// breaks no invariant, and the exported entry point renders them too: the
+// observer only watches, and RunOp and CrossValTimely are one comparison.
+func TestCrossValObservedMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crossval operating points take a few seconds")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "crossval_timely_n2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := OpPoint{Proto: "timely", N: 2, Horizon: 0.25}
+	ob := &obs.NetObserver{Metrics: obs.NewRegistry(), Check: obs.NewChecker()}
+	observed, err := RunOp(op, goldenSeed, ob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := CrossValTimely(NewTimelyScenario(op.N, goldenSeed), op.Horizon, DefaultTolerance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]Result{"observed RunOp": observed, "CrossValTimely": plain} {
+		var buf bytes.Buffer
+		if err := res.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s rendered different bytes than the golden fixture", name)
+		}
+	}
+	if err := ob.Check.Err(); err != nil {
+		t.Error(err)
+	}
+	if len(ob.Metrics.Snapshot()) == 0 {
+		t.Error("the observer registered no counter")
+	}
+}
+
 // TestRunOpUnknownProto pins the error path.
 func TestRunOpUnknownProto(t *testing.T) {
-	if _, err := RunOp(OpPoint{Proto: "tcp", N: 2, Horizon: 0.01}, 1); err == nil {
+	if _, err := RunOp(OpPoint{Proto: "tcp", N: 2, Horizon: 0.01}, 1, nil); err == nil {
 		t.Fatal("RunOp accepted an unknown protocol")
 	}
 }

@@ -173,10 +173,13 @@ func NewTimelyScenario(n int, seed int64) TimelyScenario {
 
 // Star builds the packet-level realisation. Flow i starts at
 // Cfg.StartTimes[i] at rate Cfg.InitialRates[i]; a nil slice starts every
-// flow at time 0 or at the protocol's default rate. A non-nil warm start
-// overrides the start rates and prefills the bottleneck queue.
-func (sc TimelyScenario) Star(warm *WarmStart) (*netsim.Network, *netsim.Star, []*timely.Sender, error) {
+// flow at time 0 or at the protocol's default rate. A non-nil ob is
+// attached before any port or endpoint exists, as in DCQCNScenario.Star.
+// A non-nil warm start overrides the start rates and prefills the
+// bottleneck queue.
+func (sc TimelyScenario) Star(ob *obs.NetObserver, warm *WarmStart) (*netsim.Network, *netsim.Star, []*timely.Sender, error) {
 	nw := netsim.New(sc.Seed)
+	nw.SetObserver(ob)
 	star := netsim.NewStar(nw, netsim.StarConfig{
 		Senders: sc.Cfg.N,
 		Link:    netsim.LinkConfig{Bandwidth: sc.Cfg.C, PropDelay: des.Microsecond},

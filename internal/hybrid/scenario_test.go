@@ -80,7 +80,7 @@ func TestTimelyStarStartTimesAndRates(t *testing.T) {
 	sc := NewTimelyScenario(2, 1)
 	sc.Cfg.InitialRates = []float64{7e9 / 8, 3e9 / 8}
 	sc.Cfg.StartTimes = []float64{0, 1e-3}
-	nw, _, senders, err := sc.Star(nil)
+	nw, _, senders, err := sc.Star(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/des"
 	"ecndelay/internal/netsim"
+	"ecndelay/internal/obs"
 	"ecndelay/internal/stats"
 	"ecndelay/internal/topo"
 )
@@ -112,10 +113,12 @@ func MonitorEvents(sim *des.Simulator, interval des.Duration) *stats.Series {
 // ClosIncast builds the Clos realisation of the scenario: Par.N senders on
 // a 2-tier leaf-spine fabric all sending to host 0, whose leaf→host port
 // is the bottleneck — same capacity and RED profile as the star, so the
-// same analytic fixed point applies. A non-nil warm start is applied to
-// the senders and the bottleneck queue.
-func (sc DCQCNScenario) ClosIncast(warm *WarmStart) (*netsim.Network, *topo.Clos, []*dcqcn.Sender, error) {
+// same analytic fixed point applies. A non-nil ob is attached before the
+// fabric exists, as in Star. A non-nil warm start is applied to the
+// senders and the bottleneck queue.
+func (sc DCQCNScenario) ClosIncast(ob *obs.NetObserver, warm *WarmStart) (*netsim.Network, *topo.Clos, []*dcqcn.Sender, error) {
 	nw := netsim.New(sc.Seed)
+	nw.SetObserver(ob)
 	radix := 4
 	for radix*radix/2 < sc.Par.N+1 {
 		radix += 2

@@ -84,7 +84,7 @@ func TestTimelyStarWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, star, senders, err := sc.Star(warm)
+	nw, star, senders, err := sc.Star(nil, warm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func TestWarmColdSameSteadyState(t *testing.T) {
 			return nw, star.Bottleneck, nil
 		}},
 		{"clos", func(w *WarmStart) (*netsim.Network, *netsim.Port, error) {
-			nw, cl, _, err := sc.ClosIncast(w)
+			nw, cl, _, err := sc.ClosIncast(nil, w)
 			if err != nil {
 				return nil, nil, err
 			}

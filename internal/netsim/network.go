@@ -6,7 +6,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"sync/atomic"
 
@@ -63,14 +62,6 @@ func (nw *Network) addNode(n Node) int {
 
 // NodeCount reports the number of registered nodes.
 func (nw *Network) NodeCount() int { return len(nw.nodes) }
-
-// NodeByID returns a registered node.
-func (nw *Network) NodeByID(id int) Node {
-	if id < 0 || id >= len(nw.nodes) {
-		panic(fmt.Sprintf("netsim: unknown node %d", id))
-	}
-	return nw.nodes[id]
-}
 
 // NextPacketID hands out unique packet ids: 1, 2, 3, …
 func (nw *Network) NextPacketID() uint64 {

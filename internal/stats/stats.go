@@ -148,29 +148,3 @@ func (s *Series) Window(t0, t1 float64) []float64 {
 func (s *Series) WindowSummary(t0, t1 float64) Summary {
 	return Summarize(s.Window(t0, t1))
 }
-
-// TimeAverage integrates the series by step interpolation (each value holds
-// until the next sample) over [t0, t1] and divides by the span.
-func (s *Series) TimeAverage(t0, t1 float64) float64 {
-	if len(s.T) == 0 || t1 <= t0 {
-		return 0
-	}
-	var acc float64
-	for i := 0; i < len(s.T); i++ {
-		start := s.T[i]
-		if start < t0 {
-			start = t0
-		}
-		end := t1
-		if i+1 < len(s.T) && s.T[i+1] < end {
-			end = s.T[i+1]
-		}
-		if end > start {
-			acc += s.V[i] * (end - start)
-		}
-		if s.T[i] > t1 {
-			break
-		}
-	}
-	return acc / (t1 - t0)
-}

@@ -202,25 +202,6 @@ func TestSeriesBackwardsPanics(t *testing.T) {
 	s.Add(0.5, 0)
 }
 
-func TestTimeAverage(t *testing.T) {
-	var s Series
-	s.Add(0, 10)
-	s.Add(1, 20)
-	s.Add(3, 0)
-	// [0,1): 10, [1,3): 20, [3,4]: 0 → over [0,4]: (10+40+0)/4 = 12.5.
-	if got := s.TimeAverage(0, 4); math.Abs(got-12.5) > 1e-12 {
-		t.Errorf("TimeAverage = %v, want 12.5", got)
-	}
-	// Partial window [0.5, 1.5]: 0.5·10 + 0.5·20 = 15.
-	if got := s.TimeAverage(0.5, 1.5); math.Abs(got-15) > 1e-12 {
-		t.Errorf("partial TimeAverage = %v, want 15", got)
-	}
-	var empty Series
-	if got := empty.TimeAverage(0, 1); got != 0 {
-		t.Errorf("empty TimeAverage = %v", got)
-	}
-}
-
 func TestPercentileMatchesSortedDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	xs := make([]float64, 1000)

@@ -6,19 +6,23 @@ import (
 	"ecndelay/internal/des"
 	"ecndelay/internal/fault"
 	"ecndelay/internal/netsim"
+	"ecndelay/internal/obs"
 	"ecndelay/internal/timely"
 )
 
 // Pooled and unpooled TIMELY runs (data, acks, RTT-gradient updates, burst
 // pacing) must be bit-identical for the same seed: the pool changes memory
-// reuse only, never a simulated result.
+// reuse only, never a simulated result — down to the audit trail, which
+// records every RTT sample and rate decision.
 func TestTimelyPoolingDeterminism(t *testing.T) {
 	for _, burst := range []bool{false, true} {
-		run := func(pooling bool) (rates []float64, processed uint64, end des.Time) {
+		run := func(pooling bool) (decisions []obs.Decision, processed uint64, end des.Time) {
 			p := timely.DefaultParams()
 			p.Burst = burst
 			nw := netsim.New(9)
 			nw.SetPooling(pooling)
+			audit := obs.NewMemorySink[obs.Decision](0)
+			nw.SetObserver(&obs.NetObserver{Audit: obs.NewAuditTrail(audit)})
 			star := netsim.NewStar(nw, netsim.StarConfig{
 				Senders: 2,
 				Link:    netsim.LinkConfig{Bandwidth: 1.25e9, PropDelay: des.Microsecond},
@@ -31,16 +35,12 @@ func TestTimelyPoolingDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s, err := ep.NewFlow(i, star.Receiver.ID(), -1, 0, 5e9/8)
-				if err != nil {
+				if _, err := ep.NewFlow(i, star.Receiver.ID(), -1, 0, 5e9/8); err != nil {
 					t.Fatal(err)
-				}
-				s.RateHook = func(_ des.Time, rate float64) {
-					rates = append(rates, rate)
 				}
 			}
 			nw.Sim.RunUntil(des.Time(20 * des.Millisecond))
-			return rates, nw.Sim.Processed(), nw.Sim.Now()
+			return audit.Records(), nw.Sim.Processed(), nw.Sim.Now()
 		}
 		r1, p1, e1 := run(true)
 		r2, p2, e2 := run(false)
@@ -48,12 +48,15 @@ func TestTimelyPoolingDeterminism(t *testing.T) {
 			t.Errorf("burst=%v: pooled (proc=%d end=%v) != unpooled (proc=%d end=%v)",
 				burst, p1, e1, p2, e2)
 		}
+		if len(r2) == 0 {
+			t.Fatalf("burst=%v: the run audited no decision", burst)
+		}
 		if len(r1) != len(r2) {
-			t.Fatalf("burst=%v: rate trace lengths differ: %d vs %d", burst, len(r1), len(r2))
+			t.Fatalf("burst=%v: audit lengths differ: %d vs %d", burst, len(r1), len(r2))
 		}
 		for i := range r1 {
 			if r1[i] != r2[i] {
-				t.Fatalf("burst=%v: rate trace diverges at update %d: %v vs %v",
+				t.Fatalf("burst=%v: audit diverges at decision %d: %+v vs %+v",
 					burst, i, r1[i], r2[i])
 			}
 		}

@@ -136,8 +136,20 @@ func TestTimelyRecoveryLossyFlowsComplete(t *testing.T) {
 	}
 }
 
-// Bursty (Gilbert–Elliott) loss hitting a whole segment: go-back-N must
-// recover stretches of consecutive losses, not just single drops.
+// dropRun is a fault hook that destroys one run of consecutive data
+// packets: skip through skip+n of the data packets it sees.
+type dropRun struct{ seen, skip, n int }
+
+func (d *dropRun) DropTx(pkt *netsim.Packet) bool {
+	if pkt.Kind != netsim.Data {
+		return false
+	}
+	d.seen++
+	return d.seen > d.skip && d.seen <= d.skip+d.n
+}
+
+// Burst loss hitting a whole segment: go-back-N must recover a stretch of
+// consecutive losses, not just single drops.
 func TestTimelyRecoveryBurstLoss(t *testing.T) {
 	nw := netsim.New(2)
 	star := netsim.NewStar(nw, netsim.StarConfig{
@@ -158,18 +170,15 @@ func TestTimelyRecoveryBurstLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	(&fault.Plan{Seed: 5, Links: []fault.LinkFaults{{
-		Port: star.Bottleneck,
-		Loss: []fault.Loss{{Kinds: fault.SelData,
-			Burst: &fault.GilbertElliott{PGB: 0.01, PBG: 0.2, LossBad: 1}}},
-	}}}).Apply(nw)
+	burst := &dropRun{skip: 40, n: 20}
+	star.Bottleneck.SetFaultHook(burst)
 	nw.Sim.RunUntil(des.Time(des.Second))
 	if !done || !s.Done() {
 		t.Fatalf("flow did not complete under burst loss (rx=%v tx=%v)", done, s.Done())
 	}
 	st := s.Recovery()
-	if st.RetxBytes == 0 || st.Rewinds == 0 {
-		t.Errorf("burst loss recovered without retransmission? %+v", st)
+	if st.RetxBytes < int64(burst.n)*netsim.DataMTU || st.Rewinds == 0 {
+		t.Errorf("a %d-packet burst recovered with %+v", burst.n, st)
 	}
 	if rx.TotalRxBytes() != 300000 {
 		t.Errorf("goodput %d, want 300000", rx.TotalRxBytes())

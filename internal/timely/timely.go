@@ -174,9 +174,6 @@ type Sender struct {
 
 	segBytes int64        // bytes sent in the current segment
 	paceEv   des.EventRef // pending pacing tick (cancelled on rewind)
-
-	// RateHook, if non-nil, observes every rate change.
-	RateHook func(t des.Time, rate float64)
 }
 
 // Handler arguments: the sender is its own des.Handler, dispatching the
@@ -382,9 +379,6 @@ func (s *Sender) onAck(pkt *netsim.Packet) {
 	}
 	s.update(newRTT)
 	s.lastUpdate = now
-	if s.RateHook != nil {
-		s.RateHook(now, s.rate)
-	}
 }
 
 // update is Algorithm 1 (or Algorithm 2 when Patched).

@@ -7,6 +7,7 @@ import (
 
 	"ecndelay/internal/des"
 	"ecndelay/internal/netsim"
+	"ecndelay/internal/obs"
 	"ecndelay/internal/stats"
 )
 
@@ -311,6 +312,8 @@ func TestDuplicateFlowIDRejected(t *testing.T) {
 // trigger extra rate updates.
 func TestUpdateGate(t *testing.T) {
 	nw := netsim.New(1)
+	audit := obs.NewAuditTrail()
+	nw.SetObserver(&obs.NetObserver{Audit: audit})
 	star := netsim.NewStar(nw, netsim.StarConfig{
 		Senders: 1,
 		Link:    netsim.LinkConfig{Bandwidth: 1.25e9, PropDelay: des.Microsecond},
@@ -322,15 +325,17 @@ func TestUpdateGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := ep.NewFlow(0, star.Receiver.ID(), -1, 0, 1.25e9)
-	if err != nil {
+	if _, err := ep.NewFlow(0, star.Receiver.ID(), -1, 0, 1.25e9); err != nil {
 		t.Fatal(err)
 	}
-	updates := 0
-	s.RateHook = func(des.Time, float64) { updates++ }
 	nw.Sim.RunUntil(des.Time(10 * des.Millisecond))
-	// At line rate a 16 KB segment takes 12.8 µs < MinRTT = 20 µs, so
-	// updates are gated to at most one per 20 µs: <= 500 in 10 ms.
+	// Every rate update is audited as one rate action. At line rate a 16 KB
+	// segment takes 12.8 µs < MinRTT = 20 µs, so updates are gated to at
+	// most one per 20 µs: <= 500 in 10 ms.
+	var updates int64
+	for _, d := range []obs.DecisionType{obs.DecTimelyAdd, obs.DecTimelyMD, obs.DecTimelyBrake, obs.DecTimelyPatched} {
+		updates += audit.Count(d)
+	}
 	if updates > 520 {
 		t.Errorf("%d rate updates in 10ms, gate to ~500 expected", updates)
 	}

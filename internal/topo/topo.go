@@ -332,18 +332,3 @@ func (c *Clos) Switches() []*netsim.Switch {
 	out = append(out, c.Aggs...)
 	return append(out, c.Spines...)
 }
-
-// LeafOf returns the leaf switch host h hangs off.
-func (c *Clos) LeafOf(h int) *netsim.Switch {
-	return c.Leaves[h/(c.Cfg.Radix/2)]
-}
-
-// PodOf returns the pod index of host h (always 0 on a 2-tier fabric,
-// where pods degenerate to leaves' shared spine mesh).
-func (c *Clos) PodOf(h int) int {
-	if c.Cfg.Tiers == 2 {
-		return 0
-	}
-	half := c.Cfg.Radix / 2
-	return h / (half * half)
-}

@@ -1,17 +1,13 @@
 package workload
 
-import (
-	"errors"
-	"fmt"
-	"math/rand"
-)
+import "errors"
 
 // This file holds the datacenter workload suite beyond the paper's §5.1
 // Poisson/web-search mix: the synchronized patterns (partition-aggregate
-// incast, all-to-all shuffle, replicated storage writes) that stress a Clos
-// fabric in ways independent Poisson arrivals do not — correlated bursts
-// converging on one egress, which is where DCQCN's PFC storms and TIMELY's
-// delay inflation actually bite.
+// incast, all-to-all shuffle) that stress a Clos fabric in ways
+// independent Poisson arrivals do not — correlated bursts converging on
+// one egress, which is where DCQCN's PFC storms and TIMELY's delay
+// inflation actually bite.
 
 // IncastConfig drives Incast: the partition-aggregate pattern where a query
 // fans out and every worker's response shard converges on the aggregator at
@@ -95,67 +91,4 @@ func Shuffle(cfg ShuffleConfig) ([]Flow, error) {
 		}
 	}
 	return flows, nil
-}
-
-// BurstConfig drives StorageBursts: replicated-write traffic where each
-// client write fans out to several storage servers simultaneously.
-type BurstConfig struct {
-	// Writers is the client pool size (sender indexes).
-	Writers int
-	// Targets is the storage server pool size (receiver indexes).
-	Targets int
-	// Replicas is the copies written per burst, to distinct servers.
-	Replicas int
-	// Size is the bytes per replica write.
-	Size int64
-	// Rate is the burst arrival rate in bursts/second (Poisson).
-	Rate float64
-	// Horizon is the generation window in seconds.
-	Horizon float64
-	// Seed makes the trace reproducible.
-	Seed int64
-}
-
-// StorageBursts generates Poisson-arriving replication bursts: at each
-// arrival a uniformly random writer opens Replicas equal-size flows to
-// distinct uniformly random servers, all starting at the arrival instant.
-// The correlated fan-out is the point — R replicas can collide on one rack
-// even when the average load is low.
-func StorageBursts(cfg BurstConfig) ([]Flow, error) {
-	switch {
-	case cfg.Writers <= 0 || cfg.Targets <= 0:
-		return nil, errors.New("workload: storage bursts need writers and targets")
-	case cfg.Replicas <= 0:
-		return nil, errors.New("workload: Replicas must be positive")
-	case cfg.Replicas > cfg.Targets:
-		return nil, fmt.Errorf("workload: %d replicas cannot land on distinct servers in a pool of %d", cfg.Replicas, cfg.Targets)
-	case cfg.Size <= 0:
-		return nil, errors.New("workload: burst Size must be positive")
-	case cfg.Rate <= 0:
-		return nil, errors.New("workload: burst Rate must be positive")
-	case cfg.Horizon <= 0:
-		return nil, errors.New("workload: Horizon must be positive")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Partial Fisher–Yates scratch for distinct replica targets.
-	pool := make([]int, cfg.Targets)
-	var flows []Flow
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() / cfg.Rate
-		if t >= cfg.Horizon {
-			return flows, nil
-		}
-		w := rng.Intn(cfg.Writers)
-		for i := range pool {
-			pool[i] = i
-		}
-		for i := 0; i < cfg.Replicas; i++ {
-			j := i + rng.Intn(cfg.Targets-i)
-			pool[i], pool[j] = pool[j], pool[i]
-			flows = append(flows, Flow{
-				ID: len(flows), Start: t, Size: cfg.Size, Sender: w, Recv: pool[i],
-			})
-		}
-	}
 }

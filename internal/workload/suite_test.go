@@ -124,43 +124,3 @@ func TestShuffle(t *testing.T) {
 		t.Error("single-host shuffle accepted")
 	}
 }
-
-func TestStorageBursts(t *testing.T) {
-	cfg := BurstConfig{Writers: 4, Targets: 10, Replicas: 3, Size: 256e3, Rate: 500, Horizon: 1, Seed: 9}
-	flows, err := StorageBursts(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flows) == 0 || len(flows)%3 != 0 {
-		t.Fatalf("%d flows, want a positive multiple of Replicas", len(flows))
-	}
-	// ~500 bursts expected over the horizon; allow wide Poisson slack.
-	if bursts := len(flows) / 3; bursts < 350 || bursts > 650 {
-		t.Errorf("%d bursts for rate 500 over 1s", bursts)
-	}
-	for b := 0; b < len(flows); b += 3 {
-		targets := map[int]bool{}
-		for _, f := range flows[b : b+3] {
-			if f.Start != flows[b].Start || f.Sender != flows[b].Sender {
-				t.Fatalf("burst at flow %d not synchronized: %+v vs %+v", b, f, flows[b])
-			}
-			if f.Recv < 0 || f.Recv >= 10 {
-				t.Fatalf("replica target out of pool: %+v", f)
-			}
-			targets[f.Recv] = true
-		}
-		if len(targets) != 3 {
-			t.Fatalf("burst at flow %d reused a server: %v", b, targets)
-		}
-	}
-	again, err := StorageBursts(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != len(flows) || again[1] != flows[1] {
-		t.Error("same seed produced a different burst trace")
-	}
-	if _, err := StorageBursts(BurstConfig{Writers: 1, Targets: 2, Replicas: 3, Size: 1, Rate: 1, Horizon: 1}); err == nil {
-		t.Error("more replicas than servers accepted")
-	}
-}
