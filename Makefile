@@ -62,8 +62,16 @@ bench:
 # BenchmarkHold drives the event queue alone at two fixed depths.
 # The analysis layers ride along: both phase-margin loops, the DCQCN fluid
 # right-hand side, the allocation-free loop-gain evaluation and every fluid
-# model's right-hand side, which must not allocate once warm.
+# model's right-hand side, which must not allocate once warm. The first
+# line requires the compiler to inline the one Eq. 5-7 rate law
+# (fixedpoint Eq57) into the DCQCN fluid right-hand side's per-flow loop,
+# so giving the law one home adds no call to the hottest loop of the
+# fluid models (behind a call, the fluid_dde workload ran about 1% slower
+# on a 2-vCPU host).
 bench-smoke:
+	@$(GO) build -gcflags=-m ./internal/fluid 2>&1 | \
+		grep -q 'dcqcn.go:.*inlining call to fixedpoint.(\*DCQCNParams).Eq57' || \
+		{ echo "bench-smoke: Eq57 is not inlined into the DCQCN fluid right-hand side"; exit 1; }
 	$(GO) test -timeout 5m -run='^$$' -bench='HandlerEvents|ClosureEvents|Hold|PortChain' \
 		-benchmem -benchtime=1x ./internal/des ./internal/netsim
 	$(GO) test -timeout 5m -run='^$$' -bench='PhaseMarginDCQCN|PhaseMarginPatchedTimely|DCQCNFluid' \

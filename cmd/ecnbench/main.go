@@ -67,8 +67,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// through one NetObserver.ForJob copy per experiment: counters are
 	// atomic, the tracer serialises internally, and each copy's child
 	// checker owns the books of its networks, so metrics and invariant
-	// verdicts are the same for any -workers value. Probe series carry the
-	// experiment id as a name prefix (the same ForJob copy) and export
+	// verdicts are the same for any -workers value. Probe series,
+	// histograms and counters carry the experiment id as a name prefix
+	// (the same ForJob copy), so no two experiments share a row, and export
 	// deterministically; only the -trace stream interleaves experiments
 	// by completion order, so byte-stable traces need -workers 1. Proto is
 	// empty in export headers: experiments mix protocols, and each

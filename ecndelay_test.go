@@ -27,9 +27,8 @@ func TestPublicFixedPointAPI(t *testing.T) {
 }
 
 func TestPublicFluidAPI(t *testing.T) {
-	sys, err := ecndelay.NewDCQCNFluid(ecndelay.DCQCNFluidConfig{
-		Params: ecndelay.DefaultDCQCNParams(2),
-	})
+	p := ecndelay.DefaultDCQCNParams(2)
+	sys, err := ecndelay.NewDCQCNFluid(ecndelay.DCQCNFluidConfig{Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestPublicFluidAPI(t *testing.T) {
 		t.Fatal("empty trajectory")
 	}
 	last := tr[len(tr)-1]
-	fp, err := sys.FixedPoint()
+	fp, err := ecndelay.SolveDCQCNFixedPoint(p)
 	if err != nil {
 		t.Fatal(err)
 	}

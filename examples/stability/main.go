@@ -98,11 +98,11 @@ func run(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		sys, err := ecndelay.NewPatchedTimelyFluid(cfg)
+		_, qStar, err := loop.Equilibrium()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%6d %14.1f %14.1f\n", n, sys.FixedPointQueue()/1000, res.PhaseMarginDeg)
+		fmt.Fprintf(w, "%6d %14.1f %14.1f\n", n, qStar/1000, res.PhaseMarginDeg)
 	}
 	fmt.Fprintln(w, "\nDelay-based control cannot escape this: the queue IS the signal, so more flows mean")
 	fmt.Fprintln(w, "more queue, more feedback lag, less margin. ECN marked on egress never couples the two.")

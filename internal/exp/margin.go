@@ -33,8 +33,7 @@ func DCQCNMargin(p fixedpoint.DCQCNParams) (map[string]float64, error) {
 // patched-TIMELY loop at n flows. Its metrics are pm_deg, q_star_kb (the
 // Eq. 31 queue) and stable (1 or 0).
 func PatchedMargin(n int) (map[string]float64, error) {
-	cfg := fluid.DefaultPatchedTimelyConfig(n)
-	loop, err := fluid.NewPatchedTimelyLoop(cfg)
+	loop, err := fluid.NewPatchedTimelyLoop(fluid.DefaultPatchedTimelyConfig(n))
 	if err != nil {
 		return nil, err
 	}
@@ -42,13 +41,13 @@ func PatchedMargin(n int) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := fluid.NewPatchedTimely(cfg)
+	_, qStar, err := loop.Equilibrium()
 	if err != nil {
 		return nil, err
 	}
 	return map[string]float64{
 		"pm_deg":    res.PhaseMarginDeg,
-		"q_star_kb": sys.FixedPointQueue() / 1000,
+		"q_star_kb": qStar / 1000,
 		"stable":    boolMetric(res.Stable),
 	}, nil
 }

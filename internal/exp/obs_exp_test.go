@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -173,6 +174,42 @@ func TestGoldenProbeTrajectories(t *testing.T) {
 				t.Error("same-seed rerun produced a different trajectory")
 			}
 		})
+	}
+}
+
+// Two DCQCN experiments sharing one registry, as ecnbench and sweep run
+// them: each job's port and endpoint counters land under its own job
+// prefix, so one -metrics file keeps the experiments apart instead of
+// summing their networks' node-for-node counters.
+func TestCountersCarryJobPrefix(t *testing.T) {
+	shared := &obs.NetObserver{Metrics: obs.NewRegistry()}
+	ids := []string{"fig5", "fig17"}
+	jobs, err := SweepJobs(ids, Options{Scale: Quick, Observer: shared}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sweep.Run(sweep.Config{Workers: 2}, jobs, &sweep.MemorySink{}); err != nil {
+		t.Fatal(err)
+	}
+	cnps := map[string]int64{}
+	ports := map[string]int{}
+	for _, m := range shared.Metrics.Snapshot() {
+		job, name, _ := strings.Cut(m.Name, ".")
+		if job != ids[0] && job != ids[1] {
+			t.Fatalf("counter %q carries no job prefix", m.Name)
+		}
+		if strings.HasPrefix(name, "dcqcn.n") && strings.HasSuffix(name, ".cnp_rx") {
+			cnps[job] += m.Value
+		}
+		if strings.HasPrefix(name, "port.n") {
+			ports[job]++
+		}
+	}
+	for _, id := range ids {
+		if cnps[id] == 0 || ports[id] == 0 {
+			t.Errorf("%s: %d CNPs received and %d port counters under its prefix, want both > 0",
+				id, cnps[id], ports[id])
+		}
 	}
 }
 

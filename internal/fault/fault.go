@@ -102,7 +102,7 @@ func (p *Plan) Validate() error {
 			if l.Kinds == 0 {
 				return fmt.Errorf("fault: link %d loss %d selects no kinds", i, j)
 			}
-			if l.Rate < 0 || l.Rate > 1 {
+			if !(l.Rate >= 0 && l.Rate <= 1) { // false for NaN too
 				return fmt.Errorf("fault: link %d loss %d rate %v outside [0,1]", i, j, l.Rate)
 			}
 		}

@@ -52,6 +52,7 @@ func TestValidate(t *testing.T) {
 		{Links: []LinkFaults{{Port: nil}}},
 		{Links: []LinkFaults{{Port: p, Loss: []Loss{{Kinds: 0, Rate: 0.1}}}}},
 		{Links: []LinkFaults{{Port: p, Loss: []Loss{{Kinds: SelData, Rate: 1.5}}}}},
+		{Links: []LinkFaults{{Port: p, Loss: []Loss{{Kinds: SelData, Rate: math.NaN()}}}}},
 		{Links: []LinkFaults{{Port: p, Flaps: []Flap{{DownAt: 100, UpAt: 50}}}}},
 	}
 	for i := range bad {

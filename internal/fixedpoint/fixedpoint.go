@@ -197,6 +197,24 @@ func (eq *Eq12) AlphaTarget(r float64) float64 {
 	return -math.Expm1(eq.pr.TauPrime * r * eq.lp)
 }
 
+// Eq57 is the DCQCN rate law of Eq. 5-7 for one flow: the derivatives of
+// α, R_T and R_C at state (alpha, rt, rc) and delayed rate rcHat, given
+// the Eq. 12 terms a..e at that rate and target = 1-(1-p)^{τ' rcHat}
+// (Eq12.Terms and AlphaTarget). The fluid model, its loop reduction and
+// the hybrid background aggregate all call it; it is small enough to
+// inline into the fluid right-hand side's per-flow loop.
+func (pr *DCQCNParams) Eq57(a, b, c, d, e, target, alpha, rt, rc, rcHat float64) (dAlpha, dRT, dRC float64) {
+	// Eq. 5: α tracks the marked fraction over the τ' window.
+	dAlpha = pr.G / pr.TauPrime * (target - alpha)
+	// Eq. 6: the target rate resets on cuts and rises with the byte
+	// counter and timer once past the F fast-recovery stages.
+	dRT = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)
+	// Eq. 7: multiplicative decrease on CNPs, fast recovery toward R_T on
+	// byte-counter and timer events.
+	dRC = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(b+d)
+	return dAlpha, dRT, dRC
+}
+
 // DCQCNResidual is the left-hand side minus right-hand side of Eq. 11 at
 // marking probability p with per-flow rate rc = C/N. It is negative for
 // p below the fixed point and positive above it. Below p = 1e-12 the Eq. 12

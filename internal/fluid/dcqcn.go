@@ -37,14 +37,20 @@ type DCQCNConfig struct {
 
 // DCQCNSystem is the DCQCN fluid model as an ode.System. State layout:
 // y[0] = queue (packets); for flow i: y[1+3i] = α_i, y[2+3i] = R_T^i,
-// y[3+3i] = R_C^i (packets/s). It is not safe for concurrent use: Derivs
-// updates the Eq. 12 memo and PostStep advances the jitter.
+// y[3+3i] = R_C^i (packets/s). DCQCNPISystem shifts the flows one slot to
+// make room for its marking probability. It is not safe for concurrent
+// use: Derivs updates the Eq. 12 memo and PostStep advances the jitter.
 type DCQCNSystem struct {
 	cfg      DCQCNConfig
 	lineRate float64
 	rmin     float64
 	jit      *jitterSource
 	memo     *eq12Memo // allocated by the first rateDerivs
+	// pi, when set, replaces RED with the switch PI controller of
+	// Eq. 32 (DCQCNPISystem): p is state y[1] and the flows start at
+	// y[2]. off is the state index of flow 0's α.
+	pi  *PIConfig
+	off int
 }
 
 // eq12Memo keeps the last Eq. 12 evaluations of a DCQCN right-hand side,
@@ -81,16 +87,17 @@ func NewDCQCN(cfg DCQCNConfig) (*DCQCNSystem, error) {
 	}
 	// Every sender has a bottleneck-speed NIC, and the protocol minimum
 	// rate is 1/1000 of it.
-	s := &DCQCNSystem{cfg: cfg, lineRate: cfg.Params.C, rmin: cfg.Params.C / 1000}
+	s := &DCQCNSystem{cfg: cfg, lineRate: cfg.Params.C, rmin: cfg.Params.C / 1000, off: 1}
 	s.jit = newJitterSource(cfg.JitterMax, cfg.Seed)
 	return s, nil
 }
 
 // Dim implements ode.System.
-func (s *DCQCNSystem) Dim() int { return 1 + 3*s.cfg.Params.N }
+func (s *DCQCNSystem) Dim() int { return s.off + 3*s.cfg.Params.N }
 
-// Initial returns the initial state vector: empty queue, α = 1 (the DCQCN
-// initial value), R_T = R_C = line rate unless InitialRC overrides.
+// Initial returns the initial state vector: empty queue, p = 0 under PI
+// marking, α = 1 (the DCQCN initial value), R_T = R_C = line rate unless
+// InitialRC overrides.
 func (s *DCQCNSystem) Initial() []float64 {
 	y := make([]float64, s.Dim())
 	for i := 0; i < s.cfg.Params.N; i++ {
@@ -98,9 +105,9 @@ func (s *DCQCNSystem) Initial() []float64 {
 		if s.cfg.InitialRC != nil {
 			r = s.cfg.InitialRC[i]
 		}
-		y[1+3*i] = 1 // α starts at 1 per the DCQCN spec
-		y[2+3*i] = r
-		y[3+3*i] = r
+		y[s.AlphaIndex(i)] = 1 // α starts at 1 per the DCQCN spec
+		y[s.RTIndex(i)] = r
+		y[s.RCIndex(i)] = r
 	}
 	return y
 }
@@ -109,13 +116,13 @@ func (s *DCQCNSystem) Initial() []float64 {
 func (s *DCQCNSystem) QIndex() int { return 0 }
 
 // AlphaIndex returns the state index of flow i's α.
-func (s *DCQCNSystem) AlphaIndex(i int) int { return 1 + 3*i }
+func (s *DCQCNSystem) AlphaIndex(i int) int { return s.off + 3*i }
 
 // RTIndex returns the state index of flow i's target rate.
-func (s *DCQCNSystem) RTIndex(i int) int { return 2 + 3*i }
+func (s *DCQCNSystem) RTIndex(i int) int { return s.off + 1 + 3*i }
 
 // RCIndex returns the state index of flow i's current rate.
-func (s *DCQCNSystem) RCIndex(i int) int { return 3 + 3*i }
+func (s *DCQCNSystem) RCIndex(i int) int { return s.off + 2 + 3*i }
 
 // Derivs implements ode.System with the Figure 1 equations.
 func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []float64) {
@@ -123,44 +130,9 @@ func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []fl
 	delay := pr.TauStar + s.jit.value()
 	tq := t - delay
 
-	// Delayed marking probability: ECN is marked on egress, so the mark
-	// reflects the queue at departure and reaches the sender one
-	// propagation delay later (§5.2). Eq. 3 applied to q(t-τ*). With
-	// ingress marking the mark rides the packet through the queue, so a
-	// mark arriving now encodes the queue at its own enqueue instant s,
-	// which satisfies the FIFO relation s + q(s)/C = t - τ*. That
-	// equation is monotone in s (its left side grows at ΣR/C ≥ 0), so
-	// the total lag L = t - s is found by bisection on
-	// h(L) = L - τ* - q(t-L)/C.
-	qDelayed := past.Value(tq, 0)
-	if s.cfg.IngressMarking {
-		maxLag := s.MaxDelay()
-		lo, hi := delay, maxLag
-		if hi-delay-past.Value(t-hi, 0)/pr.C < 0 {
-			// Even the oldest history is too fresh (extreme transient):
-			// saturate at the stalest available observation.
-			lo = hi
-		}
-		for i := 0; i < 50 && hi-lo > 1e-9; i++ {
-			mid := lo + (hi-lo)/2
-			if mid-delay-past.Value(t-mid, 0)/pr.C < 0 {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		qDelayed = past.Value(t-(lo+(hi-lo)/2), 0)
-	}
-	var pHat float64
-	if s.cfg.StrictRED {
-		pHat = REDMark(qDelayed, pr.Kmin, pr.Kmax, pr.Pmax)
-	} else {
-		pHat = REDMarkExtended(qDelayed, pr.Kmin, pr.Kmax, pr.Pmax)
-	}
-
 	sum := 0.0
-	for i := 0; i < pr.N; i++ {
-		sum += y[s.RCIndex(i)]
+	for i, ic := 0, s.RCIndex(0); i < pr.N; i, ic = i+1, ic+3 {
+		sum += y[ic]
 	}
 	dq := sum - pr.C
 	if y[0] <= 0 && dq < 0 {
@@ -168,16 +140,61 @@ func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []fl
 	}
 	dydt[0] = dq
 
-	s.rateDerivs(pHat, tq, s.AlphaIndex(0), y, past, dydt)
+	var pHat float64
+	if pi := s.pi; pi != nil {
+		// Eq. 32 with e = q - QRef; de/dt = dq/dt. The controller's
+		// output reaches the senders τ* later.
+		dydt[1] = pi.K1*dq + pi.K2*(y[0]-pi.QRef)
+		if y[1] <= 0 && dydt[1] < 0 || y[1] >= pi.PMax && dydt[1] > 0 {
+			dydt[1] = 0
+		}
+		pHat = clamp(past.Value(tq, 1), 0, 1)
+	} else {
+		// Delayed RED marking probability: ECN is marked on egress, so
+		// the mark reflects the queue at departure and reaches the
+		// sender one propagation delay later (§5.2). Eq. 3 applied to
+		// q(t-τ*). With ingress marking the mark rides the packet
+		// through the queue, so a mark arriving now encodes the queue at
+		// its own enqueue instant s, which satisfies the FIFO relation
+		// s + q(s)/C = t - τ*. That equation is monotone in s (its left
+		// side grows at ΣR/C ≥ 0), so the total lag L = t - s is found
+		// by bisection on h(L) = L - τ* - q(t-L)/C.
+		qDelayed := past.Value(tq, 0)
+		if s.cfg.IngressMarking {
+			maxLag := s.MaxDelay()
+			lo, hi := delay, maxLag
+			if hi-delay-past.Value(t-hi, 0)/pr.C < 0 {
+				// Even the oldest history is too fresh (extreme
+				// transient): saturate at the stalest available
+				// observation.
+				lo = hi
+			}
+			for i := 0; i < 50 && hi-lo > 1e-9; i++ {
+				mid := lo + (hi-lo)/2
+				if mid-delay-past.Value(t-mid, 0)/pr.C < 0 {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			qDelayed = past.Value(t-(lo+(hi-lo)/2), 0)
+		}
+		if s.cfg.StrictRED {
+			pHat = REDMark(qDelayed, pr.Kmin, pr.Kmax, pr.Pmax)
+		} else {
+			pHat = REDMarkExtended(qDelayed, pr.Kmin, pr.Kmax, pr.Pmax)
+		}
+	}
+	s.rateDerivs(pHat, tq, y, past, dydt)
 }
 
 // rateDerivs writes Eq. 5-7 for every flow under the delayed marking
-// probability p. The flows' (α, R_T, R_C) triples start at y[off], and
-// flow i's delayed rate is read at tq. Every flow sees the same p, so its
-// share of Eq. 12 is done once; the memo skips any evaluation whose inputs
-// have the bits of the last one.
-func (s *DCQCNSystem) rateDerivs(p, tq float64, off int, y []float64, past ode.History, dydt []float64) {
+// probability p, reading flow i's delayed rate at tq. Every flow sees the
+// same p, so its share of Eq. 12 is done once; the memo skips any
+// evaluation whose inputs have the bits of the last one.
+func (s *DCQCNSystem) rateDerivs(p, tq float64, y []float64, past ode.History, dydt []float64) {
 	pr := &s.cfg.Params
+	off := s.off
 	pBits := math.Float64bits(p)
 	m := s.memo
 	switch {
@@ -197,15 +214,7 @@ func (s *DCQCNSystem) rateDerivs(p, tq float64, off int, y []float64, past ode.H
 			f.a, f.b, f.c, f.d, f.e = m.eq.Terms(max(rcHat, s.rmin))
 			f.target = m.eq.AlphaTarget(rcHat)
 		}
-
-		// Eq. 5: α tracks the marked fraction over the τ' window.
-		dydt[ia] = pr.G / pr.TauPrime * (f.target - alpha)
-		// Eq. 6: target rate resets on cuts, rises with the byte counter
-		// and timer once past the F fast-recovery stages.
-		dydt[it] = -(rt-rc)/pr.Tau*f.a + pr.RAI*rcHat*(f.c+f.e)
-		// Eq. 7: multiplicative decrease on CNPs, fast recovery toward
-		// R_T on byte-counter and timer events.
-		dydt[ic] = -rc*alpha/(2*pr.Tau)*f.a + (rt-rc)/2*rcHat*(f.b+f.d)
+		dydt[ia], dydt[it], dydt[ic] = pr.Eq57(f.a, f.b, f.c, f.d, f.e, f.target, alpha, rt, rc, rcHat)
 	}
 }
 
@@ -215,10 +224,13 @@ func (s *DCQCNSystem) PostStep(_ float64, y []float64) {
 	if y[0] < 0 {
 		y[0] = 0
 	}
-	for i := 0; i < s.cfg.Params.N; i++ {
-		y[s.AlphaIndex(i)] = clamp(y[s.AlphaIndex(i)], 0, 1)
-		y[s.RTIndex(i)] = clamp(y[s.RTIndex(i)], s.rmin, s.lineRate)
-		y[s.RCIndex(i)] = clamp(y[s.RCIndex(i)], s.rmin, s.lineRate)
+	if s.pi != nil {
+		y[1] = clamp(y[1], 0, s.pi.PMax)
+	}
+	for i, ia := 0, s.AlphaIndex(0); i < s.cfg.Params.N; i, ia = i+1, ia+3 {
+		y[ia] = clamp(y[ia], 0, 1)
+		y[ia+1] = clamp(y[ia+1], s.rmin, s.lineRate)
+		y[ia+2] = clamp(y[ia+2], s.rmin, s.lineRate)
 	}
 	s.jit.resample()
 }
@@ -237,10 +249,4 @@ func (s *DCQCNSystem) MaxDelay() float64 {
 		d += 2.5 * qCap / pr.C
 	}
 	return d
-}
-
-// FixedPoint returns the unique Theorem 1 operating point for this
-// configuration.
-func (s *DCQCNSystem) FixedPoint() (fixedpoint.DCQCNFixedPoint, error) {
-	return fixedpoint.SolveDCQCN(s.cfg.Params)
 }

@@ -9,6 +9,15 @@
 //   - DCQCN with a PI marking controller at the switch (Eq. 32, Fig. 18);
 //   - Patched TIMELY with an end-host PI controller (Fig. 19).
 //
+// Each PI model is its base system with the controller switched on, and
+// loop.go reduces the DCQCN and patched TIMELY models to the per-flow
+// loops the stability analysis linearises (one DCQCN loop: ingress
+// marking is a second lag). The laws have one implementation each, which
+// every model, loop and the hybrid background aggregate call: Eq. 3 is
+// REDMark/REDMarkExtended, Eq. 5-7 fixedpoint's DCQCNParams.Eq57, Eq. 22
+// and the Eq. 29 middle branch the TIMELY base's gradient and patchedRate,
+// Eq. 24 its feedbackDelay and Eq. 31 fixedpoint.PatchedTimelyQStar.
+//
 // Unit conventions: the DCQCN models work in packets and packets/second
 // (matching the per-packet marking probability); the TIMELY models work in
 // bytes and bytes/second (matching the paper's KB segments and Gb/s rates).

@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -125,7 +126,7 @@ func TestDCQCNConvergesToFixedPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		sm := Run(sys, 1e-6, 0.2, 1e-4)
-		fp, err := sys.FixedPoint()
+		fp, err := fixedpoint.SolveDCQCN(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -632,6 +633,67 @@ func TestDCQCNIngressLoopLag(t *testing.T) {
 	}
 }
 
+// restLoop is the part of stability.LoopModel a rest-point check needs.
+type restLoop interface {
+	Delays() []float64
+	Equilibrium() (z []float64, q float64, err error)
+	Derivs(z []float64, zd [][]float64, qd []float64, dzdt []float64)
+}
+
+// Every phase margin is taken at the loop's Equilibrium, so that point
+// must be a rest point of the loop's own right-hand side. With every lag
+// at the equilibrium, each derivative must be within 1e-6 of 0 relative to
+// what a 1% queue excess at lag mark drives it to (the marking lag for
+// DCQCN, the newest observation for TIMELY); the push must move every
+// component. The worst ratio is about 1.3e-9 (R_C at N = 1), left by the
+// bisection tolerance on p*.
+func TestLoopEquilibriumIsRestPoint(t *testing.T) {
+	const tol = 1e-6
+	check := func(name string, l restLoop, mark int) {
+		z, q, err := l.Equilibrium()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		k := len(l.Delays())
+		zd := make([][]float64, k)
+		qd := make([]float64, k)
+		for i := range zd {
+			zd[i], qd[i] = z, q
+		}
+		rest := make([]float64, len(z))
+		l.Derivs(z, zd, qd, rest)
+		qd[mark] = 1.01 * q
+		push := make([]float64, len(z))
+		l.Derivs(z, zd, qd, push)
+		for i := range z {
+			if push[i] == 0 || math.Abs(rest[i]) > tol*math.Abs(push[i]) {
+				t.Errorf("%s: dz[%d]/dt = %g at the equilibrium, %g under a 1%% queue excess; want |rest| <= %g·|push| != 0",
+					name, i, rest[i], push[i], tol)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 10, 64} {
+		p := DefaultDCQCNParams(n)
+		egress, err := NewDCQCNLoop(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("dcqcn N=%d", n), egress, 0)
+		ingress, err := NewDCQCNIngressLoop(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("dcqcn ingress N=%d", n), ingress, 1)
+	}
+	for _, n := range []int{2, 10} {
+		l, err := NewPatchedTimelyLoop(DefaultPatchedTimelyConfig(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("patched N=%d", n), l, 0)
+	}
+}
+
 func TestDCQCNIngressFluidSameFixedPoint(t *testing.T) {
 	p := DefaultDCQCNParams(2)
 	p.C = 10e9 / 8 / 1000
@@ -641,7 +703,7 @@ func TestDCQCNIngressFluidSameFixedPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		sm := Run(sys, 1e-6, 0.3, 1e-3)
-		fp, err := sys.FixedPoint()
+		fp, err := fixedpoint.SolveDCQCN(p)
 		if err != nil {
 			t.Fatal(err)
 		}

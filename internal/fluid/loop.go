@@ -12,26 +12,49 @@ import (
 // shared queue, with the queue integrator factored out.
 
 // DCQCNLoop reduces the DCQCN fluid model to its per-flow rate subsystem
-// for the §3.2 phase-margin analysis. State z = (α, R_T, R_C); single
-// feedback lag τ*.
+// for the §3.2 phase-margin analysis. State z = (α, R_T, R_C). The rate
+// self-feedback lags τ* (lag 0); the marking reads the queue at the last
+// lag, which is that same τ* under egress marking and τ* + q*/C under
+// ingress marking (NewDCQCNIngressLoop).
 type DCQCNLoop struct {
-	sys *DCQCNSystem
+	sys    *DCQCNSystem
+	delays []float64
 }
 
-// NewDCQCNLoop builds the reduction for the given parameters.
+// NewDCQCNLoop builds the egress-marking reduction for the given
+// parameters: a single feedback lag τ*.
 func NewDCQCNLoop(params fixedpoint.DCQCNParams) (*DCQCNLoop, error) {
 	sys, err := NewDCQCN(DCQCNConfig{Params: params})
 	if err != nil {
 		return nil, err
 	}
-	return &DCQCNLoop{sys: sys}, nil
+	return &DCQCNLoop{sys: sys, delays: []float64{params.TauStar}}, nil
+}
+
+// NewDCQCNIngressLoop builds the reduction with ingress marking
+// (Figure 17): the marking path gains a second lag τ* + q*/C, the
+// queueing delay frozen at the Theorem 1 fixed point, while the rate
+// self-feedback keeps τ*. The phase-margin gap to NewDCQCNLoop is the
+// analytical content of §5.2's egress-marking argument.
+func NewDCQCNIngressLoop(params fixedpoint.DCQCNParams) (*DCQCNLoop, error) {
+	l, err := NewDCQCNLoop(params)
+	if err != nil {
+		return nil, err
+	}
+	fp, err := fixedpoint.SolveDCQCN(params)
+	if err != nil {
+		return nil, err
+	}
+	l.delays = append(l.delays, params.TauStar+fp.Q/params.C)
+	return l, nil
 }
 
 // StateDim implements stability.LoopModel.
 func (l *DCQCNLoop) StateDim() int { return 3 }
 
-// Delays implements stability.LoopModel.
-func (l *DCQCNLoop) Delays() []float64 { return []float64{l.sys.cfg.Params.TauStar} }
+// Delays implements stability.LoopModel: τ*, then the ingress marking lag
+// if there is one.
+func (l *DCQCNLoop) Delays() []float64 { return l.delays }
 
 // RateIndex implements stability.LoopModel: R_C is z[2].
 func (l *DCQCNLoop) RateIndex() int { return 2 }
@@ -48,73 +71,15 @@ func (l *DCQCNLoop) Equilibrium() ([]float64, float64, error) {
 	return []float64{fp.Alpha, fp.RT, fp.RC}, fp.Q, nil
 }
 
-// Derivs implements stability.LoopModel: the per-flow slice of Eq. 5-7 with
-// the queue (and hence marking probability) supplied externally.
+// Derivs implements stability.LoopModel: the per-flow slice of Eq. 5-7,
+// with the rate fed back at lag 0 and the marking probability taken from
+// the queue at the last lag.
 func (l *DCQCNLoop) Derivs(z []float64, zd [][]float64, qd []float64, dzdt []float64) {
-	pr := l.sys.cfg.Params
-	alpha, rt, rc := z[0], z[1], z[2]
+	pr := &l.sys.cfg.Params
 	rcHat := zd[0][2]
-	eq := fixedpoint.NewEq12(pr, REDMarkExtended(qd[0], pr.Kmin, pr.Kmax, pr.Pmax))
+	eq := fixedpoint.NewEq12(*pr, REDMarkExtended(qd[len(qd)-1], pr.Kmin, pr.Kmax, pr.Pmax))
 	a, b, c, d, e := eq.Terms(max(rcHat, l.sys.rmin))
-	dzdt[0] = pr.G / pr.TauPrime * (eq.AlphaTarget(rcHat) - alpha)
-	dzdt[1] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)
-	dzdt[2] = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(b+d)
-}
-
-// DCQCNIngressLoop is the DCQCN loop reduction with ingress marking
-// (Figure 17): the marking feedback path carries the extra lag q*/C frozen
-// at the fixed point, while the rate self-feedback keeps the lag τ*. The
-// phase-margin gap between this and DCQCNLoop is the analytical content of
-// §5.2's egress-marking argument.
-type DCQCNIngressLoop struct {
-	inner *DCQCNLoop
-	tauMk float64 // τ* + q*/C
-}
-
-// NewDCQCNIngressLoop builds the reduction.
-func NewDCQCNIngressLoop(params fixedpoint.DCQCNParams) (*DCQCNIngressLoop, error) {
-	inner, err := NewDCQCNLoop(params)
-	if err != nil {
-		return nil, err
-	}
-	fp, err := fixedpoint.SolveDCQCN(params)
-	if err != nil {
-		return nil, err
-	}
-	return &DCQCNIngressLoop{inner: inner, tauMk: params.TauStar + fp.Q/params.C}, nil
-}
-
-// StateDim implements stability.LoopModel.
-func (l *DCQCNIngressLoop) StateDim() int { return 3 }
-
-// Delays implements stability.LoopModel: lag 0 is the rate self-feedback
-// (τ*), lag 1 the marking path (τ* + q*/C).
-func (l *DCQCNIngressLoop) Delays() []float64 {
-	return []float64{l.inner.sys.cfg.Params.TauStar, l.tauMk}
-}
-
-// RateIndex implements stability.LoopModel.
-func (l *DCQCNIngressLoop) RateIndex() int { return 2 }
-
-// FlowCount implements stability.LoopModel.
-func (l *DCQCNIngressLoop) FlowCount() int { return l.inner.sys.cfg.Params.N }
-
-// Equilibrium implements stability.LoopModel.
-func (l *DCQCNIngressLoop) Equilibrium() ([]float64, float64, error) {
-	return l.inner.Equilibrium()
-}
-
-// Derivs implements stability.LoopModel: identical dynamics to DCQCNLoop
-// except the marking probability reads the queue at the staler lag.
-func (l *DCQCNIngressLoop) Derivs(z []float64, zd [][]float64, qd []float64, dzdt []float64) {
-	pr := l.inner.sys.cfg.Params
-	alpha, rt, rc := z[0], z[1], z[2]
-	rcHat := zd[0][2] // rate self-feedback at τ*
-	eq := fixedpoint.NewEq12(pr, REDMarkExtended(qd[1], pr.Kmin, pr.Kmax, pr.Pmax))
-	a, b, c, d, e := eq.Terms(max(rcHat, l.inner.sys.rmin))
-	dzdt[0] = pr.G / pr.TauPrime * (eq.AlphaTarget(rcHat) - alpha)
-	dzdt[1] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)
-	dzdt[2] = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(b+d)
+	dzdt[0], dzdt[1], dzdt[2] = pr.Eq57(a, b, c, d, e, eq.AlphaTarget(rcHat), z[0], z[1], z[2], rcHat)
 }
 
 // PatchedTimelyLoop reduces the patched TIMELY model (Eq. 29) for the
@@ -135,7 +100,7 @@ func NewPatchedTimelyLoop(cfg TimelyConfig) (*PatchedTimelyLoop, error) {
 	if err != nil {
 		return nil, err
 	}
-	qStar := float64(cfg.N)*cfg.Delta*b.qref/(cfg.Beta*cfg.C) + b.qref
+	qStar := fixedpoint.PatchedTimelyQStar(cfg.N, cfg.Delta, cfg.Beta, cfg.C, b.qref)
 	if qStar <= cfg.C*cfg.TLow || qStar >= cfg.C*cfg.THigh {
 		return nil, fmt.Errorf("fluid: patched TIMELY fixed point q*=%.0fB outside gradient band (%.0f, %.0f)",
 			qStar, cfg.C*cfg.TLow, cfg.C*cfg.THigh)
@@ -166,10 +131,8 @@ func (l *PatchedTimelyLoop) Equilibrium() ([]float64, float64, error) {
 // Derivs implements stability.LoopModel: the per-flow slice of Eq. 29 with
 // qd[0] = q(t-τ₁) and qd[1] = q(t-τ₂).
 func (l *PatchedTimelyLoop) Derivs(z []float64, zd [][]float64, qd []float64, dzdt []float64) {
-	cfg := l.base.cfg
 	r, g := z[0], z[1]
 	ts := l.base.tauStar(r)
-	dzdt[1] = cfg.EWMA / ts * (-g + (qd[0]-qd[1])/(cfg.C*cfg.DminRTT))
-	w := PatchedWeight(g)
-	dzdt[0] = (1-w)*cfg.Delta/ts - w*cfg.Beta*r/ts*(qd[0]-l.base.qref)/l.base.qref
+	dzdt[0] = l.base.patchedRate(r, g, ts, qd[0])
+	dzdt[1] = l.base.gradient(g, ts, qd[0], qd[1])
 }

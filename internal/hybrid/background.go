@@ -120,7 +120,7 @@ func (b *BackgroundAggregate) markProb() float64 {
 
 // tick advances the aggregate by one coupling interval.
 func (b *BackgroundAggregate) tick() {
-	pr := b.cfg.Par
+	pr := &b.cfg.Par
 	dt := backgroundTick.Seconds()
 
 	// Foreground service share over the last tick, in packets/s. The
@@ -149,12 +149,10 @@ func (b *BackgroundAggregate) tick() {
 	}
 	h := dt / float64(sub)
 	n := float64(b.cfg.Flows)
-	eq := fixedpoint.NewEq12(pr, pDel)
+	eq := fixedpoint.NewEq12(*pr, pDel)
 	for s := 0; s < sub; s++ {
 		a, bb, c, d, e := eq.Terms(max(b.rc, b.rmin))
-		dAlpha := pr.G / pr.TauPrime * (eq.AlphaTarget(b.rc) - b.alpha)
-		dRT := -(b.rt-b.rc)/pr.Tau*a + pr.RAI*b.rc*(c+e)
-		dRC := -b.rc*b.alpha/(2*pr.Tau)*a + (b.rt-b.rc)/2*b.rc*(bb+d)
+		dAlpha, dRT, dRC := pr.Eq57(a, bb, c, d, e, eq.AlphaTarget(b.rc), b.alpha, b.rt, b.rc, b.rc)
 		dQ := n*b.rc - avail
 		if b.qBg <= 0 && dQ < 0 {
 			dQ = 0

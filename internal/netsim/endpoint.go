@@ -108,7 +108,7 @@ func (e *Endpoint) Init(h *Host, proto string, segAcks, recovery bool, rto des.D
 		rx: make(map[int]*rxState), rxBytes: make(map[int]int64)}
 	if o := h.net.obs; o != nil {
 		if o.Metrics != nil {
-			e.ctr = o.Metrics.EndpointCounters(fmt.Sprintf("%s.n%d", proto, h.ID()))
+			e.ctr = o.Metrics.EndpointCounters(o.ProbeName(fmt.Sprintf("%s.n%d", proto, h.ID())))
 		}
 		e.paceGapH = o.Hist(proto + ".pace_gap_s")
 		e.aud = o.Audit

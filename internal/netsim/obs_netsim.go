@@ -68,10 +68,11 @@ func (p *Port) bindObs() {
 	if o == nil {
 		return
 	}
+	name := PortName(p.owner.ID(), p.peer.ID())
 	if o.Metrics != nil {
-		p.ctr = o.Metrics.PortCounters(PortName(p.owner.ID(), p.peer.ID()))
+		p.ctr = o.Metrics.PortCounters(o.ProbeName(name))
 	}
-	p.qdH = o.Hist(PortName(p.owner.ID(), p.peer.ID()) + ".qdelay_s")
+	p.qdH = o.Hist(name + ".qdelay_s")
 	if o.Check != nil {
 		p.chk = o.Check.Port(p.net.obsRun, int32(p.owner.ID()), int32(p.peer.ID()))
 	}

@@ -41,7 +41,8 @@ import "ecndelay/internal/des"
 // original.
 type NetObserver struct {
 	// Metrics receives hierarchical counters registered by ports, hosts
-	// and protocol endpoints at attach/creation time.
+	// and protocol endpoints at attach/creation time, their names
+	// qualified through ProbeName like probe series.
 	Metrics *Registry
 	// Trace receives one Event per instrumented simulator action; with
 	// no tracer attached, no record is built.
@@ -63,11 +64,12 @@ type NetObserver struct {
 	// ProbeEvery is the sampling cadence for auto-registered probes
 	// (zero: 100 µs). See EXPERIMENTS.md for cadence guidance.
 	ProbeEvery des.Duration
-	// ProbePrefix qualifies every auto-registered probe name (via
-	// ProbeName). Job orchestrators give each job a shallow copy of a
-	// shared observer with a distinct prefix, so a shared ProbeSet holds
-	// distinguishable series and exports in an order independent of job
-	// scheduling.
+	// ProbePrefix qualifies every auto-registered name (via ProbeName):
+	// probe series, histograms and port and endpoint counter sets. Job
+	// orchestrators give each job a shallow copy of a shared observer
+	// with a distinct prefix, so a shared ProbeSet, HistSet and Registry
+	// hold each job's instruments apart and export in an order
+	// independent of job scheduling.
 	ProbePrefix string
 	// Audit receives one Decision per congestion-control action: DCQCN
 	// alpha updates, rate cuts and FR/AI/HAI increases; TIMELY RTT
@@ -85,12 +87,13 @@ type NetObserver struct {
 }
 
 // ForJob returns a shallow copy of o with jobID appended to its
-// ProbePrefix, so per-job probe series and histograms registered on a
-// shared set stay distinguishable and export deterministically. A nil
-// observer stays nil. The copy shares every facility with the original
-// but the checker: it gets a child checker that owns the job's invariant
-// books and reports to the original's counts and violations. Then PerJob
-// (if set) may replace facilities on the copy.
+// ProbePrefix, so per-job probe series, histograms and counters
+// registered on a shared set stay distinguishable and export
+// deterministically. A nil observer stays nil. The copy shares every
+// facility with the original but the checker: it gets a child checker
+// that owns the job's invariant books and reports to the original's
+// counts and violations. Then PerJob (if set) may replace facilities on
+// the copy.
 func (o *NetObserver) ForJob(jobID string) *NetObserver {
 	if o == nil {
 		return nil
@@ -128,8 +131,8 @@ func (o *NetObserver) ProbeCadence() des.Duration {
 	return 100 * des.Microsecond
 }
 
-// ProbeName qualifies an auto-registered probe name with the observer's
-// ProbePrefix.
+// ProbeName qualifies an auto-registered probe, histogram or counter
+// name with the observer's ProbePrefix.
 func (o *NetObserver) ProbeName(name string) string {
 	if o.ProbePrefix == "" {
 		return name

@@ -14,7 +14,7 @@ import (
 // linux/amd64; architectures that fuse multiply-adds may round differently.
 func TestPhaseMarginBits(t *testing.T) {
 	for _, c := range []struct {
-		model  string // "dcqcn", "ingress" (DCQCNIngressLoop) or "patched"
+		model  string // "dcqcn", "ingress" (NewDCQCNIngressLoop) or "patched"
 		n      int
 		tau    float64 // τ*, seconds (DCQCN only)
 		pm, wc uint64  // Float64bits of PhaseMarginDeg, CrossoverRadPerSec

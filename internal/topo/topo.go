@@ -35,15 +35,13 @@ type ClosConfig struct {
 	// Tiers selects the fabric depth: 2 (leaf–spine) or 3 (fat tree).
 	Tiers int
 	// Oversub is the leaf oversubscription ratio: leaf uplinks run at
-	// FabricLink.Bandwidth / Oversub, so host-facing capacity exceeds
-	// uplink capacity by this factor when host and fabric links are equal.
-	// 1 (or 0, the default) is a non-blocking fabric.
+	// HostLink.Bandwidth / Oversub, so host-facing capacity exceeds
+	// uplink capacity by this factor. 1 (or 0, the default) is a
+	// non-blocking fabric.
 	Oversub float64
-	// HostLink is the host ↔ leaf link (both directions).
+	// HostLink is the host ↔ leaf link (both directions), and every
+	// switch ↔ switch link before oversubscription.
 	HostLink netsim.LinkConfig
-	// FabricLink is the switch ↔ switch link before oversubscription; a
-	// zero value copies HostLink.
-	FabricLink netsim.LinkConfig
 	// Mark builds the ECN marking policy per switch egress queue (nil:
 	// none). Host NIC queues are never marked, as everywhere else.
 	Mark netsim.MarkerFactory
@@ -61,9 +59,6 @@ type ClosConfig struct {
 func (cfg ClosConfig) withDefaults() ClosConfig {
 	if cfg.Oversub == 0 {
 		cfg.Oversub = 1
-	}
-	if cfg.FabricLink == (netsim.LinkConfig{}) {
-		cfg.FabricLink = cfg.HostLink
 	}
 	return cfg
 }
@@ -177,7 +172,7 @@ func (c *Clos) attachHost(leaf *netsim.Switch) {
 // uplink is the oversubscribed fabric link used above the leaf tier's
 // host-facing ports.
 func (c *Clos) uplink() netsim.LinkConfig {
-	l := c.Cfg.FabricLink
+	l := c.Cfg.HostLink
 	l.Bandwidth /= c.Cfg.Oversub
 	return l
 }
@@ -252,7 +247,7 @@ func (c *Clos) buildFatTree() {
 	}
 
 	up := c.uplink()
-	core := c.Cfg.FabricLink
+	core := c.Cfg.HostLink
 	leafUpIdx := make([][]int, len(c.Leaves)) // leaf → its agg-facing port indexes
 	aggDownIdx := make([][]int, len(c.Aggs))  // agg → its leaf-facing port indexes
 	aggUpIdx := make([][]int, len(c.Aggs))    // agg → its spine-facing port indexes
