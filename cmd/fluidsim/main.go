@@ -48,7 +48,7 @@ var unused = map[string][]string{
 	"dcqcnpi":  {"stagger"},
 	"timely":   {"delay"},
 	"patched":  {"delay"},
-	"timelypi": {"delay", "jitter", "seed"},
+	"timelypi": {"delay"},
 }
 
 // run is the whole command. It exits 2 on a refused flag value or
@@ -169,6 +169,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg := fluid.DefaultPatchedTimelyConfig(*n)
 		cfg.InitialRates = initial
 		cfg.StartTimes = starts
+		cfg.JitterMax = *jitter
+		cfg.Seed = *seed
 		sys, err = fluid.NewTimelyPI(fluid.TimelyPIConfig{Timely: cfg})
 		shared, perFlow = []string{"t", "q_bytes"}, []string{"rate", "grad", "p"}
 	}

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"ecndelay/internal/fluid"
 )
 
 // Every model integrates a short horizon and prints its label header and
@@ -25,6 +28,10 @@ func TestRunEveryModel(t *testing.T) {
 		{[]string{"-model", "patched", "-n", "2", "-rates", "875e6,375e6"},
 			"# t\tq_bytes\trate0\tgrad0\trate1\tgrad1"},
 		{[]string{"-model", "timelypi", "-n", "2", "-stagger", "0.001"},
+			"# t\tq_bytes\trate0\tgrad0\tp0\trate1\tgrad1\tp1"},
+		{[]string{"-model", "timelypi", "-n", "2", "-jitter", "1e-6"},
+			"# t\tq_bytes\trate0\tgrad0\tp0\trate1\tgrad1\tp1"},
+		{[]string{"-model", "timelypi", "-n", "2", "-seed", "2"},
 			"# t\tq_bytes\trate0\tgrad0\tp0\trate1\tgrad1\tp1"},
 	} {
 		args := append(c.args, "-horizon", "0.002", "-sample", "1e-4")
@@ -51,6 +58,42 @@ func TestRunEveryModel(t *testing.T) {
 	}
 }
 
+// -model timelypi applies -jitter and -seed, as the host-PI run of
+// Fig. 20 needs: its output differs from the run without jitter and is,
+// byte for byte, fluid.Run of NewTimelyPI with that jitter and seed.
+func TestTimelyPIJitter(t *testing.T) {
+	args := []string{"-model", "timelypi", "-n", "4", "-jitter", "2e-5", "-seed", "3"}
+	var out, plain, errOut strings.Builder
+	if code := run(args, &out, &errOut); code != 0 || errOut.Len() != 0 {
+		t.Fatalf("%v: exit %d, stderr %q", args, code, errOut.String())
+	}
+	if code := run(args[:4], &plain, &errOut); code != 0 || errOut.Len() != 0 {
+		t.Fatalf("%v: exit %d, stderr %q", args[:4], code, errOut.String())
+	}
+	if out.String() == plain.String() {
+		t.Errorf("%v: same output as without -jitter", args)
+	}
+
+	cfg := fluid.DefaultPatchedTimelyConfig(4)
+	cfg.JitterMax, cfg.Seed = 2e-5, 3
+	sys, err := fluid.NewTimelyPI(fluid.TimelyPIConfig{Timely: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	want.WriteString("# t\tq_bytes\trate0\tgrad0\tp0\trate1\tgrad1\tp1\trate2\tgrad2\tp2\trate3\tgrad3\tp3\n")
+	for _, s := range fluid.Run(sys, 1e-6, 0.1, 1e-4) { // the flag defaults
+		fmt.Fprintf(&want, "%.6f", s.T)
+		for _, v := range s.Y {
+			fmt.Fprintf(&want, "\t%.6g", v)
+		}
+		want.WriteString("\n")
+	}
+	if out.String() != want.String() {
+		t.Errorf("%v: output differs from fluid.Run of NewTimelyPI with JitterMax 2e-5, Seed 3", args)
+	}
+}
+
 // Every refused flag value or combination exits 2 before integrating,
 // with one line naming the flag and nothing on stdout. -n 0 with
 // -stagger and -step 0 used to panic; the others used to be ignored.
@@ -72,8 +115,6 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-jitter", "-1e-6"}, "-jitter"},
 		{[]string{"-jitter", "NaN"}, "-jitter"},
 		{[]string{"-model", "timely", "-stagger", "-0.1"}, "-stagger"},
-		{[]string{"-model", "timelypi", "-jitter", "1e-6"}, "-jitter"},
-		{[]string{"-model", "timelypi", "-seed", "2"}, "-seed"},
 		{[]string{"-model", "dcqcn", "-stagger", "0.1"}, "-stagger"},
 		{[]string{"-model", "dcqcnpi", "-stagger", "0.1"}, "-stagger"},
 		{[]string{"-model", "timely", "-delay", "85e-6"}, "-delay"},

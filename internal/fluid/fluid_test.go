@@ -3,6 +3,7 @@ package fluid
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -583,6 +584,21 @@ func TestPIConfigValidation(t *testing.T) {
 	p := DefaultDCQCNParams(0)
 	if _, err := NewDCQCNPI(DCQCNPIConfig{DCQCN: DCQCNConfig{Params: p}}); err == nil {
 		t.Error("expected error for invalid DCQCN params")
+	}
+}
+
+// The switch PI controller replaces the RED ramp and reads p at lag τ*, so
+// NewDCQCNPI refuses the two RED-marking options it would otherwise ignore
+// (IngressMarking would still have widened MaxDelay and moved the run).
+func TestDCQCNPIRefusesREDOptions(t *testing.T) {
+	p := DefaultDCQCNParams(10)
+	for name, cfg := range map[string]DCQCNConfig{
+		"StrictRED":      {Params: p, StrictRED: true},
+		"IngressMarking": {Params: p, IngressMarking: true},
+	} {
+		if sys, err := NewDCQCNPI(DCQCNPIConfig{DCQCN: cfg}); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: NewDCQCNPI = %v, %v; want an error naming %s", name, sys, err, name)
+		}
 	}
 }
 

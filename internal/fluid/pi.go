@@ -35,8 +35,17 @@ type DCQCNPISystem struct{ DCQCNSystem }
 // NewDCQCNPI validates the configuration and builds the system. Zero PI
 // gains default to K1 = 2e-5 /packet, K2 = 1e-3 /packet/s, QRef = 50
 // packets — a controller that holds ~50 KB of queue with 1 KB packets and
-// stays stable for 2-64 flows at feedback delays up to ~100 µs.
+// stays stable for 2-64 flows at feedback delays up to ~100 µs. It
+// refuses StrictRED and IngressMarking: the controller's p replaces the
+// RED ramp and its lag is τ*, so neither would change the marking, yet
+// IngressMarking would still widen MaxDelay and so move the trajectory.
 func NewDCQCNPI(cfg DCQCNPIConfig) (*DCQCNPISystem, error) {
+	switch {
+	case cfg.DCQCN.StrictRED:
+		return nil, fmt.Errorf("fluid: DCQCN PI marking has no RED ramp for StrictRED to clip")
+	case cfg.DCQCN.IngressMarking:
+		return nil, fmt.Errorf("fluid: DCQCN PI marking reads p at lag τ*, so IngressMarking does not apply")
+	}
 	s, err := NewDCQCN(cfg.DCQCN)
 	if err != nil {
 		return nil, err

@@ -170,10 +170,11 @@ func linearise(m LoopModel) (*jacobians, error) {
 	return j, nil
 }
 
-// loopGain evaluates L(jω). Each delay's phasor e^{-jωτ_k} is computed
-// once, by one sincos: the exponent's real part is +0, so this is
-// bit-identical to cmplx.Exp(-jω·τ_k).
-func (j *jacobians) loopGain(omega float64) (complex128, error) {
+// fill writes the rate subsystem at s = jω into the scratch: m = sI - A -
+// Σ_k B_k e^{-sτ_k} and rhs = Σ_k E_k e^{-sτ_k}. Each delay's phasor
+// e^{-jωτ_k} is computed once, by one sincos: the exponent's real part is
+// +0, so this is bit-identical to cmplx.Exp(-jω·τ_k).
+func (j *jacobians) fill(omega float64) {
 	s := complex(0, omega)
 	n := j.n
 	for kk, tau := range j.delays {
@@ -198,11 +199,58 @@ func (j *jacobians) loopGain(omega float64) (complex128, error) {
 		}
 		rhs[row] = e
 	}
-	if err := solveComplex(n, m, rhs); err != nil {
+}
+
+// rate solves the rate subsystem at s = jω for its rate component
+// h = Cᵀ m⁻¹ rhs (see fill).
+func (j *jacobians) rate(omega float64) (complex128, error) {
+	j.fill(omega)
+	if err := solveComplex(j.n, j.m, j.rhs, j.cIdx); err != nil {
 		return 0, err
 	}
-	h := rhs[j.cIdx]
-	return -complex(float64(j.flows), 0) * h / s, nil
+	return j.rhs[j.cIdx], nil
+}
+
+// loopGain evaluates L(jω).
+func (j *jacobians) loopGain(omega float64) (complex128, error) {
+	h, err := j.rate(omega)
+	if err != nil {
+		return 0, err
+	}
+	return gain(j.flows, h, omega), nil
+}
+
+// excess returns a value with the sign of |L(jω)| - 1 (see gainExcess).
+func (j *jacobians) excess(omega float64) (float64, error) {
+	h, err := j.rate(omega)
+	if err != nil {
+		return 0, err
+	}
+	return gainExcess(j.flows, h, omega), nil
+}
+
+// gain is L(jω) = -N·h/(jω) for the rate component h.
+func gain(flows int, h complex128, omega float64) complex128 {
+	return -complex(float64(flows), 0) * h / complex(0, omega)
+}
+
+// gainExcess returns a value with the sign of cmplx.Abs(gain(flows, h,
+// ω)) - 1; only its sign, zero and NaN carry meaning. It reads the sign
+// off |L|² = N²·|h|²/ω², with no complex division and no hypot, when
+// |h|² and ω² lie in [sqLo, sqHi] and the estimate is finite and more
+// than tieGap from 1. That estimate and |L| as gain and cmplx.Abs compute
+// it are each within a few ulps of exact (see sqLo), so a gap of 1e-9
+// gives both the same sign. Anything else, a NaN gain included, returns
+// cmplx.Abs(gain(flows, h, ω)) - 1 itself.
+func gainExcess(flows int, h complex128, omega float64) float64 {
+	nf := float64(flows)
+	if hh, ww := sqAbs(h), omega*omega; sqInRange(hh) && sqInRange(ww) {
+		est := nf * nf * hh / ww
+		if d := est - 1; math.Abs(d) > tieGap && est <= math.MaxFloat64 {
+			return d
+		}
+	}
+	return cmplx.Abs(gain(flows, h, omega)) - 1
 }
 
 // LoopGain exposes L(jω) for a model, mostly for tests and plotting.
@@ -224,43 +272,56 @@ func PhaseMargin(m LoopModel) (Result, error) {
 	return j.phaseMargin()
 }
 
-func (j *jacobians) phaseMargin() (Result, error) {
-	const (
-		omegaLo = 1.0 // rad/s; loop gain is enormous here (integrator)
-		omegaHi = 1e9 // far above any dynamics at data-centre timescales
-		points  = 2000
-	)
-	// Stage 1: coarse magnitude-only sweep to bracket |L| = 1 crossings.
-	// Magnitude needs no unwrapping, so the grid can be coarse.
+// Stage 1 sweeps the magnitude on a log-spaced grid of points from omegaLo,
+// where the integrator makes the loop gain enormous, to omegaHi, far above
+// any dynamics at data-centre timescales.
+const (
+	omegaLo = 1.0 // rad/s
+	omegaHi = 1e9
+	points  = 2000
+)
+
+// sweepOmegas is the stage-1 grid. It is a constant of the package, built
+// once and only ever read, so concurrent PhaseMargin calls share it.
+var sweepOmegas = func() []float64 {
 	lf := math.Log(omegaLo)
 	step := (math.Log(omegaHi) - lf) / (points - 1)
-	mags := make([]float64, points)
-	omegas := make([]float64, points)
-	for i := 0; i < points; i++ {
-		w := math.Exp(lf + float64(i)*step)
-		l, err := j.loopGain(w)
+	w := make([]float64, points)
+	for i := range w {
+		w[i] = math.Exp(lf + float64(i)*step)
+	}
+	return w
+}()
+
+func (j *jacobians) phaseMargin() (Result, error) {
+	// Stage 1: coarse magnitude-only sweep to bracket |L| = 1 crossings.
+	// Magnitude needs no unwrapping, so the grid can be coarse, and only
+	// the sign of |L| - 1 is read, here and in the bisection.
+	excess := make([]float64, points)
+	for i, w := range sweepOmegas {
+		x, err := j.excess(w)
 		if err != nil {
 			return Result{}, err
 		}
-		omegas[i] = w
-		mags[i] = cmplx.Abs(l)
+		excess[i] = x
 	}
 
+	// A nonzero excess is at least 2⁻⁵³ in size, so no product underflows:
+	// a sign change, a zero or a NaN brackets a crossing.
 	var crossovers []float64
 	for i := 1; i < points; i++ {
-		if (mags[i-1]-1)*(mags[i]-1) > 0 {
+		if excess[i-1]*excess[i] > 0 {
 			continue
 		}
 		// Bisect |L(jω)| = 1 within [ω_{i-1}, ω_i].
-		lo, hi := omegas[i-1], omegas[i]
-		flo := mags[i-1] - 1
+		lo, hi := sweepOmegas[i-1], sweepOmegas[i]
+		flo := excess[i-1]
 		for iter := 0; iter < 60 && hi-lo > 1e-9*hi; iter++ {
 			mid := math.Sqrt(lo * hi)
-			l, err := j.loopGain(mid)
+			fm, err := j.excess(mid)
 			if err != nil {
 				return Result{}, err
 			}
-			fm := cmplx.Abs(l) - 1
 			if (fm < 0) == (flo < 0) {
 				lo, flo = mid, fm
 			} else {
@@ -271,9 +332,14 @@ func (j *jacobians) phaseMargin() (Result, error) {
 	}
 
 	if len(crossovers) == 0 {
-		if mags[0] >= 1 {
+		// Every excess has one sign, none zero or NaN.
+		if excess[0] > 0 {
+			l, err := j.loopGain(sweepOmegas[0])
+			if err != nil {
+				return Result{}, err
+			}
 			return Result{}, fmt.Errorf("stability: loop gain %g at ω=%g never crosses 1 within sweep",
-				mags[0], omegas[0])
+				cmplx.Abs(l), sweepOmegas[0])
 		}
 		return Result{PhaseMarginDeg: math.Inf(1), Stable: true}, nil
 	}

@@ -17,7 +17,7 @@ func TestSolveComplexKnown(t *testing.T) {
 	// [1 2; 3 4] x = [5; 11] → x = [1; 2].
 	m := []complex128{1, 2, 3, 4}
 	b := []complex128{5, 11}
-	if err := solveComplex(2, m, b); err != nil {
+	if err := solveComplex(2, m, b, 0); err != nil {
 		t.Fatal(err)
 	}
 	if cmplx.Abs(b[0]-1) > 1e-12 || cmplx.Abs(b[1]-2) > 1e-12 {
@@ -29,7 +29,7 @@ func TestSolveComplexImaginary(t *testing.T) {
 	// (jI) x = b → x = -j b.
 	m := []complex128{1i, 0, 0, 1i}
 	b := []complex128{2, 3i}
-	if err := solveComplex(2, m, b); err != nil {
+	if err := solveComplex(2, m, b, 0); err != nil {
 		t.Fatal(err)
 	}
 	if cmplx.Abs(b[0]-(-2i)) > 1e-12 || cmplx.Abs(b[1]-3) > 1e-12 {
@@ -41,7 +41,7 @@ func TestSolveComplexNeedsPivot(t *testing.T) {
 	// Zero in the (0,0) position requires a row swap.
 	m := []complex128{0, 1, 1, 0}
 	b := []complex128{7, 9}
-	if err := solveComplex(2, m, b); err != nil {
+	if err := solveComplex(2, m, b, 0); err != nil {
 		t.Fatal(err)
 	}
 	if cmplx.Abs(b[0]-9) > 1e-12 || cmplx.Abs(b[1]-7) > 1e-12 {
@@ -52,13 +52,13 @@ func TestSolveComplexNeedsPivot(t *testing.T) {
 func TestSolveComplexSingular(t *testing.T) {
 	m := []complex128{1, 2, 2, 4}
 	b := []complex128{1, 2}
-	if err := solveComplex(2, m, b); err == nil {
+	if err := solveComplex(2, m, b, 0); err == nil {
 		t.Error("expected singular-matrix error")
 	}
 }
 
 func TestSolveComplexBadShape(t *testing.T) {
-	if err := solveComplex(2, make([]complex128, 3), make([]complex128, 2)); err == nil {
+	if err := solveComplex(2, make([]complex128, 3), make([]complex128, 2), 0); err == nil {
 		t.Error("expected shape error")
 	}
 }
@@ -82,7 +82,7 @@ func TestPropertySolveComplexResidual(t *testing.T) {
 		}
 		mCopy := append([]complex128(nil), m...)
 		bCopy := append([]complex128(nil), b...)
-		if err := solveComplex(n, m, b); err != nil {
+		if err := solveComplex(n, m, b, 0); err != nil {
 			return false
 		}
 		for r := 0; r < n; r++ {
@@ -203,6 +203,26 @@ func TestPhaseMarginAgreesWithSimulation(t *testing.T) {
 		if !c.want && growth < 2 {
 			t.Errorf("%+v: predicted unstable but simulation decays (growth=%v)", c.l, growth)
 		}
+	}
+}
+
+// A loop whose gain stays below 1 over the whole sweep never crosses: it
+// is unconditionally stable, with an infinite margin and no crossover.
+func TestPhaseMarginGainBelowOne(t *testing.T) {
+	res, err := PhaseMargin(toyLoop{k: 1e-3, d: 20, tau: 0.01, n: 1})
+	if want := (Result{PhaseMarginDeg: math.Inf(1), Stable: true}); err != nil || res != want {
+		t.Errorf("PhaseMargin = %+v, %v; want %+v", res, err, want)
+	}
+}
+
+// A loop whose gain stays at or above 1 up to 1e9 rad/s (here 100 there)
+// is an error quoting |L(ω_lo)| to the last digit as cmplx.Abs gives it,
+// not the magnitude-sign estimate stage 1 reads.
+func TestPhaseMarginGainNeverCrossesOne(t *testing.T) {
+	_, err := PhaseMargin(toyLoop{k: 1e20, d: 20, tau: 0.01, n: 1})
+	const want = "stability: loop gain 4.993761694389222e+18 at ω=1 never crosses 1 within sweep"
+	if err == nil || err.Error() != want {
+		t.Errorf("PhaseMargin error %v; want %q", err, want)
 	}
 }
 
@@ -442,7 +462,8 @@ func TestPhaseMarginConcurrentCalls(t *testing.T) {
 }
 
 // PhaseMargin evaluates the loop gain thousands of times per call, so one
-// evaluation must reuse the linearisation's scratch and allocate nothing.
+// evaluation, full or magnitude-only, must reuse the linearisation's
+// scratch and allocate nothing.
 func TestLoopGainAllocFree(t *testing.T) {
 	dcqcn, patched := benchLoops(t)
 	for name, loop := range map[string]LoopModel{"dcqcn": dcqcn, "patched": patched} {
@@ -450,15 +471,20 @@ func TestLoopGainAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := 1000.0
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := j.loopGain(w); err != nil {
-				t.Fatal(err)
+		for path, eval := range map[string]func(float64) error{
+			"loopGain": func(w float64) error { _, err := j.loopGain(w); return err },
+			"excess":   func(w float64) error { _, err := j.excess(w); return err },
+		} {
+			w := 1000.0
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := eval(w); err != nil {
+					t.Fatal(err)
+				}
+				w *= 1.01
+			})
+			if allocs != 0 {
+				t.Errorf("%s: %s allocates %v times per call, want 0", name, path, allocs)
 			}
-			w *= 1.01
-		})
-		if allocs != 0 {
-			t.Errorf("%s: loopGain allocates %v times per call, want 0", name, allocs)
 		}
 	}
 }
