@@ -62,7 +62,10 @@ bench:
 # BenchmarkHold drives the event queue alone at two fixed depths.
 # The analysis layers ride along: both phase-margin loops, the DCQCN fluid
 # right-hand side, the allocation-free loop-gain evaluation and every fluid
-# model's right-hand side, which must not allocate once warm. The first
+# model's right-hand side, which must not allocate once warm, and the
+# number of stage-1 points the phase margin's small-gain bound skips at
+# each pinned cell (a deterministic work count, so a lost or loosened
+# bound fails without any timing). The first
 # line requires the compiler to inline the one Eq. 5-7 rate law
 # (fixedpoint Eq57) into the DCQCN fluid right-hand side's per-flow loop,
 # so giving the law one home adds no call to the hottest loop of the
@@ -76,8 +79,8 @@ bench-smoke:
 		-benchmem -benchtime=1x ./internal/des ./internal/netsim
 	$(GO) test -timeout 5m -run='^$$' -bench='PhaseMarginDCQCN|PhaseMarginPatchedTimely|DCQCNFluid' \
 		-benchmem -benchtime=1x ./internal/stability ./internal/fluid
-	$(GO) test -timeout 5m -run='AllocFree' ./internal/des ./internal/netsim ./internal/obs \
-		./internal/stability ./internal/fluid
+	$(GO) test -timeout 5m -run='AllocFree|QuietOmegaSkipCounts' ./internal/des ./internal/netsim \
+		./internal/obs ./internal/stability ./internal/fluid
 
 # Benchmark module gate: bench/ is a module of its own, so neither `build`
 # nor `test` compiles it. Vet and test it here, so an API change in the

@@ -60,6 +60,10 @@ func run(w io.Writer, quick bool) error {
 	star := ecndelay.NewStar(nw, ecndelay.StarConfig{
 		Senders: 2,
 		Link:    ecndelay.LinkConfig{Bandwidth: 5e9, PropDelay: ecndelay.Microsecond},
+		// Table 1's Kmin = 5 KB, Kmax = 200 KB and Pmax = 1%, in bytes: the
+		// profile hybrid.DCQCNScenario.Marker builds from the same
+		// parameters. It is typed out here because the public facade does
+		// not export internal/hybrid.
 		Mark: func() ecndelay.Marker {
 			return &ecndelay.REDMarker{Kmin: 5000, Kmax: 200000, Pmax: 0.01, Rng: nw.Rng}
 		},

@@ -1,6 +1,7 @@
 package stability
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -243,5 +244,108 @@ func TestShortSolveMatchesFullSolve(t *testing.T) {
 			b[k] = entry()
 		}
 		compare("random", n, m, b, rng.Intn(n))
+	}
+}
+
+// quietOmegaOf returns ω_q for j, with work vectors of its own.
+func quietOmegaOf(j *jacobians) float64 {
+	return j.quietOmega(make([]float64, j.n), make([]float64, j.n))
+}
+
+// At every stage-1 ω the bound skips, the loop gain solves without error
+// and stays below ½, so the -½ stage 1 records there has the sign the
+// solve would give. The cells are the pinned ones plus a seeded random
+// sample of the grids the figures and the benchmark reach: DCQCN egress
+// and ingress at N = 1–64 and τ* = 1–122 µs, and patched TIMELY at N = 1–64.
+func TestQuietOmegaSound(t *testing.T) {
+	cells := append([]bitsCell(nil), bitsCells...)
+	sample := 2000
+	if testing.Short() {
+		sample = 100
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < sample; i++ {
+		c := bitsCell{model: []string{"dcqcn", "ingress", "patched"}[rng.Intn(3)], n: 1 + rng.Intn(64)}
+		if c.model != "patched" {
+			c.tau = (1 + 121*rng.Float64()) * 1e-6
+		}
+		cells = append(cells, c)
+	}
+	largest := 0.0
+	for _, c := range cells {
+		j, err := linearise(c.loop(t))
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		wq := quietOmegaOf(j)
+		for _, w := range sweepOmegas[quietStart(wq):] {
+			l, err := j.loopGain(w)
+			if err != nil {
+				t.Fatalf("%v ω=%v (ω_q %v): %v", c, w, wq, err)
+			}
+			a := cmplx.Abs(l)
+			if !(a < 0.5) {
+				t.Fatalf("%v ω=%v (ω_q %v): |L| = %v, want below ½", c, w, wq, a)
+			}
+			largest = math.Max(largest, a)
+		}
+	}
+	t.Logf("%d cells; largest |L| at a skipped point %.4f", len(cells), largest)
+}
+
+// The bound skips a pinned number of stage-1 points at every pinned cell,
+// at least 40% of the grid. The count depends only on the Jacobians, so a
+// change that loses or loosens the bound fails here without any timing.
+func TestQuietOmegaSkipCounts(t *testing.T) {
+	for _, c := range bitsCells {
+		j, err := linearise(c.loop(t))
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		skip := points - quietStart(quietOmegaOf(j))
+		if skip != c.skip {
+			t.Errorf("%v: skips %d stage-1 points, want %d", c, skip, c.skip)
+		}
+		if skip < 4*points/10 {
+			t.Errorf("%v: skips %d of %d stage-1 points, want at least 40%%", c, skip, points)
+		}
+	}
+}
+
+// nanRate wraps a loop model so that the rate's derivative is NaN, which
+// makes every entry of the rate row of its Jacobians NaN.
+type nanRate struct{ LoopModel }
+
+func (l nanRate) Derivs(z []float64, zd [][]float64, qd []float64, dzdt []float64) {
+	l.LoopModel.Derivs(z, zd, qd, dzdt)
+	dzdt[l.RateIndex()] = math.NaN()
+}
+
+// Where the Jacobians cannot be bounded, ω_q is +Inf and stage 1 skips
+// nothing: a model whose Jacobians hold NaN, an entry of A, B or E that is
+// NaN or infinite, an E so large that ω_q overflows, and a rate index out
+// of range.
+func TestQuietOmegaSkipsNothingUnbounded(t *testing.T) {
+	base := bitsCells[8].loop(t) // DCQCN N=10, τ*=85 µs
+	check := func(what string, m LoopModel, spoil func(*jacobians)) {
+		t.Helper()
+		j, err := linearise(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spoil(j)
+		if wq := quietOmegaOf(j); !math.IsInf(wq, 1) || quietStart(wq) != points {
+			t.Errorf("%s: ω_q = %v, want +Inf", what, wq)
+		}
+	}
+	check("NaN rate row", nanRate{base}, func(*jacobians) {})
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		check(fmt.Sprintf("A entry %v", bad), base, func(j *jacobians) { j.a[0] = bad })
+		check(fmt.Sprintf("B entry %v", bad), base, func(j *jacobians) { j.b[0][1] = bad })
+		check(fmt.Sprintf("E entry %v", bad), base, func(j *jacobians) { j.e[0][0] = bad })
+	}
+	check("E entry 1e300", base, func(j *jacobians) { j.e[0][0] = 1e300 })
+	for _, c := range []int{-1, 3} {
+		check(fmt.Sprintf("rate index %d", c), base, func(j *jacobians) { j.cIdx = c })
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sort"
 )
 
 // LoopModel is the symmetric-flow reduction of a fluid model: one
@@ -92,6 +93,11 @@ func linearise(m LoopModel) (*jacobians, error) {
 	k := len(delays)
 	if k == 0 {
 		return nil, errors.New("stability: model declares no delays")
+	}
+	for kk, d := range delays {
+		if !(d >= 0 && d <= math.MaxFloat64) {
+			return nil, fmt.Errorf("stability: delay %d is %g, want finite and non-negative", kk, d)
+		}
 	}
 	j := &jacobians{
 		n: n, k: k, delays: delays,
@@ -293,12 +299,131 @@ var sweepOmegas = func() []float64 {
 	return w
 }()
 
+// The power iteration of quietOmega: a fixed number of steps, and the
+// constant added to every entry of M so that each component of v stays
+// positive when M is reducible. The constant is far below any entry a loop
+// model has, so it does not move the Perron vector of an irreducible M.
+const (
+	quietIters = 32
+	quietEps   = 0x1p-600
+)
+
+// quietOmega returns ω_q, a frequency at and above which |L(jω)| ≤ ½ is
+// guaranteed by the Jacobians alone, or +Inf where no such bound holds: a
+// Jacobian entry, ρ or ω_q that is not finite, or a rate index out of
+// range. v and next are work vectors of length n; it allocates nothing.
+//
+// The bound is a small-gain argument on the loop as a multi-delay system.
+// Let M = |A| + Σ_k |B_k| entrywise. At s = jω each phasor e^{-jωτ_k} has
+// modulus 1, so X(ω) = A + Σ_k B_k e^{-jωτ_k} obeys |X| ≤ M entrywise and
+// the right-hand side r = Σ_k E_k e^{-jωτ_k} obeys |r_i| ≤ Σ_k |E_k,i|.
+// For any v > 0 let
+//
+//	ρ = max_i (Mv)_i / v_i,   ē = v_c · max_i Σ_k |E_k,i| / v_i
+//
+// with c the rate index. Scaled by D = diag(v), the matrix m = jωI - X
+// becomes S = D⁻¹mD with |S_ii| ≥ ω - M_ii and Σ_{j≠i} |S_ij| ≤
+// (Mv)_i/v_i - M_ii, so for ω > ρ every row is strictly diagonally
+// dominant by at least ω - ρ: m is nonsingular, so a skipped point hides
+// no singular-matrix error, and ‖S⁻¹‖∞ ≤ 1/(ω - ρ). The rate component h
+// of m⁻¹r = D S⁻¹ D⁻¹ r then obeys |h| ≤ v_c · max_i (|r_i|/v_i) / (ω - ρ)
+// ≤ ē/(ω - ρ), and
+//
+//	|L(jω)| = N|h|/ω ≤ N·ē / (ω(ω - ρ)),
+//
+// which falls in ω and is ½ at ω_q = (ρ + √(ρ² + 8Nē))/2. Any positive v
+// gives a valid bound; M's Perron vector, which minimises ρ, gives a good
+// one. It comes from quietIters power iterations on M + quietEps, so
+// neither the iteration count nor the constant can make the bound
+// unsound, only looser.
+//
+// Stage 1 reads only the sign of |L| - 1, and the gain it computes cannot
+// reach 1 where the bound gives ½. The phasors math.Sincos returns have
+// modulus 1 to within an ulp, so the computed X and r obey the entrywise
+// bounds to a relative few ulps. For ω > ρ the scaled system is well
+// conditioned, κ = ‖S‖∞‖S⁻¹‖∞ ≤ (ω + ρ)/(ω - ρ), so the computed |h|
+// exceeds ē/(ω - ρ) by at most a relative κ·O(n·2⁻⁵³). Rounding ω_q up by
+// a relative 2⁻²⁰ covers the bound's own rounding many times over and
+// keeps ω - ρ ≥ 2⁻²⁰ρ, so κ stays below about 2²¹ and that error below
+// 1e-9: nowhere near the factor of 2 between ½ and 1.
+func (j *jacobians) quietOmega(v, next []float64) float64 {
+	n, c := j.n, j.cIdx
+	if c < 0 || c >= n {
+		return math.Inf(1)
+	}
+	mv := func(row int) float64 { // (Mv)_row
+		s := 0.0
+		for col := 0; col < n; col++ {
+			x := math.Abs(j.a[row*n+col])
+			for kk := range j.b {
+				x += math.Abs(j.b[kk][row*n+col])
+			}
+			s += x * v[col]
+		}
+		return s
+	}
+	for i := range v {
+		v[i] = 1
+	}
+	for it := 0; it < quietIters; it++ {
+		sum, top := 0.0, 0.0
+		for _, x := range v {
+			sum += x
+		}
+		for row := range next {
+			next[row] = mv(row) + quietEps*sum
+			top = math.Max(top, next[row])
+		}
+		for i := range v {
+			v[i] = next[i] / top
+		}
+	}
+
+	// A NaN or infinite Jacobian entry, or a component of v lost to
+	// underflow, reaches ρ or ē as NaN or Inf (one NaN in v spreads to all
+	// of v through the sum, and math.Max keeps either), and from there ω_q,
+	// which the check below turns into +Inf.
+	rho, ebar := 0.0, 0.0
+	for row := 0; row < n; row++ {
+		e := 0.0
+		for kk := range j.e {
+			e += math.Abs(j.e[kk][row])
+		}
+		rho = math.Max(rho, mv(row)/v[row])
+		ebar = math.Max(ebar, e/v[row])
+	}
+	ebar *= v[c]
+	nf := math.Abs(float64(j.flows))
+	wq := (rho + math.Sqrt(rho*rho+8*nf*ebar)) / 2 * (1 + 0x1p-20)
+	if !(wq <= math.MaxFloat64) {
+		return math.Inf(1)
+	}
+	return wq
+}
+
+// quietStart returns the index of the first stage-1 point at or above
+// ω_q (see quietOmega), never 0: ω_lo is always evaluated.
+func quietStart(wq float64) int { return max(1, sort.SearchFloat64s(sweepOmegas, wq)) }
+
 func (j *jacobians) phaseMargin() (Result, error) {
 	// Stage 1: coarse magnitude-only sweep to bracket |L| = 1 crossings.
 	// Magnitude needs no unwrapping, so the grid can be coarse, and only
-	// the sign of |L| - 1 is read, here and in the bisection.
+	// the sign of |L| - 1 is read, here and in the bisection. From ω_q on,
+	// |L| ≤ ½, so those points are recorded as -½ without a solve. The
+	// bound's two work vectors borrow the buffer before the sweep fills it,
+	// which keeps the buffer on the stack; only a model with more than
+	// points/2 states needs a buffer of its own.
 	excess := make([]float64, points)
+	work := excess
+	if 2*j.n > points {
+		work = make([]float64, 2*j.n)
+	}
+	quiet := quietStart(j.quietOmega(work[:j.n], work[j.n:2*j.n]))
 	for i, w := range sweepOmegas {
+		if i >= quiet {
+			excess[i] = -0.5
+			continue
+		}
 		x, err := j.excess(w)
 		if err != nil {
 			return Result{}, err
@@ -361,6 +486,9 @@ func (j *jacobians) phaseMargin() (Result, error) {
 			return Result{}, err
 		}
 		pm := 180 + phase*180/math.Pi
+		if math.IsNaN(pm) {
+			return Result{}, fmt.Errorf("stability: phase at crossover ω=%g is NaN", wc)
+		}
 		if pm < res.PhaseMarginDeg {
 			res.PhaseMarginDeg = pm
 			res.CrossoverRadPerSec = wc

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -236,6 +237,39 @@ func TestNoDelaysRejected(t *testing.T) {
 	}
 }
 
+// delayed wraps a loop model with other lags.
+type delayed struct {
+	LoopModel
+	delays []float64
+}
+
+func (l delayed) Delays() []float64 { return l.delays }
+
+// A NaN lag makes every excess NaN, and each NaN brackets a crossing; an
+// infinite lag reaches no finite time, and a negative one reads the
+// future. linearise refuses all three and still takes a zero lag.
+func TestBadDelaysRejected(t *testing.T) {
+	base := bitsCells[8].loop(t) // DCQCN N=10, τ*=85 µs
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -85e-6} {
+		res, err := PhaseMargin(delayed{base, []float64{d}})
+		if err == nil || !strings.HasPrefix(err.Error(), "stability: delay 0 is ") {
+			t.Errorf("delay %v: PhaseMargin = %+v, %v; want a stability: delay error", d, res, err)
+		}
+	}
+	if _, err := PhaseMargin(delayed{base, []float64{0}}); err != nil {
+		t.Errorf("delay 0: %v", err)
+	}
+}
+
+// A NaN loop gain brackets a crossing at every grid step, and its phase
+// there is NaN: an error, not an infinite margin.
+func TestNaNPhaseIsAnError(t *testing.T) {
+	res, err := PhaseMargin(nanRate{bitsCells[8].loop(t)})
+	if err == nil || !strings.HasPrefix(err.Error(), "stability: phase at crossover ω=") {
+		t.Errorf("PhaseMargin = %+v, %v; want a NaN-phase error", res, err)
+	}
+}
+
 type badEquilibrium struct{ toyLoop }
 
 func (badEquilibrium) Equilibrium() ([]float64, float64, error) {
@@ -463,7 +497,8 @@ func TestPhaseMarginConcurrentCalls(t *testing.T) {
 
 // PhaseMargin evaluates the loop gain thousands of times per call, so one
 // evaluation, full or magnitude-only, must reuse the linearisation's
-// scratch and allocate nothing.
+// scratch and allocate nothing; so must the bound that skips the quiet
+// end of stage 1.
 func TestLoopGainAllocFree(t *testing.T) {
 	dcqcn, patched := benchLoops(t)
 	for name, loop := range map[string]LoopModel{"dcqcn": dcqcn, "patched": patched} {
@@ -471,9 +506,11 @@ func TestLoopGainAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		v, next := make([]float64, j.n), make([]float64, j.n)
 		for path, eval := range map[string]func(float64) error{
-			"loopGain": func(w float64) error { _, err := j.loopGain(w); return err },
-			"excess":   func(w float64) error { _, err := j.excess(w); return err },
+			"loopGain":   func(w float64) error { _, err := j.loopGain(w); return err },
+			"excess":     func(w float64) error { _, err := j.excess(w); return err },
+			"quietOmega": func(float64) error { j.quietOmega(v, next); return nil },
 		} {
 			w := 1000.0
 			allocs := testing.AllocsPerRun(100, func() {
