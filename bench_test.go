@@ -334,7 +334,7 @@ func BenchmarkAblationTuning(b *testing.B) {
 // sweepGridJobs is a Quick-scale runner grid: the cheap analytic
 // experiments crossed with a few seeds, ~16 jobs.
 func sweepGridJobs(b *testing.B) []sweep.Job {
-	jobs, err := exp.SweepJobs(
+	jobs, _, err := exp.SweepJobs(
 		[]string{"fig3", "fig11", "eq14", "thm2"},
 		exp.Options{Scale: exp.Quick},
 		[]int64{1, 2, 3, 4})

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"ecndelay/internal/exp"
 )
 
 func TestListExitsZero(t *testing.T) {
@@ -35,6 +38,20 @@ func TestUnknownExperimentExitsNonZero(t *testing.T) {
 	}
 }
 
+// refused checks that args exit 2 with nothing on stdout and one
+// ecnbench: line naming want on stderr.
+func refused(t *testing.T, args []string, want string) {
+	t.Helper()
+	var out, errOut strings.Builder
+	if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 {
+		t.Errorf("%v: exit code %d, stdout %q; want 2 and nothing", args, code, out.String())
+	}
+	if msg := errOut.String(); !strings.HasPrefix(msg, "ecnbench: ") || strings.Count(msg, "\n") != 1 ||
+		!strings.Contains(msg, want) {
+		t.Errorf("%v: stderr %q, want one ecnbench: line naming %s", args, msg, want)
+	}
+}
+
 func TestBadFlagExitsNonZero(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-definitely-not-a-flag"}, &out, &errOut); code != 2 {
@@ -42,24 +59,53 @@ func TestBadFlagExitsNonZero(t *testing.T) {
 	}
 	// A value the flag package accepts but no run can use is refused too,
 	// and so is a stray argument, which would end parsing and drop every
-	// flag after it.
-	for _, c := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-exp", "eq14", "-probe-every", "NaN"}, "-probe-every"},
-		{[]string{"-exp", "eq14", "-workers", "-1"}, "-workers"},
-		{[]string{"-exp", "eq14", "stray", "-workers", "2"}, `"stray"`},
-		{[]string{"-list", "stray"}, `"stray"`},
-	} {
-		out.Reset()
-		errOut.Reset()
-		if code := run(c.args, &out, &errOut); code != 2 || out.Len() != 0 {
-			t.Errorf("%v: exit code %d, stdout %q; want 2 and nothing", c.args, code, out.String())
-		}
-		if msg := errOut.String(); !strings.HasPrefix(msg, "ecnbench: ") || strings.Count(msg, "\n") != 1 ||
-			!strings.Contains(msg, c.want) {
-			t.Errorf("%v: stderr %q, want one ecnbench: line naming %s", c.args, msg, c.want)
+	// flag after it, and a grid axis that lists a value twice, whose jobs
+	// would share an id.
+	refused(t, []string{"-exp", "eq14", "-probe-every", "NaN"}, "-probe-every")
+	refused(t, []string{"-exp", "eq14", "-workers", "-1"}, "-workers")
+	refused(t, []string{"-exp", "eq14", "stray", "-workers", "2"}, `"stray"`)
+	refused(t, []string{"-list", "stray"}, `"stray"`)
+	refused(t, []string{"-exp", "eq14", "-seeds", "1,2,1"}, "-seeds")
+	refused(t, []string{"-exp", "eq14,eq14"}, "-exp")
+}
+
+// Every refusal of a seed grid or its checkpoint comes before the
+// checkpoint opens, so an existing -out file keeps its bytes.
+func TestSeedGridUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	keep := filepath.Join(dir, "keep.jsonl")
+	row := []byte(`{"job":"eq14","index":0,"seed":1,"attempts":1}` + "\n")
+	if err := os.WriteFile(keep, row, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused(t, []string{"-exp", "eq14", "-resume"}, "-resume")
+	refused(t, []string{"-exp", "eq14", "-seed", "3", "-seeds", "1:2", "-out", keep}, "-seed ")
+	refused(t, []string{"-exp", "eq14", "-seeds", "x", "-out", keep}, "-seeds")
+	refused(t, []string{"-exp", "eq14", "-seeds", "2:1", "-out", keep, "-resume"}, "-seeds")
+	refused(t, []string{"-exp", "eq14", "-seeds", "1,2,1", "-out", keep}, "-seeds")
+	refused(t, []string{"-exp", "eq14,eq14", "-out", keep}, "-exp")
+	refused(t, []string{"-exp", "eq14,nope", "-out", keep}, `"nope"`)
+	refused(t, []string{"-exp", "eq14", "-probe-every", "NaN", "-out", keep}, "-probe-every")
+	// A checkpoint that cannot be created is a usage error too.
+	refused(t, []string{"-exp", "eq14", "-out", filepath.Join(dir, "no", "such", "f.jsonl")}, "f.jsonl")
+	if got, err := os.ReadFile(keep); err != nil || !bytes.Equal(got, row) {
+		t.Errorf("a refused run changed the checkpoint: %q, %v", got, err)
+	}
+}
+
+// -exp all selects every registered experiment, in registration order.
+func TestSelectAll(t *testing.T) {
+	ids, err := selectIDs("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := exp.Runners()
+	if len(ids) != len(runners) {
+		t.Fatalf("%d ids for %d experiments", len(ids), len(runners))
+	}
+	for i, r := range runners {
+		if ids[i] != r.ID {
+			t.Errorf("id %d is %q, want %q", i, ids[i], r.ID)
 		}
 	}
 }
@@ -156,5 +202,75 @@ func TestExportsIdenticalAcrossWorkers(t *testing.T) {
 		if !bytes.Equal(one[name], two[name]) {
 			t.Errorf("%s differs between -workers 1 and -workers 2", name)
 		}
+	}
+}
+
+// A seed grid checkpoints the same rows for -workers 1 and 2. A
+// checkpoint cut after its first rows (a killed run) resumes: the banner
+// counts only jobs of the current grid, the jobs left render in order,
+// and the file ends with one success row per job, equal to the
+// uninterrupted run.
+func TestSeedGridDeterministicAndResume(t *testing.T) {
+	dir := t.TempDir()
+	grid := []string{"-exp", "fig3,eq14,thm2", "-seeds", "1:3"}
+	runGrid := func(path string, extra ...string) (string, string) {
+		t.Helper()
+		var out, errOut strings.Builder
+		if code := run(append(append(append([]string(nil), grid...), "-out", path), extra...), &out, &errOut); code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", extra, code, errOut.String())
+		}
+		return out.String(), errOut.String()
+	}
+	// sorted returns the file's lines in job id order, one per job.
+	sorted := func(path string) string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(string(b), "\n")
+		sort.Strings(lines)
+		return strings.Join(lines, "")
+	}
+
+	serial, parallel := filepath.Join(dir, "serial.jsonl"), filepath.Join(dir, "parallel.jsonl")
+	runGrid(serial, "-workers", "1")
+	runGrid(parallel, "-workers", "2")
+	want := sorted(serial)
+	if n := strings.Count(want, "\n"); n != 9 {
+		t.Fatalf("checkpoint has %d rows, want 3 experiments × 3 seeds", n)
+	}
+	if got := sorted(parallel); got != want {
+		t.Errorf("-workers 2 rows differ from -workers 1:\n%s\nvs\n%s", got, want)
+	}
+
+	// Keep the first four rows (fig3 seeds 1-3, eq14 seed 1: -workers 1
+	// writes in job order) and a success row of a job outside this grid.
+	b, err := os.ReadFile(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(b), "\n")
+	cut := filepath.Join(dir, "cut.jsonl")
+	stale := `{"job":"fig11/seed1","index":0,"seed":1,"attempts":1}` + "\n"
+	if err := os.WriteFile(cut, []byte(strings.Join(lines[:4], "")+stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr := runGrid(cut, "-workers", "2", "-resume")
+	if stderr != "ecnbench: resuming, 4 of 9 jobs already done\n" {
+		t.Errorf("stderr %q, want the resume banner alone", stderr)
+	}
+	var rendered []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if id, ok := strings.CutPrefix(line, "["); ok {
+			id, _, _ = strings.Cut(id, ":")
+			rendered = append(rendered, id)
+		}
+	}
+	if got := strings.Join(rendered, " "); got != "eq14/seed2 eq14/seed3 thm2/seed1 thm2/seed2 thm2/seed3" {
+		t.Errorf("resumed run rendered %q, want the five jobs left in order", got)
+	}
+	if got := strings.ReplaceAll(sorted(cut), stale, ""); got != want {
+		t.Errorf("resumed checkpoint differs from the uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pfcResume = fs.Int("pfc-resume", 0, "PFC resume threshold, bytes")
 		pfcWatch  = fs.Float64("pfc-watchdog", 0, "flag pauses sustained this many seconds (0: off)")
 
-		flags = cli.Register(fs, false)
+		flags = cli.Register(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

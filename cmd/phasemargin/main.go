@@ -71,6 +71,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(2, "-flows: N=%d outside [1, %.0f]", n, fixedpoint.MaxFlows)
 		}
 	}
+	if n, ok := cli.Repeat(ns); ok {
+		return fail(2, "-flows repeats N=%d", n)
+	}
 	out := bufio.NewWriter(stdout)
 
 	switch *model {
@@ -78,6 +81,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ds, err := cli.ParseFloats(*delays)
 		if err != nil {
 			return fail(2, "bad -delays: %v", err)
+		}
+		if d, ok := cli.Repeat(ds); ok {
+			return fail(2, "-delays repeats %g", d)
 		}
 		// The overrides are checked one at a time against the defaults,
 		// so a parameter error names the flag that caused it.

@@ -58,6 +58,12 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-delays", "NaN"}, "-delays"},
 		{[]string{"-workers", "-1"}, "-workers"},
 		{[]string{"-model", "quic"}, "-model"},
+		// A value listed twice would give two grid cells one job id;
+		// values compare after parsing.
+		{[]string{"-flows", "2,2", "-delays", "85e-6"}, "-flows"},
+		{[]string{"-flows", "2", "-delays", "85e-6,85e-6"}, "-delays"},
+		{[]string{"-flows", "2", "-delays", "1e-6,1.0e-6"}, "-delays"},
+		{[]string{"-model", "patched", "-flows", "2,2"}, "-flows"},
 	} {
 		var out, errOut strings.Builder
 		code := run(c.args, &out, &errOut)

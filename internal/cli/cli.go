@@ -1,10 +1,11 @@
 // Package cli is the shared front-end of the run commands (packetsim,
-// ecnbench, sweep). It declares their nine profiling and observability
-// flags once and owns how each flag turns into an observer facility and
-// an export file: the self-describing export header, the observer and
-// the exports written at exit. Profiles land where `go tool pprof` reads
+// ecnbench). It declares their nine profiling and observability flags
+// once and owns how each flag turns into an observer facility and an
+// export file: the self-describing export header, the observer and the
+// exports written at exit. Profiles land where `go tool pprof` reads
 // them (see EXPERIMENTS.md, "Profiling a run"). It also holds the two
-// list parsers every command's list flags share (ParseInts, ParseFloats).
+// list parsers every command's list flags share (ParseInts, ParseFloats)
+// and the repeat check of the grid axes (Repeat).
 package cli
 
 import (
@@ -13,10 +14,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"ecndelay/internal/des"
 	"ecndelay/internal/obs"
@@ -30,33 +29,22 @@ type Flags struct {
 	Invariants             bool
 	Hist, Audit            string
 
-	fs     *flag.FlagSet
-	perJob bool
+	fs *flag.FlagSet
 }
 
-// Register declares the shared flags on fs. A perJob command (sweep)
-// observes only the jobs of its exp grid and writes one trace and one
-// audit file per job, named from the -trace and -audit values; the other
-// commands share one file of each.
-func Register(fs *flag.FlagSet, perJob bool) *Flags {
-	f := &Flags{fs: fs, perJob: perJob}
-	scope := ""
-	trace := "stream the event trace as JSONL to this file"
-	audit := "write the control-loop decision audit as JSONL to this file"
-	if perJob {
-		scope = "exp: "
-		trace = "write per-job event traces as JSONL files derived from this path"
-		audit = "write per-job control-loop audits as JSONL files derived from this path"
-	}
+// Register declares the shared flags on fs. Every run shares one file
+// per export, however many jobs or workers the command runs.
+func Register(fs *flag.FlagSet) *Flags {
+	f := &Flags{fs: fs}
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
-	fs.StringVar(&f.Metrics, "metrics", "", scope+"write end-of-run counters as TSV to this file")
-	fs.StringVar(&f.Trace, "trace", "", scope+trace)
-	fs.StringVar(&f.Probe, "probe", "", scope+"write probe time series as JSONL to this file")
-	fs.Float64Var(&f.ProbeEvery, "probe-every", 1e-4, scope+"probe sampling cadence, seconds")
-	fs.BoolVar(&f.Invariants, "invariants", false, scope+"check runtime invariants; violations exit nonzero")
-	fs.StringVar(&f.Hist, "hist", "", scope+"write latency histogram percentiles to this file (.tsv: TSV, else JSONL)")
-	fs.StringVar(&f.Audit, "audit", "", scope+audit)
+	fs.StringVar(&f.Metrics, "metrics", "", "write end-of-run counters as TSV to this file")
+	fs.StringVar(&f.Trace, "trace", "", "stream the event trace as JSONL to this file")
+	fs.StringVar(&f.Probe, "probe", "", "write probe time series as JSONL to this file")
+	fs.Float64Var(&f.ProbeEvery, "probe-every", 1e-4, "probe sampling cadence, seconds")
+	fs.BoolVar(&f.Invariants, "invariants", false, "check runtime invariants; violations exit nonzero")
+	fs.StringVar(&f.Hist, "hist", "", "write latency histogram percentiles to this file (.tsv: TSV, else JSONL)")
+	fs.StringVar(&f.Audit, "audit", "", "write the control-loop decision audit as JSONL to this file")
 	return f
 }
 
@@ -94,11 +82,15 @@ func ParseInts(s string) ([]int, error) {
 		if a > b {
 			return nil, fmt.Errorf("range %d:%d is backwards", a, b)
 		}
+		// Stop at b without stepping past it: i++ past the largest int
+		// wraps to the smallest, and i <= b would never turn false.
 		var out []int
-		for i := a; i <= b; i++ {
+		for i := a; ; i++ {
 			out = append(out, i)
+			if i == b {
+				return out, nil
+			}
 		}
-		return out, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
@@ -109,6 +101,20 @@ func ParseInts(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// Repeat returns the first entry of vs equal to an earlier one, so a
+// grid axis can refuse a value listed twice: its jobs would share an id.
+func Repeat[T comparable](vs []T) (T, bool) {
+	seen := make(map[T]bool, len(vs))
+	for _, v := range vs {
+		if seen[v] {
+			return v, true
+		}
+		seen[v] = true
+	}
+	var zero T
+	return zero, false
 }
 
 // ParseFloats parses a comma list of rates or delays: every entry must be
@@ -131,7 +137,7 @@ func ParseFloats(s string) ([]float64, error) {
 // executionOnly names flags that steer how a run executes but cannot
 // change a row or an export record. Headers leave them out, so an export
 // is byte-identical for any value of them.
-var executionOnly = map[string]bool{"workers": true, "quiet": true, "resume": true}
+var executionOnly = map[string]bool{"workers": true, "resume": true}
 
 // Header returns the self-describing first record of a JSONL export, so a
 // reader can tell which invocation produced a file without the shell
@@ -160,10 +166,7 @@ type Session struct {
 	run      obs.Header
 	stderr   io.Writer
 	stopProf func() error
-
-	mu      sync.Mutex // guards closers and openErr against per-job opens
-	closers []io.Closer
-	openErr error
+	closers  []io.Closer
 }
 
 // Open starts profiling and builds the observer the flags ask for,
@@ -205,19 +208,17 @@ func (f *Flags) Open(cmd string, run obs.Header, stderr io.Writer) (*Session, er
 		o.Hists = obs.NewHistSet()
 		o.Hists.SetHeader(s.header("hist"))
 	}
-	if f.perJob {
-		if f.Trace != "" || f.Audit != "" {
-			o.PerJob = s.openJob
-		}
-		return s, nil
-	}
+	// Each sink flushes before the session closes its file.
 	if f.Trace != "" {
 		w, err := os.Create(f.Trace)
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
-		o.Trace = s.traceTo(w)
+		h := s.header("trace")
+		sink := obs.NewJSONLSink(w, &h)
+		s.closers = append(s.closers, sink, w)
+		o.Trace = obs.NewTracer(sink)
 	}
 	if f.Audit != "" {
 		// One shared trail: decisions from concurrent jobs interleave under
@@ -228,68 +229,15 @@ func (f *Flags) Open(cmd string, run obs.Header, stderr io.Writer) (*Session, er
 			s.Close()
 			return nil, err
 		}
-		o.Audit = s.auditTo(w)
+		sink := obs.NewAuditJSONLSink(w, 0)
+		sink.SetHeader(s.header("audit"))
+		s.closers = append(s.closers, sink, w)
+		o.Audit = obs.NewAuditTrail(sink)
 	}
 	return s, nil
 }
 
 func (s *Session) header(schema string) obs.Header { return s.f.Header(schema, s.run) }
-
-// traceTo starts a headed JSONL trace stream on w. The sink flushes
-// before the session closes w.
-func (s *Session) traceTo(w *os.File) *obs.Tracer {
-	h := s.header("trace")
-	sink := obs.NewJSONLSink(w, &h)
-	s.closers = append(s.closers, sink, w)
-	return obs.NewTracer(sink)
-}
-
-// auditTo starts a headed, canonically sorted JSONL audit stream on w.
-// The sink writes before the session closes w. It grows with the
-// decisions it receives, so a job that audits nothing holds next to
-// nothing until Finish.
-func (s *Session) auditTo(w *os.File) *obs.AuditTrail {
-	sink := obs.NewAuditJSONLSink(w, 0)
-	sink.SetHeader(s.header("audit"))
-	s.closers = append(s.closers, sink, w)
-	return obs.NewAuditTrail(sink)
-}
-
-// openJob is the observer's PerJob hook in per-job mode: it gives the job
-// its own trace and audit files, so every file is byte-identical for any
-// worker count. It runs on worker goroutines, so it serialises; the first
-// open error is latched and surfaces at Finish, and the job runs without
-// that stream.
-func (s *Session) openJob(jobID string, job *obs.NetObserver) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	open := func(base string) *os.File {
-		w, err := os.Create(jobPath(base, jobID))
-		if err != nil && s.openErr == nil {
-			s.openErr = err
-		}
-		return w
-	}
-	if s.f.Trace != "" {
-		job.Trace = nil
-		if w := open(s.f.Trace); w != nil {
-			job.Trace = s.traceTo(w)
-		}
-	}
-	if s.f.Audit != "" {
-		job.Audit = nil
-		if w := open(s.f.Audit); w != nil {
-			job.Audit = s.auditTo(w)
-		}
-	}
-}
-
-// jobPath derives a per-job file name from a base path: trace.jsonl
-// becomes trace.<jobid>.jsonl, with "/" in the job id replaced by "_".
-func jobPath(base, jobID string) string {
-	ext := filepath.Ext(base)
-	return strings.TrimSuffix(base, ext) + "." + strings.ReplaceAll(jobID, "/", "_") + ext
-}
 
 // Finish closes the trace and audit files, writes the metrics, probe and
 // histogram files, and reports invariant violations. It returns the exit
@@ -346,12 +294,9 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 // closeSinks flushes the trace and audit sinks opened so far, closes
-// their files, and returns the first error, including a latched per-job
-// open error.
+// their files, and returns the first error.
 func (s *Session) closeSinks() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.openErr
+	var err error
 	for _, c := range s.closers {
 		if cerr := c.Close(); err == nil {
 			err = cerr

@@ -2,11 +2,11 @@ package cli
 
 import (
 	"flag"
-	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,16 +14,15 @@ import (
 )
 
 // newFlags registers the shared flags next to a command's own -seed,
-// -workers, -quiet and -resume, and parses args.
-func newFlags(t *testing.T, perJob bool, args ...string) *Flags {
+// -workers and -resume, and parses args.
+func newFlags(t *testing.T, args ...string) *Flags {
 	t.Helper()
 	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	fs.Int64("seed", 1, "")
 	fs.Int("workers", 1, "")
-	fs.Bool("quiet", false, "")
 	fs.Bool("resume", false, "")
-	f := Register(fs, perJob)
+	f := Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -41,19 +40,38 @@ func firstLine(t *testing.T, path string) string {
 	return line
 }
 
+// A range holds every int from lo to hi, the largest int included: the
+// loop must stop at hi, not step past it and wrap.
 func TestParseIntsRange(t *testing.T) {
-	got, err := ParseInts("3:6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{3, 4, 5, 6}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
+	for _, c := range []struct {
+		in   string
+		want []int
+	}{
+		{"3:6", []int{3, 4, 5, 6}},
+		{"7:7", []int{7}},
+		{"9223372036854775806:9223372036854775807", []int{math.MaxInt - 1, math.MaxInt}},
+		{"-9223372036854775808:-9223372036854775807", []int{math.MinInt, math.MinInt + 1}},
+	} {
+		got, err := ParseInts(c.in)
+		if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("ParseInts(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
+	}
+}
+
+// Repeat finds the first value listed twice; floats compare as parsed.
+func TestRepeat(t *testing.T) {
+	if v, ok := Repeat([]int{1, 2, 3, 2, 1}); !ok || v != 2 {
+		t.Errorf("Repeat ints = %v, %v; want 2, true", v, ok)
+	}
+	if v, ok := Repeat([]float64{1e-6, 1.0e-6}); !ok || v != 1e-6 {
+		t.Errorf("Repeat floats = %v, %v; want 1e-06, true", v, ok)
+	}
+	if _, ok := Repeat([]string{"eq14", "fig3"}); ok {
+		t.Error("Repeat found a repeat in distinct entries")
+	}
+	if _, ok := Repeat([]int(nil)); ok {
+		t.Error("Repeat found a repeat in an empty list")
 	}
 }
 
@@ -89,37 +107,28 @@ func TestParseFloats(t *testing.T) {
 }
 
 func TestRegisterDeclaresSharedFlags(t *testing.T) {
-	for _, perJob := range []bool{false, true} {
-		fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
-		Register(fs, perJob)
-		want := map[string]string{
-			"cpuprofile": "", "memprofile": "", "metrics": "", "trace": "", "probe": "",
-			"probe-every": "0.0001", "invariants": "false", "hist": "", "audit": "",
+	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	Register(fs)
+	want := map[string]string{
+		"cpuprofile": "", "memprofile": "", "metrics": "", "trace": "", "probe": "",
+		"probe-every": "0.0001", "invariants": "false", "hist": "", "audit": "",
+	}
+	n := 0
+	fs.VisitAll(func(fl *flag.Flag) {
+		n++
+		if def, ok := want[fl.Name]; !ok || def != fl.DefValue {
+			t.Errorf("flag -%s default %q unexpected", fl.Name, fl.DefValue)
 		}
-		n := 0
-		fs.VisitAll(func(fl *flag.Flag) {
-			n++
-			if def, ok := want[fl.Name]; !ok || def != fl.DefValue {
-				t.Errorf("perJob=%v: flag -%s default %q unexpected", perJob, fl.Name, fl.DefValue)
-			}
-		})
-		if n != len(want) {
-			t.Errorf("perJob=%v: %d flags, want %d", perJob, n, len(want))
-		}
-		trace := fs.Lookup("trace").Usage
-		if got := strings.Contains(trace, "per-job"); got != perJob {
-			t.Errorf("perJob=%v: -trace usage %q", perJob, trace)
-		}
-		if got := strings.HasPrefix(fs.Lookup("metrics").Usage, "exp: "); got != perJob {
-			t.Errorf("perJob=%v: -metrics usage %q", perJob, fs.Lookup("metrics").Usage)
-		}
+	})
+	if n != len(want) {
+		t.Errorf("%d flags, want %d", n, len(want))
 	}
 }
 
 // The header echoes what the user set, in name order, and never the
 // execution-only flags: an export must not depend on -workers.
 func TestHeaderSkipsExecutionOnlyFlags(t *testing.T) {
-	f := newFlags(t, false, "-workers", "2", "-quiet", "-resume", "-seed", "7", "-probe", "p.jsonl", "-invariants")
+	f := newFlags(t, "-workers", "2", "-resume", "-seed", "7", "-probe", "p.jsonl", "-invariants")
 	h := f.Header("probe", obs.Header{Seed: 7, Proto: "dcqcn"})
 	want := obs.Header{Schema: "probe", Version: 1, Seed: 7, Proto: "dcqcn",
 		Flags: "invariants=true probe=p.jsonl seed=7"}
@@ -129,7 +138,7 @@ func TestHeaderSkipsExecutionOnlyFlags(t *testing.T) {
 }
 
 func TestNoObserverFlagsLeaveRunUnobserved(t *testing.T) {
-	s, err := newFlags(t, false).Open("cmd", obs.Header{Seed: 1}, io.Discard)
+	s, err := newFlags(t).Open("cmd", obs.Header{Seed: 1}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +167,7 @@ func feed(o *obs.NetObserver) {
 func TestSharedExports(t *testing.T) {
 	dir := t.TempDir()
 	p := func(name string) string { return filepath.Join(dir, name) }
-	f := newFlags(t, false, "-metrics", p("m.tsv"), "-trace", p("t.jsonl"), "-probe", p("p.jsonl"),
+	f := newFlags(t, "-metrics", p("m.tsv"), "-trace", p("t.jsonl"), "-probe", p("p.jsonl"),
 		"-hist", p("h.tsv"), "-audit", p("a.jsonl"), "-invariants", "-probe-every", "2e-4")
 	var stderr strings.Builder
 	s, err := f.Open("cmd", obs.Header{Seed: 3, Proto: "timely"}, &stderr)
@@ -190,88 +199,6 @@ func TestSharedExports(t *testing.T) {
 	}
 }
 
-func TestPerJobExports(t *testing.T) {
-	dir := t.TempDir()
-	f := newFlags(t, true, "-trace", filepath.Join(dir, "t.jsonl"), "-audit", filepath.Join(dir, "a.jsonl"),
-		"-hist", filepath.Join(dir, "h.jsonl"))
-	s, err := f.Open("sweep", obs.Header{Seed: 1}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Observer.Trace != nil || s.Observer.Audit != nil {
-		t.Fatal("per-job mode must not open shared trace or audit streams")
-	}
-	jo := s.Observer.ForJob("fig5/seed1")
-	if jo.Trace == nil || jo.Audit == nil {
-		t.Fatal("the job copy has no private trace or audit stream")
-	}
-	jo.Trace.Emit(obs.Event{Type: obs.Enqueue})
-	jo.Audit.Emit(obs.Decision{Type: obs.DecRateCut})
-	if code := s.Finish(); code != 0 {
-		t.Fatalf("Finish = %d", code)
-	}
-	for _, name := range []string{"t.fig5_seed1.jsonl", "a.fig5_seed1.jsonl"} {
-		if line := firstLine(t, filepath.Join(dir, name)); !strings.HasPrefix(line, `{"schema":`) {
-			t.Errorf("%s header %q", name, line)
-		}
-	}
-	if got := jobPath("out/trace", "a/b"); got != "out/trace.a_b" {
-		t.Errorf("jobPath without extension = %q", got)
-	}
-}
-
-// A per-job audit holds only the decisions it receives: eight jobs that
-// audit nothing (an analytic grid under sweep -audit) keep the heap flat
-// until Finish writes their header-only files.
-func TestPerJobAuditsGrowOnDemand(t *testing.T) {
-	dir := t.TempDir()
-	f := newFlags(t, true, "-audit", filepath.Join(dir, "a.jsonl"))
-	s, err := f.Open("sweep", obs.Header{Seed: 1}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	jobs := make([]*obs.NetObserver, 8)
-	for i := range jobs {
-		jobs[i] = s.Observer.ForJob(fmt.Sprintf("eq14/seed%d", i+1))
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
-		t.Errorf("eight empty per-job audits hold %d bytes of heap, want under 1 MB", grew)
-	}
-	if code := s.Finish(); code != 0 {
-		t.Fatalf("Finish = %d", code)
-	}
-	runtime.KeepAlive(jobs)
-}
-
-// A per-job file that cannot be created leaves the job without that
-// stream and fails the run at Finish.
-func TestPerJobOpenErrorSurfacesAtFinish(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
-	f := newFlags(t, true, "-trace", filepath.Join(missing, "t.jsonl"), "-audit", filepath.Join(missing, "a.jsonl"))
-	var stderr strings.Builder
-	s, err := f.Open("sweep", obs.Header{Seed: 1}, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if jo := s.Observer.ForJob("fig5"); jo.Trace != nil || jo.Audit != nil {
-		t.Error("a job got a stream whose file could not be created")
-	}
-	if code := s.Finish(); code != 1 {
-		t.Errorf("Finish = %d, want 1", code)
-	}
-	if !strings.HasPrefix(stderr.String(), "sweep: ") {
-		t.Errorf("stderr %q", stderr.String())
-	}
-}
-
 // -probe-every takes 0 (the default cadence) or a finite cadence that
 // converts to at least 1 ns of simulated time; Check and Open refuse
 // anything else with one message naming the flag.
@@ -284,7 +211,7 @@ func TestProbeEveryCheck(t *testing.T) {
 		{"-1", false}, {"-0.5e-9", false}, {"NaN", false}, {"+Inf", false}, {"-Inf", false},
 		{"1e300", false}, {"1e10", false}, {"1e-10", false},
 	} {
-		f := newFlags(t, false, "-probe-every", c.val)
+		f := newFlags(t, "-probe-every", c.val)
 		err := f.Check()
 		if (err == nil) != c.ok {
 			t.Errorf("-probe-every %s: Check() = %v, want ok=%v", c.val, err, c.ok)
@@ -305,7 +232,7 @@ func TestProbeEveryCheck(t *testing.T) {
 func TestOpenErrors(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no", "such", "dir", "f")
 	for _, flagName := range []string{"-trace", "-audit", "-cpuprofile"} {
-		if _, err := newFlags(t, false, flagName, missing).Open("cmd", obs.Header{Seed: 1}, io.Discard); err == nil {
+		if _, err := newFlags(t, flagName, missing).Open("cmd", obs.Header{Seed: 1}, io.Discard); err == nil {
 			t.Errorf("%s into a missing directory: Open succeeded", flagName)
 		}
 	}
@@ -315,7 +242,7 @@ func TestFinishExportError(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
 	for _, flagName := range []string{"-metrics", "-probe", "-hist"} {
 		var stderr strings.Builder
-		s, err := newFlags(t, false, flagName, filepath.Join(missing, "f")).Open("cmd", obs.Header{Seed: 1}, &stderr)
+		s, err := newFlags(t, flagName, filepath.Join(missing, "f")).Open("cmd", obs.Header{Seed: 1}, &stderr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +258,7 @@ func TestFinishExportError(t *testing.T) {
 
 func TestFinishReportsViolations(t *testing.T) {
 	var stderr strings.Builder
-	s, err := newFlags(t, false, "-invariants").Open("cmd", obs.Header{Seed: 1}, &stderr)
+	s, err := newFlags(t, "-invariants").Open("cmd", obs.Header{Seed: 1}, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func TestSweepOverRunnersDeterministic(t *testing.T) {
 // Every registered experiment, sharded across a 4-worker sweep pool so
 // that runners execute concurrently in one process, must report exactly
 // what a direct serial call reports: metrics and rendered tables alike.
-// This is the property `sweep -workers` relies on — no runner may leak
+// This is the property `ecnbench -workers` relies on — no runner may leak
 // state into another through package globals (packet pools, id counters,
 // RNGs). The matrix runs every simulation, so it skips under -short.
 func TestShardedMetricsMatchSerialEverywhere(t *testing.T) {

@@ -160,45 +160,51 @@ func Get(id string) (Runner, bool) {
 
 // SweepJobs builds one sweep job per (experiment id, seed) pair from the
 // registry. With an empty seeds slice each experiment becomes a single
-// job using the engine-derived seed; otherwise one job per listed seed,
-// pinned to it.
+// job, named by its id and run at opts.Seed; otherwise one job per listed
+// seed, named <id>/seed<s> and run at that seed. The engine-derived seed
+// goes unused either way. Once job i succeeds, the second result's
+// element i holds its report; the engine's hand-over of the result
+// orders that write before the sink reads it.
 //
 // A shared opts.Observer is safe for any worker count: each job runs with
 // opts.Observer.ForJob(jobID), so probes from different jobs land in the
 // shared ProbeSet under distinct, scheduling-independent names, and the
 // job's own child checker owns the invariant books of its networks.
-func SweepJobs(ids []string, opts Options, seeds []int64) ([]sweep.Job, error) {
+func SweepJobs(ids []string, opts Options, seeds []int64) ([]sweep.Job, []*Report, error) {
 	var jobs []sweep.Job
+	var reports []*Report
 	for _, id := range ids {
 		r, ok := Get(id)
 		if !ok {
-			return nil, fmt.Errorf("unknown experiment %q", id)
+			return nil, nil, fmt.Errorf("unknown experiment %q", id)
 		}
-		job := func(jobID string, meta map[string]string, pinned *int64) sweep.Job {
-			return sweep.Job{ID: jobID, Meta: meta, Run: func(seed int64) (map[string]float64, error) {
+		job := func(jobID string, meta map[string]string, seed int64) sweep.Job {
+			i := len(jobs)
+			return sweep.Job{ID: jobID, Meta: meta, Run: func(int64) (map[string]float64, error) {
 				o := opts
 				o.Seed = seed
-				if pinned != nil {
-					o.Seed = *pinned
-				}
 				o.Observer = opts.Observer.ForJob(jobID)
 				rep, err := r.Run(o)
 				if err != nil {
 					return nil, err
 				}
+				reports[i] = rep
 				return rep.Metrics, nil
 			}}
 		}
 		if len(seeds) == 0 {
-			jobs = append(jobs, job(r.ID, map[string]string{"exp": r.ID, "figure": r.Figure}, nil))
+			jobs = append(jobs, job(r.ID, map[string]string{"exp": r.ID, "figure": r.Figure}, opts.Seed))
 			continue
 		}
 		for _, s := range seeds {
 			jobs = append(jobs, job(fmt.Sprintf("%s/seed%d", r.ID, s),
-				map[string]string{"exp": r.ID, "figure": r.Figure, "seed": fmt.Sprint(s)}, &s))
+				map[string]string{"exp": r.ID, "figure": r.Figure, "seed": fmt.Sprint(s)}, s))
 		}
 	}
-	return jobs, nil
+	// Every job's closure reads this slice, which is sized only now that
+	// the grid is complete.
+	reports = make([]*Report, len(jobs))
+	return jobs, reports, nil
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

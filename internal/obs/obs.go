@@ -78,12 +78,6 @@ type NetObserver struct {
 	// usual state): endpoints and marking ports keep a nil trail pointer
 	// and skip every audit site with one check.
 	Audit *AuditTrail
-	// PerJob, when set, customises every job copy ForJob derives: it is
-	// called with the job's ID and the fresh copy, and typically installs
-	// a private Trace and Audit backed by per-job files. A shared stream
-	// interleaves jobs by completion order; per-job streams make trace
-	// and audit output deterministic for any worker count.
-	PerJob func(jobID string, job *NetObserver)
 }
 
 // ForJob returns a shallow copy of o with jobID appended to its
@@ -92,8 +86,7 @@ type NetObserver struct {
 // deterministically. A nil observer stays nil. The copy shares every
 // facility with the original but the checker: it gets a child checker
 // that owns the job's invariant books and reports to the original's
-// counts and violations. Then PerJob (if set) may replace facilities on
-// the copy.
+// counts and violations.
 func (o *NetObserver) ForJob(jobID string) *NetObserver {
 	if o == nil {
 		return nil
@@ -102,9 +95,6 @@ func (o *NetObserver) ForJob(jobID string) *NetObserver {
 	jo.ProbePrefix += jobID + "."
 	if o.Check != nil {
 		jo.Check = o.Check.child()
-	}
-	if o.PerJob != nil {
-		o.PerJob(jobID, &jo)
 	}
 	return &jo
 }

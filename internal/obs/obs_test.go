@@ -44,22 +44,4 @@ func TestForJob(t *testing.T) {
 	if base.ProbePrefix != "" {
 		t.Error("ForJob mutated the shared observer")
 	}
-
-	// PerJob sees the job id and the copy; only the copy changes.
-	private := NewTracer()
-	var gotID string
-	base.PerJob = func(jobID string, job *NetObserver) {
-		gotID = jobID
-		job.Trace = private
-	}
-	pj := base.ForJob("fig5/seed2")
-	if gotID != "fig5/seed2" {
-		t.Errorf("PerJob called with %q, want fig5/seed2", gotID)
-	}
-	if pj.Trace != private {
-		t.Error("PerJob's tracer is not installed on the job copy")
-	}
-	if base.Trace == private {
-		t.Error("PerJob reached the shared observer")
-	}
 }

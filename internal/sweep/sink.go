@@ -86,13 +86,6 @@ func (s *JSONLSink) Completed(id string) bool {
 	return ok
 }
 
-// Resumed is the number of completed jobs loaded from the checkpoint.
-func (s *JSONLSink) Resumed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.done)
-}
-
 // Write appends one result row.
 func (s *JSONLSink) Write(r Result) error {
 	b, err := json.Marshal(r)
@@ -146,7 +139,7 @@ func ReadResults(path string) ([]Result, error) {
 }
 
 // MemorySink collects results in memory for callers that post-process
-// a sweep in-process (the cmd front-ends, tests).
+// a sweep in-process (phasemargin's grid, tests).
 type MemorySink struct {
 	mu      sync.Mutex
 	results []Result

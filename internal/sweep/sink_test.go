@@ -7,29 +7,21 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
 // unmarshalRow decodes one JSONL row strictly.
 func unmarshalRow(line []byte, r *Result) error { return json.Unmarshal(line, r) }
 
-// syncBuffer is a goroutine-safe bytes.Buffer for capturing progress.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
+// completed counts the ids s holds a success row for.
+func completed(s *JSONLSink, ids ...string) int {
+	n := 0
+	for _, id := range ids {
+		if s.Completed(id) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestMarshalResultsSortsByJobID(t *testing.T) {
@@ -117,7 +109,7 @@ func TestJSONLSinkCrashConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: resume failed: %v", off, err)
 		}
-		if got := sink.Resumed(); got != wantDone {
+		if got := completed(sink, "job0", "job1", "job2"); got != wantDone {
 			t.Fatalf("offset %d: resumed %d jobs, want %d", off, got, wantDone)
 		}
 		if err := sink.Write(Result{JobID: "fresh", Index: 3, Attempts: 1}); err != nil {
@@ -154,12 +146,31 @@ func TestJSONLSinkCrashConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !again.Completed("fresh") || again.Resumed() != wantDone+1 {
-			t.Fatalf("offset %d: second resume lost rows (resumed %d)", off, again.Resumed())
+		if got := completed(again, "job0", "job1", "job2", "fresh"); !again.Completed("fresh") || got != wantDone+1 {
+			t.Fatalf("offset %d: second resume lost rows (resumed %d)", off, got)
 		}
 		if err := again.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// A checkpoint that cannot be read or created is an error: resuming from
+// a directory must not pass for resuming from an empty file.
+func TestOpenJSONLErrors(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "no", "such", "rows.jsonl")
+	for _, c := range []struct {
+		path   string
+		resume bool
+	}{{dir, true}, {missing, true}, {missing, false}} {
+		if s, err := OpenJSONL(c.path, c.resume); err == nil {
+			s.Close()
+			t.Errorf("OpenJSONL(%q, resume=%v) succeeded", c.path, c.resume)
+		}
+	}
+	if _, err := ReadResults(dir); err == nil {
+		t.Error("ReadResults of a directory succeeded")
 	}
 }
 
@@ -188,5 +199,47 @@ func TestReadResultsKeepsLastRowPerJob(t *testing.T) {
 	}
 	if none, err := ReadResults(filepath.Join(dir, "missing.jsonl")); err != nil || none != nil {
 		t.Errorf("missing file should yield no rows, nil error (got %v, %v)", none, err)
+	}
+}
+
+// The checkpoint row bytes are a format other runs resume from and hash:
+// a fault-free row carries meta, metrics in key order and "attempts":1; a
+// failing or panicking job's row carries its error and no metrics.
+func TestJSONLRowBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rows.jsonl")
+	sink, err := OpenJSONL(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []Job{
+		{ID: "fig3/seed1", Meta: map[string]string{"exp": "fig3", "seed": "1"},
+			Run: func(int64) (map[string]float64, error) {
+				return map[string]float64{"pm_deg": 41.5, "crossover_rad_s": 1.25e4}, nil
+			}},
+		{ID: "eq14/seed1", Run: func(int64) (map[string]float64, error) {
+			return map[string]float64{"dropped": 1}, fmt.Errorf("no fixed point")
+		}},
+		{ID: "thm2/seed1", Run: func(int64) (map[string]float64, error) { panic("diverged ODE") }},
+	}
+	sum, err := Run(Config{Workers: 1, BaseSeed: 1}, jobs, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sum.Executed != 3 || sum.Failed != 2 {
+		t.Errorf("summary %+v, want 3 executed and 2 failed", sum)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"job":"fig3/seed1","index":0,"seed":-7995527694508729151,"meta":{"exp":"fig3","seed":"1"},"metrics":{"crossover_rad_s":12500,"pm_deg":41.5},"attempts":1}
+{"job":"eq14/seed1","index":1,"seed":-4689498862643123097,"err":"no fixed point","attempts":1}
+{"job":"thm2/seed1","index":2,"seed":-534904783426661026,"err":"sweep: job \"thm2/seed1\" panicked: diverged ODE","attempts":1}
+`
+	if string(got) != want {
+		t.Errorf("checkpoint rows\n%s\nwant\n%s", got, want)
 	}
 }
