@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"ecndelay/internal/cli"
 	"ecndelay/internal/exp"
@@ -97,6 +98,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if err := dcqcnParams(1, ds[0], 0, *kmax).Validate(); err != nil {
 			return fail(2, "-kmax %g: %v", *kmax, err)
+		}
+		// Theorem 1's fixed point does not depend on τ*, and it stops
+		// existing past some N (22,519 at the defaults), so each N is
+		// solved once, largest first, before the grid would run every
+		// cell and then fail on the first one without a root.
+		desc := slices.Clone(ns)
+		slices.Sort(desc)
+		for i := len(desc) - 1; i >= 0; i-- {
+			n := desc[i]
+			if _, err := fixedpoint.SolveDCQCN(dcqcnParams(n, ds[0], *rai, *kmax)); err != nil {
+				return fail(2, "-flows: N=%d has no Theorem 1 fixed point: %v", n, err)
+			}
 		}
 		results, err := runGrid(dcqcnJobs(ns, ds, *rai, *kmax), *workers)
 		if err == nil {

@@ -64,6 +64,12 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-flows", "2", "-delays", "85e-6,85e-6"}, "-delays"},
 		{[]string{"-flows", "2", "-delays", "1e-6,1.0e-6"}, "-delays"},
 		{[]string{"-model", "patched", "-flows", "2,2"}, "-flows"},
+		// Theorem 1 has no root from N=22,520 on at the defaults, and from
+		// N=19,745 on at R_AI = 80 Mb/s; a range past cli.MaxRange entries
+		// is refused before it is expanded.
+		{[]string{"-flows", "22519,22520", "-delays", "85e-6"}, "-flows: N=22520"},
+		{[]string{"-flows", "19745", "-rai", "80e6"}, "-flows: N=19745"},
+		{[]string{"-flows", "1:1000001"}, "-flows"},
 	} {
 		var out, errOut strings.Builder
 		code := run(c.args, &out, &errOut)

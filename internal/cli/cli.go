@@ -68,7 +68,12 @@ func DurationOK(s float64, least des.Duration) bool {
 	return s >= 0 && ns >= float64(least) && ns < math.MaxInt64
 }
 
-// ParseInts parses "lo:hi" (an inclusive range) or a comma list of ints.
+// MaxRange bounds the entries of a lo:hi range ParseInts expands, so a
+// mistyped range is refused before it allocates (10⁶ ints are 8 MB).
+const MaxRange = 1_000_000
+
+// ParseInts parses "lo:hi" (an inclusive range of at most MaxRange
+// entries) or a comma list of ints.
 func ParseInts(s string) ([]int, error) {
 	if lo, hi, ok := strings.Cut(s, ":"); ok {
 		a, err := strconv.Atoi(lo)
@@ -82,15 +87,16 @@ func ParseInts(s string) ([]int, error) {
 		if a > b {
 			return nil, fmt.Errorf("range %d:%d is backwards", a, b)
 		}
-		// Stop at b without stepping past it: i++ past the largest int
-		// wraps to the smallest, and i <= b would never turn false.
-		var out []int
-		for i := a; ; i++ {
-			out = append(out, i)
-			if i == b {
-				return out, nil
-			}
+		// b-a in uint64 is exact for any a <= b, where int may overflow.
+		span := uint64(b) - uint64(a)
+		if span >= MaxRange {
+			return nil, fmt.Errorf("range %d:%d has more than %d entries", a, b, MaxRange)
 		}
+		out := make([]int, span+1)
+		for i := range out {
+			out[i] = a + i
+		}
+		return out, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {

@@ -57,6 +57,16 @@ func TestParseIntsRange(t *testing.T) {
 			t.Errorf("ParseInts(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
+	// A range of MaxRange entries expands; one entry more is refused
+	// before anything is allocated, as is a range over the whole int line.
+	if got, err := ParseInts("1:1000000"); err != nil || len(got) != MaxRange || got[MaxRange-1] != MaxRange {
+		t.Errorf("ParseInts(1:1000000) = %d entries, %v; want %d", len(got), err, MaxRange)
+	}
+	for _, in := range []string{"0:1000000", "-9223372036854775808:9223372036854775807"} {
+		if got, err := ParseInts(in); err == nil || !strings.Contains(err.Error(), "more than 1000000 entries") {
+			t.Errorf("ParseInts(%q) = %d entries, %v; want a refusal", in, len(got), err)
+		}
+	}
 }
 
 // Repeat finds the first value listed twice; floats compare as parsed.

@@ -5,13 +5,22 @@
 // events. Events scheduled for the same instant fire in the order they were
 // scheduled, which keeps runs bit-for-bit reproducible.
 //
+// The queue is a binary heap plus a few fixed-delay lanes. Events that fire
+// one fixed delay after they were scheduled, and that nothing cancels (a
+// port's serialisation tick and its deliveries), go through ScheduleFixedSeq
+// into a FIFO lane that holds that delay; they are already in firing order,
+// so the lane holds them without a sift. Everything else stays on the heap.
+// The next event is the earliest of the heap's root and the lanes' fronts,
+// so the firing order is the one a heap alone would give.
+//
 // Every event rides one pooled lifecycle. A Handler (a long-lived port,
 // sender or ticker) is scheduled with an opaque argument through
 // ScheduleHandler/AtHandler; Event structs are recycled through a free
 // list, so the steady state allocates nothing. Schedule and At are
-// one-line conveniences that wrap a closure as a Handler. Every scheduled
-// event is addressed through a generation-checked EventRef, so a stale ref
-// held after the event fired (or was cancelled) is a safe no-op.
+// one-line conveniences that wrap a closure as a Handler. Every event
+// scheduled on the heap is addressed through a generation-checked
+// EventRef, so a stale ref held after the event fired (or was cancelled)
+// is a safe no-op; lane events have none.
 package des
 
 import "fmt"
@@ -74,7 +83,7 @@ type Event struct {
 	arg  any
 
 	sim   *Simulator
-	index int    // heap index, -1 once removed
+	index int    // heap index; -1 off the heap (free, fired, cancelled or in a lane)
 	gen   uint32 // bumped when the event is recycled
 }
 
@@ -128,15 +137,17 @@ func before(a, b *Event) bool {
 // heap's shape. up and down carry e through a hole, moving each displaced
 // entry once and writing its index once, and seat e where the hole stops.
 //
-// While an event is dispatched, its root slot stays in the heap, empty
-// (s.hole): the first event its handler schedules fills the slot and
+// While a heap event is dispatched, its root slot stays in the heap, empty
+// (s.hole): the first heap event its handler schedules fills the slot and
 // sifts down once, instead of the pop sifting the last entry down and the
 // push sifting the new one up. A handler that schedules nothing has the
-// slot removed after it returns, as a pop would. The empty slot still
-// points at the fired event, whose key sorts before every other pending
-// one, so a Cancel inside the handler never sifts an entry up into it.
+// slot removed after it returns, as a pop would. The empty slot holds the
+// simulator's sentinel, whose key sorts before every other, so a Cancel
+// inside the handler never sifts an entry up into it. It cannot hold the
+// fired event: that struct is back on the free list, and a lane event
+// scheduled by the handler may take it with a later key.
 
-// push queues e.
+// push queues e on the heap.
 func (s *Simulator) push(e *Event) {
 	if s.hole {
 		s.hole = false
@@ -214,12 +225,91 @@ func (s *Simulator) remove(i int) {
 	}
 }
 
+// numLanes bounds the fixed-delay lanes. The dispatch loop compares the
+// front of every lane in use, so the count stays small: the packet
+// workloads need two (a serialisation time and the propagation delay),
+// and a delay that finds no lane goes to the heap.
+const numLanes = 4
+
+// A lane is a FIFO of events that all fire d after they were scheduled,
+// in a power-of-two ring that doubles only when full. The clock never goes
+// back, so a new event is never earlier than the lane's tail, except among
+// events scheduled at the same instant: node-minted seqs arrive there in
+// any order, so push inserts from the tail.
+type lane struct {
+	d    Duration
+	ring []*Event
+	head int // index of the front event
+	n    int // events queued
+}
+
+// push appends e, moving it ahead of tail events that sort after it.
+func (l *lane) push(e *Event) {
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	mask := len(l.ring) - 1
+	i := l.head + l.n
+	for ; i > l.head; i-- {
+		prev := l.ring[(i-1)&mask]
+		if !before(e, prev) {
+			break
+		}
+		l.ring[i&mask] = prev
+	}
+	l.ring[i&mask] = e
+	l.n++
+}
+
+// pop removes the front event.
+func (l *lane) pop() {
+	l.ring[l.head] = nil
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+}
+
+// grow doubles the ring (8 slots at first), unwrapping it to start at 0.
+func (l *lane) grow() {
+	ring := make([]*Event, max(8, 2*len(l.ring)))
+	for i := 0; i < l.n; i++ {
+		ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+	}
+	l.ring, l.head = ring, 0
+}
+
+// lane returns the lane that holds delay d. If none does, it hands out an
+// empty lane, which then holds d; if every lane holds another delay and
+// has events queued, it returns nil and the event goes to the heap.
+func (s *Simulator) lane(d Duration) *lane {
+	var empty *lane
+	for i := range s.lanes[:s.nlanes] {
+		l := &s.lanes[i]
+		if l.d == d {
+			return l
+		}
+		if l.n == 0 && empty == nil {
+			empty = l
+		}
+	}
+	if s.nlanes < numLanes {
+		empty = &s.lanes[s.nlanes]
+		s.nlanes++
+	}
+	if empty != nil {
+		empty.d = d
+	}
+	return empty
+}
+
 // Simulator owns the virtual clock and event queue. The zero value is ready
 // to use.
 type Simulator struct {
 	now       Time
 	queue     []*Event // binary min-heap, see before
 	hole      bool     // queue[0] is the empty slot of the event in dispatch
+	sentinel  Event    // fills the empty slot; its key sorts first (see run)
+	lanes     [numLanes]lane
+	nlanes    int      // lanes[:nlanes] have held a delay
 	free      []*Event // recycled events
 	seq       uint64
 	processed uint64
@@ -236,13 +326,18 @@ func (s *Simulator) Now() Time { return s.now }
 // Processed reports how many events have fired so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// Pending reports how many events are queued. Cancelled events are removed
-// eagerly and never counted, nor is the slot of the event in dispatch.
+// Pending reports how many events are queued, on the heap and in the
+// lanes. Cancelled events are removed eagerly and never counted, nor is
+// the slot of the event in dispatch.
 func (s *Simulator) Pending() int {
+	n := len(s.queue)
 	if s.hole {
-		return len(s.queue) - 1
+		n--
 	}
-	return len(s.queue)
+	for i := range s.lanes[:s.nlanes] {
+		n += s.lanes[i].n
+	}
+	return n
 }
 
 // FreeEvents reports the size of the event free list (tests, monitoring).
@@ -256,7 +351,7 @@ func (s *Simulator) alloc() *Event {
 		s.free = s.free[:n-1]
 		return e
 	}
-	return &Event{sim: s}
+	return &Event{sim: s, index: -1}
 }
 
 // release recycles an event, invalidating every outstanding EventRef to
@@ -331,6 +426,26 @@ func (s *Simulator) AtHandlerSeq(t Time, seq uint64, h Handler, arg any) EventRe
 	return EventRef{e: e, gen: e.gen}
 }
 
+// ScheduleFixedSeq is ScheduleHandlerSeq for an event that nothing
+// cancels, so it returns no EventRef. It goes to the lane that holds d
+// (see lane), or to the heap if no lane is free; either way it fires in
+// the same (time, sub, seq) order.
+func (s *Simulator) ScheduleFixedSeq(d Duration, seq uint64, h Handler, arg any) {
+	if d < 0 {
+		panic(fmt.Sprintf("des: negative delay %v at %v", d, s.now))
+	}
+	if h == nil {
+		panic("des: nil Handler")
+	}
+	e := s.alloc()
+	e.time, e.sub, e.seq, e.h, e.arg = s.now.Add(d), s.now, seq, h, arg
+	if l := s.lane(d); l != nil {
+		l.push(e)
+		return
+	}
+	s.push(e)
+}
+
 // Stop makes Run and RunUntil return after the current event completes.
 func (s *Simulator) Stop() { s.stopped = true }
 
@@ -349,19 +464,37 @@ func (s *Simulator) run(end Time, advance bool) uint64 {
 	}
 	s.running = true
 	s.stopped = false
+	s.sentinel.time = -1 << 63
 	// A handler panic that a caller recovers must leave a sound queue.
 	defer func() {
 		s.fill()
 		s.running = false
 	}()
 	var fired uint64
-	for len(s.queue) > 0 && !s.stopped {
-		e := s.queue[0]
-		if e.time > end {
+	for !s.stopped {
+		// The next event is the earliest of the heap's root and the
+		// lanes' fronts: each of them is the minimum of its own set.
+		var e *Event
+		var from *lane
+		if len(s.queue) > 0 {
+			e = s.queue[0]
+		}
+		for i := range s.lanes[:s.nlanes] {
+			l := &s.lanes[i]
+			if l.n > 0 && (e == nil || before(l.ring[l.head], e)) {
+				e, from = l.ring[l.head], l
+			}
+		}
+		if e == nil || e.time > end {
 			break
 		}
-		e.index = -1
-		s.hole = true
+		if from != nil {
+			from.pop()
+		} else {
+			e.index = -1
+			s.queue[0] = &s.sentinel
+			s.hole = true
+		}
 		s.now = e.time
 		// Recycle before dispatch: the handler may reschedule and get this
 		// struct back, and a ref to the firing incarnation held by user
@@ -373,12 +506,11 @@ func (s *Simulator) run(end Time, advance bool) uint64 {
 		s.processed++
 		fired++
 	}
+	// The loop ends without Stop only once no event at or before end is
+	// left, so the clock may advance to end even if no event lands exactly
+	// there, and a subsequent Schedule(0, ...) happens at the horizon.
 	if advance && s.now < end && !s.stopped {
-		// Advance the clock even if no event lands exactly at end, so a
-		// subsequent Schedule(0, ...) happens at the requested horizon.
-		if len(s.queue) == 0 || s.queue[0].time > end {
-			s.now = end
-		}
+		s.now = end
 	}
 	return fired
 }

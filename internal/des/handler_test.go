@@ -214,6 +214,73 @@ func TestHandlerPanicLeavesQueueIntact(t *testing.T) {
 	}
 }
 
+// The lane policy: a delay takes the lane that holds it, else an empty
+// lane, which then holds it; with every lane holding another delay and
+// busy, the event goes to the heap. Same-instant events minted in
+// descending order are inserted from the tail, also across the ring's wrap
+// and growth, and everything fires in (time, sub, seq) order.
+func TestFixedLanePolicy(t *testing.T) {
+	s := New()
+	var got []int
+	rec := handlerFunc(func(arg any) { got = append(got, arg.(int)) })
+	for k := 1; k <= numLanes+1; k++ {
+		s.ScheduleFixedSeq(Duration(10*k), uint64(k), rec, 10*k)
+	}
+	if s.nlanes != numLanes || len(s.queue) != 1 || s.Pending() != numLanes+1 {
+		t.Fatalf("%d lanes, %d heap events, Pending %d; want %d lanes and the last delay on the heap",
+			s.nlanes, len(s.queue), s.Pending(), numLanes)
+	}
+	s.RunUntil(10) // the lane of delay 10 empties
+	s.ScheduleFixedSeq(60, 6, rec, 70)
+	if l := s.lanes[0]; l.d != 60 || l.n != 1 || len(s.queue) != 1 {
+		t.Fatalf("lane 0 holds delay %v with %d events, %d heap events; want the emptied lane handed to 60",
+			l.d, l.n, len(s.queue))
+	}
+	s.RunUntil(20) // the lane of delay 20 empties, its head past slot 0
+	for seq := 110; seq > 100; seq-- {
+		s.ScheduleFixedSeq(20, uint64(seq), rec, seq)
+	}
+	if l := s.lanes[1]; l.d != 20 || l.n != 10 || len(s.queue) != 1 || s.Pending() != 14 {
+		t.Fatalf("lane 1 holds delay %v with %d events, %d heap events, Pending %d; want 20, 10, 1, 14",
+			l.d, l.n, len(s.queue), s.Pending())
+	}
+	s.Run()
+	want := []int{10, 20, 30, 40, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 50, 70}
+	if fmt.Sprint(got) != fmt.Sprint(want) || s.Pending() != 0 {
+		t.Errorf("fired %v with %d left, want %v", got, s.Pending(), want)
+	}
+}
+
+// A heap event's handler schedules a lane event, which takes the fired
+// event's recycled struct with a later key, and then cancels a heap event
+// whose removal sifts the last entry up toward the root. The dispatch
+// slot holds the sentinel, not the fired struct, so the sift stops below
+// it: were the slot still the recycled struct, the sift would seat that
+// struct in the heap as well as in its lane, so it would fire twice, and
+// the entry it displaced would be lost.
+func TestLaneEventTakesFiredStruct(t *testing.T) {
+	s := New()
+	var got []int
+	rec := handlerFunc(func(arg any) { got = append(got, arg.(int)) })
+	var victim EventRef
+	s.AtHandler(10, handlerFunc(func(any) {
+		got = append(got, 10)
+		s.ScheduleFixedSeq(1000, 1<<40, rec, 1010)
+		victim.Cancel()
+	}), nil)
+	victim = s.AtHandler(100, rec, 100) // heap slot 1
+	s.AtHandler(200, rec, 200)          // slot 2
+	s.AtHandler(150, rec, 150)          // slot 3, the last: refills slot 1
+	s.RunUntil(10)
+	if n := s.Pending(); n != 3 {
+		t.Fatalf("Pending() = %d after the handler, want 3", n)
+	}
+	s.Run()
+	if want := []int{10, 150, 200, 1010}; fmt.Sprint(got) != fmt.Sprint(want) || s.Pending() != 0 {
+		t.Errorf("fired %v with %d left, want %v", got, s.Pending(), want)
+	}
+}
+
 // Cancelling a closure event removes it from the heap immediately instead
 // of letting it linger until its fire time.
 func TestClosureCancelRemovesEagerly(t *testing.T) {
@@ -320,6 +387,23 @@ func TestHandlerPathAllocFree(t *testing.T) {
 	drive() // warm the free list
 	if allocs := testing.AllocsPerRun(50, drive); allocs != 0 {
 		t.Errorf("handler event path allocates %.1f allocs/run, want 0", allocs)
+	}
+}
+
+// The lane path, ScheduleFixedSeq, allocates nothing once warm: lane rings
+// grow only when full, and delays that find no lane ride the heap.
+func TestFixedPathAllocFree(t *testing.T) {
+	s := New()
+	h := handlerFunc(func(any) {})
+	drive := func() {
+		for i := 0; i < 64; i++ {
+			s.ScheduleFixedSeq(Duration(i%(numLanes+2)), uint64(i), h, i%4)
+		}
+		s.Run()
+	}
+	drive() // warm the free list, the lanes and the heap
+	if allocs := testing.AllocsPerRun(50, drive); allocs != 0 {
+		t.Errorf("lane event path allocates %.1f allocs/run, want 0", allocs)
 	}
 }
 

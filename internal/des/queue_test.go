@@ -41,6 +41,12 @@ func (q *sliceQueue) schedule(t Time, seq uint64, minted bool, h Handler, arg an
 	return q.ids
 }
 
+// fixed queues a lane event like any other, with no ref: id 0 matches
+// no ref the script can cancel.
+func (q *sliceQueue) fixed(d Duration, seq uint64, h Handler, arg any) {
+	q.pending = append(q.pending, sliceEvent{time: q.now + Time(d), sub: q.now, seq: seq, h: h, arg: arg})
+}
+
 func (q *sliceQueue) find(ref int) int {
 	for i, e := range q.pending {
 		if e.id == ref {
@@ -107,6 +113,10 @@ func (q *simQueue) schedule(t Time, seq uint64, minted bool, h Handler, arg any)
 	return len(q.refs)
 }
 
+func (q *simQueue) fixed(d Duration, seq uint64, h Handler, arg any) {
+	q.ScheduleFixedSeq(d, seq, h, arg)
+}
+
 func (q *simQueue) pendingRef(ref int) bool { return q.refs[ref-1].Pending() }
 func (q *simQueue) cancel(ref int)          { q.refs[ref-1].Cancel() }
 
@@ -118,6 +128,7 @@ type oracleQueue interface {
 	Stop()
 	RunUntil(end Time) uint64
 	schedule(t Time, seq uint64, minted bool, h Handler, arg any) int
+	fixed(d Duration, seq uint64, h Handler, arg any)
 	pendingRef(ref int) bool
 	cancel(ref int)
 }
@@ -166,14 +177,35 @@ func (d *queueScript) minted(node int) uint64 {
 	return seq
 }
 
+// fixedDelays are the lane events' delays: more of them than there are
+// lanes, so lanes fill, overflow to the heap and are handed to another
+// delay once empty. They sit on the script's 10 ns grid, zero included.
+var fixedDelays = [...]Duration{0, 10, 20, 30, 40, 50}
+
 // ops schedules and cancels n times. Fire times land on a coarse grid
-// near the clock, so equal-time and equal-sub ties are common.
+// near the clock, so equal-time and equal-sub ties are common. Lane events
+// (ScheduleFixedSeq) are never cancelled; some come in a same-instant run
+// keyed from the highest node down, which the lane must insert from its
+// tail.
 func (d *queueScript) ops(n int) {
 	for k := 0; k < n; k++ {
 		if d.refs > 0 && d.rng.Intn(3) == 0 {
 			ref := 1 + d.rng.Intn(d.refs)
 			d.log = append(d.log, fmt.Sprintf("cancel %d pending=%v", ref, d.q.pendingRef(ref)))
 			d.q.cancel(ref)
+			continue
+		}
+		if d.rng.Intn(3) == 0 {
+			delay := fixedDelays[d.rng.Intn(len(fixedDelays))]
+			node, count := d.rng.Intn(len(d.mint)), 1
+			if d.rng.Intn(8) == 0 {
+				node, count = len(d.mint)-1, len(d.mint) // every node, highest first
+			}
+			for ; count > 0; count-- {
+				d.args++
+				d.q.fixed(delay, d.minted(node), d, d.args)
+				node--
+			}
 			continue
 		}
 		d.args++
@@ -203,11 +235,12 @@ func (d *queueScript) play() {
 
 // The Simulator fires exactly what a linear-scan reference fires, in the
 // same order, under a random mix of simulator-counter and node-minted
-// keys, cancels of live, fired and stale refs (also from inside
-// handlers), handlers whose first new event sorts before their own key,
-// RunUntil slices and Stop. Keys are unique, as they are in
-// netsim: exact duplicates can only come from a direct AtHandlerSeq
-// caller, and their order is unspecified.
+// keys, lane events at more delays than there are lanes (some minted in
+// descending node order at one instant), cancels of live, fired and stale
+// refs (also from inside handlers), handlers whose first new event sorts
+// before their own key, RunUntil slices and Stop. Keys are unique, as
+// they are in netsim: exact duplicates can only come from a direct
+// AtHandlerSeq caller, and their order is unspecified.
 func TestQueueMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		got := &queueScript{rng: rand.New(rand.NewSource(seed))}
@@ -243,45 +276,75 @@ func logLine(log []string, i int) string {
 // holdHandler is the hold model's event: each firing schedules one
 // successor a seeded random increment ahead, so the queue stays at its
 // starting depth, until the op budget runs out and it stops the run.
+// With fixed set, successors go through ScheduleFixedSeq, so they ride
+// the lanes.
 type holdHandler struct {
-	sim  *Simulator
-	incr []Duration
-	ops  int
-	left int
+	sim   *Simulator
+	incr  []Duration
+	fixed bool
+	seq   uint64 // the lane events' keys
+	ops   int
+	left  int
 }
 
 func (h *holdHandler) OnEvent(any) {
-	h.sim.ScheduleHandler(h.incr[h.ops%len(h.incr)], h, nil)
+	h.schedule(h.incr[h.ops%len(h.incr)])
 	h.ops++
 	if h.ops == h.left {
 		h.sim.Stop()
 	}
 }
 
+func (h *holdHandler) schedule(d Duration) {
+	if h.fixed {
+		h.sim.ScheduleFixedSeq(d, h.seq, h, nil)
+		h.seq++
+		return
+	}
+	h.sim.ScheduleHandler(d, h, nil)
+}
+
 // BenchmarkHold is the classic hold model of a pending-event set: N events
 // pending, and each op pops the minimum and pushes one event at now plus
-// an exponential increment (mean 1 µs, drawn up front). N=128 and N=1024
-// bracket the peak queue depths of the benchmark's packet workloads
-// (des.pending_peak 138 on fct_dumbbell, 498 on incast_clos_observed).
+// an increment drawn up front. On the heap (N=…) the increment is
+// exponential with mean 1 µs. N=128 and N=1024 bracket the peak queue
+// depths of the benchmark's packet workloads (des.pending_peak 138 on
+// fct_dumbbell, 498 on incast_clos_observed). The fixed variant
+// (fixed/N=…) reschedules through the lanes at one of two fixed delays,
+// a 1,000-byte packet's serialisation at 10 Gb/s (800 ns) and a link's
+// propagation (1 µs), the two delays that carry most packet events.
 func BenchmarkHold(b *testing.B) {
-	for _, n := range []int{128, 1024} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			incr := make([]Duration, 4096)
-			for i := range incr {
-				incr[i] = Duration(rng.ExpFloat64() * float64(Microsecond))
+	for _, fixed := range []bool{false, true} {
+		for _, n := range []int{128, 1024} {
+			name := fmt.Sprintf("N=%d", n)
+			if fixed {
+				name = "fixed/" + name
 			}
-			s := New()
-			h := &holdHandler{sim: s, incr: incr, left: b.N}
-			for i := 0; i < n; i++ {
-				s.ScheduleHandler(incr[rng.Intn(len(incr))], h, nil)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			s.Run()
-			if h.ops != b.N || s.Pending() != n {
-				b.Fatalf("ops %d pending %d, want %d and %d", h.ops, s.Pending(), b.N, n)
-			}
-		})
+			b.Run(name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				incr := make([]Duration, 4096)
+				for i := range incr {
+					switch {
+					case !fixed:
+						incr[i] = Duration(rng.ExpFloat64() * float64(Microsecond))
+					case rng.Intn(2) == 0:
+						incr[i] = 800
+					default:
+						incr[i] = Microsecond
+					}
+				}
+				s := New()
+				h := &holdHandler{sim: s, incr: incr, fixed: fixed, left: b.N}
+				for i := 0; i < n; i++ {
+					h.schedule(incr[rng.Intn(len(incr))])
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				s.Run()
+				if h.ops != b.N || s.Pending() != n {
+					b.Fatalf("ops %d pending %d, want %d and %d", h.ops, s.Pending(), b.N, n)
+				}
+			})
+		}
 	}
 }

@@ -275,7 +275,7 @@ func (p *Port) Send(pkt *Packet) {
 // real NICs emit from a dedicated high-priority path): the packet arrives
 // after just the propagation delay.
 func (p *Port) SendDirect(pkt *Packet) {
-	p.schedule(p.PropDelay, p, pkt)
+	p.fire(p.PropDelay, pkt)
 }
 
 // schedule queues h.OnEvent(arg) after d with the owner's node-minted
@@ -285,6 +285,18 @@ func (p *Port) schedule(d des.Duration, h des.Handler, arg any) des.EventRef {
 		return p.net.Sim.ScheduleHandler(d, h, arg)
 	}
 	return p.net.Sim.ScheduleHandlerSeq(d, p.mint.mint(), h, arg)
+}
+
+// fire queues the port's own OnEvent(arg) after d: a serialisation-done
+// tick or a delivery, which nothing cancels. They take the simulator's
+// fixed-delay lanes (des.Simulator.ScheduleFixedSeq), where most of them
+// share one of two delays, a full packet's serialisation and PropDelay.
+func (p *Port) fire(d des.Duration, arg any) {
+	if p.mint == nil {
+		p.net.Sim.ScheduleHandler(d, p, arg)
+		return
+	}
+	p.net.Sim.ScheduleFixedSeq(d, p.mint.mint(), p, arg)
 }
 
 // pause and unpause implement PFC flow control on this port. Both are
@@ -363,7 +375,7 @@ func (p *Port) tryTx() {
 		p.ctr.TxBytes.Add(int64(pkt.Size))
 		p.ctr.TxPkts.Inc()
 	}
-	p.schedule(txTime, p, nil)
+	p.fire(txTime, nil)
 }
 
 // txDone finishes serialising the in-flight packet: release PFC accounting,
@@ -394,7 +406,7 @@ func (p *Port) txDone() {
 			delay += des.Duration(p.net.Rng.Int63n(int64(p.CtrlJitterMax)))
 		}
 	}
-	p.schedule(delay, p, pkt)
+	p.fire(delay, pkt)
 	p.tryTx()
 }
 

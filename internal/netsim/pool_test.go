@@ -77,41 +77,54 @@ func TestPacketPoolDisabled(t *testing.T) {
 	}
 }
 
-// A queue drained purely by Pop must reset its backing array when it
-// empties, so fill/drain cycles reuse the same storage instead of growing
-// the slice (and its dead prefix) without bound.
-func TestQueuePopResetsBacking(t *testing.T) {
-	q := NewQueue(nil)
-	fill := func(n int) {
+// A queue's backing array is sized by its peak occupancy, not by the
+// packets that pass through it: neither fill/drain cycles nor a long run
+// of push/pop pairs at low occupancy grow it, and packets leave in FIFO
+// order across every wrap of the array.
+func TestQueueBackingDoesNotGrow(t *testing.T) {
+	var q *Queue
+	var pushed, popped uint64
+	push := func(n int) {
 		for i := 0; i < n; i++ {
-			q.Push(&Packet{ID: uint64(i), Size: 1})
+			q.Push(&Packet{ID: pushed, Size: 1})
+			pushed++
 		}
 	}
-	fill(100)
-	for q.Len() > 0 {
-		q.Pop()
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			if got := q.Pop().ID; got != popped {
+				t.Fatalf("pop %d: got id %d", popped, got)
+			}
+			popped++
+		}
 	}
-	if q.head != 0 || len(q.pkts) != 0 {
-		t.Fatalf("drained queue head/len = %d/%d, want 0/0", q.head, len(q.pkts))
-	}
-	capAfterFirst := cap(q.pkts)
-	// Repeated fill/drain cycles must not grow the backing array.
+
+	q = NewQueue(nil)
+	push(100)
+	pop(100)
+	slots := cap(q.ring)
 	for cycle := 0; cycle < 50; cycle++ {
-		fill(100)
-		for q.Len() > 0 {
-			q.Pop()
-		}
+		push(100)
+		pop(100)
 	}
-	if cap(q.pkts) != capAfterFirst {
-		t.Errorf("backing array grew across drain cycles: cap %d -> %d",
-			capAfterFirst, cap(q.pkts))
+	if cap(q.ring) != slots {
+		t.Errorf("backing array grew across fill/drain cycles: %d -> %d slots", slots, cap(q.ring))
 	}
-	// FIFO order still holds after resets.
-	fill(3)
-	for i := 0; i < 3; i++ {
-		if got := q.Pop().ID; got != uint64(i) {
-			t.Fatalf("pop %d: got id %d", i, got)
-		}
+
+	// A queue that never empties: 4 packets stay queued while 10,000
+	// more pass through, so occupancy peaks at 5.
+	q, pushed, popped = NewQueue(nil), 0, 0
+	push(4)
+	for i := 0; i < 10000; i++ {
+		push(1)
+		pop(1)
+	}
+	pop(4)
+	if q.Len() != 0 || q.Pop() != nil {
+		t.Fatalf("queue not empty after draining: Len %d", q.Len())
+	}
+	if cap(q.ring) != 8 {
+		t.Errorf("backing array has %d slots after push/pop pairs at occupancy 5, want 8", cap(q.ring))
 	}
 }
 

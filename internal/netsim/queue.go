@@ -13,8 +13,9 @@ import (
 // that tail-drops — the regime where PFC is disabled or its thresholds are
 // misconfigured.
 type Queue struct {
-	pkts     []*Packet
-	head     int
+	ring     []*Packet // power-of-two ring, doubled only when full
+	head     int       // index of the head packet
+	n        int       // packets queued
 	bytes    int
 	capBytes int // 0: unbounded
 	drops    int64
@@ -34,7 +35,7 @@ func NewQueue(m Marker) *Queue {
 }
 
 // Len reports the number of queued packets.
-func (q *Queue) Len() int { return len(q.pkts) - q.head }
+func (q *Queue) Len() int { return q.n }
 
 // Bytes reports the queued payload in bytes.
 func (q *Queue) Bytes() int { return q.bytes }
@@ -94,16 +95,14 @@ func (q *Queue) Push(pkt *Packet) bool {
 	if q.port != nil {
 		pkt.EnqT = q.port.net.Sim.Now()
 	}
-	q.pkts = append(q.pkts, pkt)
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = pkt
+	q.n++
 	q.bytes += pkt.Size
 	if q.mark != nil && q.mark.AtEnqueue() {
 		q.mark.Mark(q, pkt)
-	}
-	// Compact the slice occasionally so memory stays bounded.
-	if q.head > 1024 && q.head*2 > len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		q.pkts = q.pkts[:n]
-		q.head = 0
 	}
 	if q.port != nil && q.port.net.obs != nil {
 		q.port.obsQueue(obsEnqueue, pkt, ceBefore)
@@ -111,29 +110,34 @@ func (q *Queue) Push(pkt *Packet) bool {
 	return true
 }
 
+// grow doubles the ring (8 slots at first), unwrapping it to start at 0.
+// Only a full ring grows, so a queue's array is sized by its peak
+// occupancy, however many packets pass through it.
+func (q *Queue) grow() {
+	ring := make([]*Packet, max(8, 2*len(q.ring)))
+	for i := 0; i < q.n; i++ {
+		ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+	}
+	q.ring, q.head = ring, 0
+}
+
 // Pop removes the packet at the head, applying departure-time marking
 // ("egress marking": the mark reflects the queue at the instant the packet
 // departs, §5.2, with the departing packet still counted). It returns nil
 // if the queue is empty.
 func (q *Queue) Pop() *Packet {
-	if q.Len() == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	pkt := q.pkts[q.head]
+	pkt := q.ring[q.head]
 	ceBefore := pkt.CE
 	if q.mark != nil && !q.mark.AtEnqueue() {
 		q.mark.Mark(q, pkt)
 	}
-	q.pkts[q.head] = nil
-	q.head++
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
 	q.bytes -= pkt.Size
-	// Reset an emptied queue so a drain-by-Pop workload reuses the backing
-	// array from the front instead of growing it (and holding dead slots)
-	// forever; Push's occasional compaction only helps mixed workloads.
-	if q.head == len(q.pkts) {
-		q.pkts = q.pkts[:0]
-		q.head = 0
-	}
 	if q.port != nil {
 		if h := q.port.qdH; h != nil {
 			h.Record(q.port.net.Sim.Now().Sub(pkt.EnqT).Seconds())
