@@ -62,10 +62,12 @@ bench:
 # BenchmarkHold drives the event queue alone at two fixed depths.
 # The analysis layers ride along: both phase-margin loops, the DCQCN fluid
 # right-hand side, the allocation-free loop-gain evaluation and every fluid
-# model's right-hand side, which must not allocate once warm, and the
-# number of stage-1 points the phase margin's small-gain bound skips at
-# each pinned cell (a deterministic work count, so a lost or loosened
-# bound fails without any timing). The first
+# model's right-hand side, which must not allocate once warm, the fluid
+# sampling walk, whose allocations must not grow with its samples, and the
+# stage-1 work of the phase margin at each pinned cell: the points its
+# small-gain bound skips, and the points and anchors it solves below that
+# (deterministic work counts, so a lost or loosened bound fails without
+# any timing). The first
 # line requires the compiler to inline the one Eq. 5-7 rate law
 # (fixedpoint Eq57) into the DCQCN fluid right-hand side's per-flow loop,
 # so giving the law one home adds no call to the hottest loop of the

@@ -25,7 +25,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// Run budgets. fluid.Run takes round(horizon/step) RK4 steps and keeps a
+// Run budgets. fluid.Walk takes round(horizon/step) RK4 steps and keeps a
 // history ring of min(ceil(MaxDelay/step)+4, steps+1) states of Dim()
 // values, so a tiny -step or a huge -n can ask for more steps or memory
 // than any host has, or for counts past the int range. run refuses a flag
@@ -184,15 +184,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*step, *horizon, *n, steps, ring, float64(maxSteps), float64(maxRingValues))
 	}
 
+	// Each row is written as the walk reaches it, so memory holds the
+	// history ring and the output buffer, never the trajectory.
 	out := bufio.NewWriter(stdout)
 	fmt.Fprintln(out, "# "+strings.Join(header(*n, shared, perFlow...), "\t"))
-	for _, s := range fluid.Run(sys, *step, *horizon, *sample) {
-		fmt.Fprintf(out, "%.6f", s.T)
-		for _, v := range s.Y {
+	fluid.Walk(sys, *step, *horizon, *sample, func(t float64, y []float64) {
+		fmt.Fprintf(out, "%.6f", t)
+		for _, v := range y {
 			fmt.Fprintf(out, "\t%.6g", v)
 		}
 		fmt.Fprintln(out)
-	}
+	})
 	if err := out.Flush(); err != nil {
 		return fail(1, "%v", err)
 	}

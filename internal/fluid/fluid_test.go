@@ -621,6 +621,30 @@ func TestRunSampling(t *testing.T) {
 	}
 }
 
+// A walk holds no sample: with a callback that keeps nothing, it makes as
+// many allocations for 10,000 samples as for 1,000, so fluidsim's memory
+// does not grow with the samples it writes.
+func TestWalkSamplesAllocFree(t *testing.T) {
+	sys, err := NewDCQCN(DCQCNConfig{Params: DefaultDCQCNParams(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const h = 1e-6
+	allocs := make(map[int]float64)
+	for _, samples := range []int{1000, 10000} {
+		t1 := float64(samples-1) * h
+		got := 0
+		Walk(sys, h, t1, h, func(float64, []float64) { got++ })
+		if got != samples {
+			t.Fatalf("walk to %v visits %d samples, want %d", t1, got, samples)
+		}
+		allocs[samples] = testing.AllocsPerRun(5, func() { Walk(sys, h, t1, h, func(float64, []float64) {}) })
+	}
+	if allocs[1000] != allocs[10000] {
+		t.Errorf("walk allocates %v times for 1,000 samples and %v for 10,000", allocs[1000], allocs[10000])
+	}
+}
+
 // Ingress marking adds the queueing delay q*/C to the marking feedback
 // path. The loop reduction must expose exactly that lag, and the nonlinear
 // model with ingress marking must still find the same Theorem 1 fixed

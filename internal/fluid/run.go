@@ -21,23 +21,32 @@ type Sample struct {
 	Y []float64 // copy of the full state
 }
 
-// Run integrates m from 0 to t1 with step h, recording the state every
-// sampleEvery seconds (clamped to at least one step). It returns the
-// recorded trajectory, which always includes the initial and final states.
-func Run(m Model, h, t1, sampleEvery float64) []Sample {
+// Walk integrates m from 0 to t1 with step h and calls visit with the state
+// every sampleEvery seconds (clamped to at least one step), the initial and
+// final states included. y is the solver's own state, valid only during the
+// call, so a walk holds no sample after visit returns.
+func Walk(m Model, h, t1, sampleEvery float64, visit func(t float64, y []float64)) {
 	if sampleEvery < h {
 		sampleEvery = h
 	}
 	stride := int(math.Round(sampleEvery / h))
 	solver := &ode.Solver{Sys: m, H: h, MaxDelay: m.MaxDelay(), Y0: m.Initial()}
-	var out []Sample
 	step := 0
 	steps := int(math.Round(t1 / h))
 	solver.Integrate(0, t1, func(t float64, y []float64) {
 		if step%stride == 0 || step == steps {
-			out = append(out, Sample{T: t, Y: append([]float64(nil), y...)})
+			visit(t, y)
 		}
 		step++
+	})
+}
+
+// Run is Walk that returns the recorded trajectory, a copy of the state at
+// every sample.
+func Run(m Model, h, t1, sampleEvery float64) []Sample {
+	var out []Sample
+	Walk(m, h, t1, sampleEvery, func(t float64, y []float64) {
+		out = append(out, Sample{T: t, Y: append([]float64(nil), y...)})
 	})
 	return out
 }

@@ -252,12 +252,18 @@ func quietOmegaOf(j *jacobians) float64 {
 	return j.quietOmega(make([]float64, j.n), make([]float64, j.n))
 }
 
-// At every stage-1 ω the bound skips, the loop gain solves without error
-// and stays below ½, so the -½ stage 1 records there has the sign the
-// solve would give. The cells are the pinned ones plus a seeded random
-// sample of the grids the figures and the benchmark reach: DCQCN egress
-// and ingress at N = 1–64 and τ* = 1–122 µs, and patched TIMELY at N = 1–64.
-func TestQuietOmegaSound(t *testing.T) {
+// stage1Of runs stage 1 for j with buffers of its own.
+func stage1Of(j *jacobians) (excess []float64, solved, anchors int, err error) {
+	excess = make([]float64, points)
+	solved, anchors, err = j.stage1(excess, make([]float64, anchorReal), make([]complex128, anchorComplex))
+	return excess, solved, anchors, err
+}
+
+// soundCells are the pinned cells plus a seeded random sample of the grids
+// the figures and the benchmark reach: DCQCN egress and ingress at N = 1–64
+// and τ* = 1–122 µs, and patched TIMELY at N = 1–64. The sample has 2,000
+// cells, 100 under -short.
+func soundCells() []bitsCell {
 	cells := append([]bitsCell(nil), bitsCells...)
 	sample := 2000
 	if testing.Short() {
@@ -271,7 +277,15 @@ func TestQuietOmegaSound(t *testing.T) {
 		}
 		cells = append(cells, c)
 	}
+	return cells
+}
+
+// At every stage-1 ω the bound skips, the loop gain solves without error
+// and stays below ½, so the -½ stage 1 records there has the sign the
+// solve would give.
+func TestQuietOmegaSound(t *testing.T) {
 	largest := 0.0
+	cells := soundCells()
 	for _, c := range cells {
 		j, err := linearise(c.loop(t))
 		if err != nil {
@@ -293,9 +307,74 @@ func TestQuietOmegaSound(t *testing.T) {
 	t.Logf("%d cells; largest |L| at a skipped point %.4f", len(cells), largest)
 }
 
-// The bound skips a pinned number of stage-1 points at every pinned cell,
-// at least 40% of the grid. The count depends only on the Jacobians, so a
-// change that loses or loosens the bound fails here without any timing.
+// Every stage-1 point below ω_q that stage 1 did not solve solves without
+// error, with |L| ≥ 2 where it recorded +1 and |L| ≤ ½ where it recorded
+// -½, so each recorded value has the sign the solve would give; from ω_q
+// on it recorded -½. A point counts as solved where stage 1 holds the bits
+// a solve gives, and the points that do not are exactly those that stage 1
+// reports it did not solve.
+func TestAnchorSound(t *testing.T) {
+	smallest, largest, maxSolved := math.Inf(1), 0.0, 0
+	cells := soundCells()
+	for _, c := range cells {
+		j, err := linearise(c.loop(t))
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		excess, solved, anchors, err := stage1Of(j)
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		maxSolved = max(maxSolved, solved)
+		quiet, skipped := quietStart(quietOmegaOf(j)), 0
+		for i, w := range sweepOmegas {
+			if i >= quiet { // TestQuietOmegaSound solves these
+				if excess[i] != -0.5 {
+					t.Fatalf("%v ω=%v: excess %v at or above ω_q, want -½", c, w, excess[i])
+				}
+				continue
+			}
+			x, err := j.excess(w)
+			if err != nil {
+				t.Fatalf("%v ω=%v: %v", c, w, err)
+			}
+			if math.Float64bits(x) == math.Float64bits(excess[i]) {
+				continue
+			}
+			skipped++
+			l, err := j.loopGain(w)
+			if err != nil {
+				t.Fatalf("%v ω=%v: %v", c, w, err)
+			}
+			a := cmplx.Abs(l)
+			switch excess[i] {
+			case 1:
+				if !(a >= 2) {
+					t.Fatalf("%v ω=%v: recorded +1, |L| = %v, want at least 2", c, w, a)
+				}
+				smallest = math.Min(smallest, a)
+			case -0.5:
+				if !(a <= 0.5) {
+					t.Fatalf("%v ω=%v: recorded -½, |L| = %v, want at most ½", c, w, a)
+				}
+				largest = math.Max(largest, a)
+			default:
+				t.Fatalf("%v ω=%v: excess %v, a solve gives %v", c, w, excess[i], x)
+			}
+		}
+		if want := quiet - solved - anchors; skipped != want {
+			t.Fatalf("%v: %d points differ from a solve, stage 1 reports %d unsolved", c, skipped, want)
+		}
+	}
+	t.Logf("%d cells; at anchored skips smallest |L| above 1 %.4f, largest below 1 %.4f; at most %d points solved besides anchors",
+		len(cells), smallest, largest, maxSolved)
+}
+
+// At every pinned cell the bound skips a pinned number of stage-1 points,
+// at least 40% of the grid, and below ω_q stage 1 solves a pinned number
+// of points besides its anchors, at most 200, and a pinned number of
+// anchors. The counts depend only on the Jacobians, so a change that loses
+// or loosens either bound fails here without any timing.
 func TestQuietOmegaSkipCounts(t *testing.T) {
 	for _, c := range bitsCells {
 		j, err := linearise(c.loop(t))
@@ -309,6 +388,39 @@ func TestQuietOmegaSkipCounts(t *testing.T) {
 		if skip < 4*points/10 {
 			t.Errorf("%v: skips %d of %d stage-1 points, want at least 40%%", c, skip, points)
 		}
+		_, solved, anchors, err := stage1Of(j)
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		if solved != c.solved || anchors != c.anchors {
+			t.Errorf("%v: stage 1 solves %d points and %d anchors, want %d and %d", c, solved, anchors, c.solved, c.anchors)
+		}
+		if solved > 200 {
+			t.Errorf("%v: stage 1 solves %d points besides its anchors, want at most 200", c, solved)
+		}
+	}
+}
+
+// The M-matrix test covers all of I - K(δ), not only the rate row, and
+// takes a pivot only from pivotFloor up, where its rounding is a small
+// relative error (see resolvent): a pivot of half the floor in a state the
+// rate row does not read is refused, one of twice the floor is not. The
+// resolvent is built by hand: two states, rate index 1,
+// K = diag(1 - pivot, 0), |R·r_a| = (1, 10⁻³) and δ|R|P = δ|R|e = 0, so
+// the rate row alone proves |L| ≤ ½ at ω_1 from ω_lo = 1.
+func TestProvesRefusesSmallPivot(t *testing.T) {
+	j := &jacobians{n: 2, cIdx: 1, flows: 1}
+	for _, c := range []struct {
+		pivot float64
+		want  bool
+	}{{pivotFloor / 2, false}, {2 * pivotFloor, true}} {
+		b := resolvent{j: j, nf: 1,
+			f: []float64{1 - c.pivot, 0, 0, 0}, rp: make([]float64, 4),
+			re: make([]float64, 2), rr: []float64{1, 1e-3},
+			u: make([]float64, 4), y: make([]float64, 2)}
+		if got := b.proves(0, 1); got != c.want {
+			t.Errorf("pivot %g: proves %v, want %v", c.pivot, got, c.want)
+		}
 	}
 }
 
@@ -321,10 +433,10 @@ func (l nanRate) Derivs(z []float64, zd [][]float64, qd []float64, dzdt []float6
 	dzdt[l.RateIndex()] = math.NaN()
 }
 
-// Where the Jacobians cannot be bounded, ω_q is +Inf and stage 1 skips
-// nothing: a model whose Jacobians hold NaN, an entry of A, B or E that is
-// NaN or infinite, an E so large that ω_q overflows, and a rate index out
-// of range.
+// Where the Jacobians cannot be bounded, ω_q is +Inf, no anchor reaches a
+// point and stage 1 solves every point: a model whose Jacobians hold NaN,
+// an entry of A, B or E that is NaN or infinite, and an E so large that
+// ω_q overflows. A rate index out of range takes no anchor either.
 func TestQuietOmegaSkipsNothingUnbounded(t *testing.T) {
 	base := bitsCells[8].loop(t) // DCQCN N=10, τ*=85 µs
 	check := func(what string, m LoopModel, spoil func(*jacobians)) {
@@ -336,6 +448,16 @@ func TestQuietOmegaSkipsNothingUnbounded(t *testing.T) {
 		spoil(j)
 		if wq := quietOmegaOf(j); !math.IsInf(wq, 1) || quietStart(wq) != points {
 			t.Errorf("%s: ω_q = %v, want +Inf", what, wq)
+		}
+		if j.cIdx < 0 || j.cIdx >= j.n {
+			b := newResolvent(j, make([]float64, anchorReal), make([]complex128, anchorComplex))
+			if b.anchors(0, 1) || b.anchors(0, -1) {
+				t.Errorf("%s: takes an anchor", what)
+			}
+			return
+		}
+		if _, solved, anchors, err := stage1Of(j); err != nil || solved+anchors != points {
+			t.Errorf("%s: stage 1 solves %d points and %d anchors (%v), want all %d", what, solved, anchors, err, points)
 		}
 	}
 	check("NaN rate row", nanRate{base}, func(*jacobians) {})

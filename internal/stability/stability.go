@@ -18,6 +18,12 @@
 // with A, B_k, E_k the Jacobians of F with respect to current state, delayed
 // state, and delayed queue, and C selecting the rate component. The phase
 // margin is 180° plus the unwrapped phase of L at the |L| = 1 crossover.
+//
+// PhaseMargin brackets the crossovers on a log-spaced grid, where only the
+// sign of |L| - 1 is read, and solves the grid only near them: a small-gain
+// bound proves |L| ≤ ½ at the top of the grid (see quietOmega), and
+// anchored resolvent bounds prove |L| ≥ 2 or |L| ≤ ½ over bands of the
+// grid around solved points, the anchors (see resolvent).
 package stability
 
 import (
@@ -63,7 +69,7 @@ type Result struct {
 
 // jacobians holds the linearisation of a LoopModel at its fixed point,
 // plus the scratch loopGain overwrites on every call. A value is built per
-// PhaseMargin or LoopGain call and never shared between goroutines.
+// PhaseMargin call and never shared between goroutines.
 type jacobians struct {
 	n      int // state dim
 	k      int // number of delays
@@ -259,15 +265,6 @@ func gainExcess(flows int, h complex128, omega float64) float64 {
 	return cmplx.Abs(gain(flows, h, omega)) - 1
 }
 
-// LoopGain exposes L(jω) for a model, mostly for tests and plotting.
-func LoopGain(m LoopModel, omega float64) (complex128, error) {
-	j, err := linearise(m)
-	if err != nil {
-		return 0, err
-	}
-	return j.loopGain(omega)
-}
-
 // PhaseMargin runs the Bode analysis of §3.2: sweep ω, unwrap the phase,
 // locate every |L| = 1 crossing, and report the smallest margin.
 func PhaseMargin(m LoopModel) (Result, error) {
@@ -405,30 +402,361 @@ func (j *jacobians) quietOmega(v, next []float64) float64 {
 // ω_q (see quietOmega), never 0: ω_lo is always evaluated.
 func quietStart(wq float64) int { return max(1, sort.SearchFloat64s(sweepOmegas, wq)) }
 
+// The anchors of stage 1 (see resolvent): an anchor that reaches fewer
+// than weakReach points pauses anchoring for a cool-down of points that
+// doubles from coolMin up to coolMax and starts again at coolMin after an
+// anchor that reaches more. Close to a crossing the bound proves short
+// bands or none, and an anchor there costs more than it saves.
+const (
+	weakReach = 4
+	coolMin   = 2
+	coolMax   = 64
+)
+
+// The work space of stage 1 beyond its excess buffer: anchorReal float64
+// and anchorComplex complex128 values hold a resolvent for a model of up
+// to anchorDim states (see newResolvent).
+const (
+	anchorDim     = 4
+	anchorReal    = 4*anchorDim*anchorDim + 4*anchorDim
+	anchorComplex = 2 * anchorDim * anchorDim
+)
+
+// stage1 writes into excess a value with the sign of |L(jω)| - 1 at every
+// stage-1 point. It records some points without a solve: -½ from ω_q on
+// (see quietOmega), and +1 or -½ where an anchor's resolvent bound proves
+// |L| ≥ 2 or |L| ≤ ½ (see resolvent). An anchor is a point solved the
+// normal way whose |L| lies outside (½, 2), so that a band after it can
+// have one sign; ω_lo is always solved. It returns the number of points
+// solved that are not anchors, and the number of anchors. rw and cw are
+// the bounds' work space: at least anchorReal and anchorComplex values,
+// and rw at least 2n for a model of more than anchorDim states, which
+// takes no anchors. stage1 allocates nothing.
+func (j *jacobians) stage1(excess, rw []float64, cw []complex128) (solved, anchors int, err error) {
+	quiet := quietStart(j.quietOmega(rw[:j.n], rw[j.n:2*j.n]))
+	for i := quiet; i < points; i++ {
+		excess[i] = -0.5
+	}
+	b := newResolvent(j, rw, cw)
+	guess, cool, resume := 1, coolMin, 0
+	for i := 0; i < quiet; {
+		x, err := j.excess(sweepOmegas[i])
+		if err != nil {
+			return 0, 0, err
+		}
+		excess[i] = x
+		if i < resume || !b.anchors(i, x) {
+			solved++
+			i++
+			continue
+		}
+		anchors++
+		k := b.reach(i, quiet-1-i, guess)
+		if k < weakReach {
+			resume = i + k + 1 + cool
+			cool = min(2*cool, coolMax)
+		} else {
+			guess, cool = k, coolMin
+		}
+		v := -0.5
+		if b.above {
+			v = 1
+		}
+		for s := i + 1; s <= i+k; s++ {
+			excess[s] = v
+		}
+		i += k + 1
+	}
+	return solved, anchors, nil
+}
+
+// resolvent proves the sign of |L| - 1 over a band of the stage-1 grid
+// from one solved point, the anchor ω_a. fill builds m(ω) = jωI - A -
+// Σ_k B_k φ_k(ω) and r(ω) = Σ_k E_k φ_k(ω) with φ_k(ω) = e^{-jωτ_k}, the
+// rate component is h = (m⁻¹r)_c and |L| = N|h|/ω; every |·| below is
+// entrywise. Since |φ_k(ω) - φ_k(ω_a)| ≤ τ_k|ω - ω_a|, every ω with
+// |ω - ω_a| ≤ δ has
+//
+//	|m(ω) - m_a| ≤ δP,  P = I + Σ_k τ_k|B_k|,   |r(ω) - r_a| ≤ δe,  e = Σ_k τ_k|E_k|.
+//
+// At the anchor, R ≈ m_a⁻¹ (any approximate inverse will do), F = |R·m_a -
+// I|, K(δ) = F + δ|R|P and b(δ) = |R·r_a| + δ|R|e. Then |I - R·m(ω)| ≤ K,
+// and x = m(ω)⁻¹r(ω) solves x = y' + (I - R·m(ω))x with y' = R·r(ω) and
+// |y'| ≤ b. I - K is a Z-matrix; where Gaussian elimination without
+// pivoting finds every pivot positive (at least pivotFloor, see below)
+// and y = (I - K)⁻¹b > 0, it is a nonsingular M-matrix, so ρ(K) < 1, m(ω)
+// is nonsingular, |x| ≤ y and |x - y'| ≤ Ky. With |y'_c - (R·r_a)_c| ≤
+// δ(|R|e)_c that gives
+//
+//	|h(ω) - (R·r_a)_c| ≤ ε(δ) = δ(|R|e)_c + (K·y)_c.
+//
+// So the points a+1 … a+k, with δ = ω_{a+k} - ω_a, have |L| ≥ 2 when
+// N(|(R·r_a)_c| - ε)/ω_{a+k} ≥ 2 and |L| ≤ ½ when N(|(R·r_a)_c| + ε)/ω_a
+// ≤ ½. The bound is componentwise, so it is blind to the ten decades
+// between the states' scales, and b starts from the anchor's own |R·r_a|,
+// which stays small where the delays cancel in r.
+//
+// Stage 1 reads only the sign of |L| - 1, and a computed excess cannot
+// cross 1 where the bound gives 2 or ½. Every quantity of the bound is a
+// sum of products of non-negative numbers, which rounding moves by a
+// relative few ulps for n ≤ anchorDim, except F and the pivots. F is a
+// residual of the size of the normal solve's own rounding. A pivot is 1 -
+// K_ii less terms that sum to at most 1 - K_ii ≤ 1, so its rounding error
+// is below 2⁻⁴⁸; the test asks for at least pivotFloor = 2⁻²⁰, which keeps
+// that error below a relative 2⁻²⁸ and proves the exact pivot positive.
+// The lower bound |(R·r_a)_c| - ε is used only where ε ≤ |(R·r_a)_c|/2,
+// so relative errors in its two terms move it by a few times the same
+// relative amount of itself, whatever the size of |L|. Against the factor
+// of 2 between the bound and 1, these errors and the few ulps between a
+// computed and an exact |L| vanish, as they do for ω_q's ½ (see
+// quietOmega). A NaN or infinite quantity fails every comparison, so it
+// skips nothing, and so do an anchor whose |h|² or ω² lies outside
+// [sqLo, sqHi], a model of more than anchorDim states and a rate index
+// out of range.
+type resolvent struct {
+	j      *jacobians
+	on     bool         // the model admits anchors at all
+	above  bool         // the anchor's |L| is at least 2, not at most ½
+	nf     float64      // N
+	p, e   []float64    // P and e, once per call
+	f, rp  []float64    // per anchor: F and |R|P
+	re, rr []float64    // per anchor: |R|e and |R·r_a|
+	u, y   []float64    // per δ: I - K(δ) as it is eliminated, then y
+	r, lu  []complex128 // R, and the copy of m_a that inverting it destroys
+}
+
+// pivotFloor is the smallest pivot the M-matrix test accepts (see
+// resolvent).
+const pivotFloor = 0x1p-20
+
+// newResolvent carves the bound's work space from rw and cw and computes
+// P and e.
+func newResolvent(j *jacobians, rw []float64, cw []complex128) resolvent {
+	n := j.n
+	b := resolvent{j: j, nf: math.Abs(float64(j.flows))}
+	if n > anchorDim || j.cIdx < 0 || j.cIdx >= n {
+		return b
+	}
+	b.on = true
+	carve := func(k int) []float64 { s := rw[:k:k]; rw = rw[k:]; return s }
+	b.p, b.f, b.rp, b.u = carve(n*n), carve(n*n), carve(n*n), carve(n*n)
+	b.e, b.re, b.rr, b.y = carve(n), carve(n), carve(n), carve(n)
+	b.r, b.lu = cw[:n*n:n*n], cw[n*n:2*n*n:2*n*n]
+	for row := 0; row < n; row++ {
+		e := 0.0
+		for kk, tau := range j.delays {
+			e += tau * math.Abs(j.e[kk][row])
+		}
+		b.e[row] = e
+		for col := 0; col < n; col++ {
+			p := 0.0
+			if row == col {
+				p = 1
+			}
+			for kk, tau := range j.delays {
+				p += tau * math.Abs(j.b[kk][row*n+col])
+			}
+			b.p[row*n+col] = p
+		}
+	}
+	return b
+}
+
+// anchors reports whether the point a, just solved with excess x, is worth
+// an anchor: the model admits anchors and |L(jω_a)|, read off the solution
+// the way the stage-1 kernel reads it (see gainExcess), lies outside
+// (½, 2), on the side of 1 that x gives. It records that side for proves.
+func (b *resolvent) anchors(a int, x float64) bool {
+	if !b.on {
+		return false
+	}
+	wa := sweepOmegas[a]
+	hh, ww := sqAbs(b.j.rhs[b.j.cIdx]), wa*wa
+	if !sqInRange(hh) || !sqInRange(ww) {
+		return false
+	}
+	l2 := b.nf * b.nf * hh / ww
+	b.above = x > 0 && l2 >= 4
+	return b.above || x < 0 && l2 <= 0.25
+}
+
+// reach returns how many stage-1 points after the anchor a, at most limit,
+// the bound proves to lie on the anchor's side of 1, or 0. It gallops from
+// guess, then bisects; the test only has to hold at the k it returns,
+// because ε(δ) covers the whole band.
+func (b *resolvent) reach(a, limit, guess int) int {
+	if limit < 1 || !b.anchor(sweepOmegas[a]) {
+		return 0
+	}
+	lo, hi := 0, limit+1 // proves(a, lo), and hi is past every k tried
+	k := min(max(guess, 1), limit)
+	if b.proves(a, k) {
+		for lo = k; 2*lo <= limit; lo *= 2 {
+			if !b.proves(a, 2*lo) {
+				hi = 2 * lo
+				break
+			}
+		}
+	} else {
+		for hi = k; hi > 1; hi /= 2 {
+			if b.proves(a, hi/2) {
+				lo = hi / 2
+				break
+			}
+		}
+	}
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; b.proves(a, mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// anchor computes R, F, |R|P, |R|e and |R·r_a| at ω_a, and reports false
+// where m_a has a zero pivot.
+func (b *resolvent) anchor(wa float64) bool {
+	j, n := b.j, b.j.n
+	j.fill(wa) // the solve destroyed m_a and r_a
+	copy(b.lu, j.m)
+	if !invert(n, b.lu, b.r) {
+		return false
+	}
+	abs := b.u // |R|, until proves needs u
+	for i, r := range b.r {
+		abs[i] = cmplx.Abs(r)
+	}
+	for row := 0; row < n; row++ {
+		var rr complex128
+		re := 0.0
+		for k := 0; k < n; k++ {
+			rr += b.r[row*n+k] * j.rhs[k]
+			re += abs[row*n+k] * b.e[k]
+		}
+		b.rr[row], b.re[row] = cmplx.Abs(rr), re
+		for col := 0; col < n; col++ {
+			var rm complex128
+			rp := 0.0
+			for k := 0; k < n; k++ {
+				rm += b.r[row*n+k] * j.m[k*n+col]
+				rp += abs[row*n+k] * b.p[k*n+col]
+			}
+			if row == col {
+				rm--
+			}
+			b.f[row*n+col], b.rp[row*n+col] = cmplx.Abs(rm), rp
+		}
+	}
+	return true
+}
+
+// proves reports whether the bound proves |L| ≥ 2 (above) or |L| ≤ ½ at
+// the points a+1 … a+k (see resolvent). Every comparison fails on NaN.
+func (b *resolvent) proves(a, k int) bool {
+	wa, wk := sweepOmegas[a], sweepOmegas[a+k]
+	d := wk - wa
+	n, c := b.j.n, b.j.cIdx
+	u, y := b.u, b.y
+	for row := 0; row < n; row++ {
+		for col := 0; col < n; col++ {
+			u[row*n+col] = -(b.f[row*n+col] + d*b.rp[row*n+col])
+		}
+		u[row*n+row]++
+		y[row] = b.rr[row] + d*b.re[row]
+	}
+	// Gaussian elimination without pivoting on the Z-matrix I - K(δ): its
+	// off-diagonal entries stay non-positive, so every step but a pivot's
+	// adds non-negative terms.
+	for col := 0; col < n; col++ {
+		p := u[col*n+col]
+		if !(p >= pivotFloor) {
+			return false
+		}
+		for row := col + 1; row < n; row++ {
+			f := u[row*n+col] / p
+			for k := col + 1; k < n; k++ {
+				u[row*n+k] -= f * u[col*n+k]
+			}
+			y[row] -= f * y[col]
+		}
+	}
+	for row := n - 1; row >= 0; row-- {
+		s := y[row]
+		for k := row + 1; k < n; k++ {
+			s -= u[row*n+k] * y[k]
+		}
+		if y[row] = s / u[row*n+row]; !(y[row] > 0) {
+			return false
+		}
+	}
+	eps := d * b.re[c]
+	for k := 0; k < n; k++ {
+		eps += (b.f[c*n+k] + d*b.rp[c*n+k]) * y[k]
+	}
+	h := b.rr[c]
+	if b.above {
+		return eps <= h/2 && b.nf*(h-eps) >= 2*wk
+	}
+	return 2*b.nf*(h+eps) <= wa
+}
+
+// invert overwrites r with m⁻¹ by Gauss–Jordan elimination with partial
+// pivoting, destroying m, and reports false on a zero pivot.
+func invert(n int, m, r []complex128) bool {
+	for i := range r {
+		r[i] = 0
+	}
+	for i := 0; i < n; i++ {
+		r[i*n+i] = 1
+	}
+	for col := 0; col < n; col++ {
+		pivot := col
+		for row := col + 1; row < n; row++ {
+			if absGreater(m[row*n+col], m[pivot*n+col]) {
+				pivot = row
+			}
+		}
+		if m[pivot*n+col] == 0 {
+			return false
+		}
+		for k := 0; k < n; k++ {
+			m[col*n+k], m[pivot*n+k] = m[pivot*n+k], m[col*n+k]
+			r[col*n+k], r[pivot*n+k] = r[pivot*n+k], r[col*n+k]
+		}
+		inv := 1 / m[col*n+col]
+		for k := 0; k < n; k++ {
+			m[col*n+k] *= inv
+			r[col*n+k] *= inv
+		}
+		for row := 0; row < n; row++ {
+			if f := m[row*n+col]; row != col && f != 0 {
+				for k := 0; k < n; k++ {
+					m[row*n+k] -= f * m[col*n+k]
+					r[row*n+k] -= f * r[col*n+k]
+				}
+			}
+		}
+	}
+	return true
+}
+
 func (j *jacobians) phaseMargin() (Result, error) {
 	// Stage 1: coarse magnitude-only sweep to bracket |L| = 1 crossings.
 	// Magnitude needs no unwrapping, so the grid can be coarse, and only
-	// the sign of |L| - 1 is read, here and in the bisection. From ω_q on,
-	// |L| ≤ ½, so those points are recorded as -½ without a solve. The
-	// bound's two work vectors borrow the buffer before the sweep fills it,
-	// which keeps the buffer on the stack; only a model with more than
-	// points/2 states needs a buffer of its own.
+	// the sign of |L| - 1 is read, here and in the bisection. Buffers of
+	// constant length stay on the stack; only a model with more than
+	// anchorDim states, which takes no anchors, needs a work vector of its
+	// own for ω_q.
 	excess := make([]float64, points)
-	work := excess
-	if 2*j.n > points {
-		work = make([]float64, 2*j.n)
+	rw := make([]float64, anchorReal)
+	cw := make([]complex128, anchorComplex)
+	if j.n > anchorDim {
+		rw = make([]float64, 2*j.n)
 	}
-	quiet := quietStart(j.quietOmega(work[:j.n], work[j.n:2*j.n]))
-	for i, w := range sweepOmegas {
-		if i >= quiet {
-			excess[i] = -0.5
-			continue
-		}
-		x, err := j.excess(w)
-		if err != nil {
-			return Result{}, err
-		}
-		excess[i] = x
+	if _, _, err := j.stage1(excess, rw, cw); err != nil {
+		return Result{}, err
 	}
 
 	// A nonzero excess is at least 2⁻⁵³ in size, so no product underflows:

@@ -129,8 +129,12 @@ func (l toyLoop) analytic(omega float64) complex128 {
 
 func TestLoopGainMatchesAnalytic(t *testing.T) {
 	l := toyLoop{k: 100, d: 20, tau: 0.01, n: 3}
+	j, err := linearise(l)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range []float64{1, 5, 17, 100, 1000} {
-		got, err := LoopGain(l, w)
+		got, err := j.loopGain(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -498,7 +502,8 @@ func TestPhaseMarginConcurrentCalls(t *testing.T) {
 // PhaseMargin evaluates the loop gain thousands of times per call, so one
 // evaluation, full or magnitude-only, must reuse the linearisation's
 // scratch and allocate nothing; so must the bound that skips the quiet
-// end of stage 1.
+// end of stage 1, and an anchor with its reach (at ω_lo, where it reaches
+// hundreds of points).
 func TestLoopGainAllocFree(t *testing.T) {
 	dcqcn, patched := benchLoops(t)
 	for name, loop := range map[string]LoopModel{"dcqcn": dcqcn, "patched": patched} {
@@ -507,10 +512,19 @@ func TestLoopGainAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		v, next := make([]float64, j.n), make([]float64, j.n)
+		b := newResolvent(j, make([]float64, anchorReal), make([]complex128, anchorComplex))
+		anchorReach := func(float64) error {
+			x, err := j.excess(sweepOmegas[0])
+			if !b.anchors(0, x) || b.reach(0, points-1, 1) < weakReach {
+				t.Fatalf("%s: no anchor reach at ω_lo", name)
+			}
+			return err
+		}
 		for path, eval := range map[string]func(float64) error{
-			"loopGain":   func(w float64) error { _, err := j.loopGain(w); return err },
-			"excess":     func(w float64) error { _, err := j.excess(w); return err },
-			"quietOmega": func(float64) error { j.quietOmega(v, next); return nil },
+			"loopGain":    func(w float64) error { _, err := j.loopGain(w); return err },
+			"excess":      func(w float64) error { _, err := j.excess(w); return err },
+			"quietOmega":  func(float64) error { j.quietOmega(v, next); return nil },
+			"anchorReach": anchorReach,
 		} {
 			w := 1000.0
 			allocs := testing.AllocsPerRun(100, func() {
