@@ -61,9 +61,10 @@ bench:
 # sub-benchmarks: detached, metrics (registry only) and full (obs.Full()).
 # BenchmarkHold drives the event queue alone at two fixed depths.
 # The analysis layers ride along: both phase-margin loops, the DCQCN fluid
-# right-hand side, the allocation-free loop-gain evaluation and every fluid
-# model's right-hand side, which must not allocate once warm, the fluid
-# sampling walk, whose allocations must not grow with its samples, and the
+# right-hand side, the allocation-free loop-gain evaluation, the ODE
+# history's whole-state read and every fluid model's right-hand side, which
+# must not allocate once warm, the fluid sampling walk, whose allocations
+# must not grow with its samples, and the
 # stage-1 work of the phase margin at each pinned cell: the points its
 # small-gain bound skips, and the points and anchors it solves below that
 # (deterministic work counts, so a lost or loosened bound fails without
@@ -82,7 +83,7 @@ bench-smoke:
 	$(GO) test -timeout 5m -run='^$$' -bench='PhaseMarginDCQCN|PhaseMarginPatchedTimely|DCQCNFluid' \
 		-benchmem -benchtime=1x ./internal/stability ./internal/fluid
 	$(GO) test -timeout 5m -run='AllocFree|QuietOmegaSkipCounts' ./internal/des ./internal/netsim \
-		./internal/obs ./internal/stability ./internal/fluid
+		./internal/obs ./internal/stability ./internal/fluid ./internal/ode
 
 # Benchmark module gate: bench/ is a module of its own, so neither `build`
 # nor `test` compiles it. Vet and test it here, so an API change in the

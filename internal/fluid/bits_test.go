@@ -82,10 +82,21 @@ type lookupWatch struct {
 }
 
 func (w *lookupWatch) Value(tq float64, idx int) float64 {
-	if idx == 0 && tq > w.latest {
-		w.latest = tq
+	if idx == 0 {
+		w.saw(tq)
 	}
 	return w.past.Value(tq, idx)
+}
+
+func (w *lookupWatch) State(tq float64, dst []float64) {
+	w.saw(tq)
+	w.past.State(tq, dst)
+}
+
+func (w *lookupWatch) saw(tq float64) {
+	if tq > w.latest {
+		w.latest = tq
+	}
 }
 
 // watchedModel hands the model a lookupWatch in place of the solver's

@@ -45,7 +45,7 @@ type DCQCNSystem struct {
 	lineRate float64
 	rmin     float64
 	jit      *jitterSource
-	memo     *eq12Memo // allocated by the first rateDerivs
+	memo     *eq12Memo // allocated by the first Derivs
 	// pi, when set, replaces RED with the switch PI controller of
 	// Eq. 32 (DCQCNPISystem): p is state y[1] and the flows start at
 	// y[2]. off is the state index of flow 0's α.
@@ -60,11 +60,17 @@ type DCQCNSystem struct {
 // invalidating. RK4's stages 2 and 3 run at the same t, and stage 1 of a
 // step runs where stage 4 of the step before did, so without jitter they
 // mostly read the same delayed p and rates: at the Fig. 4 setup NewEq12
-// runs on half the calls and Terms on about two thirds of the flows.
+// runs on half the calls and Terms on about two thirds of the flows. It
+// also holds the delayed state, so a system that never runs (the loop
+// reductions build many) carries one pointer, not the buffers.
 type eq12Memo struct {
+	eqOK  bool // eq has been built, for the p whose bits are pBits
 	pBits uint64
 	eq    fixedpoint.Eq12
 	flows []flowTerms
+	// delayed is the whole state at t − τ*, read once per right-hand
+	// side: the queue (or p) and every flow's rate share that instant.
+	delayed []float64
 }
 
 // flowTerms is one flow's entry: Terms and AlphaTarget at the delayed rate
@@ -128,7 +134,13 @@ func (s *DCQCNSystem) RCIndex(i int) int { return s.off + 2 + 3*i }
 func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []float64) {
 	pr := &s.cfg.Params
 	delay := pr.TauStar + s.jit.value()
-	tq := t - delay
+	m := s.memo
+	if m == nil {
+		m = &eq12Memo{flows: make([]flowTerms, pr.N), delayed: make([]float64, s.Dim())}
+		s.memo = m
+	}
+	d := m.delayed
+	past.State(t-delay, d)
 
 	sum := 0.0
 	for i, ic := 0, s.RCIndex(0); i < pr.N; i, ic = i+1, ic+3 {
@@ -148,7 +160,7 @@ func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []fl
 		if y[1] <= 0 && dydt[1] < 0 || y[1] >= pi.PMax && dydt[1] > 0 {
 			dydt[1] = 0
 		}
-		pHat = clamp(past.Value(tq, 1), 0, 1)
+		pHat = clamp(d[1], 0, 1)
 	} else {
 		// Delayed RED marking probability: ECN is marked on egress, so
 		// the mark reflects the queue at departure and reaches the
@@ -159,7 +171,7 @@ func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []fl
 		// s + q(s)/C = t - τ*. That equation is monotone in s (its left
 		// side grows at ΣR/C ≥ 0), so the total lag L = t - s is found
 		// by bisection on h(L) = L - τ* - q(t-L)/C.
-		qDelayed := past.Value(tq, 0)
+		qDelayed := d[0]
 		if s.cfg.IngressMarking {
 			maxLag := s.MaxDelay()
 			lo, hi := delay, maxLag
@@ -185,29 +197,26 @@ func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []fl
 			pHat = REDMarkExtended(qDelayed, pr.Kmin, pr.Kmax, pr.Pmax)
 		}
 	}
-	s.rateDerivs(pHat, tq, y, past, dydt)
+	s.rateDerivs(pHat, y, dydt)
 }
 
 // rateDerivs writes Eq. 5-7 for every flow under the delayed marking
-// probability p, reading flow i's delayed rate at tq. Every flow sees the
-// same p, so its share of Eq. 12 is done once; the memo skips any
-// evaluation whose inputs have the bits of the last one.
-func (s *DCQCNSystem) rateDerivs(p, tq float64, y []float64, past ode.History, dydt []float64) {
+// probability p, reading flow i's delayed rate from the memo's delayed
+// state. Every flow sees the same p, so its share of Eq. 12 is done once;
+// the memo skips any evaluation whose inputs have the bits of the last
+// one.
+func (s *DCQCNSystem) rateDerivs(p float64, y, dydt []float64) {
 	pr := &s.cfg.Params
 	off := s.off
 	pBits := math.Float64bits(p)
 	m := s.memo
-	switch {
-	case m == nil:
-		m = &eq12Memo{pBits: pBits, eq: fixedpoint.NewEq12(*pr, p), flows: make([]flowTerms, pr.N)}
-		s.memo = m
-	case m.pBits != pBits:
-		m.pBits, m.eq = pBits, fixedpoint.NewEq12(*pr, p)
+	if !m.eqOK || m.pBits != pBits {
+		m.eqOK, m.pBits, m.eq = true, pBits, fixedpoint.NewEq12(*pr, p)
 	}
 	for i := range m.flows {
 		ia, it, ic := off+3*i, off+1+3*i, off+2+3*i
 		alpha, rt, rc := y[ia], y[it], y[ic]
-		rcHat := past.Value(tq, ic)
+		rcHat := m.delayed[ic]
 		f := &m.flows[i]
 		if rBits := math.Float64bits(rcHat); !f.ok || f.pBits != pBits || f.rBits != rBits {
 			f.ok, f.pBits, f.rBits = true, pBits, rBits

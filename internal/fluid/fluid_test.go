@@ -198,6 +198,76 @@ func TestDCQCNNonMonotonicStability(t *testing.T) {
 	}
 }
 
+// theorem1Start is a DCQCN fluid model started at its Theorem 1 point
+// (q*, α*, R_T*, C/N) with the queue scaled by kick. The initial state is
+// also the history before t = 0.
+type theorem1Start struct {
+	*DCQCNSystem
+	fp   fixedpoint.DCQCNFixedPoint
+	kick float64
+}
+
+func (m *theorem1Start) Initial() []float64 {
+	y := m.DCQCNSystem.Initial()
+	y[m.QIndex()] = m.kick * m.fp.Q
+	for i := 0; i < m.cfg.Params.N; i++ {
+		y[m.AlphaIndex(i)] = m.fp.Alpha
+		y[m.RTIndex(i)] = m.fp.RT
+		y[m.RCIndex(i)] = m.fp.RC
+	}
+	return y
+}
+
+// TestDCQCNSubcriticalWindow pins the bistable window below the linear
+// delay margin of the N = 10 DCQCN fluid model (about 62.5 µs). At
+// τ* = 60 µs a 1% queue kick from the Theorem 1 point decays, while a
+// 3·q* kick settles on a large limit cycle, about 2.08·q* peak to peak,
+// that empties the queue every period: the fixed point is stable only to
+// small perturbations, the signature of a subcritical Hopf bifurcation.
+// At 58 µs, below the window, the large kick decays too (about 0.035·q*
+// left). Each run lasts 0.4 s at h = 1 µs and reads the last 50 ms: near
+// the window's edge transients last over 100 ms. At h = 0.1 µs the same
+// runs give the same figures to the digits given here, and the bounds sit
+// well away from them. Short mode runs the 60 µs pair only.
+func TestDCQCNSubcriticalWindow(t *testing.T) {
+	// lastCycle returns q*, and the queue's peak-to-peak and minimum
+	// over 350-400 ms.
+	lastCycle := func(tau, kick float64) (qStar, p2p, qMin float64) {
+		p := DefaultDCQCNParams(10)
+		p.TauStar = tau
+		fp, err := fixedpoint.SolveDCQCN(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewDCQCN(DCQCNConfig{Params: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		Walk(&theorem1Start{DCQCNSystem: sys, fp: fp, kick: kick}, 1e-6, 0.4, 1e-6, func(tt float64, y []float64) {
+			if tt >= 0.35 {
+				lo, hi = min(lo, y[0]), max(hi, y[0])
+			}
+		})
+		return fp.Q, hi - lo, lo
+	}
+	q, p2p, _ := lastCycle(60e-6, 1.01)
+	if p2p >= 0.01*q {
+		t.Errorf("τ*=60µs, 1%% kick: peak-to-peak %.4f·q*, want below 0.01·q* (a decaying kick)", p2p/q)
+	}
+	q, p2p, qMin := lastCycle(60e-6, 3)
+	if p2p <= 2*q || qMin != 0 {
+		t.Errorf("τ*=60µs, 3·q* kick: peak-to-peak %.4f·q*, minimum %g; want above 2·q* and an empty queue (the large cycle)", p2p/q, qMin)
+	}
+	if testing.Short() {
+		return
+	}
+	q, p2p, _ = lastCycle(58e-6, 3)
+	if p2p >= 0.1*q {
+		t.Errorf("τ*=58µs, 3·q* kick: peak-to-peak %.4f·q*, want below 0.1·q* (below the window)", p2p/q)
+	}
+}
+
 // Figure 3(b): smaller R_AI stabilises the unstable 10-flow/85µs case.
 func TestDCQCNSmallerRAIStabilises(t *testing.T) {
 	run := func(rai float64) float64 {
@@ -808,6 +878,12 @@ func (m *countingModel) PostStep(t float64, y []float64) {
 type rampHistory struct{ y []float64 }
 
 func (h *rampHistory) Value(tq float64, idx int) float64 { return h.y[idx] * (1 + tq) }
+
+func (h *rampHistory) State(tq float64, dst []float64) {
+	for i := range h.y {
+		dst[i] = h.Value(tq, i)
+	}
+}
 
 // TestDerivsAllocFree pins every fluid right-hand side at 0 allocations
 // per call once warm: the first DCQCN call allocates the Eq. 12 memo and

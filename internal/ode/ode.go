@@ -10,6 +10,16 @@
 // Linear interpolation suits the fluid models, which clamp their state
 // after every step (queues at zero, rates at line rate): it never
 // overshoots the stored, clamped points into unphysical values.
+//
+// The ring has two reads. History.Value reads one component at one time,
+// for lags that differ per component (TIMELY's per-flow RTT samples, the
+// ingress-marking bisection). History.State reads the whole state at one
+// time, for a right-hand side whose delayed inputs share one lag (DCQCN's
+// queue or p and every flow's rate at t − τ*): it resolves the lookup
+// time once, and each component has the bits Value gives it. Both reads
+// resolve the time in one place, history.locate, so a change to the
+// interpolation weight, such as taking it from the step grid instead of
+// the ring's fill, lands in State and Value at once.
 package ode
 
 import (
@@ -42,6 +52,10 @@ type History interface {
 	// times slightly past the newest stored point (as happens for delayed
 	// lookups inside a Runge-Kutta stage) are linearly extrapolated.
 	Value(tq float64, idx int) float64
+	// State writes the whole state at time tq into dst, which must hold
+	// Dim values: dst[i] gets the bits of Value(tq, i), and a lookup
+	// that Value refuses panics the same way.
+	State(tq float64, dst []float64)
 }
 
 // Solver integrates a System with fixed step H from an initial state Y0.
@@ -71,17 +85,18 @@ type history struct {
 	n     int // points stored
 	capac int
 	dim   int
-	buf   []float64 // capac*dim ring of states
-	start int       // index of oldest point
-	tcur  float64   // time of newest point
-	y0    []float64
+	// buf is the capac*dim ring of states, then one row holding the
+	// initial history, which serves every lookup at or before t0.
+	buf   []float64
+	start int     // index of oldest point
+	tcur  float64 // time of newest point
 }
 
 func newHistory(dim, capac int, h, t0 float64, y0 []float64) *history {
 	hs := &history{h: h, capac: capac, dim: dim, t0: t0, tcur: t0}
-	hs.buf = make([]float64, capac*dim)
-	hs.y0 = append([]float64(nil), y0...)
+	hs.buf = make([]float64, (capac+1)*dim)
 	copy(hs.buf[:dim], y0)
+	copy(hs.buf[capac*dim:], y0)
 	hs.n = 1
 	return hs
 }
@@ -110,17 +125,25 @@ func (hs *history) index(i int) int {
 	return idx
 }
 
-// point returns the i-th stored point (0 = oldest).
-func (hs *history) point(i int) []float64 {
-	idx := hs.index(i)
-	return hs.buf[idx*hs.dim : (idx+1)*hs.dim]
-}
+// row returns the offset in buf of the i-th stored point (0 = oldest).
+func (hs *history) row(i int) int { return hs.index(i) * hs.dim }
 
 func (hs *history) oldestTime() float64 { return hs.tcur - float64(hs.n-1)*hs.h }
 
-func (hs *history) Value(tq float64, idx int) float64 {
+// locate resolves a lookup at tq to three rows of buf, given by their
+// offsets, and a weight: component i of the state at tq is
+// buf[base+i] + a*(buf[hi+i]-buf[lo+i]), or buf[base+i] itself when hi is
+// negative. Between two stored points base and lo are the older one and
+// hi the newer. At or beyond the newest point the last two points are
+// extrapolated: base and hi are the newest point, lo the one before it.
+// Runge-Kutta stages evaluate at t+h/2 and t+h, so a lag smaller than the
+// step lands there; the overshoot is at most one step. hi is negative at
+// or before t0, where base is the initial history, and while the ring
+// holds one point, whose value is held constant. It returns offsets, not
+// slices: three slice headers made each Value call about a fifth slower.
+func (hs *history) locate(tq float64) (base, hi, lo int, a float64) {
 	if tq <= hs.t0 {
-		return hs.y0[idx]
+		return hs.capac * hs.dim, -1, 0, 0
 	}
 	oldest := hs.oldestTime()
 	if tq < oldest {
@@ -130,22 +153,42 @@ func (hs *history) Value(tq float64, idx int) float64 {
 	f := (tq - oldest) / hs.h
 	i := int(f)
 	if i >= hs.n-1 {
-		// At or beyond the newest point: linear extrapolation from the
-		// last two points (constant if only one exists). Runge-Kutta
-		// stages evaluate at t+h/2 and t+h, so a lag smaller than the
-		// step lands here; the overshoot is at most one step.
-		last := hs.point(hs.n - 1)
+		last := hs.row(hs.n - 1)
 		if hs.n == 1 {
-			return last[idx]
+			return last, -1, 0, 0
 		}
-		prev := hs.point(hs.n - 2)
-		a := (tq - hs.tcur) / hs.h
-		return last[idx] + a*(last[idx]-prev[idx])
+		return last, last, hs.row(hs.n - 2), (tq - hs.tcur) / hs.h
 	}
-	a := f - float64(i)
-	p0 := hs.point(i)
-	p1 := hs.point(i + 1)
-	return p0[idx] + a*(p1[idx]-p0[idx])
+	p0 := hs.row(i)
+	return p0, hs.row(i + 1), p0, f - float64(i)
+}
+
+func (hs *history) Value(tq float64, idx int) float64 {
+	// Rows are adjacent in buf, so an offset past the state would read
+	// a neighbouring row instead of failing.
+	if uint(idx) >= uint(hs.dim) {
+		panic(fmt.Sprintf("ode: history lookup of component %d of a %d-component state", idx, hs.dim))
+	}
+	base, hi, lo, a := hs.locate(tq)
+	buf := hs.buf
+	if hi < 0 {
+		return buf[base+idx]
+	}
+	return buf[base+idx] + a*(buf[hi+idx]-buf[lo+idx])
+}
+
+func (hs *history) State(tq float64, dst []float64) {
+	base, hi, lo, a := hs.locate(tq)
+	dst = dst[:hs.dim]
+	b := hs.buf[base : base+len(dst)]
+	if hi < 0 {
+		copy(dst, b)
+		return
+	}
+	u, l := hs.buf[hi:hi+len(dst)], hs.buf[lo:lo+len(dst)]
+	for i := range dst {
+		dst[i] = b[i] + a*(u[i]-l[i])
+	}
 }
 
 // Integrate advances the system from t0 to t1, invoking obs (if non-nil)

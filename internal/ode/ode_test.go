@@ -1,6 +1,7 @@
 package ode
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -282,6 +283,116 @@ func TestHistoryRingWraparound(t *testing.T) {
 		}
 	}()
 	hist.Value(50, 0)
+}
+
+// specials are the values TestStateMatchesValue stores: signed zeros,
+// infinities, NaN, subnormals, values whose difference overflows, and
+// ordinary numbers. Component c of point k is specials[(3k+5c) mod 12],
+// so over a few points every component meets many of the pairs.
+var specials = []float64{
+	math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+	5e-324, -2.5e-320, 1e308, -1e308, 1.5, -3.25, math.Pi,
+}
+
+func specialPoint(k int) []float64 {
+	y := make([]float64, len(specials))
+	for c := range y {
+		y[c] = specials[(3*k+5*c)%len(specials)]
+	}
+	return y
+}
+
+// TestStateMatchesValue requires State to write, for every component, the
+// bits Value returns, in every regime of a lookup: at and before t0, in a
+// ring of one point, between stored points and exactly on them, in the
+// extrapolation zone past the newest point (a lag below one step, as
+// fluidsim -delay 0 gives) and after the ring has wrapped. A lookup older
+// than the ring panics with Value's message.
+func TestStateMatchesValue(t *testing.T) {
+	const h, t0 = 0.25, 1.0
+	dim := len(specials)
+	check := func(name string, hist *history, tq float64) {
+		t.Helper()
+		dst := make([]float64, dim)
+		for i := range dst {
+			dst[i] = 12345
+		}
+		hist.State(tq, dst)
+		for i, got := range dst {
+			if want := hist.Value(tq, i); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: State(%g)[%d] = %v (%#x), Value = %v (%#x)",
+					name, tq, i, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	// A ring of 6 points filled by pushes 1..n; pushed point k is at
+	// t0 + k·h and holds specialPoint(k).
+	fill := func(n int) *history {
+		hist := newHistory(dim, 6, h, t0, specialPoint(0))
+		for k := 1; k <= n; k++ {
+			hist.push(t0+float64(k)*h, specialPoint(k))
+		}
+		return hist
+	}
+
+	one := fill(0)
+	for _, tq := range []float64{t0 - 3, t0, t0 + 0.3*h, t0 + h} {
+		check("one point", one, tq)
+	}
+
+	// Three pushes: the ring is not full, the oldest point is at t0.
+	part := fill(3)
+	for _, tq := range []float64{t0 - 1, t0, t0 + 0.4*h, t0 + h, t0 + 1.5*h, t0 + 2*h, t0 + 2.75*h} {
+		check("interior", part, tq)
+	}
+	for _, tq := range []float64{t0 + 3*h, t0 + 3.2*h, t0 + 3.5*h, t0 + 4*h} {
+		check("extrapolation", part, tq)
+	}
+
+	// Seventeen pushes into six slots: the oldest point held is push 12,
+	// and start has wrapped round the ring more than once.
+	wrapped := fill(17)
+	for _, tq := range []float64{t0 - 1, t0 + 12*h, t0 + 12.6*h, t0 + 13*h, t0 + 14.1*h,
+		t0 + 15*h, t0 + 16.9*h, t0 + 17*h, t0 + 17.5*h} {
+		check("wrapped", wrapped, tq)
+	}
+
+	// panicMsg returns what f panics with, "<nil>" if it returns.
+	panicMsg := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return
+	}
+	tq := t0 + 11.5*h
+	byValue := panicMsg(func() { wrapped.Value(tq, 0) })
+	byState := panicMsg(func() { wrapped.State(tq, make([]float64, dim)) })
+	if !strings.Contains(byValue, "before oldest stored") || byState != byValue {
+		t.Errorf("lookup before the ring: State panics with %q, Value with %q", byState, byValue)
+	}
+	for _, idx := range []int{-1, dim} {
+		if msg := panicMsg(func() { wrapped.Value(t0+13*h, idx) }); !strings.HasPrefix(msg, "ode: ") {
+			t.Errorf("Value of component %d panics with %q, want an ode: message", idx, msg)
+		}
+	}
+}
+
+// TestStateAllocFree pins the whole-state read at 0 allocations per call.
+func TestStateAllocFree(t *testing.T) {
+	hist := newHistory(31, 100, 1e-6, 0, make([]float64, 31))
+	y := make([]float64, 31)
+	for k := 1; k <= 150; k++ {
+		y[k%31] = float64(k)
+		hist.push(float64(k)*1e-6, y)
+	}
+	dst := make([]float64, 31)
+	tq := 120.3e-6
+	allocs := testing.AllocsPerRun(100, func() {
+		hist.State(tq, dst)
+		tq += 0.1e-6
+	})
+	if allocs != 0 {
+		t.Errorf("State allocates %v times per call, want 0", allocs)
+	}
 }
 
 func BenchmarkRK4DDE(b *testing.B) {

@@ -432,6 +432,56 @@ func TestPatchedTimelyPhaseMarginCollapse(t *testing.T) {
 	}
 }
 
+// TestPatchedTimelyCliffSensitivity pins where Fig. 11's cliff sits when
+// one footnote-4 parameter at a time moves (10 Gb/s, β = 0.008): the
+// first N ≥ 3 whose patched TIMELY margin is negative over N = 1–64, and
+// every larger N stays negative. The propagation delay barely moves it;
+// D_minRTT, δ and Seg do, roughly as D_minRTT/δ, so the paper's cliff
+// near N = 40 needs a D_minRTT, δ or Seg other than the defaults. N = 1
+// and 2 are left out: N = 1 is negative in seven of the eight rows
+// (−0.637° at the defaults, a bitsCells row). With one flow Seg/R* is
+// below D_minRTT in every row but Seg 64 KB, so the update interval rests
+// on its D_minRTT floor there.
+func TestPatchedTimelyCliffSensitivity(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		set   func(c *fluid.TimelyConfig)
+		first int
+	}{
+		{"defaults", func(c *fluid.TimelyConfig) {}, 20},
+		{"D_prop 1 µs", func(c *fluid.TimelyConfig) { c.DProp = 1e-6 }, 20},
+		{"D_prop 20 µs", func(c *fluid.TimelyConfig) { c.DProp = 20e-6 }, 19},
+		{"D_minRTT 50 µs", func(c *fluid.TimelyConfig) { c.DminRTT = 50e-6 }, 31},
+		{"δ 5 Mb/s", func(c *fluid.TimelyConfig) { c.Delta = 5e6 / 8 }, 32},
+		{"Seg 1 KB", func(c *fluid.TimelyConfig) { c.Seg = 1000 }, 29},
+		{"Seg 4 KB", func(c *fluid.TimelyConfig) { c.Seg = 4000 }, 25},
+		{"Seg 64 KB", func(c *fluid.TimelyConfig) { c.Seg = 64000 }, 13},
+	} {
+		first := 0
+		for n := 3; n <= 64; n++ {
+			cfg := fluid.DefaultPatchedTimelyConfig(n)
+			row.set(&cfg)
+			loop, err := fluid.NewPatchedTimelyLoop(cfg)
+			if err != nil {
+				t.Fatalf("%s N=%d: %v", row.name, n, err)
+			}
+			res, err := PhaseMargin(loop)
+			if err != nil {
+				t.Fatalf("%s N=%d: %v", row.name, n, err)
+			}
+			switch neg := res.PhaseMarginDeg < 0; {
+			case neg && first == 0:
+				first = n
+			case !neg && first != 0:
+				t.Errorf("%s: N=%d has margin %.3f° after the cliff at N=%d", row.name, n, res.PhaseMarginDeg, first)
+			}
+		}
+		if first != row.first {
+			t.Errorf("%s: first N ≥ 3 with a negative margin is %d, want %d", row.name, first, row.first)
+		}
+	}
+}
+
 // The patched loop refuses configurations whose fixed point leaves the
 // gradient band (the linearisation would be invalid).
 func TestPatchedTimelyLoopBandCheck(t *testing.T) {
