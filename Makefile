@@ -64,7 +64,9 @@ bench:
 # right-hand side, the allocation-free loop-gain evaluation, the ODE
 # history's whole-state read and every fluid model's right-hand side, which
 # must not allocate once warm, the fluid sampling walk, whose allocations
-# must not grow with its samples, and the
+# must not grow with its samples, TestWalkHistoryBytes, which holds a 20 ms
+# patched TIMELY walk under 0.5 MB (its history ring stores the queue
+# alone, where a ring of the whole state took 3.4 MB), and the
 # stage-1 work of the phase margin at each pinned cell: the points its
 # small-gain bound skips, and the points and anchors it solves below that
 # (deterministic work counts, so a lost or loosened bound fails without
@@ -82,7 +84,7 @@ bench-smoke:
 		-benchmem -benchtime=1x ./internal/des ./internal/netsim
 	$(GO) test -timeout 5m -run='^$$' -bench='PhaseMarginDCQCN|PhaseMarginPatchedTimely|DCQCNFluid' \
 		-benchmem -benchtime=1x ./internal/stability ./internal/fluid
-	$(GO) test -timeout 5m -run='AllocFree|QuietOmegaSkipCounts' ./internal/des ./internal/netsim \
+	$(GO) test -timeout 5m -run='AllocFree|QuietOmegaSkipCounts|HistoryBytes' ./internal/des ./internal/netsim \
 		./internal/obs ./internal/stability ./internal/fluid ./internal/ode
 
 # Benchmark module gate: bench/ is a module of its own, so neither `build`

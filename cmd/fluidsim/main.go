@@ -26,17 +26,21 @@ func main() {
 }
 
 // Run budgets. fluid.Walk takes round(horizon/step) RK4 steps and keeps a
-// history ring of min(ceil(MaxDelay/step)+4, steps+1) states of Dim()
-// values, so a tiny -step or a huge -n can ask for more steps or memory
-// than any host has, or for counts past the int range. run refuses a flag
-// set past either budget before it builds the per-flow column labels or
-// integrates:
+// history ring of min(ceil(MaxDelay/step)+4, steps+1) points, so a tiny
+// -step or a huge -n can ask for more steps or memory than any host has,
+// or for counts past the int range. A point holds the components the
+// model's Delayed() lists (the queue and the N rates for DCQCN, the queue
+// alone for TIMELY), but the budget counts Dim() values a point, an upper
+// bound: counting len(Delayed()) would build a 10⁸-entry list for
+// -n 100000000 before refusing it. run refuses a flag set past either
+// budget before it builds the per-flow column labels or integrates:
 //   - maxSteps: 1e9 steps is 1000 simulated seconds at the default 1 µs
 //     step, a thousand times the longest fluid run of any experiment in
 //     this module (1 s), and tens of CPU minutes even at N = 10.
 //   - maxRingValues: 2^27 float64 values is 1 GiB of ring. The longest
 //     lag any model asks for is TIMELY's, about 0.14 s: at the default
-//     step and N = 64 that is 27 M values.
+//     step and N = 64 that counts 27 M values, of which the ring stores
+//     the queue's 140 k.
 const (
 	maxSteps      = 1e9
 	maxRingValues = 1 << 27

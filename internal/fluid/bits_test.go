@@ -171,3 +171,96 @@ func TestTimelyTrajectoryBits(t *testing.T) {
 		}
 	}
 }
+
+// TestDelayedCoversEveryRead requires every model's Delayed to list every
+// component its right-hand side reads from the history: a 2 ms run at
+// h = 1 µs whose ring stores only those components must give every step
+// the bits of the run whose ring stores the whole state. A missing
+// component fails here, as a changed trajectory or, for a Value read, as
+// the solver's panic. The TIMELY start rates sum to 1.5 C, so the lookup
+// time t − τ' advances and the runs read stored history, not only the
+// initial row; each run must read the queue after t = 0.
+func TestDelayedCoversEveryRead(t *testing.T) {
+	dcqcn := func(edit func(*DCQCNConfig)) DCQCNConfig {
+		p := DefaultDCQCNParams(4)
+		p.TauStar = 85e-6
+		cfg := DCQCNConfig{Params: p, InitialRC: []float64{0.4 * p.C, 0.6 * p.C, 0.8 * p.C, p.C}}
+		if edit != nil {
+			edit(&cfg)
+		}
+		return cfg
+	}
+	timely := func(patched bool, jitter float64, staggered bool) TimelyConfig {
+		c := DefaultTimelyConfig(4)
+		if patched {
+			c = DefaultPatchedTimelyConfig(4)
+		}
+		c.InitialRates = []float64{0.2 * c.C, 0.3 * c.C, 0.4 * c.C, 0.6 * c.C}
+		c.JitterMax = jitter
+		c.Seed = 7
+		if staggered {
+			c.StartTimes = []float64{0, 0.4e-3, 0.8e-3, 1.2e-3}
+		}
+		return c
+	}
+	for _, c := range []struct {
+		name  string
+		build func() (Model, error)
+	}{
+		{"dcqcn", func() (Model, error) { return NewDCQCN(dcqcn(nil)) }},
+		{"dcqcn ingress", func() (Model, error) {
+			return NewDCQCN(dcqcn(func(c *DCQCNConfig) { c.IngressMarking = true }))
+		}},
+		{"dcqcn strict RED", func() (Model, error) {
+			return NewDCQCN(dcqcn(func(c *DCQCNConfig) { c.StrictRED = true }))
+		}},
+		{"dcqcn jitter", func() (Model, error) {
+			return NewDCQCN(dcqcn(func(c *DCQCNConfig) { c.JitterMax, c.Seed = 20e-6, 7 }))
+		}},
+		{"dcqcnpi", func() (Model, error) { return NewDCQCNPI(DCQCNPIConfig{DCQCN: dcqcn(nil)}) }},
+		{"timely staggered", func() (Model, error) { return NewTimely(timely(false, 0, true)) }},
+		{"patched", func() (Model, error) { return NewPatchedTimely(timely(true, 0, false)) }},
+		{"timelypi jitter", func() (Model, error) {
+			return NewTimelyPI(TimelyPIConfig{Timely: timely(true, 20e-6, false)})
+		}},
+	} {
+		// run integrates a fresh model, whose history stores the
+		// components its Delayed lists, or every component when all is
+		// set, and returns the bits of every step's time and state.
+		dim := 0
+		run := func(all bool) (bits []uint64, latest float64) {
+			m, err := c.build()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			dim = m.Dim()
+			w := &watchedModel{Model: m}
+			s := &ode.Solver{Sys: w, H: 1e-6, MaxDelay: m.MaxDelay(), Delayed: m.Delayed(), Y0: m.Initial()}
+			if all {
+				s.Delayed = nil
+			}
+			s.Integrate(0, 2e-3, func(t float64, y []float64) {
+				bits = append(bits, math.Float64bits(t))
+				for _, v := range y {
+					bits = append(bits, math.Float64bits(v))
+				}
+			})
+			return bits, w.watch.latest
+		}
+		want, _ := run(true)
+		got, latest := run(false)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values recorded, want %d", c.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: step %d differs from the run that stores every component (value %d of the step)",
+					c.name, i/(1+dim), i%(1+dim))
+				break
+			}
+		}
+		if latest <= 0 {
+			t.Errorf("%s: latest queue lookup at t = %g, want one after t = 0", c.name, latest)
+		}
+	}
+}

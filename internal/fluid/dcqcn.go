@@ -68,8 +68,9 @@ type eq12Memo struct {
 	pBits uint64
 	eq    fixedpoint.Eq12
 	flows []flowTerms
-	// delayed is the whole state at t − τ*, read once per right-hand
-	// side: the queue (or p) and every flow's rate share that instant.
+	// delayed is the state at t − τ*, read once per right-hand side: the
+	// queue (or p) and every flow's rate share that instant. The read
+	// writes the components Delayed lists; the others stay zero.
 	delayed []float64
 }
 
@@ -242,6 +243,22 @@ func (s *DCQCNSystem) PostStep(_ float64, y []float64) {
 		y[ia+2] = clamp(y[ia+2], s.rmin, s.lineRate)
 	}
 	s.jit.resample()
+}
+
+// Delayed lists the components Derivs reads from the history: the queue
+// (p under PI marking) and every flow's current rate R_C, which Eq. 3-7
+// take at t − τ*. α and R_T enter undelayed.
+func (s *DCQCNSystem) Delayed() []int {
+	marked := 0
+	if s.pi != nil {
+		marked = 1
+	}
+	d := make([]int, 0, 1+s.cfg.Params.N)
+	d = append(d, marked)
+	for i := 0; i < s.cfg.Params.N; i++ {
+		d = append(d, s.RCIndex(i))
+	}
+	return d
 }
 
 // MaxDelay reports the largest history lag the model requests, for sizing

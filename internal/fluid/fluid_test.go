@@ -3,6 +3,7 @@ package fluid
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -712,6 +713,136 @@ func TestWalkSamplesAllocFree(t *testing.T) {
 	}
 	if allocs[1000] != allocs[10000] {
 		t.Errorf("walk allocates %v times for 1,000 samples and %v for 10,000", allocs[1000], allocs[10000])
+	}
+}
+
+// TestRunMatchesWalk requires Run to record exactly the states Walk
+// visits, with the same T and Y bits, in a trajectory of the length the
+// sampling helper gives, over stride-aligned and off-stride horizons, a
+// horizon of zero or less, a sampleEvery below one step and one at or
+// past the horizon. The samples share one backing array: Run allocates
+// two blocks more than Walk, and an append to one sample leaves the next
+// as it was.
+func TestRunMatchesWalk(t *testing.T) {
+	const h = 1e-6
+	cfg := DCQCNConfig{Params: DefaultDCQCNParams(2), InitialRC: []float64{1e6, 4e6}}
+	for _, c := range []struct {
+		name        string
+		t1, every   float64
+		wantSamples int
+	}{
+		{"aligned", 100 * h, 10 * h, 11},
+		{"off stride", 105 * h, 10 * h, 12},
+		{"zero horizon", 0, 10 * h, 1},
+		{"negative horizon", -5 * h, 10 * h, 1},
+		{"below one step", 20 * h, 0.3 * h, 21},
+		{"at the horizon", 20 * h, 20 * h, 2},
+		{"past the horizon", 20 * h, 1e30, 2},
+		{"infinite", 20 * h, math.Inf(1), 2},
+	} {
+		sys, err := NewDCQCN(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var walked []Sample
+		Walk(sys, h, c.t1, c.every, func(t float64, y []float64) {
+			walked = append(walked, Sample{T: t, Y: append([]float64(nil), y...)})
+		})
+		if sys, err = NewDCQCN(cfg); err != nil {
+			t.Fatal(err)
+		}
+		ran := Run(sys, h, c.t1, c.every)
+		if _, _, count := sampling(h, c.t1, c.every); len(walked) != c.wantSamples || len(ran) != count || cap(ran) != count {
+			t.Errorf("%s: Walk visits %d states, Run records %d of capacity %d; want %d, and %d from sampling",
+				c.name, len(walked), len(ran), cap(ran), c.wantSamples, count)
+			continue
+		}
+		for i, w := range walked {
+			r := ran[i]
+			same := math.Float64bits(r.T) == math.Float64bits(w.T) && len(r.Y) == len(w.Y)
+			for j := 0; same && j < len(w.Y); j++ {
+				same = math.Float64bits(r.Y[j]) == math.Float64bits(w.Y[j])
+			}
+			if !same {
+				t.Errorf("%s: sample %d: Run gives (%v, %v), Walk visits (%v, %v)", c.name, i, r.T, r.Y, w.T, w.Y)
+			}
+		}
+		if len(ran) > 1 {
+			next := ran[1].Y[0]
+			ran[0].Y = append(ran[0].Y, -1)
+			if math.Float64bits(ran[1].Y[0]) != math.Float64bits(next) {
+				t.Errorf("%s: appending to sample 0 changed sample 1 from %v to %v", c.name, next, ran[1].Y[0])
+			}
+		}
+	}
+	sys, err := NewDCQCN(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := testing.AllocsPerRun(5, func() { Walk(sys, h, 105*h, 10*h, func(float64, []float64) {}) })
+	run := testing.AllocsPerRun(5, func() { Run(sys, h, 105*h, 10*h) })
+	if run != walk+2 {
+		t.Errorf("Run allocates %v times and Walk %v, want two more: the samples and their values", run, walk)
+	}
+}
+
+// Walk and Run refuse a NaN sampleEvery with a fluid: message: Go leaves
+// its conversion to an int stride to the platform, and a stride of 0
+// would divide by zero. A step or horizon the solver refuses panics with
+// the solver's message, before Run allocates its trajectory.
+func TestWalkRefusals(t *testing.T) {
+	sys, err := NewDCQCN(DCQCNConfig{Params: DefaultDCQCNParams(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		h, t1, every float64
+		want         string
+	}{
+		{1e-6, 1e-4, math.NaN(), "fluid: "},
+		{0, 1e-4, 1e-5, "ode: "},
+		{-1e-6, 1e-4, 1e-5, "ode: "},
+		{1e-300, 1, 1e-5, "ode: "},
+		{1e-6, math.NaN(), 1e-5, "ode: "},
+	} {
+		for name, f := range map[string]func(){
+			"Walk": func() { Walk(sys, c.h, c.t1, c.every, func(float64, []float64) {}) },
+			"Run":  func() { Run(sys, c.h, c.t1, c.every) },
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, c.want) {
+						t.Errorf("%s at h = %g to t1 = %g every %g panics with %q, want a %q message",
+							name, c.h, c.t1, c.every, msg, c.want)
+					}
+				}()
+				f()
+			}()
+		}
+	}
+}
+
+// TestWalkHistoryBytes bounds what a walk allocates. Patched TIMELY reads
+// its queue alone from the history, so a 20 ms walk at N = 10 and h = 1 µs
+// keeps a 20,001-point ring of one value a point, 160 KB; a ring of the
+// whole 21-value state came to about 3.4 MB.
+func TestWalkHistoryBytes(t *testing.T) {
+	sys, err := NewPatchedTimely(DefaultPatchedTimelyConfig(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The least of a few walks: on a loaded host the window now and then
+	// also catches allocations of other goroutines.
+	got := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Walk(sys, 1e-6, 20e-3, 10e-6, func(float64, []float64) {})
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	if got >= 500e3 {
+		t.Errorf("20 ms patched TIMELY walk at N = 10 allocated %d bytes, want under 500 KB", got)
 	}
 }
 

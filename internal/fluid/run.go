@@ -8,11 +8,14 @@ import (
 )
 
 // Model is the interface all fluid systems in this package satisfy: an ODE
-// system that knows its own initial state and maximum history lag.
+// system that knows its own initial state and its history: MaxDelay says
+// how far back the right-hand side reads, Delayed which components it
+// reads (the ode.Solver field of that name).
 type Model interface {
 	ode.System
 	Initial() []float64
 	MaxDelay() float64
+	Delayed() []int
 }
 
 // Sample is one recorded point of a trajectory.
@@ -24,16 +27,15 @@ type Sample struct {
 // Walk integrates m from 0 to t1 with step h and calls visit with the state
 // every sampleEvery seconds (clamped to at least one step), the initial and
 // final states included. y is the solver's own state, valid only during the
-// call, so a walk holds no sample after visit returns.
+// call, so a walk holds no sample after visit returns. A NaN sampleEvery
+// panics.
 func Walk(m Model, h, t1, sampleEvery float64, visit func(t float64, y []float64)) {
-	if sampleEvery < h {
-		sampleEvery = h
-	}
-	stride := int(math.Round(sampleEvery / h))
-	solver := &ode.Solver{Sys: m, H: h, MaxDelay: m.MaxDelay(), Y0: m.Initial()}
-	step := 0
-	steps := int(math.Round(t1 / h))
+	solver := &ode.Solver{Sys: m, H: h, MaxDelay: m.MaxDelay(), Delayed: m.Delayed(), Y0: m.Initial()}
+	var step, steps, stride int
 	solver.Integrate(0, t1, func(t float64, y []float64) {
+		if step == 0 {
+			steps, stride, _ = sampling(h, t1, sampleEvery)
+		}
 		if step%stride == 0 || step == steps {
 			visit(t, y)
 		}
@@ -41,12 +43,45 @@ func Walk(m Model, h, t1, sampleEvery float64, visit func(t float64, y []float64
 	})
 }
 
+// sampling returns the steps a walk from 0 to t1 at step h takes, the
+// stride between its samples in steps and the number of samples it
+// visits. The stride is sampleEvery/h rounded, at least 1; it is formed in
+// float64 and capped at the step count before it becomes an int, since Go
+// leaves the conversion of NaN, ±Inf and out-of-range values to the
+// platform. So a sampleEvery at or past the horizon, +Inf included, keeps
+// the initial and final states alone. h and t1 must be values
+// ode.Solver.Integrate accepts, which it checks before its first visit.
+func sampling(h, t1, sampleEvery float64) (steps, stride, count int) {
+	if math.IsNaN(sampleEvery) {
+		panic("fluid: sampling interval sampleEvery is NaN")
+	}
+	n := max(math.Round(t1/h), 0)
+	steps = int(n)
+	stride = int(max(min(math.Round(sampleEvery/h), n), 1))
+	count = steps/stride + 1
+	if steps%stride != 0 {
+		count++
+	}
+	return steps, stride, count
+}
+
 // Run is Walk that returns the recorded trajectory, a copy of the state at
-// every sample.
+// every sample. The samples share one backing array, allocated at the
+// first visit, once the solver has accepted h and t1; each Y is capped at
+// its own values, so an append to one sample cannot overwrite the next.
 func Run(m Model, h, t1, sampleEvery float64) []Sample {
 	var out []Sample
+	var buf []float64
 	Walk(m, h, t1, sampleEvery, func(t float64, y []float64) {
-		out = append(out, Sample{T: t, Y: append([]float64(nil), y...)})
+		if out == nil {
+			_, _, count := sampling(h, t1, sampleEvery)
+			out = make([]Sample, 0, count)
+			buf = make([]float64, count*len(y))
+		}
+		k := len(out) * len(y)
+		row := buf[k : k+len(y) : k+len(y)]
+		copy(row, y)
+		out = append(out, Sample{T: t, Y: row})
 	})
 	return out
 }

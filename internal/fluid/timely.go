@@ -340,6 +340,11 @@ func (b *timelyBase) PostStep(t float64, y []float64) {
 	b.jit.resample()
 }
 
+// Delayed lists the components Derivs reads from the history: the queue
+// alone, which Eq. 22-24 take at t − τ' and t − τ' − τ*. Rates, gradients
+// and PI outputs enter undelayed.
+func (b *timelyBase) Delayed() []int { return []int{0} }
+
 // MaxDelay bounds the history lag: τ' at a 16 MB queue plus one update
 // interval at minimum rate. The 16 MB is a lag budget, not a buffer
 // limit, and runs do pass it: while ΣR > 2C the queue grows without bound

@@ -20,6 +20,17 @@
 // resolve the time in one place, history.locate, so a change to the
 // interpolation weight, such as taking it from the step grid instead of
 // the ring's fill, lands in State and Value at once.
+//
+// The ring stores only the components the right-hand side reads back,
+// which Solver.Delayed lists (nil: all of them). DCQCN reads its queue (or
+// p) and every flow's current rate, 11 of 31 values at N = 10; TIMELY
+// reads its queue alone, 1 of 21. A stored component keeps the bits it
+// would have in a ring of every component: the ring's capacity, its
+// oldest time, the rows a lookup resolves to and the weight do not depend
+// on which components a row holds, and each stored value is interpolated
+// by the same expression. Value panics on a component the ring does not
+// store, and State writes the stored components of dst and leaves every
+// other entry as it was.
 package ode
 
 import (
@@ -52,9 +63,10 @@ type History interface {
 	// times slightly past the newest stored point (as happens for delayed
 	// lookups inside a Runge-Kutta stage) are linearly extrapolated.
 	Value(tq float64, idx int) float64
-	// State writes the whole state at time tq into dst, which must hold
-	// Dim values: dst[i] gets the bits of Value(tq, i), and a lookup
-	// that Value refuses panics the same way.
+	// State writes the state at time tq into dst, which must hold Dim
+	// values: dst[i] gets the bits of Value(tq, i) for every stored
+	// component i, the other entries keep theirs, and a lookup that
+	// Value refuses panics the same way.
 	State(tq float64, dst []float64)
 }
 
@@ -73,6 +85,12 @@ type Solver struct {
 	// Y0 is the initial state at t0; it is copied, not aliased. It is
 	// also the history before t0.
 	Y0 []float64
+	// Delayed lists, in strictly increasing order, the components the
+	// right-hand side reads from its History. The ring stores those
+	// alone, so a model that delays few of its components keeps a ring
+	// a fraction of the state's size; a read of any other component
+	// panics. Nil means every component.
+	Delayed []int
 }
 
 // Observer receives the solution after every accepted step (and once for the
@@ -84,21 +102,51 @@ type history struct {
 	h     float64
 	n     int // points stored
 	capac int
-	dim   int
-	// buf is the capac*dim ring of states, then one row holding the
-	// initial history, which serves every lookup at or before t0.
+	// stored lists the components a row holds, in increasing order, and
+	// col maps each of the state's components to its column in a row,
+	// -1 for one not stored; len(col) is the state's dimension.
+	stored []int
+	col    []int
+	// buf is the ring of capac rows of len(stored) values, then one row
+	// holding the initial history, which serves every lookup at or
+	// before t0.
 	buf   []float64
 	start int     // index of oldest point
 	tcur  float64 // time of newest point
 }
 
-func newHistory(dim, capac int, h, t0 float64, y0 []float64) *history {
-	hs := &history{h: h, capac: capac, dim: dim, t0: t0, tcur: t0}
-	hs.buf = make([]float64, (capac+1)*dim)
-	copy(hs.buf[:dim], y0)
-	copy(hs.buf[capac*dim:], y0)
+// newHistory makes a ring of capac points of the components stored of
+// the state y0 (every component when stored is nil), which is also the
+// history at and before t0.
+func newHistory(capac int, h, t0 float64, y0 []float64, stored []int) *history {
+	if stored == nil {
+		stored = make([]int, len(y0))
+		for i := range stored {
+			stored[i] = i
+		}
+	}
+	col := make([]int, len(y0))
+	for i := range col {
+		col[i] = -1
+	}
+	for j, i := range stored {
+		col[i] = j
+	}
+	hs := &history{h: h, capac: capac, t0: t0, tcur: t0, stored: stored, col: col}
+	hs.buf = make([]float64, (capac+1)*len(stored))
+	hs.put(0, y0)
+	hs.put(capac, y0)
 	hs.n = 1
 	return hs
+}
+
+// put writes the stored components of y into ring row idx.
+func (hs *history) put(idx int, y []float64) {
+	w := len(hs.stored)
+	row := hs.buf[idx*w : (idx+1)*w]
+	for j, i := range hs.stored {
+		row[j] = y[i]
+	}
 }
 
 // push appends the state at time t (must be tcur + h).
@@ -111,7 +159,7 @@ func (hs *history) push(t float64, y []float64) {
 		idx = hs.start
 		hs.start = hs.index(1)
 	}
-	copy(hs.buf[idx*hs.dim:(idx+1)*hs.dim], y)
+	hs.put(idx, y)
 	hs.tcur = t
 }
 
@@ -126,13 +174,13 @@ func (hs *history) index(i int) int {
 }
 
 // row returns the offset in buf of the i-th stored point (0 = oldest).
-func (hs *history) row(i int) int { return hs.index(i) * hs.dim }
+func (hs *history) row(i int) int { return hs.index(i) * len(hs.stored) }
 
 func (hs *history) oldestTime() float64 { return hs.tcur - float64(hs.n-1)*hs.h }
 
 // locate resolves a lookup at tq to three rows of buf, given by their
-// offsets, and a weight: component i of the state at tq is
-// buf[base+i] + a*(buf[hi+i]-buf[lo+i]), or buf[base+i] itself when hi is
+// offsets, and a weight: the value in column j of the state at tq is
+// buf[base+j] + a*(buf[hi+j]-buf[lo+j]), or buf[base+j] itself when hi is
 // negative. Between two stored points base and lo are the older one and
 // hi the newer. At or beyond the newest point the last two points are
 // extrapolated: base and hi are the newest point, lo the one before it.
@@ -143,7 +191,7 @@ func (hs *history) oldestTime() float64 { return hs.tcur - float64(hs.n-1)*hs.h 
 // slices: three slice headers made each Value call about a fifth slower.
 func (hs *history) locate(tq float64) (base, hi, lo int, a float64) {
 	if tq <= hs.t0 {
-		return hs.capac * hs.dim, -1, 0, 0
+		return hs.capac * len(hs.stored), -1, 0, 0
 	}
 	oldest := hs.oldestTime()
 	if tq < oldest {
@@ -164,30 +212,37 @@ func (hs *history) locate(tq float64) (base, hi, lo int, a float64) {
 }
 
 func (hs *history) Value(tq float64, idx int) float64 {
-	// Rows are adjacent in buf, so an offset past the state would read
-	// a neighbouring row instead of failing.
-	if uint(idx) >= uint(hs.dim) {
-		panic(fmt.Sprintf("ode: history lookup of component %d of a %d-component state", idx, hs.dim))
+	// A component outside the state fails with an ode: message, not on
+	// col's bounds.
+	if uint(idx) >= uint(len(hs.col)) {
+		panic(fmt.Sprintf("ode: history lookup of component %d of a %d-component state", idx, len(hs.col)))
+	}
+	c := hs.col[idx]
+	if c < 0 {
+		panic(fmt.Sprintf("ode: history lookup of component %d, which Solver.Delayed does not list", idx))
 	}
 	base, hi, lo, a := hs.locate(tq)
 	buf := hs.buf
 	if hi < 0 {
-		return buf[base+idx]
+		return buf[base+c]
 	}
-	return buf[base+idx] + a*(buf[hi+idx]-buf[lo+idx])
+	return buf[base+c] + a*(buf[hi+c]-buf[lo+c])
 }
 
 func (hs *history) State(tq float64, dst []float64) {
 	base, hi, lo, a := hs.locate(tq)
-	dst = dst[:hs.dim]
-	b := hs.buf[base : base+len(dst)]
+	dst = dst[:len(hs.col)]
+	w := len(hs.stored)
+	b := hs.buf[base : base+w]
 	if hi < 0 {
-		copy(dst, b)
+		for j, i := range hs.stored {
+			dst[i] = b[j]
+		}
 		return
 	}
-	u, l := hs.buf[hi:hi+len(dst)], hs.buf[lo:lo+len(dst)]
-	for i := range dst {
-		dst[i] = b[i] + a*(u[i]-l[i])
+	u, l := hs.buf[hi:hi+w], hs.buf[lo:lo+w]
+	for j, i := range hs.stored {
+		dst[i] = b[j] + a*(u[j]-l[j])
 	}
 }
 
@@ -209,6 +264,15 @@ func (s *Solver) Integrate(t0, t1 float64, obs Observer) []float64 {
 	if math.IsNaN(s.MaxDelay) || s.MaxDelay < 0 {
 		panic("ode: invalid MaxDelay")
 	}
+	width := dim
+	if s.Delayed != nil {
+		width = len(s.Delayed)
+	}
+	for k, i := range s.Delayed {
+		if i < 0 || i >= dim || k > 0 && i <= s.Delayed[k-1] {
+			panic(fmt.Sprintf("ode: Delayed[%d] = %d: want strictly increasing components in [0, %d)", k, i, dim))
+		}
+	}
 	// Both counts are formed in float64 and checked before they become
 	// ints: a tiny H or a huge MaxDelay gives counts past the int range.
 	nsteps := math.Round((t1 - t0) / s.H)
@@ -221,10 +285,10 @@ func (s *Solver) Integrate(t0, t1 float64, obs Observer) []float64 {
 	// ceil(MaxDelay/H)+4 ring would keep, and every lookup reads the same
 	// points. One point is the least, for a run that takes no step.
 	capac := min(math.Ceil(s.MaxDelay/s.H)+4, nsteps+1)
-	if capac*float64(dim)*8 >= math.MaxInt {
-		panic(fmt.Sprintf("ode: history ring of %g points of %d values: its size in bytes does not fit in an int", capac, dim))
+	if capac*float64(width)*8 >= math.MaxInt {
+		panic(fmt.Sprintf("ode: history ring of %g points of %d values: its size in bytes does not fit in an int", capac, width))
 	}
-	hist := newHistory(dim, int(capac), s.H, t0, s.Y0)
+	hist := newHistory(int(capac), s.H, t0, s.Y0, s.Delayed)
 
 	y := append([]float64(nil), s.Y0...)
 	k1 := make([]float64, dim)

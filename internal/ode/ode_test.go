@@ -159,6 +159,7 @@ func TestHistoryTooSmallPanics(t *testing.T) {
 
 func TestBadConfigPanics(t *testing.T) {
 	decay := Func{N: 1, F: func(_ float64, y, d []float64) { d[0] = -y[0] }}
+	tri := Func{N: 3, F: func(_ float64, y, d []float64) { copy(d, y) }}
 	cases := []struct {
 		name string
 		s    *Solver
@@ -171,6 +172,11 @@ func TestBadConfigPanics(t *testing.T) {
 		// Counts past the int range would wrap into a slice length.
 		{"steps past int", &Solver{Sys: decay, H: 1e-300, Y0: []float64{1}}, 1, "steps does not fit in an int"},
 		{"ring past int", &Solver{Sys: decay, H: 1, MaxDelay: 1 << 62, Y0: []float64{1}}, 1 << 62, "history ring"},
+		// Delayed must list components of the state, each once, in order.
+		{"delayed negative", &Solver{Sys: tri, H: 1, Y0: make([]float64, 3), Delayed: []int{-1, 2}}, 1, "Delayed[0] = -1"},
+		{"delayed past dim", &Solver{Sys: tri, H: 1, Y0: make([]float64, 3), Delayed: []int{0, 3}}, 1, "Delayed[1] = 3"},
+		{"delayed repeated", &Solver{Sys: tri, H: 1, Y0: make([]float64, 3), Delayed: []int{1, 1}}, 1, "Delayed[1] = 1"},
+		{"delayed out of order", &Solver{Sys: tri, H: 1, Y0: make([]float64, 3), Delayed: []int{2, 0}}, 1, "Delayed[1] = 0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -246,7 +252,7 @@ func TestPropertyLinearDecayInvariants(t *testing.T) {
 func TestPropertyHistoryLinearExact(t *testing.T) {
 	f := func(slope8 int8) bool {
 		slope := float64(slope8) / 16.0
-		hist := newHistory(1, 100, 0.1, 0, []float64{0})
+		hist := newHistory(100, 0.1, 0, []float64{0}, nil)
 		for i := 1; i <= 50; i++ {
 			tt := float64(i) * 0.1
 			hist.push(tt, []float64{slope * tt})
@@ -265,7 +271,7 @@ func TestPropertyHistoryLinearExact(t *testing.T) {
 }
 
 func TestHistoryRingWraparound(t *testing.T) {
-	hist := newHistory(1, 10, 1.0, 0, []float64{0})
+	hist := newHistory(10, 1.0, 0, []float64{0}, nil)
 	for i := 1; i <= 100; i++ {
 		hist.push(float64(i), []float64{float64(i) * 2})
 	}
@@ -306,55 +312,69 @@ func specialPoint(k int) []float64 {
 // bits Value returns, in every regime of a lookup: at and before t0, in a
 // ring of one point, between stored points and exactly on them, in the
 // extrapolation zone past the newest point (a lag below one step, as
-// fluidsim -delay 0 gives) and after the ring has wrapped. A lookup older
-// than the ring panics with Value's message.
+// fluidsim -delay 0 gives) and after the ring has wrapped. A ring that
+// stores components {0, 2, 5} of 7 must give each of them, by State and by
+// Value, the bits of the ring of all 7, and State must leave the other
+// entries of dst as they were. A lookup older than the ring panics with
+// Value's message, and so does Value of a component the ring does not
+// store.
 func TestStateMatchesValue(t *testing.T) {
-	const h, t0 = 0.25, 1.0
-	dim := len(specials)
-	check := func(name string, hist *history, tq float64) {
+	const h, t0, sentinel = 0.25, 1.0, 12345.0
+	stored := []int{0, 2, 5}
+	// check reads hist at tq with State and Value and compares each
+	// stored component with ref.Value, every other entry of dst with the
+	// sentinel it held.
+	check := func(name string, hist, ref *history, tq float64) {
 		t.Helper()
-		dst := make([]float64, dim)
+		dst := make([]float64, len(hist.col))
 		for i := range dst {
-			dst[i] = 12345
+			dst[i] = sentinel
 		}
 		hist.State(tq, dst)
 		for i, got := range dst {
-			if want := hist.Value(tq, i); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s: State(%g)[%d] = %v (%#x), Value = %v (%#x)",
+			want := sentinel
+			if hist.col[i] >= 0 {
+				want = ref.Value(tq, i)
+				if v := hist.Value(tq, i); math.Float64bits(v) != math.Float64bits(want) {
+					t.Errorf("%s: Value(%g, %d) = %v (%#x), want %v (%#x)",
+						name, tq, i, v, math.Float64bits(v), want, math.Float64bits(want))
+				}
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: State(%g)[%d] = %v (%#x), want %v (%#x)",
 					name, tq, i, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
 	}
-	// A ring of 6 points filled by pushes 1..n; pushed point k is at
-	// t0 + k·h and holds specialPoint(k).
-	fill := func(n int) *history {
-		hist := newHistory(dim, 6, h, t0, specialPoint(0))
+	// A ring of 6 points of the first dim components, filled by pushes
+	// 1..n; pushed point k is at t0 + k·h and holds specialPoint(k).
+	fill := func(dim, n int, stored []int) *history {
+		hist := newHistory(6, h, t0, specialPoint(0)[:dim], stored)
 		for k := 1; k <= n; k++ {
-			hist.push(t0+float64(k)*h, specialPoint(k))
+			hist.push(t0+float64(k)*h, specialPoint(k)[:dim])
 		}
 		return hist
 	}
-
-	one := fill(0)
-	for _, tq := range []float64{t0 - 3, t0, t0 + 0.3*h, t0 + h} {
-		check("one point", one, tq)
-	}
-
-	// Three pushes: the ring is not full, the oldest point is at t0.
-	part := fill(3)
-	for _, tq := range []float64{t0 - 1, t0, t0 + 0.4*h, t0 + h, t0 + 1.5*h, t0 + 2*h, t0 + 2.75*h} {
-		check("interior", part, tq)
-	}
-	for _, tq := range []float64{t0 + 3*h, t0 + 3.2*h, t0 + 3.5*h, t0 + 4*h} {
-		check("extrapolation", part, tq)
-	}
-
-	// Seventeen pushes into six slots: the oldest point held is push 12,
-	// and start has wrapped round the ring more than once.
-	wrapped := fill(17)
-	for _, tq := range []float64{t0 - 1, t0 + 12*h, t0 + 12.6*h, t0 + 13*h, t0 + 14.1*h,
-		t0 + 15*h, t0 + 16.9*h, t0 + 17*h, t0 + 17.5*h} {
-		check("wrapped", wrapped, tq)
+	for _, r := range []struct {
+		name   string
+		pushes int
+		tqs    []float64
+	}{
+		{"one point", 0, []float64{t0 - 3, t0, t0 + 0.3*h, t0 + h}},
+		// Three pushes: the ring is not full, the oldest point is at t0.
+		{"interior", 3, []float64{t0 - 1, t0, t0 + 0.4*h, t0 + h, t0 + 1.5*h, t0 + 2*h, t0 + 2.75*h}},
+		{"extrapolation", 3, []float64{t0 + 3*h, t0 + 3.2*h, t0 + 3.5*h, t0 + 4*h}},
+		// Seventeen pushes into six slots: the oldest point held is push
+		// 12, and start has wrapped round the ring more than once.
+		{"wrapped", 17, []float64{t0 - 1, t0 + 12*h, t0 + 12.6*h, t0 + 13*h, t0 + 14.1*h,
+			t0 + 15*h, t0 + 16.9*h, t0 + 17*h, t0 + 17.5*h}},
+	} {
+		whole := fill(len(specials), r.pushes, nil)
+		all, sub := fill(7, r.pushes, nil), fill(7, r.pushes, stored)
+		for _, tq := range r.tqs {
+			check(r.name, whole, whole, tq)
+			check(r.name+", components 0, 2, 5 of 7", sub, all, tq)
+		}
 	}
 
 	// panicMsg returns what f panics with, "<nil>" if it returns.
@@ -363,35 +383,45 @@ func TestStateMatchesValue(t *testing.T) {
 		f()
 		return
 	}
+	wrapped, sub := fill(len(specials), 17, nil), fill(7, 17, stored)
 	tq := t0 + 11.5*h
 	byValue := panicMsg(func() { wrapped.Value(tq, 0) })
-	byState := panicMsg(func() { wrapped.State(tq, make([]float64, dim)) })
+	byState := panicMsg(func() { wrapped.State(tq, make([]float64, len(specials))) })
 	if !strings.Contains(byValue, "before oldest stored") || byState != byValue {
 		t.Errorf("lookup before the ring: State panics with %q, Value with %q", byState, byValue)
 	}
-	for _, idx := range []int{-1, dim} {
+	for _, idx := range []int{-1, len(specials)} {
 		if msg := panicMsg(func() { wrapped.Value(t0+13*h, idx) }); !strings.HasPrefix(msg, "ode: ") {
 			t.Errorf("Value of component %d panics with %q, want an ode: message", idx, msg)
 		}
 	}
+	for _, idx := range []int{-1, 1, 3, 4, 6, 7} {
+		msg := panicMsg(func() { sub.Value(t0+13*h, idx) })
+		if !strings.HasPrefix(msg, "ode: ") || !strings.Contains(msg, fmt.Sprintf("component %d", idx)) {
+			t.Errorf("Value of component %d of a ring of 0, 2, 5 panics with %q, want an ode: message naming it", idx, msg)
+		}
+	}
 }
 
-// TestStateAllocFree pins the whole-state read at 0 allocations per call.
+// TestStateAllocFree pins the whole-state read at 0 allocations per call,
+// in a ring of every component and in one of every third.
 func TestStateAllocFree(t *testing.T) {
-	hist := newHistory(31, 100, 1e-6, 0, make([]float64, 31))
-	y := make([]float64, 31)
-	for k := 1; k <= 150; k++ {
-		y[k%31] = float64(k)
-		hist.push(float64(k)*1e-6, y)
-	}
-	dst := make([]float64, 31)
-	tq := 120.3e-6
-	allocs := testing.AllocsPerRun(100, func() {
-		hist.State(tq, dst)
-		tq += 0.1e-6
-	})
-	if allocs != 0 {
-		t.Errorf("State allocates %v times per call, want 0", allocs)
+	for _, stored := range [][]int{nil, {0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30}} {
+		hist := newHistory(100, 1e-6, 0, make([]float64, 31), stored)
+		y := make([]float64, 31)
+		for k := 1; k <= 150; k++ {
+			y[k%31] = float64(k)
+			hist.push(float64(k)*1e-6, y)
+		}
+		dst := make([]float64, 31)
+		tq := 120.3e-6
+		allocs := testing.AllocsPerRun(100, func() {
+			hist.State(tq, dst)
+			tq += 0.1e-6
+		})
+		if allocs != 0 {
+			t.Errorf("State of components %v allocates %v times per call, want 0", stored, allocs)
+		}
 	}
 }
 
