@@ -2,6 +2,17 @@
 // derives: the unique DCQCN fixed point (Theorem 1, Eq. 9-14) and the patched
 // TIMELY fixed point (Theorem 5, Eq. 31), plus the generic scalar
 // root-finding they need.
+//
+// It also holds the one copy of each law that more than one layer runs,
+// and it imports only the standard library, so the packet simulator can
+// call them too:
+//
+//   - Eq. 3, RED marking: REDMark (the switch's strict ramp) and
+//     REDMarkExtended (the ramp continued past Kmax), with Eq. 9's inverse
+//     QFromP;
+//   - Eq. 5-7, the DCQCN rate law: DCQCNParams.Eq57, fed by Eq12;
+//   - Eq. 30, Algorithm 2's rate-decrease weight: PatchedWeight;
+//   - Eq. 31, the patched TIMELY queue: PatchedTimelyQStar.
 package fixedpoint
 
 import (
@@ -261,9 +272,54 @@ func DCQCNPStarApprox(pr DCQCNParams) float64 {
 	return math.Cbrt(pr.RAI * n * n / (pr.TauPrime * pr.C * pr.C) * inner * inner)
 }
 
+// REDMark is the RED marking profile of Eq. 3: zero up to kmin, a linear
+// ramp to pmax at kmax, and 1 beyond. It is the switch's profile: the
+// packet marker calls it on byte counts, and the fluid model under
+// StrictRED on packets.
+func REDMark(q, kmin, kmax, pmax float64) float64 {
+	switch {
+	case q <= kmin:
+		return 0
+	case q <= kmax:
+		return (q - kmin) / (kmax - kmin) * pmax
+	default:
+		return 1
+	}
+}
+
+// REDMarkExtended is the Eq. 3 profile with the ramp extended past kmax and
+// capped at probability 1, the profile QFromP inverts. The Eq. 9 fixed
+// point admits q* > Kmax (64 flows at the default parameters), which is
+// consistent only with a ramp that continues past Kmax, so the fluid
+// models, their loops and the hybrid background aggregate use this form.
+func REDMarkExtended(q, kmin, kmax, pmax float64) float64 {
+	if q <= kmin {
+		return 0
+	}
+	p := (q - kmin) / (kmax - kmin) * pmax
+	if p > 1 {
+		return 1
+	}
+	return p
+}
+
 // QFromP maps a marking probability to the RED steady-state queue (Eq. 9).
 func (pr DCQCNParams) QFromP(p float64) float64 {
 	return p/pr.Pmax*(pr.Kmax-pr.Kmin) + pr.Kmin
+}
+
+// PatchedWeight is the Eq. 30 rate-decrease weight of Algorithm 2: a
+// linear ramp from 0 to 1 over RTT gradients in [-1/4, 1/4]. The packet
+// sender and the patched TIMELY fluid model both call it.
+func PatchedWeight(g float64) float64 {
+	switch {
+	case g <= -0.25:
+		return 0
+	case g >= 0.25:
+		return 1
+	default:
+		return 2*g + 0.5
+	}
 }
 
 // PatchedTimelyQStar is the patched-TIMELY fixed-point queue of Eq. 31:

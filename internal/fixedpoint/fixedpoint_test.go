@@ -2,6 +2,7 @@ package fixedpoint
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -168,6 +169,10 @@ func TestQStarGrowsWithN(t *testing.T) {
 	}
 }
 
+// Eq. 9 inverts the extended ramp: QFromP maps 0 to Kmin and Pmax to Kmax,
+// and QFromP(REDMarkExtended(q)) is q to within 4 ulps for every q between
+// Kmin and the queue where the ramp reaches 1, in packets, in bytes and at
+// the ends of Validate's range.
 func TestQFromPInverse(t *testing.T) {
 	pr := defaultParams(2)
 	q := pr.QFromP(pr.Pmax) // p = Pmax should land exactly on Kmax
@@ -176,6 +181,36 @@ func TestQFromPInverse(t *testing.T) {
 	}
 	if q0 := pr.QFromP(0); math.Abs(q0-pr.Kmin) > 1e-9 {
 		t.Errorf("QFromP(0) = %v, want Kmin = %v", q0, pr.Kmin)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for _, pr := range []DCQCNParams{
+		pr,
+		{Kmin: 5000, Kmax: 200000, Pmax: 0.01},
+		{Kmin: 0, Kmax: 2000, Pmax: 1},
+		{Kmin: 1e-6, Kmax: MaxPackets, Pmax: MinPmax},
+	} {
+		sat := pr.QFromP(1)
+		qs := []float64{math.Nextafter(pr.Kmin, sat), pr.Kmax, math.Nextafter(sat, pr.Kmin)}
+		for i := 0; i < 20000; i++ {
+			// Half uniform, half crowded toward Kmin, where q−Kmin is small.
+			u := rng.Float64()
+			if i%2 == 1 {
+				u = math.Pow(u, 8)
+			}
+			qs = append(qs, pr.Kmin+(sat-pr.Kmin)*u)
+		}
+		for _, q := range qs {
+			if q <= pr.Kmin || q >= sat {
+				continue
+			}
+			back := pr.QFromP(REDMarkExtended(q, pr.Kmin, pr.Kmax, pr.Pmax))
+			d := int64(math.Float64bits(back)) - int64(math.Float64bits(q))
+			if d < -4 || d > 4 {
+				t.Errorf("Kmin %g Kmax %g Pmax %g: QFromP(REDMarkExtended(%v)) = %v, %d ulps off",
+					pr.Kmin, pr.Kmax, pr.Pmax, q, back, d)
+			}
+		}
 	}
 }
 
@@ -274,5 +309,85 @@ func BenchmarkSolveDCQCN(b *testing.B) {
 		if _, err := SolveDCQCN(pr); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// The shared laws either side of each break: Eq. 3's strict ramp (1 past
+// Kmax) and extended ramp (capped at 1), and Eq. 30's weight.
+func TestSharedLaws(t *testing.T) {
+	strict := func(q float64) float64 { return REDMark(q, 5, 200, 0.01) }
+	extended := func(q float64) float64 { return REDMarkExtended(q, 5, 200, 0.01) }
+	cases := []struct {
+		law     string
+		f       func(float64) float64
+		x, want float64
+	}{
+		{"REDMark", strict, 0, 0},
+		{"REDMark", strict, 5, 0},
+		{"REDMark", strict, 102.5, 0.005},
+		{"REDMark", strict, 200, 0.01},
+		{"REDMark", strict, 201, 1},
+		{"REDMark", strict, 1e6, 1},
+		{"REDMarkExtended", extended, 5, 0},
+		{"REDMarkExtended", extended, 102.5, 0.005},
+		{"REDMarkExtended", extended, 200, 0.01},
+		{"REDMarkExtended", extended, 1155, 0.05897435897435897},
+		{"REDMarkExtended", extended, 1e9, 1},
+		{"PatchedWeight", PatchedWeight, -1, 0},
+		{"PatchedWeight", PatchedWeight, -0.25, 0},
+		{"PatchedWeight", PatchedWeight, -0.125, 0.25},
+		{"PatchedWeight", PatchedWeight, 0, 0.5},
+		{"PatchedWeight", PatchedWeight, 0.125, 0.75},
+		{"PatchedWeight", PatchedWeight, 0.25, 1},
+		{"PatchedWeight", PatchedWeight, 2, 1},
+	}
+	for _, c := range cases {
+		if got := c.f(c.x); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s(%v) = %v, want %v", c.law, c.x, got, c.want)
+		}
+	}
+}
+
+// Property: both marking profiles are monotone in q and agree inside the ramp.
+func TestPropertyREDMonotoneAndConsistent(t *testing.T) {
+	f := func(a, b uint16) bool {
+		q1 := float64(a) / 65535 * 400
+		q2 := float64(b) / 65535 * 400
+		if q1 > q2 {
+			q1, q2 = q2, q1
+		}
+		if REDMark(q1, 5, 200, 0.01) > REDMark(q2, 5, 200, 0.01) {
+			return false
+		}
+		if REDMarkExtended(q1, 5, 200, 0.01) > REDMarkExtended(q2, 5, 200, 0.01) {
+			return false
+		}
+		if q1 <= 200 && REDMark(q1, 5, 200, 0.01) != REDMarkExtended(q1, 5, 200, 0.01) {
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: the Eq. 30 weight is monotone, bounded in [0,1], and continuous
+// (Lipschitz with constant 2).
+func TestPropertyPatchedWeight(t *testing.T) {
+	f := func(a, b int16) bool {
+		g1 := float64(a) / 1000
+		g2 := float64(b) / 1000
+		w1, w2 := PatchedWeight(g1), PatchedWeight(g2)
+		if w1 < 0 || w1 > 1 || w2 < 0 || w2 > 1 {
+			return false
+		}
+		if g1 <= g2 && w1 > w2 || g2 <= g1 && w2 > w1 {
+			return false
+		}
+		return math.Abs(w1-w2) <= 2*math.Abs(g1-g2)+1e-12
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

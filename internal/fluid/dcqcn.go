@@ -22,10 +22,12 @@ type DCQCNConfig struct {
 	// Seed seeds the jitter generator.
 	Seed int64
 	// StrictRED clips the marking probability to 1 as soon as the queue
-	// exceeds Kmax, exactly as Eq. 3 is written and as the packet-level
-	// switch behaves. The default (false) extends the RED ramp past Kmax,
-	// which is what the paper's own fixed point (Eq. 9, which admits
-	// q* > Kmax) and its Figure 4 stability results assume.
+	// exceeds Kmax, exactly as Eq. 3 is written: it marks with
+	// fixedpoint.REDMark, the switch's own function (netsim.REDMarker).
+	// The default (false) extends the RED ramp past Kmax
+	// (fixedpoint.REDMarkExtended), which is what the paper's own fixed
+	// point (Eq. 9, which admits q* > Kmax) and its Figure 4 stability
+	// results assume.
 	StrictRED bool
 	// IngressMarking models the Figure 17 ablation analytically: the
 	// mark encodes the queue at packet arrival and then waits out the
@@ -193,9 +195,9 @@ func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []fl
 			qDelayed = past.Value(t-(lo+(hi-lo)/2), 0)
 		}
 		if s.cfg.StrictRED {
-			pHat = REDMark(qDelayed, pr.Kmin, pr.Kmax, pr.Pmax)
+			pHat = fixedpoint.REDMark(qDelayed, pr.Kmin, pr.Kmax, pr.Pmax)
 		} else {
-			pHat = REDMarkExtended(qDelayed, pr.Kmin, pr.Kmax, pr.Pmax)
+			pHat = fixedpoint.REDMarkExtended(qDelayed, pr.Kmin, pr.Kmax, pr.Pmax)
 		}
 	}
 	s.rateDerivs(pHat, y, dydt)

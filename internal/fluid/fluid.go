@@ -13,10 +13,13 @@
 // loop.go reduces the DCQCN and patched TIMELY models to the per-flow
 // loops the stability analysis linearises (one DCQCN loop: ingress
 // marking is a second lag). The laws have one implementation each, which
-// every model, loop and the hybrid background aggregate call: Eq. 3 is
-// REDMark/REDMarkExtended, Eq. 5-7 fixedpoint's DCQCNParams.Eq57, Eq. 22
-// and the Eq. 29 middle branch the TIMELY base's gradient and patchedRate,
-// Eq. 24 its feedbackDelay and Eq. 31 fixedpoint.PatchedTimelyQStar.
+// every model, loop and the hybrid background aggregate call. This package
+// holds the ones only the fluid layer runs: Eq. 22 and the Eq. 29 middle
+// branch are the TIMELY base's gradient and patchedRate, and Eq. 24 its
+// feedbackDelay. The laws the packet layer or the fixed point share live
+// in fixedpoint: Eq. 3 (REDMark, REDMarkExtended), Eq. 5-7
+// (DCQCNParams.Eq57), Eq. 30 (PatchedWeight) and Eq. 31
+// (PatchedTimelyQStar).
 //
 // Unit conventions: the DCQCN models work in packets and packets/second
 // (matching the per-packet marking probability); the TIMELY models work in
@@ -31,35 +34,6 @@ package fluid
 import (
 	"math/rand"
 )
-
-// REDMark is the RED-like marking profile of Eq. 3: zero below kmin, a
-// linear ramp to pmax at kmax, and 1 beyond.
-func REDMark(q, kmin, kmax, pmax float64) float64 {
-	switch {
-	case q <= kmin:
-		return 0
-	case q <= kmax:
-		return (q - kmin) / (kmax - kmin) * pmax
-	default:
-		return 1
-	}
-}
-
-// REDMarkExtended is the marking profile with the ramp extended past kmax
-// (capped at probability 1). The paper's fixed point Eq. 9 admits q* > Kmax
-// (e.g. 64 flows at the default parameters), which is only consistent with
-// the ramp continuing past Kmax; the fluid model therefore uses this form by
-// default, while the packet-level switch implements the strict Eq. 3.
-func REDMarkExtended(q, kmin, kmax, pmax float64) float64 {
-	if q <= kmin {
-		return 0
-	}
-	p := (q - kmin) / (kmax - kmin) * pmax
-	if p > 1 {
-		return 1
-	}
-	return p
-}
 
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {

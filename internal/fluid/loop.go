@@ -77,7 +77,7 @@ func (l *DCQCNLoop) Equilibrium() ([]float64, float64, error) {
 func (l *DCQCNLoop) Derivs(z []float64, zd [][]float64, qd []float64, dzdt []float64) {
 	pr := &l.sys.cfg.Params
 	rcHat := zd[0][2]
-	eq := fixedpoint.NewEq12(*pr, REDMarkExtended(qd[len(qd)-1], pr.Kmin, pr.Kmax, pr.Pmax))
+	eq := fixedpoint.NewEq12(*pr, fixedpoint.REDMarkExtended(qd[len(qd)-1], pr.Kmin, pr.Kmax, pr.Pmax))
 	a, b, c, d, e := eq.Terms(max(rcHat, l.sys.rmin))
 	dzdt[0], dzdt[1], dzdt[2] = pr.Eq57(a, b, c, d, e, eq.AlphaTarget(rcHat), z[0], z[1], z[2], rcHat)
 }

@@ -129,9 +129,6 @@ func (b *timelyBase) QIndex() int { return 0 }
 // RateIndex returns the state index of flow i's rate.
 func (b *timelyBase) RateIndex(i int) int { return 1 + b.stride*i }
 
-// GradIndex returns the state index of flow i's RTT gradient.
-func (b *timelyBase) GradIndex(i int) int { return 2 + b.stride*i }
-
 // Initial returns the initial state. Flows default to the C/N "new flow"
 // start rate of [21] unless InitialRates overrides; flows with a future
 // start time hold rate 0 until activation. Gradients and PI outputs start
@@ -217,7 +214,7 @@ func (b *timelyBase) gradient(g, ts, qd, qd2 float64) float64 {
 // for a flow at rate r with gradient g and update interval ts, which
 // observes queue qd against the reference q'.
 func (b *timelyBase) patchedRate(r, g, ts, qd float64) float64 {
-	w := PatchedWeight(g)
+	w := fixedpoint.PatchedWeight(g)
 	return (1-w)*b.cfg.Delta/ts - w*b.cfg.Beta*r/ts*(qd-b.qref)/b.qref
 }
 
@@ -304,7 +301,7 @@ func (b *timelyBase) hostPI(t, tauP, qd float64, y []float64, past ode.History, 
 		dedt := (qd - qd2) / ts / cfg.C
 		dydt[ri+2] = pi.K1*dedt + pi.K2*e*(cfg.DminRTT/ts)
 		if mid {
-			w := PatchedWeight(g)
+			w := fixedpoint.PatchedWeight(g)
 			dydt[ri] = (1-w)*cfg.Delta/ts - w*cfg.Beta*r/ts*p
 		}
 	}
@@ -386,17 +383,4 @@ func NewPatchedTimely(cfg TimelyConfig) (*PatchedTimelySystem, error) {
 // model, in bytes.
 func (p *PatchedTimelySystem) FixedPointQueue() float64 {
 	return fixedpoint.PatchedTimelyQStar(p.cfg.N, p.cfg.Delta, p.cfg.Beta, p.cfg.C, p.qref)
-}
-
-// PatchedWeight is the Eq. 30 rate-decrease weight: a linear ramp from 0 to
-// 1 over gradient in [-1/4, 1/4].
-func PatchedWeight(g float64) float64 {
-	switch {
-	case g <= -0.25:
-		return 0
-	case g >= 0.25:
-		return 1
-	default:
-		return 2*g + 0.5
-	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"ecndelay/internal/des"
 	"ecndelay/internal/fixedpoint"
-	"ecndelay/internal/fluid"
 	"ecndelay/internal/netsim"
 )
 
@@ -115,7 +114,7 @@ func (b *BackgroundAggregate) Alpha() float64 { return b.alpha }
 func (b *BackgroundAggregate) markProb() float64 {
 	pr := b.cfg.Par
 	qTot := float64(b.port.Queue().Bytes())/MTU + b.qBg
-	return fluid.REDMarkExtended(qTot, pr.Kmin, pr.Kmax, pr.Pmax)
+	return fixedpoint.REDMarkExtended(qTot, pr.Kmin, pr.Kmax, pr.Pmax)
 }
 
 // tick advances the aggregate by one coupling interval.

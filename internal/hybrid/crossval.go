@@ -66,9 +66,9 @@ func CIOperatingPoints() []OpPoint {
 func RunOp(op OpPoint, seed int64, ob *obs.NetObserver) (Result, error) {
 	switch op.Proto {
 	case "dcqcn":
-		return NewDCQCNScenario(op.N, seed).crossVal(op.Horizon, DefaultTolerance(), ob)
+		return NewDCQCNScenario(op.N, seed).crossVal(op.Horizon, ob)
 	case "timely":
-		return NewTimelyScenario(op.N, seed).crossVal(op.Horizon, DefaultTolerance(), ob)
+		return NewTimelyScenario(op.N, seed).crossVal(op.Horizon, ob)
 	}
 	return Result{}, fmt.Errorf("hybrid: unknown protocol %q", op.Proto)
 }
@@ -195,15 +195,11 @@ func median(vals []float64) float64 {
 	return m
 }
 
-// CrossValDCQCN runs the matched fluid and packet realisations of sc over
-// the horizon and checks their queue trajectories and rates against each
-// other and against the Theorem 1 fixed point. The returned Result carries
-// every check (use Err for the verdict) and the shared trajectory.
-func CrossValDCQCN(sc DCQCNScenario, horizon float64, tol Tolerance) (Result, error) {
-	return sc.crossVal(horizon, tol, nil)
-}
-
-func (sc DCQCNScenario) crossVal(horizon float64, tol Tolerance, ob *obs.NetObserver) (Result, error) {
+// crossVal runs the matched fluid and packet realisations of sc over the
+// horizon and checks their queue trajectories and rates against each other
+// and against the Theorem 1 fixed point. The returned Result carries every
+// check (use Err for the verdict) and the shared trajectory.
+func (sc DCQCNScenario) crossVal(horizon float64, ob *obs.NetObserver) (Result, error) {
 	fp, err := fixedpoint.SolveDCQCN(sc.Par)
 	if err != nil {
 		return Result{}, err
@@ -219,17 +215,13 @@ func (sc DCQCNScenario) crossVal(horizon float64, tol Tolerance, ob *obs.NetObse
 	}
 	// The fluid queue counts packets of MTU bytes: one per KB.
 	return compare(fmt.Sprintf("dcqcn_n%d", sc.Par.N), sm, sys.QIndex(), 1, fp.Q, fp.RC*MTU,
-		nw, star, senders, horizon, tol), nil
+		nw, star, senders, horizon), nil
 }
 
-// CrossValTimely runs the matched fluid and packet realisations of the
+// crossVal runs the matched fluid and packet realisations of the
 // patched-TIMELY scenario and checks them against each other and the Eq. 31
 // fixed point.
-func CrossValTimely(sc TimelyScenario, horizon float64, tol Tolerance) (Result, error) {
-	return sc.crossVal(horizon, tol, nil)
-}
-
-func (sc TimelyScenario) crossVal(horizon float64, tol Tolerance, ob *obs.NetObserver) (Result, error) {
+func (sc TimelyScenario) crossVal(horizon float64, ob *obs.NetObserver) (Result, error) {
 	sys, err := fluid.NewPatchedTimely(sc.Cfg)
 	if err != nil {
 		return Result{}, err
@@ -241,17 +233,19 @@ func (sc TimelyScenario) crossVal(horizon float64, tol Tolerance, ob *obs.NetObs
 		return Result{}, err
 	}
 	return compare(fmt.Sprintf("timely_n%d", sc.Cfg.N), sm, sys.QIndex(), 1000, qStar, sc.Cfg.C/float64(sc.Cfg.N),
-		nw, star, senders, horizon, tol), nil
+		nw, star, senders, horizon), nil
 }
 
 // compare is the one fluid↔packet comparison under both protocols. It
 // samples the packet star's bottleneck queue and mean sender rate every
 // 100 µs, runs the network to the horizon and checks the tail (the last
 // 40%) of both layers against each other, against the fixed-point queue
-// qStar and against the fair share fair (bytes/s). Fluid queue values,
-// qStar included, count perKB units per KB.
+// qStar and against the fair share fair (bytes/s), within
+// DefaultTolerance. Fluid queue values, qStar included, count perKB units
+// per KB.
 func compare[S interface{ Rate() float64 }](name string, sm []fluid.Sample, qIdx int, perKB, qStar, fair float64,
-	nw *netsim.Network, star *netsim.Star, senders []S, horizon float64, tol Tolerance) Result {
+	nw *netsim.Network, star *netsim.Star, senders []S, horizon float64) Result {
+	tol := DefaultTolerance()
 	qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
 	rs := &stats.Series{}
 	nw.Sim.Every(0, 100*des.Microsecond, func() {

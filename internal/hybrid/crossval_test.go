@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"ecndelay/internal/fixedpoint"
+	"ecndelay/internal/fluid"
 	"ecndelay/internal/obs"
 	"ecndelay/internal/sweep"
 )
@@ -50,12 +52,26 @@ func TestCrossValMistunedFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mistuned crossval takes a few seconds")
 	}
+	const horizon = 0.1
 	sc := NewDCQCNScenario(10, goldenSeed)
-	sc.MistuneKmax = 4
-	res, err := CrossValDCQCN(sc, 0.1, DefaultTolerance())
+	fp, err := fixedpoint.SolveDCQCN(sc.Par)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys, err := sc.Fluid(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := fluid.Run(sys, 1e-6, horizon, 1e-4)
+	// The packet star alone marks with Kmax x4 (800 KB); the fluid run and
+	// the oracle keep the scenario's 200 KB.
+	mistuned := sc
+	mistuned.Par.Kmax *= 4
+	nw, star, senders, err := mistuned.Star(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := compare("dcqcn_n10_mistuned", sm, sys.QIndex(), 1, fp.Q, fp.RC*MTU, nw, star, senders, horizon)
 	if res.Err() == nil {
 		t.Fatalf("mistuned run (Kmax x4) passed every check: %+v", res.Checks)
 	}
@@ -150,7 +166,8 @@ func TestCrossValGolden(t *testing.T) {
 
 // An observed cross-validation renders the golden fixture's bytes and
 // breaks no invariant, and the exported entry point renders them too: the
-// observer only watches, and RunOp and CrossValTimely are one comparison.
+// observer only watches, and RunOp and the scenario's crossVal are one
+// comparison.
 func TestCrossValObservedMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crossval operating points take a few seconds")
@@ -165,11 +182,11 @@ func TestCrossValObservedMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := CrossValTimely(NewTimelyScenario(op.N, goldenSeed), op.Horizon, DefaultTolerance())
+	plain, err := NewTimelyScenario(op.N, goldenSeed).crossVal(op.Horizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, res := range map[string]Result{"observed RunOp": observed, "CrossValTimely": plain} {
+	for name, res := range map[string]Result{"observed RunOp": observed, "unobserved crossVal": plain} {
 		var buf bytes.Buffer
 		if err := res.Render(&buf); err != nil {
 			t.Fatal(err)

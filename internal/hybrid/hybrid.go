@@ -55,11 +55,6 @@ type DCQCNScenario struct {
 	// (e in packets) instead of Par's RED ramp. Only the packet marker
 	// has it; Fluid refuses such a scenario.
 	PI *fluid.PIConfig
-	// MistuneKmax multiplies the packet realisation's RED Kmax without
-	// informing the analytic layer — a deliberate inconsistency for
-	// negative-control tests proving the crossval gate fails when the
-	// layers diverge. Zero or 1 means faithful.
-	MistuneKmax float64
 }
 
 // NewDCQCNScenario returns the Table 1 default operating point for n flows
@@ -79,14 +74,10 @@ func (sc DCQCNScenario) Marker(nw *netsim.Network) netsim.MarkerFactory {
 			return &netsim.PIMarker{K1: pi.K1 / MTU, K2: pi.K2 / MTU, QRef: int(pi.QRef * MTU), PMax: pi.PMax, Rng: nw.Rng}
 		}
 	}
-	kmax := sc.Par.Kmax * MTU
-	if sc.MistuneKmax > 0 {
-		kmax *= sc.MistuneKmax
-	}
 	return func() netsim.Marker {
 		return &netsim.REDMarker{
 			Kmin:    int(sc.Par.Kmin * MTU),
-			Kmax:    int(kmax),
+			Kmax:    int(sc.Par.Kmax * MTU),
 			Pmax:    sc.Par.Pmax,
 			Ingress: sc.Ingress,
 			Rng:     nw.Rng,

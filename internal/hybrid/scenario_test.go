@@ -3,10 +3,13 @@ package hybrid
 import (
 	"testing"
 
+	"ecndelay/internal/convergence"
+	"ecndelay/internal/dcqcn"
 	"ecndelay/internal/des"
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/netsim"
 	"ecndelay/internal/obs"
+	"ecndelay/internal/timely"
 )
 
 // The marker is Par's RED ramp scaled to bytes, or the PI controller
@@ -22,10 +25,11 @@ func TestDCQCNMarkerFromPar(t *testing.T) {
 		t.Errorf("RED marker %+v, want Kmin 5000 Kmax 200000 Pmax 0.01 at egress on nw's rng", red)
 	}
 
-	sc.Ingress, sc.MistuneKmax = true, 4
+	sc.Ingress = true
+	sc.Par.Kmax *= 4
 	red = sc.Marker(nw)().(*netsim.REDMarker)
 	if red.Kmax != 800000 || !red.Ingress {
-		t.Errorf("mistuned ingress marker %+v, want Kmax 800000 at ingress", red)
+		t.Errorf("ingress marker at Kmax x4 %+v, want Kmax 800000 at ingress", red)
 	}
 
 	sc.PI = &fluid.PIConfig{K1: 2e-5, K2: 1e-3, QRef: 50, PMax: 0.02}
@@ -38,6 +42,55 @@ func TestDCQCNMarkerFromPar(t *testing.T) {
 	}
 	if _, err := sc.Fluid(nil); err == nil {
 		t.Error("Fluid built a RED system for a PI scenario")
+	}
+}
+
+// The packet endpoints, the discrete convergence model and the fluid
+// models each keep a table of the paper's defaults, and the bench module
+// calls each constructor by name, so the copies stay. They must agree
+// exactly: an edit to one copy alone fails here.
+func TestDefaultParamTablesAgree(t *testing.T) {
+	type row struct {
+		name      string
+		got, want float64 // the packet or discrete copy, the fluid copy
+	}
+	fl, pk, cv := fluid.DefaultDCQCNParams(8), dcqcn.DefaultParams(), convergence.Default(8)
+	rows := []row{
+		{"dcqcn g", pk.G, fl.G},
+		{"dcqcn F", float64(pk.F), fl.F},
+		{"dcqcn τ", pk.CNPInterval.Seconds(), fl.Tau},
+		{"dcqcn τ′", pk.AlphaTimer.Seconds(), fl.TauPrime},
+		{"dcqcn T", pk.RateTimer.Seconds(), fl.T},
+		{"dcqcn B·MTU", float64(pk.ByteCounter), fl.B * MTU},
+		{"dcqcn R_AI·MTU", pk.RAI, fl.RAI * MTU},
+		{"convergence C", cv.C, fl.C},
+		{"convergence R_AI", cv.RAI, fl.RAI},
+		{"convergence g", cv.G, fl.G},
+		{"convergence τ′", cv.TauPrime, fl.TauPrime},
+		{"convergence QECN vs Kmax", cv.QECN, fl.Kmax},
+	}
+	for _, c := range []struct {
+		name string
+		pk   timely.Params
+		fl   fluid.TimelyConfig
+	}{
+		{"timely", timely.DefaultParams(), fluid.DefaultTimelyConfig(8)},
+		{"patched", timely.DefaultPatchedParams(), fluid.DefaultPatchedTimelyConfig(8)},
+	} {
+		rows = append(rows,
+			row{c.name + " EWMA", c.pk.EWMA, c.fl.EWMA},
+			row{c.name + " β", c.pk.Beta, c.fl.Beta},
+			row{c.name + " δ", c.pk.Delta, c.fl.Delta},
+			row{c.name + " T_low", c.pk.TLow.Seconds(), c.fl.TLow},
+			row{c.name + " T_high", c.pk.THigh.Seconds(), c.fl.THigh},
+			row{c.name + " D_minRTT", c.pk.MinRTT.Seconds(), c.fl.DminRTT},
+			row{c.name + " Seg", float64(c.pk.Seg), c.fl.Seg},
+		)
+	}
+	for _, r := range rows {
+		if r.got != r.want {
+			t.Errorf("%s: %v, but the fluid default is %v", r.name, r.got, r.want)
+		}
 	}
 }
 

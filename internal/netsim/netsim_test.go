@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"ecndelay/internal/des"
+	"ecndelay/internal/fixedpoint"
 )
 
 func TestQueueFIFOAndBytes(t *testing.T) {
@@ -95,6 +96,53 @@ func TestREDMarkerRampProbability(t *testing.T) {
 	frac := float64(marked) / float64(total)
 	if frac < 0.47 || frac > 0.53 {
 		t.Errorf("marking fraction %v, want ~0.5", frac)
+	}
+}
+
+// The switch marks with the shared Eq. 3 ramp, draw for draw. At byte
+// counts either side of Kmin and Kmax, an ECT packet gets CE exactly when
+// p >= 1 or u < p, with p = fixedpoint.REDMark at that count and u drawn
+// from a twin of the marker's generator. The twin draws only where
+// 0 < p < 1, so the two generators stay in step only if the marker draws
+// there and nowhere else.
+func TestREDMarkerUsesSharedRamp(t *testing.T) {
+	const kmin, kmax, seed = 5000, 200000, 7
+	rows := []struct {
+		bytes int
+		pmax  float64
+	}{
+		{kmin - 1, 0.01}, {kmin, 0.01}, {kmin + 1, 0.01}, {(kmin + kmax) / 2, 0.01},
+		{kmax - 1, 0.01}, {kmax, 0.01}, {kmax + 1, 0.01}, {kmax, 1},
+	}
+	m := &REDMarker{Kmin: kmin, Kmax: kmax, Rng: rand.New(rand.NewSource(seed))}
+	twin := rand.New(rand.NewSource(seed))
+	q := NewQueue(m)
+	rampMarks := 0
+	for _, r := range rows {
+		m.Pmax = r.pmax
+		q.SetVirtualBytes(r.bytes)
+		p := fixedpoint.REDMark(float64(r.bytes), kmin, kmax, r.pmax)
+		for i := 0; i < 2000; i++ {
+			pkt := &Packet{ECT: true}
+			m.Mark(q, pkt)
+			u := 1.0 // no draw; u < p is false for every p < 1
+			if 0 < p && p < 1 {
+				u = twin.Float64()
+			}
+			if want := p >= 1 || u < p; pkt.CE != want {
+				t.Fatalf("%d bytes, Pmax %g, packet %d: CE = %v, want %v (p = %v, u = %v)",
+					r.bytes, r.pmax, i, pkt.CE, want, p, u)
+			}
+			if pkt.CE && p < 1 {
+				rampMarks++
+			}
+		}
+	}
+	if rampMarks == 0 {
+		t.Error("no packet was marked on the ramp; the rows test nothing there")
+	}
+	if got, want := m.Rng.Int63(), twin.Int63(); got != want {
+		t.Errorf("the marker's generator ended at %d, the twin's at %d", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"ecndelay/internal/des"
+	"ecndelay/internal/fixedpoint"
 )
 
 // Queue is a byte-accounted FIFO of packets with an attached ECN marking
@@ -172,8 +173,9 @@ type ThresholdMarker interface {
 	MarkThreshold() int
 }
 
-// REDMarker implements the Eq. 3 RED-like profile on the instantaneous
-// queue length.
+// REDMarker implements the Eq. 3 RED profile on the instantaneous queue
+// length, with the strict ramp fixedpoint.REDMark that the fluid model runs
+// under StrictRED.
 type REDMarker struct {
 	Kmin, Kmax int     // bytes
 	Pmax       float64 // marking probability at Kmax
@@ -193,32 +195,32 @@ func (m *REDMarker) Mark(q *Queue, pkt *Packet) {
 	if !pkt.ECT || pkt.CE {
 		return
 	}
+	// The marker draws only where 0 < p < 1: not at or below Kmin, and
+	// not where p reaches 1. Byte counts below 2⁵³ convert and subtract
+	// exactly, so p is the ramp of the integer counts to the bit.
 	b := q.MarkBytes()
-	var p float64
-	switch {
-	case b <= m.Kmin:
+	if b <= m.Kmin {
 		return
-	case b <= m.Kmax:
-		p = float64(b-m.Kmin) / float64(m.Kmax-m.Kmin) * m.Pmax
-	default:
-		p = 1
 	}
+	p := fixedpoint.REDMark(float64(b), float64(m.Kmin), float64(m.Kmax), m.Pmax)
 	if p >= 1 || m.Rng.Float64() < p {
 		pkt.CE = true
 	}
 }
 
+// piInterval is the PIMarker's probability update period.
+const piInterval = 10 * des.Microsecond
+
 // PIMarker is the Eq. 32 integral controller as a switch AQM: a timer
-// updates the marking probability from the queue error, and departing
-// packets are marked with that probability. Register it on a simulator with
-// Start before running.
+// updates the marking probability from the queue error every piInterval,
+// and departing packets are marked with that probability. Register it on a
+// simulator with Start before running.
 type PIMarker struct {
-	K1       float64 // per byte
-	K2       float64 // per byte per second
-	QRef     int     // bytes
-	PMax     float64 // anti-windup cap
-	Interval des.Duration
-	Rng      *rand.Rand
+	K1   float64 // per byte
+	K2   float64 // per byte per second
+	QRef int     // bytes
+	PMax float64 // anti-windup cap
+	Rng  *rand.Rand
 
 	p     float64
 	prevQ int
@@ -231,12 +233,9 @@ func (m *PIMarker) Start(sim *des.Simulator, q *Queue) {
 	if m.PMax == 0 {
 		m.PMax = 0.1
 	}
-	if m.Interval == 0 {
-		m.Interval = 10 * des.Microsecond
-	}
-	sim.Every(sim.Now().Add(m.Interval), m.Interval, func() {
+	sim.Every(sim.Now().Add(piInterval), piInterval, func() {
 		qb := q.MarkBytes()
-		dt := m.Interval.Seconds()
+		dt := piInterval.Seconds()
 		m.p += m.K1*float64(qb-m.prevQ) + m.K2*float64(qb-m.QRef)*dt
 		if m.p < 0 {
 			m.p = 0

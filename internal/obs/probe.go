@@ -88,43 +88,6 @@ func (p *Probe) Samples() []Sample {
 	return out
 }
 
-// MaxRelDev reports the largest relative deviation |v - center| /
-// max(|center|, ε) among retained samples with t in [t0, t1], or 0 when
-// none fall in the window. It is the probe-side half of a tolerance-band
-// check: the hybrid warm-start validation asserts a warm trajectory's
-// MaxRelDev from the analytic fixed point stays small from t=0, where a
-// cold start spends its whole transient outside the band.
-func (p *Probe) MaxRelDev(center, t0, t1 float64) float64 {
-	c := center
-	if c < 0 {
-		c = -c
-	}
-	if c < 1e-12 {
-		c = 1e-12
-	}
-	worst := 0.0
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	start := p.head - p.n
-	if start < 0 {
-		start += len(p.ring)
-	}
-	for i := 0; i < p.n; i++ {
-		s := p.ring[(start+i)%len(p.ring)]
-		if s.T < t0 || s.T > t1 {
-			continue
-		}
-		d := s.V - center
-		if d < 0 {
-			d = -d
-		}
-		if d/c > worst {
-			worst = d / c
-		}
-	}
-	return worst
-}
-
 // Drive samples fn every interval on the simulator clock, starting one
 // interval in. The returned ticker stops the sampling.
 func (p *Probe) Drive(sim *des.Simulator, every des.Duration, fn func() float64) *des.Ticker {

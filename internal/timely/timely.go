@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"ecndelay/internal/des"
+	"ecndelay/internal/fixedpoint"
 	"ecndelay/internal/netsim"
 	"ecndelay/internal/obs"
 )
@@ -412,7 +413,7 @@ func (s *Sender) update(newRTT des.Duration) {
 	default:
 		if p.Patched {
 			// Algorithm 2 lines 9-12.
-			w := Weight(gradient)
+			w := fixedpoint.PatchedWeight(gradient)
 			errTerm := (newRTT - p.RTTRef).Seconds() / p.RTTRef.Seconds()
 			s.rate = p.Delta*(1-w) + s.rate*(1-p.Beta*w*errTerm)
 			dec = obs.DecTimelyPatched
@@ -429,17 +430,5 @@ func (s *Sender) update(newRTT des.Duration) {
 			Type: dec, OldRate: oldRate, NewRate: s.rate,
 			RTT: newRTT.Seconds(), Grad: gradient,
 		})
-	}
-}
-
-// Weight is the Eq. 30 linear rate-decrease weight used by Algorithm 2.
-func Weight(g float64) float64 {
-	switch {
-	case g <= -0.25:
-		return 0
-	case g >= 0.25:
-		return 1
-	default:
-		return 2*g + 0.5
 	}
 }

@@ -3,7 +3,6 @@ package timely
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"ecndelay/internal/des"
 	"ecndelay/internal/netsim"
@@ -34,34 +33,6 @@ func TestParamsValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
-	}
-}
-
-func TestWeight(t *testing.T) {
-	cases := []struct{ g, want float64 }{
-		{-1, 0}, {-0.25, 0}, {0, 0.5}, {0.25, 1}, {2, 1}, {0.125, 0.75},
-	}
-	for _, c := range cases {
-		if got := Weight(c.g); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Weight(%v) = %v, want %v", c.g, got, c.want)
-		}
-	}
-}
-
-func TestPropertyWeightMonotoneBounded(t *testing.T) {
-	f := func(a, b int16) bool {
-		g1, g2 := float64(a)/1000, float64(b)/1000
-		w1, w2 := Weight(g1), Weight(g2)
-		if w1 < 0 || w1 > 1 || w2 < 0 || w2 > 1 {
-			return false
-		}
-		if g1 <= g2 {
-			return w1 <= w2
-		}
-		return w2 <= w1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
