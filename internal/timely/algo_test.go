@@ -7,6 +7,7 @@ package timely
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"ecndelay/internal/des"
 	"ecndelay/internal/netsim"
@@ -167,6 +168,75 @@ func TestPatchedWeightBlendsIncreaseAndDecrease(t *testing.T) {
 	want := p.Delta*0.5 + r*(1-0.008*0.5*(2.0/3.0))
 	if math.Abs(h.sender.Rate()-want)/want > 1e-9 {
 		t.Errorf("rate = %v, want %v (blended update)", h.sender.Rate(), want)
+	}
+}
+
+// patchedStep primes a patched sender at 100 µs and returns its rate
+// before and after a second sample rtt, whose gradient is
+// 0.875·(rtt−100 µs)/20 µs.
+func patchedStep(t *testing.T, p Params, rtt des.Duration) (before, after float64) {
+	t.Helper()
+	h := newAlgoHarness(t, p, 1e9)
+	h.ack(100 * des.Microsecond)
+	before = h.sender.Rate()
+	h.ack(rtt)
+	return before, h.sender.Rate()
+}
+
+// Algorithm 2 weighs its update with Eq. 30: w = 0 at gradients up to
+// −1/4, 2g + 1/2 between, and 1 from 1/4 on, on both sides of each break.
+func TestWeight(t *testing.T) {
+	p := DefaultPatchedParams()
+	cases := []struct {
+		rtt des.Duration
+		w   float64
+	}{
+		{80 * des.Microsecond, 0},      // g = −0.875
+		{94 * des.Microsecond, 0},      // g = −0.2625
+		{95 * des.Microsecond, 0.0625}, // g = −0.21875
+		{98 * des.Microsecond, 0.325},  // g = −0.0875
+		{100 * des.Microsecond, 0.5},
+		{102 * des.Microsecond, 0.675},  // g = 0.0875
+		{105 * des.Microsecond, 0.9375}, // g = 0.21875
+		{106 * des.Microsecond, 1},      // g = 0.2625
+		{120 * des.Microsecond, 1},      // g = 0.875
+	}
+	for _, c := range cases {
+		r, got := patchedStep(t, p, c.rtt)
+		errTerm := (c.rtt - p.RTTRef).Seconds() / p.RTTRef.Seconds()
+		want := p.Delta*(1-c.w) + r*(1-p.Beta*c.w*errTerm)
+		if math.Abs(got-want)/want > 1e-9 {
+			t.Errorf("rtt %v: rate = %v, want %v (w = %v)", c.rtt, got, want, c.w)
+		}
+	}
+}
+
+// Property: above the reference RTT, Algorithm 2's update stays between
+// its w = 0 and w = 1 ends (the weight is bounded in [0,1]) and falls as
+// the sample rises (the weight is monotone in the gradient).
+func TestPropertyWeightMonotoneBounded(t *testing.T) {
+	p := DefaultPatchedParams()
+	f := func(a, b int16) bool {
+		// Samples within ±32.8 µs of 100 µs: gradients within ±1.44, all
+		// in [T_low, T_high] and above RTTRef = 60 µs.
+		rtt1 := 100*des.Microsecond + des.Duration(a)*des.Nanosecond
+		rtt2 := 100*des.Microsecond + des.Duration(b)*des.Nanosecond
+		if rtt1 > rtt2 {
+			rtt1, rtt2 = rtt2, rtt1
+		}
+		rates := [2]float64{}
+		for i, rtt := range []des.Duration{rtt1, rtt2} {
+			r, got := patchedStep(t, p, rtt)
+			errTerm := (rtt - p.RTTRef).Seconds() / p.RTTRef.Seconds()
+			if got > p.Delta+r || got < r*(1-p.Beta*errTerm) {
+				return false
+			}
+			rates[i] = got
+		}
+		return rates[0] >= rates[1]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
