@@ -210,6 +210,53 @@ func TestSeededRunsReproduce(t *testing.T) {
 	}
 }
 
+// Every path that builds a run's flows, warm start or background is
+// pinned: FNV-64a digests of stdout and of the -metrics export, whose
+// per-host counters name every endpoint the run attached. The cases cover
+// each TIMELY variant and knob, the marking and feedback-delay knobs, the
+// warm start on every topology, the background aggregate with and without
+// a warm start, and each non-star topology from a cold start. Re-record a
+// digest only after an intended change to the path it pins.
+func TestRunDigests(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		args            []string
+		stdout, metrics uint64
+	}{
+		{"timely", []string{"-proto", "timely", "-n", "2"}, 0xee2e6b7c71582cad, 0x2fa98d25fda03449},
+		{"patched-burst", []string{"-proto", "patched", "-n", "2", "-burst"}, 0x4dddf2744859ef0e, 0x8e93881511a90be},
+		{"timely-rates", []string{"-proto", "timely", "-n", "2", "-rates", "875e6,375e6"}, 0xa908699b5a0391b2, 0xfc5fa4ff1cfd8095},
+		{"patched-seg", []string{"-proto", "patched", "-n", "2", "-seg", "4000"}, 0x883859c192170b4f, 0x598167e5e9552c6},
+		{"ingress", []string{"-proto", "dcqcn", "-n", "4", "-bw", "40e9", "-ingress"}, 0xeaabaf871b2a30de, 0xefdf41ee8fcc9432},
+		{"jitter", []string{"-proto", "dcqcn", "-n", "4", "-bw", "40e9", "-jitter", "5e-6"}, 0x888558b6d6903da6, 0xc6f054c066cec5ff},
+		{"extra-delay", []string{"-proto", "dcqcn", "-n", "4", "-bw", "40e9", "-extra-delay", "20e-6"}, 0x6e838ae57d5fdbca, 0x3d5213ef61363e4e},
+		{"warm-dcqcn-star", []string{"-proto", "dcqcn", "-n", "4", "-bw", "40e9", "-warm-start"}, 0xa349a571ea79d194, 0x4395d31ef22d57df},
+		{"warm-patched-star", []string{"-proto", "patched", "-n", "4", "-warm-start"}, 0x92882830f8828358, 0xe453964e905e7237},
+		{"warm-dcqcn-dumbbell", []string{"-topology", "dumbbell", "-proto", "dcqcn", "-n", "4", "-bw", "40e9", "-warm-start"}, 0x54b0bf139a9712c5, 0x7f415de1efebf3cd},
+		{"warm-patched-dumbbell", []string{"-topology", "dumbbell", "-proto", "patched", "-n", "4", "-warm-start"}, 0xa7ccd7445c470519, 0x74c146459a098002},
+		{"warm-dcqcn-parkinglot", []string{"-topology", "parkinglot", "-proto", "dcqcn", "-n", "3", "-bw", "40e9", "-warm-start"}, 0x103bb2fa9d92bc50, 0xa7ab4d66c645277c},
+		{"warm-patched-parkinglot", []string{"-topology", "parkinglot", "-proto", "patched", "-n", "3", "-warm-start"}, 0xac623512ba1c5cfe, 0x542b6b8e6c271e16},
+		{"warm-dcqcn-clos", []string{"-topology", "clos", "-proto", "dcqcn", "-n", "6", "-bw", "40e9", "-warm-start", "-horizon", "0.003"}, 0x7f62d509378a9219, 0x2a4083124e929a9e},
+		{"warm-patched-clos", []string{"-topology", "clos", "-proto", "patched", "-n", "6", "-warm-start", "-horizon", "0.003"}, 0x664fb515c29fd202, 0x8c4ab4ef04250a9},
+		{"bg", []string{"-proto", "dcqcn", "-n", "2", "-bw", "40e9", "-bg-flows", "6"}, 0x9ee2590e00a55326, 0x4fb450930153a41},
+		{"bg-warm", []string{"-proto", "dcqcn", "-n", "2", "-bw", "40e9", "-bg-flows", "6", "-warm-start"}, 0xa4ec651198f82505, 0x9ef242bcc75f5840},
+		{"dumbbell", []string{"-topology", "dumbbell", "-proto", "dcqcn", "-n", "4", "-bw", "40e9"}, 0xae01326a7bd4ac48, 0x347f8023ee9c1da0},
+		{"parkinglot", []string{"-topology", "parkinglot", "-proto", "timely", "-n", "3"}, 0xf76e6977a8d09e13, 0xf94ce063cec4375e},
+		{"clos", []string{"-topology", "clos", "-proto", "patched", "-n", "6", "-horizon", "0.003"}, 0xe19a058ca01c23c2, 0x7b2af4796b8dfd62},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			metrics := filepath.Join(t.TempDir(), "m.tsv")
+			args := append([]string{"-horizon", "0.01", "-seed", "5", "-metrics", metrics}, c.args...)
+			if got := fnv64a([]byte(runOK(t, args...))); got != c.stdout {
+				t.Errorf("stdout digest %#x, want %#x", got, c.stdout)
+			}
+			if got := exportDigest(t, metrics); got != c.metrics {
+				t.Errorf("-metrics digest %#x, want %#x", got, c.metrics)
+			}
+		})
+	}
+}
+
 func fnv64a(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
