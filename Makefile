@@ -70,28 +70,29 @@ bench:
 # stage-1 work of the phase margin at each pinned cell: the points its
 # small-gain bound skips, and the points and anchors it solves below that
 # (deterministic work counts, so a lost or loosened bound fails without
-# any timing). The first
-# four lines require the compiler to inline the laws that live once in
-# fixedpoint into their hot callers: the Eq. 5-7 rate law (Eq57) and the
-# extended Eq. 3 ramp (REDMarkExtended) into the DCQCN fluid right-hand
-# side, the Eq. 30 weight (PatchedWeight) into the patched TIMELY fluid
-# right-hand side, and the strict Eq. 3 ramp (REDMark) into the switch's
-# REDMarker.Mark. So giving each law one home adds no call to a per-flow or
-# per-packet loop (behind a call, the fluid_dde workload ran about 1%
-# slower on a 2-vCPU host).
+# any timing). The inline guards require the compiler to inline the laws
+# that live once in fixedpoint into their hot callers: the Eq. 5-7 rate law
+# (Eq57) and the extended Eq. 3 ramp (REDMarkExtended) into the DCQCN fluid
+# right-hand side, the Eq. 30 weight (PatchedWeight) into the patched
+# TIMELY fluid right-hand side, and the strict Eq. 3 ramp (REDMark) into the
+# switch's REDMarker.Mark. So giving each law one home adds no call to a
+# per-flow or per-packet loop (behind a call, the fluid_dde workload ran
+# about 1% slower on a 2-vCPU host). Each INLINE_GUARDS entry is
+# package|pattern|message: bench-smoke compiles each package with -m once
+# and fails with the message if that output lacks the pattern.
+INLINE_GUARDS = \
+	"fluid|dcqcn.go:.*inlining call to fixedpoint.(\*DCQCNParams).Eq57|Eq57 is not inlined into the DCQCN fluid right-hand side" \
+	"fluid|fluid/dcqcn.go:.*inlining call to fixedpoint.REDMarkExtended$$|REDMarkExtended is not inlined into the DCQCN fluid right-hand side" \
+	"fluid|fluid/timely.go:.*inlining call to fixedpoint.PatchedWeight$$|PatchedWeight is not inlined into the TIMELY fluid right-hand side" \
+	"netsim|netsim/queue.go:.*inlining call to fixedpoint.REDMark$$|REDMark is not inlined into the switch's REDMarker.Mark"
+
 bench-smoke:
-	@$(GO) build -gcflags=-m ./internal/fluid 2>&1 | \
-		grep -q 'dcqcn.go:.*inlining call to fixedpoint.(\*DCQCNParams).Eq57' || \
-		{ echo "bench-smoke: Eq57 is not inlined into the DCQCN fluid right-hand side"; exit 1; }
-	@$(GO) build -gcflags=-m ./internal/fluid 2>&1 | \
-		grep -q 'fluid/dcqcn.go:.*inlining call to fixedpoint.REDMarkExtended$$' || \
-		{ echo "bench-smoke: REDMarkExtended is not inlined into the DCQCN fluid right-hand side"; exit 1; }
-	@$(GO) build -gcflags=-m ./internal/fluid 2>&1 | \
-		grep -q 'fluid/timely.go:.*inlining call to fixedpoint.PatchedWeight$$' || \
-		{ echo "bench-smoke: PatchedWeight is not inlined into the TIMELY fluid right-hand side"; exit 1; }
-	@$(GO) build -gcflags=-m ./internal/netsim 2>&1 | \
-		grep -q 'netsim/queue.go:.*inlining call to fixedpoint.REDMark$$' || \
-		{ echo "bench-smoke: REDMark is not inlined into the switch's REDMarker.Mark"; exit 1; }
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for guard in $(INLINE_GUARDS); do \
+		pkg=$${guard%%|*}; rest=$${guard#*|}; pattern=$${rest%|*}; msg=$${rest##*|}; \
+		[ -f "$$tmp/$$pkg" ] || $(GO) build -gcflags=-m ./internal/$$pkg > "$$tmp/$$pkg" 2>&1; \
+		grep -q "$$pattern" "$$tmp/$$pkg" || { echo "bench-smoke: $$msg"; exit 1; }; \
+	done
 	$(GO) test -timeout 5m -run='^$$' -bench='HandlerEvents|ClosureEvents|Hold|PortChain' \
 		-benchmem -benchtime=1x ./internal/des ./internal/netsim
 	$(GO) test -timeout 5m -run='^$$' -bench='PhaseMarginDCQCN|PhaseMarginPatchedTimely|DCQCNFluid' \

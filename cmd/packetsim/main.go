@@ -259,8 +259,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// fab abstracts the wired topology down to what the flow/fault/output
 	// machinery needs: who sends, who receives, which port is the
 	// bottleneck the TSV tracks, and which switches exist (watchdog,
-	// buffer-drop accounting). The default star build is unchanged, so
-	// default invocations stay byte-identical.
+	// buffer-drop accounting).
 	link := netsim.LinkConfig{Bandwidth: bwBytes, PropDelay: des.Microsecond}
 	pfc := netsim.PFCConfig{PauseBytes: *pfcPause, ResumeBytes: *pfcResume}
 	var fab fabric
@@ -275,7 +274,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			PFC:            pfc,
 			SwitchQueueCap: *qcap,
 		})
-		fab = fabric{star.Senders, star.Receiver, star.Bottleneck,
+		fab = fabric{hybrid.Fabric{Senders: star.Senders, Receiver: star.Receiver, Bottleneck: star.Bottleneck},
 			[]*netsim.Switch{star.Switch}}
 	case "dumbbell":
 		d := netsim.NewDumbbell(nw, netsim.DumbbellConfig{
@@ -286,7 +285,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			PFC:            pfc,
 			SwitchQueueCap: *qcap,
 		})
-		fab = fabric{d.Senders, d.Receivers[0], d.Bottleneck,
+		fab = fabric{hybrid.Fabric{Senders: d.Senders, Receiver: d.Receivers[0], Bottleneck: d.Bottleneck},
 			[]*netsim.Switch{d.SW1, d.SW2}}
 	case "parkinglot":
 		pl := netsim.NewParkingLot(nw, netsim.ParkingLotConfig{
@@ -294,8 +293,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 		// Every flow converges on the last switch's receiver, so the final
 		// trunk is the shared bottleneck the long flow crosses end to end.
-		fab = fabric{pl.Senders[:*n], pl.Recvs[*hops-1],
-			pl.Trunks[len(pl.Trunks)-1], pl.Switches}
+		fab = fabric{hybrid.Fabric{Senders: pl.Senders[:*n], Receiver: pl.Recvs[*hops-1],
+			Bottleneck: pl.Trunks[len(pl.Trunks)-1]}, pl.Switches}
 	case "clos":
 		cl, err := topo.NewClos(nw, topo.ClosConfig{
 			Radix: *radix, Tiers: *tiers, Oversub: *oversub,
@@ -316,16 +315,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Senders are the first n hosts, the aggregator is the last host —
 		// in another pod, so the incast crosses the ECMP core — and its
 		// leaf→host port is the bottleneck the TSV tracks.
-		fab = fabric{cl.Hosts[:*n], cl.Hosts[last], cl.HostPorts[last], cl.Switches()}
+		fab = fabric{hybrid.Fabric{Senders: cl.Hosts[:*n], Receiver: cl.Hosts[last], Bottleneck: cl.HostPorts[last]},
+			cl.Switches()}
 	}
 
-	// Equilibrium warm start (internal/hybrid): solve the analytic fixed
-	// point for this operating point and hand it to the endpoints and the
-	// bottleneck queue below.
+	rate := make([]func() float64, *n)
+	// Each sender's shared transport, for the retransmission summary.
+	transports := make([]*netsim.Sender, *n)
+	// Protocol-specific probe signals (DCQCN α, TIMELY RTT), registered
+	// alongside the queue and rate probes when -probe is set.
+	type probeSignal struct {
+		name string
+		fn   func() float64
+	}
+	var auxProbes []probeSignal
+	// The long flows come from the scenario's Attach, the wiring every
+	// experiment's star uses. With -warm-start the analytic fixed point
+	// (internal/hybrid) arms the senders and prefills the bottleneck queue.
 	var warm *hybrid.WarmStart
-	if *warmStart {
-		switch *proto {
-		case "dcqcn":
+	switch *proto {
+	case "dcqcn":
+		if *warmStart {
 			w, err := hybrid.DCQCNWarmStart(sc.Par)
 			if err != nil {
 				return fail(1, "%v", err)
@@ -341,85 +351,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 					w.FP.Q, sc.Par.Kmax)
 			}
 			warm = w
-		case "patched":
-			cfg := fluid.DefaultPatchedTimelyConfig(*n)
-			cfg.C = bwBytes
-			w, err := hybrid.TimelyWarmStart(cfg)
+		}
+		p := dcqcn.DefaultParams()
+		p.Recovery = *recovery
+		p.RTO = des.DurationFromSeconds(*rto)
+		senders, err := sc.Attach(fab.Fabric, p, warm)
+		if err != nil {
+			return fail(1, "%v", err)
+		}
+		for i, s := range senders {
+			rate[i] = s.Rate
+			transports[i] = &s.Sender
+			auxProbes = append(auxProbes, probeSignal{fmt.Sprintf("alpha%d", i), s.Alpha})
+		}
+	case "timely", "patched":
+		tsc := hybrid.TimelyScenario{Cfg: fluid.DefaultTimelyConfig(*n), Par: timely.DefaultParams(), Seed: *seed}
+		if *proto == "patched" {
+			tsc = hybrid.NewTimelyScenario(*n, *seed)
+		}
+		tsc.Cfg.C = bwBytes
+		tsc.Cfg.InitialRates = startRates
+		tsc.Par.Burst = *burst
+		if *seg > 0 {
+			tsc.Par.Seg = *seg
+		}
+		tsc.Par.Recovery = *recovery
+		tsc.Par.RTO = des.DurationFromSeconds(*rto)
+		if *warmStart {
+			w, err := hybrid.TimelyWarmStart(tsc.Cfg)
 			if err != nil {
 				return fail(1, "%v", err)
 			}
 			warm = w
 		}
-	}
-
-	rate := make([]func() float64, *n)
-	// Each sender's shared transport, for the retransmission summary.
-	transports := make([]*netsim.Sender, *n)
-	// Protocol-specific probe signals (DCQCN α, TIMELY RTT), registered
-	// alongside the queue and rate probes when -probe is set.
-	type probeSignal struct {
-		name string
-		fn   func() float64
-	}
-	var auxProbes []probeSignal
-	switch *proto {
-	case "dcqcn":
-		p := dcqcn.DefaultParams()
-		p.Recovery = *recovery
-		p.RTO = des.DurationFromSeconds(*rto)
-		if _, err := dcqcn.NewEndpoint(fab.receiver, p); err != nil {
+		senders, err := tsc.Attach(fab.Fabric, warm)
+		if err != nil {
 			return fail(1, "%v", err)
 		}
-		var senders []*dcqcn.Sender
-		for i, h := range fab.senders {
-			ep, err := dcqcn.NewEndpoint(h, p)
-			if err != nil {
-				return fail(1, "%v", err)
-			}
-			s, err := ep.NewFlow(i, fab.receiver.ID(), -1, 0)
-			if err != nil {
-				return fail(1, "%v", err)
-			}
-			rate[i] = s.Rate
-			transports[i] = &s.Sender
-			auxProbes = append(auxProbes, probeSignal{fmt.Sprintf("alpha%d", i), s.Alpha})
-			senders = append(senders, s)
-		}
-		if warm != nil {
-			if err := warm.ApplyDCQCN(senders); err != nil {
-				return fail(1, "%v", err)
-			}
-		}
-	case "timely", "patched":
-		p := timely.DefaultParams()
-		if *proto == "patched" {
-			p = timely.DefaultPatchedParams()
-		}
-		p.Burst = *burst
-		if *seg > 0 {
-			p.Seg = *seg
-		}
-		p.Recovery = *recovery
-		p.RTO = des.DurationFromSeconds(*rto)
-		if _, err := timely.NewEndpoint(fab.receiver, p); err != nil {
-			return fail(1, "%v", err)
-		}
-		for i, h := range fab.senders {
-			ep, err := timely.NewEndpoint(h, p)
-			if err != nil {
-				return fail(1, "%v", err)
-			}
-			sr := 0.0
-			if startRates != nil {
-				sr = startRates[i]
-			}
-			if warm != nil {
-				sr = warm.RatesBytes[i]
-			}
-			s, err := ep.NewFlow(i, fab.receiver.ID(), -1, 0, sr)
-			if err != nil {
-				return fail(1, "%v", err)
-			}
+		for i, s := range senders {
 			rate[i] = s.Rate
 			transports[i] = &s.Sender
 			auxProbes = append(auxProbes, probeSignal{fmt.Sprintf("rtt_s%d", i),
@@ -430,7 +399,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Assemble the fault plan: data loss and flaps on the bottleneck,
 	// control loss on the receiver's NIC (where acks/NACKs/CNPs originate).
 	plan := &fault.Plan{Seed: *faultSeed}
-	bn := fault.LinkFaults{Port: fab.bottleneck, Flaps: flaps}
+	bn := fault.LinkFaults{Port: fab.Bottleneck, Flaps: flaps}
 	if *lossRate > 0 {
 		bn.Loss = append(bn.Loss, fault.Loss{Kinds: fault.SelData, Rate: *lossRate})
 	}
@@ -439,7 +408,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *ctrlLoss > 0 {
 		plan.Links = append(plan.Links, fault.LinkFaults{
-			Port: fab.receiver.Port(),
+			Port: fab.Receiver.Port(),
 			Loss: []fault.Loss{{Kinds: fault.SelCtrl, Rate: *ctrlLoss}},
 		})
 	}
@@ -453,15 +422,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, sw := range fab.switches {
 			wd.WatchSwitch(sw)
 		}
-		for _, h := range fab.senders {
+		for _, h := range fab.Senders {
 			wd.WatchHost(h)
 		}
-		wd.WatchHost(fab.receiver)
+		wd.WatchHost(fab.Receiver)
 	}
 
 	if observer != nil && observer.Probes != nil {
 		every := observer.ProbeCadence()
-		q := fab.bottleneck.Queue()
+		q := fab.Bottleneck.Queue()
 		observer.Probes.NewProbe("queue_bytes", 0).Drive(nw.Sim, every, func() float64 {
 			return float64(q.Bytes())
 		})
@@ -474,19 +443,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Warm-start the bottleneck queue and attach the optional fluid
-	// background aggregate; the prefilled segments are ordinary queued
-	// packets.
-	if warm != nil {
-		flows := make([]hybrid.PrefillFlow, *n)
-		for i, h := range fab.senders {
-			flows[i] = hybrid.PrefillFlow{Flow: i, Src: h.ID(), Dst: fab.receiver.ID()}
-		}
-		warm.Prefill(fab.bottleneck, flows)
-	}
+	// The optional fluid background aggregate starts at its own fixed
+	// point when the packet flows are warm, and cold when they are not.
 	var bg *hybrid.BackgroundAggregate
 	if *bgFlows > 0 {
-		b, err := hybrid.AttachBackground(fab.bottleneck, hybrid.BackgroundConfig{
+		b, err := hybrid.AttachBackground(fab.Bottleneck, hybrid.BackgroundConfig{
 			Flows: *bgFlows, Par: sc.Par, ColdStart: warm == nil,
 		})
 		if err != nil {
@@ -496,13 +457,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	out := bufio.NewWriter(stdout)
-	qBytes := func() int { return fab.bottleneck.Queue().Bytes() }
+	qBytes := func() int { return fab.Bottleneck.Queue().Bytes() }
 	if bg != nil {
 		// With a background aggregate the marking view (real + fluid
 		// bytes) is the trajectory of interest; the extra comment keeps
 		// aggregate-free runs byte-identical.
 		fmt.Fprintf(out, "# bg-flows: %d fluid background flows; q_bytes is the combined marking view\n", *bgFlows)
-		qBytes = func() int { return fab.bottleneck.Queue().MarkBytes() }
+		qBytes = func() int { return fab.Bottleneck.Queue().MarkBytes() }
 	}
 	fmt.Fprint(out, "# t\tq_bytes")
 	for i := 0; i < *n; i++ {
@@ -532,7 +493,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				bufDrops += p.Queue().Drops()
 			}
 		}
-		wireDrops := fab.bottleneck.WireDrops() + fab.receiver.Port().WireDrops()
+		wireDrops := fab.Bottleneck.WireDrops() + fab.Receiver.Port().WireDrops()
 		fmt.Fprintf(out, "# faults: injected_drops=%d wire_drops=%d buffer_drops=%d retx_bytes=%d",
 			injectedDrops(applied), wireDrops, bufDrops, retxSum)
 		if wd != nil {
@@ -557,14 +518,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return sess.Finish()
 }
 
-// fabric is the topology-independent view the rest of run drives: long
-// flows go senders → receiver, the bottleneck port's queue is the TSV
-// series, and switches carry the watchdog and drop accounting.
+// fabric is the topology-independent view the rest of run drives: the
+// scenario's long flows go Senders → Receiver, the Bottleneck port's queue
+// is the TSV series, and switches carry the watchdog and drop accounting.
 type fabric struct {
-	senders    []*netsim.Host
-	receiver   *netsim.Host
-	bottleneck *netsim.Port
-	switches   []*netsim.Switch
+	hybrid.Fabric
+	switches []*netsim.Switch
 }
 
 func injectedDrops(a *fault.Applied) int64 {

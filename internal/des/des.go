@@ -388,17 +388,9 @@ func (s *Simulator) ScheduleHandler(d Duration, h Handler, arg any) EventRef {
 // AtHandler runs h.OnEvent(arg) at absolute time t, which must not be in
 // the past.
 func (s *Simulator) AtHandler(t Time, h Handler, arg any) EventRef {
-	if t < s.now {
-		panic(fmt.Sprintf("des: schedule in the past: %v < %v", t, s.now))
-	}
-	if h == nil {
-		panic("des: nil Handler")
-	}
-	e := s.alloc()
-	e.time, e.sub, e.seq, e.h, e.arg = t, s.now, s.seq, h, arg
+	r := s.AtHandlerSeq(t, s.seq, h, arg)
 	s.seq++
-	s.push(e)
-	return EventRef{e: e, gen: e.gen}
+	return r
 }
 
 // ScheduleHandlerSeq is ScheduleHandler with a caller-minted sequence key.

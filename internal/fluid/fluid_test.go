@@ -588,7 +588,6 @@ func TestTimelyConfigValidation(t *testing.T) {
 		func(c *TimelyConfig) { c.Delta = 0 },
 		func(c *TimelyConfig) { c.THigh = c.TLow },
 		func(c *TimelyConfig) { c.DminRTT = 0 },
-		func(c *TimelyConfig) { c.MTU = 0 },
 		func(c *TimelyConfig) { c.Seg = 0 },
 		func(c *TimelyConfig) { c.InitialRates = []float64{1} },
 		func(c *TimelyConfig) { c.StartTimes = []float64{1, 2, 3} },

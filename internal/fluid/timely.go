@@ -14,7 +14,7 @@ import (
 //
 // The paper's recommended values (footnote 4): C = 10 Gb/s, β = 0.8,
 // EWMA α = 0.875, T_low = 50 µs, T_high = 500 µs, D_minRTT = 20 µs,
-// δ = 10 Mb/s. Patched TIMELY changes β to 0.008 and Seg to 16 KB.
+// δ = 10 Mb/s. Patched TIMELY changes only β, to 0.008.
 type TimelyConfig struct {
 	N            int     // flows at the bottleneck
 	C            float64 // bottleneck bandwidth, bytes/s
@@ -25,7 +25,6 @@ type TimelyConfig struct {
 	THigh        float64 // high RTT threshold, s
 	DminRTT      float64 // normalisation / minimum update interval, s
 	DProp        float64 // propagation delay, s
-	MTU          float64 // bytes
 	Seg          float64 // burst size per completion event, bytes
 	InitialRates []float64
 	// StartTimes staggers flow activation (Figure 9b). Nil means all
@@ -52,8 +51,8 @@ func (c TimelyConfig) Validate() error {
 		return errors.New("timely config: need 0 <= TLow < THigh")
 	case c.DminRTT <= 0:
 		return errors.New("timely config: DminRTT must be positive")
-	case c.MTU <= 0 || c.Seg <= 0:
-		return errors.New("timely config: MTU and Seg must be positive")
+	case c.Seg <= 0:
+		return errors.New("timely config: Seg must be positive")
 	case c.InitialRates != nil && len(c.InitialRates) != c.N:
 		return fmt.Errorf("timely config: len(InitialRates)=%d, want N=%d", len(c.InitialRates), c.N)
 	case c.StartTimes != nil && len(c.StartTimes) != c.N:
@@ -62,8 +61,12 @@ func (c TimelyConfig) Validate() error {
 	return nil
 }
 
+// timelyMTU is the packet size in bytes whose serialisation time MTU/C
+// Eq. 24's feedback delay τ' adds to the queueing and propagation delays.
+const timelyMTU = 1000
+
 // DefaultTimelyConfig returns the footnote-4 parameters for n flows on a
-// 10 Gb/s bottleneck with per-packet (MTU-sized segment) pacing.
+// 10 Gb/s bottleneck with 16 KB segments.
 func DefaultTimelyConfig(n int) TimelyConfig {
 	c := 10e9 / 8.0 // bytes/s
 	return TimelyConfig{
@@ -75,17 +78,15 @@ func DefaultTimelyConfig(n int) TimelyConfig {
 		THigh:   500e-6,
 		DminRTT: 20e-6,
 		DProp:   4e-6,
-		MTU:     1000,
 		Seg:     16000,
 	}
 }
 
 // DefaultPatchedTimelyConfig returns the §4.3 parameters: identical to
-// TIMELY except β = 0.008 and Seg = 16 KB.
+// TIMELY except β = 0.008.
 func DefaultPatchedTimelyConfig(n int) TimelyConfig {
 	c := DefaultTimelyConfig(n)
 	c.Beta = 0.008
-	c.Seg = 16000
 	return c
 }
 
@@ -179,7 +180,7 @@ func (b *timelyBase) feedbackDelay(q float64) float64 {
 	if q < 0 {
 		q = 0
 	}
-	return q/b.cfg.C + b.cfg.MTU/b.cfg.C + b.cfg.DProp
+	return q/b.cfg.C + timelyMTU/b.cfg.C + b.cfg.DProp
 }
 
 // recentQueue returns τ' at queue q and q(t-τ'), the newer of the two

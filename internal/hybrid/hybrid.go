@@ -38,6 +38,25 @@ import (
 // count packets of this many bytes, the packet simulator sends them.
 const MTU = netsim.DataMTU
 
+// Fabric is what a scenario's long flows need of a wired topology: flow i
+// runs Senders[i] → Receiver, and a warm start prefills Bottleneck's
+// egress queue.
+type Fabric struct {
+	Senders    []*netsim.Host
+	Receiver   *netsim.Host
+	Bottleneck *netsim.Port
+}
+
+// prefill fills the bottleneck queue to the warm start's q*, its packets
+// carrying the fabric's flow identities.
+func (f Fabric) prefill(warm *WarmStart) {
+	flows := make([]PrefillFlow, len(f.Senders))
+	for i, h := range f.Senders {
+		flows[i] = PrefillFlow{Flow: i, Src: h.ID(), Dst: f.Receiver.ID()}
+	}
+	warm.Prefill(f.Bottleneck, flows)
+}
+
 // DCQCNScenario is one DCQCN operating point: Par.N long-lived flows
 // through one bottleneck star. Par is in paper units (packets of MTU
 // bytes) and builds every layer — the Theorem 1 fixed point, the fluid
@@ -85,11 +104,10 @@ func (sc DCQCNScenario) Marker(nw *netsim.Network) netsim.MarkerFactory {
 	}
 }
 
-// Star builds the packet-level realisation: a star with Par.N senders,
-// the scenario's marker and DCQCN default endpoints. A non-nil ob is
-// attached before any port or endpoint exists, so both bind to it as they
-// are created. A non-nil warm start is applied to the senders and the
-// bottleneck queue before the run.
+// Star builds the packet-level realisation: a star with Par.N senders and
+// the scenario's marker, wired by Attach with DCQCN default endpoints. A
+// non-nil ob is attached before any port or endpoint exists, so both bind
+// to it as they are created.
 func (sc DCQCNScenario) Star(ob *obs.NetObserver, warm *WarmStart) (*netsim.Network, *netsim.Star, []*dcqcn.Sender, error) {
 	nw := netsim.New(sc.Seed)
 	nw.SetObserver(ob)
@@ -99,28 +117,40 @@ func (sc DCQCNScenario) Star(ob *obs.NetObserver, warm *WarmStart) (*netsim.Netw
 		Mark:           sc.Marker(nw),
 		CtrlExtraDelay: sc.ExtraDelay,
 	})
-	if _, err := dcqcn.NewEndpoint(star.Receiver, dcqcn.DefaultParams()); err != nil {
+	senders, err := sc.Attach(Fabric{star.Senders, star.Receiver, star.Bottleneck}, dcqcn.DefaultParams(), warm)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	senders := make([]*dcqcn.Sender, 0, sc.Par.N)
-	for i, h := range star.Senders {
-		ep, err := dcqcn.NewEndpoint(h, dcqcn.DefaultParams())
+	return nw, star, senders, nil
+}
+
+// Attach puts the scenario's long flows on f: a DCQCN endpoint with
+// parameters p on the receiver, then on each sender an endpoint and flow
+// i toward the receiver, started at time 0. A non-nil warm start then
+// arms the senders and prefills the bottleneck queue.
+func (sc DCQCNScenario) Attach(f Fabric, p dcqcn.Params, warm *WarmStart) ([]*dcqcn.Sender, error) {
+	if _, err := dcqcn.NewEndpoint(f.Receiver, p); err != nil {
+		return nil, err
+	}
+	senders := make([]*dcqcn.Sender, 0, len(f.Senders))
+	for i, h := range f.Senders {
+		ep, err := dcqcn.NewEndpoint(h, p)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		s, err := ep.NewFlow(i, star.Receiver.ID(), -1, 0)
+		s, err := ep.NewFlow(i, f.Receiver.ID(), -1, 0)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		senders = append(senders, s)
 	}
 	if warm != nil {
 		if err := warm.ApplyDCQCN(senders); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		warm.Prefill(star.Bottleneck, starFlows(star))
+		f.prefill(warm)
 	}
-	return nw, star, senders, nil
+	return senders, nil
 }
 
 // Fluid builds the matched fluid model. A non-nil warm start sets the
@@ -162,12 +192,9 @@ func NewTimelyScenario(n int, seed int64) TimelyScenario {
 	}
 }
 
-// Star builds the packet-level realisation. Flow i starts at
-// Cfg.StartTimes[i] at rate Cfg.InitialRates[i]; a nil slice starts every
-// flow at time 0 or at the protocol's default rate. A non-nil ob is
-// attached before any port or endpoint exists, as in DCQCNScenario.Star.
-// A non-nil warm start overrides the start rates and prefills the
-// bottleneck queue.
+// Star builds the packet-level realisation: a star with Cfg.N senders at
+// link rate Cfg.C, wired by Attach. A non-nil ob is attached before any
+// port or endpoint exists, as in DCQCNScenario.Star.
 func (sc TimelyScenario) Star(ob *obs.NetObserver, warm *WarmStart) (*netsim.Network, *netsim.Star, []*timely.Sender, error) {
 	nw := netsim.New(sc.Seed)
 	nw.SetObserver(ob)
@@ -175,14 +202,28 @@ func (sc TimelyScenario) Star(ob *obs.NetObserver, warm *WarmStart) (*netsim.Net
 		Senders: sc.Cfg.N,
 		Link:    netsim.LinkConfig{Bandwidth: sc.Cfg.C, PropDelay: des.Microsecond},
 	})
-	if _, err := timely.NewEndpoint(star.Receiver, sc.Par); err != nil {
+	senders, err := sc.Attach(Fabric{star.Senders, star.Receiver, star.Bottleneck}, warm)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	senders := make([]*timely.Sender, 0, sc.Cfg.N)
-	for i, h := range star.Senders {
+	return nw, star, senders, nil
+}
+
+// Attach puts the scenario's long flows on f: a Par endpoint on the
+// receiver, then on each sender an endpoint and flow i toward the
+// receiver. Flow i starts at Cfg.StartTimes[i] at rate
+// Cfg.InitialRates[i]; a nil slice starts every flow at time 0 or at the
+// protocol's default rate. A non-nil warm start overrides the start rates
+// and prefills the bottleneck queue.
+func (sc TimelyScenario) Attach(f Fabric, warm *WarmStart) ([]*timely.Sender, error) {
+	if _, err := timely.NewEndpoint(f.Receiver, sc.Par); err != nil {
+		return nil, err
+	}
+	senders := make([]*timely.Sender, 0, len(f.Senders))
+	for i, h := range f.Senders {
 		ep, err := timely.NewEndpoint(h, sc.Par)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		var start des.Time
 		if sc.Cfg.StartTimes != nil {
@@ -195,26 +236,16 @@ func (sc TimelyScenario) Star(ob *obs.NetObserver, warm *WarmStart) (*netsim.Net
 		if warm != nil {
 			rate = warm.RatesBytes[i]
 		}
-		s, err := ep.NewFlow(i, star.Receiver.ID(), -1, start, rate)
+		s, err := ep.NewFlow(i, f.Receiver.ID(), -1, start, rate)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		senders = append(senders, s)
 	}
 	if warm != nil {
-		warm.Prefill(star.Bottleneck, starFlows(star))
+		f.prefill(warm)
 	}
-	return nw, star, senders, nil
-}
-
-// starFlows derives the prefill flow identities from a star: flow i runs
-// sender i → receiver.
-func starFlows(star *netsim.Star) []PrefillFlow {
-	flows := make([]PrefillFlow, len(star.Senders))
-	for i, h := range star.Senders {
-		flows[i] = PrefillFlow{Flow: i, Src: h.ID(), Dst: star.Receiver.ID()}
-	}
-	return flows
+	return senders, nil
 }
 
 func relErr(got, want float64) float64 {

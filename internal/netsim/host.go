@@ -36,7 +36,7 @@ func (nw *Network) NewHost() *Host {
 
 // Connect wires the host NIC toward peer (normally a switch).
 func (h *Host) Connect(peer Node, bandwidth float64, prop des.Duration, m Marker) *Port {
-	h.port = h.net.NewPort(h, peer, bandwidth, prop, m)
+	h.port = h.net.newPort(h, peer, bandwidth, prop, m)
 	return h.port
 }
 

@@ -97,8 +97,7 @@ type Port struct {
 
 	// mint is the owner node's event-sequence minter: transmit ticks,
 	// deliveries and watchdog checks carry owner-minted keys (see
-	// nodeSeq). Nil only for custom Node implementations (tests), which
-	// fall back to the simulator counter.
+	// nodeSeq).
 	mint *nodeSeq
 
 	// ownerSwitch caches the owner's *Switch identity so the per-packet
@@ -160,9 +159,10 @@ type startableMarker interface {
 	Start(sim *des.Simulator, q *Queue)
 }
 
-// NewPort wires a port from owner toward peer. Marking policy m may be
-// nil; markers that need a clock (PIMarker) are started automatically.
-func (nw *Network) NewPort(owner, peer Node, bandwidth float64, prop des.Duration, m Marker) *Port {
+// newPort wires a port from owner, a *Switch or *Host, toward peer.
+// Marking policy m may be nil; markers that need a clock (PIMarker) are
+// started automatically.
+func (nw *Network) newPort(owner, peer Node, bandwidth float64, prop des.Duration, m Marker) *Port {
 	if bandwidth <= 0 {
 		panic("netsim: port bandwidth must be positive")
 	}
@@ -281,9 +281,6 @@ func (p *Port) SendDirect(pkt *Packet) {
 // schedule queues h.OnEvent(arg) after d with the owner's node-minted
 // sequence key.
 func (p *Port) schedule(d des.Duration, h des.Handler, arg any) des.EventRef {
-	if p.mint == nil {
-		return p.net.Sim.ScheduleHandler(d, h, arg)
-	}
 	return p.net.Sim.ScheduleHandlerSeq(d, p.mint.mint(), h, arg)
 }
 
@@ -292,10 +289,6 @@ func (p *Port) schedule(d des.Duration, h des.Handler, arg any) des.EventRef {
 // fixed-delay lanes (des.Simulator.ScheduleFixedSeq), where most of them
 // share one of two delays, a full packet's serialisation and PropDelay.
 func (p *Port) fire(d des.Duration, arg any) {
-	if p.mint == nil {
-		p.net.Sim.ScheduleHandler(d, p, arg)
-		return
-	}
 	p.net.Sim.ScheduleFixedSeq(d, p.mint.mint(), p, arg)
 }
 

@@ -24,7 +24,7 @@ type Queue struct {
 	virtual  int   // fluid background occupancy, bytes (see SetVirtualBytes)
 	mark     Marker
 
-	// port is the owning port, set by NewPort; nil for standalone queues
+	// port is the owning port, set by newPort; nil for standalone queues
 	// (tests), which then emit no observability events.
 	port *Port
 }

@@ -62,7 +62,7 @@ func (sw *Switch) ID() int { return sw.id }
 
 // AddPort attaches an egress port toward peer and returns its index.
 func (sw *Switch) AddPort(peer Node, bandwidth float64, prop des.Duration, m Marker) int {
-	p := sw.net.NewPort(sw, peer, bandwidth, prop, m)
+	p := sw.net.newPort(sw, peer, bandwidth, prop, m)
 	sw.ports = append(sw.ports, p)
 	sw.ingressUse = append(sw.ingressUse, 0)
 	sw.pausedUp = append(sw.pausedUp, false)

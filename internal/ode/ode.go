@@ -333,29 +333,3 @@ func (s *Solver) Integrate(t0, t1 float64, obs Observer) []float64 {
 	}
 	return y
 }
-
-// Func adapts a plain function to the System interface for pure ODEs.
-type Func struct {
-	N int
-	F func(t float64, y, dydt []float64)
-}
-
-// Dim implements System.
-func (f Func) Dim() int { return f.N }
-
-// Derivs implements System.
-func (f Func) Derivs(t float64, y []float64, _ History, dydt []float64) { f.F(t, y, dydt) }
-
-// DelayFunc adapts a function with history access to the System interface.
-type DelayFunc struct {
-	N int
-	F func(t float64, y []float64, past History, dydt []float64)
-}
-
-// Dim implements System.
-func (f DelayFunc) Dim() int { return f.N }
-
-// Derivs implements System.
-func (f DelayFunc) Derivs(t float64, y []float64, past History, dydt []float64) {
-	f.F(t, y, past, dydt)
-}

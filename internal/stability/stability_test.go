@@ -163,16 +163,22 @@ func TestPhaseMarginMatchesAnalytic(t *testing.T) {
 	}
 }
 
+// toyDDE is toyLoop's closed loop as a delay ODE. State: [R, q];
+// dR/dt = -k q(t-τ) - dR; dq/dt = N R.
+type toyDDE toyLoop
+
+func (toyDDE) Dim() int { return 2 }
+
+func (l toyDDE) Derivs(tt float64, y []float64, past ode.History, dydt []float64) {
+	dydt[0] = -l.k*past.Value(tt-l.tau, 1) - l.d*y[0]
+	dydt[1] = float64(l.n) * y[0]
+}
+
 // The verdict must agree with direct integration of the same DDE: positive
 // margin ⇒ perturbations decay; negative margin ⇒ they grow.
 func TestPhaseMarginAgreesWithSimulation(t *testing.T) {
 	simulateGrowth := func(l toyLoop) float64 {
-		// State: [R, q]; dR/dt = -k q(t-τ) - dR; dq/dt = N R.
-		sys := ode.DelayFunc{N: 2, F: func(tt float64, y []float64, past ode.History, dydt []float64) {
-			dydt[0] = -l.k*past.Value(tt-l.tau, 1) - l.d*y[0]
-			dydt[1] = float64(l.n) * y[0]
-		}}
-		s := &ode.Solver{Sys: sys, H: 1e-4, MaxDelay: l.tau, Y0: []float64{0, 1}}
+		s := &ode.Solver{Sys: toyDDE(l), H: 1e-4, MaxDelay: l.tau, Y0: []float64{0, 1}}
 		early, lateMax := 0.0, 0.0
 		s.Integrate(0, 20, func(tt float64, y []float64) {
 			a := math.Abs(y[1])

@@ -66,8 +66,8 @@ func DefaultParams() Params {
 	}
 }
 
-// DefaultPatchedParams returns the §4.3 patched parameters: β = 0.008,
-// Seg = 16 KB, RTTRef = T_low + 10 µs of base RTT.
+// DefaultPatchedParams returns the §4.3 patched parameters: β = 0.008 and
+// RTTRef = T_low + 10 µs of base RTT, with DefaultParams' 16 KB segments.
 func DefaultPatchedParams() Params {
 	p := DefaultParams()
 	p.Patched = true
