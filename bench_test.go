@@ -215,7 +215,7 @@ func BenchmarkAblationMarkingPoint(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				q := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 50*des.Microsecond)
+				q := nw.Sample(50*des.Microsecond, netsim.QueueSignal("queue_bytes", star.Bottleneck))[0]
 				nw.Sim.RunUntil(des.Time(60 * des.Millisecond))
 				cv = q.WindowSummary(0.03, 0.06).CV()
 			}
@@ -256,7 +256,14 @@ func BenchmarkAblationPacing(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				thr := netsim.MonitorThroughput(nw.Sim, star.Bottleneck, des.Millisecond)
+				// The delivered rate over each millisecond, from the port's byte count.
+				var last int64
+				thr := nw.Sample(des.Millisecond, netsim.Signal{Name: "tx_rate", Read: func() float64 {
+					cur := star.Bottleneck.TxBytes
+					rate := float64(cur-last) / des.Millisecond.Seconds()
+					last = cur
+					return rate
+				}})[0]
 				nw.Sim.RunUntil(des.Time(100 * des.Millisecond))
 				util = thr.WindowSummary(0.05, 0.1).Mean / 1.25e9
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ecndelay/internal/exp"
+	"ecndelay/internal/report"
 )
 
 func TestListExitsZero(t *testing.T) {
@@ -61,7 +62,6 @@ func TestBadFlagExitsNonZero(t *testing.T) {
 	// and so is a stray argument, which would end parsing and drop every
 	// flag after it, and a grid axis that lists a value twice, whose jobs
 	// would share an id.
-	refused(t, []string{"-exp", "eq14", "-probe-every", "NaN"}, "-probe-every")
 	refused(t, []string{"-exp", "eq14", "-workers", "-1"}, "-workers")
 	refused(t, []string{"-exp", "eq14", "stray", "-workers", "2"}, `"stray"`)
 	refused(t, []string{"-list", "stray"}, `"stray"`)
@@ -85,7 +85,6 @@ func TestSeedGridUsageErrors(t *testing.T) {
 	refused(t, []string{"-exp", "eq14", "-seeds", "1,2,1", "-out", keep}, "-seeds")
 	refused(t, []string{"-exp", "eq14,eq14", "-out", keep}, "-exp")
 	refused(t, []string{"-exp", "eq14,nope", "-out", keep}, `"nope"`)
-	refused(t, []string{"-exp", "eq14", "-probe-every", "NaN", "-out", keep}, "-probe-every")
 	// A checkpoint that cannot be created is a usage error too.
 	refused(t, []string{"-exp", "eq14", "-out", filepath.Join(dir, "no", "such", "f.jsonl")}, "f.jsonl")
 	if got, err := os.ReadFile(keep); err != nil || !bytes.Equal(got, row) {
@@ -202,6 +201,25 @@ func TestExportsIdenticalAcrossWorkers(t *testing.T) {
 		if !bytes.Equal(one[name], two[name]) {
 			t.Errorf("%s differs between -workers 1 and -workers 2", name)
 		}
+	}
+}
+
+// An experiment's probe export holds the series the run samples, so
+// runreport reads the auditloop's bottleneck queue beside its audit.
+func TestAuditLoopProbeReport(t *testing.T) {
+	dir := t.TempDir()
+	audit, probe := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "p.jsonl")
+	var out, errOut strings.Builder
+	if code := run([]string{"-exp", "auditloop", "-audit", audit, "-probe", probe}, &out, &errOut); code != 0 {
+		t.Fatalf("ecnbench exit code %d, stderr: %s", code, errOut.String())
+	}
+	out.Reset()
+	errOut.Reset()
+	if code := report.Run([]string{"-audit", audit, "-probe", probe}, &out, &errOut); code != 0 {
+		t.Fatalf("runreport exit code %d, stderr: %s", code, errOut.String())
+	}
+	if want := `queue series "auditloop.queue_bytes.loss0": `; !strings.Contains(out.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, out.String())
 	}
 }
 

@@ -153,9 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "-rto must be at most %gs, so its 8x backoff cap fits the int64-nanosecond range, got %g",
 			netsim.MaxRTO.Seconds(), *rto)
 	}
-	if err := flags.Check(); err != nil {
-		return fail(2, "%v", err)
-	}
 	// Flags the selected topology's builder has no hook for are refused
 	// instead of silently ignored.
 	unsupported, ok := map[string][]string{
@@ -322,13 +319,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rate := make([]func() float64, *n)
 	// Each sender's shared transport, for the retransmission summary.
 	transports := make([]*netsim.Sender, *n)
-	// Protocol-specific probe signals (DCQCN α, TIMELY RTT), registered
-	// alongside the queue and rate probes when -probe is set.
-	type probeSignal struct {
-		name string
-		fn   func() float64
-	}
-	var auxProbes []probeSignal
+	// The probe signals the TSV has no column for (DCQCN α, TIMELY RTT),
+	// recorded beside the queue and rates when -probe is set.
+	var signals []netsim.Signal
 	// The long flows come from the scenario's Attach, the wiring every
 	// experiment's star uses. With -warm-start the analytic fixed point
 	// (internal/hybrid) arms the senders and prefills the bottleneck queue.
@@ -362,7 +355,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for i, s := range senders {
 			rate[i] = s.Rate
 			transports[i] = &s.Sender
-			auxProbes = append(auxProbes, probeSignal{fmt.Sprintf("alpha%d", i), s.Alpha})
+			signals = append(signals, netsim.Signal{Name: fmt.Sprintf("alpha%d", i), Read: s.Alpha})
 		}
 	case "timely", "patched":
 		tsc := hybrid.TimelyScenario{Cfg: fluid.DefaultTimelyConfig(*n), Par: timely.DefaultParams(), Seed: *seed}
@@ -391,8 +384,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for i, s := range senders {
 			rate[i] = s.Rate
 			transports[i] = &s.Sender
-			auxProbes = append(auxProbes, probeSignal{fmt.Sprintf("rtt_s%d", i),
-				func() float64 { return s.RTT().Seconds() }})
+			signals = append(signals, netsim.Signal{Name: fmt.Sprintf("rtt_s%d", i),
+				Read: func() float64 { return s.RTT().Seconds() }})
 		}
 	}
 
@@ -428,21 +421,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		wd.WatchHost(fab.Receiver)
 	}
 
-	if observer != nil && observer.Probes != nil {
-		every := observer.ProbeCadence()
-		q := fab.Bottleneck.Queue()
-		observer.Probes.NewProbe("queue_bytes", 0).Drive(nw.Sim, every, func() float64 {
-			return float64(q.Bytes())
-		})
-		for i := 0; i < *n; i++ {
-			fn := rate[i]
-			observer.Probes.NewProbe(fmt.Sprintf("rate%d", i), 0).Drive(nw.Sim, every, fn)
-		}
-		for _, ap := range auxProbes {
-			observer.Probes.NewProbe(ap.name, 0).Drive(nw.Sim, every, ap.fn)
-		}
-	}
-
 	// The optional fluid background aggregate starts at its own fixed
 	// point when the packet flows are warm, and cold when they are not.
 	var bg *hybrid.BackgroundAggregate
@@ -470,12 +448,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(out, "\trate%d", i)
 	}
 	fmt.Fprintln(out)
+	// With -probe the TSV ticker also records the probes, so -sample sets
+	// both: the real queue (the TSV's q_bytes is the marking view under
+	// -bg-flows), each flow's rate and its α or RTT.
+	var probes []*obs.Probe
+	if observer != nil && observer.Probes != nil {
+		signals = append(signals, netsim.QueueSignal("queue_bytes", fab.Bottleneck))
+		for i, fn := range rate {
+			signals = append(signals, netsim.Signal{Name: fmt.Sprintf("rate%d", i), Read: fn})
+		}
+		for _, sg := range signals {
+			probes = append(probes, observer.Probes.NewProbe(sg.Name, 0))
+		}
+	}
 	nw.Sim.Every(0, des.DurationFromSeconds(*sample), func() {
-		fmt.Fprintf(out, "%.6f\t%d", nw.Sim.Now().Seconds(), qBytes())
+		t := nw.Sim.Now().Seconds()
+		fmt.Fprintf(out, "%.6f\t%d", t, qBytes())
 		for i := 0; i < *n; i++ {
 			fmt.Fprintf(out, "\t%.6g", rate[i]())
 		}
 		fmt.Fprintln(out)
+		for i, p := range probes {
+			p.Record(t, signals[i].Read())
+		}
 	})
 	nw.RunUntil(des.Time(des.DurationFromSeconds(*horizon)))
 

@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -48,7 +50,6 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-topology", "clos", "-n", "16"}, 2, "-n 16"},
 		{[]string{"-proto", "quic"}, 2, "-proto"},
 		{[]string{"-topology", "ring"}, 2, "-topology"},
-		{[]string{"-probe-every", "-1"}, 2, "-probe-every"},
 		{[]string{"-extra-delay", "-1"}, 2, "-extra-delay"},
 		{[]string{"-extra-delay", "NaN"}, 2, "-extra-delay"},
 		{[]string{"-extra-delay", "1e300"}, 2, "-extra-delay"},
@@ -143,6 +144,70 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 				if st, err := os.Stat(filepath.Join(dir, f[1:])); err != nil || st.Size() == 0 {
 					t.Errorf("%s export is missing or empty (%v)", f, err)
 				}
+			}
+		})
+	}
+}
+
+// With -probe the TSV ticker records the probes, so -sample sets both:
+// queue_bytes and each rate<i> equal the TSV's columns row for row, t = 0
+// included, beside each flow's α. Under -bg-flows the TSV's q_bytes is
+// the marking view, real plus fluid bytes, while queue_bytes stays the
+// real queue, below it wherever the aggregate holds fluid bytes.
+func TestProbesFollowTSV(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+		bg   bool
+	}{
+		{"star", []string{"-proto", "dcqcn", "-n", "2", "-bw", "40e9", "-horizon", "0.01", "-sample", "2e-4"}, false},
+		{"bg", []string{"-proto", "dcqcn", "-n", "2", "-bw", "40e9", "-horizon", "0.01", "-bg-flows", "6"}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "p.jsonl")
+			tsv := runOK(t, append(c.args, "-probe", path)...)
+			series := map[string][]obs.Sample{}
+			if _, err := obs.ReadProbes(path, func(name string, s []obs.Sample, _ int64) { series[name] = s }); err != nil {
+				t.Fatal(err)
+			}
+			var rows [][]string
+			for _, line := range strings.Split(tsv, "\n") {
+				if line != "" && !strings.HasPrefix(line, "#") {
+					rows = append(rows, strings.Split(line, "\t"))
+				}
+			}
+			if len(rows) == 0 || rows[0][0] != "0.000000" {
+				t.Fatalf("TSV rows do not start at t = 0: %q", rows[:min(len(rows), 1)])
+			}
+			for _, name := range []string{"queue_bytes", "rate0", "rate1", "alpha0", "alpha1"} {
+				if len(series[name]) != len(rows) {
+					t.Fatalf("probe %s holds %d samples, the TSV %d rows", name, len(series[name]), len(rows))
+				}
+			}
+			below := 0
+			for i, row := range rows {
+				q := series["queue_bytes"][i]
+				if got := fmt.Sprintf("%.6f", q.T); got != row[0] {
+					t.Fatalf("row %d: probe t %s, TSV t %s", i, got, row[0])
+				}
+				tsvQ, err := strconv.ParseFloat(row[1], 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case !c.bg && q.V != tsvQ, c.bg && q.V > tsvQ:
+					t.Fatalf("row %d: probe queue %v, TSV q_bytes %v", i, q.V, tsvQ)
+				case q.V < tsvQ:
+					below++
+				}
+				for k := 0; k < 2; k++ {
+					if got := fmt.Sprintf("%.6g", series[fmt.Sprintf("rate%d", k)][i].V); got != row[2+k] {
+						t.Fatalf("row %d: probe rate%d %s, TSV %s", i, k, got, row[2+k])
+					}
+				}
+			}
+			if c.bg && below == 0 {
+				t.Error("under -bg-flows the queue_bytes probe equals the marking view at every row")
 			}
 		})
 	}

@@ -228,9 +228,10 @@ func NewDCQCNEndpoint(h *Host, p DCQCNProtoParams) (*DCQCNEndpoint, error) {
 	return dcqcn.NewEndpoint(h, p)
 }
 
-// MonitorQueueBytes samples a port's queue occupancy into a time series.
+// MonitorQueueBytes samples a port's queue occupancy into a time series,
+// from one interval in, as the series "queue_bytes".
 func MonitorQueueBytes(nw *Network, p *Port, every Duration) *Series {
-	return netsim.MonitorQueueBytes(nw.Sim, p, every)
+	return nw.Sample(every, netsim.QueueSignal("queue_bytes", p))[0]
 }
 
 // ---- Workload and statistics ----

@@ -1,5 +1,5 @@
 // Package cli is the shared front-end of the run commands (packetsim,
-// ecnbench). It declares their nine profiling and observability flags
+// ecnbench). It declares their eight profiling and observability flags
 // once and owns how each flag turns into an observer facility and an
 // export file: the self-describing export header, the observer and the
 // exports written at exit. Profiles land where `go tool pprof` reads
@@ -25,7 +25,6 @@ import (
 type Flags struct {
 	CPUProfile, MemProfile string
 	Metrics, Trace, Probe  string
-	ProbeEvery             float64
 	Invariants             bool
 	Hist, Audit            string
 
@@ -41,23 +40,10 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Metrics, "metrics", "", "write end-of-run counters as TSV to this file")
 	fs.StringVar(&f.Trace, "trace", "", "stream the event trace as JSONL to this file")
 	fs.StringVar(&f.Probe, "probe", "", "write probe time series as JSONL to this file")
-	fs.Float64Var(&f.ProbeEvery, "probe-every", 1e-4, "probe sampling cadence, seconds")
 	fs.BoolVar(&f.Invariants, "invariants", false, "check runtime invariants; violations exit nonzero")
 	fs.StringVar(&f.Hist, "hist", "", "write latency histogram percentiles to this file (.tsv: TSV, else JSONL)")
 	fs.StringVar(&f.Audit, "audit", "", "write the control-loop decision audit as JSONL to this file")
 	return f
-}
-
-// Check refuses a shared flag value no run can use. Open calls it first;
-// a command calls it with its own usage checks when it must tell a
-// refused value from an export error.
-func (f *Flags) Check() error {
-	// 0 selects the default cadence; anything else must convert to a
-	// des.Duration of at least 1 ns without overflowing it.
-	if e := f.ProbeEvery; e != 0 && !DurationOK(e, 1) {
-		return fmt.Errorf("-probe-every must be 0 (the default cadence) or a cadence from 1e-9 to 9.2e9 seconds, got %g", e)
-	}
-	return nil
 }
 
 // DurationOK reports whether s seconds converts to a des.Duration of at
@@ -181,9 +167,6 @@ type Session struct {
 // export header. Call Close on every exit path and Finish after a
 // completed run.
 func (f *Flags) Open(cmd string, run obs.Header, stderr io.Writer) (*Session, error) {
-	if err := f.Check(); err != nil {
-		return nil, err
-	}
 	stop, err := Start(f.CPUProfile, f.MemProfile)
 	if err != nil {
 		return nil, err
@@ -196,7 +179,7 @@ func (f *Flags) Open(cmd string, run obs.Header, stderr io.Writer) (*Session, er
 	// Build the observer before any topology exists, so ports and
 	// endpoints bind their counters. Every export goes to its own file:
 	// stdout stays byte-identical to an unobserved run.
-	o := &obs.NetObserver{ProbeEvery: des.DurationFromSeconds(f.ProbeEvery)}
+	o := &obs.NetObserver{}
 	s.Observer = o
 	if f.Metrics != "" {
 		o.Metrics = obs.NewRegistry()

@@ -121,7 +121,7 @@ func TestRegisterDeclaresSharedFlags(t *testing.T) {
 	Register(fs)
 	want := map[string]string{
 		"cpuprofile": "", "memprofile": "", "metrics": "", "trace": "", "probe": "",
-		"probe-every": "0.0001", "invariants": "false", "hist": "", "audit": "",
+		"invariants": "false", "hist": "", "audit": "",
 	}
 	n := 0
 	fs.VisitAll(func(fl *flag.Flag) {
@@ -178,7 +178,7 @@ func TestSharedExports(t *testing.T) {
 	dir := t.TempDir()
 	p := func(name string) string { return filepath.Join(dir, name) }
 	f := newFlags(t, "-metrics", p("m.tsv"), "-trace", p("t.jsonl"), "-probe", p("p.jsonl"),
-		"-hist", p("h.tsv"), "-audit", p("a.jsonl"), "-invariants", "-probe-every", "2e-4")
+		"-hist", p("h.tsv"), "-audit", p("a.jsonl"), "-invariants")
 	var stderr strings.Builder
 	s, err := f.Open("cmd", obs.Header{Seed: 3, Proto: "timely"}, &stderr)
 	if err != nil {
@@ -188,9 +188,6 @@ func TestSharedExports(t *testing.T) {
 	o := s.Observer
 	if o.Metrics == nil || o.Trace == nil || o.Probes == nil || o.Check == nil || o.Hists == nil || o.Audit == nil {
 		t.Fatalf("observer missing a facility: %+v", o)
-	}
-	if o.ProbeCadence() != 200000 {
-		t.Errorf("probe cadence %v, want 200 µs", o.ProbeCadence())
 	}
 	feed(o)
 	if code := s.Finish(); code != 0 {
@@ -206,36 +203,6 @@ func TestSharedExports(t *testing.T) {
 	}
 	if line := firstLine(t, p("m.tsv")); line == "" {
 		t.Error("metrics export is empty")
-	}
-}
-
-// -probe-every takes 0 (the default cadence) or a finite cadence that
-// converts to at least 1 ns of simulated time; Check and Open refuse
-// anything else with one message naming the flag.
-func TestProbeEveryCheck(t *testing.T) {
-	for _, c := range []struct {
-		val string
-		ok  bool
-	}{
-		{"0", true}, {"1e-4", true}, {"2", true}, {"1e-9", true}, {"5e-10", true}, {"9e9", true},
-		{"-1", false}, {"-0.5e-9", false}, {"NaN", false}, {"+Inf", false}, {"-Inf", false},
-		{"1e300", false}, {"1e10", false}, {"1e-10", false},
-	} {
-		f := newFlags(t, "-probe-every", c.val)
-		err := f.Check()
-		if (err == nil) != c.ok {
-			t.Errorf("-probe-every %s: Check() = %v, want ok=%v", c.val, err, c.ok)
-			continue
-		}
-		if c.ok {
-			continue
-		}
-		if !strings.Contains(err.Error(), "-probe-every") {
-			t.Errorf("-probe-every %s: error %q does not name the flag", c.val, err)
-		}
-		if _, err := f.Open("cmd", obs.Header{Seed: 1}, io.Discard); err == nil {
-			t.Errorf("-probe-every %s: Open succeeded", c.val)
-		}
 	}
 }
 

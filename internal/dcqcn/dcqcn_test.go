@@ -68,8 +68,15 @@ func star40G(t *testing.T, nFlows int, extraFeedback des.Duration, ingressMark b
 // with full utilisation and a queue near the Theorem 1 fixed point.
 func TestTwoFlowsConvergeFair(t *testing.T) {
 	nw, star, senders := star40G(t, 2, 0, false, 5e9)
-	qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
-	thr := netsim.MonitorThroughput(nw.Sim, star.Bottleneck, des.Millisecond)
+	qs := nw.Sample(100*des.Microsecond, netsim.QueueSignal("queue_bytes", star.Bottleneck))[0]
+	// The delivered rate over each millisecond, from the port's byte count.
+	var last int64
+	thr := nw.Sample(des.Millisecond, netsim.Signal{Name: "tx_rate", Read: func() float64 {
+		cur := star.Bottleneck.TxBytes
+		rate := float64(cur-last) / des.Millisecond.Seconds()
+		last = cur
+		return rate
+	}})[0]
 	nw.Sim.RunUntil(des.Time(50 * des.Millisecond))
 
 	if u := thr.WindowSummary(0.03, 0.05).Mean / 5e9; u < 0.95 {
@@ -94,7 +101,7 @@ func TestTwoFlowsConvergeFair(t *testing.T) {
 func TestTenFlowsUnstableAtHighDelay(t *testing.T) {
 	cv := func(extra des.Duration) float64 {
 		nw, star, _ := star40G(t, 10, extra, false, 5e9)
-		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
+		qs := nw.Sample(100*des.Microsecond, netsim.QueueSignal("queue_bytes", star.Bottleneck))[0]
 		nw.Sim.RunUntil(des.Time(60 * des.Millisecond))
 		return qs.WindowSummary(0.04, 0.06).CV()
 	}
@@ -117,7 +124,7 @@ func TestTenFlowsUnstableAtHighDelay(t *testing.T) {
 func TestIngressMarkingDestabilises(t *testing.T) {
 	cv := func(ingress bool) float64 {
 		nw, star, _ := star40G(t, 2, 0, ingress, 1.25e9)
-		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 50*des.Microsecond)
+		qs := nw.Sample(50*des.Microsecond, netsim.QueueSignal("queue_bytes", star.Bottleneck))[0]
 		nw.Sim.RunUntil(des.Time(150 * des.Millisecond))
 		return qs.WindowSummary(0.1, 0.15).CV()
 	}

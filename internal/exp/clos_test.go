@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"ecndelay/internal/des"
 	"ecndelay/internal/netsim"
 	"ecndelay/internal/obs"
 	"ecndelay/internal/sweep"
@@ -41,7 +40,7 @@ func closGoldenCfg(proto Protocol) (closRunConfig, error) {
 
 func closGoldenProbeJSONL(t *testing.T, proto Protocol) []byte {
 	t.Helper()
-	o := &obs.NetObserver{Probes: obs.NewProbeSet(), ProbeEvery: 100 * des.Microsecond}
+	o := &obs.NetObserver{Probes: obs.NewProbeSet()}
 	cfg, err := closGoldenCfg(proto)
 	if err != nil {
 		t.Fatal(err)

@@ -70,13 +70,13 @@ type FCTConfig struct {
 	SwitchQueueCap int
 
 	// Observer attaches the observability layer to the run's network. When
-	// it carries a ProbeSet, the run registers a bottleneck-occupancy probe
-	// at the observer's cadence; when it carries a Checker, the end-of-run
-	// conservation closure is checked automatically. Nil — the default —
-	// keeps the run bit-identical to an unobserved one.
+	// it carries a ProbeSet, the bottleneck-occupancy series (Queue) is
+	// also recorded there as a probe; when it carries a Checker, the
+	// end-of-run conservation closure is checked automatically. Nil — the
+	// default — keeps the run bit-identical to an unobserved one.
 	Observer *obs.NetObserver
-	// ProbeName names the auto-registered bottleneck probe (default
-	// "queue_bytes"), further qualified by the observer's ProbePrefix.
+	// ProbeName names the bottleneck series (default "queue_bytes"),
+	// further qualified in the probe export by the observer's ProbePrefix.
 	// Callers running several observed FCT configs against one ProbeSet
 	// (the fig14/15/16 load×protocol grids) set it per sub-run so the
 	// exported series stay distinguishable.
@@ -181,12 +181,11 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 	}
 
 	res := &FCTResult{Generated: len(flows)}
-	res.Queue = netsim.MonitorQueueBytes(nw.Sim, d.Bottleneck, queueSampleEvery)
 	name := cfg.ProbeName
 	if name == "" {
 		name = "queue_bytes"
 	}
-	fr.probe(name, d.Bottleneck)
+	res.Queue = nw.Sample(queueSampleEvery, netsim.QueueSignal(name, d.Bottleneck))[0]
 	var txAtWarm, txAtEnd int64
 	nw.Sim.At(at(cfg.Warmup), func() { txAtWarm = d.Bottleneck.TxBytes })
 	nw.Sim.At(at(cfg.Horizon), func() { txAtEnd = d.Bottleneck.TxBytes })
@@ -369,17 +368,6 @@ func (r *flowRun) complete(c netsim.Completion) {
 	r.sizes = append(r.sizes, f.Size)
 	if r.fctH != nil {
 		r.fctH.Record(fct)
-	}
-}
-
-// probe samples port's queue occupancy into the observer's ProbeSet, if
-// it has one, as the series name at the observer's cadence.
-func (r *flowRun) probe(name string, port *netsim.Port) {
-	if o := r.ob; o != nil && o.Probes != nil {
-		q := port.Queue()
-		o.Probes.NewProbe(o.ProbeName(name), 0).Drive(r.nw.Sim, o.ProbeCadence(), func() float64 {
-			return float64(q.Bytes())
-		})
 	}
 }
 

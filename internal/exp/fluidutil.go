@@ -8,13 +8,7 @@ import (
 // lateStats summarises one state component of a fluid trajectory over the
 // tail window t >= tFrom.
 func lateStats(samples []fluid.Sample, idx int, tFrom float64) stats.Summary {
-	var vals []float64
-	for _, s := range samples {
-		if s.T >= tFrom {
-			vals = append(vals, s.Y[idx])
-		}
-	}
-	return stats.Summarize(vals)
+	return stats.Summarize(fluid.Tail(samples, idx, tFrom))
 }
 
 // runDCQCNFluid integrates the DCQCN fluid model and summarises the tail.

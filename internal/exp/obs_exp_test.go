@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"ecndelay/internal/des"
 	"ecndelay/internal/obs"
 	"ecndelay/internal/sweep"
 )
@@ -78,9 +77,11 @@ func TestFiniteBufferRunCleanInvariants(t *testing.T) {
 }
 
 // Every runner that builds a packet network attaches Options.Observer to
-// each network: observed by a registry and a checker, each of the 22
-// records counters, breaks no invariant and still matches its pinned
-// digest, so observing a run never changes what it reports.
+// each network: observed by a registry, a checker and a probe set, each
+// of the 22 records counters, breaks no invariant, exports the series it
+// samples as probes under names no other series of the run shares, and
+// still matches its pinned digest, so observing a run never changes what
+// it reports (event counts included).
 func TestEveryPacketRunnerObserved(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level runs take seconds each")
@@ -92,7 +93,7 @@ func TestEveryPacketRunnerObserved(t *testing.T) {
 	} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			o := &obs.NetObserver{Metrics: obs.NewRegistry(), Check: obs.NewChecker()}
+			o := &obs.NetObserver{Metrics: obs.NewRegistry(), Check: obs.NewChecker(), Probes: obs.NewProbeSet()}
 			rep, err := mustRun(t, id, Options{Scale: Quick, Seed: 1, Observer: o})
 			if err != nil {
 				t.Fatal(err)
@@ -107,6 +108,24 @@ func TestEveryPacketRunnerObserved(t *testing.T) {
 			}
 			if err := o.Check.Err(); err != nil {
 				t.Error(err)
+			}
+			// The export read back names one series per probe, each with a
+			// sample: an empty probe exports no series, and probes sharing a
+			// name export one.
+			path := filepath.Join(t.TempDir(), "p.jsonl")
+			var buf bytes.Buffer
+			if err := o.Probes.WriteJSONL(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			series := 0
+			if _, err := obs.ReadProbes(path, func(string, []obs.Sample, int64) { series++ }); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(o.Probes.Probes()); n == 0 || series != n {
+				t.Errorf("%d probes export %d named series; want at least one, each non-empty under its own name", n, series)
 			}
 		})
 	}
@@ -125,7 +144,7 @@ func goldenCfg(proto Protocol) FCTConfig {
 // returns the canonical probe export.
 func goldenProbeJSONL(t *testing.T, proto Protocol) []byte {
 	t.Helper()
-	o := &obs.NetObserver{Probes: obs.NewProbeSet(), ProbeEvery: 100 * des.Microsecond}
+	o := &obs.NetObserver{Probes: obs.NewProbeSet()}
 	cfg := goldenCfg(proto)
 	// The golden files carry the same self-describing header the cmd
 	// front-ends prepend, so a fixture names the run that produced it.
@@ -257,7 +276,7 @@ func TestSharedCheckerAcrossSweepWorkers(t *testing.T) {
 func TestSharedProbeSetDeterministicAcrossWorkers(t *testing.T) {
 	protos := []Protocol{ProtoDCQCN, ProtoTimely}
 	runAll := func(workers int) []byte {
-		shared := &obs.NetObserver{Probes: obs.NewProbeSet(), ProbeEvery: 100 * des.Microsecond}
+		shared := &obs.NetObserver{Probes: obs.NewProbeSet()}
 		jobs := make([]sweep.Job, len(protos))
 		for i, proto := range protos {
 			proto := proto
@@ -310,7 +329,7 @@ func TestGoldenProbeAcrossSweepWorkers(t *testing.T) {
 			jobs[i] = sweep.Job{
 				ID: proto.String(),
 				Run: func(int64) (map[string]float64, error) {
-					o := &obs.NetObserver{Probes: obs.NewProbeSet(), ProbeEvery: 100 * des.Microsecond}
+					o := &obs.NetObserver{Probes: obs.NewProbeSet()}
 					cfg := goldenCfg(proto)
 					o.Probes.SetHeader(obs.Header{Schema: "probe", Version: 1, Seed: cfg.Seed, Proto: proto.String()})
 					cfg.Observer = o

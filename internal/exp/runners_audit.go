@@ -16,6 +16,7 @@ import (
 	"ecndelay/internal/des"
 	"ecndelay/internal/fault"
 	"ecndelay/internal/hybrid"
+	"ecndelay/internal/netsim"
 	"ecndelay/internal/obs"
 	"ecndelay/internal/stats"
 )
@@ -72,6 +73,10 @@ func runAuditLoop(o Options) (*Report, error) {
 				Loss: []fault.Loss{{Kinds: fault.SelCNP, Rate: rate}},
 			}}}).Apply(nw)
 		}
+		// The report reads the audit, not the queue; the queue is sampled
+		// for the probe export, which runreport -probe sets beside it.
+		key := fmt.Sprintf("loss%g", rate)
+		nw.Sample(100*des.Microsecond, netsim.QueueSignal("queue_bytes."+key, star.Bottleneck))
 		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		// The open→first-cut latency is the end-to-end feedback delay from
 		// the switch flagging congestion to the first sender reacting.
@@ -93,7 +98,6 @@ func runAuditLoop(o Options) (*Report, error) {
 			fmt.Sprint(st.Episodes), fmt.Sprint(st.Orphans),
 			f1(latP50 * 1e6), f1(latP99 * 1e6),
 		})
-		key := fmt.Sprintf("loss%g", rate)
 		rep.AddMetric("cuts_"+key, float64(st.Cuts))
 		rep.AddMetric("attr_frac_"+key, attrFrac)
 		rep.AddMetric("episodes_"+key, float64(st.Episodes))

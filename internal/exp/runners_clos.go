@@ -57,8 +57,8 @@ type closRunConfig struct {
 	Drain   float64 // extra simulated seconds to let flows finish
 	Seed    int64
 
-	// ProbeHost selects whose leaf→host egress queue the probe watches
-	// when the observer carries a ProbeSet.
+	// ProbeHost selects whose leaf→host egress queue the run samples
+	// for the observer's probe export.
 	ProbeHost int
 
 	Observer   *obs.NetObserver
@@ -128,7 +128,9 @@ func runClos(cfg closRunConfig) (*closRunResult, error) {
 	if name == "" {
 		name = "clos_queue_bytes"
 	}
-	fr.probe(name, cl.HostPorts[cfg.ProbeHost])
+	// The report reads no series; the watched queue is sampled for the
+	// observer's probe export.
+	nw.Sample(queueSampleEvery, netsim.QueueSignal(name, cl.HostPorts[cfg.ProbeHost]))
 	if err := fr.run(cfg.Horizon + cfg.Drain); err != nil {
 		return nil, err
 	}

@@ -69,7 +69,7 @@ func runFig2(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
+		qs := nw.Sample(100*des.Microsecond, netsim.QueueSignal(fmt.Sprintf("queue_bytes.n%d", n), star.Bottleneck))[0]
 		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		qP := qs.WindowSummary(horizon*0.6, horizon)
 		var sumRate float64
@@ -206,13 +206,14 @@ func runFig5(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
+		key := fmt.Sprintf("extra%dus", extra/des.Microsecond)
+		qs := nw.Sample(100*des.Microsecond, netsim.QueueSignal("queue_bytes."+key, star.Bottleneck))[0]
 		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		q := qs.WindowSummary(horizon*0.5, horizon)
 		tbl.Rows = append(tbl.Rows, []string{
 			extra.String(), f1(q.Mean / 1000), f2(q.CV()), f1(q.Max / 1000),
 		})
-		rep.AddMetric(fmt.Sprintf("queue_cv_extra%dus", extra/des.Microsecond), q.CV())
+		rep.AddMetric("queue_cv_"+key, q.CV())
 	}
 	rep.Tables = append(rep.Tables, tbl)
 	return rep, nil

@@ -211,15 +211,15 @@ func runFig17(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 50*des.Microsecond)
-		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
-		q := qs.WindowSummary(horizon*0.6, horizon)
 		name := "egress (at departure)"
 		key := "egress"
 		if ingress {
 			name = "ingress (at arrival)"
 			key = "ingress"
 		}
+		qs := nw.Sample(50*des.Microsecond, netsim.QueueSignal("queue_bytes."+key, star.Bottleneck))[0]
+		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
+		q := qs.WindowSummary(horizon*0.6, horizon)
 		tbl.Rows = append(tbl.Rows, []string{name, f1(q.Mean / 1000), f2(q.CV()), f1(q.Max / 1000)})
 		rep.AddMetric("queue_cv_"+key, q.CV())
 	}

@@ -12,7 +12,6 @@ import (
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
-	"ecndelay/internal/stats"
 )
 
 func init() {
@@ -91,16 +90,7 @@ func runExtMultihop(o Options) (*Report, error) {
 		}
 		senders = append(senders, s)
 	}
-	rates := make([]*stats.Series, len(senders))
-	for i := range rates {
-		rates[i] = &stats.Series{}
-	}
-	nw.Sim.Every(0, 100*des.Microsecond, func() {
-		ts := nw.Sim.Now().Seconds()
-		for i, s := range senders {
-			rates[i].Add(ts, s.Rate())
-		}
-	})
+	rates := nw.Sample(100*des.Microsecond, rateSignals(senders, "")...)
 	nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 
 	tbl := Table{Cols: []string{"flow", "rate Gb/s", "share of 40G"}}
@@ -151,7 +141,7 @@ func runExtPFC(o Options) (*Report, error) {
 	}
 	const bw = 1.25e9 // 10 Gb/s
 
-	run := func(pfc netsim.PFCConfig, useDCQCN bool) (victimShare float64, err error) {
+	run := func(key string, pfc netsim.PFCConfig, useDCQCN bool) (victimShare float64, err error) {
 		nw := netsim.New(o.Seed)
 		nw.SetObserver(o.Observer)
 		var mark netsim.MarkerFactory
@@ -214,6 +204,11 @@ func runExtPFC(o Options) (*Report, error) {
 				b.start()
 			}
 		}
+		// The report reads the victim's bytes; the incast queue, SW2's
+		// egress toward the shared receiver, is sampled for the probe
+		// export.
+		incast := d.SW2.Port(d.SW2.EgressIndex(d.Senders[0].ID(), d.Receivers[0].ID(), 0))
+		nw.Sample(100*des.Microsecond, netsim.QueueSignal("queue_bytes."+key, incast))
 		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		// The victim alone could use the full trunk share it asks for;
 		// its fair entitlement here is ~bw/3 of the trunk (three flows),
@@ -234,7 +229,7 @@ func runExtPFC(o Options) (*Report, error) {
 		{"DCQCN senders, PFC 300KB/150KB", netsim.PFCConfig{PauseBytes: 300e3, ResumeBytes: 150e3}, true, "dcqcn_pfc"},
 	}
 	for _, c := range cases {
-		share, err := run(c.pfc, c.dcqcn)
+		share, err := run(c.key, c.pfc, c.dcqcn)
 		if err != nil {
 			return nil, err
 		}
@@ -273,13 +268,13 @@ func runExtPI(o Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
-			nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
-			q := qs.WindowSummary(horizon*0.6, horizon)
 			name := "RED"
 			if usePI {
 				name = "PI"
 			}
+			qs := nw.Sample(100*des.Microsecond, netsim.QueueSignal(fmt.Sprintf("queue_bytes.%s.n%d", name, n), star.Bottleneck))[0]
+			nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
+			q := qs.WindowSummary(horizon*0.6, horizon)
 			tbl.Rows = append(tbl.Rows, []string{name, fmt.Sprint(n), f1(q.Mean / 1000), f2(q.CV())})
 			rep.AddMetric(fmt.Sprintf("%s_q_kb_N%d", name, n), q.Mean/1000)
 		}

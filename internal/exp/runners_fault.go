@@ -108,13 +108,13 @@ func runFaultCNP(o Options) (*Report, error) {
 				Loss: []fault.Loss{{Kinds: fault.SelCNP, Rate: rate}},
 			}}}).Apply(nw)
 		}
-		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
+		key := fmt.Sprintf("loss%g", rate)
+		qs := nw.Sample(100*des.Microsecond, netsim.QueueSignal("queue_bytes."+key, star.Bottleneck))[0]
 		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		q := qs.WindowSummary(horizon*0.5, horizon)
 		tbl.Rows = append(tbl.Rows, []string{
 			eng(rate), f1(q.Mean / 1000), f1(q.Max / 1000), f2(q.CV()),
 		})
-		key := fmt.Sprintf("loss%g", rate)
 		rep.AddMetric("q_mean_kb_"+key, q.Mean/1000)
 		rep.AddMetric("q_max_kb_"+key, q.Max/1000)
 		rep.AddMetric("q_cv_"+key, q.CV())

@@ -13,7 +13,6 @@ import (
 	"ecndelay/internal/des"
 	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
-	"ecndelay/internal/stats"
 )
 
 func init() {
@@ -88,8 +87,10 @@ func runHybridWarm(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		qs := netsim.MonitorQueueBytes(nw.Sim, cl.HostPorts[0], 100*des.Microsecond)
-		evs := hybrid.MonitorEvents(nw.Sim, 100*des.Microsecond)
+		// Two tickers, queue then events, as the event counts assume.
+		qs := nw.Sample(100*des.Microsecond, netsim.QueueSignal("queue_bytes."+mode, cl.HostPorts[0]))[0]
+		evs := nw.Sample(100*des.Microsecond, netsim.Signal{Name: "events." + mode,
+			Read: func() float64 { return float64(nw.Sim.Processed()) }})[0]
 		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		st := hybrid.MeasureSettle(qs, evs, horizon)
 		settles[i] = st
@@ -101,15 +102,15 @@ func runHybridWarm(o Options) (*Report, error) {
 		rep.AddMetric("tail_queue_kb_"+mode, st.TailMean/1000)
 	}
 	cold, warmS := settles[0], settles[1]
-	tailDiff := relDiff(warmS.TailMean, cold.TailMean)
-	rep.AddMetric("tail_rel_diff", tailDiff)
+	tail := hybrid.Check{Want: cold.TailMean, Got: warmS.TailMean, Tol: 0.15}
+	rep.AddMetric("tail_rel_diff", tail.RelErr())
 	ratio := float64(warmS.Events) / float64(cold.Events)
 	rep.AddMetric("settle_event_ratio", ratio)
 	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes,
 		"the warm start lands inside the steady-state envelope almost immediately; the cold start pays a line-rate overshoot transient first")
-	if tailDiff > 0.15 {
-		return nil, fmt.Errorf("hybridwarm: warm and cold steady states diverge: rel diff %.3f > 0.15", tailDiff)
+	if !tail.OK() {
+		return nil, fmt.Errorf("hybridwarm: warm and cold steady states diverge: rel diff %.3f > %.2f", tail.RelErr(), tail.Tol)
 	}
 	if warmS.Events >= cold.Events {
 		return nil, fmt.Errorf("hybridwarm: warm start took %d events to settle, cold %d — no saving",
@@ -130,7 +131,7 @@ func runHybridBG(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	qsF := netsim.MonitorQueueBytes(nwF.Sim, starF.Bottleneck, 100*des.Microsecond)
+	qsF := nwF.Sample(100*des.Microsecond, netsim.QueueSignal("queue_bytes.all_packet", starF.Bottleneck))[0]
 	nwF.RunUntil(end)
 	evF := nwF.Sim.Processed()
 	fullMean := qsF.WindowSummary(horizon*0.6, horizon).Mean
@@ -146,17 +147,19 @@ func runHybridBG(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The marking view is the coupled occupancy: real + fluid bytes.
-	qsH, rsH := &stats.Series{}, &stats.Series{}
-	nwH.Sim.Every(des.Time(100*des.Microsecond), 100*des.Microsecond, func() {
-		t := nwH.Sim.Now().Seconds()
-		qsH.Add(t, float64(starH.Bottleneck.Queue().MarkBytes()))
-		sum := 0.0
-		for _, s := range senders {
-			sum += s.Rate()
-		}
-		rsH.Add(t, sum/float64(len(senders)))
-	})
+	// The marking view is the coupled occupancy: real + fluid bytes. One
+	// ticker samples it and the foreground mean rate, as the event ratio
+	// assumes.
+	ssH := nwH.Sample(100*des.Microsecond,
+		netsim.Signal{Name: "mark_bytes.hybrid", Read: func() float64 { return float64(starH.Bottleneck.Queue().MarkBytes()) }},
+		netsim.Signal{Name: "mean_rate.hybrid", Read: func() float64 {
+			sum := 0.0
+			for _, s := range senders {
+				sum += s.Rate()
+			}
+			return sum / float64(len(senders))
+		}})
+	qsH, rsH := ssH[0], ssH[1]
 	nwH.RunUntil(end)
 	evH := nwH.Sim.Processed()
 	hybMean := qsH.WindowSummary(horizon*0.6, horizon).Mean
@@ -169,39 +172,25 @@ func runHybridBG(o Options) (*Report, error) {
 		[]string{"2 packet + 6 fluid", f1(hybMean / 1000), fmt.Sprint(evH), f2(fgRate * 8 / 1e9)},
 	)
 	rep.Tables = append(rep.Tables, tbl)
-	qDiff := relDiff(hybMean, fullMean)
+	queue := hybrid.Check{Want: fullMean, Got: hybMean, Tol: 0.25}
 	evRatio := float64(evH) / float64(evF)
-	rateDiff := relDiff(fgRate, fair)
-	rep.AddMetric("queue_rel_diff", qDiff)
+	rate := hybrid.Check{Want: fair, Got: fgRate, Tol: 0.30}
+	rep.AddMetric("queue_rel_diff", queue.RelErr())
 	rep.AddMetric("event_ratio", evRatio)
-	rep.AddMetric("fg_rate_rel_diff", rateDiff)
+	rep.AddMetric("fg_rate_rel_diff", rate.RelErr())
 	rep.AddMetric("bg_rate_gbps", bg.Rate()*8/1e9)
 	rep.Notes = append(rep.Notes,
 		"the aggregate absorbs leftover capacity while sharing one marking probability with the packet foreground, so the coupled system settles at the 8-flow fixed point at a fraction of the event cost",
 		"the foreground/background split is only approximately fair: congestion-signal coupling fixes the total rate, not the division (see DESIGN.md)")
-	if qDiff > 0.25 {
-		return nil, fmt.Errorf("hybridbg: coupled queue diverges from the all-packet run: rel diff %.3f > 0.25", qDiff)
+	if !queue.OK() {
+		return nil, fmt.Errorf("hybridbg: coupled queue diverges from the all-packet run: rel diff %.3f > %.2f", queue.RelErr(), queue.Tol)
 	}
 	if evRatio > 0.6 {
 		return nil, fmt.Errorf("hybridbg: event ratio %.3f — the aggregate saved too little", evRatio)
 	}
-	if rateDiff > 0.30 {
+	if !rate.OK() {
 		return nil, fmt.Errorf("hybridbg: foreground rate %.3g off the 8-flow fair share %.3g (rel %.3f)",
-			fgRate, fair, rateDiff)
+			fgRate, fair, rate.RelErr())
 	}
 	return rep, nil
-}
-
-func relDiff(a, b float64) float64 {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if b < 0 {
-		b = -b
-	}
-	if b < 1e-12 {
-		b = 1e-12
-	}
-	return d / b
 }

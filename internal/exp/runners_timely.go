@@ -7,7 +7,6 @@ import (
 	"ecndelay/internal/fluid"
 	"ecndelay/internal/hybrid"
 	"ecndelay/internal/netsim"
-	"ecndelay/internal/stats"
 	"ecndelay/internal/timely"
 )
 
@@ -34,18 +33,13 @@ func init() {
 	})
 }
 
-// sampleRates records sender rates every 100 µs.
-func sampleRates(nw *netsim.Network, senders []*timely.Sender) []*stats.Series {
-	out := make([]*stats.Series, len(senders))
-	for i := range out {
-		out[i] = &stats.Series{}
+// rateSignals names each sender's rate (bytes/s) "rate<i>" plus suffix,
+// which keeps the series of a runner's sub-runs apart.
+func rateSignals[S interface{ Rate() float64 }](senders []S, suffix string) []netsim.Signal {
+	out := make([]netsim.Signal, len(senders))
+	for i, s := range senders {
+		out[i] = netsim.Signal{Name: fmt.Sprintf("rate%d%s", i, suffix), Read: s.Rate}
 	}
-	nw.Sim.Every(0, 100*des.Microsecond, func() {
-		t := nw.Sim.Now().Seconds()
-		for i, s := range senders {
-			out[i].Add(t, s.Rate())
-		}
-	})
 	return out
 }
 
@@ -78,8 +72,10 @@ func runFig8(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
-		rs := sampleRates(nw, senders)
+		sfx := fmt.Sprintf(".n%d", n)
+		ss := nw.Sample(100*des.Microsecond,
+			append([]netsim.Signal{netsim.QueueSignal("queue_bytes"+sfx, star.Bottleneck)}, rateSignals(senders, sfx)...)...)
+		qs, rs := ss[0], ss[1:]
 		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		qP := qs.WindowSummary(horizon*0.6, horizon)
 		var aggP float64
@@ -151,7 +147,7 @@ func runFig9(o Options) (*Report, error) {
 		{"7 Gb/s and 3 Gb/s", []float64{7e9 / 8, 3e9 / 8}, 0},
 	}
 	var pktRatios []float64
-	for _, c := range pktCases {
+	for i, c := range pktCases {
 		sc := hybrid.TimelyScenario{Cfg: fluid.DefaultTimelyConfig(2), Par: timely.DefaultParams(), Seed: o.Seed}
 		sc.Cfg.InitialRates = c.rates
 		sc.Cfg.StartTimes = []float64{0, c.stagger}
@@ -159,7 +155,7 @@ func runFig9(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rs := sampleRates(nw, senders)
+		rs := nw.Sample(100*des.Microsecond, rateSignals(senders, fmt.Sprintf(".case%d", i))...)
 		nw.RunUntil(des.Time(des.DurationFromSeconds(horizonP)))
 		m0 := rs[0].WindowSummary(horizonP*0.7, horizonP).Mean
 		m1 := rs[1].WindowSummary(horizonP*0.7, horizonP).Mean
@@ -187,7 +183,7 @@ func runFig10(o Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		rs := sampleRates(nw, senders)
+		rs := nw.Sample(100*des.Microsecond, rateSignals(senders, fmt.Sprintf(".case%d", len(tbl.Rows)))...)
 		minAgg := 1e18
 		nw.Sim.Every(des.Time(10*des.Millisecond), 100*des.Microsecond, func() {
 			if agg := senders[0].Rate() + senders[1].Rate(); agg < minAgg {
@@ -301,8 +297,9 @@ func runFig12(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := sampleRates(nw, senders)
-	qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
+	ss := nw.Sample(100*des.Microsecond,
+		append([]netsim.Signal{netsim.QueueSignal("queue_bytes", star.Bottleneck)}, rateSignals(senders, "")...)...)
+	qs, rs := ss[0], ss[1:]
 	hp := horizon * 0.4
 	nw.RunUntil(des.Time(des.DurationFromSeconds(hp)))
 	m0 := rs[0].WindowSummary(hp*0.7, hp).Mean

@@ -710,6 +710,18 @@ func TestRunSampling(t *testing.T) {
 	}
 }
 
+// Tail keeps one component of the samples at or after its start, in
+// order, and nothing before it.
+func TestTail(t *testing.T) {
+	sm := []Sample{{0, []float64{1, 10}}, {0.5, []float64{2, 20}}, {1, []float64{3, 30}}}
+	if got := Tail(sm, 1, 0.5); len(got) != 2 || got[0] != 20 || got[1] != 30 {
+		t.Errorf("Tail(sm, 1, 0.5) = %v, want [20 30]", got)
+	}
+	if got := Tail(sm, 0, 2); len(got) != 0 {
+		t.Errorf("Tail past the last sample = %v, want none", got)
+	}
+}
+
 // A walk holds no sample: with a callback that keeps nothing, it makes as
 // many allocations for 10,000 samples as for 1,000, so fluidsim's memory
 // does not grow with the samples it writes.

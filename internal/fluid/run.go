@@ -86,6 +86,18 @@ func Run(m Model, h, t1, sampleEvery float64) []Sample {
 	return out
 }
 
+// Tail returns state component idx of every sample at or after tFrom, in
+// order: the tail window a steady-state summary reads.
+func Tail(sm []Sample, idx int, tFrom float64) []float64 {
+	var vals []float64
+	for _, s := range sm {
+		if s.T >= tFrom {
+			vals = append(vals, s.Y[idx])
+		}
+	}
+	return vals
+}
+
 // DefaultDCQCNParams returns the [31] default parameters for n flows on a
 // 40 Gb/s bottleneck with 1 KB packets, in packet units: C = 5e6 pkt/s,
 // R_AI = 40 Mb/s, τ = 50 µs, τ' = T = 55 µs, B = 10 MB, F = 5,

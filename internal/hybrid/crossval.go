@@ -177,16 +177,6 @@ func trajGrid(sm []fluid.Sample, qIdx int, scaleKB float64, qs *stats.Series, ho
 	return out
 }
 
-func tailVals(sm []fluid.Sample, idx int, tFrom float64) []float64 {
-	var vals []float64
-	for _, s := range sm {
-		if s.T >= tFrom {
-			vals = append(vals, s.Y[idx])
-		}
-	}
-	return vals
-}
-
 func median(vals []float64) float64 {
 	m, err := stats.Percentile(vals, 50)
 	if err != nil {
@@ -236,29 +226,32 @@ func (sc TimelyScenario) crossVal(horizon float64, ob *obs.NetObserver) (Result,
 		nw, star, senders, horizon), nil
 }
 
-// compare is the one fluid↔packet comparison under both protocols. It
-// samples the packet star's bottleneck queue and mean sender rate every
-// 100 µs, runs the network to the horizon and checks the tail (the last
-// 40%) of both layers against each other, against the fixed-point queue
-// qStar and against the fair share fair (bytes/s), within
-// DefaultTolerance. Fluid queue values, qStar included, count perKB units
-// per KB.
+// compare is the cross-validation's fluid↔packet comparison under both
+// protocols. It samples the packet star's bottleneck queue and mean
+// sender rate every 100 µs, as the series "queue_bytes.<name>" and
+// "mean_rate.<name>", runs the network to the horizon and checks the tail
+// (the last 40%) of both layers against each other, against the
+// fixed-point queue qStar and against the fair share fair (bytes/s),
+// within DefaultTolerance. Fluid queue values, qStar included, count
+// perKB units per KB.
 func compare[S interface{ Rate() float64 }](name string, sm []fluid.Sample, qIdx int, perKB, qStar, fair float64,
 	nw *netsim.Network, star *netsim.Star, senders []S, horizon float64) Result {
 	tol := DefaultTolerance()
-	qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
-	rs := &stats.Series{}
-	nw.Sim.Every(0, 100*des.Microsecond, func() {
+	meanRate := func() float64 {
 		sum := 0.0
 		for _, s := range senders {
 			sum += s.Rate()
 		}
-		rs.Add(nw.Sim.Now().Seconds(), sum/float64(len(senders)))
-	})
+		return sum / float64(len(senders))
+	}
+	ss := nw.Sample(100*des.Microsecond,
+		netsim.QueueSignal("queue_bytes."+name, star.Bottleneck),
+		netsim.Signal{Name: "mean_rate." + name, Read: meanRate})
+	qs, rs := ss[0], ss[1]
 	nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 
 	tail := horizon * 0.6
-	fq := tailVals(sm, qIdx, tail)
+	fq := fluid.Tail(sm, qIdx, tail)
 	fqMeanKB := stats.Summarize(fq).Mean / perKB
 	pq := qs.Window(tail, horizon)
 	pqMeanKB := stats.Summarize(pq).Mean / 1000

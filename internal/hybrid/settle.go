@@ -100,16 +100,6 @@ func MeasureSettle(qs, evs *stats.Series, horizon float64) Settle {
 	return s
 }
 
-// MonitorEvents samples the simulator's cumulative processed-event count on
-// the same grid MonitorQueueBytes uses, for MeasureSettle.
-func MonitorEvents(sim *des.Simulator, interval des.Duration) *stats.Series {
-	s := &stats.Series{}
-	sim.Every(sim.Now().Add(interval), interval, func() {
-		s.Add(sim.Now().Seconds(), float64(sim.Processed()))
-	})
-	return s
-}
-
 // ClosIncast builds the Clos realisation of the scenario: Par.N senders on
 // a 2-tier leaf-spine fabric all sending to host 0, whose leaf→host port
 // is the bottleneck — same capacity and RED profile as the star, so the

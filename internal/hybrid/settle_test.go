@@ -22,8 +22,9 @@ func TestMeasureSettleWarmVsCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
-		evs := MonitorEvents(nw.Sim, 100*des.Microsecond)
+		qs := nw.Sample(100*des.Microsecond, netsim.QueueSignal("queue_bytes", star.Bottleneck))[0]
+		evs := nw.Sample(100*des.Microsecond, netsim.Signal{Name: "events",
+			Read: func() float64 { return float64(nw.Sim.Processed()) }})[0]
 		nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 		return MeasureSettle(qs, evs, horizon)
 	}

@@ -187,7 +187,7 @@ func TestWarmColdSameSteadyState(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				qs := netsim.MonitorQueueBytes(nw.Sim, port, 100*des.Microsecond)
+				qs := nw.Sample(100*des.Microsecond, netsim.QueueSignal("queue_bytes", port))[0]
 				nw.RunUntil(des.Time(des.DurationFromSeconds(horizon)))
 				tails[warmRun] = qs.Window(horizon*0.6, horizon)
 			}

@@ -1,12 +1,14 @@
 package netsim
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"ecndelay/internal/des"
 	"ecndelay/internal/fixedpoint"
+	"ecndelay/internal/obs"
 )
 
 func TestQueueFIFOAndBytes(t *testing.T) {
@@ -359,25 +361,47 @@ func TestPFCPausesAndConserves(t *testing.T) {
 	}
 }
 
+// Sample's queue signal ticks from one interval in, and with a probe set
+// on the observer each tick also records the point in a probe named
+// after the signal, qualified by the observer's prefix.
 func TestMonitorQueueBytes(t *testing.T) {
 	nw := New(1)
+	o := &obs.NetObserver{Probes: obs.NewProbeSet(), ProbePrefix: "job."}
+	nw.SetObserver(o)
 	star := NewStar(nw, StarConfig{
 		Senders: 2,
 		Link:    LinkConfig{Bandwidth: 1.25e8, PropDelay: des.Microsecond},
 	})
-	series := MonitorQueueBytes(nw.Sim, star.Bottleneck, 10*des.Microsecond)
+	series := nw.Sample(10*des.Microsecond, QueueSignal("queue_bytes", star.Bottleneck))[0]
 	for _, s := range star.Senders {
 		for i := 0; i < 50; i++ {
 			s.Send(&Packet{Dst: star.Receiver.ID(), Size: DataMTU, Kind: Data})
 		}
 	}
 	nw.Sim.RunUntil(des.Time(2 * des.Millisecond))
-	if series.Len() == 0 {
-		t.Fatal("no samples recorded")
+	if series.Len() != 200 || series.T[0] != 10e-6 {
+		t.Fatalf("%d samples, first at %v s; want 200 from 10 µs", series.Len(), series.T[:min(1, series.Len())])
 	}
 	peak := series.WindowSummary(0, 1).Max
 	if peak < DataMTU {
 		t.Errorf("peak queue %v bytes, expected visible buildup", peak)
+	}
+	probes := o.Probes.Probes()
+	if len(probes) != 1 {
+		t.Fatalf("%d probes, want 1", len(probes))
+	}
+	got := probes[0].Samples()
+	if len(got) != series.Len() {
+		t.Fatalf("probe holds %d samples, series %d", len(got), series.Len())
+	}
+	for i, s := range got {
+		if s.T != series.T[i] || s.V != series.V[i] {
+			t.Fatalf("probe sample %d = %+v, series (%v, %v)", i, s, series.T[i], series.V[i])
+		}
+	}
+	var buf bytes.Buffer
+	if err := o.Probes.WriteJSONL(&buf); err != nil || !bytes.HasPrefix(buf.Bytes(), []byte(`{"probe":"job.queue_bytes"`)) {
+		t.Errorf("probe export %.60q, err %v; want the prefixed signal name", buf.String(), err)
 	}
 }
 
@@ -387,7 +411,14 @@ func TestMonitorThroughput(t *testing.T) {
 		Senders: 1,
 		Link:    LinkConfig{Bandwidth: 1.25e8, PropDelay: des.Microsecond},
 	})
-	thr := MonitorThroughput(nw.Sim, star.Bottleneck, 100*des.Microsecond)
+	// The delivered rate over each interval, from the port's byte count.
+	var last int64
+	thr := nw.Sample(100*des.Microsecond, Signal{"tx_rate", func() float64 {
+		cur := star.Bottleneck.TxBytes
+		rate := float64(cur-last) / (100 * des.Microsecond).Seconds()
+		last = cur
+		return rate
+	}})[0]
 	// Saturate for 2 ms.
 	var sendLoop func()
 	sent := 0

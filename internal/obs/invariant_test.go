@@ -407,8 +407,4 @@ func TestProbeCadenceDefault(t *testing.T) {
 	if got := o.ProbeCadence(); got != 100*des.Microsecond {
 		t.Errorf("default cadence %v, want 100µs", got)
 	}
-	o.ProbeEvery = des.Millisecond
-	if got := o.ProbeCadence(); got != des.Millisecond {
-		t.Errorf("configured cadence %v, want 1ms", got)
-	}
 }

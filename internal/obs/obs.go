@@ -52,8 +52,8 @@ type NetObserver struct {
 	// PFC actions through them; Emit feeds it the portless records. A
 	// ForJob copy carries a child of the original's checker.
 	Check *Checker
-	// Probes collects auto-registered time-series probes (bottleneck
-	// queue depth and similar); experiment harnesses add their own.
+	// Probes collects time-series probes: a packet run records each
+	// series it samples here, from its own sampling ticker.
 	Probes *ProbeSet
 	// Hists collects streaming latency histograms: per-hop queueing
 	// delay, per-flow RTT, pacing/CNP inter-arrival gaps, flow
@@ -61,9 +61,6 @@ type NetObserver struct {
 	// concurrent runs sharing one set merge their distributions; names
 	// are qualified through ProbeName like probe series.
 	Hists *HistSet
-	// ProbeEvery is the sampling cadence for auto-registered probes
-	// (zero: 100 µs). See EXPERIMENTS.md for cadence guidance.
-	ProbeEvery des.Duration
 	// ProbePrefix qualifies every auto-registered name (via ProbeName):
 	// probe series, histograms and port and endpoint counter sets. Job
 	// orchestrators give each job a shallow copy of a shared observer
@@ -113,13 +110,10 @@ func (o *NetObserver) Emit(e Event) {
 	}
 }
 
-// ProbeCadence reports the configured probe cadence, defaulted.
-func (o *NetObserver) ProbeCadence() des.Duration {
-	if o.ProbeEvery > 0 {
-		return o.ProbeEvery
-	}
-	return 100 * des.Microsecond
-}
+// ProbeCadence is the cadence of a probe that is driven on its own
+// ticker rather than recorded by a run's sampler: 100 µs, the cadence
+// of the experiments' queue series.
+func (o *NetObserver) ProbeCadence() des.Duration { return 100 * des.Microsecond }
 
 // ProbeName qualifies an auto-registered probe, histogram or counter
 // name with the observer's ProbePrefix.

@@ -112,7 +112,7 @@ func TestPatchedConvergesFair(t *testing.T) {
 	nw, star, senders := star10G(t, DefaultPatchedParams(),
 		[]des.Time{0, 0}, []float64{7e9 / 8, 3e9 / 8}, 1)
 	rs := rateSeries(nw, senders)
-	qs := netsim.MonitorQueueBytes(nw.Sim, star.Bottleneck, 100*des.Microsecond)
+	qs := nw.Sample(100*des.Microsecond, netsim.QueueSignal("queue_bytes", star.Bottleneck))[0]
 	nw.Sim.RunUntil(des.Time(300 * des.Millisecond))
 	m0 := rs[0].WindowSummary(0.2, 0.3).Mean
 	m1 := rs[1].WindowSummary(0.2, 0.3).Mean
